@@ -5,7 +5,7 @@
 GO ?= go
 PR ?= 10
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-record fig4 fig4-highp chaos telemetry-smoke serve-smoke
+.PHONY: verify vet build test test-race bench bench-smoke bench-record bench-pair fig4 fig4-highp chaos telemetry-smoke serve-smoke
 
 verify: vet build test-race
 
@@ -46,6 +46,17 @@ bench-record:
 	  $(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$' -benchtime=5x -timeout 10m ./internal/core/ ; \
 	  $(GO) test -run '^$$' -bench='^BenchmarkServeLoadgen$$' -benchtime=1x -timeout 10m ./internal/serve/ ; } \
 		| $(GO) run ./cmd/benchjson > BENCH_$(PR).json
+
+# Paired before/after runs of the repository benchmark (./bench), the
+# protocol every performance claim follows: BASE (a commit) against the
+# working tree, PAIRS alternating pairs on seeds 1..PAIRS plus the unseen
+# seed 4242, then `bench -compare`. WORKLOAD empty = all four.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=fig9-seismic
+BASE ?= HEAD~1
+WORKLOAD ?=
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench_pair.sh $(BASE) "$(WORKLOAD)" $(PAIRS)
 
 # Live-endpoint smoke: run cmd/advect with -telemetry, scrape /metrics and
 # /healthz mid-run, and assert the key series (per-phase quantiles, mpi

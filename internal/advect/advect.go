@@ -34,9 +34,10 @@ type Options struct {
 	CentralFlux bool
 	// NoOverlap disables the split-phase ghost exchange: the exchange
 	// completes before any kernel runs, as in pre-overlap builds. The
-	// kernels execute in the same order either way (volume, interior
-	// faces, boundary faces), so both paths produce bitwise-identical
-	// results; this is the baseline for the overlap measurements.
+	// kernels execute in the same order either way (volume, faces of
+	// interior elements, faces of boundary elements), so both paths
+	// produce bitwise-identical results; this is the baseline for the
+	// overlap measurements.
 	NoOverlap bool
 }
 
@@ -108,15 +109,11 @@ func (k *advKernel) Volume(w *mangll.Work, elems []int32) {
 }
 
 func (k *advKernel) InteriorFace(w *mangll.Work, links []int32) {
-	k.s.faceTerm(w, links)
+	k.s.faceTerm(w, links, k.s.kDC)
 }
 
 func (k *advKernel) BoundaryFace(w *mangll.Work, links []int32) {
-	k.s.faceTerm(w, links)
-}
-
-func (k *advKernel) Lift(w *mangll.Work, links []int32) {
-	k.s.liftTerm(w, links, k.s.kDC)
+	k.s.faceTerm(w, links, k.s.kDC)
 }
 
 // NewShell creates a solver on the 24-tree spherical shell with four
@@ -214,6 +211,7 @@ func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
 	m := s.Mesh
+	s.rk.ForRange = m.ForRange
 	n := m.NumLocal * m.Np
 	for a := 0; a < 3; a++ {
 		s.cv[a] = make([]float64, n)
@@ -258,7 +256,7 @@ func (s *Solver) rebuild() {
 		}
 		out := s.unw[li*m.Nf : (li+1)*m.Nf]
 		if l.Kind == mangll.LinkToFineQuad {
-			m.InterpFaceToQuad(l, fv, out)
+			m.SerialWork().InterpFaceToQuad(l, fv, out)
 			continue
 		}
 		copy(out, fv)
@@ -293,7 +291,8 @@ func (s *Solver) DT() float64 {
 // dC/dt = -(1/J) sum_a d/dxi_a (cv_a C) + lift of (F.n - F*).
 //
 // The schedule — split-phase ghost exchange overlapped with the volume
-// and interior-face kernels, optional worker-pool fan-out — lives in
+// kernels and the faces of interior elements, optional worker-pool
+// fan-out — lives in
 // mangll's kernel driver; the solver only supplies the hooks (advKernel).
 // Blocking, overlapped, and pooled execution are bitwise identical.
 func (s *Solver) RHS(c, dc []float64) {
@@ -338,13 +337,11 @@ func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, c, dc []float64) {
 	}
 }
 
-// faceTerm computes and stages the surface flux of the given links
-// (indices into Mesh.Links). Interior links touch only local data;
-// boundary links read ghost values and must run after the exchange
-// finished. Accumulation happens later in liftTerm, in canonical link
-// order, so results do not depend on which links were partition
-// boundaries.
-func (s *Solver) faceTerm(w *mangll.Work, links []int32) {
+// faceTerm computes the surface flux of the given links (indices into
+// Mesh.Links) and lifts each into dc at once. The driver hands every
+// element its links in ascending order after its volume term, so results
+// do not depend on which links were partition boundaries.
+func (s *Solver) faceTerm(w *mangll.Work, links []int32, dc []float64) {
 	m := s.Mesh
 	sc := &s.ws[w.ID()]
 	mine, theirs, g := sc.mine, sc.theirs, sc.g
@@ -369,20 +366,7 @@ func (s *Solver) faceTerm(w *mangll.Work, links []int32) {
 			}
 			g[fn] = flux - star
 		}
-		w.StageFace(li, 0, g)
-	}
-}
-
-// liftTerm accumulates the staged face fluxes into dc in link order.
-// Domain-boundary links staged nothing and contribute nothing.
-func (s *Solver) liftTerm(w *mangll.Work, links []int32, dc []float64) {
-	m := s.Mesh
-	for _, li := range links {
-		l := &m.Links[li]
-		if l.Kind == mangll.LinkBoundary {
-			continue
-		}
-		w.LiftFace(l, w.StagedFace(li, 0), dc)
+		w.LiftFace(l, g, dc)
 	}
 }
 

@@ -79,9 +79,10 @@ func BenchmarkHangingFaceInterp(b *testing.B) {
 		}
 		field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np)
 		out := make([]float64, m.Nf)
+		w := m.SerialWork()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.FaceValues(link, 1, 0, field, out)
+			w.FaceValues(link, 1, 0, field, out)
 		}
 	})
 }

@@ -11,27 +11,47 @@ import (
 	"repro/internal/raceflag"
 )
 
-// TestLinkPartition checks that IntLinks/BndLinks partition the link set by
-// the overlap criterion (a link waits for the exchange iff it reads ghost
-// data), and that the element partition is consistent with it.
+// TestLinkPartition checks that the element classes follow the overlap
+// criterion (an element is a boundary element iff one of its links reads
+// ghost data) and that intLinks/bndLinks hold exactly the links of the
+// interior and of the boundary elements, each ascending.
 func TestLinkPartition(t *testing.T) {
 	conn := connectivity.Brick(2, 2, 1, false, false, false)
 	for _, p := range []int{1, 4} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			_, m := buildMesh(c, conn, 1, 3, 2)
-			seen := make([]int, len(m.Links))
-			for _, li := range m.IntLinks {
-				seen[li]++
-				l := &m.Links[li]
-				if l.Kind != LinkBoundary && l.NbrGhost {
-					t.Errorf("p=%d: ghost-reading link %d in interior set", p, li)
+			readsGhost := make([]bool, m.NumLocal)
+			for li := range m.Links {
+				if l := &m.Links[li]; l.Kind != LinkBoundary && l.NbrGhost {
+					readsGhost[l.Elem] = true
 				}
 			}
-			for _, li := range m.BndLinks {
-				seen[li]++
-				l := &m.Links[li]
-				if l.Kind == LinkBoundary || !l.NbrGhost {
-					t.Errorf("p=%d: local-only link %d in boundary set", p, li)
+			elems := make([]int, m.NumLocal)
+			for _, e := range m.InteriorElems {
+				elems[e]++
+				if readsGhost[e] {
+					t.Errorf("p=%d: element %d with a ghost-reading link in interior set", p, e)
+				}
+			}
+			for _, e := range m.BoundaryElems {
+				elems[e]++
+				if !readsGhost[e] {
+					t.Errorf("p=%d: element %d without ghost-reading link in boundary set", p, e)
+				}
+			}
+			for e, n := range elems {
+				if n != 1 {
+					t.Fatalf("p=%d: element %d covered %d times", p, e, n)
+				}
+			}
+
+			seen := make([]int, len(m.Links))
+			for _, list := range [][]int32{m.intLinks, m.bndLinks} {
+				for k, li := range list {
+					seen[li]++
+					if k > 0 && li <= list[k-1] {
+						t.Fatalf("p=%d: link list not ascending at %d", p, k)
+					}
 				}
 			}
 			for li, n := range seen {
@@ -39,33 +59,18 @@ func TestLinkPartition(t *testing.T) {
 					t.Fatalf("p=%d: link %d covered %d times", p, li, n)
 				}
 			}
-			if p == 1 && len(m.BndLinks) > 0 {
-				t.Fatalf("serial mesh has %d boundary links", len(m.BndLinks))
-			}
-
-			// Element partition: boundary elements are exactly those with at
-			// least one boundary link.
-			hasBnd := make([]bool, m.NumLocal)
-			for _, li := range m.BndLinks {
-				hasBnd[m.Links[li].Elem] = true
-			}
-			elems := make([]int, m.NumLocal)
-			for _, e := range m.InteriorElems {
-				elems[e]++
-				if hasBnd[e] {
-					t.Errorf("p=%d: element %d with boundary link in interior set", p, e)
+			for _, li := range m.intLinks {
+				if readsGhost[m.Links[li].Elem] {
+					t.Errorf("p=%d: link %d of a boundary element in interior list", p, li)
 				}
 			}
-			for _, e := range m.BoundaryElems {
-				elems[e]++
-				if !hasBnd[e] {
-					t.Errorf("p=%d: element %d without boundary link in boundary set", p, e)
+			for _, li := range m.bndLinks {
+				if !readsGhost[m.Links[li].Elem] {
+					t.Errorf("p=%d: link %d of an interior element in boundary list", p, li)
 				}
 			}
-			for e, n := range elems {
-				if n != 1 {
-					t.Fatalf("p=%d: element %d covered %d times", p, e, n)
-				}
+			if p == 1 && len(m.bndLinks) > 0 {
+				t.Fatalf("serial mesh has %d boundary-element links", len(m.bndLinks))
 			}
 		})
 	}

@@ -14,39 +14,34 @@ import (
 // mesh and fields, physics arrives as a kernel.
 //
 // Hook ordering contract (identical on every path — blocking, overlapped,
-// pooled):
+// pooled), stated per element because that is all dG needs: elements share
+// no output nodes, so only the order of one element's own contributions
+// can reach the result.
 //
-//	Volume(elems)        — element-local volume terms
-//	InteriorFace(links)  — face fluxes reading only local data (including
-//	                       domain-boundary faces), overlapped with the
-//	                       ghost exchange
-//	BoundaryFace(links)  — face fluxes reading ghost data, after Finish
-//	Lift(links)          — face-flux accumulation into the residual, in
-//	                       canonical link order over ALL links
+//	Volume(elems)        — element-local volume terms; every element,
+//	                       once, before any of its links
+//	InteriorFace(links)  — flux and lift of every link of the interior
+//	                       elements (those none of whose links reads ghost
+//	                       data), overlapped with the ghost exchange
+//	BoundaryFace(links)  — flux and lift of every link of the boundary
+//	                       elements, ghost-reading or not, after Finish
 //
-// The face hooks are split into flux computation and accumulation on
-// purpose: whether a face is "interior" or "boundary" depends on the
-// partition, so any scheme that accumulates during the face hooks orders
-// an element's face contributions partition-dependently and the results
-// drift across rank counts at the ulp level. Instead, the face hooks
-// compute each link's flux and stage it (Work.StageFace) — pure indexed
-// writes, order-irrelevant — and Lift replays the staged fluxes in link
-// index order, which is element-major and partition-independent. The
-// staged fluxes themselves are bitwise partition-independent (a ghost
-// neighbor's exchanged values equal the local values it would have had),
-// so one Apply is bitwise identical across blocking/overlapped paths, any
-// worker count, AND any rank count.
+// Each element therefore accumulates its volume term and then its links in
+// ascending link index, on every path. Link indices are element-major and
+// face-ordered (buildLinks), which no partition changes; a link's flux is
+// itself partition-independent (a ghost neighbor's exchanged values equal
+// the local values it would have had); so one Apply is bitwise identical
+// across blocking/overlapped paths, any worker count, AND any rank count.
+// What the partition does change is only whether an element is interior or
+// boundary, i.e. in which phase its — identically ordered — links run.
 //
 // Determinism rules for hook implementations:
 //
-//   - a hook invoked with element range E and link ranges L may write only
-//     into nodes of elements in E (face lifts accumulate into the link's
-//     own element; dG elements share no nodes across elements) and into
-//     the staged-flux slots of links in L;
-//   - within one batch the driver preserves the serial order (volume of
-//     its elements in ascending order, then lifts in link order), so
-//     per-element accumulation order is the serial order regardless of
-//     which worker runs the batch;
+//   - a hook invoked with element range E or links L may write only into
+//     nodes of elements in E, or of the links' own elements (face lifts
+//     accumulate into the link's own element);
+//   - a face hook must process its links in the order given and finish
+//     each link — flux and lift — before the next;
 //   - hooks must route mesh operations through the Work they are handed
 //     (per-worker scratch), and any user functions they call (velocity,
 //     material models) must be pure;
@@ -58,72 +53,52 @@ type Kernel interface {
 	NumComps() int
 	// Volume computes volume terms for the given local element indices.
 	Volume(w *Work, elems []int32)
-	// InteriorFace computes face fluxes for the given indices into
-	// Mesh.Links, all of which read only local data, and stages them via
-	// Work.StageFace.
+	// InteriorFace computes and lifts the face fluxes of the given indices
+	// into Mesh.Links, ascending, none of which reads ghost data.
 	InteriorFace(w *Work, links []int32)
-	// BoundaryFace computes face fluxes for the given indices into
-	// Mesh.Links, all of which read ghost data (valid only after the
-	// exchange finished), and stages them via Work.StageFace.
+	// BoundaryFace computes and lifts the face fluxes of the given indices
+	// into Mesh.Links, ascending, some of which read ghost data (valid
+	// only after the exchange finished).
 	BoundaryFace(w *Work, links []int32)
-	// Lift accumulates the staged fluxes of the given indices into
-	// Mesh.Links — every link of the covered elements, interior and
-	// boundary alike, in ascending link order — into the residual.
-	Lift(w *Work, links []int32)
 }
 
-// kernelBatch is one deterministic unit of pool work: a contiguous
-// element range plus the (contiguous, element-major) sub-ranges of
-// IntLinks and BndLinks belonging to those elements, plus the full link
-// window (every link of those elements in ascending index order) driven
-// through the Lift hook. Batches are fixed at mesh build time, so the
-// partition — and therefore the per-element execution order — does not
-// depend on worker count or timing.
+// kernelBatch is one deterministic unit of work: a contiguous element
+// range plus the (contiguous, element-major) windows of intLinks and
+// bndLinks belonging to those elements. Batches are fixed at mesh build
+// time; since the per-element order does not depend on them, neither
+// worker count nor timing can reach the result.
 type kernelBatch struct {
-	elems     []int32
-	intLinks  []int32
-	bndLinks  []int32
-	liftLinks []int32
+	elems    []int32
+	intLinks []int32
+	bndLinks []int32
 }
 
-// batchesPerWorker oversubscribes the batch count relative to the worker
-// count so the greedy claim can rebalance when batches cost unevenly
-// (boundary elements carry more links than interior ones).
-const batchesPerWorker = 4
+// batchElems is the element count of one batch: small enough that the
+// residual, field and metric rows of its elements (about 20 kB each for
+// the tricubic 9-component kernel) are still in a core's L2 cache when the
+// face hook follows the volume hook — measured 3-5 % of the seismic step
+// against one batch per rank, with 8 and 32 not separable from 16 — and
+// many more batches than workers, so the pool's greedy claim evens out
+// batches that cost unevenly (boundary elements do their face work in the
+// second phase).
+const batchElems = 16
 
-// buildKernelDriver prepares the Apply machinery: per-worker Work
-// contexts, the full element list, and (when the rank has a pool) the
-// fixed batch partition and prebuilt phase closures, so steady-state
-// Apply calls allocate nothing on either path.
+// buildKernelDriver prepares the Apply machinery: the batch partition and
+// the prebuilt phase closures, so steady-state Apply calls allocate
+// nothing.
 func (m *Mesh) buildKernelDriver() {
-	m.pool = m.F.Comm.Pool()
-	nw := 1
-	if m.pool != nil {
-		nw = m.pool.Workers()
-	}
-	m.works = make([]*Work, nw)
-	for i := range m.works {
-		m.works[i] = newWork(m, i)
-	}
+	nw := len(m.works)
+	nb := (m.NumLocal + batchElems - 1) / batchElems
 	m.allElems = make([]int32, m.NumLocal)
 	for i := range m.allElems {
 		m.allElems[i] = int32(i)
 	}
-	m.allLinks = make([]int32, len(m.Links))
-	for i := range m.allLinks {
-		m.allLinks[i] = int32(i)
-	}
-	if m.pool == nil {
-		return
-	}
-	m.buildBatches(nw * batchesPerWorker)
+	m.buildBatches(nb)
 	m.spanA = make([]string, nw)
 	m.spanB = make([]string, nw)
-	m.spanC = make([]string, nw)
 	for i := range m.spanA {
 		m.spanA[i] = "pool:interior:w" + strconv.Itoa(i)
 		m.spanB[i] = "pool:boundary:w" + strconv.Itoa(i)
-		m.spanC[i] = "pool:lift:w" + strconv.Itoa(i)
 	}
 	m.phaseA = func(worker, batch int) {
 		b := &m.batches[batch]
@@ -135,87 +110,77 @@ func (m *Mesh) buildKernelDriver() {
 		b := &m.batches[batch]
 		m.curK.BoundaryFace(m.works[worker], b.bndLinks)
 	}
-	m.phaseC = func(worker, batch int) {
-		b := &m.batches[batch]
-		m.curK.Lift(m.works[worker], b.liftLinks)
-	}
 }
 
 // buildBatches partitions the local elements into at most nb contiguous
-// ranges and attaches each range's link sub-slices. Links are enumerated
-// element-major (buildLinks), so IntLinks and BndLinks are sorted by
-// element and every batch's links form one contiguous window — located
-// here with a single two-pointer sweep, referenced as zero-copy
+// ranges and attaches each range's link windows. Links are enumerated
+// element-major (buildLinks), so intLinks and bndLinks are sorted by
+// element and every batch's links form one contiguous window of each —
+// located here with a single two-pointer sweep, referenced as zero-copy
 // subslices.
 func (m *Mesh) buildBatches(nb int) {
-	if nb > m.NumLocal {
-		nb = m.NumLocal
-	}
+	nb = max(1, min(nb, m.NumLocal))
 	m.batches = m.batches[:0]
-	ii, bi, ai := 0, 0, 0
+	ii, bi := 0, 0
 	for k := 0; k < nb; k++ {
 		e0 := k * m.NumLocal / nb
 		e1 := (k + 1) * m.NumLocal / nb
 		i0 := ii
-		for ii < len(m.IntLinks) && int(m.Links[m.IntLinks[ii]].Elem) < e1 {
+		for ii < len(m.intLinks) && int(m.Links[m.intLinks[ii]].Elem) < e1 {
 			ii++
 		}
 		b0 := bi
-		for bi < len(m.BndLinks) && int(m.Links[m.BndLinks[bi]].Elem) < e1 {
+		for bi < len(m.bndLinks) && int(m.Links[m.bndLinks[bi]].Elem) < e1 {
 			bi++
 		}
-		a0 := ai
-		for ai < len(m.Links) && int(m.Links[ai].Elem) < e1 {
-			ai++
-		}
 		m.batches = append(m.batches, kernelBatch{
-			elems:     m.allElems[e0:e1],
-			intLinks:  m.IntLinks[i0:ii],
-			bndLinks:  m.BndLinks[b0:bi],
-			liftLinks: m.allLinks[a0:ai],
+			elems:    m.allElems[e0:e1],
+			intLinks: m.intLinks[i0:ii],
+			bndLinks: m.bndLinks[b0:bi],
 		})
 	}
 }
 
-// Apply runs one kernel application with the split-phase ghost exchange
-// overlapped against the interior work: Start exchange, Volume +
-// InteriorFace, Finish, BoundaryFace. field is the local+ghost array the
-// exchange fills (NumComps values per node); its local part must be
-// filled before the call. The returned duration is the time the
-// orchestrator spent completing the exchange (the solvers' exchange-wait
-// histograms).
-//
-// With a per-rank pool the batches of Volume+InteriorFace run on the
-// workers while the orchestrator itself completes the exchange — Finish
-// writes only the ghost region, phase-A batches read only the local
-// region, so the two overlap without synchronization — then BoundaryFace
-// fans out after the join, and the Lift sweep after that. Results are
-// bitwise identical across blocking, overlapped, any worker count, and
-// any rank count (see the Kernel contract). Apply must not be re-entered
-// from a kernel hook.
-func (m *Mesh) Apply(k Kernel, field []float64) time.Duration {
-	m.ensureStage(k.NumComps())
-	ex := m.StartGhostExchange(k.NumComps(), field)
+// ForRange splits [0, n) into contiguous chunks and calls fn on each with
+// the Work of whoever runs it: concurrently on the rank's pool when it has
+// one, else inline. It is the counterpart of Apply for sweeps that are not
+// kernel applications — frontends build their per-mesh tables with it, and
+// fan out what an RHS does besides Apply — and must be called from the
+// rank goroutine, outside any kernel application; chunks must write
+// disjoint memory. fn is retained only for the call, so a caller that
+// passes a prebuilt func value allocates nothing.
+func (m *Mesh) ForRange(n int, fn func(w *Work, lo, hi int)) {
 	if m.pool == nil {
-		w := m.works[0]
-		k.Volume(w, m.allElems)
-		k.InteriorFace(w, m.IntLinks)
-		wait := m.finishTraced(ex)
-		k.BoundaryFace(w, m.BndLinks)
-		k.Lift(w, m.allLinks)
-		return wait
+		fn(m.works[0], 0, n)
+		return
 	}
-	m.curK = k
-	m.pool.Start(len(m.batches), m.phaseA)
-	wait := m.finishTraced(ex)
-	m.pool.Wait()
-	m.emitPoolSpans(m.spanA)
-	m.pool.Run(len(m.batches), m.phaseB)
-	m.emitPoolSpans(m.spanB)
-	m.pool.Run(len(m.batches), m.phaseC)
-	m.emitPoolSpans(m.spanC)
-	m.curK = nil
-	return wait
+	m.rangeN, m.rangeFn = n, fn
+	m.pool.Run(min(n, rangeChunks*len(m.works)), m.rangeBody)
+	m.rangeFn = nil
+}
+
+// rangeChunks is ForRange's chunk count per worker: a few, so that uneven
+// chunks even out.
+const rangeChunks = 4
+
+// Apply runs one kernel application with the split-phase ghost exchange
+// overlapped against the interior work: Start exchange, Volume of every
+// element + faces of the interior ones, Finish, faces of the boundary
+// elements. field is the local+ghost array the exchange fills (NumComps
+// values per node); its local part must be filled before the call. The
+// returned duration is the time the orchestrator spent completing the
+// exchange (the solvers' exchange-wait histograms).
+//
+// With a per-rank pool the first phase's batches run on the workers while
+// the orchestrator itself completes the exchange — Finish writes only the
+// ghost region, first-phase batches read only the local region, so the two
+// overlap without synchronization — and the second phase fans out after
+// the join; a rank with no ghost-reading link has no second phase, so one
+// join per Apply. Results are bitwise identical across blocking,
+// overlapped, any worker count, and any rank count (see the Kernel
+// contract). Apply must not be re-entered from a kernel hook.
+func (m *Mesh) Apply(k Kernel, field []float64) time.Duration {
+	return m.apply(k, field, true)
 }
 
 // ApplyBlocking is Apply without communication overlap: the ghost
@@ -223,37 +188,59 @@ func (m *Mesh) Apply(k Kernel, field []float64) time.Duration {
 // baseline; solvers select it via their NoOverlap option). Kernel hooks
 // execute in the identical order, so results are bitwise equal to Apply's.
 func (m *Mesh) ApplyBlocking(k Kernel, field []float64) time.Duration {
-	m.ensureStage(k.NumComps())
-	wait := m.exchangeTraced(k.NumComps(), field)
-	if m.pool == nil {
-		w := m.works[0]
-		k.Volume(w, m.allElems)
-		k.InteriorFace(w, m.IntLinks)
-		k.BoundaryFace(w, m.BndLinks)
-		k.Lift(w, m.allLinks)
-		return wait
+	return m.apply(k, field, false)
+}
+
+func (m *Mesh) apply(k Kernel, field []float64, overlap bool) (wait time.Duration) {
+	ex := m.StartGhostExchange(k.NumComps(), field)
+	if !overlap {
+		wait = m.finishTraced(ex)
 	}
 	m.curK = k
-	m.pool.Run(len(m.batches), m.phaseA)
-	m.emitPoolSpans(m.spanA)
-	m.pool.Run(len(m.batches), m.phaseB)
-	m.emitPoolSpans(m.spanB)
-	m.pool.Run(len(m.batches), m.phaseC)
-	m.emitPoolSpans(m.spanC)
+	m.start(m.phaseA)
+	if overlap {
+		wait = m.finishTraced(ex)
+	}
+	m.join(m.spanA)
+	if len(m.bndLinks) > 0 {
+		m.start(m.phaseB)
+		m.join(m.spanB)
+	}
 	m.curK = nil
 	return wait
 }
 
-// ensureStage sizes the staged-flux buffer for an Apply with nc
-// components: one Nf-slot per (link, component). Contents are not zeroed —
-// a kernel's Lift hook must read back only slots its face hooks staged.
-func (m *Mesh) ensureStage(nc int) {
-	n := len(m.Links) * m.Nf * nc
-	if cap(m.stage) < n {
-		m.stage = make([]float64, n)
+// start launches a phase over the batches: on the pool when the rank has
+// one, else inline (start then returns with the phase complete).
+func (m *Mesh) start(phase func(worker, batch int)) {
+	if m.pool != nil {
+		m.pool.Start(len(m.batches), phase)
+		return
 	}
-	m.stage = m.stage[:n]
-	m.stageNC = nc
+	for b := range m.batches {
+		phase(0, b)
+	}
+}
+
+// join waits for the phase launched by start and records each worker's
+// busy interval as a completed span on the rank's tracer. Workers cannot
+// write to the rank-owned trace buffer themselves; the pool measures, the
+// orchestrator records after the join.
+func (m *Mesh) join(names []string) {
+	if m.pool == nil {
+		return
+	}
+	m.pool.Wait()
+	tr := m.F.Comm.Tracer()
+	if tr == nil {
+		return
+	}
+	for i, st := range m.pool.Stats() {
+		if st.Batches == 0 {
+			continue
+		}
+		tr.AddCompleted(names[i], trace.CatPhase, st.Start, st.Busy)
+	}
 }
 
 // finishTraced completes an exchange inside an "exchange" trace span and
@@ -265,32 +252,4 @@ func (m *Mesh) finishTraced(ex *GhostExchange) time.Duration {
 	ex.Finish()
 	tr.End()
 	return time.Since(t0)
-}
-
-// exchangeTraced runs a blocking exchange inside an "exchange" trace span
-// and returns the time spent.
-func (m *Mesh) exchangeTraced(nc int, field []float64) time.Duration {
-	tr := m.F.Comm.Tracer()
-	t0 := time.Now()
-	tr.Begin("exchange")
-	m.ExchangeGhost(nc, field)
-	tr.End()
-	return time.Since(t0)
-}
-
-// emitPoolSpans records each worker's busy interval of the just-joined
-// job as a completed span on the rank's tracer. Workers cannot write to
-// the rank-owned trace buffer themselves; the pool measures, the
-// orchestrator records after the join.
-func (m *Mesh) emitPoolSpans(names []string) {
-	tr := m.F.Comm.Tracer()
-	if tr == nil {
-		return
-	}
-	for i, st := range m.pool.Stats() {
-		if st.Batches == 0 {
-			continue
-		}
-		tr.AddCompleted(names[i], trace.CatPhase, st.Start, st.Busy)
-	}
 }

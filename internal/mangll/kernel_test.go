@@ -1,106 +1,134 @@
 package mangll
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/connectivity"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
-// countKernel records which elements and links each hook saw, for the
-// batch-coverage and ordering checks. Per-element/link counters are atomic
-// so the same kernel works under any worker count.
-type countKernel struct {
+// orderKernel checks the driver's per-element contract from inside the
+// hooks: Volume of an element once and before any of its links, every link
+// once, the links of one element ascending, interior elements' links via
+// InteriorFace and boundary elements' via BoundaryFace, and no link of a
+// boundary element while the ghost exchange is still in flight. Counters
+// are atomic so the same kernel works under any worker count; an
+// element's own state (volSeen, lastLink) is only ever touched by the one
+// worker whose batch owns the element.
+type orderKernel struct {
 	m        *Mesh
-	volSeen  []atomic.Int32
-	intSeen  []atomic.Int32 // indexed by link index
-	bndSeen  []atomic.Int32
-	liftSeen []atomic.Int32
-	volDone  atomic.Int32 // elements completed, to order-check faces
-	intEarly atomic.Int32 // interior-face calls before any volume work
+	boundary []bool // per element
+	volSeen  []int32
+	lastLink []int32 // per element: last link seen, -1 before the first
+	linkSeen []int32
+	faults   atomic.Int32
+	first    atomic.Pointer[string]
 }
 
-func newCountKernel(m *Mesh) *countKernel {
-	return &countKernel{
+func newOrderKernel(m *Mesh) *orderKernel {
+	k := &orderKernel{
 		m:        m,
-		volSeen:  make([]atomic.Int32, m.NumLocal),
-		intSeen:  make([]atomic.Int32, len(m.Links)),
-		bndSeen:  make([]atomic.Int32, len(m.Links)),
-		liftSeen: make([]atomic.Int32, len(m.Links)),
+		boundary: make([]bool, m.NumLocal),
+		volSeen:  make([]int32, m.NumLocal),
+		lastLink: make([]int32, m.NumLocal),
+		linkSeen: make([]int32, len(m.Links)),
 	}
+	for _, e := range m.BoundaryElems {
+		k.boundary[e] = true
+	}
+	for e := range k.lastLink {
+		k.lastLink[e] = -1
+	}
+	return k
 }
 
-func (k *countKernel) NumComps() int { return 1 }
+func (k *orderKernel) fault(msg string) {
+	k.faults.Add(1)
+	k.first.CompareAndSwap(nil, &msg)
+}
 
-func (k *countKernel) Volume(w *Work, elems []int32) {
+func (k *orderKernel) NumComps() int { return 1 }
+
+func (k *orderKernel) Volume(w *Work, elems []int32) {
 	for _, e := range elems {
-		k.volSeen[e].Add(1)
+		k.volSeen[e]++
+		if k.lastLink[e] != -1 {
+			k.fault("Volume after a link of the same element")
+		}
 	}
-	k.volDone.Add(int32(len(elems)))
 }
 
-func (k *countKernel) InteriorFace(w *Work, links []int32) {
-	if k.volDone.Load() == 0 && len(links) > 0 {
-		k.intEarly.Add(1)
-	}
+func (k *orderKernel) face(links []int32, boundary bool) {
 	for _, li := range links {
-		k.intSeen[li].Add(1)
+		e := k.m.Links[li].Elem
+		k.linkSeen[li]++
+		switch {
+		case k.volSeen[e] != 1:
+			k.fault("link before its element's Volume")
+		case li <= k.lastLink[e]:
+			k.fault("links of one element out of ascending order")
+		case k.boundary[e] != boundary:
+			k.fault("link handed to the hook of the other element class")
+		case boundary && k.m.exchActive:
+			// Ordered after Finish by the phase join on a correct
+			// schedule, so this read races only when the check fails.
+			k.fault("link of a boundary element before Finish")
+		}
+		k.lastLink[e] = li
 	}
 }
 
-func (k *countKernel) BoundaryFace(w *Work, links []int32) {
-	for _, li := range links {
-		k.bndSeen[li].Add(1)
-	}
-}
+func (k *orderKernel) InteriorFace(w *Work, links []int32) { k.face(links, false) }
+func (k *orderKernel) BoundaryFace(w *Work, links []int32) { k.face(links, true) }
 
-func (k *countKernel) Lift(w *Work, links []int32) {
-	for _, li := range links {
-		k.liftSeen[li].Add(1)
-	}
-}
-
-// TestApplyCoverage checks that one Apply invokes Volume on every local
-// element exactly once and each link's face hook exactly once, on the
-// serial path and under a pool, with and without overlap.
+// TestApplyCoverage runs the order-checking kernel through one Apply
+// on the serial path and under a pool, with and without overlap, at 1 and
+// 3 ranks, and pins the join count: one pool job per Apply on a rank no
+// link of which reads ghost data, two otherwise.
 func TestApplyCoverage(t *testing.T) {
 	conn := connectivity.UnitCube()
 	for _, workers := range []int{1, 3} {
 		for _, p := range []int{1, 3} {
-			mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
+			reg := metrics.NewSharded(p)
+			mpi.RunOpt(p, mpi.RunOptions{Workers: workers, Metrics: reg}, func(c *mpi.Comm) {
 				_, m := buildMesh(c, conn, 1, 3, 2)
 				field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np)
+				jobs := reg.Counter("pool_jobs")
 				for _, blocking := range []bool{false, true} {
-					k := newCountKernel(m)
+					k := newOrderKernel(m)
+					j0 := jobs.ShardValue(c.Rank())
 					if blocking {
 						m.ApplyBlocking(k, field)
 					} else {
 						m.Apply(k, field)
 					}
-					for e := range k.volSeen {
-						if n := k.volSeen[e].Load(); n != 1 {
-							t.Fatalf("w=%d p=%d blocking=%v: element %d saw %d Volume calls", workers, p, blocking, e, n)
+					where := fmt.Sprintf("w=%d p=%d rank=%d blocking=%v", workers, p, c.Rank(), blocking)
+					if n := k.faults.Load(); n != 0 {
+						t.Errorf("%s: %d ordering faults, first: %s", where, n, *k.first.Load())
+					}
+					for e, n := range k.volSeen {
+						if n != 1 {
+							t.Fatalf("%s: element %d saw %d Volume calls", where, e, n)
 						}
 					}
-					for _, li := range m.IntLinks {
-						if n := k.intSeen[li].Load(); n != 1 {
-							t.Fatalf("w=%d p=%d blocking=%v: interior link %d ran %d times", workers, p, blocking, li, n)
-						}
-						if n := k.bndSeen[li].Load(); n != 0 {
-							t.Fatalf("w=%d p=%d blocking=%v: interior link %d ran as boundary", workers, p, blocking, li)
+					for li, n := range k.linkSeen {
+						if n != 1 {
+							t.Fatalf("%s: link %d ran %d times", where, li, n)
 						}
 					}
-					for _, li := range m.BndLinks {
-						if n := k.bndSeen[li].Load(); n != 1 {
-							t.Fatalf("w=%d p=%d blocking=%v: boundary link %d ran %d times", workers, p, blocking, li, n)
-						}
+					want := int64(1)
+					if len(m.bndLinks) > 0 {
+						want = 2
 					}
-					for li := range k.liftSeen {
-						if n := k.liftSeen[li].Load(); n != 1 {
-							t.Fatalf("w=%d p=%d blocking=%v: link %d lifted %d times", workers, p, blocking, li, n)
-						}
+					if p == 1 && want != 1 {
+						t.Fatalf("%s: serial mesh has boundary-element links", where)
+					}
+					if got := jobs.ShardValue(c.Rank()) - j0; workers > 1 && got != want {
+						t.Errorf("%s: %d pool jobs per Apply, want %d", where, got, want)
 					}
 				}
 			})
@@ -145,23 +173,12 @@ func (k *sumKernel) face(w *Work, links []int32) {
 		for fn := range vals {
 			vals[fn] = 0.5 * (vals[fn] + nbr[fn])
 		}
-		w.StageFace(li, 0, vals)
+		w.LiftFace(l, vals, k.out)
 	}
 }
 
 func (k *sumKernel) InteriorFace(w *Work, links []int32) { k.face(w, links) }
 func (k *sumKernel) BoundaryFace(w *Work, links []int32) { k.face(w, links) }
-
-func (k *sumKernel) Lift(w *Work, links []int32) {
-	m := k.m
-	for _, li := range links {
-		l := &m.Links[li]
-		if l.Kind == LinkBoundary {
-			continue
-		}
-		w.LiftFace(l, w.StagedFace(li, 0), k.out)
-	}
-}
 
 // applySum runs the sum kernel once on a fresh mesh and returns a bitwise
 // fingerprint of the output gathered to rank 0 (element counts per rank are
@@ -233,64 +250,47 @@ func TestApplyThreeWayIdentity(t *testing.T) {
 }
 
 // TestBatchPartition checks the batch invariants directly: element ranges
-// tile [0, NumLocal), link windows tile IntLinks/BndLinks, and every
-// batch's links belong to its element range.
+// tile [0, NumLocal), the link windows tile intLinks and bndLinks, and
+// every batch's links belong to its element range.
 func TestBatchPartition(t *testing.T) {
 	mpi.RunOpt(2, mpi.RunOptions{Workers: 3}, func(c *mpi.Comm) {
 		_, m := buildMesh(c, connectivity.UnitCube(), 1, 3, 2)
-		if len(m.batches) == 0 {
-			t.Fatal("pooled mesh has no batches")
+		if len(m.batches) < 2 {
+			t.Fatalf("pooled mesh has %d batches", len(m.batches))
 		}
-		nextElem := 0
-		nInt, nBnd, nLift := 0, 0, 0
+		nextElem, nInt, nBnd := 0, 0, 0
 		for bi := range m.batches {
 			b := &m.batches[bi]
+			lo := nextElem
 			for _, e := range b.elems {
 				if int(e) != nextElem {
 					t.Fatalf("batch %d: element %d out of order (want %d)", bi, e, nextElem)
 				}
 				nextElem++
 			}
-			lo, hi := math.MaxInt32, -1
-			for _, e := range b.elems {
-				if int(e) < lo {
-					lo = int(e)
-				}
-				if int(e) > hi {
-					hi = int(e)
-				}
-			}
-			for _, li := range b.intLinks {
-				nInt++
-				if e := int(m.Links[li].Elem); e < lo || e > hi {
-					t.Fatalf("batch %d: interior link of element %d outside [%d,%d]", bi, e, lo, hi)
+			check := func(name string, window, list []int32, n *int) {
+				for _, li := range window {
+					if li != list[*n] {
+						t.Fatalf("batch %d: %s link %d out of order (want %d)", bi, name, li, list[*n])
+					}
+					*n++
+					if e := int(m.Links[li].Elem); e < lo || e >= nextElem {
+						t.Fatalf("batch %d: %s link of element %d outside [%d,%d)", bi, name, e, lo, nextElem)
+					}
 				}
 			}
-			for _, li := range b.bndLinks {
-				nBnd++
-				if e := int(m.Links[li].Elem); e < lo || e > hi {
-					t.Fatalf("batch %d: boundary link of element %d outside [%d,%d]", bi, e, lo, hi)
-				}
-			}
-			for _, li := range b.liftLinks {
-				if li != int32(nLift) {
-					t.Fatalf("batch %d: lift link %d out of order (want %d)", bi, li, nLift)
-				}
-				nLift++
-				if e := int(m.Links[li].Elem); e < lo || e > hi {
-					t.Fatalf("batch %d: lift link of element %d outside [%d,%d]", bi, e, lo, hi)
-				}
-			}
+			check("interior", b.intLinks, m.intLinks, &nInt)
+			check("boundary", b.bndLinks, m.bndLinks, &nBnd)
 		}
 		if nextElem != m.NumLocal {
 			t.Fatalf("batches cover %d elements, want %d", nextElem, m.NumLocal)
 		}
-		if nInt != len(m.IntLinks) || nBnd != len(m.BndLinks) {
-			t.Fatalf("batches cover %d/%d interior and %d/%d boundary links",
-				nInt, len(m.IntLinks), nBnd, len(m.BndLinks))
+		if nInt != len(m.intLinks) || nBnd != len(m.bndLinks) {
+			t.Fatalf("batches cover %d/%d interior-element and %d/%d boundary-element links",
+				nInt, len(m.intLinks), nBnd, len(m.bndLinks))
 		}
-		if nLift != len(m.Links) {
-			t.Fatalf("lift windows cover %d/%d links", nLift, len(m.Links))
+		if len(m.bndLinks) == 0 {
+			t.Fatal("2-rank mesh has no boundary-element links")
 		}
 	})
 }

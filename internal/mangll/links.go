@@ -43,10 +43,10 @@ func imageAxis(ft *connectivity.FaceTransform, a int) (int, int32) {
 // buildLinks enumerates the face connections of all local elements. The
 // forest must be 2:1 balanced; neighbour leaves are found by the fast
 // binary searches the paper describes, in local storage or the ghost layer
-// at partition boundaries. After enumeration the links and elements are
-// partitioned into interior and boundary sets: boundary links read ghost
-// data and must wait for the exchange to finish, interior links (and the
-// volume kernels) overlap with it.
+// at partition boundaries. After enumeration the elements are classified:
+// a boundary element has a link that reads ghost data, so all its links
+// wait for the exchange to finish; the links of interior elements (and
+// every volume kernel) overlap with it.
 func (m *Mesh) buildLinks() {
 	m.Links = m.Links[:0]
 	for e, o := range m.F.Local {
@@ -55,15 +55,10 @@ func (m *Mesh) buildLinks() {
 		}
 	}
 
-	m.IntLinks, m.BndLinks = m.IntLinks[:0], m.BndLinks[:0]
 	onBnd := make([]bool, m.NumLocal)
 	for li := range m.Links {
-		l := &m.Links[li]
-		if l.Kind != LinkBoundary && l.NbrGhost {
-			m.BndLinks = append(m.BndLinks, int32(li))
+		if l := &m.Links[li]; l.Kind != LinkBoundary && l.NbrGhost {
 			onBnd[l.Elem] = true
-		} else {
-			m.IntLinks = append(m.IntLinks, int32(li))
 		}
 	}
 	m.InteriorElems, m.BoundaryElems = m.InteriorElems[:0], m.BoundaryElems[:0]
@@ -72,6 +67,14 @@ func (m *Mesh) buildLinks() {
 			m.BoundaryElems = append(m.BoundaryElems, int32(e))
 		} else {
 			m.InteriorElems = append(m.InteriorElems, int32(e))
+		}
+	}
+	m.intLinks, m.bndLinks = m.intLinks[:0], m.bndLinks[:0]
+	for li := range m.Links {
+		if onBnd[m.Links[li].Elem] {
+			m.bndLinks = append(m.bndLinks, int32(li))
+		} else {
+			m.intLinks = append(m.intLinks, int32(li))
 		}
 	}
 }
@@ -294,24 +297,10 @@ func (m *Mesh) ExchangeGhost(nc int, field []float64) {
 	m.StartGhostExchange(nc, field).Finish()
 }
 
-// FaceValues, MyFaceValues, InterpFaceToQuad, ApplyD, LiftFace, and
-// LiftFaceStrided are the serial convenience forms of the Work methods of
-// the same names, delegating to the mesh's Work 0. They exist for callers
-// outside a kernel application (tests, diagnostics, the device backend's
-// host reference); kernel hooks must use the Work they are handed instead
-// — these wrappers share Work 0's scratch with pool worker 0.
-
-// FaceValues extracts the neighbour's face values for a link, aligned to
-// my face grid, into out. See Work.FaceValues.
-func (m *Mesh) FaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
-	m.works[0].FaceValues(l, nc, comp, field, out)
-}
-
 // tensor2ApplyBuf computes out = (A (x) B) u on an n x n grid: out[i,j] =
 // sum_{p,q} A[i*n+p] B[j*n+q] u[p,q]. a and b are row-major n x n
 // matrices; tmp is caller-provided scratch (len n*n; must not alias u or
-// out). All internal callers route through here with mesh-owned scratch so
-// the face kernels stay allocation-free.
+// out).
 func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
 	_ = tmp[n*n-1]
 	for j := 0; j < n; j++ {
@@ -336,10 +325,40 @@ func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
 	}
 }
 
-// MyFaceValues extracts my own element's face values for a link into out.
-// See Work.MyFaceValues.
-func (m *Mesh) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
-	m.works[0].MyFaceValues(l, nc, comp, field, out)
+// tensor2ApplyNC computes out = (A (x) B) u on an n x n grid of nodes that
+// each carry nc interleaved values: out[i,j] = sum_{p,q} A[i*n+p] B[j*n+q]
+// u[p,q], component by component. a and b are row-major n x n matrices;
+// tmp is caller-provided scratch (len n*n*nc; must not alias u or out).
+// Every output sums over p (then q) ascending from zero, whatever nc.
+func tensor2ApplyNC(n, nc int, a, b []float64, u, out, tmp []float64) {
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			t := tmp[(i+n*j)*nc : (i+n*j+1)*nc]
+			for c := range t {
+				t[c] = 0
+			}
+			for p, ap := range a[i*n : i*n+n] {
+				up := u[(p+n*j)*nc : (p+n*j+1)*nc]
+				for c := range t {
+					t[c] += ap * up[c]
+				}
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			o := out[(i+n*j)*nc : (i+n*j+1)*nc]
+			for c := range o {
+				o[c] = 0
+			}
+			for q, bq := range b[j*n : j*n+n] {
+				tq := tmp[(i+n*q)*nc : (i+n*q+1)*nc]
+				for c := range o {
+					o[c] += bq * tq[c]
+				}
+			}
+		}
+	}
 }
 
 // quadInterp returns the flat 1D interpolation matrices for the link's
@@ -356,24 +375,6 @@ func (m *Mesh) quadInterp(l *FaceLink) (qi, qj []float64) {
 	return qi, qj
 }
 
-// InterpFaceToQuad interpolates values given at my full face's nodes onto
-// the fine grid of the link's quadrant (LinkToFineQuad only), in my frame.
-func (m *Mesh) InterpFaceToQuad(l *FaceLink, face, out []float64) {
-	m.works[0].InterpFaceToQuad(l, face, out)
-}
-
-// ApplyD differentiates one element's nodal values along reference
-// direction a. u and out may alias.
-func (m *Mesh) ApplyD(a int, u, out []float64) {
-	m.works[0].ApplyD(a, u, out)
-}
-
-// LiftFace accumulates the surface contribution of a link into the volume
-// residual. See Work.LiftFace.
-func (m *Mesh) LiftFace(l *FaceLink, g, dc []float64) {
-	m.works[0].LiftFace(l, g, dc)
-}
-
 // weightedTranspose returns Pw[i][j] = 0.5 * W[j] * I[j][i], the half-face
 // quadrature transfer operator.
 func weightedTranspose(l *LGL, in [][]float64) [][]float64 {
@@ -386,12 +387,6 @@ func weightedTranspose(l *LGL, in [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// LiftFaceStrided is LiftFace for field arrays with nc interleaved
-// components per node, accumulating into component comp of dc.
-func (m *Mesh) LiftFaceStrided(l *FaceLink, nc, comp int, g, dc []float64) {
-	m.works[0].LiftFaceStrided(l, nc, comp, g, dc)
 }
 
 // quadWeighted returns the flat weighted-transpose transfer operators for
@@ -407,4 +402,3 @@ func (m *Mesh) quadWeighted(l *FaceLink) (pwi, pwj []float64) {
 	}
 	return pwi, pwj
 }
-

@@ -261,13 +261,14 @@ func TestFaceValueWatertight(t *testing.T) {
 					m.ExchangeGhost(1, nfield)
 					mine := make([]float64, m.Nf)
 					theirs := make([]float64, m.Nf)
+					w := m.SerialWork()
 					for li := range m.Links {
 						l := &m.Links[li]
 						if l.Kind == LinkBoundary {
 							continue
 						}
-						m.MyFaceValues(l, 1, 0, nfield, mine)
-						m.FaceValues(l, 1, 0, nfield, theirs)
+						w.MyFaceValues(l, 1, 0, nfield, mine)
+						w.FaceValues(l, 1, 0, nfield, theirs)
 						for fn := 0; fn < m.Nf; fn++ {
 							if math.Abs(mine[fn]-theirs[fn]) > tc.tol {
 								t.Fatalf("p=%d link %d (kind %d, elem %d face %d): |%v - %v| at fn=%d",
@@ -282,7 +283,9 @@ func TestFaceValueWatertight(t *testing.T) {
 }
 
 // TestFaceCoordsWatertightShell checks geometric watertightness across the
-// shell's rotated inter-tree faces using the node coordinates themselves.
+// shell's rotated inter-tree faces using the node coordinates themselves,
+// and on every link kind that the all-component face gathers return exactly
+// what the per-component ones do.
 func TestFaceCoordsWatertightShell(t *testing.T) {
 	conn := connectivity.Shell(0.55, 1.0)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -298,15 +301,27 @@ func TestFaceCoordsWatertightShell(t *testing.T) {
 		m.ExchangeGhost(3, field)
 		mine := make([]float64, m.Nf)
 		theirs := make([]float64, m.Nf)
+		mineAll := make([]float64, m.Nf*3)
+		theirsAll := make([]float64, m.Nf*3)
+		w := m.SerialWork()
 		for li := range m.Links {
 			l := &m.Links[li]
-			if l.Kind != LinkEqual {
-				continue // hanging faces: interpolated coords differ at h^{N+1}
+			if l.Kind == LinkBoundary {
+				continue
 			}
+			w.MyFaceValuesAll(l, 3, field, mineAll)
+			w.FaceValuesAll(l, 3, field, theirsAll)
 			for a := 0; a < 3; a++ {
-				m.MyFaceValues(l, 3, a, field, mine)
-				m.FaceValues(l, 3, a, field, theirs)
+				w.MyFaceValues(l, 3, a, field, mine)
+				w.FaceValues(l, 3, a, field, theirs)
 				for fn := 0; fn < m.Nf; fn++ {
+					if mine[fn] != mineAll[fn*3+a] || theirs[fn] != theirsAll[fn*3+a] {
+						t.Fatalf("link %d (kind %d) comp %d fn %d: all-component gather (%v, %v) != per-component (%v, %v)",
+							li, l.Kind, a, fn, mineAll[fn*3+a], theirsAll[fn*3+a], mine[fn], theirs[fn])
+					}
+					if l.Kind != LinkEqual {
+						continue // hanging faces: interpolated coords differ at h^{N+1}
+					}
 					if math.Abs(mine[fn]-theirs[fn]) > 1e-11 {
 						t.Fatalf("coords not watertight at link %d comp %d: %v vs %v", li, a, mine[fn], theirs[fn])
 					}

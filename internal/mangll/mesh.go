@@ -50,6 +50,21 @@ type FaceLink struct {
 	QuadI, QuadJ int8
 }
 
+// alignIndex numbers the link's alignment for Mesh.facePerm.
+func (l *FaceLink) alignIndex() int {
+	a := 0
+	if l.Swap {
+		a = 1
+	}
+	if l.RevI {
+		a |= 2
+	}
+	if l.RevJ {
+		a |= 4
+	}
+	return a
+}
+
 // MapIndex maps my face node (i,j) to the neighbour's face grid.
 func (l *FaceLink) MapIndex(n, i, j int) (int, int) {
 	a, b := i, j
@@ -82,8 +97,10 @@ type Mesh struct {
 
 	// X[a] holds coordinate a of every local element node: index e*Np+n.
 	X [3][]float64
-	// Jac[n] is the volume Jacobian determinant at each local node.
-	Jac []float64
+	// Jac[n] is the volume Jacobian determinant at each local node and
+	// InvJac[n] its reciprocal, stored so kernels scale by it without a
+	// division per node and stage.
+	Jac, InvJac []float64
 	// Gi[a][b] = J * d xi_a / d x_b at each local node (contravariant
 	// metric scaled by J).
 	Gi [3][3][]float64
@@ -98,19 +115,25 @@ type Mesh struct {
 
 	Links []FaceLink
 
-	// IntLinks/BndLinks partition the indices of Links: a link is a
-	// boundary link iff its flux reads ghost (remote) data, i.e.
-	// Kind != LinkBoundary && NbrGhost. Interior links — including
-	// domain-boundary faces — depend only on local data, so their kernels
-	// can run while the ghost exchange is in flight.
-	IntLinks, BndLinks []int32
-
-	// InteriorElems/BoundaryElems partition the local element indices by
-	// the same criterion: a boundary element has at least one boundary
-	// link. The ratio |Interior|/|Boundary| bounds how much compute is
-	// available to hide the exchange behind (volume kernels of all
-	// elements plus face kernels of interior links).
+	// InteriorElems/BoundaryElems partition the local element indices: a
+	// boundary element has at least one link whose flux reads ghost
+	// (remote) data, i.e. Kind != LinkBoundary && NbrGhost. The ratio
+	// |Interior|/|Boundary| bounds how much compute is available to hide
+	// the exchange behind (volume kernels of all elements plus every face
+	// kernel of the interior ones).
 	InteriorElems, BoundaryElems []int32
+
+	// intLinks/bndLinks partition the indices of Links by the class of the
+	// link's element, each ascending: every link of an interior element
+	// depends only on local data and runs while the ghost exchange is in
+	// flight; every link of a boundary element — ghost-reading or not —
+	// waits for Finish, so that the element's links run in ascending order
+	// whatever the partition.
+	intLinks, bndLinks []int32
+
+	// facePerm[a][fn] is the neighbour's face node facing my face node fn
+	// under alignment a (FaceLink.alignIndex): MapIndex tabulated once.
+	facePerm [8][]int32
 
 	// Half-face interpolation matrices (1D), their exact L2 projections,
 	// and the weighted-transpose quadrature transfer operators used by the
@@ -156,28 +179,23 @@ type Mesh struct {
 	MinLen float64
 
 	// Kernel driver state (see kernel.go): one Work context per pool
-	// worker (works[0] doubles as the serial context behind the Mesh
-	// convenience wrappers), the identity element list handed to serial
-	// Volume hooks, and the fixed deterministic batch partition the pool
-	// path fans out.
+	// worker (works[0] is the serial context, SerialWork), the identity
+	// element list the batches slice, and the fixed deterministic batch
+	// partition, which a rank without a pool walks inline.
 	works    []*Work
 	pool     *pool.Pool
 	allElems []int32
-	allLinks []int32
 	batches  []kernelBatch
-	curK     Kernel // kernel of the Apply in progress (pool path only)
+	curK     Kernel // kernel of the Apply in progress
 	spanA    []string
 	spanB    []string
-	spanC    []string
 	phaseA   func(worker, batch int)
 	phaseB   func(worker, batch int)
-	phaseC   func(worker, batch int)
 
-	// Staged-flux buffer of the Apply in progress: Nf values per
-	// (link, component), written by the face hooks (StageFace) and
-	// replayed in canonical link order by the Lift hook.
-	stage   []float64
-	stageNC int
+	// ForRange's sweep in flight and its prebuilt pool body.
+	rangeN    int
+	rangeFn   func(w *Work, lo, hi int)
+	rangeBody func(worker, batch int)
 
 	// element-sized scratch of the transfer (interpolate/project) kernels.
 	tUc, tOc, tAcc, tT1, tT2 []float64
@@ -191,6 +209,15 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 		F: f, G: g, L: l,
 		Np1: np1, Nf: np1 * np1, Np: np1 * np1 * np1,
 		NumLocal: len(f.Local), NumGhost: len(g.Octants),
+		pool: f.Comm.Pool(),
+	}
+	m.works = make([]*Work, f.Comm.Workers())
+	for i := range m.works {
+		m.works[i] = newWork(m, i)
+	}
+	m.rangeBody = func(worker, batch int) {
+		n, nb := m.rangeN, min(m.rangeN, rangeChunks*len(m.works))
+		m.rangeFn(m.works[worker], batch*n/nb, (batch+1)*n/nb)
 	}
 	m.buildFaceIdx()
 	m.buildGeometry()
@@ -208,9 +235,21 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 }
 
 // buildFaceIdx precomputes volume node indices of each face's node grid,
-// ordered by the face's ascending tangent axes.
+// ordered by the face's ascending tangent axes, and the eight face-to-face
+// alignment permutations.
 func (m *Mesh) buildFaceIdx() {
 	np1 := m.Np1
+	for a := range m.facePerm {
+		l := FaceLink{Swap: a&1 != 0, RevI: a&2 != 0, RevJ: a&4 != 0}
+		perm := make([]int32, m.Nf)
+		for j := 0; j < np1; j++ {
+			for i := 0; i < np1; i++ {
+				i2, j2 := l.MapIndex(m.L.N, i, j)
+				perm[i+np1*j] = int32(i2 + np1*j2)
+			}
+		}
+		m.facePerm[a] = perm
+	}
 	stride := [3]int{1, np1, np1 * np1}
 	for f := 0; f < 6; f++ {
 		axis := octant.FaceAxis(f)
@@ -244,13 +283,17 @@ func faceTangentAxes(f int) (u, v int) {
 
 // buildGeometry evaluates node coordinates via the connectivity's geometry
 // and computes the discrete metric terms the spectral element method needs.
+// Elements are independent, so the loop fans out over the rank's pool when
+// there is one (ForRange); the only reduction is a minimum, which no order
+// can change.
 func (m *Mesh) buildGeometry() {
-	np1, np := m.Np1, m.Np
+	np := m.Np
 	nl := m.NumLocal
 	for a := 0; a < 3; a++ {
 		m.X[a] = make([]float64, nl*np)
 	}
 	m.Jac = make([]float64, nl*np)
+	m.InvJac = make([]float64, nl*np)
 	m.MassInv = make([]float64, nl*np)
 	for a := 0; a < 3; a++ {
 		for b := 0; b < 3; b++ {
@@ -268,104 +311,127 @@ func (m *Mesh) buildGeometry() {
 		panic("mangll: connectivity has no geometry")
 	}
 
-	// Node coordinates.
-	for e, o := range m.F.Local {
-		h := float64(o.Len()) / float64(octant.RootLen)
-		t0 := [3]float64{
-			connectivity.RefCoord(o.X),
-			connectivity.RefCoord(o.Y),
-			connectivity.RefCoord(o.Z),
+	minLen := make([]float64, len(m.works))
+	for w := range minLen {
+		minLen[w] = 1e308
+	}
+	m.ForRange(nl, func(w *Work, lo, hi int) {
+		der := make([]float64, 9*np)
+		for e := lo; e < hi; e++ {
+			if le := m.elemGeometry(w, e, geom, der); le < minLen[w.id] {
+				minLen[w.id] = le
+			}
 		}
-		base := e * np
-		n := 0
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					xi := [3]float64{
-						t0[0] + h*(m.L.X[i]+1)/2,
-						t0[1] + h*(m.L.X[j]+1)/2,
-						t0[2] + h*(m.L.X[k]+1)/2,
-					}
-					p := geom.X(o.Tree, xi)
-					m.X[0][base+n] = p[0]
-					m.X[1][base+n] = p[1]
-					m.X[2][base+n] = p[2]
-					n++
+	})
+	for _, le := range minLen[1:] {
+		minLen[0] = min(minLen[0], le)
+	}
+	m.MinLen = -mpi.AllreduceMax(m.F.Comm, -minLen[0])
+}
+
+// elemGeometry fills the coordinates, metric terms and face area vectors
+// of local element e and returns its edge-length estimate. der is 9*Np
+// scratch: dx_b/dxi_a of the whole element at der[(3*b+a)*Np:].
+func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []float64) float64 {
+	np1, np := m.Np1, m.Np
+	o := m.F.Local[e]
+	base := e * np
+
+	// Node coordinates.
+	h := float64(o.Len()) / float64(octant.RootLen)
+	t0 := [3]float64{
+		connectivity.RefCoord(o.X),
+		connectivity.RefCoord(o.Y),
+		connectivity.RefCoord(o.Z),
+	}
+	n := 0
+	for k := 0; k < np1; k++ {
+		for j := 0; j < np1; j++ {
+			for i := 0; i < np1; i++ {
+				xi := [3]float64{
+					t0[0] + h*(m.L.X[i]+1)/2,
+					t0[1] + h*(m.L.X[j]+1)/2,
+					t0[2] + h*(m.L.X[k]+1)/2,
 				}
+				p := geom.X(o.Tree, xi)
+				m.X[0][base+n] = p[0]
+				m.X[1][base+n] = p[1]
+				m.X[2][base+n] = p[2]
+				n++
 			}
 		}
 	}
 
-	// Metric terms per element: dx/dxi by spectral differentiation, then
-	// J and J*dxi/dx by cofactors; face area vectors from the metric.
-	dxdxi := make([][3][3]float64, np)
-	tmp := make([]float64, np)
-	minLen := 1e308
-	for e := 0; e < nl; e++ {
-		base := e * np
-		for b := 0; b < 3; b++ { // physical coordinate
-			for a := 0; a < 3; a++ { // reference direction
-				m.applyD1(a, m.X[b][base:base+np], tmp)
-				for n := 0; n < np; n++ {
-					dxdxi[n][b][a] = tmp[n]
-				}
-			}
-		}
-		for n := 0; n < np; n++ {
-			d := dxdxi[n]
-			j := det3f(d)
-			if j <= 0 {
-				panic(fmt.Sprintf("mangll: non-positive Jacobian %v in element %d", j, e))
-			}
-			m.Jac[base+n] = j
-			// J * dxi_a/dx_b = cofactor transpose.
-			co := cofactor3(d)
-			for a := 0; a < 3; a++ {
+	// Metric terms: dx/dxi by spectral differentiation, then J and
+	// J*dxi/dx by cofactors; face area vectors from the metric.
+	for b := 0; b < 3; b++ { // physical coordinate
+		d := der[3*b*np:]
+		w.Gradient(m.X[b][base:base+np], d[:np], d[np:2*np], d[2*np:3*np])
+	}
+	n = 0
+	for k := 0; k < np1; k++ {
+		for j := 0; j < np1; j++ {
+			for i := 0; i < np1; i++ {
+				var d [3][3]float64
 				for b := 0; b < 3; b++ {
-					m.Gi[a][b][base+n] = co[a][b]
+					for a := 0; a < 3; a++ {
+						d[b][a] = der[(3*b+a)*np+n]
+					}
 				}
-			}
-		}
-		i3 := func(i, j, k int) int { return i + np1*(j+np1*k) }
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					n := i3(i, j, k)
-					m.MassInv[base+n] = 1 / (m.L.W[i] * m.L.W[j] * m.L.W[k] * m.Jac[base+n])
+				jac := det3f(d)
+				if jac <= 0 {
+					panic(fmt.Sprintf("mangll: non-positive Jacobian %v in element %d", jac, e))
 				}
-			}
-		}
-		for f := 0; f < 6; f++ {
-			axis := octant.FaceAxis(f)
-			sign := float64(octant.FaceSign(f))
-			for fn := 0; fn < m.Nf; fn++ {
-				vn := int(m.FaceIdx[f][fn])
-				for b := 0; b < 3; b++ {
-					m.FaceArea[f][b][e*m.Nf+fn] = sign * m.Gi[axis][b][base+vn]
+				m.Jac[base+n] = jac
+				m.InvJac[base+n] = 1 / jac
+				// J * dxi_a/dx_b = cofactor transpose.
+				co := cofactor3(d)
+				for a := 0; a < 3; a++ {
+					for b := 0; b < 3; b++ {
+						m.Gi[a][b][base+n] = co[a][b]
+					}
 				}
+				m.MassInv[base+n] = 1 / (m.L.W[i] * m.L.W[j] * m.L.W[k] * jac)
+				n++
 			}
-		}
-		// Element size estimate: distance between the two corner nodes
-		// along x-axis line (approximate physical edge length).
-		d0 := [3]float64{
-			m.X[0][base+i3(np1-1, 0, 0)] - m.X[0][base+i3(0, 0, 0)],
-			m.X[1][base+i3(np1-1, 0, 0)] - m.X[1][base+i3(0, 0, 0)],
-			m.X[2][base+i3(np1-1, 0, 0)] - m.X[2][base+i3(0, 0, 0)],
-		}
-		le := norm3(d0)
-		if le < minLen {
-			minLen = le
 		}
 	}
-	if nl == 0 {
-		minLen = 1e308
+	for f := 0; f < 6; f++ {
+		axis := octant.FaceAxis(f)
+		sign := float64(octant.FaceSign(f))
+		for b := 0; b < 3; b++ {
+			area := m.FaceArea[f][b][e*m.Nf : (e+1)*m.Nf]
+			gi := m.Gi[axis][b][base : base+np]
+			for fn, vn := range m.FaceIdx[f] {
+				area[fn] = sign * gi[vn]
+			}
+		}
 	}
-	m.MinLen = -mpi.AllreduceMax(m.F.Comm, -minLen)
+	// Element size estimate: distance between the two corner nodes along
+	// the x-axis line (approximate physical edge length).
+	last := base + np1 - 1
+	return norm3([3]float64{
+		m.X[0][last] - m.X[0][base],
+		m.X[1][last] - m.X[1][base],
+		m.X[2][last] - m.X[2][base],
+	})
 }
 
 // applyD1 differentiates a single element's nodal values along reference
-// direction a (0,1,2), writing into out.
+// direction a (0,1,2), writing into out. Tricubic elements (the order of
+// the paper's advection runs and of the benchmarks) take the unrolled
+// path; both sum each output over q ascending from zero, so they agree
+// bitwise.
 func (m *Mesh) applyD1(a int, u, out []float64) {
+	if m.Np1 == 4 {
+		applyD1Cubic((*[16]float64)(m.L.DF), a, (*[64]float64)(u), (*[64]float64)(out))
+		return
+	}
+	m.applyD1Generic(a, u, out)
+}
+
+// applyD1Generic is applyD1 for any order.
+func (m *Mesh) applyD1Generic(a int, u, out []float64) {
 	np1 := m.Np1
 	d := m.L.DF
 	switch a {
@@ -412,6 +478,39 @@ func (m *Mesh) applyD1(a int, u, out []float64) {
 					out[col+k*nf] = s
 				}
 			}
+		}
+	}
+}
+
+// applyD1Cubic is applyD1 for N = 3: each 4-point line along direction a
+// is loaded once and hit with the four rows of d, the four sums advancing
+// together so that no add waits on the one before it.
+func applyD1Cubic(d *[16]float64, a int, u, out *[64]float64) {
+	st := [3]int{1, 4, 16}[a]  // node stride along a
+	so := [3]int{16, 16, 4}[a] // strides of the two transverse directions
+	si := [3]int{4, 1, 1}[a]
+	for o := 0; o < 4; o++ {
+		for i := 0; i < 4; i++ {
+			p := o*so + i*si
+			u0, u1, u2, u3 := u[p&63], u[(p+st)&63], u[(p+2*st)&63], u[(p+3*st)&63]
+			var s0, s1, s2, s3 float64
+			s0 += d[0] * u0
+			s1 += d[4] * u0
+			s2 += d[8] * u0
+			s3 += d[12] * u0
+			s0 += d[1] * u1
+			s1 += d[5] * u1
+			s2 += d[9] * u1
+			s3 += d[13] * u1
+			s0 += d[2] * u2
+			s1 += d[6] * u2
+			s2 += d[10] * u2
+			s3 += d[14] * u2
+			s0 += d[3] * u3
+			s1 += d[7] * u3
+			s2 += d[11] * u3
+			s3 += d[15] * u3
+			out[p&63], out[(p+st)&63], out[(p+2*st)&63], out[(p+3*st)&63] = s0, s1, s2, s3
 		}
 	}
 }

@@ -6,6 +6,18 @@ package mangll
 type LSRK45 struct {
 	res []float64 // 2N-storage residual register
 	du  []float64 // scratch for the RHS evaluation
+
+	// ForRange, if set, runs the integrator's own sweeps over the state
+	// (clearing du, the register update) in chunks — Mesh.ForRange, so they
+	// use the rank's pool like the kernels between them; nil runs them
+	// inline. The sweeps are element-wise, so chunking cannot change them.
+	ForRange func(n int, fn func(w *Work, lo, hi int))
+
+	// Operands of the sweep in flight and the sweeps, built once so that
+	// Step allocates nothing.
+	u            []float64
+	a, b, dt     float64
+	zero, update func(w *Work, lo, hi int)
 }
 
 var lsrkA = [5]float64{
@@ -37,28 +49,43 @@ var lsrkC = [5]float64{
 // locally owned portion of u should be integrated; rhs is responsible for
 // any ghost exchange it needs.
 func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []float64)) {
+	if r.update == nil {
+		r.zero = func(_ *Work, lo, hi int) {
+			clear(r.du[lo:hi])
+		}
+		r.update = func(_ *Work, lo, hi int) {
+			u, res, du := r.u[lo:hi], r.res[lo:hi], r.du[lo:hi]
+			a, b, dt := r.a, r.b, r.dt
+			for i := range u {
+				res[i] = a*res[i] + dt*du[i]
+				u[i] += b * res[i]
+			}
+		}
+	}
 	if len(r.res) != len(u) {
 		r.res = make([]float64, len(u))
 	} else {
-		for i := range r.res {
-			r.res[i] = 0
-		}
+		clear(r.res)
 	}
 	if len(r.du) != len(u) {
 		r.du = make([]float64, len(u))
 	}
-	du := r.du
+	r.u, r.dt = u, dt
 	for s := 0; s < 5; s++ {
-		for i := range du {
-			du[i] = 0
-		}
-		rhs(t+lsrkC[s]*dt, u, du)
-		a, b := lsrkA[s], lsrkB[s]
-		for i := range u {
-			r.res[i] = a*r.res[i] + dt*du[i]
-			u[i] += b * r.res[i]
-		}
+		r.sweep(r.zero)
+		rhs(t+lsrkC[s]*dt, u, r.du)
+		r.a, r.b = lsrkA[s], lsrkB[s]
+		r.sweep(r.update)
 	}
+	r.u = nil
+}
+
+func (r *LSRK45) sweep(fn func(w *Work, lo, hi int)) {
+	if r.ForRange == nil {
+		fn(nil, 0, len(r.u))
+		return
+	}
+	r.ForRange(len(r.u), fn)
 }
 
 // LSRKA exposes the low-storage A coefficient of stage s (used by the

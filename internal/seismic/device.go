@@ -81,7 +81,7 @@ func NewDevice(s *Solver) *Device {
 	d.lam = make([]float32, n)
 	d.mu = make([]float32, n)
 	for i := 0; i < n; i++ {
-		d.jacInv[i] = float32(1 / m.Jac[i])
+		d.jacInv[i] = float32(m.InvJac[i])
 		d.massInv[i] = float32(m.MassInv[i])
 		d.rho[i] = float32(s.mat[i].Rho)
 		d.lam[i] = float32(s.mat[i].Lambda)

@@ -2,6 +2,7 @@ package seismic
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/connectivity"
@@ -54,7 +55,17 @@ type Solver struct {
 	Time float64
 
 	MatFn func(p [3]float64) Material
-	mat   []Material // per local node
+	mat   []nodeMat // per local node
+
+	// Time-invariant face data, tabulated once per mesh so no stage
+	// re-derives it: the flux points of every conforming face, by
+	// (element, face), and — with their material, which sits off the
+	// element's nodes — of every LinkToFineQuad link, Nf rows from
+	// fineOff[link].
+	faceGeo []facePoint
+	fineGeo []facePoint
+	fineMat []nodeMat
+	fineOff []int32
 
 	rk  mangll.LSRK45
 	buf []float64 // local+ghost work array
@@ -64,9 +75,13 @@ type Solver struct {
 	// serial path uses ws[0].
 	ws    []seisScratch
 	kern  seisKernel
-	kQ    []float64 // RHS input/output of the Apply in progress
+	kQ    []float64 // RHS input/output and time of the evaluation in progress
 	kDQ   []float64
+	kT    float64
 	rhsFn func(tt float64, u, du []float64)
+	// The sweeps RHS does besides the kernel application, as func values
+	// built once: filling the exchange buffer and the body-force source.
+	fillFn, sourceFn func(w *mangll.Work, lo, hi int)
 
 	// Source, if non-nil, adds a body-force density to the velocity
 	// equations: f(t, x). Like MatFn it must be pure: kernel hooks may
@@ -76,16 +91,44 @@ type Solver struct {
 	maxVp float64
 }
 
+// nodeMat is one point's material row: the model's parameters plus the two
+// derived values every stage would otherwise recompute.
+type nodeMat struct {
+	Material
+	InvRho, Vp float64
+}
+
+func newNodeMat(mt Material) nodeMat {
+	return nodeMat{Material: mt, InvRho: 1 / mt.Rho, Vp: mt.Vp()}
+}
+
+// facePoint is the geometry of one flux point: unit outward normal and
+// area magnitude. A degenerate point (zero area vector) has a zero normal,
+// so its flux vanishes instead of dividing by zero.
+type facePoint struct {
+	N    [3]float64
+	Area float64
+}
+
+func newFacePoint(av [3]float64) facePoint {
+	sa := math.Sqrt(av[0]*av[0] + av[1]*av[1] + av[2]*av[2])
+	if sa == 0 {
+		return facePoint{}
+	}
+	return facePoint{N: [3]float64{av[0] / sa, av[1] / sa, av[2] / sa}, Area: sa}
+}
+
 // seisScratch is one worker's kernel buffers.
 type seisScratch struct {
-	sig          [][6]float64 // np
-	der, field   []float64    // np
-	grads        [][3]float64 // np*NC
-	mine, theirs []float64    // nf*NC
-	xs, area     [][3]float64 // nf
-	fm, fp       []float64    // NC
-	gAll         [][]float64  // NC x nf
-	comp, fx, fq []float64    // nf
+	blk        []float64    // NC x np: velocity and stress, component-major
+	d0, d1, d2 []float64    // np: reference derivatives of one component
+	met        []float64    // 9 x np: (1/J) J dxi_r/dx_b at met[(3r+b)*np:]
+	grad       []float64    // 18 x np: the physical derivatives RHS uses
+	mine, nbr  []float64    // nf x NC, node-major
+	g          []float64    // nf x NC
+	mat        []nodeMat    // nf
+	xs, area   [][3]float64 // nf (table build only)
+	fx, fq     []float64    // nf (table build only)
 }
 
 // seisKernel adapts the solver to the mangll.Kernel interface. It is a
@@ -95,19 +138,15 @@ type seisKernel struct{ s *Solver }
 func (k *seisKernel) NumComps() int { return NC }
 
 func (k *seisKernel) Volume(w *mangll.Work, elems []int32) {
-	k.s.volumeTerm(w, elems, k.s.kQ, k.s.kDQ)
+	k.s.volumeTerm(w, elems, k.s.buf, k.s.kDQ)
 }
 
 func (k *seisKernel) InteriorFace(w *mangll.Work, links []int32) {
-	k.s.surfaceTerm(w, links)
+	k.s.surfaceTerm(w, links, k.s.kDQ)
 }
 
 func (k *seisKernel) BoundaryFace(w *mangll.Work, links []int32) {
-	k.s.surfaceTerm(w, links)
-}
-
-func (k *seisKernel) Lift(w *mangll.Work, links []int32) {
-	k.s.liftTerm(w, links, k.s.kDQ)
+	k.s.surfaceTerm(w, links, k.s.kDQ)
 }
 
 // NewSolver builds a solver over an existing (balanced, partitioned)
@@ -125,6 +164,17 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	s.kern = seisKernel{s: s}
 	// One closure for the integrator, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(tt, u, du) }
+	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.buf[lo:hi], s.kQ[lo:hi]) }
+	s.sourceFn = func(_ *mangll.Work, lo, hi int) {
+		m, dq := s.Mesh, s.kDQ
+		for i := lo; i < hi; i++ {
+			f := s.Source(s.kT, [3]float64{m.X[0][i], m.X[1][i], m.X[2][i]})
+			ir := s.mat[i].InvRho
+			dq[i*NC+0] += ir * f[0]
+			dq[i*NC+1] += ir * f[1]
+			dq[i*NC+2] += ir * f[2]
+		}
+	}
 	s.rebuild()
 	s.Q = make([]float64, s.Mesh.NumLocal*s.Mesh.Np*NC)
 	return s
@@ -134,38 +184,83 @@ func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
 	m := s.Mesh
-	s.mat = make([]Material, m.NumLocal*m.Np)
-	vp := 0.0
-	for i := range s.mat {
-		s.mat[i] = s.MatFn([3]float64{m.X[0][i], m.X[1][i], m.X[2][i]})
-		if v := s.mat[i].Vp(); v > vp {
-			vp = v
+	s.rk.ForRange = m.ForRange
+	s.mat = make([]nodeMat, m.NumLocal*m.Np)
+	vp := make([]float64, s.Comm.Workers())
+	m.ForRange(len(s.mat), func(w *mangll.Work, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.mat[i] = newNodeMat(s.MatFn([3]float64{m.X[0][i], m.X[1][i], m.X[2][i]}))
+			vp[w.ID()] = max(vp[w.ID()], s.mat[i].Vp)
 		}
-	}
-	s.maxVp = mpi.AllreduceMax(s.Comm, vp)
+	})
+	s.maxVp = mpi.AllreduceMax(s.Comm, slices.Max(vp))
 	s.buf = make([]float64, (m.NumLocal+m.NumGhost)*m.Np*NC)
 	np, nf := m.Np, m.Nf
 	s.ws = make([]seisScratch, s.Comm.Workers())
 	for w := range s.ws {
-		sc := &s.ws[w]
-		sc.sig = make([][6]float64, np)
-		sc.der = make([]float64, np)
-		sc.field = make([]float64, np)
-		sc.grads = make([][3]float64, np*NC)
-		sc.mine = make([]float64, nf*NC)
-		sc.theirs = make([]float64, nf*NC)
-		sc.xs = make([][3]float64, nf)
-		sc.area = make([][3]float64, nf)
-		sc.fm = make([]float64, NC)
-		sc.fp = make([]float64, NC)
-		sc.gAll = make([][]float64, NC)
-		for c := range sc.gAll {
-			sc.gAll[c] = make([]float64, nf)
+		s.ws[w] = seisScratch{
+			blk:  make([]float64, NC*np),
+			d0:   make([]float64, np),
+			d1:   make([]float64, np),
+			d2:   make([]float64, np),
+			met:  make([]float64, 9*np),
+			grad: make([]float64, 3*NC*np),
+			mine: make([]float64, nf*NC),
+			nbr:  make([]float64, nf*NC),
+			g:    make([]float64, nf*NC),
+			mat:  make([]nodeMat, nf),
+			xs:   make([][3]float64, nf),
+			area: make([][3]float64, nf),
+			fx:   make([]float64, nf),
+			fq:   make([]float64, nf),
 		}
-		sc.comp = make([]float64, nf)
-		sc.fx = make([]float64, nf)
-		sc.fq = make([]float64, nf)
 	}
+	s.buildFaceTables()
+}
+
+// buildFaceTables tabulates the flux-point rows the face kernel reads (see
+// the Solver fields). Conforming flux points are the element's own face
+// nodes, so their material is the node's row; the points of a hanging
+// quadrant lie between nodes and get geometry and material of their own.
+func (s *Solver) buildFaceTables() {
+	m := s.Mesh
+	nf := m.Nf
+	s.faceGeo = make([]facePoint, m.NumLocal*6*nf)
+	m.ForRange(m.NumLocal*6, func(_ *mangll.Work, lo, hi int) {
+		for ef := lo; ef < hi; ef++ {
+			e, f := ef/6, ef%6
+			ax, ay, az := m.FaceArea[f][0][e*nf:], m.FaceArea[f][1][e*nf:], m.FaceArea[f][2][e*nf:]
+			rows := s.faceGeo[ef*nf : (ef+1)*nf]
+			for fn := range rows {
+				rows[fn] = newFacePoint([3]float64{ax[fn], ay[fn], az[fn]})
+			}
+		}
+	})
+	s.fineOff = make([]int32, len(m.Links))
+	nfine := 0
+	for li := range m.Links {
+		if m.Links[li].Kind == mangll.LinkToFineQuad {
+			s.fineOff[li] = int32(nfine * nf)
+			nfine++
+		}
+	}
+	s.fineGeo = make([]facePoint, nfine*nf)
+	s.fineMat = make([]nodeMat, nfine*nf)
+	m.ForRange(len(m.Links), func(w *mangll.Work, lo, hi int) {
+		sc := &s.ws[w.ID()]
+		for li := lo; li < hi; li++ {
+			l := &m.Links[li]
+			if l.Kind != mangll.LinkToFineQuad {
+				continue
+			}
+			s.fluxGeometry(w, l, sc.xs, sc.area)
+			o := int(s.fineOff[li])
+			for fn := 0; fn < nf; fn++ {
+				s.fineGeo[o+fn] = newFacePoint(sc.area[fn])
+				s.fineMat[o+fn] = newNodeMat(s.MatFn(sc.xs[fn]))
+			}
+		}
+	})
 }
 
 // DT returns the CFL-limited time step.
@@ -177,6 +272,7 @@ func (s *Solver) DT() float64 {
 // stress computes the stress components from the strain components of one
 // node: sigma = 2 mu E + lambda tr(E) I, ordered xx yy zz yz xz xy.
 func stress(mat *Material, e []float64) (sxx, syy, szz, syz, sxz, sxy float64) {
+	e = e[:6]
 	tr := e[0] + e[1] + e[2]
 	l, mu := mat.Lambda, mat.Mu
 	sxx = 2*mu*e[0] + l*tr
@@ -190,9 +286,10 @@ func stress(mat *Material, e []float64) (sxx, syy, szz, syz, sxz, sxy float64) {
 
 // fluxNormal evaluates F(q).n for the velocity-strain system at one point
 // with unit normal n: the terms whose divergence the system evolves.
-func fluxNormal(mat *Material, q []float64, n [3]float64, out []float64) {
-	sxx, syy, szz, syz, sxz, sxy := stress(mat, q[3:])
-	ir := 1 / mat.Rho
+func fluxNormal(mat *nodeMat, q []float64, n [3]float64, out []float64) {
+	q, out = q[:NC], out[:NC]
+	sxx, syy, szz, syz, sxz, sxy := stress(&mat.Material, q[3:])
+	ir := mat.InvRho
 	// velocity rows: -(1/rho) sigma . n
 	out[0] = -ir * (sxx*n[0] + sxy*n[1] + sxz*n[2])
 	out[1] = -ir * (sxy*n[0] + syy*n[1] + syz*n[2])
@@ -211,19 +308,17 @@ func fluxNormal(mat *Material, q []float64, n [3]float64, out []float64) {
 // dissipative Rusanov interface flux and the free-surface boundary flux.
 //
 // As in dGea, the ghost exchange is hidden behind element-local work: the
-// schedule — split-phase exchange overlapped with the volume and interior
-// face kernels (including the free-surface flux, which needs no remote
-// data), optional worker-pool fan-out — lives in mangll's kernel driver;
-// the solver supplies the hooks (seisKernel). NoOverlap selects the
-// blocking baseline. Blocking, overlapped, and pooled execution are
-// bitwise equal.
+// schedule — split-phase exchange overlapped with the volume kernels and
+// the faces of interior elements, optional worker-pool fan-out — lives in
+// mangll's kernel driver; the solver supplies the hooks (seisKernel).
+// NoOverlap selects the blocking baseline. Blocking, overlapped, and
+// pooled execution are bitwise equal.
 func (s *Solver) RHS(t float64, q, dq []float64) {
 	m := s.Mesh
 	np := m.Np
 	tRHS := time.Now()
-	copy(s.buf[:m.NumLocal*np*NC], q)
-
-	s.kQ, s.kDQ = q, dq
+	s.kQ, s.kDQ, s.kT = q, dq, t
+	m.ForRange(m.NumLocal*np*NC, s.fillFn)
 	var wait time.Duration
 	if s.Opts.NoOverlap {
 		wait = m.ApplyBlocking(&s.kern, s.buf)
@@ -232,155 +327,188 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 	}
 	s.hExch.ObserveDuration(wait)
 
-	// Body-force source.
 	if s.Source != nil {
-		for i := 0; i < m.NumLocal*np; i++ {
-			f := s.Source(t, [3]float64{m.X[0][i], m.X[1][i], m.X[2][i]})
-			ir := 1 / s.mat[i].Rho
-			dq[i*NC+0] += ir * f[0]
-			dq[i*NC+1] += ir * f[1]
-			dq[i*NC+2] += ir * f[2]
-		}
+		m.ForRange(m.NumLocal*np, s.sourceFn)
 	}
 	s.hRHS.ObserveDuration(time.Since(tRHS))
 }
 
+// gradUsed[c][b] tells whether RHS reads d/dx_b of component c of the
+// (velocity, stress) block: every derivative of the velocities (sym grad
+// v), but of stress sigma_ab only those along a and b (div sigma).
+var gradUsed = [NC][3]bool{
+	{true, true, true}, {true, true, true}, {true, true, true},
+	{true, false, false}, {false, true, false}, {false, false, true}, // xx yy zz
+	{false, true, true}, {true, false, true}, {true, true, false}, // yz xz xy
+}
+
 // volumeTerm accumulates the non-conservative volume derivatives of the
-// given local elements into dq.
+// given local elements into dq, one fused pass per element: velocity and
+// stress into a component-major block, the metric scaled by 1/J once per
+// node, one three-direction derivative sweep per component.
 func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
 	t0 := time.Now()
 	m := s.Mesh
 	np := m.Np
 	sc := &s.ws[w.ID()]
-	sig, der, field := sc.sig, sc.der, sc.field
-	// dfdx[b][comp index in a 9-slot layout]
-	grads := sc.grads
+	blk, met := sc.blk, sc.met
+	row := func(a []float64, i int) []float64 { return a[i*np : (i+1)*np : (i+1)*np] }
+	grad := func(c, b int) []float64 { return row(sc.grad, 3*c+b) }
 	for _, e := range elems {
 		base := int(e) * np
-		// stress at nodes
-		for nn := 0; nn < np; nn++ {
-			i := (base + nn) * NC
-			mt := &s.mat[base+nn]
-			sxx, syy, szz, syz, sxz, sxy := stress(mt, q[i+3:i+9])
-			sig[nn] = [6]float64{sxx, syy, szz, syz, sxz, sxy}
+		mat := s.mat[base : base+np]
+		for nn := range mat {
+			qn := q[(base+nn)*NC : (base+nn+1)*NC]
+			blk[nn], blk[np+nn], blk[2*np+nn] = qn[0], qn[1], qn[2]
+			blk[3*np+nn], blk[4*np+nn], blk[5*np+nn], blk[6*np+nn], blk[7*np+nn], blk[8*np+nn] =
+				stress(&mat[nn].Material, qn[3:])
 		}
-		// physical gradients of v (3 comps) and sigma (6 comps)
+		for r := 0; r < 3; r++ {
+			for b := 0; b < 3; b++ {
+				scale(row(met, 3*r+b), m.InvJac[base:], m.Gi[r][b][base:])
+			}
+		}
+		// Physical gradients of v (3 comps) and sigma (6 comps): each sums
+		// the three reference directions in order, from zero.
 		for c := 0; c < NC; c++ {
-			for nn := 0; nn < np; nn++ {
-				if c < 3 {
-					field[nn] = q[(base+nn)*NC+c]
-				} else {
-					field[nn] = sig[nn][c-3]
-				}
-			}
-			for nn := 0; nn < np; nn++ {
-				grads[nn*NC+c] = [3]float64{}
-			}
-			for r := 0; r < 3; r++ {
-				w.ApplyD(r, field, der)
-				for nn := 0; nn < np; nn++ {
-					gj := 1 / m.Jac[base+nn]
-					g := &grads[nn*NC+c]
-					g[0] += gj * m.Gi[r][0][base+nn] * der[nn]
-					g[1] += gj * m.Gi[r][1][base+nn] * der[nn]
-					g[2] += gj * m.Gi[r][2][base+nn] * der[nn]
+			w.Gradient(row(blk, c), sc.d0, sc.d1, sc.d2)
+			for b := 0; b < 3; b++ {
+				if gradUsed[c][b] {
+					metricDot(grad(c, b), row(met, b), row(met, 3+b), row(met, 6+b), sc.d0, sc.d1, sc.d2)
 				}
 			}
 		}
-		for nn := 0; nn < np; nn++ {
-			i := (base + nn) * NC
-			ir := 1 / s.mat[base+nn].Rho
-			// dv_a = (1/rho) d sigma_ab / dx_b; sigma rows are comps 3..8.
-			gs := grads[nn*NC:]
-			dq[i+0] += ir * (gs[3][0] + gs[8][1] + gs[7][2])
-			dq[i+1] += ir * (gs[8][0] + gs[4][1] + gs[6][2])
-			dq[i+2] += ir * (gs[7][0] + gs[6][1] + gs[5][2])
-			// dE = sym grad v.
-			dq[i+3] += gs[0][0]
-			dq[i+4] += gs[1][1]
-			dq[i+5] += gs[2][2]
-			dq[i+6] += (gs[1][2] + gs[2][1]) / 2
-			dq[i+7] += (gs[0][2] + gs[2][0]) / 2
-			dq[i+8] += (gs[0][1] + gs[1][0]) / 2
+		// dv_a = (1/rho) d sigma_ab / dx_b (sigma rows are comps 3..8);
+		// dE = sym grad v.
+		sxx0, sxy1, sxz2 := grad(3, 0), grad(8, 1), grad(7, 2)
+		sxy0, syy1, syz2 := grad(8, 0), grad(4, 1), grad(6, 2)
+		sxz0, syz1, szz2 := grad(7, 0), grad(6, 1), grad(5, 2)
+		vx0, vx1, vx2 := grad(0, 0), grad(0, 1), grad(0, 2)
+		vy0, vy1, vy2 := grad(1, 0), grad(1, 1), grad(1, 2)
+		vz0, vz1, vz2 := grad(2, 0), grad(2, 1), grad(2, 2)
+		for nn := range mat {
+			d := dq[(base+nn)*NC : (base+nn+1)*NC]
+			ir := mat[nn].InvRho
+			d[0] += ir * (sxx0[nn] + sxy1[nn] + sxz2[nn])
+			d[1] += ir * (sxy0[nn] + syy1[nn] + syz2[nn])
+			d[2] += ir * (sxz0[nn] + syz1[nn] + szz2[nn])
+			d[3] += vx0[nn]
+			d[4] += vy1[nn]
+			d[5] += vz2[nn]
+			d[6] += (vy2[nn] + vz1[nn]) / 2
+			d[7] += (vx2[nn] + vz0[nn]) / 2
+			d[8] += (vx1[nn] + vy0[nn]) / 2
 		}
 	}
 	s.Met.AddDuration("volume", time.Since(t0))
 }
 
-// surfaceTerm computes and stages the face fluxes of the given links
-// (indices into Mesh.Links); liftTerm accumulates them afterwards in
-// canonical link order. Free-surface boundary links are part of the
-// interior set — they read only local data.
-func (s *Solver) surfaceTerm(w *mangll.Work, links []int32) {
+// scale sets o[i] = a[i] * b[i].
+func scale(o, a, b []float64) {
+	a, b = a[:len(o)], b[:len(o)]
+	for i := range o {
+		o[i] = a[i] * b[i]
+	}
+}
+
+// metricDot sets o[i] to the sum over the three reference directions of
+// scaled metric times reference derivative, added in order from zero.
+func metricDot(o, m0, m1, m2, d0, d1, d2 []float64) {
+	n := len(o)
+	m0, m1, m2, d0, d1, d2 = m0[:n], m1[:n], m2[:n], d0[:n], d1[:n], d2[:n]
+	for i := range o {
+		var g float64
+		g += m0[i] * d0[i]
+		g += m1[i] * d1[i]
+		g += m2[i] * d2[i]
+		o[i] = g
+	}
+}
+
+// surfaceTerm computes the face fluxes of the given links (indices into
+// Mesh.Links) and lifts each into dq at once: all components of both sides
+// in one gather, the flux-point rows from the tables. Free-surface links
+// are ordinary links of their element — they read only local data.
+func (s *Solver) surfaceTerm(w *mangll.Work, links []int32, dq []float64) {
 	t0 := time.Now()
 	m := s.Mesh
-	nf := m.Nf
 	sc := &s.ws[w.ID()]
-	mine, theirs := sc.mine, sc.theirs
-	xs, area := sc.xs, sc.area
-	fm, fp := sc.fm, sc.fp
-	gAll, comp := sc.gAll, sc.comp
 	for _, li := range links {
 		l := &m.Links[li]
+		w.MyFaceValuesAll(l, NC, s.buf, sc.mine)
+		geo, mat := s.fluxPoints(l, li, sc.mat)
 		if l.Kind == mangll.LinkBoundary {
-			s.boundaryFlux(w, l, gAll, comp, xs, area)
-			for c := 0; c < NC; c++ {
-				w.StageFace(li, c, gAll[c])
-			}
-			continue
+			freeSurfaceFlux(geo, mat, sc.mine, sc.g)
+		} else {
+			w.FaceValuesAll(l, NC, s.buf, sc.nbr)
+			rusanovFlux(geo, mat, sc.mine, sc.nbr, sc.g)
 		}
-		for c := 0; c < NC; c++ {
-			w.MyFaceValues(l, NC, c, s.buf, comp)
-			copy(mine[c*nf:(c+1)*nf], comp)
-			w.FaceValues(l, NC, c, s.buf, comp)
-			copy(theirs[c*nf:(c+1)*nf], comp)
-		}
-		s.fluxGeometry(w, l, xs, area)
-		for fn := 0; fn < nf; fn++ {
-			av := area[fn]
-			sa := math.Sqrt(av[0]*av[0] + av[1]*av[1] + av[2]*av[2])
-			if sa == 0 {
-				continue
-			}
-			n := [3]float64{av[0] / sa, av[1] / sa, av[2] / sa}
-			mt := s.MatFn(xs[fn])
-			var qm, qp [NC]float64
-			for c := 0; c < NC; c++ {
-				qm[c] = mine[c*nf+fn]
-				qp[c] = theirs[c*nf+fn]
-			}
-			fluxNormal(&mt, qm[:], n, fm)
-			fluxNormal(&mt, qp[:], n, fp)
-			alpha := mt.Vp()
-			for c := 0; c < NC; c++ {
-				// G = Fn(q-) - F* with Rusanov F*.
-				gAll[c][fn] = sa * (0.5*(fm[c]-fp[c]) + 0.5*alpha*(qp[c]-qm[c]))
-			}
-		}
-		for c := 0; c < NC; c++ {
-			w.StageFace(li, c, gAll[c])
-		}
+		w.LiftFaceAll(l, NC, sc.g, dq)
 	}
 	s.Met.AddDuration("surface", time.Since(t0))
 }
 
-// liftTerm accumulates the staged face fluxes of every given link —
-// interior, partition-boundary, and free-surface alike — into dq in link
-// order, making the per-element accumulation order partition-independent.
-func (s *Solver) liftTerm(w *mangll.Work, links []int32, dq []float64) {
-	t0 := time.Now()
+// fluxPoints returns the geometry and material rows of link li's flux
+// points; the material of a conforming face is gathered into scratch.
+func (s *Solver) fluxPoints(l *mangll.FaceLink, li int32, scratch []nodeMat) ([]facePoint, []nodeMat) {
 	m := s.Mesh
-	for _, li := range links {
-		l := &m.Links[li]
-		for c := 0; c < NC; c++ {
-			w.LiftFaceStrided(l, NC, c, w.StagedFace(li, c), dq)
+	nf := m.Nf
+	if l.Kind == mangll.LinkToFineQuad {
+		o := int(s.fineOff[li])
+		return s.fineGeo[o : o+nf], s.fineMat[o : o+nf]
+	}
+	e := int(l.Elem)
+	for fn, vn := range m.FaceIdx[l.Face] {
+		scratch[fn] = s.mat[e*m.Np+int(vn)]
+	}
+	o := (e*6 + int(l.Face)) * nf
+	return s.faceGeo[o : o+nf], scratch
+}
+
+// rusanovFlux evaluates G = Fn(q-) - F* with the Rusanov F* at every flux
+// point, for all components; qm, qp and g are node-major.
+func rusanovFlux(geo []facePoint, mat []nodeMat, qm, qp, g []float64) {
+	var fm, fp [NC]float64
+	for fn := range geo {
+		p, mt := &geo[fn], &mat[fn]
+		m, n := qm[fn*NC:(fn+1)*NC], qp[fn*NC:(fn+1)*NC]
+		fluxNormal(mt, m, p.N, fm[:])
+		fluxNormal(mt, n, p.N, fp[:])
+		gn := g[fn*NC : (fn+1)*NC]
+		for c := range gn {
+			gn[c] = p.Area * (0.5*(fm[c]-fp[c]) + 0.5*mt.Vp*(n[c]-m[c]))
 		}
 	}
-	s.Met.AddDuration("surface", time.Since(t0))
+}
+
+// freeSurfaceFlux applies the free-surface condition sigma.n = 0 weakly:
+// the traction is reflected, velocities pass through. With sigma+.n =
+// -sigma-.n and v+ = v-, F*_v = 0, so G_v = Fn_v(q-) = -(1/rho) tau and
+// the strain rows vanish.
+func freeSurfaceFlux(geo []facePoint, mat []nodeMat, qm, g []float64) {
+	for fn := range geo {
+		p, mt := &geo[fn], &mat[fn]
+		n := p.N
+		// Traction of the interior state.
+		sxx, syy, szz, syz, sxz, sxy := stress(&mt.Material, qm[fn*NC+3:(fn+1)*NC])
+		tau := [3]float64{
+			sxx*n[0] + sxy*n[1] + sxz*n[2],
+			sxy*n[0] + syy*n[1] + syz*n[2],
+			sxz*n[0] + syz*n[1] + szz*n[2],
+		}
+		gn := g[fn*NC : (fn+1)*NC]
+		for c := range gn {
+			gn[c] = 0
+		}
+		gn[0] = -p.Area * mt.InvRho * tau[0]
+		gn[1] = -p.Area * mt.InvRho * tau[1]
+		gn[2] = -p.Area * mt.InvRho * tau[2]
+	}
 }
 
 // fluxGeometry evaluates the physical coordinates and outward area vectors
-// at the link's flux points.
+// at the link's flux points (a setup-path helper: the kernels read the
+// tables built from it).
 func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]float64) {
 	m := s.Mesh
 	e := int(l.Elem)
@@ -420,48 +548,6 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 	}
 }
 
-// boundaryFlux applies the free-surface condition sigma.n = 0 weakly:
-// the traction is reflected, velocities pass through.
-func (s *Solver) boundaryFlux(w *mangll.Work, l *mangll.FaceLink, gAll [][]float64, comp []float64, xs, area [][3]float64) {
-	m := s.Mesh
-	nf := m.Nf
-	s.fluxGeometry(w, l, xs, area)
-	mine := s.ws[w.ID()].mine
-	for c := 0; c < NC; c++ {
-		w.MyFaceValues(l, NC, c, s.buf, comp)
-		copy(mine[c*nf:(c+1)*nf], comp)
-	}
-	for fn := 0; fn < nf; fn++ {
-		av := area[fn]
-		sa := math.Sqrt(av[0]*av[0] + av[1]*av[1] + av[2]*av[2])
-		for c := 0; c < NC; c++ {
-			gAll[c][fn] = 0
-		}
-		if sa == 0 {
-			continue
-		}
-		n := [3]float64{av[0] / sa, av[1] / sa, av[2] / sa}
-		mt := s.MatFn(xs[fn])
-		var qm [NC]float64
-		for c := 0; c < NC; c++ {
-			qm[c] = mine[c*nf+fn]
-		}
-		// Traction of the interior state.
-		sxx, syy, szz, syz, sxz, sxy := stress(&mt, qm[3:])
-		tau := [3]float64{
-			sxx*n[0] + sxy*n[1] + sxz*n[2],
-			sxy*n[0] + syy*n[1] + syz*n[2],
-			sxz*n[0] + syz*n[1] + szz*n[2],
-		}
-		ir := 1 / mt.Rho
-		// G_v = Fn_v(q-) - F*_v with sigma+.n = -sigma-.n, v+ = v-:
-		// F*_v = 0, so G_v = -(1/rho) tau.
-		gAll[0][fn] = -sa * ir * tau[0]
-		gAll[1][fn] = -sa * ir * tau[1]
-		gAll[2][fn] = -sa * ir * tau[2]
-	}
-}
-
 // Step advances one LSRK4(5) step.
 func (s *Solver) Step(dt float64) {
 	t0 := time.Now()
@@ -484,7 +570,7 @@ func (s *Solver) Energy() float64 {
 					idx := e*m.Np + n
 					w := m.L.W[i] * m.L.W[j] * m.L.W[k] * m.Jac[idx]
 					q := s.Q[idx*NC:]
-					mt := &s.mat[idx]
+					mt := &s.mat[idx].Material
 					kin := 0.5 * mt.Rho * (q[0]*q[0] + q[1]*q[1] + q[2]*q[2])
 					sxx, syy, szz, syz, sxz, sxy := stress(mt, q[3:9])
 					el := 0.5 * (sxx*q[3] + syy*q[4] + szz*q[5] + 2*(syz*q[6]+sxz*q[7]+sxy*q[8]))
@@ -555,10 +641,13 @@ func (s *Solver) FlopsPerStep() float64 {
 	np1 := float64(m.Np1)
 	np := np1 * np1 * np1
 	elems := float64(m.NumLocal)
-	// Volume: 9 fields x 3 directions x 2(N+1) MAC per node, plus metric
-	// application (9 comps x 3x3) and stress evaluation (~20/node).
-	volume := elems * np * (9*3*2*np1 + 9*9*2 + 30)
-	// Surface: 6 faces x (N+1)^2 points x ~200 ops.
+	// Volume: 9 fields x 3 directions x 2(N+1) MAC per node, plus the
+	// metric (9 scalings by 1/J, then 3 MAC for each of the 18 physical
+	// derivatives the system reads) and stress evaluation (~30/node).
+	volume := elems * np * (9*3*2*np1 + 9 + 18*3*2 + 30)
+	// Surface: 6 faces x (N+1)^2 points x ~200 ops (two normal fluxes of
+	// ~55, the Rusanov combination of 9 x 7, the lift of 9 x 2 + 2); the
+	// geometry and material of a point are table reads, not operations.
 	surface := elems * 6 * np1 * np1 * 200
 	// RK update: 3 ops per dof per stage.
 	update := elems * np * NC * 3

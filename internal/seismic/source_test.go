@@ -61,7 +61,7 @@ func TestStressStrainRelation(t *testing.T) {
 }
 
 func TestFluxNormalConsistency(t *testing.T) {
-	m := Material{Rho: 2, Lambda: 1, Mu: 1}
+	m := newNodeMat(Material{Rho: 2, Lambda: 1, Mu: 1})
 	q := make([]float64, NC)
 	for i := range q {
 		q[i] = float64(i + 1)
