@@ -16,8 +16,10 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/robust"
 	"repro/internal/advect"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -44,6 +46,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("advect")
+	rb := robust.Register()
 	flag.Parse()
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
@@ -69,8 +72,9 @@ func main() {
 	opts.Level = int8(*level)
 	opts.MaxLevel = int8(*maxLevel)
 
-	if *checkpointBase != "" {
-		if err := runRobust(parseRanks(*ranks)[0], opts, *steps, *adaptEvery, tel); err != nil {
+	if rb.Base != "" {
+		run := sim.Run{App: advect.ShellApp(opts), Steps: *steps, AdaptEvery: *adaptEvery}
+		if err := rb.Run(parseRanks(*ranks)[0], tel, run); err != nil {
 			log.Fatalf("robust run: %v", err)
 		}
 		return

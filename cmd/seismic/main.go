@@ -17,8 +17,10 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/robust"
 	"repro/internal/experiments"
 	"repro/internal/seismic"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -46,6 +48,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("seismic")
+	rb := robust.Register()
 	flag.Parse()
 	if !*strong && !*device {
 		*strong = true
@@ -74,8 +77,9 @@ func main() {
 	opts.FreqHz = *freq
 	opts.MaxLevel = int8(*maxLevel)
 
-	if *checkpointBase != "" {
-		if err := runRobust(parseRanks(*ranks)[0], opts, *steps, tel); err != nil {
+	if rb.Base != "" {
+		run := sim.Run{App: seismic.EarthApp(opts), Steps: *steps}
+		if err := rb.Run(parseRanks(*ranks)[0], tel, run); err != nil {
 			fmt.Println("robust run:", err)
 			os.Exit(1)
 		}

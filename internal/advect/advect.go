@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/sim"
 )
 
 // Options configure the advection solver.
@@ -129,19 +130,7 @@ func NewShell(comm *mpi.Comm, opts Options) *Solver {
 func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	vel func(x, y, z float64) (float64, float64, float64),
 	ic func(x, y, z float64) float64) *Solver {
-	s := &Solver{
-		Opts: opts, Comm: comm, Conn: conn,
-		LGL:   mangll.NewLGL(opts.Degree),
-		Met:   metrics.NewRegistry(),
-		velFn: vel, icFn: ic,
-	}
-	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
-	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
-	s.kern = advKernel{s: s}
-	// One closure for the integrator, built once so Step allocates nothing.
-	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
+	s := newSolver(comm, conn, opts, vel, ic)
 	stop := s.Met.Start("amr")
 	s.F = core.New(comm, conn, opts.Level)
 	s.F.Balance(core.BalanceFull)
@@ -160,6 +149,27 @@ func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 			break
 		}
 	}
+	return s
+}
+
+// newSolver returns a solver with everything but forest, mesh and
+// solution: the part NewCustom and ResumeCustom share.
+func newSolver(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
+	vel func(x, y, z float64) (float64, float64, float64),
+	ic func(x, y, z float64) float64) *Solver {
+	s := &Solver{
+		Opts: opts, Comm: comm, Conn: conn,
+		LGL:   mangll.NewLGL(opts.Degree),
+		Met:   metrics.NewRegistry(),
+		velFn: vel, icFn: ic,
+	}
+	s.live = metrics.NewProgress(s.Met)
+	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
+	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
+	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
+	s.kern = advKernel{s: s}
+	// One closure for the integrator, built once so Step allocates nothing.
+	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
 	return s
 }
 
@@ -403,61 +413,26 @@ func (s *Solver) Indicator() []float64 {
 	return ind
 }
 
-// Adapt performs one full dynamic-AMR cycle: mark from the indicator,
-// coarsen, refine, 2:1 balance, transfer the solution between meshes,
-// repartition (moving the solution along), and rebuild the dG mesh. It
-// returns whether the forest changed, and records the churn statistics the
-// paper quotes (fractions of elements coarsened, refined, and shipped).
+// Adapt performs one full dynamic-AMR cycle (sim.Cycle): mark from the
+// indicator, coarsen, refine, 2:1 balance, transfer the solution between
+// meshes, repartition (moving the solution along), and rebuild the dG
+// mesh. It returns whether the forest changed; the cycle records the churn
+// statistics the paper quotes (elements coarsened, refined, and shipped).
 func (s *Solver) Adapt() bool {
-	stop := s.Met.Start("amr")
-	defer stop()
-	defer s.Comm.Tracer().StartSpan("adapt")()
-	m := s.Mesh
 	ind := s.Indicator()
-	flags := make(map[octant.Octant]int8, len(ind))
-	for e, o := range s.F.Local {
-		switch {
-		case ind[e] > s.Opts.RefineTol && o.Level < s.Opts.MaxLevel:
-			flags[o] = 1
-		case ind[e] < s.Opts.CoarsenTol && o.Level > s.Opts.Level:
-			flags[o] = -1
-		}
-	}
-	before := s.F.Checksum()
-	oldLeaves := append([]octant.Octant(nil), s.F.Local...)
-
-	coarsened := 0
-	s.F.Coarsen(false, func(parent octant.Octant, kids []octant.Octant) bool {
-		for _, k := range kids {
-			if flags[k] != -1 {
-				return false
+	return sim.Cycle{
+		Forest: s.F, Met: s.Met, MaxLevel: s.Opts.MaxLevel,
+		Flag: func(e int, o octant.Octant) int8 {
+			switch {
+			case ind[e] > s.Opts.RefineTol && o.Level < s.Opts.MaxLevel:
+				return 1
+			case ind[e] < s.Opts.CoarsenTol && o.Level > s.Opts.Level:
+				return -1
 			}
-		}
-		coarsened++
-		return true
-	})
-	refined := 0
-	s.F.Refine(false, s.Opts.MaxLevel, func(o octant.Octant) bool {
-		if flags[o] == 1 {
-			refined++
-			return true
-		}
-		return false
-	})
-	s.F.Balance(core.BalanceFull)
-	if s.F.Checksum() == before {
-		// Nothing changed: skip transfer and rebuild.
-		s.Met.AddCount("amr_unchanged", 1)
-		return false
-	}
-	s.C = m.TransferFields(oldLeaves, s.C, s.F.Local, 1)
-	newData, sent := s.F.PartitionWithData(m.Np, s.C)
-	s.C = newData
-	s.Met.AddCount("elements_shipped", sent)
-	s.Met.AddCount("elements_coarsened", int64(coarsened*8))
-	s.Met.AddCount("elements_refined", int64(refined))
-	s.rebuild()
-	return true
+			return 0
+		},
+		Mesh: s.Mesh, NC: 1, Field: &s.C, Rebuild: s.rebuild,
+	}.Run()
 }
 
 // Mass returns the global integral of C (conserved by the dG scheme up to
@@ -503,25 +478,4 @@ func (s *Solver) ErrorVsExact() float64 {
 		}
 	}
 	return math.Sqrt(mpi.AllreduceSumFloat(s.Comm, sum))
-}
-
-// Run advances nsteps steps, adapting every adaptEvery steps (the paper
-// uses 32). It returns the fraction of wall time spent in AMR operations,
-// the end-to-end quantity Figure 5 reports.
-func (s *Solver) Run(nsteps, adaptEvery int) (amrFraction float64) {
-	dt := s.DT()
-	for step := 1; step <= nsteps; step++ {
-		s.Step(dt)
-		if adaptEvery > 0 && step%adaptEvery == 0 {
-			if s.Adapt() {
-				dt = s.DT()
-			}
-		}
-	}
-	amr := mpi.AllreduceSumFloat(s.Comm, s.Met.Total("amr").Seconds())
-	integ := mpi.AllreduceSumFloat(s.Comm, s.Met.Total("integrate").Seconds())
-	if amr+integ == 0 {
-		return 0
-	}
-	return amr / (amr + integ)
 }

@@ -1,83 +1,22 @@
 package advect
 
 import (
-	"os"
-	"path/filepath"
-
 	"repro/internal/connectivity"
 	"repro/internal/core"
-	"repro/internal/mangll"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
-// Checkpoint/restart: a checkpoint is a forest file (base+".forest", via
-// core.Save) plus a field file (base+".fields", the versioned field
-// format) written at a step boundary after any adaptation. Because every
-// piece of the solver not captured in the files — mesh geometry,
-// contravariant velocities, dt — is a deterministic function of forest
-// and options, and the runtime's collectives reduce in a fixed order, a
-// resumed run replays the remaining steps bitwise-identically to the
-// uninterrupted one.
-
-// checkpointPaths returns the forest and field file names of a base.
-func checkpointPaths(base string) (forest, fields string) {
-	return base + ".forest", base + ".fields"
-}
-
-// CheckpointExists reports whether both files of a checkpoint base are
-// present (the resume driver's "is there anything to resume from" probe).
-func CheckpointExists(base string) bool {
-	fp, dp := checkpointPaths(base)
-	if _, err := os.Stat(fp); err != nil {
-		return false
-	}
-	_, err := os.Stat(dp)
-	return err == nil
-}
+// Checkpoint/restart: the solver's share of a checkpoint (see
+// core.SaveCheckpoint) is the solution C, one value per node, plus step
+// and time. Mesh geometry, contravariant velocities and dt are rebuilt
+// from the restored forest and the options.
 
 // SaveCheckpoint writes the solver state at step to base+".forest" and
-// base+".fields". Collective; the files are written to per-call unique
-// temporary names (core.TempPath) and renamed into place, so a crash
-// mid-write never clobbers the previous good checkpoint and concurrent
-// writers sharing a base path never clobber each other's temp files.
-// All ranks return the same error.
+// base+".fields". Collective; all ranks return the same error.
 func (s *Solver) SaveCheckpoint(base string, step int64) error {
-	fp, dp := checkpointPaths(base)
-	// Only rank 0 touches the filesystem (Save/SaveFields gather through
-	// it), so only rank 0's temp names matter; each rank computing its own
-	// is harmless.
-	ftmp, dtmp := core.TempPath(fp), core.TempPath(dp)
-	err := s.F.Save(ftmp)
-	if err == nil {
-		meta := core.FieldMeta{Step: step, Time: s.Time}
-		err = s.F.SaveFields(dtmp, s.Mesh.Np, meta, s.C)
-	}
-	if s.Comm.Rank() == 0 {
-		if err == nil {
-			if err = os.Rename(ftmp, fp); err == nil {
-				err = os.Rename(dtmp, dp)
-			}
-			if err == nil {
-				// Make the renames durable; the file contents were fsynced at
-				// write time, the directory entries are the remaining volatile
-				// piece of the atomic-replace protocol.
-				err = core.SyncDir(filepath.Dir(fp))
-			}
-		}
-		if err != nil {
-			// Unique temp names accumulate if left behind; sweep this
-			// writer's own on any failure (best effort).
-			os.Remove(ftmp)
-			os.Remove(dtmp)
-		}
-	}
-	err = mpi.BcastErr(s.Comm, err)
-	if err == nil {
-		s.Met.AddCount("checkpoint_saves", 1)
-		s.Met.Gauge("checkpoint_last_step").Set(step)
-	}
-	return err
+	return s.F.SaveCheckpoint(base, s.Mesh.Np, core.FieldMeta{Step: step, Time: s.Time}, s.C)
 }
 
 // ResumeShell restores a shell solver from a checkpoint base; see
@@ -86,67 +25,34 @@ func ResumeShell(comm *mpi.Comm, opts Options, base string) (*Solver, int64, err
 	return ResumeCustom(comm, connectivity.Shell(0.55, 1.0), opts, nil, nil, base)
 }
 
+// ShellApp is the runtime's handle on the §III.B shell run the drivers
+// and the job server execute.
+func ShellApp(opts Options) sim.App {
+	return sim.App{
+		New: func(c *mpi.Comm) sim.Solver { return NewShell(c, opts) },
+		Resume: func(c *mpi.Comm, base string) (sim.Solver, int64, error) {
+			return ResumeShell(c, opts, base)
+		},
+	}
+}
+
 // ResumeCustom restores a solver from the checkpoint at base onto the
 // given connectivity (which must match the one used at save time) and
 // returns it along with the step the checkpoint was taken at. The
 // options, velocity, and initial-condition fields must equal the original
-// run's; the mesh, metric terms, and velocity samples are rebuilt from
-// the restored forest.
+// run's. Any rank count works.
 func ResumeCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	vel func(x, y, z float64) (float64, float64, float64),
 	ic func(x, y, z float64) float64, base string) (*Solver, int64, error) {
-	fp, dp := checkpointPaths(base)
-	f, err := core.Load(comm, conn, fp)
+	s := newSolver(comm, conn, opts, vel, ic)
+	np1 := opts.Degree + 1
+	f, data, meta, err := core.LoadCheckpoint(comm, conn, base, np1*np1*np1)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &Solver{
-		Opts: opts, Comm: comm, Conn: conn,
-		LGL:   mangll.NewLGL(opts.Degree),
-		Met:   metrics.NewRegistry(),
-		velFn: vel, icFn: ic,
-		F: f,
-	}
-	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
-	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
-	s.kern = advKernel{s: s}
-	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
+	s.F, s.C, s.Time = f, data, meta.Time
 	s.rebuild()
-	data, meta, err := f.LoadFields(dp, s.Mesh.Np)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.C = data
-	s.Time = meta.Time
 	return s, meta.Step, nil
-}
-
-// RunCheckpointed advances the solver from step start+1 through nsteps
-// like Run (adapting every adaptEvery steps), additionally writing a
-// checkpoint to base every `every` steps — after the step's adaptation,
-// so the files always capture a consistent (forest, fields, time) triple
-// — and calling Comm.CrashPoint at each step boundary so an injected
-// rank crash fires between steps. A fresh run passes start = 0; a
-// resumed run passes the step returned by ResumeShell/ResumeCustom.
-func (s *Solver) RunCheckpointed(nsteps, adaptEvery, every int, base string, start int64) error {
-	dt := s.DT()
-	for step := start + 1; step <= int64(nsteps); step++ {
-		s.Comm.CrashPoint(int(step))
-		s.Step(dt)
-		if adaptEvery > 0 && step%int64(adaptEvery) == 0 {
-			if s.Adapt() {
-				dt = s.DT()
-			}
-		}
-		if every > 0 && base != "" && step%int64(every) == 0 {
-			if err := s.SaveCheckpoint(base, step); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // FieldHash returns the collective bitwise fingerprint of the solver
@@ -155,3 +61,7 @@ func (s *Solver) RunCheckpointed(nsteps, adaptEvery, every int, base string, sta
 func (s *Solver) FieldHash() uint64 {
 	return core.HashFields(s.Comm, s.Time, s.C)
 }
+
+// SimTime and Metrics complete the runtime's sim.Solver interface.
+func (s *Solver) SimTime() float64           { return s.Time }
+func (s *Solver) Metrics() *metrics.Registry { return s.Met }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 func ckptOpts() Options {
@@ -34,7 +36,7 @@ func TestChaosSolverBitwise(t *testing.T) {
 		var h uint64
 		err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 			s := NewShell(c, ckptOpts())
-			if err := s.RunCheckpointed(4, 2, 0, "", 0); err != nil {
+			if _, err := (sim.Run{Steps: 4, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 				return err
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {
@@ -72,7 +74,7 @@ func TestCrashResumeBitwise(t *testing.T) {
 	var want uint64
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := NewShell(c, ckptOpts())
-		if err := s.RunCheckpointed(nsteps, adaptEvery, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: nsteps, AdaptEvery: adaptEvery}).Advance(c, s, 0); err != nil {
 			t.Errorf("reference run: %v", err)
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -86,12 +88,13 @@ func TestCrashResumeBitwise(t *testing.T) {
 	plan.CrashStep = 5
 	err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 		s := NewShell(c, ckptOpts())
-		return s.RunCheckpointed(nsteps, adaptEvery, every, base, 0)
+		_, err := sim.Run{Steps: nsteps, AdaptEvery: adaptEvery, CheckpointEvery: every, Base: base}.Advance(c, s, 0)
+		return err
 	})
 	if !mpi.IsInjectedCrash(err) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
-	if !CheckpointExists(base) {
+	if !core.CheckpointExists(base) {
 		t.Fatal("no checkpoint written before the crash")
 	}
 
@@ -106,7 +109,7 @@ func TestCrashResumeBitwise(t *testing.T) {
 		if c.Rank() == 0 {
 			resumedAt = start
 		}
-		if err := s.RunCheckpointed(nsteps, adaptEvery, every, base, start); err != nil {
+		if _, err := (sim.Run{Steps: nsteps, AdaptEvery: adaptEvery, CheckpointEvery: every, Base: base}).Advance(c, s, start); err != nil {
 			return err
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -166,7 +169,7 @@ func TestConcurrentSaveCollision(t *testing.T) {
 	var want uint64
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := NewShell(c, opts)
-		if err := s.RunCheckpointed(2, 2, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: 2, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 			t.Error(err)
 			return
 		}
@@ -182,7 +185,7 @@ func TestConcurrentSaveCollision(t *testing.T) {
 			defer wg.Done()
 			mpi.Run(2, func(c *mpi.Comm) {
 				s := NewShell(c, opts)
-				if err := s.RunCheckpointed(2, 2, 0, "", 0); err != nil {
+				if _, err := (sim.Run{Steps: 2, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 					t.Error(err)
 					return
 				}

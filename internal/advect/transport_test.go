@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // TestAdvectCrossTransportBitwise pins the acceptance criterion for the
@@ -21,7 +22,7 @@ func TestAdvectCrossTransportBitwise(t *testing.T) {
 		var h uint64
 		mpi.RunOpt(p, mpi.RunOptions{Transport: tp}, func(c *mpi.Comm) {
 			s := NewShell(c, ckptOpts())
-			if err := s.RunCheckpointed(4, 2, 0, "", 0); err != nil {
+			if _, err := (sim.Run{Steps: 4, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 				t.Errorf("%s: run: %v", tp, err)
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

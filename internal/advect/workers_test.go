@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/raceflag"
+	"repro/internal/sim"
 )
 
 // workersHash runs the short adaptive checkpoint workload (4 steps,
@@ -18,7 +19,7 @@ func workersHash(t *testing.T, p, workers int, transport string, noOverlap bool)
 		o := ckptOpts()
 		o.NoOverlap = noOverlap
 		s := NewShell(c, o)
-		if err := s.RunCheckpointed(4, 2, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: 4, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {

@@ -46,32 +46,37 @@ func (f *Forest) Save(path string) error {
 		for _, part := range parts {
 			all = append(all, part...)
 		}
-		err = saveLeaves(path, f.Conn.NumTrees(), all)
+		err = writeSynced(path, "checkpoint", func(w *bufio.Writer) error {
+			return writeLeaves(w, f.Conn.NumTrees(), all)
+		})
 	}
 	return mpi.BcastErr(f.Comm, err)
 }
 
-func saveLeaves(path string, numTrees int32, all []octant.Octant) error {
+// writeSynced creates path, streams write through a buffer and forces the
+// bytes to stable storage before closing. Any failure is returned and the
+// partial file removed (best effort) rather than left behind looking like
+// a checkpoint.
+func writeSynced(path, what string, write func(w *bufio.Writer) error) error {
 	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(file)
-	err = writeLeaves(w, numTrees, all)
+	err = write(w)
 	if ferr := w.Flush(); err == nil && ferr != nil {
-		err = fmt.Errorf("core: flushing checkpoint %s: %w", path, ferr)
+		err = fmt.Errorf("core: flushing %s %s: %w", what, path, ferr)
 	}
 	if serr := fileSync(file); err == nil && serr != nil {
-		err = fmt.Errorf("core: syncing checkpoint %s: %w", path, serr)
+		err = fmt.Errorf("core: syncing %s %s: %w", what, path, serr)
 	}
 	if cerr := file.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("core: closing checkpoint %s: %w", path, cerr)
+		err = fmt.Errorf("core: closing %s %s: %w", what, path, cerr)
 	}
 	if err != nil {
-		os.Remove(path) // best effort: don't leave a truncated checkpoint
-		return err
+		os.Remove(path)
 	}
-	return nil
+	return err
 }
 
 // fileSync forces a written checkpoint to stable storage before it is
@@ -82,23 +87,23 @@ func saveLeaves(path string, numTrees int32, all []octant.Octant) error {
 // failures and pin that they propagate.
 var fileSync = func(f *os.File) error { return f.Sync() }
 
-// tmpSeq makes TempPath names unique within the process.
+// tmpSeq makes tempPath names unique within the process.
 var tmpSeq atomic.Uint64
 
-// TempPath returns a collision-free temporary sibling of path for the
+// tempPath returns a collision-free temporary sibling of path for the
 // write-then-rename protocol: the name is unique per process (pid) and
 // per call (sequence), so two checkpoint writers sharing a base path —
 // concurrent jobs in a server process, or a job racing its own
 // auto-restarted successor — can never open or rename each other's
 // half-written temp files. The final rename target stays `path`.
-func TempPath(path string) string {
+func tempPath(path string) string {
 	return fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpSeq.Add(1))
 }
 
-// SyncDir fsyncs a directory, making a just-renamed checkpoint's
+// syncDir fsyncs a directory, making a just-renamed checkpoint's
 // directory entry durable. Failures are reported, not fatal: some
 // filesystems refuse directory fsync, and the rename itself succeeded.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -134,7 +139,30 @@ func writeLeaves(w io.Writer, numTrees int32, all []octant.Octant) error {
 // must match the declared record count exactly (no truncation, no
 // trailing garbage), the tree count must be positive and match the
 // connectivity, and every record's level and tree id must be in range.
+//
+// Corruption is usually confined to one rank's slice, so the ranks agree
+// on the outcome (mpi.AgreeErr) before each collective: a rank that
+// rejected its slice must not return while its peers block in syncMeta.
 func Load(comm *mpi.Comm, conn *connectivity.Conn, path string) (*Forest, error) {
+	local, err := readLeafSlice(comm, conn, path)
+	if err = mpi.AgreeErr(comm, err); err != nil {
+		return nil, err
+	}
+	f := &Forest{Conn: conn, Comm: comm, Local: local}
+	f.syncMeta()
+	err = mpi.AgreeErr(comm, f.validateLocal())
+	if err == nil {
+		err = f.validateGlobal()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: loaded forest invalid: %w", err)
+	}
+	return f, nil
+}
+
+// readLeafSlice is the rank-local half of Load: header and size checks,
+// then this rank's equal share of the records. No communication.
+func readLeafSlice(comm *mpi.Comm, conn *connectivity.Conn, path string) ([]octant.Octant, error) {
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -177,8 +205,7 @@ func Load(comm *mpi.Comm, conn *connectivity.Conn, path string) (*Forest, error)
 	if _, err := io.CopyN(io.Discard, r, lo*leafRecBytes); err != nil {
 		return nil, err
 	}
-	f := &Forest{Conn: conn, Comm: comm}
-	f.Local = make([]octant.Octant, 0, hi-lo)
+	local := make([]octant.Octant, 0, hi-lo)
 	var prev octant.Octant
 	for i := lo; i < hi; i++ {
 		var rec [5]int32
@@ -196,11 +223,7 @@ func Load(comm *mpi.Comm, conn *connectivity.Conn, path string) (*Forest, error)
 			return nil, fmt.Errorf("core: checkpoint leaves out of order at %d", i)
 		}
 		prev = o
-		f.Local = append(f.Local, o)
+		local = append(local, o)
 	}
-	f.syncMeta()
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("core: loaded forest invalid: %w", err)
-	}
-	return f, nil
+	return local, nil
 }

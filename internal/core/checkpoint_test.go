@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/mpi"
@@ -165,6 +166,62 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestLoadCorruptSliceFailsEverywhere pins the error-agreement rule of the
+// collective loader: corruption confined to the last rank's slice of the
+// file — a record only that rank parses, or a gap only its local tiling
+// check sees — must be an error on every rank. Before the fix the failing
+// rank returned alone and its peers blocked in the next collective
+// forever, hence the timeout.
+func TestLoadCorruptSliceFailsEverywhere(t *testing.T) {
+	dir := t.TempDir()
+	conn := connectivity.UnitCube()
+	good := filepath.Join(dir, "good.p4go")
+	mpi.Run(2, func(c *mpi.Comm) {
+		if err := New(c, conn, 2).Save(good); err != nil {
+			t.Errorf("save: %v", err)
+		}
+	})
+	orig, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := func(rec int) int { return checkpointHeader + rec*leafRecBytes + 16 }
+	cases := []struct {
+		name string
+		off  int
+		val  uint32
+	}{
+		{"last record level 127", level(63), 127},
+		{"gap before last record", level(62), 3},
+	}
+	for _, tc := range cases {
+		bad := filepath.Join(dir, "bad.p4go")
+		b := append([]byte(nil), orig...)
+		binary.LittleEndian.PutUint32(b[tc.off:], tc.val)
+		if err := os.WriteFile(bad, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3} {
+			errs := make([]error, p)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				mpi.Run(p, func(c *mpi.Comm) { _, errs[c.Rank()] = Load(c, conn, bad) })
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: Load on %d ranks hangs", tc.name, p)
+			}
+			for r, err := range errs {
+				if err == nil {
+					t.Errorf("%s: rank %d of %d accepted the checkpoint", tc.name, r, p)
+				}
+			}
+		}
+	}
+}
+
 // TestSavePropagatesWriteErrors pins the satellite bugfix: a Save whose
 // flush fails (full disk) must return the error on every rank instead of
 // silently leaving a truncated checkpoint, and a failing io.Writer must
@@ -242,10 +299,10 @@ func TestSavePropagatesSyncErrors(t *testing.T) {
 // TestSyncDir pins the directory-durability helper: syncing a real
 // directory succeeds, syncing a missing one reports the error.
 func TestSyncDir(t *testing.T) {
-	if err := SyncDir(t.TempDir()); err != nil {
-		t.Errorf("SyncDir on a real directory: %v", err)
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Errorf("syncDir on a real directory: %v", err)
 	}
-	if err := SyncDir(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("SyncDir on a missing directory succeeded")
+	if err := syncDir(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Error("syncDir on a missing directory succeeded")
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 
+	"repro/internal/connectivity"
 	"repro/internal/mpi"
 )
 
@@ -53,32 +55,11 @@ func (f *Forest) SaveFields(path string, valsPerElem int, meta FieldMeta, data [
 	parts := mpi.Gather(f.Comm, 0, append([]float64(nil), data...))
 	var err error
 	if f.Comm.Rank() == 0 {
-		err = saveFieldParts(path, valsPerElem, f.NumGlobal(), meta, parts)
+		err = writeSynced(path, "field checkpoint", func(w *bufio.Writer) error {
+			return writeFieldParts(w, valsPerElem, f.NumGlobal(), meta, parts)
+		})
 	}
 	return mpi.BcastErr(f.Comm, err)
-}
-
-func saveFieldParts(path string, valsPerElem int, totalElems int64, meta FieldMeta, parts [][]float64) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(file)
-	err = writeFieldParts(w, valsPerElem, totalElems, meta, parts)
-	if ferr := w.Flush(); err == nil && ferr != nil {
-		err = fmt.Errorf("core: flushing field checkpoint %s: %w", path, ferr)
-	}
-	if serr := fileSync(file); err == nil && serr != nil {
-		err = fmt.Errorf("core: syncing field checkpoint %s: %w", path, serr)
-	}
-	if cerr := file.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("core: closing field checkpoint %s: %w", path, cerr)
-	}
-	if err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
 }
 
 func writeFieldParts(w *bufio.Writer, valsPerElem int, totalElems int64, meta FieldMeta, parts [][]float64) error {
@@ -151,6 +132,84 @@ func (f *Forest) LoadFields(path string, valsPerElem int) ([]float64, FieldMeta,
 		return nil, meta, fmt.Errorf("core: reading field values: %w", err)
 	}
 	return data, meta, nil
+}
+
+// A solver checkpoint is the pair base+".forest" (Save) and
+// base+".fields" (SaveFields), written at a step boundary. Everything else
+// a solver carries — mesh geometry, materials, velocities, dt — is a
+// deterministic function of forest and options, and the runtime's
+// collectives reduce in a fixed order, so a run resumed from the pair
+// replays the remaining steps bitwise-identically to the uninterrupted
+// one, on any rank count.
+
+func checkpointPaths(base string) (forest, fields string) {
+	return base + ".forest", base + ".fields"
+}
+
+// CheckpointExists reports whether both files of a checkpoint base are
+// present (the restart loop's "is there anything to resume from" probe).
+func CheckpointExists(base string) bool {
+	fp, dp := checkpointPaths(base)
+	if _, err := os.Stat(fp); err != nil {
+		return false
+	}
+	_, err := os.Stat(dp)
+	return err == nil
+}
+
+// SaveCheckpoint writes the forest and the field data on its leaves to
+// the checkpoint pair of base. Collective; the files are written to
+// per-call unique temporary names (tempPath) and renamed into place, so a
+// crash mid-write never clobbers the previous good checkpoint and
+// concurrent writers sharing a base path never clobber each other's temp
+// files. All ranks return the same error.
+func (f *Forest) SaveCheckpoint(base string, valsPerElem int, meta FieldMeta, data []float64) error {
+	fp, dp := checkpointPaths(base)
+	// Only rank 0 touches the filesystem (Save/SaveFields gather through
+	// it), so only rank 0's temp names matter; each rank computing its own
+	// is harmless.
+	ftmp, dtmp := tempPath(fp), tempPath(dp)
+	err := f.Save(ftmp)
+	if err == nil {
+		err = f.SaveFields(dtmp, valsPerElem, meta, data)
+	}
+	if f.Comm.Rank() == 0 {
+		if err == nil {
+			if err = os.Rename(ftmp, fp); err == nil {
+				err = os.Rename(dtmp, dp)
+			}
+			if err == nil {
+				// Make the renames durable; the file contents were fsynced at
+				// write time, the directory entries are the remaining volatile
+				// piece of the atomic-replace protocol.
+				err = syncDir(filepath.Dir(fp))
+			}
+		}
+		if err != nil {
+			// Unique temp names accumulate if left behind; sweep this
+			// writer's own on any failure (best effort).
+			os.Remove(ftmp)
+			os.Remove(dtmp)
+		}
+	}
+	return mpi.BcastErr(f.Comm, err)
+}
+
+// LoadCheckpoint restores the pair written by SaveCheckpoint onto comm
+// (any size): the forest on conn, which must match the one used at save
+// time, and this rank's slice of the field data. Collective; a failure on
+// any rank, in either file, is an error on every rank.
+func LoadCheckpoint(comm *mpi.Comm, conn *connectivity.Conn, base string, valsPerElem int) (*Forest, []float64, FieldMeta, error) {
+	fp, dp := checkpointPaths(base)
+	f, err := Load(comm, conn, fp)
+	if err != nil {
+		return nil, nil, FieldMeta{}, err
+	}
+	data, meta, err := f.LoadFields(dp, valsPerElem)
+	if err = mpi.AgreeErr(comm, err); err != nil {
+		return nil, nil, FieldMeta{}, err
+	}
+	return f, data, meta, nil
 }
 
 // HashFields folds the global field state (gathered in rank order, which

@@ -296,12 +296,10 @@ func leafHash(o octant.Octant) uint64 {
 	return h
 }
 
-// Validate checks the structural invariants of the distributed forest and
-// returns an error describing the first violation: local leaves strictly
-// curve-sorted, properly aligned, inside their trees, consistent with the
-// shared markers, and globally covering every tree exactly. Intended for
-// tests and debugging; it is collective.
-func (f *Forest) Validate() error {
+// validateLocal is the communication-free half of Validate: local leaves
+// strictly curve-sorted, properly aligned, inside their trees, gap-free
+// and consistent with the shared markers.
+func (f *Forest) validateLocal() error {
 	for i, o := range f.Local {
 		if !o.Valid() {
 			return fmt.Errorf("leaf %d invalid: %v", i, o)
@@ -323,11 +321,8 @@ func (f *Forest) Validate() error {
 			return fmt.Errorf("last leaf %v beyond next marker", f.Local[len(f.Local)-1])
 		}
 	}
-	// Leaves must tile the forest: local volumes must sum globally to the
-	// total volume of all trees, and consecutive leaves must be gap-free.
-	var vol uint64
+	// Consecutive leaves must be gap-free.
 	for i, o := range f.Local {
-		vol += octant.NumDescendants(o.Level)
 		if i > 0 {
 			prev := f.Local[i-1]
 			if prev.Tree == o.Tree {
@@ -340,6 +335,30 @@ func (f *Forest) Validate() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// Validate checks the structural invariants of the distributed forest and
+// returns an error describing the first violation: validateLocal's
+// rank-local checks, then validateGlobal's. Intended for tests and
+// debugging; it is collective, and a rank whose local checks fail returns
+// before the collectives — the ranks of a forest built from outside input
+// (Load) agree on validateLocal first.
+func (f *Forest) Validate() error {
+	if err := f.validateLocal(); err != nil {
+		return err
+	}
+	return f.validateGlobal()
+}
+
+// validateGlobal is the collective half of Validate.
+func (f *Forest) validateGlobal() error {
+	// Leaves must tile the forest: local volumes must sum globally to the
+	// total volume of all trees.
+	var vol uint64
+	for _, o := range f.Local {
+		vol += octant.NumDescendants(o.Level)
 	}
 	tot := mpi.Allreduce(f.Comm, int64(vol), func(a, b int64) int64 { return a + b })
 	want := int64(octant.NumDescendants(0)) * int64(f.Conn.NumTrees())

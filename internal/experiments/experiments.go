@@ -20,7 +20,6 @@
 package experiments
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/advect"
@@ -340,23 +339,10 @@ func RunFig9(ranks int, opts seismic.Options, steps int) Fig9Row {
 func RunFig9Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig9Row {
 	var row Fig9Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
-		c.Barrier()
-		t0 := time.Now()
-		var f *core.Forest
-		var s *seismic.Solver
-		c.Tracer().Span("meshing", func() {
-			f = seismic.BuildEarthForest(c, opts)
-			s = seismic.NewSolver(c, f, opts, func(p [3]float64) seismic.Material {
-				r := norm3(p) * seismic.EarthRadiusKm
-				return seismic.PREMMaterial(r)
-			})
-		})
-		obs.rank("seismic", c.Rank(), s.Met)
-		meshing := mpi.AllreduceMax(c, time.Since(t0).Seconds())
+		s, meshing := meshEarth(c, opts, obs)
 
 		// Earthquake-like source + initial quiet state.
-		s.Source = seismic.RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1},
-			opts.FreqHz*500, 1, 0.05)
+		s.Source = seismic.EarthSource(opts)
 		dt := s.DT()
 		c.Barrier()
 		t1 := time.Now()
@@ -379,6 +365,16 @@ func RunFig9Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig9Row {
 		}
 	})
 	return row
+}
+
+// meshEarth builds the earth solver under a "meshing" span and returns it
+// with the slowest rank's meshing time.
+func meshEarth(c *mpi.Comm, opts seismic.Options, obs Obs) (s *seismic.Solver, meshingSec float64) {
+	c.Barrier()
+	t0 := time.Now()
+	c.Tracer().Span("meshing", func() { s = seismic.NewEarthSolver(c, opts) })
+	obs.rank("seismic", c.Rank(), s.Met)
+	return s, mpi.AllreduceMax(c, time.Since(t0).Seconds())
 }
 
 // Fig10Row is one device-count row of the Figure 10 weak-scaling table for
@@ -405,19 +401,7 @@ func RunFig10(ranks int, opts seismic.Options, steps int) Fig10Row {
 func RunFig10Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
 	var row Fig10Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
-		c.Barrier()
-		t0 := time.Now()
-		var f *core.Forest
-		var s *seismic.Solver
-		c.Tracer().Span("meshing", func() {
-			f = seismic.BuildEarthForest(c, opts)
-			s = seismic.NewSolver(c, f, opts, func(p [3]float64) seismic.Material {
-				r := norm3(p) * seismic.EarthRadiusKm
-				return seismic.PREMMaterial(r)
-			})
-		})
-		obs.rank("seismic", c.Rank(), s.Met)
-		meshing := mpi.AllreduceMax(c, time.Since(t0).Seconds())
+		s, meshing := meshEarth(c, opts, obs)
 
 		var dev *seismic.Device
 		c.Tracer().Span("transfer", func() { dev = seismic.NewDevice(s) })
@@ -446,8 +430,4 @@ func RunFig10Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
 		}
 	})
 	return row
-}
-
-func norm3(p [3]float64) float64 {
-	return math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
 }

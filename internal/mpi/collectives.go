@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/trace"
@@ -377,6 +378,25 @@ func BcastErr(c *Comm, err error) error {
 		return err
 	}
 	return errors.New(s)
+}
+
+// AgreeErr makes any rank's error outcome collective: every rank returns
+// nil only when every rank passed nil. A rank that failed gets its own
+// error back; the others get one naming the lowest failing rank. Used by
+// every-rank-reads-its-own-slice operations like checkpoint loading: a
+// rank that found its slice corrupt must not return while its peers walk
+// into the next collective and block there forever.
+func AgreeErr(c *Comm, err error) error {
+	var s string
+	if err != nil {
+		s = err.Error()
+	}
+	for r, t := range Allgather(c, s) {
+		if t != "" && err == nil {
+			err = fmt.Errorf("rank %d: %s", r, t)
+		}
+	}
+	return err
 }
 
 // Alltoall exchanges one value with every rank: out[i] goes to rank i, and

@@ -321,3 +321,27 @@ func TestBcastErr(t *testing.T) {
 		}
 	})
 }
+
+// TestAgreeErr pins the any-rank counterpart used by the checkpoint
+// loaders: one failing rank makes every rank return an error (the failing
+// rank its own), and all-nil stays nil.
+func TestAgreeErr(t *testing.T) {
+	for _, p := range []int{1, 3, 4} {
+		Run(p, func(c *Comm) {
+			var mine error
+			if c.Rank() == p-1 {
+				mine = errors.New("slice corrupt")
+			}
+			err := AgreeErr(c, mine)
+			if err == nil || !strings.Contains(err.Error(), "slice corrupt") {
+				t.Errorf("p=%d rank %d: want the failing rank's error, got %v", p, c.Rank(), err)
+			}
+			if c.Rank() == p-1 && err != mine {
+				t.Errorf("p=%d: failing rank got %v, want its own error back", p, err)
+			}
+			if ok := AgreeErr(c, nil); ok != nil {
+				t.Errorf("p=%d rank %d: want nil when every rank succeeded, got %v", p, c.Rank(), ok)
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/sim"
 	"repro/internal/stokes"
 )
 
@@ -192,10 +193,8 @@ func (m *Model) updateViscosity() {
 func (m *Model) rebuild() {
 	g := m.F.Ghost()
 	m.nd = m.F.Nodes(g)
-	prevOp := m.Op
 	m.Op = nil
 	m.X = nil
-	_ = prevOp
 	m.updateViscosity()
 	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, func(p [3]float64) bool {
 		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
@@ -252,27 +251,10 @@ func (m *Model) solutionIndicator(e int, o octant.Octant) int8 {
 }
 
 // adaptOn performs one mark/coarsen/refine/balance/partition cycle with the
-// given indicator. Collective; returns whether the mesh changed.
+// given indicator; no field rides along (see rebuild). Collective; returns
+// whether the mesh changed.
 func (m *Model) adaptOn(ind func(e int, o octant.Octant) int8) bool {
-	stop := m.Met.Start("amr")
-	defer stop()
-	flags := make(map[octant.Octant]int8, m.F.NumLocal())
-	for e, o := range m.F.Local {
-		flags[o] = ind(e, o)
-	}
-	before := m.F.Checksum()
-	m.F.Coarsen(false, func(parent octant.Octant, kids []octant.Octant) bool {
-		for _, k := range kids {
-			if flags[k] != -1 {
-				return false
-			}
-		}
-		return true
-	})
-	m.F.Refine(false, m.Opts.MaxLevel, func(o octant.Octant) bool { return flags[o] == 1 })
-	m.F.Balance(core.BalanceFull)
-	m.F.Partition()
-	return m.F.Checksum() != before
+	return sim.Cycle{Forest: m.F, Met: m.Met, MaxLevel: m.Opts.MaxLevel, Flag: ind}.Run()
 }
 
 // Report summarizes a run for the Figure 7 table.

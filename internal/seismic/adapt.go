@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/sim"
 )
 
 // elemSizeKm estimates the physical diameter of an octant under the ball
@@ -56,73 +57,70 @@ func BuildEarthForest(comm *mpi.Comm, opts Options) *core.Forest {
 // NewEarthSolver builds the full dGea setup: wavelength-adapted ball mesh
 // with the PREM material model (radius normalized to the unit ball).
 func NewEarthSolver(comm *mpi.Comm, opts Options) *Solver {
-	f := BuildEarthForest(comm, opts)
-	return NewSolver(comm, f, opts, func(p [3]float64) Material {
-		r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * EarthRadiusKm
-		return PREMMaterial(r)
-	})
+	return NewSolver(comm, BuildEarthForest(comm, opts), opts, PREMAt)
 }
 
-// AdaptToWavefront performs one dynamic adaptation cycle tracking the
-// propagating waves: refine where velocity magnitudes are significant,
-// coarsen quiescent regions, transfer the 9 solution fields, and
-// repartition (paper: "optionally coarsen and refine the mesh during the
-// simulation to track propagating waves", Figure 8). Returns whether the
-// mesh changed.
-func (s *Solver) AdaptToWavefront(refineTol, coarsenTol float64) bool {
-	stop := s.Met.Start("amr")
-	defer stop()
-	m := s.Mesh
-	// Global velocity scale.
-	vmax := 0.0
-	for i := 0; i < m.NumLocal*m.Np; i++ {
-		v := math.Abs(s.Q[i*NC]) + math.Abs(s.Q[i*NC+1]) + math.Abs(s.Q[i*NC+2])
-		if v > vmax {
-			vmax = v
-		}
+// EarthApp is the runtime's handle on the earth run the drivers and the
+// job server execute: NewEarthSolver excited by EarthSource.
+func EarthApp(opts Options) sim.App {
+	src := EarthSource(opts)
+	return sim.App{
+		New: func(c *mpi.Comm) sim.Solver {
+			s := NewEarthSolver(c, opts)
+			s.Source = src
+			return s
+		},
+		Resume: func(c *mpi.Comm, base string) (sim.Solver, int64, error) {
+			return Resume(c, EarthConn(), opts, PREMAt, src, base)
+		},
 	}
-	vmax = mpi.AllreduceMax(s.Comm, vmax)
+}
+
+// AdaptToWavefront performs one dynamic adaptation cycle (sim.Cycle)
+// tracking the propagating waves: refine where velocity magnitudes are
+// significant, coarsen quiescent regions, transfer the 9 solution fields,
+// and repartition (paper: "optionally coarsen and refine the mesh during
+// the simulation to track propagating waves", Figure 8). Returns whether
+// the mesh changed.
+func (s *Solver) AdaptToWavefront(refineTol, coarsenTol float64) bool {
+	m := s.Mesh
+	// speed is the largest velocity magnitude (1-norm) over nodes [lo, hi).
+	speed := func(lo, hi int) float64 {
+		vmax := 0.0
+		for i := lo; i < hi; i++ {
+			v := math.Abs(s.Q[i*NC]) + math.Abs(s.Q[i*NC+1]) + math.Abs(s.Q[i*NC+2])
+			if v > vmax {
+				vmax = v
+			}
+		}
+		return vmax
+	}
+	// Global velocity scale.
+	vmax := mpi.AllreduceMax(s.Comm, speed(0, m.NumLocal*m.Np))
 	if vmax == 0 {
 		return false
 	}
-	flags := make(map[octant.Octant]int8, m.NumLocal)
-	for e, o := range s.F.Local {
-		emax := 0.0
-		for n := 0; n < m.Np; n++ {
-			i := (e*m.Np + n) * NC
-			v := math.Abs(s.Q[i]) + math.Abs(s.Q[i+1]) + math.Abs(s.Q[i+2])
-			if v > emax {
-				emax = v
+	return sim.Cycle{
+		Forest: s.F, Met: s.Met, MaxLevel: s.Opts.MaxLevel,
+		Flag: func(e int, o octant.Octant) int8 {
+			rel := speed(e*m.Np, (e+1)*m.Np) / vmax
+			switch {
+			case rel > refineTol && o.Level < s.Opts.MaxLevel:
+				return 1
+			case rel < coarsenTol && o.Level > s.Opts.MinLevel:
+				return -1
 			}
-		}
-		rel := emax / vmax
-		switch {
-		case rel > refineTol && o.Level < s.Opts.MaxLevel:
-			flags[o] = 1
-		case rel < coarsenTol && o.Level > s.Opts.MinLevel:
-			flags[o] = -1
-		}
-	}
-	before := s.F.Checksum()
-	oldLeaves := append([]octant.Octant(nil), s.F.Local...)
-	s.F.Coarsen(false, func(parent octant.Octant, kids []octant.Octant) bool {
-		for _, k := range kids {
-			if flags[k] != -1 {
-				return false
-			}
-		}
-		return true
-	})
-	s.F.Refine(false, s.Opts.MaxLevel, func(o octant.Octant) bool { return flags[o] == 1 })
-	s.F.Balance(core.BalanceFull)
-	if s.F.Checksum() == before {
-		return false
-	}
-	s.Q = m.TransferFields(oldLeaves, s.Q, s.F.Local, NC)
-	newQ, _ := s.F.PartitionWithData(m.Np*NC, s.Q)
-	s.Q = newQ
-	s.rebuild()
-	return true
+			return 0
+		},
+		Mesh: m, NC: NC, Field: &s.Q, Rebuild: s.rebuild,
+	}.Run()
+}
+
+// EarthSource is the earthquake-like excitation of the earth runs: a
+// Ricker body force below the north pole, its peak frequency tied to the
+// meshing frequency.
+func EarthSource(opts Options) func(t float64, p [3]float64) [3]float64 {
+	return RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1}, opts.FreqHz*500, 1, 0.05)
 }
 
 // RickerSource returns a body-force source at position src with the given

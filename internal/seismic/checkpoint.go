@@ -1,115 +1,39 @@
 package seismic
 
 import (
-	"os"
-	"path/filepath"
-
 	"repro/internal/connectivity"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
-// Checkpoint/restart mirrors the advect driver: forest via core.Save/Load
-// plus the versioned field format holding the NC velocity-strain fields
-// per node. Everything else the solver carries — mesh, materials, maxVp,
-// dt — is a deterministic function of forest, options, and material
-// model, so a resumed run replays the remaining steps bitwise-identically
-// to the uninterrupted one.
-
-func checkpointPaths(base string) (forest, fields string) {
-	return base + ".forest", base + ".fields"
-}
-
-// CheckpointExists reports whether both files of a checkpoint base exist.
-func CheckpointExists(base string) bool {
-	fp, dp := checkpointPaths(base)
-	if _, err := os.Stat(fp); err != nil {
-		return false
-	}
-	_, err := os.Stat(dp)
-	return err == nil
-}
+// Checkpoint/restart: the solver's share of a checkpoint (see
+// core.SaveCheckpoint) is Q, the NC velocity-strain fields per node, plus
+// step and time. Mesh, materials, maxVp and dt are rebuilt from the
+// restored forest, the options and the material model.
 
 // SaveCheckpoint writes the solver state at step to base+".forest" and
-// base+".fields" (written under per-call unique temp names via
-// core.TempPath and renamed into place, so a crash mid-write never
-// clobbers the previous good checkpoint and concurrent writers sharing a
-// base path never clobber each other's temp files). Collective; all
-// ranks return the same error.
+// base+".fields". Collective; all ranks return the same error.
 func (s *Solver) SaveCheckpoint(base string, step int64) error {
-	fp, dp := checkpointPaths(base)
-	// Only rank 0 touches the filesystem; each rank computing its own
-	// temp names is harmless.
-	ftmp, dtmp := core.TempPath(fp), core.TempPath(dp)
-	err := s.F.Save(ftmp)
-	if err == nil {
-		meta := core.FieldMeta{Step: step, Time: s.Time}
-		err = s.F.SaveFields(dtmp, s.Mesh.Np*NC, meta, s.Q)
-	}
-	if s.Comm.Rank() == 0 {
-		if err == nil {
-			if err = os.Rename(ftmp, fp); err == nil {
-				err = os.Rename(dtmp, dp)
-			}
-			if err == nil {
-				// Make the renames durable; the file contents were fsynced at
-				// write time, the directory entries are the remaining volatile
-				// piece of the atomic-replace protocol.
-				err = core.SyncDir(filepath.Dir(fp))
-			}
-		}
-		if err != nil {
-			os.Remove(ftmp)
-			os.Remove(dtmp)
-		}
-	}
-	err = mpi.BcastErr(s.Comm, err)
-	if err == nil {
-		s.Met.AddCount("checkpoint_saves", 1)
-		s.Met.Gauge("checkpoint_last_step").Set(step)
-	}
-	return err
+	return s.F.SaveCheckpoint(base, s.Mesh.Np*NC, core.FieldMeta{Step: step, Time: s.Time}, s.Q)
 }
 
-// Resume restores a solver from the checkpoint at base onto the given
-// connectivity and material model (both must match the original run) and
-// returns it with the step the checkpoint was taken at. Any rank count
-// works; the source field, if one was set, must be re-attached by the
-// caller.
+// Resume restores a solver from the checkpoint at base and returns it
+// with the step the checkpoint was taken at. What the checkpoint does not
+// hold is passed in and must match the original run: the connectivity,
+// the options, the material model and the source (nil for none). Any rank
+// count works.
 func Resume(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
-	matFn func(p [3]float64) Material, base string) (*Solver, int64, error) {
-	fp, dp := checkpointPaths(base)
-	f, err := core.Load(comm, conn, fp)
+	matFn func(p [3]float64) Material, source func(t float64, p [3]float64) [3]float64,
+	base string) (*Solver, int64, error) {
+	np1 := opts.Degree + 1
+	f, data, meta, err := core.LoadCheckpoint(comm, conn, base, np1*np1*np1*NC)
 	if err != nil {
 		return nil, 0, err
 	}
 	s := NewSolver(comm, f, opts, matFn)
-	data, meta, err := f.LoadFields(dp, s.Mesh.Np*NC)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.Q = data
-	s.Time = meta.Time
+	s.Q, s.Time, s.Source = data, meta.Time, source
 	return s, meta.Step, nil
-}
-
-// RunCheckpointed advances the solver from step start+1 through nsteps,
-// writing a checkpoint to base every `every` steps and calling
-// Comm.CrashPoint at each step boundary so an injected rank crash fires
-// between steps. A fresh run passes start = 0; a resumed run passes the
-// step returned by Resume.
-func (s *Solver) RunCheckpointed(nsteps, every int, base string, start int64) error {
-	dt := s.DT()
-	for step := start + 1; step <= int64(nsteps); step++ {
-		s.Comm.CrashPoint(int(step))
-		s.Step(dt)
-		if every > 0 && base != "" && step%int64(every) == 0 {
-			if err := s.SaveCheckpoint(base, step); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // FieldHash returns the collective bitwise fingerprint of the solver
@@ -118,6 +42,10 @@ func (s *Solver) RunCheckpointed(nsteps, every int, base string, start int64) er
 func (s *Solver) FieldHash() uint64 {
 	return core.HashFields(s.Comm, s.Time, s.Q)
 }
+
+// SimTime and Metrics complete the runtime's sim.Solver interface.
+func (s *Solver) SimTime() float64           { return s.Time }
+func (s *Solver) Metrics() *metrics.Registry { return s.Met }
 
 // EarthConn returns the macro-connectivity BuildEarthForest meshes (the
 // cubed ball, inner cube ending well inside the outer core), which a

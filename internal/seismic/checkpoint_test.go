@@ -9,6 +9,7 @@ import (
 	"repro/internal/connectivity"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 func seisChaosPlan(seed int64) *mpi.FaultPlan {
@@ -47,7 +48,7 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	var want uint64
 	mpi.Run(p, func(c *mpi.Comm) {
 		s, _, _ := ckptSolver(c)
-		if err := s.RunCheckpointed(nsteps, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: nsteps}).Advance(c, s, 0); err != nil {
 			t.Errorf("reference run: %v", err)
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -60,12 +61,13 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	plan.CrashStep = 5
 	err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 		s, _, _ := ckptSolver(c)
-		return s.RunCheckpointed(nsteps, every, base, 0)
+		_, err := sim.Run{Steps: nsteps, CheckpointEvery: every, Base: base}.Advance(c, s, 0)
+		return err
 	})
 	if !mpi.IsInjectedCrash(err) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
-	if !CheckpointExists(base) {
+	if !core.CheckpointExists(base) {
 		t.Fatal("no checkpoint written before the crash")
 	}
 
@@ -74,14 +76,14 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 		conn := connectivity.Brick(1, 1, 1, true, true, true)
 		opts := DefaultOptions()
 		opts.Degree = 2
-		s, start, err := Resume(c, conn, opts, homogeneous(1, 1, 1), base)
+		s, start, err := Resume(c, conn, opts, homogeneous(1, 1, 1), nil, base)
 		if err != nil {
 			return err
 		}
 		if start != 4 {
 			t.Errorf("resumed at step %d, want 4", start)
 		}
-		if err := s.RunCheckpointed(nsteps, every, base, start); err != nil {
+		if _, err := (sim.Run{Steps: nsteps, CheckpointEvery: every, Base: base}).Advance(c, s, start); err != nil {
 			return err
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -105,7 +107,7 @@ func TestSeismicChaosBitwise(t *testing.T) {
 		var h uint64
 		err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 			s, _, _ := ckptSolver(c)
-			if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+			if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
 				return err
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

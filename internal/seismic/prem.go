@@ -87,6 +87,12 @@ func PREMMaterial(rKm float64) Material {
 	return Material{Rho: rho, Lambda: lambda, Mu: mu}
 }
 
+// PREMAt is PREMMaterial as a solver material model on the unit ball
+// (radius 1 = the earth's surface): the MatFn of every earth run.
+func PREMAt(p [3]float64) Material {
+	return PREMMaterial(math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * EarthRadiusKm)
+}
+
 // MinWavelengthKm returns the local minimum wavelength (km) at radius r
 // for a source frequency f (Hz): the slowest propagating wave speed over
 // the frequency. In the fluid core the P speed governs.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // TestSeismicCrossTransportBitwise pins that the elastic-wave solver's
@@ -18,7 +19,7 @@ func TestSeismicCrossTransportBitwise(t *testing.T) {
 		var h uint64
 		mpi.RunOpt(p, mpi.RunOptions{Transport: tp}, func(c *mpi.Comm) {
 			s, _, _ := ckptSolver(c)
-			if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+			if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
 				t.Errorf("%s: run: %v", tp, err)
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

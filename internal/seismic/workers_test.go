@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/raceflag"
+	"repro/internal/sim"
 )
 
 // seisWorkersHash runs four steps of the periodic-brick plane wave on the
@@ -15,7 +16,7 @@ func seisWorkersHash(t *testing.T, p, workers int, transport string, noOverlap b
 	var h uint64
 	mpi.RunOpt(p, mpi.RunOptions{Workers: workers, Transport: transport}, func(c *mpi.Comm) {
 		s := overlapSolver(c, noOverlap)
-		if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
 			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {

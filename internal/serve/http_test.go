@@ -216,16 +216,30 @@ func TestHTTPEventsSSE(t *testing.T) {
 	}
 }
 
-// TestHTTPCancel cancels a long job over the API.
+// TestHTTPCancel cancels a long job over the API once it is stepping, and
+// checks that a job stopped mid-run publishes nothing a finished job
+// would: it ends canceled with the steps it actually took and no field
+// hash, result event, manifest or trace.
 func TestHTTPCancel(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxActive: 1})
 	defer s.Drain()
+	const steps = 100000
 	j, err := s.Submit(JobSpec{
-		Type: TypeAdvect, Ranks: 2, Steps: 100000,
+		Type: TypeAdvect, Ranks: 2, Steps: steps,
 		AdaptEvery: -1, CheckpointEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Wait for the first completed step: the cancel must hit a running loop.
+	for i := 0; ; i++ {
+		ev, ok := j.events.next(i, nil)
+		if !ok {
+			t.Fatal("job ended before its first step")
+		}
+		if ev.Type == "progress" {
+			break
+		}
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+j.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -238,5 +252,34 @@ func TestHTTPCancel(t *testing.T) {
 	}
 	if st := waitTerminal(t, j, time.Minute); st != StateCanceled {
 		t.Errorf("state = %s, want canceled", st)
+	}
+
+	v := j.View()
+	if v.FieldHash != "" {
+		t.Errorf("canceled job published field hash %s", v.FieldHash)
+	}
+	if got := v.Result["steps"]; got < 1 || got >= steps {
+		t.Errorf("result steps = %v, want the steps actually taken (1 <= n < %d)", got, steps)
+	}
+	progress := 0
+	for i := 0; ; i++ {
+		ev, ok := j.events.next(i, nil)
+		if !ok {
+			break
+		}
+		switch ev.Type {
+		case "result":
+			t.Errorf("canceled job emitted a result event: %v", ev.Data)
+		case "progress":
+			progress++
+		}
+	}
+	if float64(progress) != v.Result["steps"] {
+		t.Errorf("%d progress events, result steps = %v", progress, v.Result["steps"])
+	}
+	for _, f := range []string{"manifest.json", "trace.json", "flight-error.trace.json"} {
+		if fileExists(t, j, f) {
+			t.Errorf("canceled job left %s", f)
+		}
 	}
 }

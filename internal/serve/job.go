@@ -19,6 +19,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // JobType names the workloads the service runs.
@@ -29,22 +31,9 @@ const (
 )
 
 // FaultSpec configures deterministic fault injection for a job — the same
-// knobs as the CLI drivers' -fault-* flags. CrashRank/CrashStep inject a
-// rank crash at a step boundary, which is how the auto-restart and live
-// migration paths are exercised end to end.
-type FaultSpec struct {
-	Seed    int64   `json:"seed,omitempty"`
-	Drop    float64 `json:"drop,omitempty"`
-	Dup     float64 `json:"dup,omitempty"`
-	Delay   float64 `json:"delay,omitempty"`
-	Reorder float64 `json:"reorder,omitempty"`
-	Stall   float64 `json:"stall,omitempty"`
-	// CrashRank < 0 disables the injected crash (the zero value of a
-	// *present* FaultSpec therefore crashes rank 0 — set -1 explicitly
-	// for drop/dup-only chaos).
-	CrashRank int `json:"crash_rank"`
-	CrashStep int `json:"crash_step,omitempty"`
-}
+// knobs as the CLI drivers' -fault-* flags; its crash_rank/crash_step are
+// how the auto-restart and live migration paths are exercised end to end.
+type FaultSpec = sim.Faults
 
 // JobSpec is the submitted description of one simulation job. Zero fields
 // take service defaults sized for many small concurrent runs, not for

@@ -1,36 +1,21 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/advect"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/rhea"
 	"repro/internal/seismic"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vtk"
 )
-
-// plan assembles a FaultSpec into the runtime's schedule, nil when the
-// spec is absent (nil keeps the transport on its zero-overhead path).
-func (f *FaultSpec) plan() *mpi.FaultPlan {
-	if f == nil {
-		return nil
-	}
-	return &mpi.FaultPlan{
-		Seed: f.Seed,
-		Drop: f.Drop, Dup: f.Dup, Delay: f.Delay,
-		Reorder: f.Reorder, Stall: f.Stall,
-		MaxDelay: 200 * time.Microsecond, RetryTimeout: 100 * time.Microsecond,
-		CrashRank: f.CrashRank, CrashStep: f.CrashStep,
-	}
-}
 
 // migrateRanks picks the world size for a restarted job: always different
 // from the crashed attempt's — the restart is a live migration, and the
@@ -44,11 +29,12 @@ func migrateRanks(r int) int {
 	return r + 1
 }
 
-// runJob executes one job to success or final failure: a restart loop
-// around single-world attempts, resuming from the job's last checkpoint
-// on a migrated rank count whenever an injected crash takes a world down.
-// On return the job directory holds its checkpoints, VTK frames, traces,
-// flight-recorder dumps of crashed attempts, and a manifest.
+// runJob executes one job to success or final failure: the runtime's
+// restart loop around single-world attempts, resuming from the job's last
+// checkpoint on a migrated rank count whenever an injected crash takes a
+// world down. On return the job directory holds its checkpoints, VTK
+// frames, traces, flight-recorder dumps of crashed attempts, and a
+// manifest.
 func (s *Scheduler) runJob(j *Job) error {
 	spec := j.Spec
 	if err := os.MkdirAll(filepath.Join(j.Dir, "ckpt"), 0o755); err != nil {
@@ -62,49 +48,25 @@ func (s *Scheduler) runJob(j *Job) error {
 	jtel := telemetry.NewServer()
 	manifest := telemetry.NewManifestConfig("serve/"+spec.Type, spec.ConfigMap())
 
-	plan := spec.Fault.plan()
-	ranks := spec.Ranks
-	resume := false
-	var lastErr error
-	for restarts := 0; ; restarts++ {
-		attemptNo := j.beginAttempt(ranks)
-		err := s.attempt(j, jtel, attemptNo, ranks, plan, resume)
-		if err == nil {
-			lastErr = nil
-			break
-		}
-		lastErr = err
-		if !mpi.IsInjectedCrash(err) || restarts >= spec.MaxRestarts {
-			break
-		}
-		ckpt := filepath.Join(j.Dir, "ckpt", spec.Type)
-		if spec.Type == TypeMantle || spec.CheckpointEvery <= 0 ||
-			!checkpointExists(spec.Type, ckpt) {
-			// Nothing to resume from; a restart would replay from scratch
-			// and (with the crash disarmed) still converge, but without a
-			// checkpoint there is no migration story — fail honestly.
-			break
-		}
-		j.events.append("crash", map[string]any{
-			"attempt": attemptNo, "ranks": ranks, "error": err.Error(),
-		})
-		// The crashed process does not crash again: disarm the injected
-		// crash, keep the rest of the chaos plan active.
-		if plan != nil {
-			p := *plan
-			p.CrashRank = -1
-			plan = &p
-		}
-		next := migrateRanks(ranks)
-		j.events.append("migrate", map[string]any{
-			"from_ranks": ranks, "to_ranks": next,
-		})
-		s.met.AddCount("jobs_restarted", 1)
-		ranks = next
-		resume = true
-	}
-	if lastErr != nil {
-		return lastErr
+	attemptNo := 0
+	err := sim.Restart{
+		Ranks: spec.Ranks, Plan: spec.Fault.Plan(), MaxRestarts: spec.MaxRestarts,
+		Base: spec.checkpointBase(j.Dir), NextRanks: migrateRanks,
+		OnCrash: func(err error, ranks, next int) {
+			j.events.append("crash", map[string]any{
+				"attempt": attemptNo, "ranks": ranks, "error": err.Error(),
+			})
+			j.events.append("migrate", map[string]any{
+				"from_ranks": ranks, "to_ranks": next,
+			})
+			s.met.AddCount("jobs_restarted", 1)
+		},
+	}.Run(func(ranks int, plan *mpi.FaultPlan, resume bool) error {
+		attemptNo = j.beginAttempt(ranks)
+		return s.attempt(j, jtel, attemptNo, ranks, plan, resume)
+	})
+	if err != nil {
+		return err
 	}
 
 	manifest.Transport = s.transportFor(spec)
@@ -122,16 +84,14 @@ func (s *Scheduler) runJob(j *Job) error {
 	return nil
 }
 
-// checkpointExists dispatches the per-type "anything to resume from"
-// probe.
-func checkpointExists(typ, base string) bool {
-	switch typ {
-	case TypeAdvect:
-		return advect.CheckpointExists(base)
-	case TypeSeismic:
-		return seismic.CheckpointExists(base)
+// checkpointBase is where the job's checkpoints go, "" for a job that
+// writes none (mantle jobs, checkpointing switched off) and therefore has
+// nothing to restart from.
+func (sp JobSpec) checkpointBase(dir string) string {
+	if sp.Type == TypeMantle || sp.CheckpointEvery <= 0 {
+		return ""
 	}
-	return false
+	return filepath.Join(dir, "ckpt", sp.Type)
 }
 
 // transportFor resolves the fabric a job's worlds use.
@@ -169,15 +129,17 @@ func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int
 		Tracer: tr, Plan: plan, Metrics: world,
 		Transport: s.transportFor(j.Spec), Workers: j.Spec.Workers,
 	}
-	err = fr.Guard(func() error {
-		switch j.Spec.Type {
-		case TypeAdvect:
-			return s.runAdvect(j, jtel, attemptNo, ranks, opts, resume)
-		case TypeSeismic:
-			return s.runSeismic(j, jtel, attemptNo, ranks, opts, resume)
-		default:
-			return s.runMantle(j, jtel, ranks, opts)
+	// err takes the run's outcome; the recorder only learns whether to dump.
+	_ = fr.Guard(func() error {
+		if j.Spec.Type == TypeMantle {
+			err = s.runMantle(j, jtel, ranks, opts)
+		} else {
+			err = s.runSteps(j, jtel, attemptNo, ranks, opts, resume)
 		}
+		if errors.Is(err, sim.ErrCanceled) {
+			return nil // not a crash: nothing for the flight recorder
+		}
+		return err
 	})
 	if err == nil {
 		// The successful attempt's timeline is part of the streamed
@@ -189,15 +151,18 @@ func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int
 	return err
 }
 
-// checkCancel is the per-step cooperative cancellation point: rank 0
-// reads the job's flag and every rank receives the same verdict, so the
-// world unwinds collectively instead of deadlocking half-stopped.
-func checkCancel(c *mpi.Comm, j *Job) bool {
+// checkCancel is the cooperative cancellation point at step boundaries:
+// rank 0 reads the job's flag and every rank receives the same verdict, so
+// the world unwinds collectively instead of deadlocking half-stopped.
+func checkCancel(c *mpi.Comm, j *Job) error {
 	stop := false
 	if c.Rank() == 0 {
 		stop = j.canceled.Load()
 	}
-	return mpi.Bcast(c, 0, stop)
+	if mpi.Bcast(c, 0, stop) {
+		return sim.ErrCanceled
+	}
+	return nil
 }
 
 // advectOpts maps a job spec onto the shell-advection solver.
@@ -209,70 +174,67 @@ func advectOpts(spec JobSpec) advect.Options {
 	return o
 }
 
-func (s *Scheduler) runAdvect(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
+// seismicOpts maps a job spec onto the elastic-wave solver: the service
+// defaults keep the wavelength-adapted earth mesh small (the frequency/
+// PPW pair is fixed; the spec's MaxLevel caps refinement).
+func seismicOpts(spec JobSpec) seismic.Options {
+	o := seismic.DefaultOptions()
+	o.Degree = spec.Degree
+	o.MaxLevel = int8(spec.MaxLevel)
+	o.MinLevel = int8(spec.Level)
+	return o
+}
+
+// runSteps runs one world of a time-stepping job (advect, seismic)
+// through the runtime's step loop. The hooks are the service's share:
+// telemetry registration, cancellation polling before every step, and
+// after each step the checkpoint, VTK-frame and progress events.
+func (s *Scheduler) runSteps(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
 	ropts mpi.RunOptions, resume bool) error {
 	spec := j.Spec
-	opts := advectOpts(spec)
-	base := filepath.Join(j.Dir, "ckpt", spec.Type)
-	var hash uint64
-	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		var sol *advect.Solver
-		var start int64
-		if resume && advect.CheckpointExists(base) {
-			var err error
-			sol, start, err = advect.ResumeShell(c, opts, base)
-			if err != nil {
-				return err
+	app := advect.ShellApp(advectOpts(spec))
+	if spec.Type == TypeSeismic {
+		app = seismic.EarthApp(seismicOpts(spec))
+	}
+	run := sim.Run{
+		App: app, Steps: spec.Steps, AdaptEvery: spec.AdaptEvery,
+		CheckpointEvery: spec.CheckpointEvery, Base: spec.checkpointBase(j.Dir),
+		OnStart: func(c *mpi.Comm, sol sim.Solver, _ int64, _ bool) error {
+			jtel.Register(spec.Type, c.Rank(), sol.Metrics())
+			return checkCancel(c, j)
+		},
+		OnStep: func(c *mpi.Comm, sol sim.Solver, step int64, saved bool) error {
+			if saved && c.Rank() == 0 {
+				j.events.append("checkpoint", map[string]any{"step": step})
 			}
-		} else {
-			sol = advect.NewShell(c, opts)
-		}
-		jtel.Register("advect", c.Rank(), sol.Met)
-		dt := sol.DT()
-		for step := start + 1; step <= int64(spec.Steps); step++ {
-			if checkCancel(c, j) {
-				return nil
-			}
-			c.CrashPoint(int(step))
-			sol.Step(dt)
-			if spec.AdaptEvery > 0 && step%int64(spec.AdaptEvery) == 0 {
-				if sol.Adapt() {
-					dt = sol.DT()
-				}
-			}
-			if spec.CheckpointEvery > 0 && step%int64(spec.CheckpointEvery) == 0 {
-				if err := sol.SaveCheckpoint(base, step); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					j.events.append("checkpoint", map[string]any{"step": step})
-				}
-			}
-			if spec.VTKEvery > 0 && step%int64(spec.VTKEvery) == 0 {
-				if err := writeAdvectFrame(j, sol, step); err != nil {
+			if adv, ok := sol.(*advect.Solver); ok && spec.VTKEvery > 0 && step%int64(spec.VTKEvery) == 0 {
+				if err := writeAdvectFrame(j, adv, step); err != nil {
 					return err
 				}
 			}
 			if c.Rank() == 0 {
 				j.events.append("progress", map[string]any{
-					"step": step, "steps": spec.Steps, "sim_time": sol.Time,
+					"step": step, "steps": spec.Steps, "sim_time": sol.SimTime(),
 					"attempt": attemptNo, "ranks": ranks,
 				})
 			}
-		}
-		if h := sol.FieldHash(); c.Rank() == 0 {
-			hash = h
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+			if step == int64(spec.Steps) {
+				return nil // finished: nothing left to cancel
+			}
+			return checkCancel(c, j)
+		},
 	}
+	var res sim.Result
+	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error { return run.Rank(c, resume, &res) })
 	j.mu.Lock()
-	j.fieldHash, j.hashValid = hash, true
-	j.result = map[string]float64{"steps": float64(spec.Steps)}
-	j.mu.Unlock()
-	return nil
+	defer j.mu.Unlock()
+	if err == nil {
+		j.fieldHash, j.hashValid = res.Hash, true
+	}
+	if err == nil || errors.Is(err, sim.ErrCanceled) {
+		j.result = map[string]float64{"steps": float64(res.Steps)}
+	}
+	return err
 }
 
 // writeAdvectFrame streams one VTK frame of the concentration field (cell
@@ -293,83 +255,6 @@ func writeAdvectFrame(j *Job, sol *advect.Solver, step int64) error {
 	if sol.Comm.Rank() == 0 {
 		j.events.append("frame", map[string]any{"step": step, "file": filepath.Base(path)})
 	}
-	return nil
-}
-
-// seismicOpts maps a job spec onto the elastic-wave solver: the service
-// defaults keep the wavelength-adapted earth mesh small (the frequency/
-// PPW pair is fixed; the spec's MaxLevel caps refinement).
-func seismicOpts(spec JobSpec) seismic.Options {
-	o := seismic.DefaultOptions()
-	o.Degree = spec.Degree
-	o.MaxLevel = int8(spec.MaxLevel)
-	o.MinLevel = int8(spec.Level)
-	return o
-}
-
-func premMat(p [3]float64) seismic.Material {
-	r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * seismic.EarthRadiusKm
-	return seismic.PREMMaterial(r)
-}
-
-func (s *Scheduler) runSeismic(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
-	ropts mpi.RunOptions, resume bool) error {
-	spec := j.Spec
-	opts := seismicOpts(spec)
-	base := filepath.Join(j.Dir, "ckpt", spec.Type)
-	source := seismic.RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1},
-		opts.FreqHz*500, 1, 0.05)
-	var hash uint64
-	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		var sol *seismic.Solver
-		var start int64
-		if resume && seismic.CheckpointExists(base) {
-			var err error
-			sol, start, err = seismic.Resume(c, seismic.EarthConn(), opts, premMat, base)
-			if err != nil {
-				return err
-			}
-		} else {
-			f := seismic.BuildEarthForest(c, opts)
-			sol = seismic.NewSolver(c, f, opts, premMat)
-		}
-		// The source is not part of the checkpoint; re-attach on resume.
-		sol.Source = source
-		jtel.Register("seismic", c.Rank(), sol.Met)
-		dt := sol.DT()
-		for step := start + 1; step <= int64(spec.Steps); step++ {
-			if checkCancel(c, j) {
-				return nil
-			}
-			c.CrashPoint(int(step))
-			sol.Step(dt)
-			if spec.CheckpointEvery > 0 && step%int64(spec.CheckpointEvery) == 0 {
-				if err := sol.SaveCheckpoint(base, step); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					j.events.append("checkpoint", map[string]any{"step": step})
-				}
-			}
-			if c.Rank() == 0 {
-				j.events.append("progress", map[string]any{
-					"step": step, "steps": spec.Steps, "sim_time": sol.Time,
-					"attempt": attemptNo, "ranks": ranks,
-				})
-			}
-		}
-		if h := sol.FieldHash(); c.Rank() == 0 {
-			hash = h
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.fieldHash, j.hashValid = hash, true
-	j.result = map[string]float64{"steps": float64(spec.Steps)}
-	j.mu.Unlock()
 	return nil
 }
 
@@ -394,8 +279,8 @@ func (s *Scheduler) runMantle(j *Job, jtel *telemetry.Server, ranks int,
 	opts := rheaOpts(spec)
 	var rep rhea.Report
 	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		if checkCancel(c, j) {
-			return nil
+		if err := checkCancel(c, j); err != nil {
+			return err
 		}
 		m := rhea.New(c, opts)
 		jtel.Register("mantle", c.Rank(), m.Met)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -242,7 +243,7 @@ func (s *Scheduler) runOne(j *Job) {
 	s.met.Histogram("job_latency", metrics.UnitDuration).ObserveDuration(time.Since(j.submitted))
 
 	switch {
-	case err == nil && j.canceled.Load():
+	case errors.Is(err, sim.ErrCanceled):
 		j.setState(StateCanceled, nil)
 		s.met.AddCount("jobs_canceled", 1)
 	case err == nil:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -12,7 +13,10 @@ import (
 	"time"
 
 	"repro/internal/advect"
+	"repro/internal/connectivity"
+	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -230,7 +234,7 @@ func TestCrashRestartMigratesAndMatches(t *testing.T) {
 	var want uint64
 	mpi.Run(4, func(c *mpi.Comm) {
 		sol := advect.NewShell(c, advectOpts(spec.withDefaults()))
-		if err := sol.RunCheckpointed(steps, adaptEvery, 0, "", 0); err != nil {
+		if _, err := (sim.Run{Steps: steps, AdaptEvery: adaptEvery}).Advance(c, sol, 0); err != nil {
 			t.Errorf("reference: %v", err)
 		}
 		if h := sol.FieldHash(); c.Rank() == 0 {
@@ -385,6 +389,57 @@ func TestSeismicJobCheckpointRestart(t *testing.T) {
 	}
 	if h1 != h2 {
 		t.Errorf("migrated seismic hash %#x, clean %#x", h1, h2)
+	}
+}
+
+// TestResumeFromCorruptCheckpointFails plants a checkpoint whose forest
+// file is corrupt in the last rank's slice, then crashes the job at its
+// first step so the restart resumes from it on two ranks. Every rank must
+// see the load fail: the job ends failed (and frees its MaxActive slot)
+// instead of hanging with one rank gone and the other in a collective.
+func TestResumeFromCorruptCheckpointFails(t *testing.T) {
+	s := newTestScheduler(t, Config{MaxActive: 1}, nil)
+	defer s.Drain()
+	ckpt := filepath.Join(s.DataDir(), "j000001", "ckpt")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	forest := filepath.Join(ckpt, "advect.forest")
+	mpi.Run(1, func(c *mpi.Comm) {
+		if err := core.New(c, connectivity.Shell(0.55, 1.0), 1).Save(forest); err != nil {
+			t.Error(err)
+		}
+	})
+	b, err := os.ReadFile(forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[len(b)-4:], 127) // last record's level
+	if err := os.WriteFile(forest, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, "advect.fields"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err := s.Submit(JobSpec{
+		Type: TypeAdvect, Ranks: 3, Steps: 4, CheckpointEvery: 100,
+		Fault: &FaultSpec{CrashRank: 0, CrashStep: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "j000001" {
+		t.Fatalf("job id %s: the checkpoint was planted for j000001", j.ID)
+	}
+	if st := waitTerminal(t, j, time.Minute); st != StateFailed {
+		t.Fatalf("state = %s, want failed", st)
+	}
+	if n, hist := j.Attempts(); n != 2 || hist[1] != 2 {
+		t.Errorf("attempts = %d %v, want the resume attempt on 2 ranks", n, hist)
+	}
+	if msg := j.View().Error; !strings.Contains(msg, "level 127") {
+		t.Errorf("error = %q, want the loader's", msg)
 	}
 }
 
