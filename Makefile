@@ -9,8 +9,10 @@ PR ?= 10
 
 verify: vet build test-race
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -103,10 +103,10 @@ func TestSplitWorkers(t *testing.T) {
 		{"BenchmarkX/P4/overlap", "BenchmarkX/P4/overlap", 1},
 		{"BenchmarkX/w2", "BenchmarkX", 2},
 		{"BenchmarkX", "BenchmarkX", 1},
-		{"BenchmarkX/w0", "BenchmarkX/w0", 1},       // zero is not a worker count
-		{"BenchmarkX/wide", "BenchmarkX/wide", 1},   // non-numeric tail stays
+		{"BenchmarkX/w0", "BenchmarkX/w0", 1},           // zero is not a worker count
+		{"BenchmarkX/wide", "BenchmarkX/wide", 1},       // non-numeric tail stays
 		{"BenchmarkX/w4/chan", "BenchmarkX/w4/chan", 1}, // only a trailing component counts
-		{"BenchmarkX/warm8", "BenchmarkX/warm8", 1}, // "w" must be the whole prefix
+		{"BenchmarkX/warm8", "BenchmarkX/warm8", 1},     // "w" must be the whole prefix
 	}
 	for _, tc := range cases {
 		name, workers := splitWorkers(tc.in)

@@ -72,7 +72,7 @@ type Solver struct {
 	cv  [3][]float64 // contravariant velocity J grad(xi_a) . u at local nodes
 	buf []float64    // local+ghost work array
 
-	// Per-worker hot-path scratch, allocated once per mesh so RHS is
+	// Per-worker hot-path scratch, allocated once so RHS is
 	// allocation-free in steady state. One entry per kernel worker; the
 	// serial path uses ws[0].
 	ws []advScratch
@@ -88,6 +88,8 @@ type Solver struct {
 	kC    []float64 // RHS input/output of the Apply in progress
 	kDC   []float64
 	rhsFn func(tt float64, u, du []float64)
+	// fillFn copies a range of the RHS input into the exchange buffer.
+	fillFn func(w *mangll.Work, lo, hi int)
 
 	velFn func(x, y, z float64) (float64, float64, float64)
 	icFn  func(x, y, z float64) float64
@@ -168,8 +170,10 @@ func newSolver(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
 	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
 	s.kern = advKernel{s: s}
-	// One closure for the integrator, built once so Step allocates nothing.
+	// One closure for the integrator and one for RHS's buffer fill, built
+	// once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
+	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.buf[lo:hi], s.kC[lo:hi]) }
 	return s
 }
 
@@ -215,56 +219,71 @@ func (s *Solver) project(f func(x, y, z float64) float64) {
 	}
 }
 
-// rebuild recreates ghost, mesh, and velocity data after the forest
-// changed.
+// rebuild brings ghost layer, mesh and velocity data up to date after the
+// forest changed. The mesh is rebuilt in place and says which elements it
+// kept (Mesh.Src): their contravariant velocities are carried along, those
+// of the other elements computed; the per-link normal velocities are
+// computed afresh, links being renumbered by any change.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
-	s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
+	if s.Mesh == nil {
+		s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
+		s.rk.ForRange = s.Mesh.ForRange
+		s.ws = make([]advScratch, s.Comm.Workers())
+		for w := range s.ws {
+			s.ws[w] = advScratch{
+				tmp:    make([]float64, s.Mesh.Np),
+				fa:     make([]float64, s.Mesh.Np),
+				mine:   make([]float64, s.Mesh.Nf),
+				theirs: make([]float64, s.Mesh.Nf),
+				g:      make([]float64, s.Mesh.Nf),
+			}
+		}
+	} else {
+		s.Mesh.Rebuild(g)
+	}
 	m := s.Mesh
-	s.rk.ForRange = m.ForRange
-	n := m.NumLocal * m.Np
 	for a := 0; a < 3; a++ {
-		s.cv[a] = make([]float64, n)
+		s.cv[a] = mangll.Carry(s.cv[a], m.Src, m.Np)
 	}
-	for i := 0; i < n; i++ {
-		ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
-		for a := 0; a < 3; a++ {
-			s.cv[a][i] = m.Gi[a][0][i]*ux + m.Gi[a][1][i]*uy + m.Gi[a][2][i]*uz
+	for e, from := range m.Src {
+		if from >= 0 {
+			continue
+		}
+		for i := e * m.Np; i < (e+1)*m.Np; i++ {
+			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
+			for a := 0; a < 3; a++ {
+				s.cv[a][i] = m.Gi[a][0][i]*ux + m.Gi[a][1][i]*uy + m.Gi[a][2][i]*uz
+			}
 		}
 	}
-	s.buf = make([]float64, (m.NumLocal+m.NumGhost)*m.Np)
-	nw := s.Comm.Workers()
-	s.ws = make([]advScratch, nw)
-	for w := range s.ws {
-		s.ws[w] = advScratch{
-			tmp:    make([]float64, m.Np),
-			fa:     make([]float64, m.Np),
-			mine:   make([]float64, m.Nf),
-			theirs: make([]float64, m.Nf),
-			g:      make([]float64, m.Nf),
-		}
-	}
+	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*m.Np)
 	// Precompute the per-link normal velocities (see the unw field docs):
 	// u . areaVec at each link's flux points, interpolated onto the
 	// quadrant grid for hanging faces — exactly the values the old
 	// faceNormalVel recomputed every RHS call.
-	s.unw = make([]float64, len(m.Links)*m.Nf)
+	s.unw = mangll.Resize(s.unw, len(m.Links)*m.Nf)
 	fv := make([]float64, m.Nf)
+	var area [3][]float64
+	for b := range area {
+		area[b] = make([]float64, m.Nf)
+	}
 	for li := range m.Links {
 		l := &m.Links[li]
-		if l.Kind == mangll.LinkBoundary {
-			continue // skipped by faceTerm; leave zeros
-		}
-		e := int(l.Elem)
-		for fn := 0; fn < m.Nf; fn++ {
-			vn := int(m.FaceIdx[l.Face][fn])
-			i := e*m.Np + vn
-			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
-			fv[fn] = ux*m.FaceArea[l.Face][0][e*m.Nf+fn] +
-				uy*m.FaceArea[l.Face][1][e*m.Nf+fn] +
-				uz*m.FaceArea[l.Face][2][e*m.Nf+fn]
-		}
 		out := s.unw[li*m.Nf : (li+1)*m.Nf]
+		if l.Kind == mangll.LinkBoundary {
+			clear(out) // skipped by faceTerm
+			continue
+		}
+		e, f := int(l.Elem), int(l.Face)
+		for b := range area {
+			m.FaceArea(e, f, b, area[b])
+		}
+		for fn, vn := range m.FaceIdx[f] {
+			i := e*m.Np + int(vn)
+			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
+			fv[fn] = ux*area[0][fn] + uy*area[1][fn] + uz*area[2][fn]
+		}
 		if l.Kind == mangll.LinkToFineQuad {
 			m.SerialWork().InterpFaceToQuad(l, fv, out)
 			continue
@@ -308,8 +327,8 @@ func (s *Solver) DT() float64 {
 func (s *Solver) RHS(c, dc []float64) {
 	m := s.Mesh
 	tRHS := time.Now()
-	copy(s.buf[:m.NumLocal*m.Np], c)
 	s.kC, s.kDC = c, dc
+	m.ForRange(m.NumLocal*m.Np, s.fillFn)
 	var wait time.Duration
 	if s.Opts.NoOverlap {
 		wait = m.ApplyBlocking(&s.kern, s.buf)

@@ -29,9 +29,14 @@ func (f *Forest) Refine(recursive bool, maxLevel int8, shouldRefine func(octant.
 		}
 	}
 	for _, o := range f.Local {
+		start := len(out)
 		expand(o)
+		if f.balanced && len(out) > start+1 {
+			f.changed = append(f.changed, out[start:]...)
+		}
 	}
 	f.Local = out
+	f.adapted = true
 	f.syncCounts()
 }
 
@@ -55,6 +60,9 @@ func (f *Forest) Coarsen(recursive bool, shouldCoarsen func(parent octant.Octant
 					parent := o.Parent()
 					if shouldCoarsen(parent, fam) {
 						out = append(out, parent)
+						if f.balanced {
+							f.changed = append(f.changed, parent)
+						}
 						i += octant.NumChildren
 						changed = true
 						continue
@@ -69,6 +77,7 @@ func (f *Forest) Coarsen(recursive bool, shouldCoarsen func(parent octant.Octant
 			break
 		}
 	}
+	f.adapted = true
 	f.syncCounts()
 }
 

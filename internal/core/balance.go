@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/mpi"
 	"repro/internal/octant"
 )
@@ -38,7 +40,10 @@ type demand struct {
 // Phase 1 drives the local subtree balance to a communication-free
 // fixpoint: demands whose regions overlap the local curve segment are
 // applied immediately, and each iteration reseeds only from the leaves it
-// just created. Phase 2 runs a small, bounded number of inter-rank demand
+// just created. It starts from every local leaf, or — when the forest
+// knows it was balanced before the last Refine and Coarsen calls — from
+// the leaves those calls changed and their finer neighbours
+// (balanceSeeds). Phase 2 runs a small, bounded number of inter-rank demand
 // exchanges: the first round derives candidate demands from the partition
 // boundary alone (the recursive traversal prunes interior subtrees), later
 // rounds only from the previous round's newly created leaves, and every
@@ -56,7 +61,7 @@ func (f *Forest) Balance(kind BalanceKind) {
 	defer tr.StartSpan("balance")()
 
 	tr.Begin("balance.local")
-	f.localBalance(kind, nil)
+	f.localBalance(kind, f.balanceSeeds(kind))
 	tr.End()
 
 	sent := make(map[octant.Octant]int8)
@@ -82,7 +87,56 @@ func (f *Forest) Balance(kind BalanceKind) {
 	f.BalanceRounds = exchanges
 	tr.Arg("rounds", int64(exchanges))
 	f.addCounter("balance_rounds", int64(exchanges))
+	f.balanced, f.balancedKind = true, kind
+	f.adapted, f.changed = false, f.changed[:0]
 	f.syncCounts()
+}
+
+// balanceSeeds returns the local leaves whose demands the local pass of
+// Balance has to derive. Every local leaf, unless the forest is known to
+// have been balanced (for at least this kind) before the Refine and Coarsen
+// calls whose new leaves are in changed: then a violated demand has a
+// changed leaf at one end, and the seeds are
+//
+//   - the changed leaves that are still leaves (a later Refine or Coarsen
+//     may have replaced them), for the demands they make, and
+//   - every local leaf two or more levels finer than a changed leaf inside
+//     one of its same-size neighbour regions, for the demands made of it.
+//
+// The second set is what a coarsened parent needs: nothing about the finer
+// leaf beside it changed, yet that leaf's demand is the violated one.
+// Seeding the changed leaves alone under-refines. The regions hold some
+// finer leaves that do not touch the changed leaf; their demands are
+// satisfied already and cost only the enumeration. Demands across the rank
+// boundary are not this pass's business: the exchange rounds derive them
+// from the whole partition boundary whatever the seeds were.
+func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
+	if !f.balanced || f.balancedKind < kind {
+		return f.Local
+	}
+	var seeds []octant.Octant
+	live := 0
+	for _, c := range f.changed {
+		if i := octant.SearchContaining(f.Local, c); i < 0 || f.Local[i] != c {
+			continue
+		}
+		live++
+		seeds = append(seeds, c)
+		for _, n := range f.neighborsFor(c, kind) {
+			if !f.overlapsLocal(n) {
+				continue
+			}
+			lo, hi := octant.SearchOverlapRange(f.Local, n)
+			for _, o := range f.Local[lo:hi] {
+				if o.Level >= c.Level+2 {
+					seeds = append(seeds, o)
+				}
+			}
+		}
+	}
+	f.addCounter("balance_seeds", int64(live))
+	slices.SortFunc(seeds, octant.Compare)
+	return slices.Compact(seeds)
 }
 
 // neighborsFor enumerates the same-size neighbour images of o covered by
@@ -106,18 +160,19 @@ func (f *Forest) neighborsFor(o octant.Octant, kind BalanceKind) []octant.Octant
 }
 
 // localBalance drives the communication-free part of Balance to a local
-// fixpoint: starting from the seed leaves (nil means every local leaf), it
-// derives the demands whose regions overlap the local segment, refines the
-// violating local leaves, and feeds each iteration's newly created leaves
-// back in as the next seed frontier. Returns every leaf it created.
+// fixpoint: starting from the seed leaves, it derives the demands whose
+// regions overlap the local segment, refines the violating local leaves,
+// and feeds each iteration's newly created leaves back in as the next seed
+// frontier. Returns every leaf it created. The balance_seeds counter is
+// the number of leaves whose neighbourhood Balance enumerated.
 func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.Octant {
 	var created []octant.Octant
-	all := seeds == nil
-	for {
+	for len(seeds) > 0 {
+		f.addCounter("balance_seeds", int64(len(seeds)))
 		demands := make(map[octant.Octant]int8)
-		add := func(o octant.Octant) {
+		for _, o := range seeds {
 			if o.Level < 1 {
-				return
+				continue
 			}
 			min := o.Level - 1
 			for _, n := range f.neighborsFor(o, kind) {
@@ -129,30 +184,14 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.
 				}
 			}
 		}
-		if all {
-			for _, o := range f.Local {
-				add(o)
-			}
-			all = false
-		} else {
-			for _, o := range seeds {
-				add(o)
-			}
-		}
-		if len(demands) == 0 {
-			return created
-		}
 		ds := make([]demand, 0, len(demands))
 		for o, min := range demands {
 			ds = append(ds, demand{O: o, MinLevel: min})
 		}
-		fresh := f.applyDemands(ds)
-		if len(fresh) == 0 {
-			return created
-		}
-		created = append(created, fresh...)
-		seeds = fresh
+		seeds = f.applyDemands(ds)
+		created = append(created, seeds...)
 	}
+	return created
 }
 
 // remoteDemands derives the demands whose regions overlap remote curve

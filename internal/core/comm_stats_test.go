@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/connectivity"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/octant"
 )
 
 // ghostCommVolume builds a balanced forest at the given refinement depth
@@ -66,5 +68,79 @@ func TestGhostBytesScaleWithGhostCount(t *testing.T) {
 	// (each ghost was shipped by its owner at least once).
 	if fineBytes < 17*fineGhosts {
 		t.Errorf("ghost volume %d bytes below 17 x %d ghosts", fineBytes, fineGhosts)
+	}
+}
+
+// balanceSeeds runs body on p ranks with a metrics registry attached and
+// returns what the ranks together added to the balance_seeds counter after
+// body called start (collectively).
+func balanceSeeds(p int, body func(c *mpi.Comm, start func())) int64 {
+	reg := metrics.NewSharded(p)
+	var base int64
+	mpi.RunOpt(p, mpi.RunOptions{Metrics: reg}, func(c *mpi.Comm) {
+		body(c, func() {
+			c.Barrier()
+			if c.Rank() == 0 {
+				base = reg.Counter("balance_seeds").Value()
+			}
+			c.Barrier()
+		})
+	})
+	return reg.Counter("balance_seeds").Value() - base
+}
+
+// TestBalanceSeedsPinned pins how many leaves Balance enumerates the
+// neighbourhood of. From scratch with one exchange round: every local leaf
+// once, plus each leaf Balance created at most once — a rank on which the
+// received demands create nothing must not repeat its whole local pass (it
+// did, when a nil seed list meant "all"). After an adapt cycle of the
+// fig5-advect kind, which changes about one leaf in a hundred: a quarter of
+// the leaves at most.
+func TestBalanceSeedsPinned(t *testing.T) {
+	const p = 2
+	var before, after int64
+	var rounds int
+	seeds := balanceSeeds(p, func(c *mpi.Comm, start func()) {
+		f := fig4Forest(c, 1)
+		start()
+		n0 := f.NumGlobal()
+		f.Balance(BalanceFull)
+		if c.Rank() == 0 {
+			before, after, rounds = n0, f.NumGlobal(), f.BalanceRounds
+		}
+	})
+	if rounds != 1 {
+		t.Fatalf("from scratch: %d exchange rounds, the pin is for one", rounds)
+	}
+	t.Logf("from scratch: %d seeds, %d leaves grown to %d", seeds, before, after)
+	// Each split adds seven leaves and creates eight.
+	if limit := before + (after-before)*8/7; seeds > limit || seeds < before {
+		t.Errorf("from scratch: %d neighbourhoods enumerated for %d leaves grown to %d, want %d..%d",
+			seeds, before, after, before, limit)
+	}
+
+	var leaves, changed int64
+	seeds = balanceSeeds(p, func(c *mpi.Comm, start func()) {
+		f := New(c, connectivity.Shell(0.55, 1), 1)
+		f.Refine(true, 3, fractalRefine(3))
+		f.Balance(BalanceFull)
+		f.Partition()
+		n0 := f.NumGlobal()
+		f.Coarsen(false, func(parent octant.Octant, _ []octant.Octant) bool { return pickMod(parent, 1, 80) == 0 })
+		f.Refine(false, 4, func(o octant.Octant) bool { return pickMod(o, 2, 1200) == 0 })
+		ch := mpi.AllreduceSum(c, int64(len(f.changed)))
+		start()
+		f.Balance(BalanceFull)
+		if c.Rank() == 0 {
+			leaves, changed = n0, ch
+		}
+	})
+	t.Logf("re-balance: %d seeds, %d of %d leaves changed", seeds, changed, leaves)
+	if changed*200 < leaves || changed*50 > leaves {
+		t.Fatalf("re-balance: %d of %d leaves changed, the pin is for 0.5-2 %%", changed, leaves)
+	}
+	if seeds == 0 || seeds*4 > leaves {
+		t.Errorf("re-balance: %d neighbourhoods enumerated after %d of %d leaves changed, want at most a quarter",
+			seeds, changed, leaves)
 	}
 }

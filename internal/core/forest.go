@@ -81,6 +81,19 @@ type Forest struct {
 	// payload moved alongside leaves by PartitionWithData.
 	pendingData []float64
 	pendingPer  int
+
+	// What the forest knows of its own 2:1 balance, so that Balance can
+	// start from what changed instead of from every leaf: balanced is set
+	// at the end of Balance (for balancedKind) and stays true while only
+	// Refine and Coarsen touch the leaves; they record the leaves they
+	// create in changed and set adapted. Both calls are collective, so
+	// adapted agrees on all ranks even when only some of them changed a
+	// leaf, and a Partition that finds it set — changed leaves may have
+	// moved to ranks that do not know of them — drops the mark.
+	balanced     bool
+	balancedKind BalanceKind
+	adapted      bool
+	changed      []octant.Octant
 }
 
 // New creates a uniformly refined, equi-partitioned forest at the given

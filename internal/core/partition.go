@@ -114,6 +114,9 @@ func (f *Forest) PartitionWithData(perLeaf int, data []float64) ([]float64, int6
 // leaves.
 func (f *Forest) partitionByDest(dest func(i int) int) int64 {
 	defer f.span("partition")()
+	if f.adapted {
+		f.balanced, f.changed = false, f.changed[:0]
+	}
 	type parcel struct {
 		Leaves []octant.Octant
 		Data   []float64

@@ -83,17 +83,11 @@ type kernelBatch struct {
 // second phase).
 const batchElems = 16
 
-// buildKernelDriver prepares the Apply machinery: the batch partition and
-// the prebuilt phase closures, so steady-state Apply calls allocate
-// nothing.
+// buildKernelDriver prepares the part of the Apply machinery that no
+// rebuild changes: the span names and the prebuilt phase closures, so
+// steady-state Apply calls allocate nothing.
 func (m *Mesh) buildKernelDriver() {
 	nw := len(m.works)
-	nb := (m.NumLocal + batchElems - 1) / batchElems
-	m.allElems = make([]int32, m.NumLocal)
-	for i := range m.allElems {
-		m.allElems[i] = int32(i)
-	}
-	m.buildBatches(nb)
 	m.spanA = make([]string, nw)
 	m.spanB = make([]string, nw)
 	for i := range m.spanA {
@@ -112,14 +106,17 @@ func (m *Mesh) buildKernelDriver() {
 	}
 }
 
-// buildBatches partitions the local elements into at most nb contiguous
-// ranges and attaches each range's link windows. Links are enumerated
+// buildBatches partitions the local elements into contiguous ranges of
+// batchElems and attaches each range's link windows. Links are enumerated
 // element-major (buildLinks), so intLinks and bndLinks are sorted by
 // element and every batch's links form one contiguous window of each —
 // located here with a single two-pointer sweep, referenced as zero-copy
 // subslices.
-func (m *Mesh) buildBatches(nb int) {
-	nb = max(1, min(nb, m.NumLocal))
+func (m *Mesh) buildBatches() {
+	for e := len(m.allElems); e < m.NumLocal; e++ {
+		m.allElems = append(m.allElems, int32(e))
+	}
+	nb := max(1, (m.NumLocal+batchElems-1)/batchElems)
 	m.batches = m.batches[:0]
 	ii, bi := 0, 0
 	for k := 0; k < nb; k++ {

@@ -2,6 +2,7 @@ package mangll
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -106,9 +107,18 @@ type Mesh struct {
 	Gi [3][3][]float64
 	// MassInv[n] = 1 / (w_i w_j w_k J): inverse diagonal mass matrix.
 	MassInv []float64
-	// FaceArea[f][b] is component b of the outward area vector (J grad xi
-	// scaled, unnormalized) at the face nodes of face f: index e*Nf+fn.
-	FaceArea [6][3][]float64
+
+	// Leaves is the mesh's own copy of the local leaves it was last built
+	// for, element e being Leaves[e]. It outlives the forest's array, which
+	// Coarsen compacts in place: Rebuild matches it against the new leaves
+	// to find the elements whose geometry it can keep, and an adapt cycle
+	// reads it as the old side of TransferFields.
+	Leaves []octant.Octant
+	// Src maps each element to its index before the last Rebuild, or -1
+	// when it had none (every element of a mesh NewMesh just built): what a
+	// frontend hands Carry to move its own per-element tables along.
+	Src   []int32
+	fresh []int32 // the elements with Src < 0
 
 	// FaceIdx[f][fn] is the volume node index of face node fn of face f.
 	FaceIdx [6][]int32
@@ -202,13 +212,14 @@ type Mesh struct {
 }
 
 // NewMesh builds the dG mesh of degree n over the forest's current leaves.
-// The forest must be 2:1 balanced (BalanceFull); ghost must be current.
+// The forest must be 2:1 balanced (BalanceFull); ghost must be current. It
+// is the Rebuild of a mesh with no elements yet, after the set-up that
+// depends on the degree alone.
 func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 	np1 := l.N + 1
 	m := &Mesh{
-		F: f, G: g, L: l,
+		F: f, L: l,
 		Np1: np1, Nf: np1 * np1, Np: np1 * np1 * np1,
-		NumLocal: len(f.Local), NumGhost: len(g.Octants),
 		pool: f.Comm.Pool(),
 	}
 	m.works = make([]*Work, f.Comm.Workers())
@@ -220,9 +231,6 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 		m.rangeFn(m.works[worker], batch*n/nb, (batch+1)*n/nb)
 	}
 	m.buildFaceIdx()
-	m.buildGeometry()
-	m.buildLinks()
-	m.buildGhostExchange()
 	m.Ilo, m.Ihi = l.HalfInterp()
 	m.Plo, m.Phi = halfProjections(l, m.Ilo, m.Ihi)
 	m.PwLo = weightedTranspose(l, m.Ilo)
@@ -231,7 +239,102 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 	m.ploF, m.phiF = flatten(m.Plo), flatten(m.Phi)
 	m.pwloF, m.pwhiF = flatten(m.PwLo), flatten(m.PwHi)
 	m.buildKernelDriver()
+	m.Rebuild(g)
 	return m
+}
+
+// Rebuild brings the mesh up to date, in place, with the forest's current
+// leaves and their ghost layer g after the forest was adapted or
+// repartitioned (same preconditions as NewMesh). An element survives when
+// the same octant was an element of this mesh — on this rank — before: its
+// node coordinates and metric terms are moved to its new index and kept,
+// bitwise; everything else (the geometry of the other elements, MinLen,
+// links, exchange lists, batches) is derived again, and Src records who
+// moved where. Storage is reused and grows only when the rank's element
+// count outgrows it. Collective.
+func (m *Mesh) Rebuild(g *core.GhostLayer) {
+	if m.exchActive {
+		panic("mangll: Rebuild with a ghost exchange in flight")
+	}
+	m.G = g
+	m.NumLocal, m.NumGhost = len(m.F.Local), len(g.Octants)
+	m.matchLeaves()
+	m.buildGeometry()
+	m.Leaves = append(m.Leaves[:0], m.F.Local...)
+	m.buildLinks()
+	m.buildGhostExchange()
+	m.buildBatches()
+}
+
+// matchLeaves fills Src and fresh by one merge pass over the old and the
+// new leaves, both in curve order.
+func (m *Mesh) matchLeaves() {
+	old := m.Leaves
+	m.Src, m.fresh = m.Src[:0], m.fresh[:0]
+	i := 0
+	for e, o := range m.F.Local {
+		for i < len(old) && octant.Compare(old[i], o) < 0 {
+			i++
+		}
+		if i < len(old) && old[i] == o {
+			m.Src = append(m.Src, int32(i))
+			i++
+			continue
+		}
+		m.Src = append(m.Src, -1)
+		m.fresh = append(m.fresh, int32(e))
+	}
+}
+
+// Carry rearranges a per-element table — stride values per element — for
+// the element order a Rebuild produced: row e of the result is row src[e]
+// of a where src[e] >= 0, and for the caller to fill where it is not. The
+// kept rows must appear in a in the order they keep (src ascends over
+// them), which lets the table be rearranged in place by two passes that
+// never overwrite a row not yet moved: kept rows are packed to the front,
+// walking up, then spread to their new indices, walking down; in between
+// the table is resized (Resize).
+func Carry[T any](a []T, src []int32, stride int) []T {
+	kept := 0
+	for _, from := range src {
+		if from < 0 {
+			continue
+		}
+		if int(from) != kept {
+			copy(a[kept*stride:(kept+1)*stride], a[int(from)*stride:])
+		}
+		kept++
+	}
+	a = Resize(a[:kept*stride], len(src)*stride)
+	for e := len(src) - 1; e >= 0; e-- {
+		if src[e] < 0 {
+			continue
+		}
+		kept--
+		if kept != e {
+			copy(a[e*stride:(e+1)*stride], a[kept*stride:])
+		}
+	}
+	return a
+}
+
+// Resize returns a cut or grown to n values, the first min(len(a), n) of
+// them a's. It reallocates only when a's capacity falls short: to exactly n
+// the first time, so that a mesh that never changes holds nothing spare,
+// and with an eighth to spare when a table outgrows what it had, so that a
+// mesh that grows a little at every adapt does not reallocate at each.
+// Values past len(a) are whatever the array held.
+func Resize[T any](a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:n]
+	}
+	spare := 0
+	if cap(a) > 0 {
+		spare = n / 8
+	}
+	b := make([]T, n, n+spare)
+	copy(b, a)
+	return b
 }
 
 // buildFaceIdx precomputes volume node indices of each face's node grid,
@@ -281,58 +384,75 @@ func faceTangentAxes(f int) (u, v int) {
 	}
 }
 
-// buildGeometry evaluates node coordinates via the connectivity's geometry
-// and computes the discrete metric terms the spectral element method needs.
-// Elements are independent, so the loop fans out over the rank's pool when
-// there is one (ForRange); the only reduction is a minimum, which no order
-// can change.
+// buildGeometry moves the node coordinates and metric terms of the
+// surviving elements to their new indices (Carry) and evaluates those of
+// the fresh ones via the connectivity's geometry. Elements are independent,
+// so the loops fan out over the rank's pool when there is one (ForRange).
+// MinLen is taken over every element, kept or fresh, from its coordinates:
+// the only reduction is a minimum, which no order can change.
 func (m *Mesh) buildGeometry() {
 	np := m.Np
-	nl := m.NumLocal
 	for a := 0; a < 3; a++ {
-		m.X[a] = make([]float64, nl*np)
-	}
-	m.Jac = make([]float64, nl*np)
-	m.InvJac = make([]float64, nl*np)
-	m.MassInv = make([]float64, nl*np)
-	for a := 0; a < 3; a++ {
+		m.X[a] = Carry(m.X[a], m.Src, np)
 		for b := 0; b < 3; b++ {
-			m.Gi[a][b] = make([]float64, nl*np)
+			m.Gi[a][b] = Carry(m.Gi[a][b], m.Src, np)
 		}
 	}
-	for f := 0; f < 6; f++ {
-		for b := 0; b < 3; b++ {
-			m.FaceArea[f][b] = make([]float64, nl*m.Nf)
-		}
-	}
+	m.Jac = Carry(m.Jac, m.Src, np)
+	m.InvJac = Carry(m.InvJac, m.Src, np)
+	m.MassInv = Carry(m.MassInv, m.Src, np)
 
 	geom := m.F.Conn.Geometry()
 	if geom == nil {
 		panic("mangll: connectivity has no geometry")
 	}
+	m.ForRange(len(m.fresh), func(w *Work, lo, hi int) {
+		der := make([]float64, 9*np)
+		for _, e := range m.fresh[lo:hi] {
+			m.elemGeometry(w, int(e), geom, der)
+		}
+	})
 
 	minLen := make([]float64, len(m.works))
 	for w := range minLen {
 		minLen[w] = 1e308
 	}
-	m.ForRange(nl, func(w *Work, lo, hi int) {
-		der := make([]float64, 9*np)
+	m.ForRange(m.NumLocal, func(w *Work, lo, hi int) {
 		for e := lo; e < hi; e++ {
-			if le := m.elemGeometry(w, e, geom, der); le < minLen[w.id] {
-				minLen[w.id] = le
-			}
+			minLen[w.id] = min(minLen[w.id], m.edgeLen(e))
 		}
 	})
-	for _, le := range minLen[1:] {
-		minLen[0] = min(minLen[0], le)
-	}
-	m.MinLen = -mpi.AllreduceMax(m.F.Comm, -minLen[0])
+	m.MinLen = -mpi.AllreduceMax(m.F.Comm, -slices.Min(minLen))
 }
 
-// elemGeometry fills the coordinates, metric terms and face area vectors
-// of local element e and returns its edge-length estimate. der is 9*Np
-// scratch: dx_b/dxi_a of the whole element at der[(3*b+a)*Np:].
-func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []float64) float64 {
+// edgeLen estimates the size of element e: the distance between its two
+// corner nodes along the x-axis line (approximate physical edge length).
+func (m *Mesh) edgeLen(e int) float64 {
+	base := e * m.Np
+	last := base + m.Np1 - 1
+	return norm3([3]float64{
+		m.X[0][last] - m.X[0][base],
+		m.X[1][last] - m.X[1][base],
+		m.X[2][last] - m.X[2][base],
+	})
+}
+
+// FaceArea writes component b of the outward area vector (J grad xi
+// scaled, unnormalized) at the Nf face nodes of face f of element e into
+// out: the metric row of the face's axis gathered at the face nodes, with
+// the face's sign. Set-up paths read it; the kernels do not.
+func (m *Mesh) FaceArea(e, f, b int, out []float64) {
+	sign := float64(octant.FaceSign(f))
+	gi := m.Gi[octant.FaceAxis(f)][b][e*m.Np : (e+1)*m.Np]
+	for fn, vn := range m.FaceIdx[f] {
+		out[fn] = sign * gi[vn]
+	}
+}
+
+// elemGeometry fills the coordinates and metric terms of local element e.
+// der is 9*Np scratch: dx_b/dxi_a of the whole element at
+// der[(3*b+a)*Np:].
+func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []float64) {
 	np1, np := m.Np1, m.Np
 	o := m.F.Local[e]
 	base := e * np
@@ -363,7 +483,7 @@ func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []fl
 	}
 
 	// Metric terms: dx/dxi by spectral differentiation, then J and
-	// J*dxi/dx by cofactors; face area vectors from the metric.
+	// J*dxi/dx by cofactors.
 	for b := 0; b < 3; b++ { // physical coordinate
 		d := der[3*b*np:]
 		w.Gradient(m.X[b][base:base+np], d[:np], d[np:2*np], d[2*np:3*np])
@@ -396,25 +516,6 @@ func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []fl
 			}
 		}
 	}
-	for f := 0; f < 6; f++ {
-		axis := octant.FaceAxis(f)
-		sign := float64(octant.FaceSign(f))
-		for b := 0; b < 3; b++ {
-			area := m.FaceArea[f][b][e*m.Nf : (e+1)*m.Nf]
-			gi := m.Gi[axis][b][base : base+np]
-			for fn, vn := range m.FaceIdx[f] {
-				area[fn] = sign * gi[vn]
-			}
-		}
-	}
-	// Element size estimate: distance between the two corner nodes along
-	// the x-axis line (approximate physical edge length).
-	last := base + np1 - 1
-	return norm3([3]float64{
-		m.X[0][last] - m.X[0][base],
-		m.X[1][last] - m.X[1][base],
-		m.X[2][last] - m.X[2][base],
-	})
 }
 
 // applyD1 differentiates a single element's nodal values along reference

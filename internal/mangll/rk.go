@@ -62,14 +62,9 @@ func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []f
 			}
 		}
 	}
-	if len(r.res) != len(u) {
-		r.res = make([]float64, len(u))
-	} else {
-		clear(r.res)
-	}
-	if len(r.du) != len(u) {
-		r.du = make([]float64, len(u))
-	}
+	// The state changes length at every adapt; du is cleared stage by stage.
+	r.res, r.du = Resize(r.res, len(u)), Resize(r.du, len(u))
+	clear(r.res)
 	r.u, r.dt = u, dt
 	for s := 0; s < 5; s++ {
 		r.sweep(r.zero)

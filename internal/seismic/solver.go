@@ -70,7 +70,7 @@ type Solver struct {
 	rk  mangll.LSRK45
 	buf []float64 // local+ghost work array
 
-	// Per-worker hot-path scratch, allocated once per mesh so RHS is
+	// Per-worker hot-path scratch, allocated once so RHS is
 	// allocation-free in steady state. One entry per kernel worker; the
 	// serial path uses ws[0].
 	ws    []seisScratch
@@ -180,12 +180,39 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	return s
 }
 
+// rebuild brings ghost layer, mesh and the per-mesh tables up to date after
+// the forest changed. The mesh is rebuilt in place; the tables keep their
+// storage and are filled again in full.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
-	s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
+	if s.Mesh == nil {
+		s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
+		s.rk.ForRange = s.Mesh.ForRange
+		np, nf := s.Mesh.Np, s.Mesh.Nf
+		s.ws = make([]seisScratch, s.Comm.Workers())
+		for w := range s.ws {
+			s.ws[w] = seisScratch{
+				blk:  make([]float64, NC*np),
+				d0:   make([]float64, np),
+				d1:   make([]float64, np),
+				d2:   make([]float64, np),
+				met:  make([]float64, 9*np),
+				grad: make([]float64, 3*NC*np),
+				mine: make([]float64, nf*NC),
+				nbr:  make([]float64, nf*NC),
+				g:    make([]float64, nf*NC),
+				mat:  make([]nodeMat, nf),
+				xs:   make([][3]float64, nf),
+				area: make([][3]float64, nf),
+				fx:   make([]float64, nf),
+				fq:   make([]float64, nf),
+			}
+		}
+	} else {
+		s.Mesh.Rebuild(g)
+	}
 	m := s.Mesh
-	s.rk.ForRange = m.ForRange
-	s.mat = make([]nodeMat, m.NumLocal*m.Np)
+	s.mat = mangll.Resize(s.mat, m.NumLocal*m.Np)
 	vp := make([]float64, s.Comm.Workers())
 	m.ForRange(len(s.mat), func(w *mangll.Work, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -194,27 +221,7 @@ func (s *Solver) rebuild() {
 		}
 	})
 	s.maxVp = mpi.AllreduceMax(s.Comm, slices.Max(vp))
-	s.buf = make([]float64, (m.NumLocal+m.NumGhost)*m.Np*NC)
-	np, nf := m.Np, m.Nf
-	s.ws = make([]seisScratch, s.Comm.Workers())
-	for w := range s.ws {
-		s.ws[w] = seisScratch{
-			blk:  make([]float64, NC*np),
-			d0:   make([]float64, np),
-			d1:   make([]float64, np),
-			d2:   make([]float64, np),
-			met:  make([]float64, 9*np),
-			grad: make([]float64, 3*NC*np),
-			mine: make([]float64, nf*NC),
-			nbr:  make([]float64, nf*NC),
-			g:    make([]float64, nf*NC),
-			mat:  make([]nodeMat, nf),
-			xs:   make([][3]float64, nf),
-			area: make([][3]float64, nf),
-			fx:   make([]float64, nf),
-			fq:   make([]float64, nf),
-		}
-	}
+	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*m.Np*NC)
 	s.buildFaceTables()
 }
 
@@ -225,27 +232,32 @@ func (s *Solver) rebuild() {
 func (s *Solver) buildFaceTables() {
 	m := s.Mesh
 	nf := m.Nf
-	s.faceGeo = make([]facePoint, m.NumLocal*6*nf)
-	m.ForRange(m.NumLocal*6, func(_ *mangll.Work, lo, hi int) {
+	s.faceGeo = mangll.Resize(s.faceGeo, m.NumLocal*6*nf)
+	m.ForRange(m.NumLocal*6, func(w *mangll.Work, lo, hi int) {
+		sc := &s.ws[w.ID()]
 		for ef := lo; ef < hi; ef++ {
-			e, f := ef/6, ef%6
-			ax, ay, az := m.FaceArea[f][0][e*nf:], m.FaceArea[f][1][e*nf:], m.FaceArea[f][2][e*nf:]
+			for b := 0; b < 3; b++ {
+				m.FaceArea(ef/6, ef%6, b, sc.fx)
+				for fn, v := range sc.fx {
+					sc.area[fn][b] = v
+				}
+			}
 			rows := s.faceGeo[ef*nf : (ef+1)*nf]
 			for fn := range rows {
-				rows[fn] = newFacePoint([3]float64{ax[fn], ay[fn], az[fn]})
+				rows[fn] = newFacePoint(sc.area[fn])
 			}
 		}
 	})
-	s.fineOff = make([]int32, len(m.Links))
+	s.fineOff = mangll.Resize(s.fineOff, len(m.Links))
 	nfine := 0
 	for li := range m.Links {
+		s.fineOff[li] = int32(nfine * nf) // read for LinkToFineQuad links only
 		if m.Links[li].Kind == mangll.LinkToFineQuad {
-			s.fineOff[li] = int32(nfine * nf)
 			nfine++
 		}
 	}
-	s.fineGeo = make([]facePoint, nfine*nf)
-	s.fineMat = make([]nodeMat, nfine*nf)
+	s.fineGeo = mangll.Resize(s.fineGeo, nfine*nf)
+	s.fineMat = mangll.Resize(s.fineMat, nfine*nf)
 	m.ForRange(len(m.Links), func(w *mangll.Work, lo, hi int) {
 		sc := &s.ws[w.ID()]
 		for li := lo; li < hi; li++ {
@@ -531,9 +543,7 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 				xs[fn][a] = fx[fn]
 			}
 		}
-		for fn := 0; fn < nf; fn++ {
-			fx[fn] = m.FaceArea[l.Face][a][e*nf+fn]
-		}
+		m.FaceArea(e, int(l.Face), a, fx)
 		if l.Kind == mangll.LinkToFineQuad {
 			out := sc.fq
 			w.InterpFaceToQuad(l, fx, out)

@@ -171,12 +171,12 @@ func (sp JobSpec) validate() error {
 // (job manifests must never read the server process's flag set).
 func (sp JobSpec) ConfigMap() map[string]string {
 	m := map[string]string{
-		"type":    sp.Type,
-		"ranks":   fmt.Sprint(sp.Ranks),
-		"workers": fmt.Sprint(sp.Workers),
-		"steps":   fmt.Sprint(sp.Steps),
-		"degree":  fmt.Sprint(sp.Degree),
-		"level":   fmt.Sprint(sp.Level),
+		"type":      sp.Type,
+		"ranks":     fmt.Sprint(sp.Ranks),
+		"workers":   fmt.Sprint(sp.Workers),
+		"steps":     fmt.Sprint(sp.Steps),
+		"degree":    fmt.Sprint(sp.Degree),
+		"level":     fmt.Sprint(sp.Level),
 		"max-level": fmt.Sprint(sp.MaxLevel),
 	}
 	if sp.Transport != "" {
@@ -327,22 +327,22 @@ type Job struct {
 
 // JobView is the JSON face of a Job.
 type JobView struct {
-	ID        string  `json:"id"`
-	Type      string  `json:"type"`
-	Tag       string  `json:"tag,omitempty"`
-	State     State   `json:"state"`
-	Error     string  `json:"error,omitempty"`
-	Attempts  int     `json:"attempts"`
-	RanksUsed []int   `json:"ranks_used,omitempty"`
-	FieldHash string  `json:"field_hash,omitempty"`
-	Result    map[string]float64 `json:"result,omitempty"`
-	Submitted time.Time `json:"submitted"`
-	Started   *time.Time `json:"started,omitempty"`
-	Finished  *time.Time `json:"finished,omitempty"`
-	QueueWaitSeconds float64 `json:"queue_wait_seconds,omitempty"`
-	RunSeconds       float64 `json:"run_seconds,omitempty"`
-	Events           int     `json:"events"`
-	Spec             JobSpec `json:"spec"`
+	ID               string             `json:"id"`
+	Type             string             `json:"type"`
+	Tag              string             `json:"tag,omitempty"`
+	State            State              `json:"state"`
+	Error            string             `json:"error,omitempty"`
+	Attempts         int                `json:"attempts"`
+	RanksUsed        []int              `json:"ranks_used,omitempty"`
+	FieldHash        string             `json:"field_hash,omitempty"`
+	Result           map[string]float64 `json:"result,omitempty"`
+	Submitted        time.Time          `json:"submitted"`
+	Started          *time.Time         `json:"started,omitempty"`
+	Finished         *time.Time         `json:"finished,omitempty"`
+	QueueWaitSeconds float64            `json:"queue_wait_seconds,omitempty"`
+	RunSeconds       float64            `json:"run_seconds,omitempty"`
+	Events           int                `json:"events"`
+	Spec             JobSpec            `json:"spec"`
 }
 
 // View snapshots the job for JSON rendering.

@@ -94,11 +94,11 @@ type LoadResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	JobsPerSec  float64 `json:"jobs_per_sec"`
 
-	LatencyMeanSeconds float64 `json:"latency_mean_seconds"`
-	LatencyP50Seconds  float64 `json:"latency_p50_seconds"`
-	LatencyP95Seconds  float64 `json:"latency_p95_seconds"`
-	LatencyP99Seconds  float64 `json:"latency_p99_seconds"`
-	LatencyMaxSeconds  float64 `json:"latency_max_seconds"`
+	LatencyMeanSeconds  float64 `json:"latency_mean_seconds"`
+	LatencyP50Seconds   float64 `json:"latency_p50_seconds"`
+	LatencyP95Seconds   float64 `json:"latency_p95_seconds"`
+	LatencyP99Seconds   float64 `json:"latency_p99_seconds"`
+	LatencyMaxSeconds   float64 `json:"latency_max_seconds"`
 	QueueWaitMaxSeconds float64 `json:"queue_wait_max_seconds"`
 }
 

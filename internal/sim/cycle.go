@@ -54,10 +54,6 @@ func (c Cycle) Run() bool {
 		}
 	}
 	before := f.Checksum()
-	var oldLeaves []octant.Octant
-	if c.Mesh != nil {
-		oldLeaves = append(oldLeaves, f.Local...)
-	}
 
 	coarsened := 0
 	f.Coarsen(false, func(parent octant.Octant, kids []octant.Octant) bool {
@@ -86,7 +82,8 @@ func (c Cycle) Run() bool {
 	if c.Mesh == nil {
 		sent = f.Partition()
 	} else {
-		data := c.Mesh.TransferFields(oldLeaves, *c.Field, f.Local, c.NC)
+		// The mesh still describes the leaves the field lives on.
+		data := c.Mesh.TransferFields(c.Mesh.Leaves, *c.Field, f.Local, c.NC)
 		*c.Field, sent = f.PartitionWithData(c.Mesh.Np*c.NC, data)
 	}
 	c.Met.AddCount("elements_shipped", sent)
