@@ -33,9 +33,9 @@ bench:
 # in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
-	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64' -benchtime=1x -timeout 5m ./internal/core/
+	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
-	$(GO) test -run 'Allocs' -timeout 5m ./internal/mangll/ ./internal/advect/ ./internal/seismic/
+	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap/(chan|shm)$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/(chan|shm)/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 

@@ -353,7 +353,7 @@ func (c *Conn) PointImages(t int32, p [3]int32) []TreePoint {
 func (c *Conn) PointImagesScaled(t int32, p [3]int32, scale int32) []TreePoint {
 	lim := scale * octant.RootLen
 	self := TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}
-	images := []TreePoint{self}
+	images := append(make([]TreePoint, 0, 8), self)
 
 	var onLow, onHigh [3]bool
 	nb := 0

@@ -144,3 +144,36 @@ func TestBalanceSeedsPinned(t *testing.T) {
 			seeds, changed, leaves)
 	}
 }
+
+// TestNodesTrafficPinned pins what the Nodes numbering sends: the messages
+// and bytes of the key requests and the id replies, summed over the ranks,
+// on the balanced SixRotCubes fractal (level 1 + 2). The counts were
+// recorded with the per-corner implementation at 661f210; a Nodes that
+// numbers the same keys for the same owners sends exactly these.
+func TestNodesTrafficPinned(t *testing.T) {
+	want := map[int][4]int64{ // P -> request msgs, request bytes, reply msgs, reply bytes
+		4: {5, 2976, 5, 1528},
+		8: {17, 5568, 17, 2920},
+	}
+	for _, p := range []int{4, 8} {
+		var got [4]int64
+		mpi.Run(p, func(c *mpi.Comm) {
+			f := New(c, connectivity.SixRotCubes(), 1)
+			f.Refine(true, 3, fractalRefine(3))
+			f.Balance(BalanceFull)
+			f.Partition()
+			g := f.Ghost()
+			c.ResetStats()
+			f.Nodes(g)
+			req, rep := c.TagStat(TagNodesReq), c.TagStat(TagNodesRep)
+			for i, v := range [4]int64{req.MsgsSent, req.BytesSent, rep.MsgsSent, rep.BytesSent} {
+				if sum := mpi.AllreduceSum(c, v); c.Rank() == 0 {
+					got[i] = sum
+				}
+			}
+		})
+		if got != want[p] {
+			t.Errorf("P=%d: Nodes sent %d requests (%d B) and %d replies (%d B), pinned %v", p, got[0], got[1], got[2], got[3], want[p])
+		}
+	}
+}

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/connectivity"
-	"repro/internal/mpi"
-	"repro/internal/octant"
-)
+import "fmt"
 
 // LNodes is the globally unique numbering of degree-N continuous
 // tensor-product unknowns on a CONFORMING forest (every face neighbour the
@@ -29,16 +22,9 @@ type LNodes struct {
 	// ElementNodes[e] lists the (N+1)^3 local node indices of element e in
 	// lexicographic (i fastest) order.
 	ElementNodes [][]int32
-	// Keys holds the canonical scaled-lattice points of the local nodes.
-	Keys     []connectivity.TreePoint
-	GlobalID []int64
-	Owner    []int
-
-	NumOwned    int
-	OwnedOffset int64
-	NumGlobal   int64
-
-	comm *mpi.Comm
+	// Keys (canonical points of the lattice refined by Degree), GlobalID,
+	// Owner, NumOwned, OwnedOffset and NumGlobal.
+	numbering
 }
 
 // LNodes builds the degree-N continuous numbering. The forest must be
@@ -67,14 +53,12 @@ func (f *Forest) LNodes(ghost *GhostLayer, degree int) *LNodes {
 		}
 	}
 
-	ln := &LNodes{Degree: degree, comm: f.Comm}
-	keySet := make(map[connectivity.TreePoint]int32)
-	var keys []connectivity.TreePoint
-	refs := make([][]connectivity.TreePoint, len(f.Local))
-	for e, o := range f.Local {
+	// Every tensor node asks for the index of its canonical point.
+	npe := np1 * np1 * np1
+	want := make([]keySlot, 0, npe*len(f.Local))
+	for _, o := range f.Local {
 		h := o.Len()
 		base := [3]int32{n32 * o.X, n32 * o.Y, n32 * o.Z}
-		list := make([]connectivity.TreePoint, 0, np1*np1*np1)
 		for k := 0; k < np1; k++ {
 			for j := 0; j < np1; j++ {
 				for i := 0; i < np1; i++ {
@@ -83,200 +67,21 @@ func (f *Forest) LNodes(ghost *GhostLayer, degree int) *LNodes {
 						base[1] + int32(j)*h,
 						base[2] + int32(k)*h,
 					}
-					can := f.Conn.PointImagesScaled(o.Tree, p, n32)[0]
-					if _, ok := keySet[can]; !ok {
-						keySet[can] = -1
-						keys = append(keys, can)
-					}
-					list = append(list, can)
+					want = append(want, keySlot{f.canonical(o.Tree, p, n32), int32(len(want))})
 				}
 			}
 		}
-		refs[e] = list
 	}
-	sort.Slice(keys, func(i, j int) bool { return lessTreePoint(keys[i], keys[j]) })
-	for i, k := range keys {
-		keySet[k] = int32(i)
-	}
-	ln.Keys = keys
-	ln.ElementNodes = make([][]int32, len(f.Local))
-	for e, list := range refs {
-		idx := make([]int32, len(list))
-		for i, k := range list {
-			idx[i] = keySet[k]
-		}
-		ln.ElementNodes[e] = idx
-	}
-
-	// Ownership: the rank owning the curve-minimal max-level cell touching
-	// the node, enumerated over all images on the scaled lattice.
-	ln.Owner = make([]int, len(keys))
-	ln.GlobalID = make([]int64, len(keys))
-	for i, k := range keys {
-		ln.Owner[i] = f.lnodeOwner(k, n32)
-		if ln.Owner[i] == f.Comm.Rank() {
-			ln.NumOwned++
-		}
-	}
-	ln.OwnedOffset = mpi.ExScan(f.Comm, int64(ln.NumOwned), func(a, b int64) int64 { return a + b })
-	ln.NumGlobal = mpi.AllreduceSum(f.Comm, int64(ln.NumOwned))
-	next := ln.OwnedOffset
-	for i := range keys {
-		if ln.Owner[i] == f.Comm.Rank() {
-			ln.GlobalID[i] = next
-			next++
-		} else {
-			ln.GlobalID[i] = -1
-		}
-	}
-
-	// Resolve remote ids through the owners.
-	req := make(map[int][]connectivity.TreePoint)
-	for i, k := range keys {
-		if r := ln.Owner[i]; r != f.Comm.Rank() {
-			req[r] = append(req[r], k)
-		}
-	}
-	inReq := mpi.SparseExchange(f.Comm, req, TagNodesReq+40)
-	rep := make(map[int][]int64)
-	var repRanks []int
-	for r := range inReq {
-		repRanks = append(repRanks, r)
-	}
-	sort.Ints(repRanks)
-	for _, r := range repRanks {
-		ids := make([]int64, len(inReq[r]))
-		for j, k := range inReq[r] {
-			li, ok := keySet[k]
-			if !ok || ln.GlobalID[li] < 0 {
-				panic(fmt.Sprintf("core: LNodes owner %d missing node %+v", f.Comm.Rank(), k))
-			}
-			ids[j] = ln.GlobalID[li]
-		}
-		rep[r] = ids
-	}
-	inRep := mpi.SparseExchange(f.Comm, rep, TagNodesRep+40)
-	for r, ks := range req {
-		ids := inRep[r]
-		for j, k := range ks {
-			ln.GlobalID[keySet[k]] = ids[j]
-		}
+	refs := make([]int32, len(want))
+	ln := &LNodes{Degree: degree, ElementNodes: make([][]int32, len(f.Local)), numbering: f.number(intern(want, refs), n32, 40)}
+	for e := range ln.ElementNodes {
+		ln.ElementNodes[e] = refs[e*npe : (e+1)*npe : (e+1)*npe]
 	}
 	return ln
-}
-
-// lnodeOwner finds, from shared meta-data only, the rank owning the node
-// at canonical scaled point key: the owner of the curve-smallest max-level
-// cell whose closed region touches the node.
-func (f *Forest) lnodeOwner(key connectivity.TreePoint, scale int32) int {
-	images := f.Conn.PointImagesScaled(key.Tree, [3]int32{key.X, key.Y, key.Z}, scale)
-	minMarker := Marker{Tree: f.Conn.NumTrees()}
-	for _, im := range images {
-		// Adjacent unit cells per axis: the node at scaled coordinate v
-		// touches cell v/scale when scale divides v exactly on a cell
-		// boundary, both neighbours; otherwise only floor(v/scale).
-		var los, his [3]int32
-		for a, v := range [3]int32{im.X, im.Y, im.Z} {
-			if v%scale == 0 {
-				u := v / scale
-				los[a], his[a] = u-1, u
-			} else {
-				u := v / scale
-				los[a], his[a] = u, u
-			}
-		}
-		for dz := los[2]; dz <= his[2]; dz++ {
-			for dy := los[1]; dy <= his[1]; dy++ {
-				for dx := los[0]; dx <= his[0]; dx++ {
-					if dx < 0 || dy < 0 || dz < 0 ||
-						dx >= octant.RootLen || dy >= octant.RootLen || dz >= octant.RootLen {
-						continue
-					}
-					cell := octant.Octant{X: dx, Y: dy, Z: dz, Level: octant.MaxLevel, Tree: im.Tree}
-					if m := markerOf(cell); m.Less(minMarker) {
-						minMarker = m
-					}
-				}
-			}
-		}
-	}
-	// One owner search for the curve-minimal cell (O(1) when it lies in
-	// the caller's own segment) instead of one per improving candidate.
-	return f.OwnerOfPosition(minMarker)
 }
 
 // AssembleSum adds, for every shared high-order node, the contributions of
 // all referencing ranks, leaving every rank with the assembled value — the
 // parallel scatter/gather for continuous high-order unknowns. v is indexed
 // by local node. Collective.
-func (ln *LNodes) AssembleSum(v []float64) {
-	if len(v) != len(ln.Keys) {
-		panic("core: LNodes.AssembleSum vector length mismatch")
-	}
-	// Owner-routed reduction, mirroring Nodes.AssembleSum: requesters send
-	// contributions in key order; owners reduce by rank order and reply.
-	req := make(map[int][]int32)
-	for i := range ln.Keys {
-		if r := ln.Owner[i]; r != ln.comm.Rank() {
-			req[r] = append(req[r], int32(i))
-		}
-	}
-	type contrib struct {
-		Keys []connectivity.TreePoint
-		Vals []float64
-	}
-	out := make(map[int]contrib)
-	for r, idx := range req {
-		cb := contrib{}
-		for _, i := range idx {
-			cb.Keys = append(cb.Keys, ln.Keys[i])
-			cb.Vals = append(cb.Vals, v[i])
-		}
-		out[r] = cb
-	}
-	in := mpi.SparseExchange(ln.comm, out, TagNodesReq+60)
-	keyIdx := make(map[connectivity.TreePoint]int32, len(ln.Keys))
-	for i, k := range ln.Keys {
-		keyIdx[k] = int32(i)
-	}
-	var ranks []int
-	for r := range in {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		if r == ln.comm.Rank() {
-			continue
-		}
-		cb := in[r]
-		for j, k := range cb.Keys {
-			li, ok := keyIdx[k]
-			if !ok {
-				panic(fmt.Sprintf("core: LNodes.AssembleSum got unknown node %+v", k))
-			}
-			v[li] += cb.Vals[j]
-		}
-	}
-	// Send the reduced values back.
-	back := make(map[int]contrib)
-	for _, r := range ranks {
-		if r == ln.comm.Rank() {
-			continue
-		}
-		cb := in[r]
-		rep := contrib{Keys: cb.Keys, Vals: make([]float64, len(cb.Keys))}
-		for j, k := range cb.Keys {
-			rep.Vals[j] = v[keyIdx[k]]
-		}
-		back[r] = rep
-	}
-	inBack := mpi.SparseExchange(ln.comm, back, TagNodesReq+62)
-	for r, cb := range inBack {
-		if r == ln.comm.Rank() {
-			continue
-		}
-		for j, k := range cb.Keys {
-			v[keyIdx[k]] = cb.Vals[j]
-		}
-	}
-}
+func (ln *LNodes) AssembleSum(v []float64) { ln.assemble(1, v, TagNodesReq+60, sum) }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/connectivity"
@@ -16,7 +18,9 @@ import (
 // half-size faces or edges ... are constrained to interpolate neighboring
 // unknowns", §II.E).
 type NodeRef struct {
-	Nodes []int32 // local node indices; len 1 (independent), 2, or 4
+	// Nodes holds local node indices; len 1 (independent), 2, or 4. Corners
+	// at one lattice point share the array behind it: read only.
+	Nodes []int32
 }
 
 // Independent reports whether the corner carries its own unknown.
@@ -30,8 +34,16 @@ func (r NodeRef) Weight() float64 { return 1 / float64(len(r.Nodes)) }
 type Nodes struct {
 	// ElementNodes[e][c] describes corner c of local element e.
 	ElementNodes [][8]NodeRef
-	// Keys holds the canonical points of all locally referenced independent
-	// nodes, ascending; parallel arrays give their global ids and owners.
+	// Keys, GlobalID, Owner, NumOwned, OwnedOffset and NumGlobal.
+	numbering
+}
+
+// numbering is what Nodes and LNodes share: the canonical points of all
+// locally referenced nodes with their global ids and owners, and the lists
+// that route shared values through the owners.
+type numbering struct {
+	// Keys holds the canonical points of the local nodes, ascending;
+	// parallel arrays give their global ids and owners.
 	Keys     []connectivity.TreePoint
 	GlobalID []int64
 	Owner    []int
@@ -57,71 +69,88 @@ func cornerPoint(o octant.Octant, c int) [3]int32 {
 	return [3]int32{x, y, z}
 }
 
-// touchingCells returns the max-level cells adjacent to point p of tree t,
-// enumerated across every inter-tree image of the point and deduplicated.
-// Every leaf touching the physical node contains at least one of these
-// cells, and every rank computes the same set from the connectivity alone.
-func touchingCells(conn *connectivity.Conn, t int32, p [3]int32) []octant.Octant {
-	images := conn.PointImages(t, p)
-	var cells []octant.Octant
-	for _, im := range images {
-		for d := 0; d < 8; d++ {
-			q := [3]int32{im.X, im.Y, im.Z}
-			ok := true
-			for a := 0; a < 3; a++ {
-				if d>>a&1 != 0 {
-					q[a]--
-				}
-				if q[a] < 0 || q[a] >= octant.RootLen {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cells = append(cells, octant.Octant{X: q[0], Y: q[1], Z: q[2], Level: octant.MaxLevel, Tree: im.Tree})
+// pointOwner determines, from shared meta-data only, the rank owning the
+// node at canonical point key of the lattice refined by scale: the owner of
+// the curve-smallest max-level cell whose closed region touches the node,
+// over every inter-tree image of the point. Every rank referencing the node
+// computes the same owner, and the owner always references the node itself
+// (the leaf containing that cell has the node on its boundary). The Morton
+// key grows with each coordinate, so an image's smallest touching cell is
+// the one on the low side of the point along every axis where the point
+// does not sit on the tree's low face. A point strictly inside its tree has
+// one image and costs one key; with the own-segment fast path of
+// OwnerOfPosition that makes the subdomain interior O(1), and only points
+// on tree boundaries enumerate images.
+func (f *Forest) pointOwner(key connectivity.TreePoint, scale int32) int {
+	low := func(v int32) int32 {
+		if v%scale == 0 && v > 0 {
+			return v/scale - 1
+		}
+		return v / scale
+	}
+	lowCell := func(im connectivity.TreePoint) Marker {
+		return markerOf(octant.Octant{X: low(im.X), Y: low(im.Y), Z: low(im.Z), Level: octant.MaxLevel, Tree: im.Tree})
+	}
+	min := lowCell(key)
+	if !insideTree(key, scale) {
+		for _, im := range f.Conn.PointImagesScaled(key.Tree, [3]int32{key.X, key.Y, key.Z}, scale) {
+			if m := lowCell(im); m.Less(min) {
+				min = m
 			}
 		}
 	}
-	cells = octant.Linearize(cells)
-	return cells
+	return f.OwnerOfPosition(min)
 }
 
-// nodeOwner determines, from shared meta-data only, the rank owning the
-// node at canonical point key: the owner of the curve-smallest cell
-// touching the node. Every rank referencing the node computes the same
-// owner, and the owner always references the node itself (the leaf
-// containing the minimal cell has the node as one of its corners).
-func (f *Forest) nodeOwner(key connectivity.TreePoint) int {
-	// Interior fast path: a node strictly inside its tree has a single
-	// image and all eight adjacent max-level cells exist, so the
-	// curve-smallest cell falls out of one 8-way key comparison — no image
-	// enumeration, no cell linearization, no allocation. Combined with the
-	// own-segment fast path of OwnerOfPosition, owner lookup for the
-	// subdomain interior is O(1); only nodes on tree or partition
-	// boundaries pay the general scan.
-	if key.X > 0 && key.X < octant.RootLen &&
-		key.Y > 0 && key.Y < octant.RootLen &&
-		key.Z > 0 && key.Z < octant.RootLen {
-		var minKey octant.Key
-		for d := 0; d < 8; d++ {
-			cell := octant.Octant{
-				X: key.X - int32(d&1), Y: key.Y - int32(d>>1&1), Z: key.Z - int32(d>>2&1),
-				Level: octant.MaxLevel, Tree: key.Tree,
-			}
-			if k := cell.MortonKey(); d == 0 || k < minKey {
-				minKey = k
-			}
-		}
-		return f.OwnerOfPosition(Marker{Tree: key.Tree, Key: minKey})
+// insideTree reports whether the point lies strictly inside its tree on the
+// lattice refined by scale, where it is its own only image.
+func insideTree(p connectivity.TreePoint, scale int32) bool {
+	lim := scale * octant.RootLen
+	return p.X > 0 && p.X < lim && p.Y > 0 && p.Y < lim && p.Z > 0 && p.Z < lim
+}
+
+// canonical returns the canonical image of point p of tree t on the lattice
+// refined by scale, the first of Conn.PointImagesScaled, without enumerating
+// images for a point strictly inside its tree.
+func (f *Forest) canonical(t int32, p [3]int32, scale int32) connectivity.TreePoint {
+	if k := (connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}); insideTree(k, scale) {
+		return k
 	}
-	cells := touchingCells(f.Conn, key.Tree, [3]int32{key.X, key.Y, key.Z})
-	minMarker := Marker{Tree: f.Conn.NumTrees()}
-	for _, cell := range cells {
-		if m := markerOf(cell); m.Less(minMarker) {
-			minMarker = m
+	return f.Conn.PointImagesScaled(t, p, scale)[0]
+}
+
+// cornerRec is one element corner on its way to a node reference.
+type cornerRec struct {
+	at   uint64 // lattice point z<<40 | y<<20 | x: the sort key within a tree
+	ref  int32  // element*8 + corner
+	hang uint8  // log2 of the number of nodes the corner reads: 0, 1 or 2
+}
+
+// keySlot asks for the local index of a canonical key to be stored in one
+// slot of a reference array.
+type keySlot struct {
+	key  connectivity.TreePoint
+	slot int32
+}
+
+// intern sorts the wanted keys, returns the distinct ones ascending and
+// stores the index of each slot's key in refs.
+func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
+	slices.SortFunc(want, func(a, b keySlot) int { return compareTreePoint(a.key, b.key) })
+	n := 0
+	for i := range want {
+		if i == 0 || want[i].key != want[i-1].key {
+			n++
 		}
 	}
-	return f.OwnerOfPosition(minMarker)
+	keys := make([]connectivity.TreePoint, 0, n)
+	for i, w := range want {
+		if i == 0 || w.key != want[i-1].key {
+			keys = append(keys, w.key)
+		}
+		refs[w.slot] = int32(len(keys) - 1)
+	}
+	return keys
 }
 
 // Nodes creates the globally unique numbering of the trilinear continuous
@@ -130,221 +159,197 @@ func (f *Forest) nodeOwner(key connectivity.TreePoint) int {
 // boundaries are canonicalized to the lowest participating tree; hanging
 // corners are constrained to the corners of the coarse face or edge they
 // sit on.
+//
+// Where a corner hangs follows from the leaf's position in its parent
+// (hangingCorners): six neighbour lookups per element. Each distinct
+// lattice point is then resolved once — the corners of a tree's elements
+// are sorted by point, and a run of equal points shares one set of
+// references — and the canonical keys are numbered by sort-and-unique.
 func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	defer f.span("nodes")()
 	search := mergeLeaves(f.Local, ghost.Octants)
 
-	type cornerInfo struct {
-		keys []connectivity.TreePoint // 1 (independent) or 2/4 anchors
-	}
-	corners := make([][8]cornerInfo, len(f.Local))
-	keySet := make(map[connectivity.TreePoint]int32)
-	var keys []connectivity.TreePoint
-	intern := func(k connectivity.TreePoint) {
-		if _, ok := keySet[k]; !ok {
-			keySet[k] = -1
-			keys = append(keys, k)
-		}
-	}
-
-	for ei, o := range f.Local {
+	recs := make([]cornerRec, 0, 8*len(f.Local))
+	for e, o := range f.Local {
+		onEdge, onFace := f.hangingCorners(search, o)
 		for c := 0; c < 8; c++ {
-			p := cornerPoint(o, c)
-			info := f.classifyCorner(search, o.Tree, p)
-			for _, k := range info {
-				intern(k)
+			x, y, z := o.Corner(c)
+			recs = append(recs, cornerRec{
+				at:   uint64(z)<<40 | uint64(y)<<20 | uint64(x),
+				ref:  int32(e*8 + c),
+				hang: onEdge>>c&1 + onFace>>c&1<<1,
+			})
+		}
+	}
+
+	// Sort each tree's corners by point. A run of equal points is one
+	// lattice point; count the references the runs will ask for.
+	slots := 0
+	for lo := 0; lo < len(f.Local); {
+		hi := lo
+		for hi < len(f.Local) && f.Local[hi].Tree == f.Local[lo].Tree {
+			hi++
+		}
+		tree := recs[8*lo : 8*hi]
+		slices.SortFunc(tree, func(a, b cornerRec) int { return cmp.Compare(a.at, b.at) })
+		for i, r := range tree {
+			if i == 0 || r.at != tree[i-1].at {
+				slots += 1 << r.hang
 			}
-			corners[ei][c] = cornerInfo{keys: info}
 		}
+		lo = hi
 	}
 
-	// Deterministic local node order.
-	sort.Slice(keys, func(i, j int) bool { return lessTreePoint(keys[i], keys[j]) })
-	for i, k := range keys {
-		keySet[k] = int32(i)
-	}
-
-	nd := &Nodes{comm: f.Comm, Keys: keys}
-	nd.GlobalID = make([]int64, len(keys))
-	nd.Owner = make([]int, len(keys))
-	for i, k := range keys {
-		nd.Owner[i] = f.nodeOwner(k)
-		if nd.Owner[i] == f.Comm.Rank() {
-			nd.NumOwned++
-		}
-	}
-
-	// Global ids: owned nodes take consecutive ids in key order.
-	nd.OwnedOffset = mpi.ExScan(f.Comm, int64(nd.NumOwned), func(a, b int64) int64 { return a + b })
-	nd.NumGlobal = mpi.AllreduceSum(f.Comm, int64(nd.NumOwned))
-	next := nd.OwnedOffset
-	for i := range keys {
-		if nd.Owner[i] == f.Comm.Rank() {
-			nd.GlobalID[i] = next
-			next++
+	// Resolve each point once; its corners share one slice of refs.
+	nd := &Nodes{ElementNodes: make([][8]NodeRef, len(f.Local))}
+	refs := make([]int32, slots)
+	want := make([]keySlot, 0, slots)
+	for i := 0; i < len(recs); {
+		r, off := recs[i], len(want)
+		o := f.Local[r.ref>>3]
+		p := [3]int32{int32(r.at & 0xfffff), int32(r.at >> 20 & 0xfffff), int32(r.at >> 40)}
+		if r.hang == 0 {
+			want = append(want, keySlot{f.canonical(o.Tree, p, 1), int32(off)})
 		} else {
-			nd.GlobalID[i] = -1
+			want = f.appendAnchors(want, search, o.Tree, p, o.Level-1)
+		}
+		for ; i < len(recs) && recs[i].at == r.at && f.Local[recs[i].ref>>3].Tree == o.Tree; i++ {
+			nd.ElementNodes[recs[i].ref>>3][recs[i].ref&7].Nodes = refs[off:len(want):len(want)]
 		}
 	}
-
-	// Resolve remote ids: ask each owner for the ids of the keys we hold.
-	// The same exchange establishes the owner-routed communication lists
-	// used by AssembleSum/AssembleMax.
-	req := make(map[int][]connectivity.TreePoint)
-	nd.reqLists = make(map[int][]int32)
-	for i, k := range keys {
-		if r := nd.Owner[i]; r != f.Comm.Rank() {
-			req[r] = append(req[r], k)
-			nd.reqLists[r] = append(nd.reqLists[r], int32(i))
-		}
-	}
-	inReq := mpi.SparseExchange(f.Comm, req, TagNodesReq)
-	rep := make(map[int][]int64)
-	nd.serveLists = make(map[int][]int32)
-	var repRanks []int
-	for r := range inReq {
-		repRanks = append(repRanks, r)
-	}
-	sort.Ints(repRanks)
-	for _, r := range repRanks {
-		ids := make([]int64, len(inReq[r]))
-		serve := make([]int32, len(inReq[r]))
-		for j, k := range inReq[r] {
-			li, ok := keySet[k]
-			if !ok || nd.GlobalID[li] < 0 {
-				panic(fmt.Sprintf("core: rank %d asked rank %d for unknown node %+v", r, f.Comm.Rank(), k))
-			}
-			ids[j] = nd.GlobalID[li]
-			serve[j] = li
-		}
-		rep[r] = ids
-		nd.serveLists[r] = serve
-	}
-	inRep := mpi.SparseExchange(f.Comm, rep, TagNodesRep)
-	for r, ks := range req {
-		ids := inRep[r]
-		if len(ids) != len(ks) {
-			panic("core: node id reply length mismatch")
-		}
-		for j, k := range ks {
-			nd.GlobalID[keySet[k]] = ids[j]
-		}
-	}
-
-	// Element corner references.
-	nd.ElementNodes = make([][8]NodeRef, len(f.Local))
-	for ei := range f.Local {
-		for c := 0; c < 8; c++ {
-			ks := corners[ei][c].keys
-			ref := NodeRef{Nodes: make([]int32, len(ks))}
-			for j, k := range ks {
-				ref.Nodes[j] = keySet[k]
-			}
-			nd.ElementNodes[ei][c] = ref
-		}
-	}
-
+	nd.numbering = f.number(intern(want, refs), 1, 0)
 	return nd
 }
 
-// classifyCorner determines the independent node keys a corner point reads:
-// its own canonical key if the node is independent, or the canonical keys
-// of the coarse anchors if it hangs. search is the merged local+ghost leaf
-// array.
-func (f *Forest) classifyCorner(search []octant.Octant, t int32, p [3]int32) []connectivity.TreePoint {
-	images := f.Conn.PointImages(t, p)
-	var worst octant.Octant // coarsest touching leaf that lacks p as corner
-	worstSet := false
-	var worstImage connectivity.TreePoint
-	for _, im := range images {
-		for d := 0; d < 8; d++ {
-			q := [3]int32{im.X, im.Y, im.Z}
-			ok := true
-			for a := 0; a < 3; a++ {
-				if d>>a&1 != 0 {
-					q[a]--
-				}
-				if q[a] < 0 || q[a] >= octant.RootLen {
-					ok = false
-					break
-				}
+// otherAxes lists, ascending, the two axes transverse to each axis.
+var otherAxes = [3][2]int{{1, 2}, {0, 2}, {0, 1}}
+
+// hangingCorners returns which corners of leaf o hang on an edge and which
+// on a face of a coarser neighbour, as bit sets by corner. Seen from o's
+// parent P, in which o is child cid, corner cid is a corner of P and corner
+// 7-cid its centre: both touch only leaves that, under the full 2:1
+// condition, have them as corners. A corner that differs from cid in one
+// bit is the midpoint of the edge of P that leaves corner cid along that
+// axis, and hangs exactly when a leaf the size of P lies across that edge or
+// across one of the two faces of P that meet in it; one that differs in two
+// bits is the centre of the face of P normal to the remaining axis, and
+// hangs exactly when a leaf the size of P lies across that face. o touches
+// those three faces and three edges itself, so its own neighbours — local
+// leaves or ghosts — decide.
+func (f *Forest) hangingCorners(search []octant.Octant, o octant.Octant) (onEdge, onFace uint8) {
+	if o.Level == 0 {
+		return 0, 0
+	}
+	parentSized := func(n octant.Octant) bool {
+		i := octant.SearchContaining(search, n)
+		if i < 0 {
+			panic(fmt.Sprintf("core: no leaf covers %v next to %v (ghost layer incomplete?)", n, o))
+		}
+		if search[i].Level < o.Level-1 {
+			panic(fmt.Sprintf("core: %v touches %v (mesh not 2:1 balanced?)", o, search[i]))
+		}
+		return search[i].Level == o.Level-1
+	}
+	cid := o.ChildID()
+	var face, edge [3]bool
+	for a := 0; a < 3; a++ {
+		// The face of o normal to axis a and the edge along it, on cid's side.
+		t := otherAxes[a]
+		fc, e := 2*a+cid>>a&1, 4*a+cid>>t[0]&1+cid>>t[1]&1<<1
+		if n := o.FaceNeighbor(fc); n.Inside() {
+			face[a] = parentSized(n)
+		} else {
+			for _, n := range f.Conn.FaceNeighbors(o, fc) {
+				face[a] = parentSized(n) || face[a]
 			}
-			if !ok {
+		}
+		if n := o.EdgeNeighbor(e); n.Inside() {
+			edge[a] = parentSized(n)
+		} else {
+			for _, n := range f.Conn.EdgeNeighbors(o, e) {
+				edge[a] = parentSized(n) || edge[a]
+			}
+		}
+	}
+	for a := 0; a < 3; a++ {
+		if t := otherAxes[a]; edge[a] || face[t[0]] || face[t[1]] {
+			onEdge |= 1 << (cid ^ 1<<a)
+		}
+		if face[a] {
+			onFace |= 1 << (cid ^ 7 ^ 1<<a)
+		}
+	}
+	return onEdge, onFace
+}
+
+// appendAnchors appends the canonical keys of the anchors of the hanging
+// point p of tree t — the ends of the edge or the corners of the face of the
+// level-`level` leaf it sits on — each asking for the next free slot. The
+// axes along which p is no multiple of that leaf's length span the edge or
+// face; the anchors lie half a length to either side, low before high,
+// lowest axis fastest. On a tree boundary the axes are those of the first
+// image of p, in Conn.PointImages order, that such a leaf touches: trees
+// meet rotated, and the frame sets the order of the anchors. This is the
+// only place that enumerates the images of an element corner and searches
+// the cells around them, for the O(N^⅔) hanging points on tree boundaries.
+func (f *Forest) appendAnchors(want []keySlot, search []octant.Octant, t int32, p [3]int32, level int8) []keySlot {
+	frame := connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}
+	if !insideTree(frame, 1) {
+		frame = f.coarseImage(search, frame, level)
+	}
+	p = [3]int32{frame.X, frame.Y, frame.Z}
+	size := octant.Len(level)
+	free := 0
+	for a := 0; a < 3; a++ {
+		if p[a]&(size-1) != 0 {
+			free++
+		}
+	}
+	for bits := 0; bits < 1<<free; bits++ {
+		q, bit := p, 0
+		for a := 0; a < 3; a++ {
+			if p[a]&(size-1) != 0 {
+				q[a] += size / 2 * int32(2*(bits>>bit&1)-1)
+				bit++
+			}
+		}
+		want = append(want, keySlot{f.canonical(frame.Tree, q, 1), int32(len(want))})
+	}
+	return want
+}
+
+// coarseImage returns the first image of the tree-boundary point p, in
+// Conn.PointImages order, that a leaf of the given level touches.
+func (f *Forest) coarseImage(search []octant.Octant, p connectivity.TreePoint, level int8) connectivity.TreePoint {
+	for _, im := range f.Conn.PointImages(p.Tree, [3]int32{p.X, p.Y, p.Z}) {
+		for d := 0; d < 8; d++ {
+			cell := octant.Octant{X: im.X - int32(d&1), Y: im.Y - int32(d>>1&1), Z: im.Z - int32(d>>2&1), Level: octant.MaxLevel, Tree: im.Tree}
+			if !cell.Inside() {
 				continue
 			}
-			cell := octant.Octant{X: q[0], Y: q[1], Z: q[2], Level: octant.MaxLevel, Tree: im.Tree}
-			li := octant.SearchContaining(search, cell)
-			if li < 0 || !search[li].Contains(cell) {
+			i := octant.SearchContaining(search, cell)
+			if i < 0 {
 				panic(fmt.Sprintf("core: no leaf covers cell %v next to node %+v (ghost layer incomplete?)", cell, im))
 			}
-			leaf := search[li]
-			if !pointIsCorner(leaf, [3]int32{im.X, im.Y, im.Z}) {
-				if !worstSet || leaf.Level < worst.Level {
-					worst = leaf
-					worstSet = true
-					worstImage = im
-				}
+			if search[i].Level == level {
+				return im
 			}
 		}
 	}
-	if !worstSet {
-		return []connectivity.TreePoint{f.Conn.Canonical(t, p)}
-	}
-	// Hanging: p sits strictly inside a face or edge of worst. The anchors
-	// are the corners of that entity.
-	h := worst.Len()
-	base := [3]int32{worst.X, worst.Y, worst.Z}
-	pp := [3]int32{worstImage.X, worstImage.Y, worstImage.Z}
-	var strict []int
-	for a := 0; a < 3; a++ {
-		d := pp[a] - base[a]
-		if d > 0 && d < h {
-			strict = append(strict, a)
-		}
-	}
-	if len(strict) == 0 || len(strict) > 2 {
-		panic(fmt.Sprintf("core: node %+v hangs inside volume of %v (mesh not 2:1 balanced?)", worstImage, worst))
-	}
-	var anchors []connectivity.TreePoint
-	for bits := 0; bits < 1<<len(strict); bits++ {
-		q := pp
-		for bi, a := range strict {
-			if bits>>bi&1 == 0 {
-				q[a] = base[a]
-			} else {
-				q[a] = base[a] + h
-			}
-		}
-		anchors = append(anchors, f.Conn.Canonical(worst.Tree, q))
-	}
-	return anchors
+	panic(fmt.Sprintf("core: no level-%d leaf at hanging node %+v (mesh not 2:1 balanced?)", level, p))
 }
 
-func pointIsCorner(o octant.Octant, p [3]int32) bool {
-	h := o.Len()
-	for a, v := range [3]int32{o.X, o.Y, o.Z} {
-		if p[a] != v && p[a] != v+h {
-			return false
-		}
-	}
-	return true
+// compareTreePoint orders points by (tree, z, y, x), the order of Keys.
+func compareTreePoint(a, b connectivity.TreePoint) int {
+	return cmp.Or(cmp.Compare(a.Tree, b.Tree), cmp.Compare(a.Z, b.Z), cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 }
 
-func lessTreePoint(a, b connectivity.TreePoint) bool {
-	if a.Tree != b.Tree {
-		return a.Tree < b.Tree
-	}
-	if a.Z != b.Z {
-		return a.Z < b.Z
-	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.X < b.X
-}
-
-// mergeLeaves merges two curve-sorted leaf arrays into one.
+// mergeLeaves merges two curve-sorted leaf arrays into one, which the
+// caller must not write to.
 func mergeLeaves(a, b []octant.Octant) []octant.Octant {
+	if len(b) == 0 {
+		return a
+	}
 	out := make([]octant.Octant, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -361,75 +366,132 @@ func mergeLeaves(a, b []octant.Octant) []octant.Octant {
 	return out
 }
 
-// assemble combines, for every node shared across ranks, the contributions
-// of all referencing ranks with op, leaving every rank with the combined
-// value. The reduction is routed through each node's owner (requesters send
-// contributions in, the owner reduces deterministically by rank order and
-// sends the result back), which handles nodes referenced asymmetrically —
-// e.g. hanging-corner anchors a rank reads without touching.
-func (nd *Nodes) assemble(v []float64, tag int, op func(a, b float64) float64) {
-	if len(v) != len(nd.Keys) {
+// number gives the sorted distinct keys, points of the lattice refined by
+// scale, their owners and globally unique ids, and learns on the way the
+// lists that later route shared values through the owners. Messages go
+// out under TagNodesReq+tag and TagNodesRep+tag. Collective.
+func (f *Forest) number(keys []connectivity.TreePoint, scale int32, tag int) numbering {
+	me := f.Comm.Rank()
+	nb := numbering{comm: f.Comm, Keys: keys, GlobalID: make([]int64, len(keys)), Owner: make([]int, len(keys))}
+	for i, k := range keys {
+		nb.Owner[i] = f.pointOwner(k, scale)
+		if nb.Owner[i] == me {
+			nb.NumOwned++
+		}
+	}
+
+	// Global ids: owned nodes take consecutive ids in key order.
+	nb.OwnedOffset = mpi.ExScan(f.Comm, int64(nb.NumOwned), func(a, b int64) int64 { return a + b })
+	nb.NumGlobal = mpi.AllreduceSum(f.Comm, int64(nb.NumOwned))
+	next := nb.OwnedOffset
+	for i := range keys {
+		nb.GlobalID[i] = -1
+		if nb.Owner[i] == me {
+			nb.GlobalID[i] = next
+			next++
+		}
+	}
+
+	// Resolve remote ids: ask each owner for the ids of the keys we hold.
+	req := make(map[int][]connectivity.TreePoint)
+	nb.reqLists = make(map[int][]int32)
+	for i, k := range keys {
+		if r := nb.Owner[i]; r != me {
+			req[r] = append(req[r], k)
+			nb.reqLists[r] = append(nb.reqLists[r], int32(i))
+		}
+	}
+	inReq := mpi.SparseExchange(f.Comm, req, TagNodesReq+tag)
+	rep := make(map[int][]int64)
+	nb.serveLists = make(map[int][]int32)
+	for r, asked := range inReq {
+		ids := make([]int64, len(asked))
+		serve := make([]int32, len(asked))
+		for j, k := range asked {
+			li, ok := slices.BinarySearchFunc(keys, k, compareTreePoint)
+			if !ok || nb.Owner[li] != me {
+				panic(fmt.Sprintf("core: rank %d asked rank %d for unknown node %+v", r, me, k))
+			}
+			ids[j], serve[j] = nb.GlobalID[li], int32(li)
+		}
+		rep[r], nb.serveLists[r] = ids, serve
+	}
+	inRep := mpi.SparseExchange(f.Comm, rep, TagNodesRep+tag)
+	for r, idx := range nb.reqLists {
+		ids := inRep[r]
+		if len(ids) != len(idx) {
+			panic("core: node id reply length mismatch")
+		}
+		for j, i := range idx {
+			nb.GlobalID[i] = ids[j]
+		}
+	}
+	return nb
+}
+
+// assemble combines, for every node shared across ranks, the nc interleaved
+// values v[node*nc+k] of all referencing ranks with op, leaving every rank
+// with the combined values. The reduction is routed through each node's
+// owner (requesters send contributions in, the owner reduces
+// deterministically by rank order and sends the result back), which handles
+// nodes referenced asymmetrically — e.g. hanging-corner anchors a rank
+// reads without touching. Messages go out under tag and tag+2.
+func (nb *numbering) assemble(nc int, v []float64, tag int, op func(a, b float64) float64) {
+	if len(v) != nc*len(nb.Keys) {
 		panic("core: assemble vector length mismatch")
 	}
-	out := make(map[int][]float64, len(nd.reqLists))
-	for r, idx := range nd.reqLists {
-		vals := make([]float64, len(idx))
-		for j, i := range idx {
-			vals[j] = v[i]
+	gather := func(lists map[int][]int32) map[int][]float64 {
+		out := make(map[int][]float64, len(lists))
+		for r, idx := range lists {
+			vals := make([]float64, 0, nc*len(idx))
+			for _, i := range idx {
+				vals = append(vals, v[int(i)*nc:(int(i)+1)*nc]...)
+			}
+			out[r] = vals
 		}
-		out[r] = vals
+		return out
 	}
-	in := mpi.SparseExchange(nd.comm, out, tag)
-	var ranks []int
+	in := mpi.SparseExchange(nb.comm, gather(nb.reqLists), tag)
+	ranks := make([]int, 0, len(in))
 	for r := range in {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
 	for _, r := range ranks {
-		if r == nd.comm.Rank() {
-			continue
-		}
-		idx := nd.serveLists[r]
-		vals := in[r]
-		if len(vals) != len(idx) {
+		idx, vals := nb.serveLists[r], in[r]
+		if len(vals) != nc*len(idx) {
 			panic("core: assemble contribution length mismatch")
 		}
 		for j, i := range idx {
-			v[i] = op(v[i], vals[j])
+			for k := 0; k < nc; k++ {
+				v[int(i)*nc+k] = op(v[int(i)*nc+k], vals[j*nc+k])
+			}
 		}
 	}
 	// Send the reduced values back along the same lists.
-	back := make(map[int][]float64, len(nd.serveLists))
-	for r, idx := range nd.serveLists {
-		vals := make([]float64, len(idx))
+	for r, vals := range mpi.SparseExchange(nb.comm, gather(nb.serveLists), tag+2) {
+		idx := nb.reqLists[r]
+		if len(vals) != nc*len(idx) {
+			panic("core: assemble contribution length mismatch")
+		}
 		for j, i := range idx {
-			vals[j] = v[i]
-		}
-		back[r] = vals
-	}
-	inBack := mpi.SparseExchange(nd.comm, back, tag+2)
-	for r, vals := range inBack {
-		if r == nd.comm.Rank() {
-			continue
-		}
-		for j, i := range nd.reqLists[r] {
-			v[i] = vals[j]
+			copy(v[int(i)*nc:(int(i)+1)*nc], vals[j*nc:])
 		}
 	}
 }
+
+func sum(a, b float64) float64 { return a + b }
 
 // AssembleSum adds, for every shared node, the contributions of all
 // referencing ranks, leaving every rank with the globally assembled value.
 // v is indexed by local node. This is the parallel scatter-gather the
 // paper's cG solver uses for unknowns shared between cores (§II.E).
-func (nd *Nodes) AssembleSum(v []float64) {
-	nd.assemble(v, TagNodesRep+10, func(a, b float64) float64 { return a + b })
-}
+func (nd *Nodes) AssembleSum(v []float64) { nd.assemble(1, v, TagNodesRep+10, sum) }
 
 // AssembleMax combines shared-node values with max instead of addition
 // (used for marker fields and error indicators).
 func (nd *Nodes) AssembleMax(v []float64) {
-	nd.assemble(v, TagNodesRep+20, func(a, b float64) float64 {
+	nd.assemble(1, v, TagNodesRep+20, func(a, b float64) float64 {
 		if a > b {
 			return a
 		}
@@ -439,51 +501,4 @@ func (nd *Nodes) AssembleMax(v []float64) {
 
 // AssembleSumVec is AssembleSum for vectors with nc interleaved values per
 // node: v[node*nc+k].
-func (nd *Nodes) AssembleSumVec(nc int, v []float64) {
-	if len(v) != nc*len(nd.Keys) {
-		panic("core: AssembleSumVec vector length mismatch")
-	}
-	out := make(map[int][]float64, len(nd.reqLists))
-	for r, idx := range nd.reqLists {
-		vals := make([]float64, nc*len(idx))
-		for j, i := range idx {
-			copy(vals[j*nc:(j+1)*nc], v[int(i)*nc:(int(i)+1)*nc])
-		}
-		out[r] = vals
-	}
-	in := mpi.SparseExchange(nd.comm, out, TagNodesRep+30)
-	var ranks []int
-	for r := range in {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		if r == nd.comm.Rank() {
-			continue
-		}
-		idx := nd.serveLists[r]
-		vals := in[r]
-		for j, i := range idx {
-			for k := 0; k < nc; k++ {
-				v[int(i)*nc+k] += vals[j*nc+k]
-			}
-		}
-	}
-	back := make(map[int][]float64, len(nd.serveLists))
-	for r, idx := range nd.serveLists {
-		vals := make([]float64, nc*len(idx))
-		for j, i := range idx {
-			copy(vals[j*nc:(j+1)*nc], v[int(i)*nc:(int(i)+1)*nc])
-		}
-		back[r] = vals
-	}
-	inBack := mpi.SparseExchange(nd.comm, back, TagNodesRep+32)
-	for r, vals := range inBack {
-		if r == nd.comm.Rank() {
-			continue
-		}
-		for j, i := range nd.reqLists[r] {
-			copy(v[int(i)*nc:(int(i)+1)*nc], vals[j*nc:(j+1)*nc])
-		}
-	}
-}
+func (nd *Nodes) AssembleSumVec(nc int, v []float64) { nd.assemble(nc, v, TagNodesRep+30, sum) }

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/raceflag"
 )
 
 func physOfPoint(g connectivity.Geometry, tree int32, p [3]int32) [3]float64 {
@@ -229,4 +235,203 @@ func TestNodesHangingAnchorsAreIndependent(t *testing.T) {
 		}
 		_ = nd
 	})
+}
+
+// nodesCases are the forests the Nodes tests run on: four connectivities —
+// one tree, a periodic brick whose trees neighbour themselves, six cubes
+// meeting rotated, the 24-tree shell — under the fractal rule and under
+// seeded random refinement and coarsening, each 2:1 balanced in full.
+func nodesCases(run func(name string, build func(c *mpi.Comm) *Forest)) {
+	conns := []struct {
+		name string
+		conn *connectivity.Conn
+	}{
+		{"unitcube", connectivity.UnitCube()},
+		{"periodic", connectivity.Brick(2, 1, 1, true, true, true)},
+		{"sixrot", connectivity.SixRotCubes()},
+		{"shell", connectivity.Shell(0.55, 1)},
+	}
+	for _, cn := range conns {
+		conn := cn.conn
+		run(cn.name+"/fractal", func(c *mpi.Comm) *Forest {
+			f := New(c, conn, 1)
+			f.Refine(true, 3, fractalRefine(3))
+			f.Balance(BalanceFull)
+			f.Partition()
+			return f
+		})
+		run(cn.name+"/random", func(c *mpi.Comm) *Forest {
+			f := New(c, conn, 1)
+			for round := uint64(0); round < 3; round++ {
+				f.Refine(false, 4, func(o octant.Octant) bool { return pickMod(o, 10+round, 4) == 0 })
+			}
+			f.Partition()
+			f.Coarsen(false, func(parent octant.Octant, _ []octant.Octant) bool { return pickMod(parent, 20, 3) == 0 })
+			f.Balance(BalanceFull)
+			f.Partition()
+			return f
+		})
+	}
+}
+
+// TestNodesMatchesReference pins Forest.Nodes to the preserved per-corner
+// implementation, field by field and bit by bit, and checks the hanging-node
+// invariants on the way: a hanging corner reads 2 or 4 distinct anchors, an
+// independent corner reads the node at its own canonical point, and no
+// point that hangs anywhere is a node (so no anchor hangs itself).
+func TestNodesMatchesReference(t *testing.T) {
+	nodesCases(func(name string, build func(c *mpi.Comm) *Forest) {
+		for _, p := range []int{1, 2, 3, 5} {
+			hanging := 0
+			mpi.Run(p, func(c *mpi.Comm) {
+				f := build(c)
+				g := f.Ghost()
+				got, want := f.Nodes(g), f.referenceNodes(g)
+				fail := func(format string, args ...any) {
+					t.Errorf("%s P=%d rank %d: "+format, append([]any{name, p, c.Rank()}, args...)...)
+				}
+				if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.GlobalID, want.GlobalID) || !slices.Equal(got.Owner, want.Owner) {
+					fail("keys, global ids or owners differ (%d keys, reference %d)", len(got.Keys), len(want.Keys))
+				}
+				if got.NumOwned != want.NumOwned || got.OwnedOffset != want.OwnedOffset || got.NumGlobal != want.NumGlobal {
+					fail("owned %d at %d of %d, reference %d at %d of %d",
+						got.NumOwned, got.OwnedOffset, got.NumGlobal, want.NumOwned, want.OwnedOffset, want.NumGlobal)
+				}
+				if !reflect.DeepEqual(got.reqLists, want.reqLists) || !reflect.DeepEqual(got.serveLists, want.serveLists) {
+					fail("request or serve lists differ")
+				}
+				var hung []connectivity.TreePoint
+				for e, o := range f.Local {
+					for cc := 0; cc < 8; cc++ {
+						ref := got.ElementNodes[e][cc]
+						if !slices.Equal(ref.Nodes, want.ElementNodes[e][cc].Nodes) {
+							fail("corner %d of %v reads %v, reference %v", cc, o, ref.Nodes, want.ElementNodes[e][cc].Nodes)
+						}
+						key := f.Conn.Canonical(o.Tree, cornerPoint(o, cc))
+						switch n := len(ref.Nodes); {
+						case n == 1:
+							if got.Keys[ref.Nodes[0]] != key {
+								fail("independent corner %d of %v reads node %+v", cc, o, got.Keys[ref.Nodes[0]])
+							}
+						case n == 2 || n == 4:
+							hung = append(hung, key)
+							sorted := slices.Clone(ref.Nodes)
+							slices.Sort(sorted)
+							if len(slices.Compact(sorted)) != n {
+								fail("hanging corner %d of %v repeats an anchor: %v", cc, o, ref.Nodes)
+							}
+						default:
+							fail("corner %d of %v reads %d nodes", cc, o, n)
+						}
+					}
+				}
+				for _, part := range mpi.Allgather(c, hung) {
+					for _, k := range part {
+						if _, isNode := slices.BinarySearchFunc(got.Keys, k, compareTreePoint); isNode {
+							fail("point %+v hangs on some rank and is a node here", k)
+						}
+					}
+				}
+				if n := mpi.AllreduceSum(c, int64(len(hung))); c.Rank() == 0 {
+					hanging = int(n)
+				}
+			})
+			if hanging == 0 {
+				t.Errorf("%s P=%d: no hanging corner, the case pins nothing", name, p)
+			}
+		}
+	})
+}
+
+// TestNodesAllocsPerElement pins what a repeat Nodes call allocates on the
+// fig4-fractal forest (SixRotCubes, level 2 + 3, 45,912 octants) on one
+// rank: a handful of flat arrays plus the image lists of the points on tree
+// boundaries. The per-corner implementation made 50.2 objects and 1,427 B
+// per element.
+func TestNodesAllocsPerElement(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins hold only without -race")
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		f := New(c, connectivity.SixRotCubes(), 2)
+		f.Refine(true, 5, fractalRefine(5))
+		f.Balance(BalanceFull)
+		g := f.Ghost()
+		if n := f.NumGlobal(); n != 45912 {
+			t.Fatalf("forest has %d octants, the pin is for 45,912", n)
+		}
+		f.Nodes(g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nd := f.Nodes(g)
+		runtime.ReadMemStats(&after)
+		n := float64(len(nd.ElementNodes))
+		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+		t.Logf("%.2f allocations and %.0f B per element, %d nodes", allocs, bytes, nd.NumGlobal)
+		if allocs > 3 || bytes > 600 {
+			t.Errorf("Nodes allocates %.2f objects and %.0f B per element, want at most 3 and 600", allocs, bytes)
+		}
+	})
+}
+
+// panicText runs body and returns what it panicked with, "" if it did not.
+func panicText(body func()) (text string) {
+	defer func() {
+		if p := recover(); p != nil {
+			text = fmt.Sprint(p)
+		}
+	}()
+	body()
+	return ""
+}
+
+// TestNodesDiagnosesItsPreconditions: a ghost layer that lacks a neighbour
+// and a forest that is not 2:1 balanced are reported as such, not numbered
+// wrongly.
+func TestNodesDiagnosesItsPreconditions(t *testing.T) {
+	conn := connectivity.SixRotCubes()
+	got := panicText(func() {
+		mpi.Run(2, func(c *mpi.Comm) {
+			f, _, _ := buildNodes(c, conn, 1, 3)
+			f.Nodes(&GhostLayer{})
+		})
+	})
+	if !strings.Contains(got, "ghost layer incomplete") {
+		t.Errorf("Nodes without ghosts on two ranks: panic %q, want the ghost layer named", got)
+	}
+	got = panicText(func() {
+		mpi.Run(1, func(c *mpi.Comm) {
+			f := New(c, conn, 1)
+			f.Refine(true, 4, fractalRefine(4))
+			f.Nodes(f.Ghost())
+		})
+	})
+	if !strings.Contains(got, "not 2:1 balanced") {
+		t.Errorf("Nodes on an unbalanced forest: panic %q, want the balance named", got)
+	}
+}
+
+// TestAssembleDiagnosesShortContribution: a contribution that does not
+// match the serve list is the diagnosed length mismatch for every assemble
+// entry point (AssembleSumVec used to index past the end instead).
+func TestAssembleDiagnosesShortContribution(t *testing.T) {
+	calls := map[string]func(nd *Nodes){
+		"AssembleSum":    func(nd *Nodes) { nd.AssembleSum(make([]float64, len(nd.Keys))) },
+		"AssembleSumVec": func(nd *Nodes) { nd.AssembleSumVec(2, make([]float64, 2*len(nd.Keys))) },
+	}
+	for name, call := range calls {
+		got := panicText(func() {
+			mpi.Run(2, func(c *mpi.Comm) {
+				f := New(c, connectivity.UnitCube(), 2)
+				nd := f.Nodes(f.Ghost())
+				for r, idx := range nd.serveLists {
+					nd.serveLists[r] = append(idx, idx[0])
+				}
+				call(nd)
+			})
+		})
+		if !strings.Contains(got, "contribution length mismatch") {
+			t.Errorf("%s with a short contribution: panic %q, want the length mismatch", name, got)
+		}
+	}
 }

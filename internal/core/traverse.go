@@ -56,9 +56,9 @@ func (f *Forest) boundaryWalk(s octant.Octant, lo, hi int, visit func(int, octan
 	}
 	for i := 0; i < octant.NumChildren; i++ {
 		c := s.Child(i)
-		end := c.RangeEnd()
+		last := c.LastDescendant(octant.MaxLevel)
 		mid := lo + sort.Search(hi-lo, func(k int) bool {
-			return f.Local[lo+k].MortonKey() >= end
+			return octant.Compare(f.Local[lo+k], last) > 0
 		})
 		f.boundaryWalk(c, lo, mid, visit)
 		lo = mid

@@ -1,6 +1,9 @@
 package octant
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Key is a Morton (z-order) index: the 3*MaxLevel-bit interleaving of an
 // octant's coordinates. Octants of any level are located by the key of their
@@ -82,43 +85,61 @@ func (o Octant) LastDescendant(level int8) Octant {
 	return Octant{X: o.X + h, Y: o.Y + h, Z: o.Z + h, Level: level, Tree: o.Tree}
 }
 
+// comparePosition orders a and b by tree, then by the Morton key of their
+// corners, without forming the keys. Two interleaved keys first differ in
+// the highest bit in which any coordinate pair differs; the three coordinate
+// bits at that position are the child ids of the two octants' ancestors one
+// level below their nearest common one, interleaved as z, y, x, and the
+// smaller child id is the smaller key. Coordinates are cut to the 21 bits
+// MortonKey keeps, which puts exterior octants where their keys do.
+func comparePosition(a, b *Octant) int {
+	if a.Tree != b.Tree {
+		if a.Tree < b.Tree {
+			return -1
+		}
+		return 1
+	}
+	const mask = 0x1fffff
+	ax, ay, az := uint32(a.X)&mask, uint32(a.Y)&mask, uint32(a.Z)&mask
+	bx, by, bz := uint32(b.X)&mask, uint32(b.Y)&mask, uint32(b.Z)&mask
+	differ := (ax ^ bx) | (ay ^ by) | (az ^ bz)
+	if differ == 0 {
+		return 0
+	}
+	top := uint32(1) << (bits.Len32(differ) - 1)
+	if (az&top)<<2|(ay&top)<<1|ax&top < (bz&top)<<2|(by&top)<<1|bx&top {
+		return -1
+	}
+	return 1
+}
+
+// compare is Compare on octants in place, for loops over leaf arrays.
+func compare(a, b *Octant) int {
+	if c := comparePosition(a, b); c != 0 || a.Level == b.Level {
+		return c
+	}
+	if a.Level < b.Level {
+		return -1
+	}
+	return 1
+}
+
 // Compare orders octants by the space-filling curve across the whole forest:
 // first by tree, then by Morton key, then ancestors before descendants.
 // It returns -1, 0, or +1.
-func Compare(a, b Octant) int {
-	switch {
-	case a.Tree < b.Tree:
-		return -1
-	case a.Tree > b.Tree:
-		return 1
-	}
-	ka, kb := a.MortonKey(), b.MortonKey()
-	switch {
-	case ka < kb:
-		return -1
-	case ka > kb:
-		return 1
-	case a.Level < b.Level:
-		return -1
-	case a.Level > b.Level:
-		return 1
-	}
-	return 0
-}
+func Compare(a, b Octant) int { return compare(&a, &b) }
 
 // Less reports Compare(a, b) < 0.
 func Less(a, b Octant) bool { return Compare(a, b) < 0 }
 
 // Sort sorts octants into space-filling-curve order.
-func Sort(o []Octant) {
-	sort.Slice(o, func(i, j int) bool { return Less(o[i], o[j]) })
-}
+func Sort(o []Octant) { slices.SortFunc(o, Compare) }
 
 // IsSorted reports whether o is in strictly ascending curve order with no
 // duplicates.
 func IsSorted(o []Octant) bool {
 	for i := 1; i < len(o); i++ {
-		if Compare(o[i-1], o[i]) >= 0 {
+		if compare(&o[i-1], &o[i]) >= 0 {
 			return false
 		}
 	}
@@ -162,9 +183,15 @@ func Linearize(o []Octant) []Octant {
 // ordering of the space-filling curve.
 func SearchContaining(leaves []Octant, q Octant) int {
 	// Find the last leaf whose curve position is <= q's first descendant.
-	i := sort.Search(len(leaves), func(i int) bool {
-		return Compare(leaves[i], q) > 0
-	}) - 1
+	lo, hi := 0, len(leaves)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); compare(&leaves[mid], &q) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	i := lo - 1
 	if i >= 0 && leaves[i].Contains(q) {
 		return i
 	}
@@ -180,16 +207,30 @@ func SearchContaining(leaves []Octant, q Octant) int {
 }
 
 // SearchOverlapRange returns the half-open index range [lo, hi) of sorted
-// leaves that overlap octant q's region.
+// leaves that overlap octant q's region. No leaf may contain another, so
+// the only leaf that starts before q and still overlaps it is the one just
+// before the first leaf at or past q's position.
 func SearchOverlapRange(leaves []Octant, q Octant) (lo, hi int) {
-	first, end := q.MortonKey(), q.RangeEnd()
-	lo = sort.Search(len(leaves), func(i int) bool {
-		return leaves[i].Tree > q.Tree ||
-			(leaves[i].Tree == q.Tree && leaves[i].RangeEnd() > first)
-	})
-	hi = sort.Search(len(leaves), func(i int) bool {
-		return leaves[i].Tree > q.Tree ||
-			(leaves[i].Tree == q.Tree && leaves[i].MortonKey() >= end)
-	})
-	return lo, hi
+	hi = len(leaves)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); comparePosition(&leaves[mid], &q) >= 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 {
+		if end := leaves[lo-1].LastDescendant(MaxLevel); comparePosition(&end, &q) >= 0 {
+			lo--
+		}
+	}
+	first, last := lo, q.LastDescendant(MaxLevel)
+	for hi = len(leaves); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); comparePosition(&leaves[mid], &last) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return first, lo
 }
