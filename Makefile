@@ -27,14 +27,14 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One iteration of every collective benchmark case plus the solver step
-# benchmarks: catches deadlocks or regressions in the tree/star/sparse and
-# split-phase exchange paths without paying for full timing. The allocation
-# regression tests run here too (without -race: AllocsPerRun pins only hold
-# in normal builds).
+# benchmarks and the advection kernel's two hooks: catches deadlocks or
+# regressions in the tree/star/sparse and split-phase exchange paths
+# without paying for full timing. The allocation regression tests run here
+# too (without -race: AllocsPerRun pins only hold in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes' -benchtime=1x -timeout 5m ./internal/core/
-	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
+	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
 	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap/(chan|shm)$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/(chan|shm)/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
@@ -51,8 +51,9 @@ bench-record:
 
 # Paired before/after runs of the repository benchmark (./bench), the
 # protocol every performance claim follows: BASE (a commit) against the
-# working tree, PAIRS alternating pairs on seeds 1..PAIRS plus the unseen
-# seed 4242, then `bench -compare`. WORKLOAD empty = all four.
+# working tree, PAIRS pairs in shuffled order (a fixed-seed coin per pair)
+# on seeds 1..PAIRS plus the unseen seed 4242, then `bench -compare`.
+# WORKLOAD empty = all four.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=fig9-seismic
 BASE ?= HEAD~1
 WORKLOAD ?=

@@ -58,7 +58,11 @@ type Solver struct {
 	F    *core.Forest
 	Mesh *mangll.Mesh
 	LGL  *mangll.LGL
-	C    []float64 // solution nodal values, local elements only
+	// C holds the solution nodal values of the local elements. It is the
+	// head of the solver's local+ghost array, re-seated by every rebuild, so
+	// the kernels read the state where the integrator updates it; assign its
+	// elements, never the slice.
+	C    []float64
 	Time float64
 	Met  *metrics.Registry
 
@@ -68,28 +72,31 @@ type Solver struct {
 	live                metrics.Progress
 	hRHS, hExch, hInteg *metrics.Histogram
 
-	rk  mangll.LSRK45
-	cv  [3][]float64 // contravariant velocity J grad(xi_a) . u at local nodes
-	buf []float64    // local+ghost work array
+	rk   mangll.LSRK45
+	cv   [3][]float64 // contravariant velocity J grad(xi_a) . u at local nodes
+	vmax []float64    // largest speed |u| at each local element's nodes
+	buf  []float64    // local+ghost array: the state C, then the ghost copies
 
 	// Per-worker hot-path scratch, allocated once so RHS is
 	// allocation-free in steady state. One entry per kernel worker; the
 	// serial path uses ws[0].
 	ws []advScratch
-	// unw holds the precomputed normal velocity u . areaVec at every
-	// link's flux points (Nf values per link, element-major like
-	// Mesh.Links; zeros for domain-boundary links). The advecting velocity
-	// depends only on position, so these are fixed between adaptations —
-	// rebuild() recomputes them after every mesh change. Replaces the
-	// per-RHS faceNormalVel evaluation, which redid the velocity model and
-	// hanging-face interpolation at every stage of every step.
+	// unw holds the normal velocity u . areaVec at every link's flux
+	// points (Nf values per link, element-major like Mesh.Links; zeros for
+	// domain-boundary links) and cls the link's class, which says how much
+	// of the flux the signs of those values leave to compute. The advecting
+	// velocity depends only on position, so both are fixed between
+	// adaptations: rebuild() derives them after every mesh change.
 	unw   []float64
+	cls   []linkClass
 	kern  advKernel
-	kC    []float64 // RHS input/output of the Apply in progress
-	kDC   []float64
+	kDC   []float64 // RHS output of the Apply in progress
 	rhsFn func(tt float64, u, du []float64)
-	// fillFn copies a range of the RHS input into the exchange buffer.
-	fillFn func(w *mangll.Work, lo, hi int)
+
+	// Scratch of rebuild (face-sized) and Indicator.
+	fv   []float64
+	area [3][]float64
+	ind  []float64
 
 	velFn func(x, y, z float64) (float64, float64, float64)
 	icFn  func(x, y, z float64) float64
@@ -97,9 +104,27 @@ type Solver struct {
 
 // advScratch is one worker's element- and face-sized kernel buffers.
 type advScratch struct {
-	tmp, fa         []float64 // Np
-	mine, theirs, g []float64 // Nf
+	f, d            [3][]float64 // Np: the fluxes cv_a C and their derivatives
+	mine, theirs, g []float64    // Nf
 }
+
+// linkClass is what the upwind flux leaves to do on a link, decided by the
+// signs of the link's normal velocities (unw).
+type linkClass uint8
+
+const (
+	// linkGeneral: signs differ between flux points (or the flux is
+	// central); every point chooses its side.
+	linkGeneral linkClass = iota
+	// linkSkip: a domain-boundary link, or outflow (unw >= 0) at every
+	// point. The upwind state is then the element's own, F.n - F* is x - x
+	// = +0 for any finite x, and lifting zeros changes no bit of the
+	// residual (DESIGN.md §5): the link costs nothing.
+	linkSkip
+	// linkInflow: unw < 0 at every point; the upwind state is the
+	// neighbour's everywhere.
+	linkInflow
+)
 
 // advKernel adapts the solver to the mangll.Kernel interface. It is a
 // field of Solver so the interface conversion (&s.kern) never allocates.
@@ -108,7 +133,7 @@ type advKernel struct{ s *Solver }
 func (k *advKernel) NumComps() int { return 1 }
 
 func (k *advKernel) Volume(w *mangll.Work, elems []int32) {
-	k.s.volumeTerm(w, elems, k.s.kC, k.s.kDC)
+	k.s.volumeTerm(w, elems, k.s.kDC)
 }
 
 func (k *advKernel) InteriorFace(w *mangll.Work, links []int32) {
@@ -139,13 +164,11 @@ func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	s.F.Partition()
 	s.rebuild()
 	stop()
-	s.C = make([]float64, s.Mesh.NumLocal*s.Mesh.Np)
 	s.project(s.InitialCondition)
 	// Resolve the initial fronts before starting, re-sampling the initial
 	// condition on each refined mesh.
 	for i := 0; i < int(opts.MaxLevel-opts.Level); i++ {
 		changed := s.Adapt()
-		s.C = make([]float64, s.Mesh.NumLocal*s.Mesh.Np)
 		s.project(s.InitialCondition)
 		if !changed {
 			break
@@ -170,10 +193,8 @@ func newSolver(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
 	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
 	s.kern = advKernel{s: s}
-	// One closure for the integrator and one for RHS's buffer fill, built
-	// once so Step allocates nothing.
+	// The integrator's closure, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
-	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.buf[lo:hi], s.kC[lo:hi]) }
 	return s
 }
 
@@ -221,23 +242,28 @@ func (s *Solver) project(f func(x, y, z float64) float64) {
 
 // rebuild brings ghost layer, mesh and velocity data up to date after the
 // forest changed. The mesh is rebuilt in place and says which elements it
-// kept (Mesh.Src): their contravariant velocities are carried along, those
-// of the other elements computed; the per-link normal velocities are
-// computed afresh, links being renumbered by any change.
+// kept (Mesh.Src): their contravariant velocities and maximum speeds are
+// carried along, those of the other elements computed; the per-link normal
+// velocities and classes are computed afresh, links being renumbered by any
+// change. The state, which the adapt cycle or a checkpoint left in an array
+// of its own, moves to the head of the local+ghost array.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	if s.Mesh == nil {
 		s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
 		s.rk.ForRange = s.Mesh.ForRange
+		np, nf := s.Mesh.Np, s.Mesh.Nf
 		s.ws = make([]advScratch, s.Comm.Workers())
 		for w := range s.ws {
-			s.ws[w] = advScratch{
-				tmp:    make([]float64, s.Mesh.Np),
-				fa:     make([]float64, s.Mesh.Np),
-				mine:   make([]float64, s.Mesh.Nf),
-				theirs: make([]float64, s.Mesh.Nf),
-				g:      make([]float64, s.Mesh.Nf),
+			sc := &s.ws[w]
+			for a := 0; a < 3; a++ {
+				sc.f[a], sc.d[a] = make([]float64, np), make([]float64, np)
 			}
+			sc.mine, sc.theirs, sc.g = make([]float64, nf), make([]float64, nf), make([]float64, nf)
+		}
+		s.fv = make([]float64, nf)
+		for b := range s.area {
+			s.area[b] = make([]float64, nf)
 		}
 	} else {
 		s.Mesh.Rebuild(g)
@@ -246,33 +272,39 @@ func (s *Solver) rebuild() {
 	for a := 0; a < 3; a++ {
 		s.cv[a] = mangll.Carry(s.cv[a], m.Src, m.Np)
 	}
+	s.vmax = mangll.Carry(s.vmax, m.Src, 1)
 	for e, from := range m.Src {
 		if from >= 0 {
 			continue
 		}
+		vmax := 0.0
 		for i := e * m.Np; i < (e+1)*m.Np; i++ {
 			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
 			for a := 0; a < 3; a++ {
 				s.cv[a][i] = m.Gi[a][0][i]*ux + m.Gi[a][1][i]*uy + m.Gi[a][2][i]*uz
 			}
+			if v := math.Sqrt(ux*ux + uy*uy + uz*uz); v > vmax {
+				vmax = v
+			}
 		}
+		s.vmax[e] = vmax
 	}
 	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*m.Np)
-	// Precompute the per-link normal velocities (see the unw field docs):
-	// u . areaVec at each link's flux points, interpolated onto the
-	// quadrant grid for hanging faces — exactly the values the old
-	// faceNormalVel recomputed every RHS call.
+	copy(s.buf, s.C)
+	s.C = s.buf[:m.NumLocal*m.Np]
+
+	// Per-link normal velocities, u . areaVec at each link's flux points
+	// (interpolated onto the quadrant grid for hanging faces), and what
+	// their signs say about the upwind flux.
 	s.unw = mangll.Resize(s.unw, len(m.Links)*m.Nf)
-	fv := make([]float64, m.Nf)
-	var area [3][]float64
-	for b := range area {
-		area[b] = make([]float64, m.Nf)
-	}
+	s.cls = mangll.Resize(s.cls, len(m.Links))
+	fv, area := s.fv, &s.area
 	for li := range m.Links {
 		l := &m.Links[li]
 		out := s.unw[li*m.Nf : (li+1)*m.Nf]
 		if l.Kind == mangll.LinkBoundary {
-			clear(out) // skipped by faceTerm
+			clear(out) // no normal flow through the domain boundary
+			s.cls[li] = linkSkip
 			continue
 		}
 		e, f := int(l.Elem), int(l.Face)
@@ -286,19 +318,33 @@ func (s *Solver) rebuild() {
 		}
 		if l.Kind == mangll.LinkToFineQuad {
 			m.SerialWork().InterpFaceToQuad(l, fv, out)
-			continue
+		} else {
+			copy(out, fv)
 		}
-		copy(out, fv)
+		s.cls[li] = s.classify(out)
 	}
+}
+
+// classify returns the class of an interior link with normal velocities
+// unw. The central flux averages both sides wherever the flow goes.
+func (s *Solver) classify(unw []float64) linkClass {
+	out, in := !s.Opts.CentralFlux, !s.Opts.CentralFlux
+	for _, u := range unw {
+		out, in = out && u >= 0, in && u < 0
+	}
+	switch {
+	case out:
+		return linkSkip
+	case in:
+		return linkInflow
+	}
+	return linkGeneral
 }
 
 // MaxVelocity returns the global maximum speed (used for CFL).
 func (s *Solver) MaxVelocity() float64 {
-	m := s.Mesh
 	vmax := 0.0
-	for i := 0; i < m.NumLocal*m.Np; i++ {
-		ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
-		v := math.Sqrt(ux*ux + uy*uy + uz*uz)
+	for _, v := range s.vmax {
 		if v > vmax {
 			vmax = v
 		}
@@ -317,7 +363,9 @@ func (s *Solver) DT() float64 {
 }
 
 // RHS computes dC/dt in conservative curvilinear form:
-// dC/dt = -(1/J) sum_a d/dxi_a (cv_a C) + lift of (F.n - F*).
+// dC/dt = -(1/J) sum_a d/dxi_a (cv_a C) + lift of (F.n - F*),
+// accumulating into dc. c must be the solver's state s.C: the kernels and
+// the ghost exchange read it in place, as the head of the local+ghost array.
 //
 // The schedule — split-phase ghost exchange overlapped with the volume
 // kernels and the faces of interior elements, optional worker-pool
@@ -325,10 +373,12 @@ func (s *Solver) DT() float64 {
 // mangll's kernel driver; the solver only supplies the hooks (advKernel).
 // Blocking, overlapped, and pooled execution are bitwise identical.
 func (s *Solver) RHS(c, dc []float64) {
+	if len(c) != len(s.C) || len(c) > 0 && &c[0] != &s.C[0] {
+		panic("advect: RHS input is not the solver's state")
+	}
 	m := s.Mesh
 	tRHS := time.Now()
-	s.kC, s.kDC = c, dc
-	m.ForRange(m.NumLocal*m.Np, s.fillFn)
+	s.kDC = dc
 	var wait time.Duration
 	if s.Opts.NoOverlap {
 		wait = m.ApplyBlocking(&s.kern, s.buf)
@@ -339,29 +389,27 @@ func (s *Solver) RHS(c, dc []float64) {
 	s.hRHS.ObserveDuration(time.Since(tRHS))
 }
 
-// volumeTerm accumulates the volume divergence of the given local
-// elements.
-func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, c, dc []float64) {
-	m := s.Mesh
-	np := m.Np
+// volumeTerm accumulates the volume divergence of the given local elements:
+// per element, the three fluxes cv_a C in one sweep, one derivative of each,
+// and one sweep that sums them over a ascending and divides by J.
+func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, dc []float64) {
+	np := s.Mesh.Np
 	sc := &s.ws[w.ID()]
-	tmp, fa := sc.tmp, sc.fa
+	f0, f1, f2 := sc.f[0], sc.f[1], sc.f[2]
+	d0, d1, d2 := sc.d[0][:np], sc.d[1][:np], sc.d[2][:np]
 	for _, e := range elems {
-		base := int(e) * np
-		for n := range tmp {
-			tmp[n] = 0
+		lo, hi := int(e)*np, (int(e)+1)*np
+		c := s.buf[lo:hi]
+		cv0, cv1, cv2 := s.cv[0][lo:hi], s.cv[1][lo:hi], s.cv[2][lo:hi]
+		for n, v := range c {
+			f0[n], f1[n], f2[n] = cv0[n]*v, cv1[n]*v, cv2[n]*v
 		}
-		for a := 0; a < 3; a++ {
-			for n := 0; n < np; n++ {
-				fa[n] = s.cv[a][base+n] * c[base+n]
-			}
-			w.ApplyD(a, fa, fa)
-			for n := 0; n < np; n++ {
-				tmp[n] += fa[n]
-			}
-		}
-		for n := 0; n < np; n++ {
-			dc[base+n] -= tmp[n] / m.Jac[base+n]
+		w.ApplyD(0, f0, d0)
+		w.ApplyD(1, f1, d1)
+		w.ApplyD(2, f2, d2)
+		jac, out := s.Mesh.Jac[lo:hi], dc[lo:hi]
+		for n := range d0 {
+			out[n] -= (d0[n] + d1[n] + d2[n]) / jac[n]
 		}
 	}
 }
@@ -369,31 +417,40 @@ func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, c, dc []float64) {
 // faceTerm computes the surface flux of the given links (indices into
 // Mesh.Links) and lifts each into dc at once. The driver hands every
 // element its links in ascending order after its volume term, so results
-// do not depend on which links were partition boundaries.
+// do not depend on which links were partition boundaries. The products are
+// rounded before they are subtracted (the float64 conversions keep a
+// compiler from fusing them), so that own-side flux minus own-side upwind
+// flux is exactly zero — what lets linkSkip links be skipped.
 func (s *Solver) faceTerm(w *mangll.Work, links []int32, dc []float64) {
 	m := s.Mesh
 	sc := &s.ws[w.ID()]
 	mine, theirs, g := sc.mine, sc.theirs, sc.g
 	for _, li := range links {
-		l := &m.Links[li]
-		if l.Kind == mangll.LinkBoundary {
-			continue // un = 0 on the shell boundaries for the rotation field
+		cls := s.cls[li]
+		if cls == linkSkip {
+			continue
 		}
+		l := &m.Links[li]
 		unw := s.unw[int(li)*m.Nf : (int(li)+1)*m.Nf]
 		w.MyFaceValues(l, 1, 0, s.buf, mine)
 		w.FaceValues(l, 1, 0, s.buf, theirs)
-		for fn := 0; fn < m.Nf; fn++ {
-			flux := unw[fn] * mine[fn] // F . n
-			var star float64
-			switch {
-			case s.Opts.CentralFlux:
-				star = unw[fn] * (mine[fn] + theirs[fn]) / 2
-			case unw[fn] >= 0:
-				star = unw[fn] * mine[fn]
-			default:
-				star = unw[fn] * theirs[fn]
+		switch {
+		case cls == linkInflow:
+			for fn, un := range unw {
+				g[fn] = float64(un*mine[fn]) - float64(un*theirs[fn])
 			}
-			g[fn] = flux - star
+		case s.Opts.CentralFlux:
+			for fn, un := range unw {
+				g[fn] = float64(un*mine[fn]) - un*(mine[fn]+theirs[fn])/2
+			}
+		default:
+			for fn, un := range unw {
+				star := mine[fn] // upwind state
+				if !(un >= 0) {
+					star = theirs[fn]
+				}
+				g[fn] = float64(un*mine[fn]) - float64(un*star)
+			}
 		}
 		w.LiftFace(l, g, dc)
 	}
@@ -412,10 +469,12 @@ func (s *Solver) Step(dt float64) {
 }
 
 // Indicator returns the per-element adaptation indicator: the nodal value
-// range, which is large across the advecting fronts.
+// range, which is large across the advecting fronts. The slice is the
+// solver's and is overwritten by the next call.
 func (s *Solver) Indicator() []float64 {
 	m := s.Mesh
-	ind := make([]float64, m.NumLocal)
+	s.ind = mangll.Resize(s.ind, m.NumLocal)
+	ind := s.ind
 	for e := 0; e < m.NumLocal; e++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for n := 0; n < m.Np; n++ {

@@ -76,6 +76,50 @@ func BenchmarkAdvectStep(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvectKernel times the two hooks of the advection kernel apart
+// from the driver, the exchange and the integrator: one Volume sweep over
+// every element, one InteriorFace sweep over every link, on the adapted
+// shell at P = 1 (where every link is interior). ns/dof divides by the
+// mesh's nodes in both cases; the faces case also reports what share of the
+// links the classification skips, shortcuts (inflow) or leaves general —
+// the shares its time depends on.
+func BenchmarkAdvectKernel(b *testing.B) {
+	for _, hook := range []string{"volume", "faces"} {
+		b.Run(hook, func(b *testing.B) {
+			mpi.RunOpt(1, mpi.RunOptions{Workers: 1}, func(c *mpi.Comm) {
+				s := NewShell(c, smallOpts())
+				m, w := s.Mesh, s.Mesh.SerialWork()
+				elems := make([]int32, m.NumLocal)
+				for e := range elems {
+					elems[e] = int32(e)
+				}
+				links := make([]int32, len(m.Links))
+				for li := range links {
+					links[li] = int32(li)
+				}
+				s.kDC = make([]float64, len(s.C))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if hook == "volume" {
+						s.kern.Volume(w, elems)
+					} else {
+						s.kern.InteriorFace(w, links)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.C)), "ns/dof")
+				if hook == "faces" {
+					boundary, skip, inflow, general := linkCensus(s)
+					n := float64(len(links))
+					b.ReportMetric(float64(boundary+skip)/n, "skip-share")
+					b.ReportMetric(float64(inflow)/n, "inflow-share")
+					b.ReportMetric(float64(general)/n, "general-share")
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkAdvectStepFaultPath measures the enabled-fault-path overhead:
 // the same step loop as BenchmarkAdvectStep ("overlap" mode) but with a
 // zero-probability fault plan installed, so every message pays for

@@ -14,8 +14,8 @@ package mangll
 //
 // The face operations come in two forms: one component of a field
 // (FaceValues, MyFaceValues, LiftFace: scalar loops, which is what a
-// one-component kernel wants — advect's step runs a third faster on them
-// than on the general form at nc = 1) and all nc components at once (the
+// one-component kernel wants: a third faster than the general form at
+// nc = 1, measured on advect's step) and all nc components at once (the
 // *All forms: one gather and one quadrature weight per face node), whose
 // face buffers are node-major: value c of face node fn at [fn*nc+c]. Both
 // forms sum in the same order, so they agree bitwise.
@@ -28,9 +28,6 @@ type Work struct {
 	// roles within one operation: a holds gathered face values, b a
 	// tensor-product result, c the tensor workspace.
 	sA, sB, sC []float64
-	// Element-sized scratch of the aliased ApplyD path, grown on first
-	// use.
-	sD []float64
 }
 
 func newWork(m *Mesh, id int) *Work {
@@ -179,17 +176,8 @@ func (w *Work) InterpFaceToQuad(l *FaceLink, face, out []float64) {
 }
 
 // ApplyD differentiates one element's nodal values along reference
-// direction a. u and out may alias.
+// direction a. u and out must not alias.
 func (w *Work) ApplyD(a int, u, out []float64) {
-	if &u[0] == &out[0] {
-		if len(w.sD) < len(u) {
-			w.sD = make([]float64, len(u))
-		}
-		tmp := w.sD[:len(u)]
-		w.m.applyD1(a, u, tmp)
-		copy(out, tmp)
-		return
-	}
 	w.m.applyD1(a, u, out)
 }
 

@@ -10,9 +10,12 @@
 #
 #   bench -all [-workload WORKLOAD] -runs 1 -seed S
 #
-# on both sides, alternating which side goes first, appending side BASE to
-# A.jsonl and the working tree to B.jsonl under $OUT (default
-# bench/out/pair), and finishes with `bench -compare A.jsonl B.jsonl`.
+# on both sides, appending side BASE to A.jsonl and the working tree to
+# B.jsonl under $OUT (default bench/out/pair), and finishes with
+# `bench -compare A.jsonl B.jsonl`. Which side of a pair goes first is a
+# coin from a fixed-seed generator, the same sequence on every invocation:
+# strictly alternating A B / B A has a period of its own, which a periodic
+# load on the host can lock onto and charge to one side.
 # Every run is an untraced measurement plus one traced run, each in a
 # process of its own, launched from its own source tree.
 set -euo pipefail
@@ -47,17 +50,21 @@ side() { # side a|b seed
 	(cd "$dir" && "$tmp/bench-$1" "${args[@]}" -seed "$2") >>"$out/$file.jsonl"
 }
 
+# The coin is bit 16 of a 31-bit linear congruential generator ($RANDOM's
+# sequence differs between bash versions).
 n=0
+coin=1
 for seed in $(seq 1 "$pairs") 4242; do
-	echo "== pair $((n + 1)) of $((pairs + 1)): seed $seed" >&2
-	if [ $((n % 2)) -eq 0 ]; then
-		side a "$seed"
-		side b "$seed"
-	else
-		side b "$seed"
-		side a "$seed"
+	coin=$(((coin * 1103515245 + 12345) & 0x7fffffff))
+	order="a b"
+	if [ $(((coin >> 16) & 1)) -eq 1 ]; then
+		order="b a"
 	fi
 	n=$((n + 1))
+	echo "== pair $n of $((pairs + 1)): seed $seed, order $order" >&2
+	for s in $order; do
+		side "$s" "$seed"
+	done
 done
 
 echo "== A = $base, B = working tree; records in $out" >&2
