@@ -36,8 +36,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
 	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap/(chan|shm)$$' -benchtime=1x -timeout 5m ./internal/advect/
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/(chan|shm)/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 
 # Archive the solver step benchmarks (ns/op, B/op, allocs/op) plus the
 # core Balance/Ghost high-P benchmarks as BENCH_$(PR).json for cross-PR
@@ -98,9 +98,8 @@ fig4:
 	$(GO) run ./cmd/scaling -steps 3 > results/fig4_scaling.txt
 
 # High-emulated-rank-count smoke: the full Fig-4 pipeline at P=256 on a
-# small fractal forest, on the chan transport (the shm backend allocates
-# P^2 rings and is not meant for high P). Exercises the recursive
-# Balance/Ghost at partition counts far above what the unit tests use;
-# CI runs this with a hard timeout.
+# small fractal forest. Exercises the recursive Balance/Ghost at partition
+# counts far above what the unit tests use; CI runs this with a hard
+# timeout.
 fig4-highp:
-	AMR_TRANSPORT=chan $(GO) run ./cmd/scaling -ranks 256 -base-level 1
+	$(GO) run ./cmd/scaling -ranks 256 -base-level 1

@@ -13,9 +13,8 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/cmd/internal/robust"
 	"repro/internal/advect"
 	"repro/internal/experiments"
@@ -23,18 +22,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-func parseRanks(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			panic(fmt.Sprintf("bad rank list %q", s))
-		}
-		out = append(out, v)
-	}
-	return out
-}
 
 func main() {
 	ranks := flag.String("ranks", "1,4", "comma-separated rank counts")
@@ -48,6 +35,10 @@ func main() {
 	tel := telemetry.NewDriver("advect")
 	rb := robust.Register()
 	flag.Parse()
+	rankList, err := cli.ParseRanks(*ranks)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +65,7 @@ func main() {
 
 	if rb.Base != "" {
 		run := sim.Run{App: advect.ShellApp(opts), Steps: *steps, AdaptEvery: *adaptEvery}
-		if err := rb.Run(parseRanks(*ranks)[0], tel, run); err != nil {
+		if err := rb.Run(rankList[0], tel, run); err != nil {
 			log.Fatalf("robust run: %v", err)
 		}
 		return
@@ -85,14 +76,14 @@ func main() {
 		"ranks", "elements", "unknowns", "amr(s)", "integ(s)", "amr%", "s/step/elem", "shipped%")
 	var base float64
 	var tr *trace.Tracer
-	for _, p := range parseRanks(*ranks) {
+	for _, p := range rankList {
 		tr = nil
 		if *tracePath != "" {
 			tr = trace.New(p) // keep the last rank count's trace
 		}
 		world, runTr := tel.BeginRun(p, tr)
 		row := experiments.RunFig5Obs(p, opts, *steps, *adaptEvery,
-			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Transport: tel.Transport(), Workers: tel.Workers()})
+			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
 		fmt.Printf("%8d %10d %12d %10.3f %10.3f %8.2f %12.3e %10.1f\n",
 			row.Ranks, row.Elements, row.Unknowns, row.AMRSec, row.IntegSec,
 			row.AMRPercent, row.NormPerStep, row.ShippedPct)

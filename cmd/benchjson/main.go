@@ -38,7 +38,7 @@ type entry struct {
 	// Procs is the GOMAXPROCS the benchmark ran under, split off the
 	// name's "-N" suffix (1 when the suffix is absent, per `go test`
 	// convention). Scaling comparisons need it as a first-class field:
-	// "AdvectStep/P8/overlap/shm" at 1 proc and at 8 procs are different
+	// "AdvectStep/P8/overlap" at 1 proc and at 8 procs are different
 	// experiments that previously collided under one name.
 	Procs int `json:"procs"`
 	// Workers is the per-rank kernel worker count, split off a trailing

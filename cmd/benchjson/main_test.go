@@ -19,8 +19,8 @@ func TestParseBench(t *testing.T) {
 		},
 		{
 			name: "procs suffix split off",
-			line: "BenchmarkAdvectStep/P8/overlap/shm-16 100 2345678 ns/op 42 B/op 3 allocs/op",
-			want: entry{Name: "BenchmarkAdvectStep/P8/overlap/shm", Procs: 16, Workers: 1, Iterations: 100,
+			line: "BenchmarkAdvectStep/P8/overlap-16 100 2345678 ns/op 42 B/op 3 allocs/op",
+			want: entry{Name: "BenchmarkAdvectStep/P8/overlap", Procs: 16, Workers: 1, Iterations: 100,
 				Metrics: map[string]float64{"ns/op": 2345678, "B/op": 42, "allocs/op": 3}},
 		},
 		{
@@ -37,20 +37,20 @@ func TestParseBench(t *testing.T) {
 		},
 		{
 			name: "custom metric units",
-			line: "BenchmarkSeismicStep/P2/overlap/chan-2 7 1.5e7 ns/op 0.31 bndfrac",
-			want: entry{Name: "BenchmarkSeismicStep/P2/overlap/chan", Procs: 2, Workers: 1, Iterations: 7,
+			line: "BenchmarkSeismicStep/P2/overlap-2 7 1.5e7 ns/op 0.31 bndfrac",
+			want: entry{Name: "BenchmarkSeismicStep/P2/overlap", Procs: 2, Workers: 1, Iterations: 7,
 				Metrics: map[string]float64{"ns/op": 1.5e7, "bndfrac": 0.31}},
 		},
 		{
 			name: "workers component split off",
-			line: "BenchmarkAdvectStep/P4/overlap/chan/w4-4 10 3456789 ns/op",
-			want: entry{Name: "BenchmarkAdvectStep/P4/overlap/chan", Procs: 4, Workers: 4, Iterations: 10,
+			line: "BenchmarkAdvectStep/P4/overlap/w4-4 10 3456789 ns/op",
+			want: entry{Name: "BenchmarkAdvectStep/P4/overlap", Procs: 4, Workers: 4, Iterations: 10,
 				Metrics: map[string]float64{"ns/op": 3456789}},
 		},
 		{
 			name: "workers component without procs suffix",
-			line: "BenchmarkSeismicStep/P1/overlap/shm/w2 5 8.5e8 ns/op",
-			want: entry{Name: "BenchmarkSeismicStep/P1/overlap/shm", Procs: 1, Workers: 2, Iterations: 5,
+			line: "BenchmarkSeismicStep/P1/overlap/w2 5 8.5e8 ns/op",
+			want: entry{Name: "BenchmarkSeismicStep/P1/overlap", Procs: 1, Workers: 2, Iterations: 5,
 				Metrics: map[string]float64{"ns/op": 8.5e8}},
 		},
 	}

@@ -80,7 +80,7 @@ func main() {
 	world, runTr := tel.BeginRun(*ranks, tr)
 
 	conn := buildConn(*config)
-	mpi.RunOpt(*ranks, mpi.RunOptions{Tracer: runTr, Metrics: world, Transport: tel.Transport(), Workers: tel.Workers()}, func(c *mpi.Comm) {
+	mpi.RunOpt(*ranks, mpi.RunOptions{Tracer: runTr, Metrics: world, Workers: tel.Workers()}, func(c *mpi.Comm) {
 		var f *core.Forest
 		if *loadPath != "" {
 			var err error

@@ -75,7 +75,7 @@ func (f *Flags) Run(p int, tel *telemetry.Driver, run sim.Run) error {
 		}
 		fr := telemetry.NewFlightRecorder(tr, filepath.Dir(f.Base))
 		return fr.Guard(func() error {
-			return mpi.RunErrOpt(ranks, mpi.RunOptions{Tracer: tr, Plan: plan, Metrics: world, Transport: tel.Transport(), Workers: tel.Workers()},
+			return mpi.RunErrOpt(ranks, mpi.RunOptions{Tracer: tr, Plan: plan, Metrics: world, Workers: tel.Workers()},
 				func(c *mpi.Comm) error { return run.Rank(c, resume, &res) })
 		})
 	})

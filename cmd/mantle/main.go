@@ -12,9 +12,8 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/rhea"
 	"repro/internal/telemetry"
@@ -30,6 +29,10 @@ func main() {
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("mantle")
 	flag.Parse()
+	rankList, err := cli.ParseRanks(*ranks)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -58,11 +61,7 @@ func main() {
 	fmt.Printf("%8s | %8s %8s %8s | %10s %12s %8s %10s\n",
 		"ranks", "solve%", "V-cycle%", "AMR%", "elements", "unknowns", "minres", "eta-ratio")
 	var lastTracer *trace.Tracer
-	for _, part := range strings.Split(*ranks, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 {
-			panic("bad -ranks")
-		}
+	for _, p := range rankList {
 		var tr *trace.Tracer
 		if *tracePath != "" {
 			tr = trace.New(p)
@@ -70,7 +69,7 @@ func main() {
 		}
 		world, runTr := tel.BeginRun(p, tr)
 		row := experiments.RunFig7Obs(p, opts,
-			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Transport: tel.Transport(), Workers: tel.Workers()})
+			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
 		r := row.Report
 		fmt.Printf("%8d | %8.2f %8.2f %8.2f | %10d %12d %8d %10.1e\n",
 			row.Ranks, r.SolvePct, r.VcyclePct, r.AMRPct,

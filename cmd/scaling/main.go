@@ -21,9 +21,8 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -45,7 +44,7 @@ func main() {
 	baseLevel := flag.Int("base-level", 1, "refinement level of the smallest run")
 	baseRanks := flag.Int("base-ranks", 1, "rank count of the smallest run")
 	steps := flag.Int("steps", 3, "number of 8x weak-scaling steps")
-	rankList := flag.String("ranks", "", "comma-separated rank counts to sweep at fixed -base-level (overrides -base-ranks/-steps; use the chan transport for high P)")
+	rankList := flag.String("ranks", "", "comma-separated rank counts to sweep at fixed -base-level (overrides -base-ranks/-steps)")
 	tracePath := flag.String("trace", "", "write the largest run's Chrome trace-event JSON here")
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("scaling")
@@ -86,11 +85,11 @@ func main() {
 	}
 	var specs []runSpec
 	if *rankList != "" {
-		for _, tok := range strings.Split(*rankList, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || p < 1 {
-				log.Fatalf("-ranks: bad rank count %q", tok)
-			}
+		ps, err := cli.ParseRanks(*rankList)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range ps {
 			specs = append(specs, runSpec{p, int8(*baseLevel)})
 		}
 	} else {
@@ -110,7 +109,7 @@ func main() {
 		tr := trace.New(ranks)
 		world, runTr := tel.BeginRun(ranks, tr)
 		row := experiments.RunFig4Obs(ranks, level,
-			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Transport: tel.Transport(), Workers: tel.Workers()})
+			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
 		lastTracer = tr
 		rows = append(rows, row)
 		fmt.Printf("%8d %7d %12d %10.0f | %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f | %12.3f %12.3f\n",

@@ -14,9 +14,8 @@ import (
 	"math"
 	"os"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/cmd/internal/robust"
 	"repro/internal/experiments"
 	"repro/internal/seismic"
@@ -24,18 +23,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-func parseRanks(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			panic("bad -ranks")
-		}
-		out = append(out, v)
-	}
-	return out
-}
 
 func main() {
 	strong := flag.Bool("strong", false, "run the Figure 9 strong-scaling table")
@@ -52,6 +39,10 @@ func main() {
 	flag.Parse()
 	if !*strong && !*device {
 		*strong = true
+	}
+	rankList, err := cli.ParseRanks(*ranks)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
@@ -79,7 +70,7 @@ func main() {
 
 	if rb.Base != "" {
 		run := sim.Run{App: seismic.EarthApp(opts), Steps: *steps}
-		if err := rb.Run(parseRanks(*ranks)[0], tel, run); err != nil {
+		if err := rb.Run(rankList[0], tel, run); err != nil {
 			fmt.Println("robust run:", err)
 			os.Exit(1)
 		}
@@ -95,7 +86,7 @@ func main() {
 			lastTracer = tr
 		}
 		world, runTr := tel.BeginRun(p, tr)
-		return experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Transport: tel.Transport(), Workers: tel.Workers()}
+		return experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()}
 	}
 
 	if *strong {
@@ -103,7 +94,7 @@ func main() {
 		fmt.Printf("%8s %10s %12s | %12s %14s %10s %10s\n",
 			"ranks", "elements", "unknowns", "meshing(s)", "waveprop(s/st)", "par-eff", "GFlop/s")
 		var base experiments.Fig9Row
-		for i, p := range parseRanks(*ranks) {
+		for i, p := range rankList {
 			row := experiments.RunFig9Obs(p, opts, *steps, obsFor(p))
 			if i == 0 {
 				base = row
@@ -126,7 +117,7 @@ func main() {
 		fmt.Printf("%8s %10s | %10s %10s %16s %10s %10s\n",
 			"devices", "elements", "mesh(s)", "transf(s)", "wave us/st/elem", "par-eff", "GFlop/s")
 		var base experiments.Fig10Row
-		for i, p := range parseRanks(*ranks) {
+		for i, p := range rankList {
 			// Weak scaling: elements grow with rank count by raising the
 			// meshing frequency (elements scale roughly with freq^3).
 			o := opts

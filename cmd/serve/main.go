@@ -25,6 +25,7 @@ import (
 
 	"flag"
 
+	"repro/internal/mpi"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -34,7 +35,6 @@ var (
 	dataDir   = flag.String("data", "", "job data root (default: a fresh temp dir)")
 	maxActive = flag.Int("max-active", 4, "jobs running concurrently, each in its own rank world")
 	maxQueue  = flag.Int("max-queue", 256, "admission queue capacity beyond the active set")
-	transport = flag.String("transport", "", "default rank transport for jobs that don't name one")
 	traceCap  = flag.Int("trace-cap", 2048, "per-rank ring-trace capacity for job flight recorders")
 )
 
@@ -47,13 +47,15 @@ func main() {
 }
 
 func run() error {
+	if err := mpi.CheckTransportEnv(); err != nil {
+		return err
+	}
 	tel := telemetry.NewServer()
 	sched, err := serve.NewScheduler(serve.Config{
-		MaxActive:        *maxActive,
-		MaxQueue:         *maxQueue,
-		DataDir:          *dataDir,
-		TraceCap:         *traceCap,
-		DefaultTransport: *transport,
+		MaxActive: *maxActive,
+		MaxQueue:  *maxQueue,
+		DataDir:   *dataDir,
+		TraceCap:  *traceCap,
 	}, tel)
 	if err != nil {
 		return err

@@ -20,13 +20,11 @@ func benchOpts() Options {
 }
 
 // BenchmarkAdvectStep measures one RK step of the advection solver per
-// rank-count, exchange mode, and transport backend. "overlap" runs the
-// split-phase ghost exchange with volume and interior-face kernels between
-// Start and Finish; "blocking" completes the exchange up front (the
-// pre-overlap baseline). The P∈{1,2,4,8} × transport matrix is the
-// strong-scaling curve: on a multi-core host the shm backend's pinned
-// rank threads turn the fixed-size problem into wall-clock speedup, while
-// chan serializes behind the scheduler. Run with -benchmem: steady-state
+// rank-count and exchange mode. "overlap" runs the split-phase ghost
+// exchange with volume and interior-face kernels between Start and Finish;
+// "blocking" completes the exchange up front (the pre-overlap baseline).
+// The P∈{1,2,4,8} sweep is the strong-scaling curve; P64 is the deep
+// oversubscription case. Run with -benchmem: steady-state
 // allocs/op is pinned by the tests and must stay at zero for P=1. The
 // bndfrac metric is the fraction of local elements touching a partition
 // boundary — the share of face work that cannot overlap with
@@ -35,9 +33,9 @@ func benchOpts() Options {
 // unsuffixed names ran at one worker, keeping benchstat continuity with
 // pre-pool archives.
 func BenchmarkAdvectStep(b *testing.B) {
-	step := func(p, workers int, mode, tp string) func(b *testing.B) {
+	step := func(p, workers int, mode string) func(b *testing.B) {
 		return func(b *testing.B) {
-			mpi.RunOpt(p, mpi.RunOptions{Transport: tp, Workers: workers}, func(c *mpi.Comm) {
+			mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
 				o := benchOpts()
 				o.NoOverlap = mode == "blocking"
 				s := NewShell(c, o)
@@ -55,24 +53,17 @@ func BenchmarkAdvectStep(b *testing.B) {
 			})
 		}
 	}
-	for _, tp := range mpi.Transports() {
-		for _, p := range []int{1, 2, 4, 8} {
-			for _, mode := range []string{"overlap", "blocking"} {
-				b.Run(fmt.Sprintf("P%d/%s/%s", p, mode, tp), step(p, 1, mode, tp))
-			}
-		}
-		// The workers axis at fixed P: overlap mode, pool fan-out within
-		// each rank. P4/w4 oversubscribes 16-way on small hosts — the
-		// interesting comparison is against P4/overlap/tp at w=1.
-		for _, w := range []int{2, 4} {
-			b.Run(fmt.Sprintf("P1/overlap/%s/w%d", tp, w), step(1, w, "overlap", tp))
-			b.Run(fmt.Sprintf("P4/overlap/%s/w%d", tp, w), step(4, w, "overlap", tp))
+	for _, p := range []int{1, 2, 4, 8, 64} {
+		for _, mode := range []string{"overlap", "blocking"} {
+			b.Run(fmt.Sprintf("P%d/%s", p, mode), step(p, 1, mode))
 		}
 	}
-	// Legacy deep-oversubscription case on the default backend, kept so
-	// benchstat lines up against pre-transport archives.
-	for _, mode := range []string{"overlap", "blocking"} {
-		b.Run(fmt.Sprintf("P64/%s", mode), step(64, 1, mode, ""))
+	// The workers axis at fixed P: overlap mode, pool fan-out within each
+	// rank. P4/w4 oversubscribes 16-way on small hosts — the interesting
+	// comparison is against P4/overlap at w=1.
+	for _, w := range []int{2, 4} {
+		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w, "overlap"))
+		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w, "overlap"))
 	}
 }
 

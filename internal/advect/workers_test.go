@@ -12,15 +12,15 @@ import (
 // workersHash runs the short adaptive checkpoint workload (4 steps,
 // adaptation every 2) on the given configuration and returns rank 0's
 // collective state hash.
-func workersHash(t *testing.T, p, workers int, transport string, noOverlap bool) uint64 {
+func workersHash(t *testing.T, p, workers int, noOverlap bool) uint64 {
 	t.Helper()
 	var h uint64
-	mpi.RunOpt(p, mpi.RunOptions{Workers: workers, Transport: transport}, func(c *mpi.Comm) {
+	mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
 		o := ckptOpts()
 		o.NoOverlap = noOverlap
 		s := NewShell(c, o)
 		if _, err := (sim.Run{Steps: 4, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
-			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
+			t.Errorf("w=%d noOverlap=%v: run: %v", workers, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {
 			h = hh
@@ -31,23 +31,21 @@ func workersHash(t *testing.T, p, workers int, transport string, noOverlap bool)
 
 // TestWorkersMatrixBitwise is the tentpole acceptance criterion at the
 // advection frontend: the full adaptive solve must produce one bitwise
-// state hash across {blocking, overlapped} x workers {1, 2, 4} x every
-// transport, at 1 and 4 ranks. The kernel driver executes elements and
+// state hash across {blocking, overlapped} x workers {1, 2, 4}, at 1 and
+// 4 ranks. The kernel driver executes elements and
 // links in the identical per-element order on every path, so even
 // floating-point rounding cannot distinguish them.
 func TestWorkersMatrixBitwise(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		want := workersHash(t, p, 1, "chan", true)
-		for _, tp := range mpi.Transports() {
-			for _, w := range []int{1, 2, 4} {
-				for _, noOverlap := range []bool{false, true} {
-					if tp == "chan" && w == 1 && noOverlap {
-						continue // the reference configuration itself
-					}
-					if got := workersHash(t, p, w, tp, noOverlap); got != want {
-						t.Errorf("p=%d transport=%s workers=%d noOverlap=%v: hash %#x, want %#x",
-							p, tp, w, noOverlap, got, want)
-					}
+		want := workersHash(t, p, 1, true)
+		for _, w := range []int{1, 2, 4} {
+			for _, noOverlap := range []bool{false, true} {
+				if w == 1 && noOverlap {
+					continue // the reference configuration itself
+				}
+				if got := workersHash(t, p, w, noOverlap); got != want {
+					t.Errorf("p=%d workers=%d noOverlap=%v: hash %#x, want %#x",
+						p, w, noOverlap, got, want)
 				}
 			}
 		}
@@ -55,19 +53,17 @@ func TestWorkersMatrixBitwise(t *testing.T) {
 }
 
 // TestWorkerPoolChurn cycles many short-lived worlds with per-rank pools
-// (solver construction, one step, teardown) across both transports. Under
+// (solver construction, one step, teardown). Under
 // -race this is the pool's lifecycle stress: worker startup, job
 // hand-off, and Close must leave no racing goroutine behind when the
 // world exits.
 func TestWorkerPoolChurn(t *testing.T) {
 	for i := 0; i < 3; i++ {
-		for _, tp := range mpi.Transports() {
-			for _, w := range []int{2, 3} {
-				mpi.RunOpt(2, mpi.RunOptions{Workers: w, Transport: tp}, func(c *mpi.Comm) {
-					s := NewShell(c, ckptOpts())
-					s.Step(s.DT())
-				})
-			}
+		for _, w := range []int{2, 3} {
+			mpi.RunOpt(2, mpi.RunOptions{Workers: w}, func(c *mpi.Comm) {
+				s := NewShell(c, ckptOpts())
+				s.Step(s.DT())
+			})
 		}
 	}
 }

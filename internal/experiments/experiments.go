@@ -43,9 +43,6 @@ type Obs struct {
 	Tracer *trace.Tracer
 	World  *metrics.Registry
 	OnRank func(name string, rank int, met *metrics.Registry)
-	// Transport selects the message-runtime fabric backend ("chan",
-	// "shm"); empty means the process default (AMR_TRANSPORT, else chan).
-	Transport string
 	// Workers is the per-rank kernel worker count; 0 means the process
 	// default (AMR_WORKERS, else 1).
 	Workers int
@@ -53,7 +50,7 @@ type Obs struct {
 
 // runOptions translates the hooks into message-runtime run options.
 func (o Obs) runOptions() mpi.RunOptions {
-	return mpi.RunOptions{Tracer: o.Tracer, Metrics: o.World, Transport: o.Transport, Workers: o.Workers}
+	return mpi.RunOptions{Tracer: o.Tracer, Metrics: o.World, Workers: o.Workers}
 }
 
 // rank invokes the per-rank registry callback if one is set.

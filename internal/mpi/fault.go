@@ -338,17 +338,16 @@ func (f *faultState) send(c *Comm, to int, msg message) {
 		}
 	}
 
-	// Undelayed deliveries stay on the sender's thread and use the fast
-	// ingress (the shm backend's lane rings are single-producer); timer
-	// deliveries run off-rank and take the inject side door, with the
-	// sequence windows restoring per-link order across the two paths.
-	box := c.world.inboxes[to]
+	// Undelayed deliveries happen on the sender's goroutine, delayed ones
+	// on a timer; the sequence windows restore per-link order across the
+	// two paths.
+	box := c.world.boxes[to]
 	if delay <= 0 {
 		box.putSeq(msg, seq, f)
 	} else {
 		f.deliveries.Add(1)
 		time.AfterFunc(delay, func() {
-			box.inject(msg, seq, f)
+			box.putSeq(msg, seq, f)
 			f.deliveries.Done()
 		})
 	}
@@ -364,7 +363,7 @@ func (f *faultState) send(c *Comm, to int, msg message) {
 		dupDelay := delay + time.Duration(f.roll(kindDupDelay, c.rank, to, seq, 0)*float64(f.plan.MaxDelay))
 		f.deliveries.Add(1)
 		time.AfterFunc(dupDelay, func() {
-			box.inject(msg, seq, f)
+			box.putSeq(msg, seq, f)
 			f.deliveries.Done()
 		})
 	}

@@ -1,43 +1,15 @@
 package mpi
 
 import (
-	"bufio"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// threadCount reads the process's live OS-thread count from
-// /proc/self/status (linux). Returns -1 where the file is unavailable so
-// callers can skip the thread assertion.
-func threadCount() int {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return -1
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "Threads:"); ok {
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil {
-				return -1
-			}
-			return n
-		}
-	}
-	return -1
-}
-
 // settle polls cond until it holds or the deadline passes; world teardown
 // is asynchronous at the edges (pool workers exit on a closed channel
-// without being joined, pinned OS threads terminate after their goroutine
-// returns), so post-churn measurements need a grace window.
+// without being joined), so post-churn measurements need a grace window.
 func settle(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
 	for {
@@ -53,114 +25,46 @@ func settle(d time.Duration, cond func() bool) bool {
 }
 
 // TestWorldChurnReleasesResources pins that back-to-back mpi worlds in
-// one process fully release their transport resources — the serve
-// scheduler runs thousands of worlds per process, so any per-world leak
-// (goroutines, pinned OS threads, the shm GOMAXPROCS refcount) becomes a
+// one process fully release their goroutines — the serve scheduler runs
+// thousands of worlds per process, so any per-world leak becomes a
 // production resource exhaustion. 100 sequential plus 8 concurrent small
-// worlds per backend, each with a worker pool and real traffic, then the
-// process must return to baseline: GOMAXPROCS restored, the shm
-// refcount at zero, goroutine and OS-thread counts back to (near) where
-// they started.
+// worlds, each with a worker pool and real traffic, then the goroutine
+// count must return to (near) where it started.
 func TestWorldChurnReleasesResources(t *testing.T) {
-	world := func(tp string) {
-		RunOpt(3, RunOptions{Transport: tp, Workers: 2}, func(c *Comm) {
-			// A little of everything: point-to-point ring + collectives.
-			next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
-			c.Send(next, 7, []float64{float64(c.Rank())})
-			p, _ := c.Recv(prev, 7)
-			v := p.([]float64)[0] + float64(AllreduceSum(c, 1))
-			_ = Allgather(c, v)
-			c.Barrier()
-		})
-	}
-
-	for _, tp := range Transports() {
-		t.Run(tp, func(t *testing.T) {
-			baseProcs := runtime.GOMAXPROCS(0)
-			baseGoroutines := runtime.NumGoroutine()
-			baseThreads := threadCount()
-
-			for i := 0; i < 100; i++ {
-				world(tp)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < 8; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					world(tp)
-				}()
-			}
-			wg.Wait()
-
-			// The GOMAXPROCS raise must be fully refunded the moment the
-			// last world closes — no settling allowed: runErr's fabric
-			// close runs before Run returns.
-			gmp.Lock()
-			refs := gmp.refs
-			gmp.Unlock()
-			if refs != 0 {
-				t.Fatalf("shm GOMAXPROCS refcount = %d after all worlds closed, want 0", refs)
-			}
-			if got := runtime.GOMAXPROCS(0); got != baseProcs {
-				t.Fatalf("GOMAXPROCS = %d after churn, want baseline %d", got, baseProcs)
-			}
-
-			// Goroutines: rank goroutines are joined, pool workers exit
-			// asynchronously on their closed wake channels — poll.
-			if !settle(10*time.Second, func() bool {
-				return runtime.NumGoroutine() <= baseGoroutines+2
-			}) {
-				t.Fatalf("goroutines = %d after churn, baseline %d (leak)",
-					runtime.NumGoroutine(), baseGoroutines)
-			}
-
-			// OS threads (linux): shm's pinned threads die with their rank
-			// goroutines. 108 worlds × 3 ranks = 324 pinned threads created;
-			// anything remotely proportional to that is a leak. The runtime
-			// may keep a modest cache of exited-thread slots, so allow slack.
-			if baseThreads > 0 {
-				if !settle(10*time.Second, func() bool {
-					return threadCount() <= baseThreads+24
-				}) {
-					t.Fatalf("OS threads = %d after churn, baseline %d (pinned-thread leak)",
-						threadCount(), baseThreads)
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentShmWorldsRestoreProcs pins the refcounted GOMAXPROCS
-// raise under overlap: worlds of different sizes acquire and release in
-// arbitrary order, and the original value must come back exactly once —
-// after the last release, not the first.
-func TestConcurrentShmWorldsRestoreProcs(t *testing.T) {
-	base := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for _, p := range []int{2, 3, 4, 2, 3, 4, 2, 2} {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			RunOpt(p, RunOptions{Transport: "shm"}, func(c *Comm) {
-				_ = AllreduceSum(c, int64(c.Rank()))
+	onFabric(t, func(t *testing.T) {
+		world := func() {
+			RunOpt(3, RunOptions{Workers: 2}, func(c *Comm) {
+				// A little of everything: point-to-point ring + collectives.
+				next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+				c.Send(next, 7, []float64{float64(c.Rank())})
+				p, _ := c.Recv(prev, 7)
+				v := p.([]float64)[0] + float64(AllreduceSum(c, 1))
+				_ = Allgather(c, v)
+				c.Barrier()
 			})
-		}(p)
-	}
-	wg.Wait()
-	gmp.Lock()
-	refs := gmp.refs
-	gmp.Unlock()
-	if refs != 0 {
-		t.Fatalf("refcount = %d, want 0", refs)
-	}
-	if got := runtime.GOMAXPROCS(0); got != base {
-		t.Fatalf("GOMAXPROCS = %d, want %d", got, base)
-	}
-	// And a world starting after full release must re-raise from scratch
-	// without tripping over stale saved state.
-	RunOpt(2, RunOptions{Transport: "shm"}, func(c *Comm) { c.Barrier() })
-	if got := runtime.GOMAXPROCS(0); got != base {
-		t.Fatalf("GOMAXPROCS = %d after post-churn world, want %d", got, base)
-	}
+		}
+
+		baseGoroutines := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			world()
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				world()
+			}()
+		}
+		wg.Wait()
+
+		// Rank goroutines are joined, pool workers exit asynchronously on
+		// their closed wake channels — poll.
+		if !settle(10*time.Second, func() bool {
+			return runtime.NumGoroutine() <= baseGoroutines+2
+		}) {
+			t.Fatalf("goroutines = %d after churn, baseline %d (leak)",
+				runtime.NumGoroutine(), baseGoroutines)
+		}
+	})
 }

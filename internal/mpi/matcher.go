@@ -1,14 +1,11 @@
 package mpi
 
-// matcher is the tag-matching engine shared by every transport backend:
-// an unbounded queue of unclaimed messages, the list of posted receives in
-// posting order, and (when a fault plan is installed) the per-source
-// reassembly windows that restore per-link order and exactly-once delivery
-// before a message is matched. The matcher itself is synchronization-free;
-// each backend decides how it is serialized. The channel backend guards it
-// with the mailbox mutex (senders deliver directly into the engine), the
-// shared-memory backend confines it to the receiving rank's pinned thread
-// (senders only touch the ingress rings).
+// matcher is a mailbox's tag-matching engine: an unbounded queue of
+// unclaimed messages, the list of posted receives in posting order, and
+// (when a fault plan is installed) the per-source reassembly windows that
+// restore per-link order and exactly-once delivery before a message is
+// matched. The matcher itself is synchronization-free; the mailbox mutex
+// serializes it (senders deliver directly into the engine).
 //
 // Invariant: no queued message matches any posted slot. deliver matches a
 // new message against the posted slots before queueing it, and post

@@ -1,9 +1,8 @@
 // Package mpi provides an in-process SPMD message-passing runtime that
-// substitutes for MPI in the p4est/mangll reproduction. Each rank runs
-// inside a World on a vehicle chosen by the world's Transport — a plain
-// goroutine ("chan", the default) or a LockOSThread-pinned OS thread with
-// lock-free rings between peers ("shm") — and ranks communicate through
-// tagged point-to-point messages and collectives built on top of them.
+// substitutes for MPI in the p4est/mangll reproduction. Each rank of a
+// World is a goroutine with a mutex-guarded mailbox (the one rank fabric,
+// named "chan"), and ranks communicate through tagged point-to-point
+// messages and collectives built on top of them.
 //
 // The interface deliberately mirrors the subset of MPI that the paper's
 // algorithms use (point-to-point transfer of octants, MPI_Allgather of one
@@ -49,12 +48,10 @@ const (
 	tagSparseDown = -12 // SparseExchange discovery: scatter of source lists
 )
 
-// World owns the transport fabric and statistics for a set of ranks.
+// World owns the rank mailboxes and statistics for a set of ranks.
 type World struct {
 	size    int
-	fab     fabric
-	inboxes []inbox // fab.inbox(r) resolved once; hot-path indexed
-	tpName  string
+	boxes   []*mailbox // boxes[r] is rank r's receive endpoint
 	stats   []Stats
 	tracer  *trace.Tracer // optional; nil disables span recording
 	faults  *faultState   // optional; nil runs the zero-overhead path
@@ -74,7 +71,11 @@ func (w *World) abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	w.fab.wake()
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	}
 }
 
 // Comm is one rank's handle to the world. It is not safe for concurrent use
@@ -97,8 +98,8 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.world.size }
 
-// Transport returns the name of the backend this world runs on.
-func (c *Comm) Transport() string { return c.world.tpName }
+// Transport returns the name of the rank fabric, always DefaultTransport.
+func (c *Comm) Transport() string { return DefaultTransport }
 
 // Workers returns the per-rank kernel worker count the world was run with
 // (>= 1; 1 means serial kernels).
@@ -168,15 +169,14 @@ func runErr(size int, opts RunOptions, fn func(*Comm) error) error {
 	if tr != nil && tr.NumRanks() != size {
 		return fmt.Errorf("mpi: tracer has %d ranks, world has %d", tr.NumRanks(), size)
 	}
-	tp, err := TransportByName(opts.Transport)
-	if err != nil {
+	if err := CheckTransportEnv(); err != nil {
 		return err
 	}
 	workers, err := ResolveWorkers(opts.Workers)
 	if err != nil {
 		return err
 	}
-	w := &World{size: size, tracer: tr, tpName: tp.Name(), workers: workers}
+	w := &World{size: size, tracer: tr, workers: workers}
 	if opts.Metrics != nil {
 		w.met = newWorldMetrics(opts.Metrics, plan != nil)
 	}
@@ -201,11 +201,9 @@ func runErr(size int, opts RunOptions, fn func(*Comm) error) error {
 			}
 		}()
 	}
-	w.fab = tp.newFabric(w)
-	defer w.fab.close()
-	w.inboxes = make([]inbox, size)
-	for i := range w.inboxes {
-		w.inboxes[i] = w.fab.inbox(i)
+	w.boxes = make([]*mailbox, size)
+	for i := range w.boxes {
+		w.boxes[i] = newMailbox(w)
 	}
 	w.stats = make([]Stats, size)
 	errs := make([]error, size)
@@ -214,7 +212,7 @@ func runErr(size int, opts RunOptions, fn func(*Comm) error) error {
 	wg.Add(size)
 	for r := 0; r < size; r++ {
 		rank := r
-		w.fab.launch(rank, func() {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				p := recover()
@@ -233,15 +231,13 @@ func runErr(size int, opts RunOptions, fn func(*Comm) error) error {
 				w.abort()
 			}()
 			errs[rank] = fn(&Comm{world: w, rank: rank})
-		})
+		}()
 	}
 	wg.Wait()
 	if w.faults != nil {
 		// Join the delayed-delivery timers so no goroutine outlives the
-		// world, drain anything they left in transport buffers, then
-		// publish the fault counters.
+		// world, then publish the fault counters.
 		w.faults.deliveries.Wait()
-		w.fab.flush()
 		w.faults.flushMetrics()
 	}
 	for _, p := range panics {
@@ -264,7 +260,7 @@ type message struct {
 	payload any
 }
 
-// recvSlot is one posted receive. A slot is registered with the inbox at
+// recvSlot is one posted receive. A slot is registered with the mailbox at
 // post time, which fixes its place in the matching order: an arriving
 // message is matched against posted slots in posting order before it is
 // queued. Both blocking Recv and nonblocking Irecv go through slots, so
@@ -277,11 +273,10 @@ type recvSlot struct {
 	msg       message
 }
 
-// mailbox is the channel transport's receive endpoint: the matching
-// engine guarded by a mutex, with a condition variable waking blocked
-// receivers. Sends never block (MPI buffered-send semantics), which rules
-// out the send-send deadlocks that the paper's algorithms avoid by
-// protocol design.
+// mailbox is one rank's receive endpoint: the matching engine guarded by
+// a mutex, with a condition variable waking blocked receivers. Sends never
+// block (MPI buffered-send semantics), which rules out the send-send
+// deadlocks that the paper's algorithms avoid by protocol design.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -306,19 +301,13 @@ func (m *mailbox) put(msg message) {
 }
 
 // putSeq is the fault-layer delivery entry point: seq orders the message
-// on its (source -> this rank) link. Runs on sender goroutines; the
-// channel backend also accepts it from delivery timers (inject).
+// on its (source -> this rank) link. Runs on sender goroutines and on
+// fault-delay timers alike.
 func (m *mailbox) putSeq(msg message, seq uint64, f *faultState) {
 	m.mu.Lock()
 	m.deliverSeq(msg, seq, f)
 	m.mu.Unlock()
 	m.cond.Broadcast()
-}
-
-// inject is putSeq from off-rank producers (fault-delay timers); the
-// mailbox is mutex-guarded, so the entry points coincide.
-func (m *mailbox) inject(msg message, seq uint64, f *faultState) {
-	m.putSeq(msg, seq, f)
 }
 
 // post registers a receive for (from, tag), completing it immediately if
@@ -389,7 +378,7 @@ func (c *Comm) send(to, tag int, payload any) {
 		f.send(c, to, msg)
 		return
 	}
-	c.world.inboxes[to].put(msg)
+	c.world.boxes[to].put(msg)
 }
 
 // Recv blocks until a message with the given tag arrives from rank `from`
@@ -402,7 +391,7 @@ func (c *Comm) Recv(from, tag int) (payload any, source int) {
 }
 
 // recv performs the tag-matched blocking receive and accounts for it: the
-// time blocked in the inbox is the rank's receive-wait (the straggler /
+// time blocked in the mailbox is the rank's receive-wait (the straggler /
 // imbalance signal), recorded both in Stats and — when a tracer is
 // attached — as a wait span attributed to the enclosing phase. A blocking
 // receive is a post + wait on the shared slot machinery, so it is ordered
@@ -412,7 +401,7 @@ func (c *Comm) recv(from, tag int) (any, int) {
 		f.maybeStall(c)
 	}
 	t0 := time.Now()
-	box := c.world.inboxes[c.rank]
+	box := c.world.boxes[c.rank]
 	s := &c.blockSlot
 	*s = recvSlot{}
 	box.post(from, tag, s)

@@ -49,7 +49,7 @@ func (c *Comm) Irecv(from, tag int) *Request {
 		panic("mpi: user tags must be >= 0")
 	}
 	r := &Request{c: c, recv: true, tag: tag, peer: AnySource}
-	c.world.inboxes[c.rank].post(from, tag, &r.slot)
+	c.world.boxes[c.rank].post(from, tag, &r.slot)
 	return r
 }
 
@@ -65,7 +65,7 @@ func (r *Request) Wait() (payload any, source int) {
 		return r.payload, r.peer
 	}
 	t0 := time.Now()
-	msg := r.c.world.inboxes[r.c.rank].wait(&r.slot)
+	msg := r.c.world.boxes[r.c.rank].wait(&r.slot)
 	r.finish(msg, time.Since(t0))
 	return r.payload, r.peer
 }
@@ -77,7 +77,7 @@ func (r *Request) Test() bool {
 	if r.completed {
 		return true
 	}
-	if !r.c.world.inboxes[r.c.rank].poll(&r.slot) {
+	if !r.c.world.boxes[r.c.rank].poll(&r.slot) {
 		return false
 	}
 	r.finish(r.slot.msg, 0)

@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"fmt"
+	"os"
+
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -22,19 +25,32 @@ type RunOptions struct {
 	// metrics.NewSharded(size) so each rank gets its own lane; recording
 	// is a few atomic adds per message, and nil disables it entirely.
 	Metrics *metrics.Registry
-	// Transport names the rank-to-rank fabric backend ("chan", "shm").
-	// Empty selects the process default: the AMR_TRANSPORT environment
-	// variable if set, else "chan". See the Transport interface.
-	Transport string
 	// Workers is the per-rank worker-pool size for the mangll kernel
 	// driver (Mesh.Apply): 1 runs kernels serially on the rank goroutine
 	// (byte-identical to pre-pool builds), N > 1 fans element batches out
 	// to N persistent workers per rank. Zero selects the process default:
 	// the AMR_WORKERS environment variable if set, else 1. Results are
-	// bitwise identical for every worker count. Under the shm transport
-	// the GOMAXPROCS raise covers ranks x workers processors (clamped to
-	// NumCPU).
+	// bitwise identical for every worker count.
 	Workers int
+}
+
+// DefaultTransport names the one rank fabric: goroutine ranks with
+// mutex-guarded mailboxes (DESIGN.md §2 says why there is only one).
+const DefaultTransport = "chan"
+
+// EnvTransport is the environment variable that once selected the rank
+// fabric. Any value other than DefaultTransport is an error, so a setting
+// meant for the removed backend fails loudly instead of being ignored.
+const EnvTransport = "AMR_TRANSPORT"
+
+// CheckTransportEnv rejects an EnvTransport setting that names anything
+// but the one fabric. Every Run checks it; drivers call it up front to
+// fail before any work.
+func CheckTransportEnv() error {
+	if v := os.Getenv(EnvTransport); v != "" && v != DefaultTransport {
+		return fmt.Errorf("mpi: %s=%q: the only rank fabric is %q", EnvTransport, v, DefaultTransport)
+	}
+	return nil
 }
 
 // RunOpt executes fn on size ranks with the given options, panicking on

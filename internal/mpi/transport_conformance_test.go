@@ -5,52 +5,37 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-// This file is the transport conformance suite: every semantic guarantee
-// the runtime documents is pinned here over every registered backend, so
-// a new Transport implementation is correct exactly when this file (plus
-// the cross-backend bitwise tests in internal/advect and internal/seismic)
-// passes. The tests deliberately use only the public API — a backend's
-// internals are free as long as the observable contract holds.
+// This file is the runtime conformance suite: every semantic guarantee
+// the message runtime documents is pinned here, using only the public
+// API, so the mailbox internals are free as long as the observable
+// contract holds.
 
-// forEachTransport runs body as a subtest per registered backend.
-func forEachTransport(t *testing.T, body func(t *testing.T, tp string)) {
+// onFabric runs body as a subtest named after the one rank fabric, the
+// name Comm.Transport() reports.
+func onFabric(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	for _, tp := range Transports() {
-		t.Run(tp, func(t *testing.T) { body(t, tp) })
-	}
+	t.Run(DefaultTransport, body)
 }
 
-// runTP is Run pinned to one backend.
-func runTP(tp string, size int, fn func(*Comm)) {
-	RunOpt(size, RunOptions{Transport: tp}, fn)
-}
-
-// TestConformanceRegistry pins that both production backends are
-// registered and that unknown names fail loudly with the candidates.
+// TestConformanceRegistry pins that the fabric's own name is the only one
+// accepted: an AMR_TRANSPORT naming anything else fails every Run with an
+// error naming the variable, and the fabric reports its name.
 func TestConformanceRegistry(t *testing.T) {
-	names := Transports()
-	want := map[string]bool{"chan": false, "shm": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+	t.Setenv(EnvTransport, "shm") // the removed shared-memory backend
+	err := RunErr(2, func(c *Comm) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), EnvTransport) {
+		t.Fatalf("AMR_TRANSPORT=shm: got %v, want an error naming %s", err, EnvTransport)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("backend %q not registered (have %v)", n, names)
-		}
-	}
-	if _, err := TransportByName("rdma"); err == nil {
-		t.Error("unknown transport name must be rejected")
-	}
-	forEachTransport(t, func(t *testing.T, tp string) {
-		runTP(tp, 3, func(c *Comm) {
-			if c.Transport() != tp {
-				t.Errorf("Comm.Transport() = %q, want %q", c.Transport(), tp)
+	onFabric(t, func(t *testing.T) {
+		t.Setenv(EnvTransport, DefaultTransport)
+		Run(3, func(c *Comm) {
+			if c.Transport() != DefaultTransport {
+				t.Errorf("Comm.Transport() = %q, want %q", c.Transport(), DefaultTransport)
 			}
 		})
 	})
@@ -59,9 +44,9 @@ func TestConformanceRegistry(t *testing.T) {
 // TestConformanceFIFOPerChannel pins the per-(source,tag) FIFO rule: a
 // burst of messages on one channel is received in send order.
 func TestConformanceFIFOPerChannel(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		const n = 500
-		runTP(tp, 2, func(c *Comm) {
+		Run(2, func(c *Comm) {
 			switch c.Rank() {
 			case 0:
 				for i := 0; i < n; i++ {
@@ -85,8 +70,8 @@ func TestConformanceFIFOPerChannel(t *testing.T) {
 // match receives in posting order even when the Irecvs are posted first
 // and waited on last.
 func TestConformanceNonOvertaking(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
-		runTP(tp, 2, func(c *Comm) {
+	onFabric(t, func(t *testing.T) {
+		Run(2, func(c *Comm) {
 			switch c.Rank() {
 			case 0:
 				for i := 0; i < 6; i++ {
@@ -117,9 +102,9 @@ func TestConformanceNonOvertaking(t *testing.T) {
 // TestConformanceAnySource pins wildcard receives: every sender's message
 // is received exactly once, and the reported sources are correct.
 func TestConformanceAnySource(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		const p = 6
-		runTP(tp, p, func(c *Comm) {
+		Run(p, func(c *Comm) {
 			if c.Rank() == 0 {
 				seen := map[int]int{}
 				for i := 0; i < p-1; i++ {
@@ -144,8 +129,8 @@ func TestConformanceAnySource(t *testing.T) {
 // TestConformanceSelfSend pins that a rank can send to itself (the
 // collectives' degenerate P=1 paths rely on loopback working).
 func TestConformanceSelfSend(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
-		runTP(tp, 3, func(c *Comm) {
+	onFabric(t, func(t *testing.T) {
+		Run(3, func(c *Comm) {
 			r := c.Irecv(c.Rank(), 4)
 			c.Send(c.Rank(), 4, c.Rank()+100)
 			v, src := r.Wait()
@@ -157,13 +142,12 @@ func TestConformanceSelfSend(t *testing.T) {
 }
 
 // TestConformanceStatsExactlyOnce pins the accounting contract: across a
-// world, messages sent equals messages received, per tag, on every
-// backend.
+// world, messages sent equals messages received, per tag.
 func TestConformanceStatsExactlyOnce(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		const p = 5
 		stats := make([]Stats, p)
-		runTP(tp, p, func(c *Comm) {
+		Run(p, func(c *Comm) {
 			chaosWorkload(c)
 			stats[c.Rank()] = c.Stats()
 		})
@@ -185,11 +169,11 @@ func TestConformanceStatsExactlyOnce(t *testing.T) {
 }
 
 // TestConformanceCollectives pins correctness of every collective at
-// awkward (non-power-of-two) world sizes on each backend.
+// awkward (non-power-of-two) world sizes.
 func TestConformanceCollectives(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		for _, p := range []int{1, 3, 7} {
-			runTP(tp, p, func(c *Comm) {
+			Run(p, func(c *Comm) {
 				r := c.Rank()
 				if got := AllreduceSum(c, int64(r+1)); got != int64(p*(p+1)/2) {
 					t.Errorf("P=%d AllreduceSum = %d", p, got)
@@ -230,39 +214,15 @@ func TestConformanceCollectives(t *testing.T) {
 	})
 }
 
-// TestConformanceCrossBackendBitwise is the determinism keystone: the
-// full chaos workload — float reductions with order-sensitive values,
-// scans, sparse exchanges, rings — produces bitwise-identical output on
-// every backend. Scheduling may differ; results may not.
-func TestConformanceCrossBackendBitwise(t *testing.T) {
-	for _, p := range []int{2, 5, 8} {
-		var ref []string
-		var refTP string
-		for _, tp := range Transports() {
-			got := make([]string, p)
-			runTP(tp, p, func(c *Comm) { got[c.Rank()] = chaosWorkload(c) })
-			if ref == nil {
-				ref, refTP = got, tp
-				continue
-			}
-			for r := 0; r < p; r++ {
-				if got[r] != ref[r] {
-					t.Errorf("P=%d rank %d: %s diverges from %s\n%s: %.120s\n%s: %.120s",
-						p, r, tp, refTP, tp, got[r], refTP, ref[r])
-				}
-			}
-		}
-	}
-}
-
 // TestConformanceFloatBits drills into the reduction determinism with
-// values chosen so any change of association changes the bits.
+// values chosen so any change of association changes the bits: a chaos
+// plan that delays and reorders every link's traffic must not move a bit.
 func TestConformanceFloatBits(t *testing.T) {
 	const p = 7
 	var ref []uint64
-	for _, tp := range Transports() {
+	for _, plan := range []*FaultPlan{nil, chaosPlan(11)} {
 		bits := make([]uint64, p)
-		runTP(tp, p, func(c *Comm) {
+		RunOpt(p, RunOptions{Plan: plan}, func(c *Comm) {
 			v := math.Ldexp(1+float64(c.Rank()), -c.Rank()) // wildly varying magnitudes
 			s := AllreduceSumFloat(c, v)
 			e := ExScan(c, v, func(a, b float64) float64 { return a + b })
@@ -274,7 +234,7 @@ func TestConformanceFloatBits(t *testing.T) {
 		}
 		for r := range bits {
 			if bits[r] != ref[r] {
-				t.Errorf("rank %d: float bits differ across backends: %x vs %x", r, bits[r], ref[r])
+				t.Errorf("rank %d: float bits differ under chaos: %x vs %x", r, bits[r], ref[r])
 			}
 		}
 	}
@@ -283,9 +243,9 @@ func TestConformanceFloatBits(t *testing.T) {
 // TestConformanceSparseExchange pins the neighbor-exchange pattern used
 // by the ghost layer: arbitrary sparse out-maps, correct in-maps.
 func TestConformanceSparseExchange(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		const p = 6
-		runTP(tp, p, func(c *Comm) {
+		Run(p, func(c *Comm) {
 			r := c.Rank()
 			out := map[int][]int{}
 			for d := 1; d <= 3; d++ {
@@ -319,17 +279,17 @@ func TestConformanceSparseExchange(t *testing.T) {
 }
 
 // TestConformanceChaosBitwise pins that the fault layer composes with
-// every backend: a seeded chaos plan leaves results bitwise-identical to
+// the runtime: a seeded chaos plan leaves results bitwise-identical to
 // the fault-free run, and duplicates are deduped exactly once.
 func TestConformanceChaosBitwise(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		const p = 5
 		base := make([]string, p)
-		runTP(tp, p, func(c *Comm) { base[c.Rank()] = chaosWorkload(c) })
+		Run(p, func(c *Comm) { base[c.Rank()] = chaosWorkload(c) })
 		plan := chaosPlan(42)
 		got := make([]string, p)
 		var comm *Comm
-		RunOpt(p, RunOptions{Transport: tp, Plan: plan}, func(c *Comm) {
+		RunOpt(p, RunOptions{Plan: plan}, func(c *Comm) {
 			got[c.Rank()] = chaosWorkload(c)
 			if c.Rank() == 0 {
 				comm = c
@@ -339,29 +299,29 @@ func TestConformanceChaosBitwise(t *testing.T) {
 		st := comm.FaultStats()
 		for r := 0; r < p; r++ {
 			if got[r] != base[r] {
-				t.Errorf("rank %d: chaos result diverges under %s", r, tp)
+				t.Errorf("rank %d: chaos result diverges", r)
 			}
 		}
 		if st.Drops == 0 && st.Dups == 0 && st.Delays == 0 && st.Reorders == 0 {
-			t.Errorf("chaos plan injected nothing under %s: %+v", tp, st)
+			t.Errorf("chaos plan injected nothing: %+v", st)
 		}
 		if st.Dups != st.Dedups {
-			t.Errorf("%s: dups=%d dedups=%d; duplicate accounting leaked", tp, st.Dups, st.Dedups)
+			t.Errorf("dups=%d dedups=%d; duplicate accounting leaked", st.Dups, st.Dedups)
 		}
 	})
 }
 
 // TestConformanceCrashUnwinds pins that an injected crash surfaces as a
-// *CrashError without deadlocking peers blocked in collectives, on every
-// backend (the wake path is backend-specific).
+// *CrashError without deadlocking peers blocked in collectives: the
+// abort must wake every mailbox.
 func TestConformanceCrashUnwinds(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		plan := chaosPlan(3)
 		plan.CrashRank = 2
 		plan.CrashStep = 2
 		done := make(chan error, 1)
 		go func() {
-			done <- RunErrOpt(4, RunOptions{Transport: tp, Plan: plan}, func(c *Comm) error {
+			done <- RunErrOpt(4, RunOptions{Plan: plan}, func(c *Comm) error {
 				for step := 1; step <= 4; step++ {
 					c.CrashPoint(step)
 					AllreduceSum(c, int64(step))
@@ -378,19 +338,19 @@ func TestConformanceCrashUnwinds(t *testing.T) {
 				t.Fatalf("want crash at rank 2 step 2, got %v", err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("injected crash deadlocked the %s backend", tp)
+			t.Fatal("injected crash deadlocked the world")
 		}
 	})
 }
 
 // TestConformancePanicUnblocksPeers pins panic propagation while peers
-// sit blocked in Recv — the abort must cross the backend's wake path.
+// sit blocked in Recv — the abort must wake every mailbox.
 func TestConformancePanicUnblocksPeers(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		got := make(chan any, 1)
 		go func() {
 			defer func() { got <- recover() }()
-			runTP(tp, 3, func(c *Comm) {
+			Run(3, func(c *Comm) {
 				if c.Rank() == 0 {
 					time.Sleep(5 * time.Millisecond)
 					panic("kaboom")
@@ -404,18 +364,18 @@ func TestConformancePanicUnblocksPeers(t *testing.T) {
 				t.Fatalf("want panic to propagate, got %v", p)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("rank panic deadlocked peers on %s", tp)
+			t.Fatal("rank panic deadlocked peers")
 		}
 	})
 }
 
-// TestConformanceChurn hammers each backend with many short-lived worlds
-// in parallel — the shape that flushes out leaked goroutines, unparked
-// receivers, and GOMAXPROCS refcount bugs (run under -race in CI).
+// TestConformanceChurn hammers the runtime with many short-lived worlds —
+// the shape that flushes out leaked goroutines and unparked receivers
+// (run under -race in CI).
 func TestConformanceChurn(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tp string) {
+	onFabric(t, func(t *testing.T) {
 		for round := 0; round < 8; round++ {
-			runTP(tp, 4, func(c *Comm) {
+			Run(4, func(c *Comm) {
 				for i := 0; i < 5; i++ {
 					AllreduceSum(c, int64(c.Rank()))
 					c.Send((c.Rank()+1)%c.Size(), 8, i)

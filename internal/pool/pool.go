@@ -1,9 +1,8 @@
 // Package pool provides the per-rank worker pool behind mangll's kernel
 // API: a fixed set of persistent goroutines that execute pre-partitioned
 // batches of element work. The pool exists to use cores the rank's own
-// goroutine cannot — the shm transport gives every rank an OS thread, and
-// the pool multiplies that by the per-rank worker count so the volume and
-// face kernels of one rank run on several cores at once.
+// goroutine cannot: it multiplies each rank by the per-rank worker count
+// so the volume and face kernels of one rank run on several cores at once.
 //
 // Determinism is the caller's contract, not the pool's: the pool promises
 // only that every batch index in [0, n) is executed exactly once per job

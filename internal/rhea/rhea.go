@@ -186,6 +186,24 @@ func (m *Model) updateViscosity() {
 	}
 }
 
+// shellSide reports which shell surface p lies on, to the 0.1 % tolerance
+// of the mapped node positions: -1 the core-mantle boundary, +1 the
+// surface, 0 the interior.
+func shellSide(p [3]float64) int {
+	r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
+	switch {
+	case r < rInner*1.001:
+		return -1
+	case r > rOuter*0.999:
+		return 1
+	}
+	return 0
+}
+
+// onShellBoundary is the Stokes operator's Dirichlet predicate: p lies on
+// either shell surface.
+func onShellBoundary(p [3]float64) bool { return shellSide(p) != 0 }
+
 // rebuild refreshes nodes and the Stokes operator after mesh changes. The
 // temperature model is analytic, so fields are re-sampled rather than
 // transferred; the velocity restarts from zero after adaptation (the next
@@ -196,10 +214,7 @@ func (m *Model) rebuild() {
 	m.Op = nil
 	m.X = nil
 	m.updateViscosity()
-	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, func(p [3]float64) bool {
-		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-		return r < rInner*1.001 || r > rOuter*0.999
-	}, m.Met)
+	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
 }
 
 // dataIndicator marks elements for the initial data-adaptive passes:
@@ -276,10 +291,7 @@ func (m *Model) Run() Report {
 	rep := Report{}
 	solve := func() {
 		m.updateViscosity()
-		m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, func(p [3]float64) bool {
-			r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-			return r < rInner*1.001 || r > rOuter*0.999
-		}, m.Met)
+		m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
 		x, iters, _ := m.Op.SolveDirichlet(
 			func(p [3]float64) [3]float64 {
 				r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
@@ -355,11 +367,10 @@ func (m *Model) ThermalEvolve(steps, resolveEvery int, kappa float64) []float64 
 		T[i] = m.Temperature(m.Op.NodePos(i))
 	}
 	bc := func(p [3]float64) (float64, bool) {
-		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-		if r < rInner*1.001 {
+		switch shellSide(p) {
+		case -1:
 			return 1, true // hot core-mantle boundary
-		}
-		if r > rOuter*0.999 {
+		case 1:
 			return 0, true // cold surface
 		}
 		return 0, false
@@ -385,10 +396,7 @@ func (m *Model) ThermalEvolve(steps, resolveEvery int, kappa float64) []float64 
 // (building the operator if needed). Collective.
 func (m *Model) SolveOnce() {
 	m.updateViscosity()
-	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, func(p [3]float64) bool {
-		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-		return r < rInner*1.001 || r > rOuter*0.999
-	}, m.Met)
+	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
 	x, _, _ := m.Op.SolveDirichlet(
 		func(p [3]float64) [3]float64 {
 			r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
@@ -419,10 +427,7 @@ func (m *Model) resolveWithTemperature(T []float64) {
 	}
 	m.Eta = eta
 	// Keep the node table: the mesh is unchanged during thermal stepping.
-	op := stokes.NewOperator(m.F, m.nd, eta, func(p [3]float64) bool {
-		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-		return r < rInner*1.001 || r > rOuter*0.999
-	}, m.Met)
+	op := stokes.NewOperator(m.F, m.nd, eta, onShellBoundary, m.Met)
 	// Buoyancy from the nodal temperature, sampled per element corner
 	// through the hanging constraints.
 	rhs := op.BuildRHSElem(func(e int) (fc [8][3]float64) {

@@ -45,18 +45,18 @@ func BenchmarkHostVsDeviceStep(b *testing.B) {
 }
 
 // BenchmarkSeismicStep measures one RK step of the elastic solver per
-// rank-count, exchange mode, and transport backend, on a uniform periodic
-// brick. "overlap" runs the split-phase ghost exchange with the volume and
-// interior-face kernels between Start and Finish; "blocking" completes the
-// exchange up front (the pre-overlap baseline). The P∈{1,2,4,8} ×
-// transport matrix is the strong-scaling curve for the wave solver. Run
+// rank-count and exchange mode, on a uniform periodic brick. "overlap"
+// runs the split-phase ghost exchange with the volume and interior-face
+// kernels between Start and Finish; "blocking" completes the exchange up
+// front (the pre-overlap baseline). The P∈{1,2,4,8} sweep is the
+// strong-scaling curve for the wave solver. Run
 // with -benchmem: steady-state allocs/op is pinned by the tests and must
 // stay at zero for P=1. The /wN sub-cases add the per-rank kernel worker
 // pool; unsuffixed names ran at one worker.
 func BenchmarkSeismicStep(b *testing.B) {
-	step := func(p, workers int, mode, tp string) func(b *testing.B) {
+	step := func(p, workers int, mode string) func(b *testing.B) {
 		return func(b *testing.B) {
-			mpi.RunOpt(p, mpi.RunOptions{Transport: tp, Workers: workers}, func(c *mpi.Comm) {
+			mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
 				s := overlapSolver(c, mode == "blocking")
 				dt := s.DT()
 				s.Step(dt) // warm up scratch and integrator registers
@@ -72,18 +72,16 @@ func BenchmarkSeismicStep(b *testing.B) {
 			})
 		}
 	}
-	for _, tp := range mpi.Transports() {
-		for _, p := range []int{1, 2, 4, 8} {
-			for _, mode := range []string{"overlap", "blocking"} {
-				b.Run(fmt.Sprintf("P%d/%s/%s", p, mode, tp), step(p, 1, mode, tp))
-			}
+	for _, p := range []int{1, 2, 4, 8} {
+		for _, mode := range []string{"overlap", "blocking"} {
+			b.Run(fmt.Sprintf("P%d/%s", p, mode), step(p, 1, mode))
 		}
-		// The workers axis at fixed P (overlap mode): pool fan-out inside
-		// each rank, compared against the same P at w=1.
-		for _, w := range []int{2, 4} {
-			b.Run(fmt.Sprintf("P1/overlap/%s/w%d", tp, w), step(1, w, "overlap", tp))
-			b.Run(fmt.Sprintf("P4/overlap/%s/w%d", tp, w), step(4, w, "overlap", tp))
-		}
+	}
+	// The workers axis at fixed P (overlap mode): pool fan-out inside each
+	// rank, compared against the same P at w=1.
+	for _, w := range []int{2, 4} {
+		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w, "overlap"))
+		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w, "overlap"))
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 
 // seisWorkersHash runs four steps of the periodic-brick plane wave on the
 // given configuration and returns rank 0's collective state hash.
-func seisWorkersHash(t *testing.T, p, workers int, transport string, noOverlap bool) uint64 {
+func seisWorkersHash(t *testing.T, p, workers int, noOverlap bool) uint64 {
 	t.Helper()
 	var h uint64
-	mpi.RunOpt(p, mpi.RunOptions{Workers: workers, Transport: transport}, func(c *mpi.Comm) {
+	mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
 		s := overlapSolver(c, noOverlap)
 		if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
-			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
+			t.Errorf("w=%d noOverlap=%v: run: %v", workers, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {
 			h = hh
@@ -28,20 +28,18 @@ func seisWorkersHash(t *testing.T, p, workers int, transport string, noOverlap b
 
 // TestWorkersMatrixBitwise is the tentpole acceptance criterion at the
 // elastic-wave frontend: one bitwise state hash across {blocking,
-// overlapped} x workers {1, 2, 4} x every transport, at 1 and 4 ranks.
+// overlapped} x workers {1, 2, 4}, at 1 and 4 ranks.
 func TestWorkersMatrixBitwise(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		want := seisWorkersHash(t, p, 1, "chan", true)
-		for _, tp := range mpi.Transports() {
-			for _, w := range []int{1, 2, 4} {
-				for _, noOverlap := range []bool{false, true} {
-					if tp == "chan" && w == 1 && noOverlap {
-						continue // the reference configuration itself
-					}
-					if got := seisWorkersHash(t, p, w, tp, noOverlap); got != want {
-						t.Errorf("p=%d transport=%s workers=%d noOverlap=%v: hash %#x, want %#x",
-							p, tp, w, noOverlap, got, want)
-					}
+		want := seisWorkersHash(t, p, 1, true)
+		for _, w := range []int{1, 2, 4} {
+			for _, noOverlap := range []bool{false, true} {
+				if w == 1 && noOverlap {
+					continue // the reference configuration itself
+				}
+				if got := seisWorkersHash(t, p, w, noOverlap); got != want {
+					t.Errorf("p=%d workers=%d noOverlap=%v: hash %#x, want %#x",
+						p, w, noOverlap, got, want)
 				}
 			}
 		}

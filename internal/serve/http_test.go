@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,6 +21,23 @@ func newTestServer(t *testing.T, cfg Config) (*Scheduler, *httptest.Server) {
 	ts := httptest.NewServer(NewHandler(s, tel))
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// TestHTTPRejectsTransportField pins that a spec still naming a rank
+// fabric is refused, not silently run on the one fabric there is.
+func TestHTTPRejectsTransportField(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"type":"advect","ranks":2,"steps":2,"transport":"shm"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "transport") {
+		t.Errorf("spec with transport: %d %s, want 400 naming the field", resp.StatusCode, body)
+	}
 }
 
 func TestHTTPJobAPI(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package serve turns the one-shot simulation drivers into a multi-tenant
 // simulation service: a bounded job queue with admission control, a
 // scheduler that runs every accepted job in its own mpi rank world
-// (transport, workers, and rank count per job), periodic checkpoints into
+// (workers and rank count per job), periodic checkpoints into
 // a per-job directory, automatic crash recovery that resumes a job on a
 // *different* rank count (live migration on requeue — the
 // rank-count-independent field checkpoint format makes the restore free),
@@ -45,9 +45,6 @@ type JobSpec struct {
 	Ranks int `json:"ranks,omitempty"`
 	// Workers is the per-rank kernel worker count. Default 1.
 	Workers int `json:"workers,omitempty"`
-	// Transport selects the rank fabric backend; empty uses the process
-	// default ($AMR_TRANSPORT or "chan").
-	Transport string `json:"transport,omitempty"`
 	// Steps is the number of time steps (advect, seismic). Default 4.
 	Steps int `json:"steps,omitempty"`
 	// AdaptEvery is the advect adapt+repartition interval. Default 2.
@@ -178,9 +175,6 @@ func (sp JobSpec) ConfigMap() map[string]string {
 		"degree":    fmt.Sprint(sp.Degree),
 		"level":     fmt.Sprint(sp.Level),
 		"max-level": fmt.Sprint(sp.MaxLevel),
-	}
-	if sp.Transport != "" {
-		m["transport"] = sp.Transport
 	}
 	if sp.Type == TypeAdvect {
 		m["adapt-every"] = fmt.Sprint(sp.AdaptEvery)

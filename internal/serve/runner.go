@@ -69,7 +69,7 @@ func (s *Scheduler) runJob(j *Job) error {
 		return err
 	}
 
-	manifest.Transport = s.transportFor(spec)
+	manifest.Transport = mpi.DefaultTransport
 	manifest.Workers = spec.Workers
 	manifest.Finish(jtel)
 	if err := manifest.WriteFile(filepath.Join(j.Dir, "manifest.json")); err != nil {
@@ -92,14 +92,6 @@ func (sp JobSpec) checkpointBase(dir string) string {
 		return ""
 	}
 	return filepath.Join(dir, "ckpt", sp.Type)
-}
-
-// transportFor resolves the fabric a job's worlds use.
-func (s *Scheduler) transportFor(spec JobSpec) string {
-	if spec.Transport != "" {
-		return spec.Transport
-	}
-	return s.cfg.DefaultTransport
 }
 
 // attempt runs one world of the job: build or resume the solver, step it
@@ -126,8 +118,7 @@ func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int
 	tr := trace.NewRing(ranks, s.cfg.TraceCap)
 	fr := telemetry.NewFlightRecorder(tr, j.Dir)
 	opts := mpi.RunOptions{
-		Tracer: tr, Plan: plan, Metrics: world,
-		Transport: s.transportFor(j.Spec), Workers: j.Spec.Workers,
+		Tracer: tr, Plan: plan, Metrics: world, Workers: j.Spec.Workers,
 	}
 	// err takes the run's outcome; the recorder only learns whether to dump.
 	_ = fr.Guard(func() error {

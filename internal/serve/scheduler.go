@@ -31,8 +31,6 @@ type Config struct {
 	// TraceCap is the per-rank ring-trace capacity for each job's flight
 	// recorder. Default 2048 spans.
 	TraceCap int
-	// DefaultTransport overrides the fabric for jobs that don't name one.
-	DefaultTransport string
 }
 
 func (c Config) withDefaults() (Config, error) {

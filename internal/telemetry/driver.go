@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -32,8 +31,6 @@ type Driver struct {
 
 	addr         string
 	manifestPath string
-	transport    string
-	resolvedTP   string
 	workers      int
 	resolvedW    int
 	world        *metrics.Registry
@@ -48,17 +45,10 @@ func NewDriver(command string) *Driver {
 		"serve live /metrics, /metrics.json, /healthz and /debug/pprof on this address (e.g. :9600, or 127.0.0.1:0 for an ephemeral port)")
 	flag.StringVar(&d.manifestPath, "manifest", "",
 		"write a per-run JSON manifest (config, phase summaries, fault stats) to this path at exit")
-	flag.StringVar(&d.transport, "transport", "",
-		"rank fabric backend ("+strings.Join(mpi.Transports(), "|")+
-			"); empty uses $"+mpi.EnvTransport+" if set, else "+mpi.DefaultTransport)
 	flag.IntVar(&d.workers, "workers", 0,
 		"kernel worker threads per rank; 0 uses $"+mpi.EnvWorkers+" if set, else 1")
 	return d
 }
-
-// Transport returns the resolved fabric backend name for the run. Valid
-// only after Start.
-func (d *Driver) Transport() string { return d.resolvedTP }
 
 // Workers returns the resolved per-rank kernel worker count. Valid only
 // after Start.
@@ -70,15 +60,11 @@ func (d *Driver) Enabled() bool { return d.addr != "" || d.manifestPath != "" }
 // Start brings up the HTTP endpoint (if -telemetry was given) and the
 // manifest (if -manifest was given). Call once, after flag.Parse.
 func (d *Driver) Start() error {
-	// Resolve the fabric backend first so a typo in -transport (or in
-	// AMR_TRANSPORT) fails before any work, telemetry on or off.
-	tp, err := mpi.TransportByName(d.transport)
-	if err != nil {
+	// A stale AMR_TRANSPORT or a bad -workers (or AMR_WORKERS) fails here,
+	// before any work, telemetry on or off.
+	if err := mpi.CheckTransportEnv(); err != nil {
 		return err
 	}
-	d.resolvedTP = tp.Name()
-	// Same for the worker count: a bad -workers (or AMR_WORKERS) fails
-	// here, not after the mesh is built.
 	w, err := mpi.ResolveWorkers(d.workers)
 	if err != nil {
 		return err
@@ -90,7 +76,7 @@ func (d *Driver) Start() error {
 	d.Server = NewServer()
 	if d.manifestPath != "" {
 		d.manifest = NewManifest(d.Command)
-		d.manifest.Transport = d.resolvedTP
+		d.manifest.Transport = mpi.DefaultTransport
 		d.manifest.Workers = d.resolvedW
 	}
 	if d.addr != "" {

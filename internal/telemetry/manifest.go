@@ -24,8 +24,8 @@ type Manifest struct {
 	EndTime     time.Time         `json:"end_time"`
 	WallSeconds float64           `json:"wall_seconds"`
 	Ranks       int               `json:"ranks"`
-	// Transport records the resolved rank-fabric backend the run used —
-	// scaling numbers are meaningless without it.
+	// Transport records the rank fabric the run used (always
+	// mpi.DefaultTransport; kept so the manifest format is stable).
 	Transport string `json:"transport,omitempty"`
 	// Workers records the resolved per-rank kernel worker count, the other
 	// half of the run's parallel configuration.

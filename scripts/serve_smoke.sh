@@ -33,22 +33,33 @@ echo "serve endpoint: $addr"
 grep -q '"jobs_per_sec"' "$workdir/load.json" || { echo "load.json lacks throughput"; exit 1; }
 echo "ok: loadgen"
 
+# fetch runs curl with the given arguments and leaves the response in
+# $body. Bodies are captured whole and grepped afterwards: piping curl into
+# `grep -q` lets grep exit at the first match, and under pipefail curl's
+# broken-pipe exit 23 would then fail a check that actually passed.
+fetch() {
+    local rc=0
+    body=$(curl -sf "$@") || rc=$?
+    [ "$rc" -eq 0 ] || { echo "curl $* failed: exit $rc"; exit 1; }
+}
+
 # A single job end to end over the raw API: submit, follow SSE to the
 # terminal event, fetch an artifact.
-job=$(curl -sf "http://$addr/jobs" -d '{"type":"advect","ranks":2,"steps":3,"vtk_every":3,"tag":"smoke"}')
-id=$(echo "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-[ -n "$id" ] || { echo "submit returned no id: $job"; exit 1; }
-curl -sfN --max-time 120 "http://$addr/jobs/$id/events" | grep -q '"state":"done"' \
-    || { echo "job $id never reached done"; exit 1; }
-curl -sf "http://$addr/jobs/$id/files/manifest.json" | grep -q '"command": "serve/advect"' \
-    || { echo "job manifest missing"; exit 1; }
+fetch "http://$addr/jobs" -d '{"type":"advect","ranks":2,"steps":3,"vtk_every":3,"tag":"smoke"}'
+id=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' <<<"$body")
+[ -n "$id" ] || { echo "submit returned no id: $body"; exit 1; }
+fetch -N --max-time 120 "http://$addr/jobs/$id/events"
+grep -q '"state":"done"' <<<"$body" || { echo "job $id never reached done"; exit 1; }
+fetch "http://$addr/jobs/$id/files/manifest.json"
+grep -q '"command": "serve/advect"' <<<"$body" || { echo "job manifest missing: $body"; exit 1; }
 echo "ok: job $id done, manifest served"
 
-metrics=$(curl -sf "http://$addr/metrics")
+fetch "http://$addr/metrics"
+metrics=$body
 check() {
-    if ! echo "$metrics" | grep -q "$1"; then
+    if ! grep -q "$1" <<<"$metrics"; then
         echo "MISSING from /metrics: $1"
-        echo "$metrics" | head -40
+        head -40 <<<"$metrics"
         exit 1
     fi
     echo "ok: $1"
@@ -57,7 +68,8 @@ check 'amr_jobs_submitted_total'
 check 'amr_jobs_completed_total'
 check 'amr_job_queue_wait_seconds{quantile='
 check 'amr_job_latency_seconds{quantile='
-curl -sf "http://$addr/healthz" | grep -q '"status": "ok"' || { echo "healthz not ok"; exit 1; }
+fetch "http://$addr/healthz"
+grep -q '"status": "ok"' <<<"$body" || { echo "healthz not ok: $body"; exit 1; }
 echo "ok: /healthz"
 
 # Graceful shutdown: SIGTERM drains in-flight work and exits 0.
