@@ -3,9 +3,8 @@
 # so plain `go test` is not enough). CI runs `make verify`.
 
 GO ?= go
-PR ?= 10
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-record bench-pair fig4 fig4-highp chaos telemetry-smoke serve-smoke loc
+.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig4-highp chaos telemetry-smoke serve-smoke loc
 
 verify: vet build test-race
 
@@ -23,8 +22,10 @@ test:
 test-race:
 	$(GO) test -race -timeout 5m ./...
 
+# The repository benchmark (BENCHMARK.json + bench/): every workload once,
+# one JSON record per line on stdout.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./bench -all
 
 # One iteration of every collective benchmark case plus the solver step
 # benchmarks and the advection kernel's two hooks: catches deadlocks or
@@ -38,16 +39,6 @@ bench-smoke:
 	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
-
-# Archive the solver step benchmarks (ns/op, B/op, allocs/op) plus the
-# core Balance/Ghost high-P benchmarks as BENCH_$(PR).json for cross-PR
-# comparison. The Telemetry variant rides along so the telemetry-on
-# overhead is part of the archived record.
-bench-record:
-	{ $(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step' -benchtime=10x -benchmem -timeout 10m ./internal/advect/ ./internal/seismic/ ; \
-	  $(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$' -benchtime=5x -timeout 10m ./internal/core/ ; \
-	  $(GO) test -run '^$$' -bench='^BenchmarkServeLoadgen$$' -benchtime=1x -timeout 10m ./internal/serve/ ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_$(PR).json
 
 # Paired before/after runs of the repository benchmark (./bench), the
 # protocol every performance claim follows: BASE (a commit) against the
@@ -63,7 +54,8 @@ bench-pair:
 
 # Live-endpoint smoke: run cmd/advect with -telemetry, scrape /metrics and
 # /healthz mid-run, and assert the key series (per-phase quantiles, mpi
-# counters, rank health) are present; then check manifest + benchjson.
+# counters, rank health) are present; then check that the exit-time
+# manifest summarises the traced phases.
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 

@@ -11,8 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime/pprof"
 
 	"repro/cmd/internal/cli"
 	"repro/cmd/internal/robust"
@@ -20,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -30,8 +27,6 @@ func main() {
 	degree := flag.Int("degree", 3, "polynomial degree (paper: 3, tricubic)")
 	level := flag.Int("level", 2, "initial refinement level")
 	maxLevel := flag.Int("max-level", 4, "finest refinement level")
-	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
-	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("advect")
 	rb := robust.Register()
 	flag.Parse()
@@ -43,20 +38,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tel.Finish()
-
-	if *profilePath != "" {
-		pf, err := os.Create(*profilePath)
-		if err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
-	}
 
 	opts := advect.DefaultOptions()
 	opts.Degree = *degree
@@ -75,15 +56,10 @@ func main() {
 	fmt.Printf("%8s %10s %12s %10s %10s %8s %12s %10s\n",
 		"ranks", "elements", "unknowns", "amr(s)", "integ(s)", "amr%", "s/step/elem", "shipped%")
 	var base float64
-	var tr *trace.Tracer
 	for _, p := range rankList {
-		tr = nil
-		if *tracePath != "" {
-			tr = trace.New(p) // keep the last rank count's trace
-		}
-		world, runTr := tel.BeginRun(p, tr)
-		row := experiments.RunFig5Obs(p, opts, *steps, *adaptEvery,
-			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
+		world, tr := tel.BeginRun(p, nil)
+		row := experiments.RunFig5(p, opts, *steps, *adaptEvery,
+			experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
 		fmt.Printf("%8d %10d %12d %10.3f %10.3f %8.2f %12.3e %10.1f\n",
 			row.Ranks, row.Elements, row.Unknowns, row.AMRSec, row.IntegSec,
 			row.AMRPercent, row.NormPerStep, row.ShippedPct)
@@ -93,14 +69,5 @@ func main() {
 			fmt.Printf("%8s end-to-end parallel efficiency vs base: %.1f%%\n", "",
 				100*base/row.NormPerStep)
 		}
-	}
-	if tr != nil {
-		fmt.Println()
-		fmt.Println("Trace report of the last run (solve/adapt split, imbalance, recv-wait):")
-		tr.WriteReport(os.Stdout)
-		if err := tr.WriteChromeTraceFile(*tracePath); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *tracePath)
 	}
 }

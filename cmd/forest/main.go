@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"os"
-	"runtime/pprof"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/octant"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/vtk"
 )
 
@@ -51,8 +48,6 @@ func main() {
 	vtkPath := flag.String("vtk", "", "write the gathered mesh to this VTK file")
 	savePath := flag.String("save", "", "checkpoint the forest to this file")
 	loadPath := flag.String("load", "", "restore the forest from a checkpoint instead of building it")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run here")
-	profilePath := flag.String("profile", "", "write a CPU profile (pprof) here")
 	tel := telemetry.NewDriver("forest")
 	flag.Parse()
 	if err := tel.Start(); err != nil {
@@ -60,27 +55,10 @@ func main() {
 	}
 	defer tel.Finish()
 
-	if *profilePath != "" {
-		pf, err := os.Create(*profilePath)
-		if err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
-	}
-	var tr *trace.Tracer
-	if *tracePath != "" {
-		tr = trace.New(*ranks)
-	}
-	world, runTr := tel.BeginRun(*ranks, tr)
+	world, tr := tel.BeginRun(*ranks, nil)
 
 	conn := buildConn(*config)
-	mpi.RunOpt(*ranks, mpi.RunOptions{Tracer: runTr, Metrics: world, Workers: tel.Workers()}, func(c *mpi.Comm) {
+	mpi.RunOpt(*ranks, mpi.RunOptions{Tracer: tr, Metrics: world, Workers: tel.Workers()}, func(c *mpi.Comm) {
 		var f *core.Forest
 		if *loadPath != "" {
 			var err error
@@ -149,13 +127,4 @@ func main() {
 			}
 		}
 	})
-	if tr != nil {
-		fmt.Println()
-		fmt.Println("Trace report (per-phase imbalance and recv-wait share):")
-		tr.WriteReport(os.Stdout)
-		if err := tr.WriteChromeTraceFile(*tracePath); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *tracePath)
-	}
 }

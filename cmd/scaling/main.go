@@ -7,7 +7,7 @@
 // Every run is traced through internal/trace, so alongside the paper's
 // timing table the report shows each phase's cross-rank imbalance
 // (max/avg) and the share of the phase spent blocked in receives. With
-// -trace the largest run's full span timeline is written as Chrome
+// -trace the last run's full span timeline is written as Chrome
 // trace-event JSON (one track per rank; open in Perfetto).
 //
 //	go run ./cmd/scaling -base-level 1 -steps 3
@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime/pprof"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/experiments"
@@ -45,28 +43,12 @@ func main() {
 	baseRanks := flag.Int("base-ranks", 1, "rank count of the smallest run")
 	steps := flag.Int("steps", 3, "number of 8x weak-scaling steps")
 	rankList := flag.String("ranks", "", "comma-separated rank counts to sweep at fixed -base-level (overrides -base-ranks/-steps)")
-	tracePath := flag.String("trace", "", "write the largest run's Chrome trace-event JSON here")
-	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("scaling")
 	flag.Parse()
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
 	}
 	defer tel.Finish()
-
-	if *profilePath != "" {
-		f, err := os.Create(*profilePath)
-		if err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
 
 	fmt.Println("Figure 4: weak scaling of forest-of-octrees AMR algorithms")
 	fmt.Println("(six-octree forest, fractal refinement of children 0,3,5,6)")
@@ -103,14 +85,12 @@ func main() {
 	}
 
 	var rows []experiments.Fig4Row
-	var lastTracer *trace.Tracer
 	for _, spec := range specs {
 		ranks, level := spec.ranks, spec.level
-		tr := trace.New(ranks)
-		world, runTr := tel.BeginRun(ranks, tr)
-		row := experiments.RunFig4Obs(ranks, level,
-			experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
-		lastTracer = tr
+		// Every run is traced: the imbalance and recv-wait columns need it.
+		world, tr := tel.BeginRun(ranks, trace.New(ranks))
+		row := experiments.RunFig4(ranks, level,
+			experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
 		rows = append(rows, row)
 		fmt.Printf("%8d %7d %12d %10.0f | %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f | %12.3f %12.3f\n",
 			row.Ranks, row.Level, row.Octants, row.PerRank*1e6,
@@ -157,17 +137,5 @@ func main() {
 			continue
 		}
 		fmt.Printf("  ranks %6d: %5.1f%%\n", r.Ranks, 100*base/cur)
-	}
-
-	if lastTracer != nil {
-		fmt.Println()
-		fmt.Printf("Trace report of the largest run (%d ranks):\n", rows[len(rows)-1].Ranks)
-		lastTracer.WriteReport(os.Stdout)
-		if *tracePath != "" {
-			if err := lastTracer.WriteChromeTraceFile(*tracePath); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-			fmt.Printf("\nwrote Chrome trace to %s (open in ui.perfetto.dev)\n", *tracePath)
-		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime/pprof"
 
 	"repro/cmd/internal/cli"
 	"repro/cmd/internal/robust"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/seismic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -32,8 +30,6 @@ func main() {
 	freq := flag.Float64("freq", 0.002, "source frequency in Hz (paper: 0.28)")
 	steps := flag.Int("steps", 5, "time steps to average over")
 	maxLevel := flag.Int("max-level", 4, "finest refinement level")
-	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
-	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("seismic")
 	rb := robust.Register()
 	flag.Parse()
@@ -49,20 +45,6 @@ func main() {
 	}
 	defer tel.Finish()
 
-	if *profilePath != "" {
-		pf, err := os.Create(*profilePath)
-		if err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
-	}
-
 	opts := seismic.DefaultOptions()
 	opts.Degree = *degree
 	opts.FreqHz = *freq
@@ -77,16 +59,9 @@ func main() {
 		return
 	}
 
-	// One tracer per run; the last run's trace is reported and written out.
-	var lastTracer *trace.Tracer
 	obsFor := func(p int) experiments.Obs {
-		var tr *trace.Tracer
-		if *tracePath != "" {
-			tr = trace.New(p)
-			lastTracer = tr
-		}
-		world, runTr := tel.BeginRun(p, tr)
-		return experiments.Obs{Tracer: runTr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()}
+		world, tr := tel.BeginRun(p, nil)
+		return experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()}
 	}
 
 	if *strong {
@@ -95,7 +70,7 @@ func main() {
 			"ranks", "elements", "unknowns", "meshing(s)", "waveprop(s/st)", "par-eff", "GFlop/s")
 		var base experiments.Fig9Row
 		for i, p := range rankList {
-			row := experiments.RunFig9Obs(p, opts, *steps, obsFor(p))
+			row := experiments.RunFig9(p, opts, *steps, obsFor(p))
 			if i == 0 {
 				base = row
 				row.ParEff = 1
@@ -122,7 +97,7 @@ func main() {
 			// meshing frequency (elements scale roughly with freq^3).
 			o := opts
 			o.FreqHz = opts.FreqHz * math.Cbrt(float64(p))
-			row := experiments.RunFig10Obs(p, o, *steps, obsFor(p))
+			row := experiments.RunFig10(p, o, *steps, obsFor(p))
 			if i == 0 {
 				base = row
 				row.ParEff = 1
@@ -134,15 +109,5 @@ func main() {
 				row.WaveUsPerElt, row.ParEff, row.GFlops)
 		}
 		fmt.Println("(paper, 8->256 GPUs: par eff 1.000-0.997; transfer amortized over many steps)")
-	}
-
-	if lastTracer != nil {
-		fmt.Println()
-		fmt.Println("Trace report of the last run (meshing/waveprop split, imbalance, recv-wait):")
-		lastTracer.WriteReport(os.Stdout)
-		if err := lastTracer.WriteChromeTraceFile(*tracePath); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *tracePath)
 	}
 }

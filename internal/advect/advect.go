@@ -158,12 +158,12 @@ func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	vel func(x, y, z float64) (float64, float64, float64),
 	ic func(x, y, z float64) float64) *Solver {
 	s := newSolver(comm, conn, opts, vel, ic)
-	stop := s.Met.Start("amr")
+	t0 := time.Now()
 	s.F = core.New(comm, conn, opts.Level)
 	s.F.Balance(core.BalanceFull)
 	s.F.Partition()
 	s.rebuild()
-	stop()
+	s.Met.Histogram("amr", metrics.UnitDuration).Since(t0)
 	s.project(s.InitialCondition)
 	// Resolve the initial fronts before starting, re-sampling the initial
 	// condition on each refined mesh.

@@ -28,10 +28,8 @@ func benchOpts() Options {
 // allocs/op is pinned by the tests and must stay at zero for P=1. The
 // bndfrac metric is the fraction of local elements touching a partition
 // boundary — the share of face work that cannot overlap with
-// communication. The /wN sub-cases add the per-rank kernel worker pool
-// (benchjson splits the component into its first-class workers field);
-// unsuffixed names ran at one worker, keeping benchstat continuity with
-// pre-pool archives.
+// communication. The /wN sub-cases add the per-rank kernel worker pool;
+// unsuffixed names run at one worker.
 func BenchmarkAdvectStep(b *testing.B) {
 	step := func(p, workers int, mode string) func(b *testing.B) {
 		return func(b *testing.B) {

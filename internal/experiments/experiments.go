@@ -1,10 +1,9 @@
 // Package experiments drives the reproductions of every table and figure
-// in the paper's evaluation (Figures 4, 5, 7, 9, 10). The cmd tools print
-// the tables; the repository-level benchmarks report the same quantities
-// as benchmark metrics. Core counts are emulated by goroutine ranks of the
-// in-process message-passing runtime (see DESIGN.md for the substitution
-// rationale); the reported *shapes* — who dominates, normalized costs,
-// parallel efficiencies — are the reproduction targets.
+// in the paper's evaluation (Figures 4, 5, 7, 9, 10), one runner per
+// figure; the cmd tools print the tables. Core counts are emulated by
+// goroutine ranks of the in-process message-passing runtime (see DESIGN.md
+// for the substitution rationale); the reported *shapes* — who dominates,
+// normalized costs, parallel efficiencies — are the reproduction targets.
 //
 // Efficiency semantics on a serialized host: the rank goroutines share the
 // machine's physical cores, so wall-clock speedup with rank count is not
@@ -148,20 +147,10 @@ func timedPhase(c *mpi.Comm, fn func()) float64 {
 // RunFig4 executes the six-octree fractal workload on the given rank count
 // with the given base refinement level (the paper multiplies the rank
 // count by eight for each level increment to keep octants per rank
-// constant).
-func RunFig4(ranks int, level int8) Fig4Row {
-	return RunFig4Traced(ranks, level, nil)
-}
-
-// RunFig4Traced is RunFig4 with an optional tracer (created with
-// trace.New(ranks)): the run's spans land in tr, and the returned row's
-// PhaseImb/PhaseWait columns are filled from the trace aggregation.
-func RunFig4Traced(ranks int, level int8, tr *trace.Tracer) Fig4Row {
-	return RunFig4Obs(ranks, level, Obs{Tracer: tr})
-}
-
-// RunFig4Obs is RunFig4 with full observability hooks.
-func RunFig4Obs(ranks int, level int8, obs Obs) Fig4Row {
+// constant). With a tracer in obs (created with trace.New(ranks)) the
+// returned row's PhaseImb/PhaseWait columns are filled from the trace
+// aggregation.
+func RunFig4(ranks int, level int8, obs Obs) Fig4Row {
 	tr := obs.Tracer
 	var row Fig4Row
 	conn := connectivity.SixRotCubes()
@@ -234,19 +223,9 @@ type Fig5Row struct {
 }
 
 // RunFig5 runs the dG advection benchmark: nsteps steps with adaptation
-// and repartitioning every adaptEvery steps (the paper uses 32).
-func RunFig5(ranks int, opts advect.Options, nsteps, adaptEvery int) Fig5Row {
-	return RunFig5Traced(ranks, opts, nsteps, adaptEvery, nil)
-}
-
-// RunFig5Traced is RunFig5 with an optional tracer recording the
-// per-timestep solve/adapt split and the AMR sub-phases.
-func RunFig5Traced(ranks int, opts advect.Options, nsteps, adaptEvery int, tr *trace.Tracer) Fig5Row {
-	return RunFig5Obs(ranks, opts, nsteps, adaptEvery, Obs{Tracer: tr})
-}
-
-// RunFig5Obs is RunFig5 with full observability hooks.
-func RunFig5Obs(ranks int, opts advect.Options, nsteps, adaptEvery int, obs Obs) Fig5Row {
+// and repartitioning every adaptEvery steps (the paper uses 32). A tracer
+// in obs records the per-timestep solve/adapt split and the AMR sub-phases.
+func RunFig5(ranks int, opts advect.Options, nsteps, adaptEvery int, obs Obs) Fig5Row {
 	var row Fig5Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		s := advect.NewShell(c, opts)
@@ -325,15 +304,10 @@ type Fig9Row struct {
 }
 
 // RunFig9 builds the wavelength-adapted earth mesh and times both the
-// parallel mesh generation and the wave-propagation time step.
-func RunFig9(ranks int, opts seismic.Options, steps int) Fig9Row {
-	return RunFig9Obs(ranks, opts, steps, Obs{})
-}
-
-// RunFig9Obs is RunFig9 with observability hooks: meshing and wave
-// propagation run under spans, and each rank's solver registry is handed
-// to OnRank.
-func RunFig9Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig9Row {
+// parallel mesh generation and the wave-propagation time step. Meshing and
+// wave propagation run under spans, and each rank's solver registry is
+// handed to obs.OnRank.
+func RunFig9(ranks int, opts seismic.Options, steps int, obs Obs) Fig9Row {
 	var row Fig9Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		s, meshing := meshEarth(c, opts, obs)
@@ -389,13 +363,9 @@ type Fig10Row struct {
 // RunFig10 runs the device backend: host meshing, timed host-to-device
 // transfer, and single-precision wave propagation, reporting the paper's
 // normalized microseconds per time step per average elements per device.
-func RunFig10(ranks int, opts seismic.Options, steps int) Fig10Row {
-	return RunFig10Obs(ranks, opts, steps, Obs{})
-}
-
-// RunFig10Obs is RunFig10 with observability hooks; spans cover meshing,
-// the host-to-device transfer, and the device wave propagation.
-func RunFig10Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
+// Spans cover meshing, the host-to-device transfer, and the device wave
+// propagation.
+func RunFig10(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
 	var row Fig10Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		s, meshing := meshEarth(c, opts, obs)

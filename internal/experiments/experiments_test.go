@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunFig4ShapeMatchesPaper(t *testing.T) {
-	row := RunFig4(2, 1)
+	row := RunFig4(2, 1, Obs{})
 	if row.Octants == 0 {
 		t.Fatal("no octants")
 	}
@@ -34,7 +34,7 @@ func TestRunFig5Sane(t *testing.T) {
 	opts := advect.DefaultOptions()
 	opts.Level = 1
 	opts.MaxLevel = 2
-	row := RunFig5(2, opts, 4, 2)
+	row := RunFig5(2, opts, 4, 2, Obs{})
 	if row.Elements == 0 || row.Unknowns == 0 {
 		t.Fatalf("empty: %+v", row)
 	}
@@ -71,11 +71,11 @@ func TestRunFig9And10Sane(t *testing.T) {
 	opts.Degree = 2
 	opts.MaxLevel = 2
 	opts.FreqHz = 0.0008
-	r9 := RunFig9(2, opts, 2)
+	r9 := RunFig9(2, opts, 2, Obs{})
 	if r9.Elements == 0 || r9.MeshingSec <= 0 || r9.WavePerStep <= 0 || r9.GFlops <= 0 {
 		t.Fatalf("fig9: %+v", r9)
 	}
-	r10 := RunFig10(2, opts, 2)
+	r10 := RunFig10(2, opts, 2, Obs{})
 	if r10.Elements == 0 || r10.TransferSec < 0 || r10.WaveUsPerElt <= 0 {
 		t.Fatalf("fig10: %+v", r10)
 	}

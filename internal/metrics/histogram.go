@@ -126,6 +126,10 @@ func (h *Histogram) ObserveShard(s int, v int64) { h.shard(s).record(v) }
 // ObserveDuration records a duration (stored as nanoseconds) into lane 0.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
+// Since records the time elapsed since t0 into lane 0;
+// `defer h.Since(time.Now())` times the rest of the enclosing function.
+func (h *Histogram) Since(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }
+
 // ObserveDurationShard records a duration into lane s.
 func (h *Histogram) ObserveDurationShard(s int, d time.Duration) {
 	h.ObserveShard(s, int64(d))

@@ -131,11 +131,12 @@ func TestEmptySnapshot(t *testing.T) {
 }
 
 func TestLegacyTimerIsHistogram(t *testing.T) {
-	// AddDuration observations land in the same instrument that the typed
-	// accessor returns, so legacy call sites gain quantiles for free.
+	// A timer is a duration histogram: observations through one handle
+	// land in the instrument a second lookup returns, and the name-based
+	// Total reads its exact sum.
 	r := NewRegistry()
-	r.AddDuration("exchange", 2*time.Millisecond)
-	r.AddDuration("exchange", 4*time.Millisecond)
+	r.Histogram("exchange", UnitDuration).ObserveDuration(2 * time.Millisecond)
+	r.Histogram("exchange", UnitDuration).ObserveDuration(4 * time.Millisecond)
 	h := r.Histogram("exchange", UnitDuration)
 	if h.Count() != 2 {
 		t.Fatalf("count = %d", h.Count())
@@ -163,8 +164,8 @@ func TestObserveAllocFree(t *testing.T) {
 	}
 	// Registry lookup of an existing instrument is also alloc-free.
 	if n := testing.AllocsPerRun(100, func() {
-		r.AddDuration("hot", time.Microsecond)
+		r.Histogram("hot", UnitDuration).Since(time.Now())
 	}); n != 0 {
-		t.Fatalf("AddDuration on existing timer allocated %v allocs/op", n)
+		t.Fatalf("lookup + Since on existing timer allocated %v allocs/op", n)
 	}
 }

@@ -10,12 +10,8 @@
 // atomic adds — no locks, no allocation — so the solver step stays at zero
 // allocations with telemetry enabled. Instruments are sharded: a registry
 // created with NewSharded(p) gives every rank its own lane, written
-// independently and merged only at snapshot time.
-//
-// The timer/counter API of the original registry (Start, AddDuration,
-// AddCount, Total, Count, Snapshot, ...) is preserved on top of the typed
-// instruments: a legacy timer is a duration histogram, so existing call
-// sites transparently gain p50/p95/p99 distributions.
+// independently and merged only at snapshot time. Total and Count read an
+// instrument by name without creating it.
 package metrics
 
 import (
@@ -194,36 +190,7 @@ func (r *Registry) Histograms() []*Histogram {
 	return out
 }
 
-// --- legacy timer/counter API -------------------------------------------
-//
-// Timers are duration histograms; Total reads the histogram's exact sum,
-// so accumulation semantics are unchanged from the map-based registry.
-
-// Start begins timing `name` and returns the stop function.
-func (r *Registry) Start(name string) func() {
-	h := r.Histogram(name, UnitDuration)
-	t0 := time.Now()
-	return func() { h.ObserveDuration(time.Since(t0)) }
-}
-
-// StartAdd times fn under `name`.
-func (r *Registry) StartAdd(name string, fn func()) {
-	stop := r.Start(name)
-	fn()
-	stop()
-}
-
-// AddDuration adds one observation of d to timer `name`.
-func (r *Registry) AddDuration(name string, d time.Duration) {
-	r.Histogram(name, UnitDuration).ObserveDuration(d)
-}
-
-// AddCount adds n to counter `name`.
-func (r *Registry) AddCount(name string, n int64) {
-	r.Counter(name).Add(n)
-}
-
-// Total returns the accumulated duration of timer `name` (0 if it never
+// Total returns the exact sum of duration histogram `name` (0 if it never
 // recorded; the read does not create the instrument).
 func (r *Registry) Total(name string) time.Duration {
 	r.mu.RLock()
@@ -244,51 +211,6 @@ func (r *Registry) Count(name string) int64 {
 		return 0
 	}
 	return c.Value()
-}
-
-// Names returns all timer (duration histogram) names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.hists))
-	for n, h := range r.hists {
-		if h.unit == UnitDuration {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CounterNames returns all counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns independent copies of the timer totals and counter
-// values. Recording may continue concurrently; each value is read
-// atomically.
-func (r *Registry) Snapshot() (timers map[string]time.Duration, counts map[string]int64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	timers = make(map[string]time.Duration, len(r.hists))
-	for n, h := range r.hists {
-		if h.unit == UnitDuration {
-			timers[n] = time.Duration(h.Sum())
-		}
-	}
-	counts = make(map[string]int64, len(r.counters))
-	for n, c := range r.counters {
-		counts[n] = c.Value()
-	}
-	return timers, counts
 }
 
 // Reset zeroes every instrument in place. Handles resolved before the

@@ -8,12 +8,16 @@ import (
 
 func TestTimersAccumulate(t *testing.T) {
 	r := NewRegistry()
-	stop := r.Start("a")
+	h := r.Histogram("a", UnitDuration)
+	t0 := time.Now()
 	time.Sleep(2 * time.Millisecond)
-	stop()
-	r.StartAdd("a", func() { time.Sleep(2 * time.Millisecond) })
-	if r.Total("a") < 4*time.Millisecond {
-		t.Fatalf("total = %v", r.Total("a"))
+	h.Since(t0)
+	func() {
+		defer h.Since(time.Now())
+		time.Sleep(2 * time.Millisecond)
+	}()
+	if h.Count() != 2 || r.Total("a") < 4*time.Millisecond {
+		t.Fatalf("count = %d, total = %v", h.Count(), r.Total("a"))
 	}
 	if r.Total("missing") != 0 {
 		t.Fatal("missing timer nonzero")
@@ -22,52 +26,14 @@ func TestTimersAccumulate(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	r := NewRegistry()
-	r.AddCount("x", 3)
-	r.AddCount("x", 4)
+	r.Counter("x").Add(3)
+	r.Counter("x").Add(4)
 	if r.Count("x") != 7 {
 		t.Fatalf("count = %d", r.Count("x"))
 	}
 	r.Reset()
 	if r.Count("x") != 0 || r.Total("a") != 0 {
 		t.Fatal("reset failed")
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.AddDuration("b", time.Second)
-	r.AddDuration("a", time.Second)
-	r.AddDuration("c", time.Second)
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestCounterNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.AddCount("shipped", 1)
-	r.AddCount("coarsened", 2)
-	r.AddDuration("timer-only", time.Second)
-	names := r.CounterNames()
-	if len(names) != 2 || names[0] != "coarsened" || names[1] != "shipped" {
-		t.Fatalf("counter names = %v", names)
-	}
-}
-
-func TestSnapshotConsistentCopies(t *testing.T) {
-	r := NewRegistry()
-	r.AddDuration("t", time.Second)
-	r.AddCount("c", 5)
-	timers, counts := r.Snapshot()
-	if timers["t"] != time.Second || counts["c"] != 5 {
-		t.Fatalf("snapshot = %v %v", timers, counts)
-	}
-	// The snapshot must be a copy, not a view of the live maps.
-	timers["t"] = 0
-	counts["c"] = 0
-	if r.Total("t") != time.Second || r.Count("c") != 5 {
-		t.Fatal("snapshot aliases registry maps")
 	}
 }
 
@@ -79,14 +45,14 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				r.AddCount("n", 1)
-				r.AddDuration("t", time.Microsecond)
+				r.Counter("n").Add(1)
+				r.Histogram("t", UnitDuration).ObserveDuration(time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Count("n") != 800 {
-		t.Fatalf("count = %d", r.Count("n"))
+	if r.Count("n") != 800 || r.Total("t") != 800*time.Microsecond {
+		t.Fatalf("count = %d, total = %v", r.Count("n"), r.Total("t"))
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // TestRegistryChurn hammers one sharded registry from many goroutines that
-// mix handle-based recording, legacy Start/AddDuration/AddCount calls, and
-// concurrent snapshots/resets — the access pattern of rank goroutines
-// recording while the telemetry HTTP handler scrapes. Run with -race.
+// mix recording through resolved handles, per-call lookups by name, and
+// concurrent snapshots — the access pattern of rank goroutines recording
+// while the telemetry HTTP handler scrapes. Run with -race.
 func TestRegistryChurn(t *testing.T) {
 	const (
 		writers = 8
@@ -28,15 +28,14 @@ func TestRegistryChurn(t *testing.T) {
 				h.ObserveShard(rank, int64(i)*100)
 				c.AddShard(rank, 1)
 				g.SetShard(rank, int64(i))
-				// Legacy API from the same goroutines.
-				r.AddDuration("legacy", time.Microsecond)
-				r.AddCount("legacy_n", 1)
-				stop := r.Start("timed")
-				stop()
+				// Lookups by name from the same goroutines.
+				r.Histogram("looked_up", UnitDuration).ObserveDuration(time.Microsecond)
+				r.Counter("looked_up_n").Add(1)
+				r.Histogram("timed", UnitDuration).Since(time.Now())
 			}
 		}(w)
 	}
-	// Concurrent scrapers: snapshots, quantiles, name listings.
+	// Concurrent scrapers: snapshots, quantiles, name-based reads.
 	done := make(chan struct{})
 	var scraper sync.WaitGroup
 	for s := 0; s < 2; s++ {
@@ -57,8 +56,8 @@ func TestRegistryChurn(t *testing.T) {
 				for _, c := range r.Counters() {
 					_ = c.Value()
 				}
-				_, _ = r.Snapshot()
-				_ = r.Names()
+				_ = r.Total("timed")
+				_ = r.Count("looked_up_n")
 			}
 		}()
 	}
@@ -69,8 +68,8 @@ func TestRegistryChurn(t *testing.T) {
 	if got := r.Counter("msgs").Value(); got != writers*iters {
 		t.Fatalf("msgs = %d, want %d", got, writers*iters)
 	}
-	if got := r.Count("legacy_n"); got != writers*iters {
-		t.Fatalf("legacy_n = %d, want %d", got, writers*iters)
+	if got := r.Count("looked_up_n"); got != writers*iters {
+		t.Fatalf("looked_up_n = %d, want %d", got, writers*iters)
 	}
 	if got := r.Histogram("step", UnitDuration).Count(); got != writers*iters {
 		t.Fatalf("step count = %d, want %d", got, writers*iters)

@@ -225,13 +225,13 @@ func (f *faultState) flushMetrics() {
 	if m == nil || (f.live != nil && f.live.reg == m) {
 		return
 	}
-	m.AddCount("fault_drops", f.drops.Load())
-	m.AddCount("fault_retries", f.retries.Load())
-	m.AddCount("fault_dups", f.dups.Load())
-	m.AddCount("fault_dedups", f.dedups.Load())
-	m.AddCount("fault_delays", f.delays.Load())
-	m.AddCount("fault_reorders", f.reorders.Load())
-	m.AddCount("fault_stalls", f.stalls.Load())
+	m.Counter("fault_drops").Add(f.drops.Load())
+	m.Counter("fault_retries").Add(f.retries.Load())
+	m.Counter("fault_dups").Add(f.dups.Load())
+	m.Counter("fault_dedups").Add(f.dedups.Load())
+	m.Counter("fault_delays").Add(f.delays.Load())
+	m.Counter("fault_reorders").Add(f.reorders.Load())
+	m.Counter("fault_stalls").Add(f.stalls.Load())
 }
 
 // Deterministic schedule: every decision is a pure function of

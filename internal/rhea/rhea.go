@@ -11,6 +11,7 @@ package rhea
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -75,15 +76,15 @@ func New(comm *mpi.Comm, opts Options) *Model {
 		Conn: connectivity.Shell(rInner, rOuter),
 		Met:  metrics.NewRegistry(),
 	}
-	stop := m.Met.Start("amr")
+	t0 := time.Now()
 	m.F = core.New(comm, m.Conn, opts.Level)
 	m.F.Balance(core.BalanceFull)
 	m.F.Partition()
-	stop()
+	m.Met.Histogram("amr", metrics.UnitDuration).Since(t0)
 	for i := 0; i < opts.DataAdapt; i++ {
 		m.adaptOn(m.dataIndicator)
 	}
-	m.Met.StartAdd("amr", m.rebuild)
+	m.rebuild()
 	return m
 }
 
@@ -207,8 +208,9 @@ func onShellBoundary(p [3]float64) bool { return shellSide(p) != 0 }
 // rebuild refreshes nodes and the Stokes operator after mesh changes. The
 // temperature model is analytic, so fields are re-sampled rather than
 // transferred; the velocity restarts from zero after adaptation (the next
-// Picard iteration rebuilds it).
+// Picard iteration rebuilds it). Timed as AMR.
 func (m *Model) rebuild() {
+	defer m.Met.Histogram("amr", metrics.UnitDuration).Since(time.Now())
 	g := m.F.Ghost()
 	m.nd = m.F.Nodes(g)
 	m.Op = nil
@@ -312,7 +314,7 @@ func (m *Model) Run() Report {
 		}
 		if cycle < m.Opts.SolAdapt {
 			if m.adaptOn(m.solutionIndicator) {
-				m.Met.StartAdd("amr", m.rebuild)
+				m.rebuild()
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/mangll"
+	"repro/internal/metrics"
 )
 
 // Device is the single-precision compute backend standing in for the
@@ -484,7 +485,7 @@ func (d *Device) rhs32(q, dq []float32) {
 
 // Step advances one LSRK4(5) step entirely on the device.
 func (d *Device) Step(dt float64) {
-	stop := d.S.Met.Start("waveprop_device")
+	defer d.S.Met.Histogram("waveprop_device", metrics.UnitDuration).Since(time.Now())
 	a32 := [5]float32{}
 	b32 := [5]float32{}
 	for i := 0; i < 5; i++ {
@@ -506,7 +507,6 @@ func (d *Device) Step(dt float64) {
 		}
 	}
 	d.S.Time += dt
-	stop()
 }
 
 // CopyBack downloads the device solution into the host solver.

@@ -47,8 +47,8 @@ type Solver struct {
 
 	// Pre-resolved instrument handles so the hot path never touches the
 	// registry maps, plus the live progress gauges /healthz reads.
-	live               metrics.Progress
-	hRHS, hExch, hStep *metrics.Histogram
+	live                            metrics.Progress
+	hRHS, hExch, hStep, hVol, hSurf *metrics.Histogram
 
 	// Q holds the 9 fields per node, local elements only.
 	Q    []float64
@@ -161,6 +161,8 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
 	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
 	s.hStep = s.Met.Histogram("waveprop", metrics.UnitDuration)
+	s.hVol = s.Met.Histogram("volume", metrics.UnitDuration)
+	s.hSurf = s.Met.Histogram("surface", metrics.UnitDuration)
 	s.kern = seisKernel{s: s}
 	// One closure for the integrator, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(tt, u, du) }
@@ -359,7 +361,7 @@ var gradUsed = [NC][3]bool{
 // stress into a component-major block, the metric scaled by 1/J once per
 // node, one three-direction derivative sweep per component.
 func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
-	t0 := time.Now()
+	defer s.hVol.Since(time.Now())
 	m := s.Mesh
 	np := m.Np
 	sc := &s.ws[w.ID()]
@@ -412,7 +414,6 @@ func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
 			d[8] += (vx1[nn] + vy0[nn]) / 2
 		}
 	}
-	s.Met.AddDuration("volume", time.Since(t0))
 }
 
 // scale sets o[i] = a[i] * b[i].
@@ -442,7 +443,7 @@ func metricDot(o, m0, m1, m2, d0, d1, d2 []float64) {
 // in one gather, the flux-point rows from the tables. Free-surface links
 // are ordinary links of their element — they read only local data.
 func (s *Solver) surfaceTerm(w *mangll.Work, links []int32, dq []float64) {
-	t0 := time.Now()
+	defer s.hSurf.Since(time.Now())
 	m := s.Mesh
 	sc := &s.ws[w.ID()]
 	for _, li := range links {
@@ -457,7 +458,6 @@ func (s *Solver) surfaceTerm(w *mangll.Work, links []int32, dq []float64) {
 		}
 		w.LiftFaceAll(l, NC, sc.g, dq)
 	}
-	s.Met.AddDuration("surface", time.Since(t0))
 }
 
 // fluxPoints returns the geometry and material rows of link li's flux

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 // NewHandler mounts the job API on top of the telemetry server's
 // observability endpoints:
 //
-//	POST   /jobs               submit (201; 429 queue full; 503 draining)
+//	POST   /jobs               submit (201; 400 bad spec; 413 body over 1 MiB; 429 queue full; 503 draining)
 //	GET    /jobs               list all jobs
 //	GET    /jobs/{id}          one job's state
 //	DELETE /jobs/{id}          request cancellation (202)
@@ -51,12 +52,29 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a POST /jobs body; a job spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The body is one spec: anything after it but white space is refused.
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("more than one JSON value in the body")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
 	j, err := s.Submit(spec)

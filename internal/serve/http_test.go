@@ -40,6 +40,51 @@ func TestHTTPRejectsTransportField(t *testing.T) {
 	}
 }
 
+// tinySpec is a valid advect spec that finishes in milliseconds.
+const tinySpec = `{"type":"advect","ranks":2,"steps":2,"level":1,"max_level":1,"adapt_every":-1,"checkpoint_every":-1}`
+
+func postSpec(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestHTTPRejectsOversizedSpec pins the body limit of POST /jobs: a body
+// over 1 MiB is answered 413 and never reaches the queue.
+func TestHTTPRejectsOversizedSpec(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	if code := postSpec(t, ts.URL, strings.Repeat(" ", maxSpecBytes)+tinySpec); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d, want 413", code)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
+	}
+}
+
+// TestHTTPRejectsTrailingData pins that the body of POST /jobs is exactly
+// one spec: a second value or trailing garbage is a 400, white space is not.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	for _, body := range []string{tinySpec + tinySpec, tinySpec + " junk"} {
+		if code := postSpec(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Errorf("%q: %d, want 400", body, code)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
+	}
+	if code := postSpec(t, ts.URL, tinySpec+"\n"); code != http.StatusCreated {
+		t.Errorf("spec with a trailing newline: %d, want 201", code)
+	}
+}
+
 func TestHTTPJobAPI(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxActive: 2})
 	defer s.Drain()

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"net/http/httptest"
-	"testing"
-
-	"repro/internal/telemetry"
-)
+import "testing"
 
 // tinyMix is an advect-only mix for the race-enabled smoke run.
 func tinyMix() []JobSpec {
@@ -39,47 +34,5 @@ func TestLoadSmall(t *testing.T) {
 	}
 	if res.JobsPerSec <= 0 || res.LatencyP99Seconds < res.LatencyP50Seconds {
 		t.Errorf("implausible stats: %+v", res)
-	}
-}
-
-// BenchmarkServeLoadgen is the archived throughput/latency experiment
-// (make bench-record → BENCH_10.json): ≥100 concurrent small jobs
-// through a fresh server per iteration, reporting jobs/sec and the
-// client-observed latency quantiles. Single host, in-process transport —
-// this measures the service machinery (admission, scheduling, world
-// churn, SSE), not distributed-memory scaling.
-func BenchmarkServeLoadgen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tel := telemetry.NewServer()
-		sched, err := NewScheduler(Config{
-			MaxActive: 4, MaxQueue: 64, DataDir: b.TempDir(),
-		}, tel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(NewHandler(sched, tel))
-		res, err := RunLoad(LoadOptions{
-			BaseURL:     ts.URL,
-			Jobs:        120,
-			Concurrency: 40,
-			Mix:         DefaultMix(),
-		})
-		sched.Drain()
-		ts.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed != res.Jobs {
-			b.Fatalf("completed %d/%d (failed %d)", res.Completed, res.Jobs, res.Failed)
-		}
-		if res.QueuedJobs == 0 {
-			b.Fatalf("admission control never engaged (0 queued of %d)", res.Jobs)
-		}
-		b.ReportMetric(res.JobsPerSec, "jobs/s")
-		b.ReportMetric(res.LatencyP50Seconds*1e3, "p50-ms")
-		b.ReportMetric(res.LatencyP95Seconds*1e3, "p95-ms")
-		b.ReportMetric(res.LatencyP99Seconds*1e3, "p99-ms")
-		b.ReportMetric(float64(res.Retries429), "retries429")
-		b.ReportMetric(float64(res.QueuedJobs), "queued")
 	}
 }

@@ -59,7 +59,7 @@ func (s *Scheduler) runJob(j *Job) error {
 			j.events.append("migrate", map[string]any{
 				"from_ranks": ranks, "to_ranks": next,
 			})
-			s.met.AddCount("jobs_restarted", 1)
+			s.met.Counter("jobs_restarted").Add(1)
 		},
 	}.Run(func(ranks int, plan *mpi.FaultPlan, resume bool) error {
 		attemptNo = j.beginAttempt(ranks)

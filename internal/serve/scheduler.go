@@ -125,7 +125,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	if s.draining.Load() {
-		s.met.AddCount("jobs_rejected", 1)
+		s.met.Counter("jobs_rejected").Add(1)
 		return nil, ErrDraining
 	}
 	id := fmt.Sprintf("j%06d", s.idSeq.Add(1))
@@ -144,7 +144,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	select {
 	case s.queue <- j:
 	default:
-		s.met.AddCount("jobs_rejected", 1)
+		s.met.Counter("jobs_rejected").Add(1)
 		return nil, ErrQueueFull
 	}
 
@@ -153,7 +153,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 
-	s.met.AddCount("jobs_submitted", 1)
+	s.met.Counter("jobs_submitted").Add(1)
 	s.met.Gauge("jobs_queued").Set(int64(len(s.queue)))
 	return j, nil
 }
@@ -207,7 +207,7 @@ func (s *Scheduler) worker() {
 		s.met.Gauge("jobs_queued").Set(int64(len(s.queue)))
 		if j.canceled.Load() {
 			j.setState(StateCanceled, nil)
-			s.met.AddCount("jobs_canceled", 1)
+			s.met.Counter("jobs_canceled").Add(1)
 			continue
 		}
 		s.met.Gauge("jobs_active").Set(s.activeDelta(1))
@@ -243,12 +243,12 @@ func (s *Scheduler) runOne(j *Job) {
 	switch {
 	case errors.Is(err, sim.ErrCanceled):
 		j.setState(StateCanceled, nil)
-		s.met.AddCount("jobs_canceled", 1)
+		s.met.Counter("jobs_canceled").Add(1)
 	case err == nil:
 		j.setState(StateDone, nil)
-		s.met.AddCount("jobs_completed", 1)
+		s.met.Counter("jobs_completed").Add(1)
 	default:
 		j.fail(err)
-		s.met.AddCount("jobs_failed", 1)
+		s.met.Counter("jobs_failed").Add(1)
 	}
 }

@@ -9,6 +9,8 @@
 package sim
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/mangll"
 	"repro/internal/metrics"
@@ -44,8 +46,7 @@ type Cycle struct {
 // to the elements_coarsened/refined/shipped and amr_unchanged counters.
 func (c Cycle) Run() bool {
 	f := c.Forest
-	stop := c.Met.Start("amr")
-	defer stop()
+	defer c.Met.Histogram("amr", metrics.UnitDuration).Since(time.Now())
 	defer f.Comm.Tracer().StartSpan("adapt")()
 	flags := make(map[octant.Octant]int8, f.NumLocal())
 	for e, o := range f.Local {
@@ -75,7 +76,7 @@ func (c Cycle) Run() bool {
 	})
 	f.Balance(core.BalanceFull)
 	if f.Checksum() == before {
-		c.Met.AddCount("amr_unchanged", 1)
+		c.Met.Counter("amr_unchanged").Add(1)
 		return false
 	}
 	var sent int64
@@ -86,9 +87,9 @@ func (c Cycle) Run() bool {
 		data := c.Mesh.TransferFields(c.Mesh.Leaves, *c.Field, f.Local, c.NC)
 		*c.Field, sent = f.PartitionWithData(c.Mesh.Np*c.NC, data)
 	}
-	c.Met.AddCount("elements_shipped", sent)
-	c.Met.AddCount("elements_coarsened", int64(coarsened*8))
-	c.Met.AddCount("elements_refined", int64(refined))
+	c.Met.Counter("elements_shipped").Add(sent)
+	c.Met.Counter("elements_coarsened").Add(int64(coarsened * 8))
+	c.Met.Counter("elements_refined").Add(int64(refined))
 	if c.Rebuild != nil {
 		c.Rebuild()
 	}

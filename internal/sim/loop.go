@@ -130,7 +130,7 @@ func (r Run) Advance(c *mpi.Comm, s Solver, start int64) (done int64, err error)
 			if err := s.SaveCheckpoint(r.Base, step); err != nil {
 				return done, err
 			}
-			s.Metrics().AddCount("checkpoint_saves", 1)
+			s.Metrics().Counter("checkpoint_saves").Add(1)
 			s.Metrics().Gauge("checkpoint_last_step").Set(step)
 		}
 		done = step

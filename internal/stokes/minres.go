@@ -2,6 +2,9 @@ package stokes
 
 import (
 	"math"
+	"time"
+
+	"repro/internal/metrics"
 )
 
 // Preconditioner is the block-diagonal preconditioner of the paper's Rhea
@@ -15,8 +18,7 @@ type Preconditioner struct {
 
 // NewPreconditioner builds the AMG hierarchy and the Schur diagonal.
 func NewPreconditioner(op *Operator) *Preconditioner {
-	stop := op.Met.Start("amg_setup")
-	defer stop()
+	defer op.Met.Histogram("amg_setup", metrics.UnitDuration).Since(time.Now())
 	return &Preconditioner{op: op, amg: NewAMG(op)}
 }
 
@@ -24,8 +26,7 @@ func NewPreconditioner(op *Operator) *Preconditioner {
 // rank, combined additively across ranks) and the inverse lumped
 // (1/viscosity) pressure mass on the pressure block. Collective.
 func (p *Preconditioner) Apply(r, z []float64) {
-	stop := p.op.Met.Start("vcycle")
-	defer stop()
+	defer p.op.Met.Histogram("vcycle", metrics.UnitDuration).Since(time.Now())
 	nn := p.op.NN
 	rv := make([]float64, 3*nn)
 	zv := make([]float64, 3*nn)

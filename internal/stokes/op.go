@@ -1,6 +1,8 @@
 package stokes
 
 import (
+	"time"
+
 	"repro/internal/connectivity"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -344,15 +346,15 @@ func (op *Operator) SolveDirichletRHS(
 	}
 	prec := NewPreconditioner(op)
 	x = make([]float64, n)
-	stop := op.Met.Start("solve")
+	matvec := op.Met.Histogram("matvec", metrics.UnitDuration)
+	t0 := time.Now()
 	iters, relres = MINRES(n,
 		func(a, b []float64) {
-			st := op.Met.Start("matvec")
+			defer matvec.Since(time.Now())
 			op.Apply(a, b)
-			st()
 		},
 		prec.Apply, op.Dot, rhs, x, tol, maxIter)
-	stop()
+	op.Met.Histogram("solve", metrics.UnitDuration).Since(t0)
 	for i := range x {
 		x[i] += xg[i]
 	}

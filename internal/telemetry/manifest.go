@@ -13,10 +13,8 @@ import (
 
 // Manifest is the structured record of one run, written as JSON at exit:
 // what was run (command + resolved flag values), how long it took, the
-// per-phase latency distributions and cross-rank imbalance, the
-// communication and fault totals, and a benchjson-shaped Benchmarks array
-// so `cmd/benchjson -from-manifest` can fold any run into a BENCH_*.json
-// archive without re-running `go test -bench`.
+// per-phase latency distributions and cross-rank imbalance, and the
+// communication and fault totals.
 type Manifest struct {
 	Command     string            `json:"command"`
 	Config      map[string]string `json:"config,omitempty"`
@@ -35,8 +33,6 @@ type Manifest struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	Faults   map[string]int64 `json:"faults,omitempty"`
-
-	Benchmarks []BenchEntry `json:"benchmarks"`
 }
 
 // PhaseSummary is one duration histogram's manifest form.
@@ -50,14 +46,6 @@ type PhaseSummary struct {
 	MaxSeconds   float64         `json:"max_seconds"`
 	Imbalance    float64         `json:"imbalance"`
 	PerRank      map[int]float64 `json:"per_rank_seconds,omitempty"`
-}
-
-// BenchEntry matches cmd/benchjson's benchmark entry shape.
-type BenchEntry struct {
-	Name       string             `json:"name"`
-	Pkg        string             `json:"pkg,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // NewManifest starts a manifest for the named command, capturing every
@@ -94,13 +82,12 @@ func FlagConfig() map[string]string {
 
 // Finish stamps the end time and folds the server's merged snapshot into
 // the manifest: phases from the duration histograms, counters split into
-// fault and non-fault groups, and the derived benchmark entries.
+// fault and non-fault groups, and one value per gauge.
 func (m *Manifest) Finish(s *Server) {
 	m.EndTime = time.Now()
 	m.WallSeconds = m.EndTime.Sub(m.StartTime).Seconds()
 	snap := s.Gather()
 	m.Ranks = snap.Ranks
-	m.Benchmarks = []BenchEntry{}
 
 	for _, h := range snap.Histograms {
 		if h.Unit != metrics.UnitDuration {
@@ -123,20 +110,6 @@ func (m *Manifest) Finish(s *Server) {
 			}
 		}
 		m.Phases = append(m.Phases, ps)
-		if h.Count > 0 {
-			m.Benchmarks = append(m.Benchmarks, BenchEntry{
-				Name:       "Manifest/" + m.Command + "/" + h.Name,
-				Iterations: h.Count,
-				Metrics: map[string]float64{
-					"ns/op":     h.Mean,
-					"p50-ns":    float64(h.P50),
-					"p95-ns":    float64(h.P95),
-					"p99-ns":    float64(h.P99),
-					"max-ns":    float64(h.Max),
-					"imbalance": h.Imbalance(),
-				},
-			})
-		}
 	}
 	sort.Slice(m.Phases, func(i, j int) bool { return m.Phases[i].Name < m.Phases[j].Name })
 
@@ -168,18 +141,6 @@ func (m *Manifest) Finish(s *Server) {
 		}
 		m.Gauges[g.Name] = min
 	}
-	if len(m.Counters) > 0 {
-		counterMetrics := map[string]float64{}
-		for n, v := range m.Counters {
-			counterMetrics[n] = float64(v)
-		}
-		m.Benchmarks = append(m.Benchmarks, BenchEntry{
-			Name:       "Manifest/" + m.Command + "/counters",
-			Iterations: 1,
-			Metrics:    counterMetrics,
-		})
-	}
-	sort.Slice(m.Benchmarks, func(i, j int) bool { return m.Benchmarks[i].Name < m.Benchmarks[j].Name })
 }
 
 // WriteFile writes the manifest as indented JSON.
