@@ -3,9 +3,11 @@ package connectivity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/octant"
+	"repro/internal/raceflag"
 )
 
 func allConns(t *testing.T) map[string]*Conn {
@@ -166,13 +168,13 @@ func TestEdgeCornerNeighborReciprocity(t *testing.T) {
 				X: rng.Int31n(octant.RootLen) & mask, Y: rng.Int31n(octant.RootLen) & mask,
 				Z: rng.Int31n(octant.RootLen) & mask, Level: l, Tree: tr,
 			}
-			neighbors := c.AllNeighbors(o)
+			neighbors := c.AppendNeighbors(nil, o, FacesEdgesCorners)
 			for _, n := range neighbors {
 				if !n.Valid() {
 					t.Fatalf("%s: invalid neighbour %v of %v", name, n, o)
 				}
 				found := false
-				for _, b := range c.AllNeighbors(n) {
+				for _, b := range c.AppendNeighbors(nil, n, FacesEdgesCorners) {
 					if b == o {
 						found = true
 						break
@@ -181,6 +183,51 @@ func TestEdgeCornerNeighborReciprocity(t *testing.T) {
 				if !found {
 					t.Fatalf("%s: neighbour %v of %v not reciprocal", name, n, o)
 				}
+			}
+		}
+	}
+}
+
+// TestAppendNeighborsScopes: each scope of AppendNeighbors yields the face,
+// then edge, then corner neighbour lists concatenated in index order, and
+// into a reused buffer it allocates nothing.
+func TestAppendNeighborsScopes(t *testing.T) {
+	for name, c := range allConns(t) {
+		rng := rand.New(rand.NewSource(9))
+		buf := make([]octant.Octant, 0, 64)
+		for iter := 0; iter < 200; iter++ {
+			l := int8(1 + rng.Intn(3))
+			mask := ^(octant.Len(l) - 1)
+			o := octant.Octant{
+				X: rng.Int31n(octant.RootLen) & mask, Y: rng.Int31n(octant.RootLen) & mask,
+				Z: rng.Int31n(octant.RootLen) & mask, Level: l, Tree: rng.Int31n(c.NumTrees()),
+			}
+			var want []octant.Octant
+			for s := Faces; s <= FacesEdgesCorners; s++ {
+				switch s {
+				case Faces:
+					for f := 0; f < octant.NumFaces; f++ {
+						want = append(want, c.FaceNeighbors(o, f)...)
+					}
+				case FacesEdges:
+					for e := 0; e < octant.NumEdges; e++ {
+						want = append(want, c.EdgeNeighbors(o, e)...)
+					}
+				case FacesEdgesCorners:
+					for k := 0; k < octant.NumCorners; k++ {
+						want = append(want, c.CornerNeighbors(o, k)...)
+					}
+				}
+				buf = c.AppendNeighbors(buf[:0], o, s)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("%s scope %d of %v: %v, want %v", name, s, o, buf, want)
+				}
+			}
+			if raceflag.Enabled {
+				continue
+			}
+			if n := testing.AllocsPerRun(5, func() { buf = c.AppendNeighbors(buf[:0], o, FacesEdgesCorners) }); n != 0 {
+				t.Fatalf("%s: AppendNeighbors of %v into a reused buffer allocates %v times", name, o, n)
 			}
 		}
 	}

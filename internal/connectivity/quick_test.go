@@ -87,7 +87,7 @@ func TestQuickNeighborsTouch(t *testing.T) {
 			X: rng.Int31n(octant.RootLen) & mask, Y: rng.Int31n(octant.RootLen) & mask,
 			Z: rng.Int31n(octant.RootLen) & mask, Level: l, Tree: rng.Int31n(c.NumTrees()),
 		}
-		for _, n := range c.AllNeighbors(o) {
+		for _, n := range c.AppendNeighbors(nil, o, FacesEdgesCorners) {
 			if !c.Touching(o, n) {
 				return false
 			}

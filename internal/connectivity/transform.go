@@ -172,15 +172,7 @@ func cornerImageOctant(level int8, m CornerMember) octant.Octant {
 // face f: one interior octant (possibly in another tree with transformed
 // coordinates), or none if the face lies on the domain boundary.
 func (c *Conn) FaceNeighbors(o octant.Octant, f int) []octant.Octant {
-	n := o.FaceNeighbor(f)
-	if n.Inside() {
-		return []octant.Octant{n}
-	}
-	ft, ok := c.FaceXform(o.Tree, f)
-	if !ok {
-		return nil
-	}
-	return []octant.Octant{ft.Octant(n)}
+	return c.appendFace(nil, o, f)
 }
 
 // EdgeNeighbors returns the same-size neighbour images of leaf o diagonally
@@ -190,35 +182,57 @@ func (c *Conn) FaceNeighbors(o octant.Octant, f int) []octant.Octant {
 // other member of the edge group is returned (a macro-edge may be shared by
 // any number of trees).
 func (c *Conn) EdgeNeighbors(o octant.Octant, e int) []octant.Octant {
-	n := o.EdgeNeighbor(e)
-	d := n.ExteriorFaces()
-	switch countNonzero(d) {
-	case 0:
-		return []octant.Octant{n}
-	case 1:
-		return c.transformThroughFace(o.Tree, n, d)
-	case 2:
-		ax := octant.EdgeAxis(e)
-		et := treeEdgeFromExterior(ax, d)
-		return c.edgeGroupImages(o.Tree, et, n)
-	}
-	panic("connectivity: edge neighbour exterior in 3 axes")
+	return c.appendEdge(nil, o, e)
 }
 
 // CornerNeighbors returns the same-size neighbour images of leaf o
 // diagonally across its corner k.
 func (c *Conn) CornerNeighbors(o octant.Octant, k int) []octant.Octant {
-	n := o.CornerNeighbor(k)
+	return c.appendCorner(nil, o, k)
+}
+
+func (c *Conn) appendFace(dst []octant.Octant, o octant.Octant, f int) []octant.Octant {
+	n := o.FaceNeighbor(f)
+	if n.Inside() {
+		return append(dst, n)
+	}
+	ft, ok := c.FaceXform(o.Tree, f)
+	if !ok {
+		return dst
+	}
+	return append(dst, ft.Octant(n))
+}
+
+func (c *Conn) appendEdge(dst []octant.Octant, o octant.Octant, e int) []octant.Octant {
+	n := o.EdgeNeighbor(e)
+	if n.Inside() {
+		return append(dst, n)
+	}
 	d := n.ExteriorFaces()
 	switch countNonzero(d) {
-	case 0:
-		return []octant.Octant{n}
 	case 1:
-		return c.transformThroughFace(o.Tree, n, d)
+		return c.appendThroughFace(dst, o.Tree, n, d)
+	case 2:
+		ax := octant.EdgeAxis(e)
+		et := treeEdgeFromExterior(ax, d)
+		return c.appendEdgeGroup(dst, o.Tree, et, n)
+	}
+	panic("connectivity: edge neighbour exterior in 3 axes")
+}
+
+func (c *Conn) appendCorner(dst []octant.Octant, o octant.Octant, k int) []octant.Octant {
+	n := o.CornerNeighbor(k)
+	if n.Inside() {
+		return append(dst, n)
+	}
+	d := n.ExteriorFaces()
+	switch countNonzero(d) {
+	case 1:
+		return c.appendThroughFace(dst, o.Tree, n, d)
 	case 2:
 		ax := interiorAxis(d)
 		et := treeEdgeFromExterior(ax, d)
-		return c.edgeGroupImages(o.Tree, et, n)
+		return c.appendEdgeGroup(dst, o.Tree, et, n)
 	case 3:
 		kt := 0
 		for i := 0; i < 3; i++ {
@@ -226,20 +240,18 @@ func (c *Conn) CornerNeighbors(o octant.Octant, k int) []octant.Octant {
 				kt |= 1 << i
 			}
 		}
-		group := c.CornerGroup(o.Tree, kt)
-		var out []octant.Octant
-		for _, m := range group {
+		for _, m := range c.CornerGroup(o.Tree, kt) {
 			if m.Tree == o.Tree && int(m.Corner) == kt {
 				continue
 			}
-			out = append(out, cornerImageOctant(n.Level, m))
+			dst = append(dst, cornerImageOctant(n.Level, m))
 		}
-		return out
+		return dst
 	}
 	panic("connectivity: unreachable")
 }
 
-func (c *Conn) transformThroughFace(t int32, n octant.Octant, d [3]int) []octant.Octant {
+func (c *Conn) appendThroughFace(dst []octant.Octant, t int32, n octant.Octant, d [3]int) []octant.Octant {
 	f := 0
 	for i := 0; i < 3; i++ {
 		if d[i] != 0 {
@@ -251,18 +263,18 @@ func (c *Conn) transformThroughFace(t int32, n octant.Octant, d [3]int) []octant
 	}
 	ft, ok := c.FaceXform(t, f)
 	if !ok {
-		return nil
+		return dst
 	}
 	img := ft.Octant(n)
 	if !img.Inside() {
 		// The neighbour also leaves the target tree (e.g. an edge neighbour
 		// sliding past the end of a shared face at the domain boundary).
-		return nil
+		return dst
 	}
-	return []octant.Octant{img}
+	return append(dst, img)
 }
 
-func (c *Conn) edgeGroupImages(t int32, et int8, n octant.Octant) []octant.Octant {
+func (c *Conn) appendEdgeGroup(dst []octant.Octant, t int32, et int8, n octant.Octant) []octant.Octant {
 	group := c.EdgeGroup(t, int(et))
 	var selfFlip bool
 	found := false
@@ -274,16 +286,15 @@ func (c *Conn) edgeGroupImages(t int32, et int8, n octant.Octant) []octant.Octan
 		}
 	}
 	if !found {
-		return nil // boundary macro-edge: no other incidences
+		return dst // boundary macro-edge: no other incidences
 	}
-	var out []octant.Octant
 	for _, m := range group {
 		if m.Tree == t && m.Edge == et {
 			continue
 		}
-		out = append(out, edgeImageOctant(n, et, selfFlip, m))
+		dst = append(dst, edgeImageOctant(n, et, selfFlip, m))
 	}
-	return out
+	return dst
 }
 
 // treeEdgeFromExterior returns the tree edge index along axis ax whose
@@ -319,21 +330,39 @@ func countNonzero(d [3]int) int {
 	return n
 }
 
-// AllNeighbors returns the same-size neighbour images of o across all 6
-// faces, 12 edges, and 8 corners, concatenated. It is the neighbourhood
-// enumeration used by Balance and Ghost.
-func (c *Conn) AllNeighbors(o octant.Octant) []octant.Octant {
-	out := make([]octant.Octant, 0, 26)
+// Scope selects which same-size neighbour relations AppendNeighbors
+// enumerates.
+type Scope int
+
+const (
+	// Faces enumerates the neighbours across the 6 faces.
+	Faces Scope = iota
+	// FacesEdges adds the neighbours across the 12 edges.
+	FacesEdges
+	// FacesEdgesCorners adds the neighbours across the 8 corners.
+	FacesEdgesCorners
+)
+
+// AppendNeighbors appends to dst the same-size neighbour images of o in
+// scope s — across faces, then edges, then corners, each in index order —
+// and returns the extended slice. A neighbour inside o's tree is appended
+// as is; only one that leaves the tree goes through the inter-tree
+// transforms. With a reused dst it allocates nothing.
+func (c *Conn) AppendNeighbors(dst []octant.Octant, o octant.Octant, s Scope) []octant.Octant {
 	for f := 0; f < octant.NumFaces; f++ {
-		out = append(out, c.FaceNeighbors(o, f)...)
+		dst = c.appendFace(dst, o, f)
 	}
-	for e := 0; e < octant.NumEdges; e++ {
-		out = append(out, c.EdgeNeighbors(o, e)...)
+	if s >= FacesEdges {
+		for e := 0; e < octant.NumEdges; e++ {
+			dst = c.appendEdge(dst, o, e)
+		}
 	}
-	for k := 0; k < octant.NumCorners; k++ {
-		out = append(out, c.CornerNeighbors(o, k)...)
+	if s >= FacesEdgesCorners {
+		for k := 0; k < octant.NumCorners; k++ {
+			dst = c.appendCorner(dst, o, k)
+		}
 	}
-	return out
+	return dst
 }
 
 // PointImages returns every representation of the lattice point p of tree t

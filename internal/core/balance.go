@@ -3,12 +3,13 @@ package core
 import (
 	"slices"
 
+	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
 )
 
 // BalanceKind selects which neighbour relations the 2:1 balance constraint
-// covers.
+// covers; each value equals the connectivity.Scope of those relations.
 type BalanceKind int
 
 const (
@@ -22,9 +23,10 @@ const (
 	BalanceFull
 )
 
-// demand requires every leaf overlapping region O to have at least level
-// MinLevel. Demands are derived from leaves' same-size neighbour regions
-// and routed to the owners of those regions.
+// demand is what the exchange rounds send: every leaf overlapping region O
+// must have at least level MinLevel, the same condition as "target
+// O.AncestorAt(MinLevel) is a node". Demands are derived from leaves'
+// same-size neighbour regions and routed to the owners of those regions.
 type demand struct {
 	O        octant.Octant
 	MinLevel int8
@@ -34,28 +36,28 @@ type demand struct {
 // including across inter-tree faces, edges, and corners with arbitrary
 // relative rotations, by local refinement where necessary.
 //
-// The implementation follows the recursive scheme of arXiv:1406.0089,
-// replacing the old global ripple (one full demand collect → route →
-// refine → AllreduceOr cycle per round, with an unbounded round count).
-// Phase 1 drives the local subtree balance to a communication-free
-// fixpoint: demands whose regions overlap the local curve segment are
-// applied immediately, and each iteration reseeds only from the leaves it
-// just created. It starts from every local leaf, or — when the forest
-// knows it was balanced before the last Refine and Coarsen calls — from
-// the leaves those calls changed and their finer neighbours
-// (balanceSeeds). Phase 2 runs a small, bounded number of inter-rank demand
-// exchanges: the first round derives candidate demands from the partition
-// boundary alone (the recursive traversal prunes interior subtrees), later
-// rounds only from the previous round's newly created leaves, and every
-// demand region is sent at most once per level (deduplicated against all
-// prior rounds). One AllreduceOr per round detects that no rank has
-// anything left to send, so the exchange count is the demand cascade depth
-// — ≤2 on the Fig-4 fractal workload, pinned by test.
+// A forest is balanced for a kind iff, for every leaf o at level ≥ 2, each
+// same-size neighbour image a of o's parent p is a node (no leaf strictly
+// contains a). p is internal, so a leaf inside p touches a, and its demand
+// on its neighbour inside a makes a a node; conversely, every neighbour of
+// o lies in p or in a neighbour of p. Balance checks these targets once per
+// sibling family instead of checking each leaf's demands.
 //
-// Because refinement is monotone and every refinement is forced by the
-// balance condition, the fixpoint is the unique minimal 2:1-balanced
-// refinement: bitwise identical (same Checksum) to the old ripple, which
-// the tests pin against the preserved reference implementation.
+// It follows the recursive scheme of arXiv:1406.0089. Phase 1
+// (localBalance) makes the targets overlapping the local curve segment
+// nodes, to a communication-free fixpoint, starting from every local leaf
+// or from the leaves balanceSeeds picks. Phase 2 runs a bounded number of
+// inter-rank demand exchanges: the first round derives demands from the
+// partition boundary alone (the recursive traversal prunes interior
+// subtrees), later rounds from the leaves the previous round created, and
+// no region is sent twice at a level. A received demand becomes its target.
+// One AllreduceOr per round detects that no rank has anything left to send,
+// so the exchange count is the demand cascade depth — ≤2 on the Fig-4
+// fractal workload, pinned by test.
+//
+// Refinement is monotone and every split is forced, so the fixpoint is the
+// unique minimal 2:1-balanced refinement: the same Checksum as the ripple
+// protocol preserved as a test oracle.
 func (f *Forest) Balance(kind BalanceKind) {
 	tr := f.Comm.Tracer()
 	defer tr.StartSpan("balance")()
@@ -66,6 +68,7 @@ func (f *Forest) Balance(kind BalanceKind) {
 
 	sent := make(map[octant.Octant]int8)
 	var frontier []octant.Octant
+	var targets []target
 	exchanges := 0
 	for {
 		out := f.remoteDemands(kind, frontier, exchanges == 0, sent)
@@ -74,14 +77,14 @@ func (f *Forest) Balance(kind BalanceKind) {
 		}
 		tr.Begin("balance.round")
 		exchanges++
-		in := mpi.SparseExchange(f.Comm, out, TagBalance)
-		var mine []demand
-		for _, ds := range in {
-			mine = append(mine, ds...)
+		targets = targets[:0]
+		for _, ds := range mpi.SparseExchange(f.Comm, out, TagBalance) {
+			for _, d := range ds {
+				targets = f.appendUnmet(targets, d.O.AncestorAt(d.MinLevel))
+			}
 		}
-		created := f.applyDemands(mine)
-		created = append(created, f.localBalance(kind, created)...)
-		frontier = created
+		created := f.refineToNodes(targets)
+		frontier = append(created, f.localBalance(kind, created)...)
 		tr.End()
 	}
 	f.BalanceRounds = exchanges
@@ -92,29 +95,23 @@ func (f *Forest) Balance(kind BalanceKind) {
 	f.syncCounts()
 }
 
-// balanceSeeds returns the local leaves whose demands the local pass of
-// Balance has to derive. Every local leaf, unless the forest is known to
-// have been balanced (for at least this kind) before the Refine and Coarsen
-// calls whose new leaves are in changed: then a violated demand has a
-// changed leaf at one end, and the seeds are
-//
-//   - the changed leaves that are still leaves (a later Refine or Coarsen
-//     may have replaced them), for the demands they make, and
-//   - every local leaf two or more levels finer than a changed leaf inside
-//     one of its same-size neighbour regions, for the demands made of it.
-//
-// The second set is what a coarsened parent needs: nothing about the finer
-// leaf beside it changed, yet that leaf's demand is the violated one.
-// Seeding the changed leaves alone under-refines. The regions hold some
-// finer leaves that do not touch the changed leaf; their demands are
-// satisfied already and cost only the enumeration. Demands across the rank
-// boundary are not this pass's business: the exchange rounds derive them
-// from the whole partition boundary whatever the seeds were.
+// balanceSeeds returns the local leaves the local pass of Balance starts
+// from: every local leaf, unless the forest is known to have been balanced
+// (for at least this kind) before the Refine and Coarsen calls whose new
+// leaves are in changed. Then a violated demand has a changed leaf at one
+// end, and the seeds are the changed leaves that are still leaves, plus
+// every local leaf two or more levels finer than a changed leaf inside one
+// of its same-size neighbour regions. The second set is what a coarsened
+// parent needs: the finer leaf beside it did not change, yet its demand is
+// the violated one, so seeding the changed leaves alone under-refines. Some
+// of those finer leaves do not touch the changed leaf and cost only the
+// enumeration. Demands across the rank boundary are the exchange rounds'
+// business, whatever the seeds were.
 func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 	if !f.balanced || f.balancedKind < kind {
 		return f.Local
 	}
-	var seeds []octant.Octant
+	var seeds, nbrs []octant.Octant
 	live := 0
 	for _, c := range f.changed {
 		if i := octant.SearchContaining(f.Local, c); i < 0 || f.Local[i] != c {
@@ -122,10 +119,8 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 		}
 		live++
 		seeds = append(seeds, c)
-		for _, n := range f.neighborsFor(c, kind) {
-			if !f.overlapsLocal(n) {
-				continue
-			}
+		nbrs = f.Conn.AppendNeighbors(nbrs[:0], c, connectivity.Scope(kind))
+		for _, n := range nbrs {
 			lo, hi := octant.SearchOverlapRange(f.Local, n)
 			for _, o := range f.Local[lo:hi] {
 				if o.Level >= c.Level+2 {
@@ -139,59 +134,103 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 	return slices.Compact(seeds)
 }
 
-// neighborsFor enumerates the same-size neighbour images of o covered by
-// the balance kind.
-func (f *Forest) neighborsFor(o octant.Octant, kind BalanceKind) []octant.Octant {
-	out := make([]octant.Octant, 0, 26)
-	for face := 0; face < octant.NumFaces; face++ {
-		out = append(out, f.Conn.FaceNeighbors(o, face)...)
-	}
-	if kind >= BalanceFaceEdge {
-		for e := 0; e < octant.NumEdges; e++ {
-			out = append(out, f.Conn.EdgeNeighbors(o, e)...)
-		}
-	}
-	if kind >= BalanceFull {
-		for k := 0; k < octant.NumCorners; k++ {
-			out = append(out, f.Conn.CornerNeighbors(o, k)...)
-		}
-	}
-	return out
-}
-
 // localBalance drives the communication-free part of Balance to a local
-// fixpoint: starting from the seed leaves, it derives the demands whose
-// regions overlap the local segment, refines the violating local leaves,
-// and feeds each iteration's newly created leaves back in as the next seed
-// frontier. Returns every leaf it created. The balance_seeds counter is
-// the number of leaves whose neighbourhood Balance enumerated.
+// fixpoint. Each iteration enumerates the neighbourhood of each distinct
+// parent of the curve-sorted seeds once, skipping targets inside the
+// grandparent (an internal octant's children are nodes) and off the local
+// segment (the exchange rounds' business); one refineToNodes makes the rest
+// nodes, and the leaves it creates seed the next iteration. Returns every
+// leaf it created. The balance_seeds counter counts seed leaves.
 func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.Octant {
-	var created []octant.Octant
+	var created, nbrs []octant.Octant
+	var targets []target
 	for len(seeds) > 0 {
 		f.addCounter("balance_seeds", int64(len(seeds)))
-		demands := make(map[octant.Octant]int8)
+		targets = targets[:0]
+		var last octant.Octant // the root of tree 0: no seed's parent
 		for _, o := range seeds {
-			if o.Level < 1 {
+			if o.Level < 2 || o.Parent() == last {
 				continue
 			}
-			min := o.Level - 1
-			for _, n := range f.neighborsFor(o, kind) {
-				if !f.overlapsLocal(n) {
-					continue
-				}
-				if cur, ok := demands[n]; !ok || cur < min {
-					demands[n] = min
+			last = o.Parent()
+			g := last.Parent()
+			nbrs = f.Conn.AppendNeighbors(nbrs[:0], last, connectivity.Scope(kind))
+			for _, a := range nbrs {
+				if !g.IsAncestorOf(a) && f.overlapsLocal(a) {
+					targets = f.appendUnmet(targets, a)
 				}
 			}
 		}
-		ds := make([]demand, 0, len(demands))
-		for o, min := range demands {
-			ds = append(ds, demand{O: o, MinLevel: min})
-		}
-		seeds = f.applyDemands(ds)
+		seeds = f.refineToNodes(targets)
 		created = append(created, seeds...)
 	}
 	return created
+}
+
+// target is a region O to be made a node and the local leaf containing it.
+type target struct {
+	leaf int
+	O    octant.Octant
+}
+
+// appendUnmet records a as a target if a local leaf strictly contains it,
+// that is, if a is not yet a node: one binary search on the curve.
+func (f *Forest) appendUnmet(dst []target, a octant.Octant) []target {
+	if i := octant.SearchContaining(f.Local, a); i >= 0 && f.Local[i].Level < a.Level {
+		return append(dst, target{i, a})
+	}
+	return dst
+}
+
+// refineToNodes splits the local leaves the targets name until every
+// target is a node, and returns the leaves it created. Sorted by curve —
+// which sorts them by leaf too — one leaf's targets are a contiguous run
+// and so are those inside each of its children, so one merge walk over
+// Local, copying the runs of untouched leaves whole, does all the
+// refinement.
+func (f *Forest) refineToNodes(targets []target) []octant.Octant {
+	if len(targets) == 0 {
+		return nil
+	}
+	slices.SortFunc(targets, func(a, b target) int { return octant.Compare(a.O, b.O) })
+	targets = slices.Compact(targets)
+	out := make([]octant.Octant, 0, len(f.Local)+7*len(targets))
+	var created []octant.Octant
+	next := 0
+	for t := 0; t < len(targets); {
+		i, u := targets[t].leaf, t+1
+		for u < len(targets) && targets[u].leaf == i {
+			u++
+		}
+		out = append(out, f.Local[next:i]...)
+		start := len(out)
+		out = splitTo(out, f.Local[i], targets[t:u])
+		created = append(created, out[start:]...)
+		next, t = i+1, u
+	}
+	f.Local = append(out, f.Local[next:]...)
+	return created
+}
+
+// splitTo appends the leaves that replace o once it is split just far
+// enough for each of the curve-sorted targets inside it to be a node.
+func splitTo(out []octant.Octant, o octant.Octant, targets []target) []octant.Octant {
+	if len(targets) > 0 && targets[0].O == o {
+		targets = targets[1:]
+	}
+	if len(targets) == 0 {
+		return append(out, o)
+	}
+	for i := 0; i < octant.NumChildren; i++ {
+		c := o.Child(i)
+		n := 0
+		for n < len(targets) && c.Contains(targets[n].O) {
+			n++
+		}
+		out = splitTo(out, c, targets[:n])
+		targets = targets[n:]
+	}
+	return out
 }
 
 // remoteDemands derives the demands whose regions overlap remote curve
@@ -203,12 +242,14 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.
 // twice.
 func (f *Forest) remoteDemands(kind BalanceKind, frontier []octant.Octant, all bool, sent map[octant.Octant]int8) map[int][]demand {
 	demands := make(map[octant.Octant]int8)
+	var nbrs []octant.Octant
 	consider := func(o octant.Octant) {
 		if o.Level < 1 {
 			return
 		}
 		min := o.Level - 1
-		for _, n := range f.neighborsFor(o, kind) {
+		nbrs = f.Conn.AppendNeighbors(nbrs[:0], o, connectivity.Scope(kind))
+		for _, n := range nbrs {
 			if f.ownedHereOnly(n) {
 				continue
 			}
@@ -240,64 +281,4 @@ func (f *Forest) remoteDemands(kind BalanceKind, frontier []octant.Octant, all b
 		}
 	}
 	return out
-}
-
-// applyDemands refines every local leaf coarser than a demand overlapping
-// it and returns the newly created leaves. Each demand's overlapping leaf
-// range is located by binary search on the curve (octants nest or are
-// disjoint, so curve-range overlap is geometric overlap), costing
-// O(D log N) plus one rebuild sweep — no per-leaf ancestor probing.
-func (f *Forest) applyDemands(ds []demand) []octant.Octant {
-	if len(ds) == 0 {
-		return nil
-	}
-	perLeaf := make(map[int][]demand)
-	for _, d := range ds {
-		lo, hi := octant.SearchOverlapRange(f.Local, d.O)
-		for i := lo; i < hi; i++ {
-			if f.Local[i].Level < d.MinLevel {
-				perLeaf[i] = append(perLeaf[i], d)
-			}
-		}
-	}
-	if len(perLeaf) == 0 {
-		return nil
-	}
-	out := make([]octant.Octant, 0, len(f.Local)+8*len(perLeaf))
-	var created []octant.Octant
-	var expand func(o octant.Octant, active []demand)
-	expand = func(o octant.Octant, active []demand) {
-		need := false
-		kept := active[:0:0]
-		for _, d := range active {
-			if !o.Overlaps(d.O) {
-				continue
-			}
-			kept = append(kept, d)
-			if o.Level < d.MinLevel {
-				need = true
-			}
-		}
-		if !need {
-			out = append(out, o)
-			return
-		}
-		for i := 0; i < octant.NumChildren; i++ {
-			expand(o.Child(i), kept)
-		}
-	}
-	for i, o := range f.Local {
-		act := perLeaf[i]
-		if len(act) == 0 {
-			out = append(out, o)
-			continue
-		}
-		// act is non-empty only when o violates an overlapping demand, so
-		// the expansion always splits o: everything emitted is new.
-		start := len(out)
-		expand(o, act)
-		created = append(created, out[start:]...)
-	}
-	f.Local = out
-	return created
 }

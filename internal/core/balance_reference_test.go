@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
 )
@@ -38,7 +39,7 @@ func (f *Forest) rippleCollect(kind BalanceKind) map[octant.Octant]int8 {
 			continue
 		}
 		min := o.Level - 1
-		for _, n := range f.neighborsFor(o, kind) {
+		for _, n := range f.Conn.AppendNeighbors(nil, o, connectivity.Scope(kind)) {
 			if cur, ok := demands[n]; !ok || cur < min {
 				demands[n] = min
 			}

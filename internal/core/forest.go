@@ -73,9 +73,13 @@ type Forest struct {
 	globalNum   int64    // total octant count
 	globalFirst int64    // global index of Local[0]
 
-	// BalanceRounds records how many ripple rounds the last Balance call
-	// needed to reach its fixpoint (diagnostics for the iterative 2:1
-	// protocol; bounded by the refinement-level spread).
+	// segLo and segHi are gfp[rank] and gfp[rank+1] as max-level octants,
+	// so that the per-probe segment tests form no Morton key.
+	segLo, segHi octant.Octant
+
+	// BalanceRounds records how many inter-rank demand exchanges the last
+	// Balance call needed after its local pass (0 on one rank; bounded by
+	// the demand cascade depth across rank boundaries).
 	BalanceRounds int
 
 	// payload moved alongside leaves by PartitionWithData.
@@ -168,6 +172,9 @@ func (f *Forest) syncMarkers() {
 			f.gfp[r] = f.gfp[r+1]
 		}
 	}
+	lo, hi := f.gfp[f.Comm.Rank()], f.gfp[f.Comm.Rank()+1]
+	f.segLo = octant.FromMortonKey(lo.Key, octant.MaxLevel, lo.Tree)
+	f.segHi = octant.FromMortonKey(hi.Key, octant.MaxLevel, hi.Tree)
 }
 
 // MetaBytes returns the resident globally shared metadata footprint in
@@ -230,6 +237,9 @@ func (f *Forest) OwnerOf(o octant.Octant) int {
 // segments intersect octant o's descendant range. Coarse octants may span
 // several ranks.
 func (f *Forest) OwnersOfRange(o octant.Octant) (lo, hi int) {
+	if me := f.Comm.Rank(); f.ownedHereOnly(o) {
+		return me, me
+	}
 	lo = f.OwnerOfPosition(markerOf(o))
 	end := markerEnd(o)
 	// Largest r with gfp[r] < end.
@@ -246,19 +256,19 @@ func (f *Forest) OwnersOfRange(o octant.Octant) (lo, hi int) {
 }
 
 // overlapsLocal reports whether octant o's curve range intersects the
-// calling rank's segment. O(1) from the resident markers.
+// calling rank's segment. O(1) from the segment bounds, without keys.
 func (f *Forest) overlapsLocal(o octant.Octant) bool {
-	me := f.Comm.Rank()
-	return markerOf(o).Less(f.gfp[me+1]) && f.gfp[me].Less(markerEnd(o))
+	return octant.ComparePosition(o, f.segHi) < 0 &&
+		octant.ComparePosition(f.segLo, o.LastDescendant(octant.MaxLevel)) <= 0
 }
 
 // ownedHereOnly reports whether octant o's entire curve range lies within
 // the calling rank's segment, i.e. no other rank owns any part of it.
-// O(1) from the resident markers; this is the subtree pruning predicate of
-// the recursive boundary traversal.
+// O(1) from the segment bounds, without keys; this is the subtree pruning
+// predicate of the recursive boundary traversal.
 func (f *Forest) ownedHereOnly(o octant.Octant) bool {
-	me := f.Comm.Rank()
-	return !markerOf(o).Less(f.gfp[me]) && !f.gfp[me+1].Less(markerEnd(o))
+	return octant.ComparePosition(o, f.segLo) >= 0 &&
+		octant.ComparePosition(o.LastDescendant(octant.MaxLevel), f.segHi) < 0
 }
 
 // FindLeaf returns the index of the local leaf containing octant q (equal

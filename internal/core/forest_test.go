@@ -358,7 +358,7 @@ func TestGhostAgainstReference(t *testing.T) {
 						if f.OwnerOf(q) == c.Rank() {
 							continue
 						}
-						for _, n := range f.Conn.AllNeighbors(q) {
+						for _, n := range f.Conn.AppendNeighbors(nil, q, connectivity.FacesEdgesCorners) {
 							lo, hi := octant.SearchOverlapRange(f.Local, n)
 							if lo < hi {
 								want[q] = true

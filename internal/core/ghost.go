@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
 )
@@ -47,9 +48,11 @@ func (f *Forest) Ghost() *GhostLayer {
 	g := &GhostLayer{}
 	send := make(map[int][]octant.Octant) // dest rank -> mirror leaves, curve order
 	var dests []int
+	var nbrs []octant.Octant
 	f.forEachBoundaryLeaf(func(i int, o octant.Octant) {
 		dests = dests[:0]
-		for _, n := range f.Conn.AllNeighbors(o) {
+		nbrs = f.Conn.AppendNeighbors(nbrs[:0], o, connectivity.FacesEdgesCorners)
+		for _, n := range nbrs {
 			lo, hi := f.OwnersOfRange(n)
 			for r := lo; r <= hi; r++ {
 				if r == me {
@@ -163,8 +166,10 @@ func (f *Forest) GhostLayers(layers int) *GhostLayer {
 		// front, routed to every rank whose segment they overlap (the next
 		// ring may be owned by a third rank).
 		req := make(map[int][]octant.Octant)
+		var nbrs []octant.Octant
 		for _, o := range front {
-			for _, n := range f.Conn.AllNeighbors(o) {
+			nbrs = f.Conn.AppendNeighbors(nbrs[:0], o, connectivity.FacesEdgesCorners)
+			for _, n := range nbrs {
 				lo, hi := f.OwnersOfRange(n)
 				for r := lo; r <= hi; r++ {
 					if r != me {

@@ -21,7 +21,7 @@ func ringReference(f *Forest, all []octant.Octant, layers int) map[octant.Octant
 		if f.OwnerOf(q) == me || have[q] {
 			continue
 		}
-		for _, n := range f.Conn.AllNeighbors(q) {
+		for _, n := range f.Conn.AppendNeighbors(nil, q, connectivity.FacesEdgesCorners) {
 			lo, hi := octant.SearchOverlapRange(f.Local, n)
 			if lo < hi {
 				have[q] = true
@@ -34,7 +34,7 @@ func ringReference(f *Forest, all []octant.Octant, layers int) map[octant.Octant
 	for ring := 1; ring < layers; ring++ {
 		var regions []octant.Octant
 		for _, o := range front {
-			regions = append(regions, f.Conn.AllNeighbors(o)...)
+			regions = append(regions, f.Conn.AppendNeighbors(nil, o, connectivity.FacesEdgesCorners)...)
 		}
 		var next []octant.Octant
 		for _, q := range all {

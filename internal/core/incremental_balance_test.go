@@ -17,6 +17,7 @@ func (f *Forest) unmarked() *Forest {
 	return &Forest{
 		Conn: f.Conn, Comm: f.Comm,
 		Local: slices.Clone(f.Local), gfp: slices.Clone(f.gfp),
+		segLo: f.segLo, segHi: f.segHi,
 		globalNum: f.globalNum, globalFirst: f.globalFirst,
 	}
 }

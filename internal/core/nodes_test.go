@@ -374,6 +374,34 @@ func TestNodesAllocsPerElement(t *testing.T) {
 	})
 }
 
+// TestBalanceAllocsPerElement pins what a from-scratch BalanceFull
+// allocates on the same forest on one rank: the target records, a new
+// leaf array per refinement pass and the created lists, under a hundred
+// objects in all (0.002 and 331 B per element). The per-leaf demand
+// implementation made 27.5 objects and 2,053 B per element.
+func TestBalanceAllocsPerElement(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins hold only without -race")
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		f := New(c, connectivity.SixRotCubes(), 2)
+		f.Refine(true, 5, fractalRefine(5))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.Balance(BalanceFull)
+		runtime.ReadMemStats(&after)
+		if n := f.NumGlobal(); n != 45912 {
+			t.Fatalf("forest has %d octants, the pin is for 45,912", n)
+		}
+		n := float64(f.NumGlobal())
+		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+		t.Logf("%.3f allocations and %.0f B per element", allocs, bytes)
+		if allocs > 0.01 || bytes > 400 {
+			t.Errorf("Balance allocates %.3f objects and %.0f B per element, want at most 0.01 and 400", allocs, bytes)
+		}
+	})
+}
+
 // panicText runs body and returns what it panicked with, "" if it did not.
 func panicText(body func()) (text string) {
 	defer func() {

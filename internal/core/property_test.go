@@ -115,7 +115,7 @@ func isBalancedList(conn *connectivity.Conn, leaves []octant.Octant) bool {
 		if o.Level < 1 {
 			continue
 		}
-		for _, n := range conn.AllNeighbors(o) {
+		for _, n := range conn.AppendNeighbors(nil, o, connectivity.FacesEdgesCorners) {
 			lo, hi := octant.SearchOverlapRange(leaves, n)
 			for i := lo; i < hi; i++ {
 				if leaves[i].Level < o.Level-1 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/connectivity"
@@ -64,6 +65,41 @@ func TestBalanceMatchesRippleReference(t *testing.T) {
 				t.Errorf("P=%d deep-octant: recursive checksum %#x != ripple %#x", p, a, b)
 			}
 		})
+	}
+
+	// Balance derives its targets from the neighbourhoods of sibling
+	// families' parents and skips those inside the grandparent. The shell
+	// brings its own rotated inter-tree connections; a fully periodic brick
+	// has trees that neighbour themselves, so a cross-tree image can land
+	// inside the very grandparent it is tested against.
+	conns := []struct {
+		name string
+		conn *connectivity.Conn
+	}{
+		{"shell", connectivity.Shell(0.55, 1)},
+		{"periodic brick", connectivity.Brick(2, 1, 1, true, true, true)},
+	}
+	for _, cc := range conns {
+		for _, p := range []int{1, 3} {
+			mpi.Run(p, func(c *mpi.Comm) {
+				for _, kind := range kinds {
+					build := func() *Forest {
+						f := New(c, cc.conn, 1)
+						f.Refine(true, 4, fractalRefine(4))
+						f.Partition()
+						return f
+					}
+					rec, rip := build(), build()
+					rec.Balance(kind)
+					rip.balanceRipple(kind)
+					validate(t, rec)
+					if a, b := rec.Checksum(), rip.Checksum(); a != b || rec.NumGlobal() != rip.NumGlobal() {
+						t.Errorf("%s P=%d kind=%d: recursive %d leaves (%#x), ripple %d (%#x)",
+							cc.name, p, kind, rec.NumGlobal(), a, rip.NumGlobal(), b)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -225,7 +261,7 @@ func TestBoundaryTraversalMatchesBruteForce(t *testing.T) {
 			me := c.Rank()
 			for i, o := range f.Local {
 				remote := false
-				for _, n := range f.Conn.AllNeighbors(o) {
+				for _, n := range f.Conn.AppendNeighbors(nil, o, connectivity.FacesEdgesCorners) {
 					lo, hi := f.OwnersOfRange(n)
 					if lo != me || hi != me {
 						remote = true
@@ -237,6 +273,55 @@ func TestBoundaryTraversalMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSegmentTestsMatchMarkers checks the key-free segment tests against
+// their definition on the shared markers: overlapsLocal, ownedHereOnly and
+// OwnersOfRange answer for every octant of every level as the Morton-key
+// comparisons with gfp do, including on ranks left empty.
+func TestSegmentTestsMatchMarkers(t *testing.T) {
+	for _, p := range []int{1, 3, 8, 40} {
+		mpi.Run(p, func(c *mpi.Comm) {
+			// Six roots leave ranks empty at P = 8 and 40.
+			for _, f := range []*Forest{fig4Forest(c, 1), New(c, connectivity.SixRotCubes(), 0)} {
+				f.segmentTestsMatchMarkers(t)
+			}
+		})
+	}
+}
+
+// segmentTestsMatchMarkers reports the first probe on which the calling
+// rank's segment tests and the markers disagree. It returns early without
+// a collective, so the other ranks go on.
+func (f *Forest) segmentTestsMatchMarkers(t *testing.T) {
+	t.Helper()
+	p, me := f.Comm.Size(), f.Comm.Rank()
+	lo, hi := f.gfp[me], f.gfp[me+1]
+	var probes []octant.Octant
+	for _, o := range f.GatherAll() {
+		for l := int8(0); l <= o.Level; l++ {
+			probes = append(probes, o.AncestorAt(l))
+		}
+	}
+	for _, o := range probes {
+		start, end := markerOf(o), markerEnd(o)
+		if got, want := f.overlapsLocal(o), start.Less(hi) && lo.Less(end); got != want {
+			t.Errorf("P=%d rank %d: overlapsLocal(%v) = %v, markers say %v", p, me, o, got, want)
+			return
+		}
+		if got, want := f.ownedHereOnly(o), lo.LessEq(start) && end.LessEq(hi); got != want {
+			t.Errorf("P=%d rank %d: ownedHereOnly(%v) = %v, markers say %v", p, me, o, got, want)
+			return
+		}
+		r0, r1 := f.OwnersOfRange(o)
+		want0 := f.OwnerOfPosition(start)
+		want1 := sort.Search(p+1, func(i int) bool { return !f.gfp[i].Less(end) }) - 1
+		want1 = max(min(want1, p-1), want0)
+		if r0 != want0 || r1 != want1 {
+			t.Errorf("P=%d rank %d: OwnersOfRange(%v) = %d..%d, markers say %d..%d", p, me, o, r0, r1, want0, want1)
+			return
+		}
 	}
 }
 

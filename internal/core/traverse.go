@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/connectivity"
 	"repro/internal/octant"
 )
 
@@ -18,6 +19,7 @@ import (
 // exchange round both ride this walk, so their per-leaf owner scans run
 // over the partition boundary only instead of all N local leaves.
 func (f *Forest) forEachBoundaryLeaf(visit func(i int, o octant.Octant)) {
+	var nbrs []octant.Octant
 	lo := 0
 	for lo < len(f.Local) {
 		t := f.Local[lo].Tree
@@ -25,7 +27,7 @@ func (f *Forest) forEachBoundaryLeaf(visit func(i int, o octant.Octant)) {
 		for hi < len(f.Local) && f.Local[hi].Tree == t {
 			hi++
 		}
-		f.boundaryWalk(octant.Root(t), lo, hi, visit)
+		f.boundaryWalk(octant.Root(t), lo, hi, &nbrs, visit)
 		lo = hi
 	}
 }
@@ -34,13 +36,14 @@ func (f *Forest) forEachBoundaryLeaf(visit func(i int, o octant.Octant)) {
 // exactly Local[lo:hi). Child ranges are split by binary search on the
 // curve, so the cost is O(visited · (26 + log N)) with the visited set
 // confined to boundary-overlapping subtrees.
-func (f *Forest) boundaryWalk(s octant.Octant, lo, hi int, visit func(int, octant.Octant)) {
+func (f *Forest) boundaryWalk(s octant.Octant, lo, hi int, nbrs *[]octant.Octant, visit func(int, octant.Octant)) {
 	if lo >= hi {
 		return
 	}
 	if f.ownedHereOnly(s) {
 		interior := true
-		for _, n := range f.Conn.AllNeighbors(s) {
+		*nbrs = f.Conn.AppendNeighbors((*nbrs)[:0], s, connectivity.FacesEdgesCorners)
+		for _, n := range *nbrs {
 			if !f.ownedHereOnly(n) {
 				interior = false
 				break
@@ -60,7 +63,7 @@ func (f *Forest) boundaryWalk(s octant.Octant, lo, hi int, visit func(int, octan
 		mid := lo + sort.Search(hi-lo, func(k int) bool {
 			return octant.Compare(f.Local[lo+k], last) > 0
 		})
-		f.boundaryWalk(c, lo, mid, visit)
+		f.boundaryWalk(c, lo, mid, nbrs, visit)
 		lo = mid
 	}
 }

@@ -129,6 +129,11 @@ func compare(a, b *Octant) int {
 // It returns -1, 0, or +1.
 func Compare(a, b Octant) int { return compare(&a, &b) }
 
+// ComparePosition orders the curve positions of a and b — tree, then the
+// Morton key of the corner, whatever the levels — without forming keys. It
+// returns -1, 0, or +1.
+func ComparePosition(a, b Octant) int { return comparePosition(&a, &b) }
+
 // Less reports Compare(a, b) < 0.
 func Less(a, b Octant) bool { return Compare(a, b) < 0 }
 
