@@ -34,7 +34,7 @@ bench:
 # too (without -race: AllocsPerRun pins only hold in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
-	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$' -benchtime=1x -timeout 5m ./internal/core/
+	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
 	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/

@@ -188,6 +188,33 @@ func BenchmarkGhostAndNodes(b *testing.B) {
 	}
 }
 
+// BenchmarkNodes measures Nodes on the fig4-fractal forest (SixRotCubes,
+// level 2 + 3, 45,912 octants) on two ranks, in seconds per million
+// octants: the core.nodes_s_per_moct of the benchmark's traced runs.
+func BenchmarkNodes(b *testing.B) {
+	conn := connectivity.SixRotCubes()
+	var sec float64
+	var octs int64
+	for i := 0; i < b.N; i++ {
+		mpi.Run(2, func(c *mpi.Comm) {
+			f := New(c, conn, 2)
+			f.Refine(true, 5, fractalRefine(5))
+			f.Partition()
+			f.Balance(BalanceFull)
+			g := f.Ghost()
+			c.Barrier()
+			t0 := time.Now()
+			f.Nodes(g)
+			d := mpi.AllreduceMax(c, time.Since(t0).Seconds())
+			if c.Rank() == 0 {
+				sec += d
+				octs = f.NumGlobal()
+			}
+		})
+	}
+	b.ReportMetric(sec/float64(b.N)/(float64(octs)/1e6), "s/Moct")
+}
+
 // BenchmarkOwnerSearch measures the O(log P) shared-meta-data owner lookup
 // the space-filling curve enables.
 func BenchmarkOwnerSearch(b *testing.B) {

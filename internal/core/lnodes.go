@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/connectivity"
+	"repro/internal/octant"
+)
 
 // LNodes is the globally unique numbering of degree-N continuous
 // tensor-product unknowns on a CONFORMING forest (every face neighbour the
@@ -39,16 +44,17 @@ func (f *Forest) LNodes(ghost *GhostLayer, degree int) *LNodes {
 	np1 := degree + 1
 
 	// Conformity check: every interior face neighbour must be equal-size.
+	search := mergeLeaves(f.Local, ghost.Octants)
+	var nbs []octant.Octant
 	for _, o := range f.Local {
-		for face := 0; face < 6; face++ {
-			for _, nb := range f.Conn.FaceNeighbors(o, face) {
-				leaf, _, _, found := f.FindLeafOrGhost(ghost, nb)
-				if !found {
-					panic(fmt.Sprintf("core: LNodes missing neighbour of %v (ghost layer stale?)", o))
-				}
-				if leaf.Level != o.Level {
-					panic(fmt.Sprintf("core: LNodes requires a conforming mesh; %v has level-%d neighbour %v", o, leaf.Level, leaf))
-				}
+		nbs = f.Conn.AppendNeighbors(nbs[:0], o, connectivity.Faces)
+		for _, nb := range nbs {
+			i := octant.SearchContaining(search, nb)
+			if i < 0 || !search[i].Contains(nb) {
+				panic(fmt.Sprintf("core: LNodes missing neighbour of %v (ghost layer stale?)", o))
+			}
+			if leaf := search[i]; leaf.Level != o.Level {
+				panic(fmt.Sprintf("core: LNodes requires a conforming mesh; %v has level-%d neighbour %v", o, leaf.Level, leaf))
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -151,6 +154,57 @@ func TestLNodesGeometricConsistencyShell(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLNodesPinned pins what LNodes numbers — every rank's Keys, GlobalID
+// and ElementNodes, hashed in rank order — on the rotated shell and the
+// periodic brick whose trees neighbour themselves, so a change in how the
+// points are grouped or searched cannot change the numbering.
+func TestLNodesPinned(t *testing.T) {
+	want := map[string]uint64{
+		"shell/P1/N2":    0x44d1e99c98a50251,
+		"shell/P1/N3":    0x9f4c0f3bdf959257,
+		"shell/P3/N2":    0x9221c269639746c4,
+		"shell/P3/N3":    0x13f909c47fdaceaf,
+		"periodic/P1/N2": 0x4bd7ce108d1958eb,
+		"periodic/P1/N3": 0x437b3aa5c234e539,
+		"periodic/P3/N2": 0x36ac4e0abca00570,
+		"periodic/P3/N3": 0xbce018b4cb5e6ae7,
+	}
+	for _, cn := range []struct {
+		name  string
+		conn  *connectivity.Conn
+		level int8
+	}{
+		{"shell", connectivity.Shell(0.55, 1), 1},
+		{"periodic", connectivity.Brick(2, 1, 1, true, true, true), 2},
+	} {
+		for _, p := range []int{1, 3} {
+			for _, degree := range []int{2, 3} {
+				var got uint64
+				mpi.Run(p, func(c *mpi.Comm) {
+					f := New(c, cn.conn, cn.level)
+					ln := f.LNodes(f.Ghost(), degree)
+					h := fnv.New64a()
+					binary.Write(h, binary.LittleEndian, ln.Keys)
+					binary.Write(h, binary.LittleEndian, ln.GlobalID)
+					for _, en := range ln.ElementNodes {
+						binary.Write(h, binary.LittleEndian, en)
+					}
+					all := mpi.Allgather(c, h.Sum64())
+					if c.Rank() == 0 {
+						h.Reset()
+						binary.Write(h, binary.LittleEndian, all)
+						got = h.Sum64()
+					}
+				})
+				name := fmt.Sprintf("%s/P%d/N%d", cn.name, p, degree)
+				if got != want[name] {
+					t.Errorf("%s: LNodes hash %#x, pinned %#x", name, got, want[name])
+				}
+			}
+		}
+	}
 }
 
 func TestLNodesRejectsNonConforming(t *testing.T) {

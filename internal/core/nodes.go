@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -63,12 +64,6 @@ type numbering struct {
 	comm *mpi.Comm
 }
 
-// cornerPoint returns the lattice coordinates of corner c of leaf o.
-func cornerPoint(o octant.Octant, c int) [3]int32 {
-	x, y, z := o.Corner(c)
-	return [3]int32{x, y, z}
-}
-
 // pointOwner determines, from shared meta-data only, the rank owning the
 // node at canonical point key of the lattice refined by scale: the owner of
 // the curve-smallest max-level cell whose closed region touches the node,
@@ -121,7 +116,7 @@ func (f *Forest) canonical(t int32, p [3]int32, scale int32) connectivity.TreePo
 
 // cornerRec is one element corner on its way to a node reference.
 type cornerRec struct {
-	at   uint64 // lattice point z<<40 | y<<20 | x: the sort key within a tree
+	at   uint64 // lattice point z<<2b | y<<b | x over b = deepest level + 1 bits: the sort key within a tree
 	ref  int32  // element*8 + corner
 	hang uint8  // log2 of the number of nodes the corner reads: 0, 1 or 2
 }
@@ -133,10 +128,15 @@ type keySlot struct {
 	slot int32
 }
 
-// intern sorts the wanted keys, returns the distinct ones ascending and
-// stores the index of each slot's key in refs.
+// sortKey is (tree, z, y, x), 32 bits each: compareTreePoint's order for w.key ≥ 0.
+func (w *keySlot) sortKey() (uint64, uint64) {
+	return uint64(w.key.Tree)<<32 | uint64(w.key.Z), uint64(w.key.Y)<<32 | uint64(w.key.X)
+}
+
+// intern groups the wanted keys with radixSort, returns the distinct ones
+// ascending and stores the index of each slot's key in refs.
 func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
-	slices.SortFunc(want, func(a, b keySlot) int { return compareTreePoint(a.key, b.key) })
+	radixSort(want, (*keySlot).sortKey)
 	n := 0
 	for i := range want {
 		if i == 0 || want[i].key != want[i-1].key {
@@ -161,28 +161,34 @@ func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
 // sit on.
 //
 // Where a corner hangs follows from the leaf's position in its parent
-// (hangingCorners): six neighbour lookups per element. Each distinct
-// lattice point is then resolved once — the corners of a tree's elements
-// are sorted by point, and a run of equal points shares one set of
-// references — and the canonical keys are numbered by sort-and-unique.
+// (hangingCorners): six questions, each asked once per sibling family. Each
+// distinct lattice point is then resolved once — a tree's corners are
+// grouped by radixSort on the bits that vary, and a run of equal points
+// shares one set of references — and the keys are numbered by radixSort.
 func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	defer f.span("nodes")()
 	search := mergeLeaves(f.Local, ghost.Octants)
 
+	var deepest int8
+	for _, o := range f.Local {
+		deepest = max(deepest, o.Level)
+	}
+	shift, b := octant.MaxLevel-deepest, deepest+1
+	var families [octant.MaxLevel + 1]family
 	recs := make([]cornerRec, 0, 8*len(f.Local))
 	for e, o := range f.Local {
-		onEdge, onFace := f.hangingCorners(search, o)
+		onEdge, onFace := f.hangingCorners(search, &families[o.Level], o)
 		for c := 0; c < 8; c++ {
 			x, y, z := o.Corner(c)
 			recs = append(recs, cornerRec{
-				at:   uint64(z)<<40 | uint64(y)<<20 | uint64(x),
+				at:   uint64(z>>shift)<<(2*b) | uint64(y>>shift)<<b | uint64(x>>shift),
 				ref:  int32(e*8 + c),
 				hang: onEdge>>c&1 + onFace>>c&1<<1,
 			})
 		}
 	}
 
-	// Sort each tree's corners by point. A run of equal points is one
+	// Group each tree's corners by point. A run of equal points is one
 	// lattice point; count the references the runs will ask for.
 	slots := 0
 	for lo := 0; lo < len(f.Local); {
@@ -191,7 +197,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 			hi++
 		}
 		tree := recs[8*lo : 8*hi]
-		slices.SortFunc(tree, func(a, b cornerRec) int { return cmp.Compare(a.at, b.at) })
+		radixSort(tree, func(r *cornerRec) (uint64, uint64) { return 0, r.at })
 		for i, r := range tree {
 			if i == 0 || r.at != tree[i-1].at {
 				slots += 1 << r.hang
@@ -207,7 +213,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	for i := 0; i < len(recs); {
 		r, off := recs[i], len(want)
 		o := f.Local[r.ref>>3]
-		p := [3]int32{int32(r.at & 0xfffff), int32(r.at >> 20 & 0xfffff), int32(r.at >> 40)}
+		p := [3]int32{int32(r.at&(1<<b-1)) << shift, int32(r.at>>b&(1<<b-1)) << shift, int32(r.at>>(2*b)) << shift}
 		if r.hang == 0 {
 			want = append(want, keySlot{f.canonical(o.Tree, p, 1), int32(off)})
 		} else {
@@ -236,40 +242,48 @@ var otherAxes = [3][2]int{{1, 2}, {0, 2}, {0, 1}}
 // hangs exactly when a leaf the size of P lies across that face. o touches
 // those three faces and three edges itself, so its own neighbours — local
 // leaves or ghosts — decide.
-func (f *Forest) hangingCorners(search []octant.Octant, o octant.Octant) (onEdge, onFace uint8) {
+// An answer is alike for every child on P's face or edge, so fam keeps it
+// (18 questions per full family, not 48); leaves come in curve order and a
+// refined sibling's descendants are deeper, so one family per level does.
+func (f *Forest) hangingCorners(search []octant.Octant, fam *family, o octant.Octant) (onEdge, onFace uint8) {
 	if o.Level == 0 {
 		return 0, 0
 	}
-	parentSized := func(n octant.Octant) bool {
-		i := octant.SearchContaining(search, n)
-		if i < 0 {
-			panic(fmt.Sprintf("core: no leaf covers %v next to %v (ghost layer incomplete?)", n, o))
+	if p := o.Parent(); fam.parent != p {
+		*fam = family{parent: p}
+	}
+	// across: does a leaf the size of P lie across neighbour n or an image?
+	across := func(bit int, n octant.Octant, images func(octant.Octant, int) []octant.Octant, i int) bool {
+		if fam.asked>>bit&1 == 0 {
+			fam.asked |= 1 << bit
+			ns := []octant.Octant{n}
+			if !n.Inside() {
+				ns = images(o, i)
+			}
+			for _, n := range ns {
+				j := octant.SearchContaining(search, n)
+				if j < 0 {
+					panic(fmt.Sprintf("core: no leaf covers %v next to %v (ghost layer incomplete?)", n, o))
+				}
+				if search[j].Level < o.Level-1 {
+					panic(fmt.Sprintf("core: %v touches %v (mesh not 2:1 balanced?)", o, search[j]))
+				}
+				if search[j].Level == o.Level-1 {
+					fam.sized |= 1 << bit
+				}
+			}
 		}
-		if search[i].Level < o.Level-1 {
-			panic(fmt.Sprintf("core: %v touches %v (mesh not 2:1 balanced?)", o, search[i]))
-		}
-		return search[i].Level == o.Level-1
+		return fam.sized>>bit&1 == 1
 	}
 	cid := o.ChildID()
 	var face, edge [3]bool
 	for a := 0; a < 3; a++ {
-		// The face of o normal to axis a and the edge along it, on cid's side.
+		// The face of o normal to axis a and the edge along it, on cid's
+		// side: the same face and edge of P.
 		t := otherAxes[a]
 		fc, e := 2*a+cid>>a&1, 4*a+cid>>t[0]&1+cid>>t[1]&1<<1
-		if n := o.FaceNeighbor(fc); n.Inside() {
-			face[a] = parentSized(n)
-		} else {
-			for _, n := range f.Conn.FaceNeighbors(o, fc) {
-				face[a] = parentSized(n) || face[a]
-			}
-		}
-		if n := o.EdgeNeighbor(e); n.Inside() {
-			edge[a] = parentSized(n)
-		} else {
-			for _, n := range f.Conn.EdgeNeighbors(o, e) {
-				edge[a] = parentSized(n) || edge[a]
-			}
-		}
+		face[a] = across(fc, o.FaceNeighbor(fc), f.Conn.FaceNeighbors, fc)
+		edge[a] = across(octant.NumFaces+e, o.EdgeNeighbor(e), f.Conn.EdgeNeighbors, e)
 	}
 	for a := 0; a < 3; a++ {
 		if t := otherAxes[a]; edge[a] || face[t[0]] || face[t[1]] {
@@ -280,6 +294,68 @@ func (f *Forest) hangingCorners(search []octant.Octant, o octant.Octant) (onEdge
 		}
 	}
 	return onEdge, onFace
+}
+
+// family memoises hangingCorners' answers for the children of one parent.
+type family struct {
+	parent       octant.Octant
+	asked, sized uint32 // bit f: face f of the parent, bit 6+e: its edge e
+}
+
+// radixSort sorts a in place by the 128-bit key hi:lo, American-flag (MSD)
+// style: a bucket's digit is the 8 bits ending at the highest bit its keys
+// differ in, so digits it agrees on cost no pass; buckets under 32 are
+// finished by insertion. Equal keys come out in no particular order.
+func radixSort[T any](a []T, key func(*T) (hi, lo uint64)) {
+	if len(a) < 32 {
+		for i := 1; i < len(a); i++ {
+			for j := i; j > 0; j-- {
+				h, l := key(&a[j])
+				if ph, pl := key(&a[j-1]); ph < h || ph == h && pl <= l {
+					break
+				}
+				a[j], a[j-1] = a[j-1], a[j]
+			}
+		}
+		return
+	}
+	h0, l0 := key(&a[0])
+	var dh, dl uint64
+	for i := range a {
+		h, l := key(&a[i])
+		dh, dl = dh|(h^h0), dl|(l^l0)
+	}
+	if dh|dl == 0 {
+		return
+	}
+	sh, sl := 64, max(bits.Len64(dl)-8, 0) // a shift by 64 drops a word
+	if dh != 0 {
+		sh, sl = max(bits.Len64(dh)-8, 0), 64
+	}
+	digit := func(t *T) int {
+		h, l := key(t)
+		return int(uint8(h>>sh | l>>sl))
+	}
+	// Bucket d is a[start[d]:start[d+1]]; next[d] is its first unplaced slot.
+	var start, next [257]int
+	for i := range a {
+		start[digit(&a[i])+1]++
+	}
+	for d := 0; d < 256; d++ {
+		start[d+1] += start[d]
+		next[d] = start[d]
+	}
+	for d := 0; d < 256; d++ {
+		for next[d] < start[d+1] {
+			if to := digit(&a[next[d]]); to == d {
+				next[d]++
+			} else {
+				a[next[d]], a[next[to]] = a[next[to]], a[next[d]]
+				next[to]++
+			}
+		}
+		radixSort(a[start[d]:start[d+1]], key)
+	}
 }
 
 // appendAnchors appends the canonical keys of the anchors of the hanging
@@ -341,7 +417,15 @@ func (f *Forest) coarseImage(search []octant.Octant, p connectivity.TreePoint, l
 
 // compareTreePoint orders points by (tree, z, y, x), the order of Keys.
 func compareTreePoint(a, b connectivity.TreePoint) int {
-	return cmp.Or(cmp.Compare(a.Tree, b.Tree), cmp.Compare(a.Z, b.Z), cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
+	switch {
+	case a.Tree != b.Tree:
+		return cmp.Compare(a.Tree, b.Tree)
+	case a.Z != b.Z:
+		return cmp.Compare(a.Z, b.Z)
+	case a.Y != b.Y:
+		return cmp.Compare(a.Y, b.Y)
+	}
+	return cmp.Compare(a.X, b.X)
 }
 
 // mergeLeaves merges two curve-sorted leaf arrays into one, which the

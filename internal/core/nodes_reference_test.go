@@ -304,3 +304,9 @@ func referenceLessTreePoint(a, b connectivity.TreePoint) bool {
 	}
 	return a.X < b.X
 }
+
+// cornerPoint returns the lattice coordinates of corner c of leaf o.
+func cornerPoint(o octant.Octant, c int) [3]int32 {
+	x, y, z := o.Corner(c)
+	return [3]int32{x, y, z}
+}
