@@ -47,9 +47,10 @@ func BenchmarkApplyD(b *testing.B) {
 				for i := range u {
 					u[i] = float64(i % 7)
 				}
+				w := m.SerialWork()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.applyD1(i%3, u, out)
+					w.ApplyD(i%3, u, out)
 				}
 				// 2(N+1) ops per node per direction.
 				b.ReportMetric(float64(2*m.Np1*m.Np), "flops/op")

@@ -301,11 +301,11 @@ func (m *Mesh) ExchangeGhost(nc int, field []float64) {
 // sum_{p,q} A[i*n+p] B[j*n+q] u[p,q]. a and b are row-major n x n
 // matrices; tmp is caller-provided scratch (len n*n; must not alias u or
 // out).
-func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
+func tensor2ApplyBuf[T Float](n int, a, b, u, out, tmp []T) {
 	_ = tmp[n*n-1]
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			var s float64
+			var s T
 			ai := a[i*n : i*n+n]
 			for p := 0; p < n; p++ {
 				s += ai[p] * u[p+n*j]
@@ -315,7 +315,7 @@ func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			var s float64
+			var s T
 			bj := b[j*n : j*n+n]
 			for q := 0; q < n; q++ {
 				s += bj[q] * tmp[i+n*q]
@@ -330,7 +330,7 @@ func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
 // u[p,q], component by component. a and b are row-major n x n matrices;
 // tmp is caller-provided scratch (len n*n*nc; must not alias u or out).
 // Every output sums over p (then q) ascending from zero, whatever nc.
-func tensor2ApplyNC(n, nc int, a, b []float64, u, out, tmp []float64) {
+func tensor2ApplyNC[T Float](n, nc int, a, b, u, out, tmp []T) {
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
 			t := tmp[(i+n*j)*nc : (i+n*j+1)*nc]
@@ -361,20 +361,6 @@ func tensor2ApplyNC(n, nc int, a, b []float64, u, out, tmp []float64) {
 	}
 }
 
-// quadInterp returns the flat 1D interpolation matrices for the link's
-// quadrant.
-func (m *Mesh) quadInterp(l *FaceLink) (qi, qj []float64) {
-	qi = m.iloF
-	if l.QuadI == 1 {
-		qi = m.ihiF
-	}
-	qj = m.iloF
-	if l.QuadJ == 1 {
-		qj = m.ihiF
-	}
-	return qi, qj
-}
-
 // weightedTranspose returns Pw[i][j] = 0.5 * W[j] * I[j][i], the half-face
 // quadrature transfer operator.
 func weightedTranspose(l *LGL, in [][]float64) [][]float64 {
@@ -387,18 +373,4 @@ func weightedTranspose(l *LGL, in [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// quadWeighted returns the flat weighted-transpose transfer operators for
-// the link's quadrant.
-func (m *Mesh) quadWeighted(l *FaceLink) (pwi, pwj []float64) {
-	pwi = m.pwloF
-	if l.QuadI == 1 {
-		pwi = m.pwhiF
-	}
-	pwj = m.pwloF
-	if l.QuadJ == 1 {
-		pwj = m.pwhiF
-	}
-	return pwi, pwj
 }

@@ -145,20 +145,13 @@ type Mesh struct {
 	// under alignment a (FaceLink.alignIndex): MapIndex tabulated once.
 	facePerm [8][]int32
 
-	// Half-face interpolation matrices (1D), their exact L2 projections,
-	// and the weighted-transpose quadrature transfer operators used by the
-	// hanging-face lift.
-	Ilo, Ihi   [][]float64
-	Plo, Phi   [][]float64
-	PwLo, PwHi [][]float64
-
-	// Flat row-major copies of the operators above plus the
-	// differentiation matrix; the hot tensor kernels read these so each
-	// matrix row is one contiguous cache run. The [][]float64 forms stay
-	// exported for external consumers (e.g. the float32 device backend).
-	iloF, ihiF   []float64
-	ploF, phiF   []float64
-	pwloF, pwhiF []float64
+	// ops is the float64 operator set the mesh's own Works read, over the
+	// mesh's arrays; plo and phi are the exact L2 projections from the two
+	// half intervals back to the parent, which the coarsening transfer
+	// applies. All flat row-major, so each matrix row is one contiguous
+	// cache run.
+	ops      ops[float64]
+	plo, phi []float64
 
 	// ghost exchange: aligned per-peer element lists (parallel slices in
 	// ascending peer-rank order), local element indices to send and ghost
@@ -191,8 +184,10 @@ type Mesh struct {
 	// Kernel driver state (see kernel.go): one Work context per pool
 	// worker (works[0] is the serial context, SerialWork), the identity
 	// element list the batches slice, and the fixed deterministic batch
-	// partition, which a rank without a pool walks inline.
-	works    []*Work
+	// partition, which a rank without a pool walks inline. Mesh's fields
+	// spell WorkOf[float64] out: the Work alias cannot name it inside a
+	// type WorkOf itself refers to.
+	works    []*WorkOf[float64]
 	pool     *pool.Pool
 	allElems []int32
 	batches  []kernelBatch
@@ -204,7 +199,7 @@ type Mesh struct {
 
 	// ForRange's sweep in flight and its prebuilt pool body.
 	rangeN    int
-	rangeFn   func(w *Work, lo, hi int)
+	rangeFn   func(w *WorkOf[float64], lo, hi int)
 	rangeBody func(worker, batch int)
 
 	// element-sized scratch of the transfer (interpolate/project) kernels.
@@ -224,20 +219,21 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 	}
 	m.works = make([]*Work, f.Comm.Workers())
 	for i := range m.works {
-		m.works[i] = newWork(m, i)
+		m.works[i] = newWork(m, i, &m.ops)
 	}
 	m.rangeBody = func(worker, batch int) {
 		n, nb := m.rangeN, min(m.rangeN, rangeChunks*len(m.works))
 		m.rangeFn(m.works[worker], batch*n/nb, (batch+1)*n/nb)
 	}
 	m.buildFaceIdx()
-	m.Ilo, m.Ihi = l.HalfInterp()
-	m.Plo, m.Phi = halfProjections(l, m.Ilo, m.Ihi)
-	m.PwLo = weightedTranspose(l, m.Ilo)
-	m.PwHi = weightedTranspose(l, m.Ihi)
-	m.iloF, m.ihiF = flatten(m.Ilo), flatten(m.Ihi)
-	m.ploF, m.phiF = flatten(m.Plo), flatten(m.Phi)
-	m.pwloF, m.pwhiF = flatten(m.PwLo), flatten(m.PwHi)
+	ilo, ihi := l.HalfInterp()
+	plo, phi := halfProjections(l, ilo, ihi)
+	m.plo, m.phi = flatten(plo), flatten(phi)
+	m.ops = ops[float64]{
+		d: l.DF, w: l.W,
+		ilo: flatten(ilo), ihi: flatten(ihi),
+		pwlo: flatten(weightedTranspose(l, ilo)), pwhi: flatten(weightedTranspose(l, ihi)),
+	}
 	m.buildKernelDriver()
 	m.Rebuild(g)
 	return m
@@ -260,6 +256,7 @@ func (m *Mesh) Rebuild(g *core.GhostLayer) {
 	m.NumLocal, m.NumGhost = len(m.F.Local), len(g.Octants)
 	m.matchLeaves()
 	m.buildGeometry()
+	m.ops.massInv = m.MassInv
 	m.Leaves = append(m.Leaves[:0], m.F.Local...)
 	m.buildLinks()
 	m.buildGhostExchange()
@@ -523,25 +520,24 @@ func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []fl
 // the paper's advection runs and of the benchmarks) take the unrolled
 // path; both sum each output over q ascending from zero, so they agree
 // bitwise.
-func (m *Mesh) applyD1(a int, u, out []float64) {
-	if m.Np1 == 4 {
-		applyD1Cubic((*[16]float64)(m.L.DF), a, (*[64]float64)(u), (*[64]float64)(out))
+func (w *WorkOf[T]) applyD1(a int, u, out []T) {
+	if w.m.Np1 == 4 {
+		applyD1Cubic((*[16]T)(w.op.d), a, (*[64]T)(u), (*[64]T)(out))
 		return
 	}
-	m.applyD1Generic(a, u, out)
+	applyD1Generic(w.m.Np1, w.op.d, a, u, out)
 }
 
-// applyD1Generic is applyD1 for any order.
-func (m *Mesh) applyD1Generic(a int, u, out []float64) {
-	np1 := m.Np1
-	d := m.L.DF
+// applyD1Generic is applyD1 for any order np1-1 with the flat
+// differentiation matrix d.
+func applyD1Generic[T Float](np1 int, d []T, a int, u, out []T) {
 	switch a {
 	case 0:
 		for k := 0; k < np1; k++ {
 			for j := 0; j < np1; j++ {
 				row := (j + np1*k) * np1
 				for i := 0; i < np1; i++ {
-					var s float64
+					var s T
 					di := d[i*np1 : i*np1+np1]
 					for q := 0; q < np1; q++ {
 						s += di[q] * u[row+q]
@@ -556,7 +552,7 @@ func (m *Mesh) applyD1Generic(a int, u, out []float64) {
 			for i := 0; i < np1; i++ {
 				col := i + nf*k
 				for j := 0; j < np1; j++ {
-					var s float64
+					var s T
 					dj := d[j*np1 : j*np1+np1]
 					for q := 0; q < np1; q++ {
 						s += dj[q] * u[col+q*np1]
@@ -571,7 +567,7 @@ func (m *Mesh) applyD1Generic(a int, u, out []float64) {
 			for i := 0; i < np1; i++ {
 				col := i + np1*j
 				for k := 0; k < np1; k++ {
-					var s float64
+					var s T
 					dk := d[k*np1 : k*np1+np1]
 					for q := 0; q < np1; q++ {
 						s += dk[q] * u[col+q*nf]
@@ -586,7 +582,7 @@ func (m *Mesh) applyD1Generic(a int, u, out []float64) {
 // applyD1Cubic is applyD1 for N = 3: each 4-point line along direction a
 // is loaded once and hit with the four rows of d, the four sums advancing
 // together so that no add waits on the one before it.
-func applyD1Cubic(d *[16]float64, a int, u, out *[64]float64) {
+func applyD1Cubic[T Float](d *[16]T, a int, u, out *[64]T) {
 	st := [3]int{1, 4, 16}[a]  // node stride along a
 	so := [3]int{16, 16, 4}[a] // strides of the two transverse directions
 	si := [3]int{4, 1, 1}[a]
@@ -594,7 +590,7 @@ func applyD1Cubic(d *[16]float64, a int, u, out *[64]float64) {
 		for i := 0; i < 4; i++ {
 			p := o*so + i*si
 			u0, u1, u2, u3 := u[p&63], u[(p+st)&63], u[(p+2*st)&63], u[(p+3*st)&63]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			s0 += d[0] * u0
 			s1 += d[4] * u0
 			s2 += d[8] * u0

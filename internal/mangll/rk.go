@@ -2,10 +2,12 @@ package mangll
 
 // LSRK45 is the five-stage fourth-order low-storage Runge-Kutta scheme of
 // Carpenter & Kennedy (1994), the time integrator the paper uses for both
-// the advection and the seismic wave propagation solvers (§III.B, §IV.B).
-type LSRK45 struct {
-	res []float64 // 2N-storage residual register
-	du  []float64 // scratch for the RHS evaluation
+// the advection and the seismic wave propagation solvers (§III.B, §IV.B),
+// over a state of precision T. Time, step and coefficients stay float64;
+// the register update runs in T.
+type LSRK45Of[T Float] struct {
+	res []T // 2N-storage residual register
+	du  []T // scratch for the RHS evaluation
 
 	// ForRange, if set, runs the integrator's own sweeps over the state
 	// (clearing du, the register update) in chunks — Mesh.ForRange, so they
@@ -15,10 +17,13 @@ type LSRK45 struct {
 
 	// Operands of the sweep in flight and the sweeps, built once so that
 	// Step allocates nothing.
-	u            []float64
+	u            []T
 	a, b, dt     float64
 	zero, update func(w *Work, lo, hi int)
 }
+
+// LSRK45 is the double-precision integrator of the host solvers.
+type LSRK45 = LSRK45Of[float64]
 
 var lsrkA = [5]float64{
 	0,
@@ -48,14 +53,14 @@ var lsrkC = [5]float64{
 // tt into du (du is pre-zeroed scratch owned by the integrator). Only the
 // locally owned portion of u should be integrated; rhs is responsible for
 // any ghost exchange it needs.
-func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []float64)) {
+func (r *LSRK45Of[T]) Step(u []T, t, dt float64, rhs func(tt float64, u, du []T)) {
 	if r.update == nil {
 		r.zero = func(_ *Work, lo, hi int) {
 			clear(r.du[lo:hi])
 		}
 		r.update = func(_ *Work, lo, hi int) {
 			u, res, du := r.u[lo:hi], r.res[lo:hi], r.du[lo:hi]
-			a, b, dt := r.a, r.b, r.dt
+			a, b, dt := T(r.a), T(r.b), T(r.dt)
 			for i := range u {
 				res[i] = a*res[i] + dt*du[i]
 				u[i] += b * res[i]
@@ -75,17 +80,10 @@ func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []f
 	r.u = nil
 }
 
-func (r *LSRK45) sweep(fn func(w *Work, lo, hi int)) {
+func (r *LSRK45Of[T]) sweep(fn func(w *Work, lo, hi int)) {
 	if r.ForRange == nil {
 		fn(nil, 0, len(r.u))
 		return
 	}
 	r.ForRange(len(r.u), fn)
 }
-
-// LSRKA exposes the low-storage A coefficient of stage s (used by the
-// single-precision device backend to mirror the host integrator).
-func LSRKA(s int) float64 { return lsrkA[s] }
-
-// LSRKB exposes the low-storage B coefficient of stage s.
-func LSRKB(s int) float64 { return lsrkB[s] }

@@ -199,17 +199,17 @@ func (m *Mesh) projectTo(l *LGL, leaves []octant.Octant, data []float64, q octan
 			acc[n] = 0
 		}
 		for ci := 0; ci < 8; ci++ {
-			px := m.ploF
+			px := m.plo
 			if ci&1 != 0 {
-				px = m.phiF
+				px = m.phi
 			}
-			py := m.ploF
+			py := m.plo
 			if ci&2 != 0 {
-				py = m.phiF
+				py = m.phi
 			}
-			pz := m.ploF
+			pz := m.plo
 			if ci&4 != 0 {
-				pz = m.phiF
+				pz = m.phi
 			}
 			src := childBuf[ci*per:]
 			for n := 0; n < m.Np; n++ {

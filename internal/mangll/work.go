@@ -19,45 +19,102 @@ package mangll
 // *All forms: one gather and one quadrature weight per face node), whose
 // face buffers are node-major: value c of face node fn at [fn*nc+c]. Both
 // forms sum in the same order, so they agree bitwise.
-type Work struct {
+//
+// The kernels are written once for both precisions: WorkOf[T] reads the
+// operator set of precision T (ops). A mesh's own Works run in float64
+// over the mesh's arrays; NewWorkOf makes a float32 one for the
+// single-precision device.
+type WorkOf[T Float] struct {
 	m  *Mesh
 	id int
+	op *ops[T]
 
 	// Face-sized scratch (Nf nodes times the widest component count seen,
 	// grown on first use so steady-state kernels allocate nothing), fixed
 	// roles within one operation: a holds gathered face values, b a
 	// tensor-product result, c the tensor workspace.
-	sA, sB, sC []float64
+	sA, sB, sC []T
 }
 
-func newWork(m *Mesh, id int) *Work {
-	w := &Work{m: m, id: id}
+// Work is the double-precision context every Kernel hook is handed.
+type Work = WorkOf[float64]
+
+// Float is the element type a kernel runs in.
+type Float interface{ ~float32 | ~float64 }
+
+// ops is one precision's copy of what the face and derivative kernels
+// read: the degree's 1D operators, flat row-major — the differentiation
+// matrix, the half-face interpolations and their weighted transposes —
+// the quadrature weights, and the inverse mass matrix of the local nodes.
+type ops[T Float] struct {
+	d, w                 []T
+	ilo, ihi, pwlo, pwhi []T
+	massInv              []T
+}
+
+// Convert returns a copy of a in precision T.
+func Convert[T, S Float](a []S) []T {
+	out := make([]T, len(a))
+	for i, v := range a {
+		out[i] = T(v)
+	}
+	return out
+}
+
+// quadrant returns the operators of the link's quadrant, one per face
+// axis, out of the lower- and upper-half pair lo, hi.
+func quadrant[T Float](lo, hi []T, l *FaceLink) (qi, qj []T) {
+	qi, qj = lo, lo
+	if l.QuadI == 1 {
+		qi = hi
+	}
+	if l.QuadJ == 1 {
+		qj = hi
+	}
+	return qi, qj
+}
+
+func newWork[T Float](m *Mesh, id int, op *ops[T]) *WorkOf[T] {
+	w := &WorkOf[T]{m: m, id: id, op: op}
 	w.scratch(1)
 	return w
 }
 
+// NewWorkOf returns a serial Work context of precision T over the mesh's
+// current elements: its operators and inverse mass matrix converted to T,
+// once. A Rebuild of the mesh leaves it stale.
+func NewWorkOf[T Float](m *Mesh) *WorkOf[T] {
+	o := &m.ops
+	return newWork(m, 0, &ops[T]{
+		d: Convert[T](o.d), w: Convert[T](o.w),
+		ilo: Convert[T](o.ilo), ihi: Convert[T](o.ihi),
+		pwlo: Convert[T](o.pwlo), pwhi: Convert[T](o.pwhi),
+		massInv: Convert[T](o.massInv),
+	})
+}
+
 // scratch returns the three face buffers sized for k values per node.
-func (w *Work) scratch(k int) (a, b, c []float64) {
+func (w *WorkOf[T]) scratch(k int) (a, b, c []T) {
 	n := w.m.Nf * k
 	if len(w.sA) < n {
-		w.sA = make([]float64, n)
-		w.sB = make([]float64, n)
-		w.sC = make([]float64, n)
+		w.sA = make([]T, n)
+		w.sB = make([]T, n)
+		w.sC = make([]T, n)
 	}
 	return w.sA[:n], w.sB[:n], w.sC[:n]
 }
 
 // ID returns the worker index in [0, workers); frontends use it to index
 // their own per-worker scratch arrays.
-func (w *Work) ID() int { return w.id }
+func (w *WorkOf[T]) ID() int { return w.id }
 
 // SerialWork returns the rank goroutine's own Work context (worker 0),
 // for mesh operations performed outside a kernel application — setup,
-// diagnostics, tests, device staging. Never call it from a kernel hook.
+// diagnostics, tests. Never call it from a kernel hook.
 func (m *Mesh) SerialWork() *Work { return m.works[0] }
 
 // Mesh returns the mesh this context operates on.
-func (w *Work) Mesh() *Mesh { return w.m }
+func (w *WorkOf[T]) Mesh() *Mesh { return w.m }
 
 // FaceValues extracts the neighbour's face values for a link, aligned to my
 // face grid, into out (length Nf). field is a full local+ghost array with
@@ -65,7 +122,7 @@ func (w *Work) Mesh() *Mesh { return w.m }
 // coarse neighbour's face is interpolated onto my half-size face; for
 // LinkToFineQuad the fine neighbour's face covers my quadrant directly
 // (callers evaluate at the fine nodes).
-func (w *Work) FaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
+func (w *WorkOf[T]) FaceValues(l *FaceLink, nc, comp int, field, out []T) {
 	m := w.m
 	nbr := int(l.Nbr)
 	if l.NbrGhost {
@@ -85,7 +142,7 @@ func (w *Work) FaceValues(l *FaceLink, nc, comp int, field []float64, out []floa
 		for fn, vn := range fidx {
 			nb[fn] = src[int(vn)*nc]
 		}
-		qi, qj := m.quadInterp(l)
+		qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
 		tensor2ApplyBuf(m.Np1, qi, qj, nb, wk, tmp)
 		for fn, p := range perm {
 			out[fn] = wk[p]
@@ -96,7 +153,7 @@ func (w *Work) FaceValues(l *FaceLink, nc, comp int, field []float64, out []floa
 }
 
 // FaceValuesAll is FaceValues for all nc components at once.
-func (w *Work) FaceValuesAll(l *FaceLink, nc int, field []float64, out []float64) {
+func (w *WorkOf[T]) FaceValuesAll(l *FaceLink, nc int, field, out []T) {
 	m := w.m
 	nbr := int(l.Nbr)
 	if l.NbrGhost {
@@ -113,7 +170,7 @@ func (w *Work) FaceValuesAll(l *FaceLink, nc int, field []float64, out []float64
 	case LinkToCoarse:
 		nb, wk, tmp := w.scratch(nc)
 		gatherFace(fidx, nc, src, nb)
-		qi, qj := m.quadInterp(l)
+		qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
 		tensor2ApplyNC(m.Np1, nc, qi, qj, nb, wk, tmp)
 		for fn, p := range perm {
 			copy(out[fn*nc:(fn+1)*nc], wk[int(p)*nc:])
@@ -125,7 +182,7 @@ func (w *Work) FaceValuesAll(l *FaceLink, nc int, field []float64, out []float64
 
 // gatherFace copies the nc values of each face node in fidx from src into
 // the node-major face buffer out.
-func gatherFace(fidx []int32, nc int, src, out []float64) {
+func gatherFace[T Float](fidx []int32, nc int, src, out []T) {
 	for fn, vn := range fidx {
 		copy(out[fn*nc:(fn+1)*nc], src[int(vn)*nc:])
 	}
@@ -134,7 +191,7 @@ func gatherFace(fidx []int32, nc int, src, out []float64) {
 // MyFaceValues extracts my own element's face values for a link into out.
 // For LinkToFineQuad, my coarse face is interpolated onto the quadrant's
 // fine grid (in my frame) so both sides of the flux are collocated.
-func (w *Work) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
+func (w *WorkOf[T]) MyFaceValues(l *FaceLink, nc, comp int, field, out []T) {
 	m := w.m
 	src := field[int(l.Elem)*m.Np*nc+comp:]
 	fidx := m.FaceIdx[l.Face]
@@ -149,12 +206,12 @@ func (w *Work) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []fl
 	for fn, vn := range fidx {
 		mine[fn] = src[int(vn)*nc]
 	}
-	qi, qj := m.quadInterp(l)
+	qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
 	tensor2ApplyBuf(m.Np1, qi, qj, mine, out, tmp)
 }
 
 // MyFaceValuesAll is MyFaceValues for all nc components at once.
-func (w *Work) MyFaceValuesAll(l *FaceLink, nc int, field []float64, out []float64) {
+func (w *WorkOf[T]) MyFaceValuesAll(l *FaceLink, nc int, field, out []T) {
 	m := w.m
 	src := field[int(l.Elem)*m.Np*nc:]
 	if l.Kind != LinkToFineQuad {
@@ -163,30 +220,30 @@ func (w *Work) MyFaceValuesAll(l *FaceLink, nc int, field []float64, out []float
 	}
 	mine, _, tmp := w.scratch(nc)
 	gatherFace(m.FaceIdx[l.Face], nc, src, mine)
-	qi, qj := m.quadInterp(l)
+	qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
 	tensor2ApplyNC(m.Np1, nc, qi, qj, mine, out, tmp)
 }
 
 // InterpFaceToQuad interpolates values given at my full face's nodes onto
 // the fine grid of the link's quadrant (LinkToFineQuad only), in my frame.
-func (w *Work) InterpFaceToQuad(l *FaceLink, face, out []float64) {
+func (w *WorkOf[T]) InterpFaceToQuad(l *FaceLink, face, out []T) {
 	_, _, tmp := w.scratch(1)
-	qi, qj := w.m.quadInterp(l)
+	qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
 	tensor2ApplyBuf(w.m.Np1, qi, qj, face, out, tmp)
 }
 
 // ApplyD differentiates one element's nodal values along reference
 // direction a. u and out must not alias.
-func (w *Work) ApplyD(a int, u, out []float64) {
-	w.m.applyD1(a, u, out)
+func (w *WorkOf[T]) ApplyD(a int, u, out []T) {
+	w.applyD1(a, u, out)
 }
 
 // Gradient differentiates one element's nodal values along all three
 // reference directions. None of d0, d1, d2 may alias u.
-func (w *Work) Gradient(u, d0, d1, d2 []float64) {
-	w.m.applyD1(0, u, d0)
-	w.m.applyD1(1, u, d1)
-	w.m.applyD1(2, u, d2)
+func (w *WorkOf[T]) Gradient(u, d0, d1, d2 []T) {
+	w.applyD1(0, u, d0)
+	w.applyD1(1, u, d1)
+	w.applyD1(2, u, d2)
 }
 
 // LiftFace accumulates the surface contribution of a link into the volume
@@ -200,47 +257,49 @@ func (w *Work) Gradient(u, d0, d1, d2 []float64) {
 // The lift writes only into the link's own element — the property the
 // kernel driver's batching leans on: batches own disjoint element ranges,
 // so concurrent lifts never touch the same node.
-func (w *Work) LiftFace(l *FaceLink, g, dc []float64) {
+func (w *WorkOf[T]) LiftFace(l *FaceLink, g, dc []T) {
 	m := w.m
 	np1 := m.Np1
 	base := int(l.Elem) * m.Np
 	fidx := m.FaceIdx[l.Face]
+	massInv := w.op.massInv
 	if l.Kind == LinkToFineQuad {
 		_, gi, tmp := w.scratch(1)
-		pwi, pwj := m.quadWeighted(l)
+		pwi, pwj := quadrant(w.op.pwlo, w.op.pwhi, l)
 		tensor2ApplyBuf(np1, pwi, pwj, g, gi, tmp)
 		for fn, fv := range fidx {
 			vn := base + int(fv)
-			dc[vn] += m.MassInv[vn] * gi[fn]
+			dc[vn] += massInv[vn] * gi[fn]
 		}
 		return
 	}
-	wq := m.L.W
+	wq := w.op.w
 	for j := 0; j < np1; j++ {
 		for i := 0; i < np1; i++ {
 			fn := i + np1*j
 			vn := base + int(fidx[fn])
-			dc[vn] += m.MassInv[vn] * wq[i] * wq[j] * g[fn]
+			dc[vn] += massInv[vn] * wq[i] * wq[j] * g[fn]
 		}
 	}
 }
 
 // LiftFaceAll is LiftFace for all nc interleaved components of dc at once,
 // with one quadrature weight per face node.
-func (w *Work) LiftFaceAll(l *FaceLink, nc int, g, dc []float64) {
+func (w *WorkOf[T]) LiftFaceAll(l *FaceLink, nc int, g, dc []T) {
 	m := w.m
 	np1 := m.Np1
 	base := int(l.Elem) * m.Np
 	fidx := m.FaceIdx[l.Face]
+	massInv := w.op.massInv
 	if l.Kind == LinkToFineQuad {
 		// Integrated contribution to coarse face nodes: (1/4) * I^T W g per
 		// axis, i.e. apply Pw[i][j] = 0.5*W[j]*I[j][i] in each direction.
 		_, gi, tmp := w.scratch(nc)
-		pwi, pwj := m.quadWeighted(l)
+		pwi, pwj := quadrant(w.op.pwlo, w.op.pwhi, l)
 		tensor2ApplyNC(np1, nc, pwi, pwj, g, gi, tmp)
 		for fn, fv := range fidx {
 			vn := base + int(fv)
-			mi := m.MassInv[vn]
+			mi := massInv[vn]
 			d := dc[vn*nc : vn*nc+nc]
 			gn := gi[fn*nc:]
 			for c := range d {
@@ -249,12 +308,12 @@ func (w *Work) LiftFaceAll(l *FaceLink, nc int, g, dc []float64) {
 		}
 		return
 	}
-	wq := m.L.W
+	wq := w.op.w
 	for j := 0; j < np1; j++ {
 		for i := 0; i < np1; i++ {
 			fn := i + np1*j
 			vn := base + int(fidx[fn])
-			wgt := m.MassInv[vn] * wq[i] * wq[j]
+			wgt := massInv[vn] * wq[i] * wq[j]
 			d := dc[vn*nc : vn*nc+nc]
 			gn := g[fn*nc:]
 			for c := range d {

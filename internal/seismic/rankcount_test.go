@@ -127,18 +127,18 @@ func TestStepAllocsFusedPath(t *testing.T) {
 // — not NaN from normalising by zero, and not whatever the scratch row
 // held from the previous link — while its neighbours are untouched by it.
 func TestDegenerateFacePointFluxVanishes(t *testing.T) {
-	geo := []facePoint{
+	geo := []facePoint[float64]{
 		newFacePoint([3]float64{0, 0, 2}),
 		newFacePoint([3]float64{}),
 		newFacePoint([3]float64{0, 3, 4}),
 	}
-	if geo[1] != (facePoint{}) {
+	if geo[1] != (facePoint[float64]{}) {
 		t.Fatalf("zero area vector tabulated as %+v", geo[1])
 	}
 	if geo[2].Area != 5 || geo[2].N != [3]float64{0, 0.6, 0.8} {
 		t.Fatalf("area vector (0,3,4) tabulated as %+v", geo[2])
 	}
-	mat := make([]nodeMat, len(geo))
+	mat := make([]nodeMat[float64], len(geo))
 	qm := make([]float64, len(geo)*NC)
 	qp := make([]float64, len(geo)*NC)
 	g := make([]float64, len(geo)*NC)

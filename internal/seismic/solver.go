@@ -55,28 +55,14 @@ type Solver struct {
 	Time float64
 
 	MatFn func(p [3]float64) Material
-	mat   []nodeMat // per local node
 
-	// Time-invariant face data, tabulated once per mesh so no stage
-	// re-derives it: the flux points of every conforming face, by
-	// (element, face), and — with their material, which sits off the
-	// element's nodes — of every LinkToFineQuad link, Nf rows from
-	// fineOff[link].
-	faceGeo []facePoint
-	fineGeo []facePoint
-	fineMat []nodeMat
-	fineOff []int32
+	// The kernels' tables in double precision, over the mesh's own metric
+	// arrays, rebuilt with the mesh.
+	k    kernels[float64]
+	kern seisKernel
+	rk   mangll.LSRK45
 
-	rk  mangll.LSRK45
-	buf []float64 // local+ghost work array
-
-	// Per-worker hot-path scratch, allocated once so RHS is
-	// allocation-free in steady state. One entry per kernel worker; the
-	// serial path uses ws[0].
-	ws    []seisScratch
-	kern  seisKernel
-	kQ    []float64 // RHS input/output and time of the evaluation in progress
-	kDQ   []float64
+	kQ    []float64 // RHS input and time of the evaluation in progress
 	kT    float64
 	rhsFn func(tt float64, u, du []float64)
 	// The sweeps RHS does besides the kernel application, as func values
@@ -91,62 +77,108 @@ type Solver struct {
 	maxVp float64
 }
 
-// nodeMat is one point's material row: the model's parameters plus the two
-// derived values every stage would otherwise recompute.
-type nodeMat struct {
-	Material
-	InvRho, Vp float64
+// kernels is what the seismic kernels read, in precision T: the metric
+// (1/J and J dxi/dx), the material and the flux-point tables, the
+// local+ghost state array they gather from, the residual they accumulate
+// into, and one scratch set per worker. The physics is written once,
+// over it; the host runs it at float64 and the device (NewDevice) at
+// float32.
+type kernels[T mangll.Float] struct {
+	m      *mangll.Mesh
+	invJac []T
+	gi     [3][3][]T
+	mat    []nodeMat[T] // per local node
+
+	// Time-invariant face data, tabulated once per mesh so no stage
+	// re-derives it: the flux points of every conforming face, by
+	// (element, face), and — with their material, which sits off the
+	// element's nodes — of every LinkToFineQuad link, Nf rows from
+	// fineOff[link].
+	faceGeo []facePoint[T]
+	fineGeo []facePoint[T]
+	fineMat []nodeMat[T]
+	fineOff []int32
+
+	buf, dq []T
+	// Per-worker hot-path scratch, allocated once so RHS is
+	// allocation-free in steady state; the serial path uses ws[0].
+	ws []seisScratch[T]
 }
 
-func newNodeMat(mt Material) nodeMat {
-	return nodeMat{Material: mt, InvRho: 1 / mt.Rho, Vp: mt.Vp()}
+// nodeMat is one point's material row: the model's parameters plus the two
+// derived values every stage would otherwise recompute.
+type nodeMat[T mangll.Float] struct {
+	Rho, Lambda, Mu, InvRho, Vp T
+}
+
+func newNodeMat(mt Material) nodeMat[float64] {
+	return nodeMat[float64]{Rho: mt.Rho, Lambda: mt.Lambda, Mu: mt.Mu, InvRho: 1 / mt.Rho, Vp: mt.Vp()}
 }
 
 // facePoint is the geometry of one flux point: unit outward normal and
 // area magnitude. A degenerate point (zero area vector) has a zero normal,
 // so its flux vanishes instead of dividing by zero.
-type facePoint struct {
-	N    [3]float64
-	Area float64
+type facePoint[T mangll.Float] struct {
+	N    [3]T
+	Area T
 }
 
-func newFacePoint(av [3]float64) facePoint {
+func newFacePoint(av [3]float64) facePoint[float64] {
 	sa := math.Sqrt(av[0]*av[0] + av[1]*av[1] + av[2]*av[2])
 	if sa == 0 {
-		return facePoint{}
+		return facePoint[float64]{}
 	}
-	return facePoint{N: [3]float64{av[0] / sa, av[1] / sa, av[2] / sa}, Area: sa}
+	return facePoint[float64]{N: [3]float64{av[0] / sa, av[1] / sa, av[2] / sa}, Area: sa}
 }
 
 // seisScratch is one worker's kernel buffers.
-type seisScratch struct {
-	blk        []float64    // NC x np: velocity and stress, component-major
-	d0, d1, d2 []float64    // np: reference derivatives of one component
-	met        []float64    // 9 x np: (1/J) J dxi_r/dx_b at met[(3r+b)*np:]
-	grad       []float64    // 18 x np: the physical derivatives RHS uses
-	mine, nbr  []float64    // nf x NC, node-major
-	g          []float64    // nf x NC
-	mat        []nodeMat    // nf
-	xs, area   [][3]float64 // nf (table build only)
-	fx, fq     []float64    // nf (table build only)
+type seisScratch[T mangll.Float] struct {
+	blk        []T          // NC x np: velocity and stress, component-major
+	d0, d1, d2 []T          // np: reference derivatives of one component
+	met        []T          // 9 x np: (1/J) J dxi_r/dx_b at met[(3r+b)*np:]
+	grad       []T          // 18 x np: the physical derivatives RHS uses
+	mine, nbr  []T          // nf x NC, node-major
+	g          []T          // nf x NC
+	mat        []nodeMat[T] // nf
+	xs, area   [][3]float64 // nf (host table build only)
+	fx, fq     []float64    // nf (host table build only)
 }
 
-// seisKernel adapts the solver to the mangll.Kernel interface. It is a
-// field of Solver so the interface conversion (&s.kern) never allocates.
+func newScratch[T mangll.Float](np, nf int) seisScratch[T] {
+	return seisScratch[T]{
+		blk:  make([]T, NC*np),
+		d0:   make([]T, np),
+		d1:   make([]T, np),
+		d2:   make([]T, np),
+		met:  make([]T, 9*np),
+		grad: make([]T, 3*NC*np),
+		mine: make([]T, nf*NC),
+		nbr:  make([]T, nf*NC),
+		g:    make([]T, nf*NC),
+		mat:  make([]nodeMat[T], nf),
+	}
+}
+
+// seisKernel adapts the solver to the mangll.Kernel interface, timing each
+// hook. It is a field of Solver so the interface conversion (&s.kern)
+// never allocates.
 type seisKernel struct{ s *Solver }
 
 func (k *seisKernel) NumComps() int { return NC }
 
 func (k *seisKernel) Volume(w *mangll.Work, elems []int32) {
-	k.s.volumeTerm(w, elems, k.s.buf, k.s.kDQ)
+	defer k.s.hVol.Since(time.Now())
+	k.s.k.volumeTerm(w, elems)
 }
 
 func (k *seisKernel) InteriorFace(w *mangll.Work, links []int32) {
-	k.s.surfaceTerm(w, links, k.s.kDQ)
+	defer k.s.hSurf.Since(time.Now())
+	k.s.k.surfaceTerm(w, links)
 }
 
 func (k *seisKernel) BoundaryFace(w *mangll.Work, links []int32) {
-	k.s.surfaceTerm(w, links, k.s.kDQ)
+	defer k.s.hSurf.Since(time.Now())
+	k.s.k.surfaceTerm(w, links)
 }
 
 // NewSolver builds a solver over an existing (balanced, partitioned)
@@ -166,17 +198,8 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	s.kern = seisKernel{s: s}
 	// One closure for the integrator, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(tt, u, du) }
-	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.buf[lo:hi], s.kQ[lo:hi]) }
-	s.sourceFn = func(_ *mangll.Work, lo, hi int) {
-		m, dq := s.Mesh, s.kDQ
-		for i := lo; i < hi; i++ {
-			f := s.Source(s.kT, [3]float64{m.X[0][i], m.X[1][i], m.X[2][i]})
-			ir := s.mat[i].InvRho
-			dq[i*NC+0] += ir * f[0]
-			dq[i*NC+1] += ir * f[1]
-			dq[i*NC+2] += ir * f[2]
-		}
-	}
+	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.k.buf[lo:hi], s.kQ[lo:hi]) }
+	s.sourceFn = func(_ *mangll.Work, lo, hi int) { s.k.addSource(s.Source, s.kT, lo, hi) }
 	s.rebuild()
 	s.Q = make([]float64, s.Mesh.NumLocal*s.Mesh.Np*NC)
 	return s
@@ -191,39 +214,29 @@ func (s *Solver) rebuild() {
 		s.Mesh = mangll.NewMesh(s.F, g, s.LGL)
 		s.rk.ForRange = s.Mesh.ForRange
 		np, nf := s.Mesh.Np, s.Mesh.Nf
-		s.ws = make([]seisScratch, s.Comm.Workers())
-		for w := range s.ws {
-			s.ws[w] = seisScratch{
-				blk:  make([]float64, NC*np),
-				d0:   make([]float64, np),
-				d1:   make([]float64, np),
-				d2:   make([]float64, np),
-				met:  make([]float64, 9*np),
-				grad: make([]float64, 3*NC*np),
-				mine: make([]float64, nf*NC),
-				nbr:  make([]float64, nf*NC),
-				g:    make([]float64, nf*NC),
-				mat:  make([]nodeMat, nf),
-				xs:   make([][3]float64, nf),
-				area: make([][3]float64, nf),
-				fx:   make([]float64, nf),
-				fq:   make([]float64, nf),
-			}
+		s.k.m = s.Mesh
+		s.k.ws = make([]seisScratch[float64], s.Comm.Workers())
+		for w := range s.k.ws {
+			sc := newScratch[float64](np, nf)
+			sc.xs, sc.area = make([][3]float64, nf), make([][3]float64, nf)
+			sc.fx, sc.fq = make([]float64, nf), make([]float64, nf)
+			s.k.ws[w] = sc
 		}
 	} else {
 		s.Mesh.Rebuild(g)
 	}
-	m := s.Mesh
-	s.mat = mangll.Resize(s.mat, m.NumLocal*m.Np)
+	m, k := s.Mesh, &s.k
+	k.invJac, k.gi = m.InvJac, m.Gi
+	k.mat = mangll.Resize(k.mat, m.NumLocal*m.Np)
 	vp := make([]float64, s.Comm.Workers())
-	m.ForRange(len(s.mat), func(w *mangll.Work, lo, hi int) {
+	m.ForRange(len(k.mat), func(w *mangll.Work, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s.mat[i] = newNodeMat(s.MatFn([3]float64{m.X[0][i], m.X[1][i], m.X[2][i]}))
-			vp[w.ID()] = max(vp[w.ID()], s.mat[i].Vp)
+			k.mat[i] = newNodeMat(s.MatFn([3]float64{m.X[0][i], m.X[1][i], m.X[2][i]}))
+			vp[w.ID()] = max(vp[w.ID()], k.mat[i].Vp)
 		}
 	})
 	s.maxVp = mpi.AllreduceMax(s.Comm, slices.Max(vp))
-	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*m.Np*NC)
+	k.buf = mangll.Resize(k.buf, (m.NumLocal+m.NumGhost)*m.Np*NC)
 	s.buildFaceTables()
 }
 
@@ -232,11 +245,11 @@ func (s *Solver) rebuild() {
 // nodes, so their material is the node's row; the points of a hanging
 // quadrant lie between nodes and get geometry and material of their own.
 func (s *Solver) buildFaceTables() {
-	m := s.Mesh
+	m, k := s.Mesh, &s.k
 	nf := m.Nf
-	s.faceGeo = mangll.Resize(s.faceGeo, m.NumLocal*6*nf)
+	k.faceGeo = mangll.Resize(k.faceGeo, m.NumLocal*6*nf)
 	m.ForRange(m.NumLocal*6, func(w *mangll.Work, lo, hi int) {
-		sc := &s.ws[w.ID()]
+		sc := &k.ws[w.ID()]
 		for ef := lo; ef < hi; ef++ {
 			for b := 0; b < 3; b++ {
 				m.FaceArea(ef/6, ef%6, b, sc.fx)
@@ -244,34 +257,34 @@ func (s *Solver) buildFaceTables() {
 					sc.area[fn][b] = v
 				}
 			}
-			rows := s.faceGeo[ef*nf : (ef+1)*nf]
+			rows := k.faceGeo[ef*nf : (ef+1)*nf]
 			for fn := range rows {
 				rows[fn] = newFacePoint(sc.area[fn])
 			}
 		}
 	})
-	s.fineOff = mangll.Resize(s.fineOff, len(m.Links))
+	k.fineOff = mangll.Resize(k.fineOff, len(m.Links))
 	nfine := 0
 	for li := range m.Links {
-		s.fineOff[li] = int32(nfine * nf) // read for LinkToFineQuad links only
+		k.fineOff[li] = int32(nfine * nf) // read for LinkToFineQuad links only
 		if m.Links[li].Kind == mangll.LinkToFineQuad {
 			nfine++
 		}
 	}
-	s.fineGeo = mangll.Resize(s.fineGeo, nfine*nf)
-	s.fineMat = mangll.Resize(s.fineMat, nfine*nf)
+	k.fineGeo = mangll.Resize(k.fineGeo, nfine*nf)
+	k.fineMat = mangll.Resize(k.fineMat, nfine*nf)
 	m.ForRange(len(m.Links), func(w *mangll.Work, lo, hi int) {
-		sc := &s.ws[w.ID()]
+		sc := &k.ws[w.ID()]
 		for li := lo; li < hi; li++ {
 			l := &m.Links[li]
 			if l.Kind != mangll.LinkToFineQuad {
 				continue
 			}
 			s.fluxGeometry(w, l, sc.xs, sc.area)
-			o := int(s.fineOff[li])
+			o := int(k.fineOff[li])
 			for fn := 0; fn < nf; fn++ {
-				s.fineGeo[o+fn] = newFacePoint(sc.area[fn])
-				s.fineMat[o+fn] = newNodeMat(s.MatFn(sc.xs[fn]))
+				k.fineGeo[o+fn] = newFacePoint(sc.area[fn])
+				k.fineMat[o+fn] = newNodeMat(s.MatFn(sc.xs[fn]))
 			}
 		}
 	})
@@ -285,7 +298,7 @@ func (s *Solver) DT() float64 {
 
 // stress computes the stress components from the strain components of one
 // node: sigma = 2 mu E + lambda tr(E) I, ordered xx yy zz yz xz xy.
-func stress(mat *Material, e []float64) (sxx, syy, szz, syz, sxz, sxy float64) {
+func stress[T mangll.Float](mat *nodeMat[T], e []T) (sxx, syy, szz, syz, sxz, sxy T) {
 	e = e[:6]
 	tr := e[0] + e[1] + e[2]
 	l, mu := mat.Lambda, mat.Mu
@@ -300,9 +313,9 @@ func stress(mat *Material, e []float64) (sxx, syy, szz, syz, sxz, sxy float64) {
 
 // fluxNormal evaluates F(q).n for the velocity-strain system at one point
 // with unit normal n: the terms whose divergence the system evolves.
-func fluxNormal(mat *nodeMat, q []float64, n [3]float64, out []float64) {
+func fluxNormal[T mangll.Float](mat *nodeMat[T], q []T, n [3]T, out []T) {
 	q, out = q[:NC], out[:NC]
-	sxx, syy, szz, syz, sxz, sxy := stress(&mat.Material, q[3:])
+	sxx, syy, szz, syz, sxz, sxy := stress(mat, q[3:])
 	ir := mat.InvRho
 	// velocity rows: -(1/rho) sigma . n
 	out[0] = -ir * (sxx*n[0] + sxy*n[1] + sxz*n[2])
@@ -331,13 +344,13 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 	m := s.Mesh
 	np := m.Np
 	tRHS := time.Now()
-	s.kQ, s.kDQ, s.kT = q, dq, t
+	s.kQ, s.k.dq, s.kT = q, dq, t
 	m.ForRange(m.NumLocal*np*NC, s.fillFn)
 	var wait time.Duration
 	if s.Opts.NoOverlap {
-		wait = m.ApplyBlocking(&s.kern, s.buf)
+		wait = m.ApplyBlocking(&s.kern, s.k.buf)
 	} else {
-		wait = m.Apply(&s.kern, s.buf)
+		wait = m.Apply(&s.kern, s.k.buf)
 	}
 	s.hExch.ObserveDuration(wait)
 
@@ -360,26 +373,25 @@ var gradUsed = [NC][3]bool{
 // given local elements into dq, one fused pass per element: velocity and
 // stress into a component-major block, the metric scaled by 1/J once per
 // node, one three-direction derivative sweep per component.
-func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
-	defer s.hVol.Since(time.Now())
-	m := s.Mesh
-	np := m.Np
-	sc := &s.ws[w.ID()]
+func (k *kernels[T]) volumeTerm(w *mangll.WorkOf[T], elems []int32) {
+	np := k.m.Np
+	q, dq := k.buf, k.dq
+	sc := &k.ws[w.ID()]
 	blk, met := sc.blk, sc.met
-	row := func(a []float64, i int) []float64 { return a[i*np : (i+1)*np : (i+1)*np] }
-	grad := func(c, b int) []float64 { return row(sc.grad, 3*c+b) }
+	row := func(a []T, i int) []T { return a[i*np : (i+1)*np : (i+1)*np] }
+	grad := func(c, b int) []T { return row(sc.grad, 3*c+b) }
 	for _, e := range elems {
 		base := int(e) * np
-		mat := s.mat[base : base+np]
+		mat := k.mat[base : base+np]
 		for nn := range mat {
 			qn := q[(base+nn)*NC : (base+nn+1)*NC]
 			blk[nn], blk[np+nn], blk[2*np+nn] = qn[0], qn[1], qn[2]
 			blk[3*np+nn], blk[4*np+nn], blk[5*np+nn], blk[6*np+nn], blk[7*np+nn], blk[8*np+nn] =
-				stress(&mat[nn].Material, qn[3:])
+				stress(&mat[nn], qn[3:])
 		}
 		for r := 0; r < 3; r++ {
 			for b := 0; b < 3; b++ {
-				scale(row(met, 3*r+b), m.InvJac[base:], m.Gi[r][b][base:])
+				scale(row(met, 3*r+b), k.invJac[base:], k.gi[r][b][base:])
 			}
 		}
 		// Physical gradients of v (3 comps) and sigma (6 comps): each sums
@@ -417,7 +429,7 @@ func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
 }
 
 // scale sets o[i] = a[i] * b[i].
-func scale(o, a, b []float64) {
+func scale[T mangll.Float](o, a, b []T) {
 	a, b = a[:len(o)], b[:len(o)]
 	for i := range o {
 		o[i] = a[i] * b[i]
@@ -426,11 +438,11 @@ func scale(o, a, b []float64) {
 
 // metricDot sets o[i] to the sum over the three reference directions of
 // scaled metric times reference derivative, added in order from zero.
-func metricDot(o, m0, m1, m2, d0, d1, d2 []float64) {
+func metricDot[T mangll.Float](o, m0, m1, m2, d0, d1, d2 []T) {
 	n := len(o)
 	m0, m1, m2, d0, d1, d2 = m0[:n], m1[:n], m2[:n], d0[:n], d1[:n], d2[:n]
 	for i := range o {
-		var g float64
+		var g T
 		g += m0[i] * d0[i]
 		g += m1[i] * d1[i]
 		g += m2[i] * d2[i]
@@ -442,45 +454,56 @@ func metricDot(o, m0, m1, m2, d0, d1, d2 []float64) {
 // Mesh.Links) and lifts each into dq at once: all components of both sides
 // in one gather, the flux-point rows from the tables. Free-surface links
 // are ordinary links of their element — they read only local data.
-func (s *Solver) surfaceTerm(w *mangll.Work, links []int32, dq []float64) {
-	defer s.hSurf.Since(time.Now())
-	m := s.Mesh
-	sc := &s.ws[w.ID()]
+func (k *kernels[T]) surfaceTerm(w *mangll.WorkOf[T], links []int32) {
+	sc := &k.ws[w.ID()]
 	for _, li := range links {
-		l := &m.Links[li]
-		w.MyFaceValuesAll(l, NC, s.buf, sc.mine)
-		geo, mat := s.fluxPoints(l, li, sc.mat)
+		l := &k.m.Links[li]
+		w.MyFaceValuesAll(l, NC, k.buf, sc.mine)
+		geo, mat := k.fluxPoints(l, li, sc.mat)
 		if l.Kind == mangll.LinkBoundary {
 			freeSurfaceFlux(geo, mat, sc.mine, sc.g)
 		} else {
-			w.FaceValuesAll(l, NC, s.buf, sc.nbr)
+			w.FaceValuesAll(l, NC, k.buf, sc.nbr)
 			rusanovFlux(geo, mat, sc.mine, sc.nbr, sc.g)
 		}
-		w.LiftFaceAll(l, NC, sc.g, dq)
+		w.LiftFaceAll(l, NC, sc.g, k.dq)
 	}
 }
 
 // fluxPoints returns the geometry and material rows of link li's flux
 // points; the material of a conforming face is gathered into scratch.
-func (s *Solver) fluxPoints(l *mangll.FaceLink, li int32, scratch []nodeMat) ([]facePoint, []nodeMat) {
-	m := s.Mesh
+func (k *kernels[T]) fluxPoints(l *mangll.FaceLink, li int32, scratch []nodeMat[T]) ([]facePoint[T], []nodeMat[T]) {
+	m := k.m
 	nf := m.Nf
 	if l.Kind == mangll.LinkToFineQuad {
-		o := int(s.fineOff[li])
-		return s.fineGeo[o : o+nf], s.fineMat[o : o+nf]
+		o := int(k.fineOff[li])
+		return k.fineGeo[o : o+nf], k.fineMat[o : o+nf]
 	}
 	e := int(l.Elem)
 	for fn, vn := range m.FaceIdx[l.Face] {
-		scratch[fn] = s.mat[e*m.Np+int(vn)]
+		scratch[fn] = k.mat[e*m.Np+int(vn)]
 	}
 	o := (e*6 + int(l.Face)) * nf
-	return s.faceGeo[o : o+nf], scratch
+	return k.faceGeo[o : o+nf], scratch
+}
+
+// addSource adds the body-force density src at time t to the velocity
+// rows of dq at local nodes [lo, hi).
+func (k *kernels[T]) addSource(src func(t float64, p [3]float64) [3]float64, t float64, lo, hi int) {
+	m, dq := k.m, k.dq
+	for i := lo; i < hi; i++ {
+		f := src(t, [3]float64{m.X[0][i], m.X[1][i], m.X[2][i]})
+		ir := k.mat[i].InvRho
+		dq[i*NC+0] += ir * T(f[0])
+		dq[i*NC+1] += ir * T(f[1])
+		dq[i*NC+2] += ir * T(f[2])
+	}
 }
 
 // rusanovFlux evaluates G = Fn(q-) - F* with the Rusanov F* at every flux
 // point, for all components; qm, qp and g are node-major.
-func rusanovFlux(geo []facePoint, mat []nodeMat, qm, qp, g []float64) {
-	var fm, fp [NC]float64
+func rusanovFlux[T mangll.Float](geo []facePoint[T], mat []nodeMat[T], qm, qp, g []T) {
+	var fm, fp [NC]T
 	for fn := range geo {
 		p, mt := &geo[fn], &mat[fn]
 		m, n := qm[fn*NC:(fn+1)*NC], qp[fn*NC:(fn+1)*NC]
@@ -497,13 +520,13 @@ func rusanovFlux(geo []facePoint, mat []nodeMat, qm, qp, g []float64) {
 // the traction is reflected, velocities pass through. With sigma+.n =
 // -sigma-.n and v+ = v-, F*_v = 0, so G_v = Fn_v(q-) = -(1/rho) tau and
 // the strain rows vanish.
-func freeSurfaceFlux(geo []facePoint, mat []nodeMat, qm, g []float64) {
+func freeSurfaceFlux[T mangll.Float](geo []facePoint[T], mat []nodeMat[T], qm, g []T) {
 	for fn := range geo {
 		p, mt := &geo[fn], &mat[fn]
 		n := p.N
 		// Traction of the interior state.
-		sxx, syy, szz, syz, sxz, sxy := stress(&mt.Material, qm[fn*NC+3:(fn+1)*NC])
-		tau := [3]float64{
+		sxx, syy, szz, syz, sxz, sxy := stress(mt, qm[fn*NC+3:(fn+1)*NC])
+		tau := [3]T{
 			sxx*n[0] + sxy*n[1] + sxz*n[2],
 			sxy*n[0] + syy*n[1] + syz*n[2],
 			sxz*n[0] + syz*n[1] + szz*n[2],
@@ -525,7 +548,7 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 	m := s.Mesh
 	e := int(l.Elem)
 	nf := m.Nf
-	sc := &s.ws[w.ID()]
+	sc := &s.k.ws[w.ID()]
 	fx := sc.fx
 	for a := 0; a < 3; a++ {
 		for fn := 0; fn < nf; fn++ {
@@ -580,7 +603,7 @@ func (s *Solver) Energy() float64 {
 					idx := e*m.Np + n
 					w := m.L.W[i] * m.L.W[j] * m.L.W[k] * m.Jac[idx]
 					q := s.Q[idx*NC:]
-					mt := &s.mat[idx].Material
+					mt := &s.k.mat[idx]
 					kin := 0.5 * mt.Rho * (q[0]*q[0] + q[1]*q[1] + q[2]*q[2])
 					sxx, syy, szz, syz, sxz, sxy := stress(mt, q[3:9])
 					el := 0.5 * (sxx*q[3] + syy*q[4] + szz*q[5] + 2*(syz*q[6]+sxz*q[7]+sxy*q[8]))

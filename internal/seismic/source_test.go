@@ -43,7 +43,7 @@ func TestRickerSourceShape(t *testing.T) {
 }
 
 func TestStressStrainRelation(t *testing.T) {
-	m := Material{Rho: 3, Lambda: 2, Mu: 5}
+	m := newNodeMat(Material{Rho: 3, Lambda: 2, Mu: 5})
 	// Pure volumetric strain: sigma = (2 mu + 3 lambda)/3 * tr * I ... with
 	// E = I: sigma_ii = 2 mu + 3 lambda? sigma = 2 mu E + lambda tr(E) I:
 	// sigma_xx = 2*5*1 + 2*3 = 16.
