@@ -31,13 +31,15 @@ bench:
 # benchmarks (the seismic one at float64 and, on the device, float32) and
 # the advection kernel's two hooks: catches deadlocks or
 # regressions in the tree/star/sparse and split-phase exchange paths
-# without paying for full timing. The allocation regression tests run here
-# too (without -race: AllocsPerRun pins only hold in normal builds).
+# without paying for full timing. The allocation regression tests (every
+# Test*Alloc*, including the span store's and the histogram's zero-alloc
+# recording pins) run here too (without -race: AllocsPerRun pins only hold
+# in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel|BenchmarkHostVsDeviceStep' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
-	$(GO) test -run 'Allocs' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/
+	$(GO) test -run 'Alloc' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 

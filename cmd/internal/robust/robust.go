@@ -71,7 +71,7 @@ func (f *Flags) Run(p int, tel *telemetry.Driver, run sim.Run) error {
 	}.Run(func(ranks int, plan *mpi.FaultPlan, resume bool) error {
 		world, tr := tel.BeginRun(ranks, nil)
 		if tr == nil {
-			tr = trace.NewRing(ranks, 4096)
+			tr = trace.NewRing(ranks, telemetry.FlightWindow)
 		}
 		fr := telemetry.NewFlightRecorder(tr, filepath.Dir(f.Base))
 		return fr.Guard(func() error {

@@ -35,7 +35,6 @@ var (
 	dataDir   = flag.String("data", "", "job data root (default: a fresh temp dir)")
 	maxActive = flag.Int("max-active", 4, "jobs running concurrently, each in its own rank world")
 	maxQueue  = flag.Int("max-queue", 256, "admission queue capacity beyond the active set")
-	traceCap  = flag.Int("trace-cap", 2048, "per-rank ring-trace capacity for job flight recorders")
 )
 
 func main() {
@@ -55,7 +54,6 @@ func run() error {
 		MaxActive: *maxActive,
 		MaxQueue:  *maxQueue,
 		DataDir:   *dataDir,
-		TraceCap:  *traceCap,
 	}, tel)
 	if err != nil {
 		return err

@@ -145,7 +145,7 @@ func BenchmarkAdvectStepFaultPath(b *testing.B) {
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("P%d/overlap", p), func(b *testing.B) {
 			plan := &mpi.FaultPlan{Seed: 1, CrashRank: -1}
-			mpi.RunFault(p, plan, func(c *mpi.Comm) {
+			mpi.RunOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) {
 				s := NewShell(c, benchOpts())
 				dt := s.DT()
 				s.Step(dt)

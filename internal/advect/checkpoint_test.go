@@ -34,7 +34,7 @@ func TestChaosSolverBitwise(t *testing.T) {
 	const p = 5
 	run := func(plan *mpi.FaultPlan) uint64 {
 		var h uint64
-		err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
+		err := mpi.RunErrOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) error {
 			s := NewShell(c, ckptOpts())
 			if _, err := (sim.Run{Steps: 4, AdaptEvery: 2}).Advance(c, s, 0); err != nil {
 				return err
@@ -86,7 +86,7 @@ func TestCrashResumeBitwise(t *testing.T) {
 	plan := ckptChaosPlan(9)
 	plan.CrashRank = 1
 	plan.CrashStep = 5
-	err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
+	err := mpi.RunErrOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) error {
 		s := NewShell(c, ckptOpts())
 		_, err := sim.Run{Steps: nsteps, AdaptEvery: adaptEvery, CheckpointEvery: every, Base: base}.Advance(c, s, 0)
 		return err
@@ -101,7 +101,7 @@ func TestCrashResumeBitwise(t *testing.T) {
 	// Resume from the checkpoint (still under chaos) and finish the run.
 	var got uint64
 	var resumedAt int64
-	err = mpi.RunErrFault(p, nil, ckptChaosPlan(10), func(c *mpi.Comm) error {
+	err = mpi.RunErrOpt(p, mpi.RunOptions{Plan: ckptChaosPlan(10)}, func(c *mpi.Comm) error {
 		s, start, err := ResumeShell(c, ckptOpts(), base)
 		if err != nil {
 			return err

@@ -263,7 +263,7 @@ func TestGhostExchangeChaosBitwise(t *testing.T) {
 		base := make([][]float64, p)
 		mpi.Run(p, func(c *mpi.Comm) { base[c.Rank()] = chaosGhostRun(c, conn) })
 		got := make([][]float64, p)
-		mpi.RunFault(p, plan, func(c *mpi.Comm) { got[c.Rank()] = chaosGhostRun(c, conn) })
+		mpi.RunOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) { got[c.Rank()] = chaosGhostRun(c, conn) })
 		for r := 0; r < p; r++ {
 			if len(base[r]) != len(got[r]) {
 				t.Fatalf("P=%d rank %d: field length changed under faults", p, r)

@@ -79,17 +79,6 @@ func (g *Gauge) Max() int64 {
 	return m
 }
 
-// Min returns the smallest lane value (useful for "slowest rank's step").
-func (g *Gauge) Min() int64 {
-	m := g.lanes[0].v.Load()
-	for i := 1; i < len(g.lanes); i++ {
-		if v := g.lanes[i].v.Load(); v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Shards returns the number of lanes.
 func (g *Gauge) Shards() int { return len(g.lanes) }
 

@@ -228,23 +228,3 @@ func (r *Registry) Reset() {
 		h.reset()
 	}
 }
-
-// Efficiency computes parallel efficiency for a weak-scaling pair: the
-// ratio of the base normalized time to the scaled normalized time.
-func Efficiency(baseTime, scaledTime float64) float64 {
-	if scaledTime == 0 {
-		return 1
-	}
-	return baseTime / scaledTime
-}
-
-// StrongEfficiency computes strong-scaling efficiency: measured speedup
-// over ideal speedup when scaling from baseP to p ranks.
-func StrongEfficiency(baseP, p int, baseTime, t float64) float64 {
-	if t == 0 {
-		return 1
-	}
-	ideal := float64(p) / float64(baseP)
-	speedup := baseTime / t
-	return speedup / ideal
-}

@@ -55,20 +55,3 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("count = %d, total = %v", r.Count("n"), r.Total("t"))
 	}
 }
-
-func TestEfficiencyHelpers(t *testing.T) {
-	if e := Efficiency(1, 2); e != 0.5 {
-		t.Fatalf("eff = %v", e)
-	}
-	if e := Efficiency(1, 0); e != 1 {
-		t.Fatalf("eff zero = %v", e)
-	}
-	// Perfect strong scaling: doubling ranks halves the time.
-	if e := StrongEfficiency(1, 2, 1.0, 0.5); e != 1 {
-		t.Fatalf("strong = %v", e)
-	}
-	// No speedup at all: efficiency 1/2.
-	if e := StrongEfficiency(1, 2, 1.0, 1.0); e != 0.5 {
-		t.Fatalf("strong flat = %v", e)
-	}
-}

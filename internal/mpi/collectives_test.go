@@ -195,7 +195,7 @@ func TestFloatReductionsDeterministic(t *testing.T) {
 func TestExScanTraceSpan(t *testing.T) {
 	const p = 6
 	tr := trace.New(p)
-	RunTraced(p, tr, func(c *Comm) {
+	RunOpt(p, RunOptions{Tracer: tr}, func(c *Comm) {
 		ExScan(c, int64(c.Rank()), func(a, b int64) int64 { return a + b })
 	})
 	st, ok := tr.Phase("ExScan")

@@ -40,7 +40,7 @@ import (
 // hot path is the unchanged zero-allocation blocking/nonblocking path.
 
 // FaultPlan is a seeded schedule of transport and process faults,
-// installed on a world at Run time via RunFault / RunErrFault. The
+// installed on a world at Run time as RunOptions.Plan. The
 // probability fields are per-message (or per-call, for Stall) in [0, 1].
 // The zero value of every field is benign; a zero-probability plan still
 // exercises the sequencing/reassembly path (useful for measuring its
@@ -62,7 +62,7 @@ type FaultPlan struct {
 	// CrashRank/CrashStep inject a process fault: Comm.CrashPoint(step)
 	// panics on CrashRank when step == CrashStep, the run aborts (peers
 	// blocked in receives are woken instead of deadlocking), and the
-	// crash surfaces from RunErrFault as a *CrashError. CrashRank < 0
+	// crash surfaces from RunErrOpt as a *CrashError. CrashRank < 0
 	// disables the crash.
 	CrashRank int
 	CrashStep int
@@ -109,28 +109,6 @@ type crashPanic struct{ err *CrashError }
 // in a receive when the world aborted (peer panic or injected crash). The
 // Run wrapper discards it: only the root cause propagates.
 type abortSignal struct{}
-
-// RunFault is Run with a fault plan installed on the world. It panics on
-// error (including an injected crash); recovery drivers should use
-// RunErrFault.
-func RunFault(size int, plan *FaultPlan, fn func(*Comm)) {
-	err := RunErrFault(size, nil, plan, func(c *Comm) error {
-		fn(c)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
-// RunErrFault is RunErrTraced with a fault plan installed on the world:
-// every point-to-point message (and therefore every collective) is
-// subject to the plan's seeded drop/duplicate/delay/reorder schedule, and
-// an injected rank crash surfaces as a *CrashError return instead of a
-// deadlock. plan may be nil (equivalent to RunErrTraced).
-func RunErrFault(size int, tr *trace.Tracer, plan *FaultPlan, fn func(*Comm) error) error {
-	return runErr(size, RunOptions{Tracer: tr, Plan: plan}, fn)
-}
 
 // CrashPoint is the step boundary hook of the injected process fault:
 // solvers call it once per time step, and the plan's crash rank panics at

@@ -106,7 +106,7 @@ func TestChaosBitwiseAgainstFaultFree(t *testing.T) {
 		Run(p, func(c *Comm) { base[c.Rank()] = chaosWorkload(c) })
 		for seed := int64(1); seed <= 3; seed++ {
 			got := make([]string, p)
-			RunFault(p, chaosPlan(seed), func(c *Comm) { got[c.Rank()] = chaosWorkload(c) })
+			RunOpt(p, RunOptions{Plan: chaosPlan(seed)}, func(c *Comm) { got[c.Rank()] = chaosWorkload(c) })
 			for r := 0; r < p; r++ {
 				if got[r] != base[r] {
 					t.Errorf("P=%d seed=%d rank %d: chaos result diverges from fault-free\nchaos: %.120s\nclean: %.120s",
@@ -126,7 +126,7 @@ func TestChaosZeroProbabilityPlan(t *testing.T) {
 	Run(p, func(c *Comm) { base[c.Rank()] = chaosWorkload(c) })
 	got := make([]string, p)
 	var st FaultStats
-	RunFault(p, &FaultPlan{Seed: 1, CrashRank: -1}, func(c *Comm) {
+	RunOpt(p, RunOptions{Plan: &FaultPlan{Seed: 1, CrashRank: -1}}, func(c *Comm) {
 		got[c.Rank()] = chaosWorkload(c)
 		if c.Rank() == 0 {
 			st = c.FaultStats()
@@ -185,7 +185,7 @@ func TestChaosStatsAndMetrics(t *testing.T) {
 	plan.Met = metrics.NewRegistry()
 	faulty := make([]Stats, p)
 	var comm *Comm
-	RunFault(p, plan, func(c *Comm) {
+	RunOpt(p, RunOptions{Plan: plan}, func(c *Comm) {
 		chaosWorkload(c)
 		faulty[c.Rank()] = c.Stats()
 		if c.Rank() == 0 {
@@ -222,7 +222,7 @@ func TestChaosStatsAndMetrics(t *testing.T) {
 func TestChaosScheduleDeterministic(t *testing.T) {
 	stats := func() FaultStats {
 		var comm *Comm
-		RunFault(5, chaosPlan(7), func(c *Comm) {
+		RunOpt(5, RunOptions{Plan: chaosPlan(7)}, func(c *Comm) {
 			chaosWorkload(c)
 			if c.Rank() == 0 {
 				comm = c
@@ -245,7 +245,7 @@ func TestCrashAtStepSurfacesError(t *testing.T) {
 	plan.CrashStep = 3
 	done := make(chan error, 1)
 	go func() {
-		done <- RunErrFault(4, nil, plan, func(c *Comm) error {
+		done <- RunErrOpt(4, RunOptions{Plan: plan}, func(c *Comm) error {
 			for step := 1; step <= 6; step++ {
 				c.CrashPoint(step)
 				AllreduceSum(c, int64(step))

@@ -125,43 +125,30 @@ func (c *Comm) Tracer() *trace.RankTracer {
 // Run executes fn on size ranks concurrently and returns when all complete.
 // It panics if size < 1. A panic on any rank propagates to the caller.
 func Run(size int, fn func(*Comm)) {
-	RunTraced(size, nil, fn)
-}
-
-// RunTraced is Run with an optional tracer attached to the world: every
-// rank's sends, receive waits, and collectives self-record into the
-// tracer's per-rank buffers, and instrumented algorithms (core, advect)
-// emit their phase spans. tr may be nil (equivalent to Run); otherwise it
-// must have been created with trace.New(size).
-func RunTraced(size int, tr *trace.Tracer, fn func(*Comm)) {
-	err := RunErrTraced(size, tr, func(c *Comm) error {
-		fn(c)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
+	RunOpt(size, RunOptions{}, fn)
 }
 
 // RunErr executes fn on size ranks concurrently. The first non-nil error (by
 // rank order) is returned. A panicking rank re-panics in the caller.
 func RunErr(size int, fn func(*Comm) error) error {
-	return RunErrTraced(size, nil, fn)
+	return RunErrOpt(size, RunOptions{}, fn)
 }
 
-// RunErrTraced is RunErr with an optional tracer attached to the world.
-func RunErrTraced(size int, tr *trace.Tracer, fn func(*Comm) error) error {
-	return runErr(size, RunOptions{Tracer: tr}, fn)
-}
-
-// runErr is the shared Run machinery. A rank that panics aborts the
-// world: peers blocked in receives are woken (they unwind with an
-// abortSignal panic, which is discarded — only the root cause matters)
-// and the primary panic propagates to the caller, so a dying rank
-// surfaces instead of deadlocking the run. An injected crash (crashPanic)
-// is converted to the rank's error and returned, which is what a
-// checkpoint/restart driver recovers from.
-func runErr(size int, opts RunOptions, fn func(*Comm) error) error {
+// RunErrOpt executes fn on size ranks with the given options; it is the
+// most general Run form, and Run, RunErr and RunOpt spell subsets of it.
+// With opts.Tracer set, every rank's sends, receive waits, and collectives
+// self-record into the tracer's per-rank stores and instrumented
+// algorithms (core, advect) emit their phase spans; the tracer must be
+// sized to the world. With opts.Plan set, every point-to-point message
+// (and so every collective) follows the plan's seeded fault schedule.
+//
+// A rank that panics aborts the world: peers blocked in receives are
+// woken (they unwind with an abortSignal panic, which is discarded — only
+// the root cause matters) and the primary panic propagates to the caller,
+// so a dying rank surfaces instead of deadlocking the run. An injected
+// crash (crashPanic) is converted to the rank's error and returned, which
+// is what a checkpoint/restart driver recovers from.
+func RunErrOpt(size int, opts RunOptions, fn func(*Comm) error) error {
 	tr, plan := opts.Tracer, opts.Plan
 	if size < 1 {
 		return fmt.Errorf("mpi: world size %d < 1", size)

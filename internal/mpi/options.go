@@ -65,13 +65,6 @@ func RunOpt(size int, opts RunOptions, fn func(*Comm)) {
 	}
 }
 
-// RunErrOpt executes fn on size ranks with the given options. It is the
-// most general Run form; the Run/RunTraced/RunErrFault family are
-// shorthands for subsets of RunOptions.
-func RunErrOpt(size int, opts RunOptions, fn func(*Comm) error) error {
-	return runErr(size, opts, fn)
-}
-
 // worldMetrics holds the world's pre-resolved live instrument handles, so
 // the per-message hot path is a nil check plus atomic adds — no registry
 // map lookups, no allocation.

@@ -90,7 +90,7 @@ func TestPerTagStatsSeparateTags(t *testing.T) {
 func TestStatsTracerConcurrentRanks(t *testing.T) {
 	const ranks = 8
 	tr := trace.New(ranks)
-	RunTraced(ranks, tr, func(c *Comm) {
+	RunOpt(ranks, RunOptions{Tracer: tr}, func(c *Comm) {
 		rt := c.Tracer()
 		if rt == nil || rt.Rank() != c.Rank() {
 			t.Errorf("rank %d: wrong tracer", c.Rank())
@@ -121,7 +121,7 @@ func TestStatsTracerConcurrentRanks(t *testing.T) {
 
 // TestRunTracedSizeMismatch confirms the tracer/world size check.
 func TestRunTracedSizeMismatch(t *testing.T) {
-	err := RunErrTraced(3, trace.New(2), func(c *Comm) error { return nil })
+	err := RunErrOpt(3, RunOptions{Tracer: trace.New(2)}, func(c *Comm) error { return nil })
 	if err == nil {
 		t.Fatal("mismatched tracer size accepted")
 	}

@@ -59,7 +59,7 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	plan := seisChaosPlan(21)
 	plan.CrashRank = 2
 	plan.CrashStep = 5
-	err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
+	err := mpi.RunErrOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) error {
 		s, _, _ := ckptSolver(c)
 		_, err := sim.Run{Steps: nsteps, CheckpointEvery: every, Base: base}.Advance(c, s, 0)
 		return err
@@ -72,7 +72,7 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	}
 
 	var got uint64
-	err = mpi.RunErrFault(p, nil, seisChaosPlan(22), func(c *mpi.Comm) error {
+	err = mpi.RunErrOpt(p, mpi.RunOptions{Plan: seisChaosPlan(22)}, func(c *mpi.Comm) error {
 		conn := connectivity.Brick(1, 1, 1, true, true, true)
 		opts := DefaultOptions()
 		opts.Degree = 2
@@ -105,7 +105,7 @@ func TestSeismicChaosBitwise(t *testing.T) {
 	const p = 4
 	run := func(plan *mpi.FaultPlan) uint64 {
 		var h uint64
-		err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
+		err := mpi.RunErrOpt(p, mpi.RunOptions{Plan: plan}, func(c *mpi.Comm) error {
 			s, _, _ := ckptSolver(c)
 			if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
 				return err

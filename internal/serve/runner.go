@@ -115,7 +115,7 @@ func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int
 	world := metrics.NewSharded(ranks)
 	jtel.RegisterWorld(world)
 
-	tr := trace.NewRing(ranks, s.cfg.TraceCap)
+	tr := trace.NewRing(ranks, telemetry.FlightWindow)
 	fr := telemetry.NewFlightRecorder(tr, j.Dir)
 	opts := mpi.RunOptions{
 		Tracer: tr, Plan: plan, Metrics: world, Workers: j.Spec.Workers,

@@ -28,9 +28,6 @@ type Config struct {
 	// DataDir is the root under which each job gets a private directory.
 	// Defaults to a fresh temp dir.
 	DataDir string
-	// TraceCap is the per-rank ring-trace capacity for each job's flight
-	// recorder. Default 2048 spans.
-	TraceCap int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -39,9 +36,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 256
-	}
-	if c.TraceCap == 0 {
-		c.TraceCap = 2048
 	}
 	if c.DataDir == "" {
 		dir, err := os.MkdirTemp("", "serve-jobs-")

@@ -13,10 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ringCap bounds the per-rank flight-recorder / live-trace span ring used
-// when telemetry is on but the user did not ask for a full trace file.
-const ringCap = 8192
-
 // Driver is the shared observability harness of the cmd/ binaries. It
 // owns the -telemetry, -manifest, -workers, -trace and -profile flags, the
 // HTTP server, the per-run world registry, the CPU profile, the last run's
@@ -137,7 +133,7 @@ func (d *Driver) BeginRun(p int, tr *trace.Tracer) (*metrics.Registry, *trace.Tr
 	}
 	d.world = metrics.NewSharded(p)
 	if tr == nil {
-		tr = trace.NewRing(p, ringCap)
+		tr = trace.NewRing(p, FlightWindow)
 	}
 	tr.WithMetrics(d.world)
 	d.Server.ResetSources()

@@ -9,8 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// FlightRecorder pairs a (typically ring-mode) tracer with a dump
-// directory: when a guarded run unwinds with an error or a panic, the
+// FlightWindow is the per-rank capacity of every bounded tracer that a
+// FlightRecorder dumps (trace.NewRing(p, FlightWindow)): the drivers'
+// live-telemetry runs, their robust mode, and each serve job attempt.
+const FlightWindow = 4096
+
+// FlightRecorder pairs a tracer (typically bounded to FlightWindow) with a
+// dump directory: when a guarded run unwinds with an error or a panic, the
 // most recent spans of every rank are written to disk — a Chrome-trace
 // JSON for the timeline view and a plain-text tail for reading over ssh —
 // so a chaos run that died at step 40k leaves evidence next to its last
@@ -80,7 +85,9 @@ func (f *FlightRecorder) Dump(reason string) ([]string, error) {
 }
 
 // writeText renders the human-readable dump: the aggregate phase report
-// followed by each rank's retained span tail, newest last.
+// followed by each rank's retained span tail in begin order, with the
+// spans still open when the run unwound (where each rank was) marked
+// "(open)".
 func (f *FlightRecorder) writeText(w *os.File, reason string) error {
 	fmt.Fprintf(w, "flight recorder dump (%s) at %s\n\n", reason, time.Now().Format(time.RFC3339))
 	if err := f.tr.WriteReport(w); err != nil {
@@ -92,7 +99,9 @@ func (f *FlightRecorder) writeText(w *os.File, reason string) error {
 		for i := range events {
 			ev := &events[i]
 			fmt.Fprintf(w, "  +%-12s %-24s [%s]", ev.Start, ev.Name, ev.Cat)
-			if ev.Dur > 0 {
+			if ev.Dur < 0 {
+				fmt.Fprint(w, " (open)")
+			} else if ev.Dur > 0 {
 				fmt.Fprintf(w, " dur=%s", ev.Dur)
 			}
 			if ev.Wait > 0 {

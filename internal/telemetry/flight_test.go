@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
@@ -80,5 +81,50 @@ func TestFlightNilTracer(t *testing.T) {
 	}
 	if paths, err := fr.Dump("manual"); err != nil || paths != nil {
 		t.Fatalf("nil-tracer dump: %v %v", paths, err)
+	}
+}
+
+// TestFlightDumpShowsOpenSpans checks that the text dump tells where each
+// rank was when a guarded run failed: the spans still open on a bounded
+// tracer are listed and marked, while the Chrome dump, which has no form
+// for an unfinished span, still leaves them out.
+func TestFlightDumpShowsOpenSpans(t *testing.T) {
+	dir := t.TempDir()
+	tr := trace.NewRing(2, 64)
+	fr := NewFlightRecorder(tr, dir)
+	err := fr.Guard(func() error {
+		return mpi.RunErrOpt(2, mpi.RunOptions{Tracer: tr}, func(c *mpi.Comm) error {
+			rt := c.Tracer()
+			rt.Span("refine", func() {})
+			rt.Begin("balance")
+			rt.BeginCat("Allreduce", trace.CatComm)
+			return errors.New("rank failed mid-collective")
+		})
+	})
+	if err == nil {
+		t.Fatal("guarded run lost its error")
+	}
+	txt, err := os.ReadFile(filepath.Join(dir, "flight-error.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"balance", "Allreduce"} {
+		n := 0
+		for _, line := range strings.Split(string(txt), "\n") {
+			if strings.Contains(line, " "+name+" ") && strings.HasSuffix(line, "(open)") {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Fatalf("%s marked (open) on %d ranks, want 2:\n%s", name, n, txt)
+		}
+	}
+	js, err := os.ReadFile(filepath.Join(dir, "flight-error.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), "refine") || strings.Contains(string(js), "balance") ||
+		strings.Contains(string(js), "Allreduce") {
+		t.Fatalf("chrome dump must keep completed spans and skip open ones:\n%s", js)
 	}
 }

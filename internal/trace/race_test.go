@@ -8,8 +8,8 @@ import (
 )
 
 // TestConcurrentRankTracers exercises the lock-free design from many rank
-// goroutines at once, the way mpi.RunTraced drives it: each goroutine owns
-// one RankTracer and hammers it while the others do the same. Run under
+// goroutines at once, the way a traced mpi run drives it: each goroutine
+// owns one RankTracer and hammers it while the others do the same. Run under
 // `go test -race` this verifies the per-rank buffers really are disjoint
 // (any cross-rank sharing would be flagged as a data race).
 func TestConcurrentRankTracers(t *testing.T) {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +124,75 @@ func TestWithMetricsBridge(t *testing.T) {
 	for _, hh := range reg.Histograms() {
 		if strings.Contains(hh.Name(), "recv") {
 			t.Fatalf("wait span leaked into phase histograms: %s", hh.Name())
+		}
+	}
+}
+
+// recordFixed records one fixed sequence on rank 0 of tr: nested spans,
+// an Arg, waits above and below waitEventMin, a Mark, an AddCompleted
+// span that starts before the open span it is recorded under, and that
+// one span left open. It returns the names of the completed events in
+// the order they completed.
+func recordFixed(tr *Tracer) []string {
+	fakeClock(tr, time.Millisecond)
+	r := tr.Rank(0)
+	r.Begin("outer") // t=1ms
+	r.Begin("a")     // 2ms
+	r.Arg("k", 7)
+	r.AddWait("recv-long", time.Millisecond) // [2ms, 3ms]
+	r.AddWait("recv-short", time.Microsecond)
+	r.End()                        // a ends at 4ms
+	r.Mark("fault:drop", CatFault) // 5ms
+	r.Span("b", func() {})         // [6ms, 7ms]
+	r.End()                        // outer ends at 8ms
+	r.Begin("open")                // 9ms, never ended
+	r.Arg("rounds", 3)
+	r.AddCompleted("worker", CatPhase, tr.epoch.Add(8500*time.Microsecond), 250*time.Microsecond)
+	r.AddWait("recv-open", 500*time.Microsecond) // ends at 10ms
+	r.Span("leaf", func() {})                    // [11ms, 12ms]
+	return []string{"recv-long", "a", "fault:drop", "b", "outer", "worker", "recv-open", "leaf"}
+}
+
+func TestBoundedMatchesUnbounded(t *testing.T) {
+	all := New(1)
+	completed := recordFixed(all)
+	want := all.Rank(0).Events()
+	var names []string
+	for _, ev := range want {
+		names = append(names, ev.Name)
+	}
+	begun := []string{"outer", "a", "recv-long", "fault:drop", "b", "worker", "open", "recv-open", "leaf"}
+	if !reflect.DeepEqual(names, begun) {
+		t.Fatalf("unbounded order %v, want begin order %v", names, begun)
+	}
+
+	big := NewRing(1, 1<<10)
+	recordFixed(big)
+	if got := big.Rank(0).Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounded store with room differs:\n got %+v\nwant %+v", got, want)
+	}
+
+	for k := 1; k < len(completed); k++ {
+		ring := NewRing(1, k)
+		recordFixed(ring)
+		kept := map[string]bool{}
+		for _, name := range completed[len(completed)-k:] {
+			kept[name] = true
+		}
+		var wantK []Event
+		for _, ev := range want {
+			if ev.Dur < 0 || kept[ev.Name] {
+				wantK = append(wantK, ev)
+			}
+		}
+		got := ring.Rank(0).Events()
+		if !reflect.DeepEqual(got, wantK) {
+			t.Fatalf("k=%d: got %+v\nwant %+v", k, got, wantK)
+		}
+		open := got[slices.IndexFunc(got, func(ev Event) bool { return ev.Dur < 0 })]
+		if open.Name != "open" || open.Depth != 0 || open.Wait != 500*time.Microsecond ||
+			!reflect.DeepEqual(open.Args, []Arg{{"rounds", 3}}) {
+			t.Fatalf("k=%d: open span damaged after wrap: %+v", k, open)
 		}
 	}
 }

@@ -14,15 +14,18 @@
 //     every method on it is a nil-check no-op, so instrumented code pays one
 //     branch on the hot path.
 //  2. No locks on the hot path: each rank goroutine owns exactly one
-//     RankTracer and appends to its own preallocated event buffer; the
-//     buffers are only read after the rank goroutines have finished
-//     (mpi.Run joins them), so no synchronization is needed.
+//     RankTracer and records into its own preallocated span store (one
+//     buffer, unbounded or with a capacity); the stores are only read
+//     after the rank goroutines have finished (mpi.Run joins them), so no
+//     synchronization is needed.
 //  3. Monotonic time: span timestamps are time.Since(epoch) durations, so
 //     they are immune to wall-clock adjustments and directly comparable
 //     across ranks of one run.
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -88,51 +91,38 @@ const openDur = time.Duration(-1)
 // from flooding the trace with sub-microsecond events.
 const waitEventMin = 20 * time.Microsecond
 
-// Tracer owns the per-rank buffers of one traced run. Create it with New
-// sized to the world, hand it to mpi.RunTraced, and read it (export,
-// aggregate) only after the run has completed.
+// Tracer owns the per-rank span stores of one traced run. Create it with
+// New or NewRing sized to the world, hand it to a run as
+// mpi.RunOptions.Tracer, and read it (export, aggregate) only after the
+// run has completed.
 //
-// A Tracer comes in two storage modes. New keeps every span (offline
-// Chrome-trace export of a bounded run); NewRing keeps only the most
-// recent spans per rank in a fixed circular buffer, making it safe to
-// leave on for arbitrarily long runs — the mode the crash flight recorder
-// uses. Both modes feed the same export, aggregation, and metrics paths.
+// Each rank's store is one buffer of completed spans plus a stack of open
+// ones. New leaves the buffer unbounded (offline Chrome-trace export of a
+// bounded run); NewRing gives it a capacity, past which each completed
+// span overwrites the oldest, so it is safe to leave on for arbitrarily
+// long runs: the crash flight recorder's window. Open spans are always
+// kept. Both feed the same export, aggregation, and metrics paths.
 type Tracer struct {
 	epoch time.Time
 	now   func() time.Duration // monotonic clock; replaced by tests
 	ranks []*RankTracer
-	met   *metrics.Registry
 }
 
-// New returns a Tracer with one unbounded span buffer per rank.
-func New(numRanks int) *Tracer {
-	if numRanks < 1 {
-		panic("trace: numRanks < 1")
-	}
-	t := &Tracer{epoch: time.Now()}
-	t.now = func() time.Duration { return time.Since(t.epoch) }
-	t.ranks = make([]*RankTracer, numRanks)
-	for i := range t.ranks {
-		t.ranks[i] = &RankTracer{
-			tracer: t,
-			rank:   i,
-			events: make([]Event, 0, 4096),
-			stack:  make([]int, 0, 16),
-		}
-	}
-	return t
-}
+// New returns a Tracer with one unbounded span store per rank.
+func New(numRanks int) *Tracer { return newTracer(numRanks, 0) }
 
 // NewRing returns a Tracer that retains only the newest capPerRank
-// completed events per rank, overwriting the oldest. Steady-state
-// recording does not allocate: open spans live on a reusable stack and
-// completed spans are assigned into the preallocated ring.
+// completed events per rank (plus the spans still open), overwriting the
+// oldest. The store is allocated up front, so steady-state recording does
+// not allocate.
 func NewRing(numRanks, capPerRank int) *Tracer {
+	return newTracer(numRanks, max(capPerRank, 1))
+}
+
+// newTracer builds numRanks span stores of capacity limit (0: unbounded).
+func newTracer(numRanks, limit int) *Tracer {
 	if numRanks < 1 {
 		panic("trace: numRanks < 1")
-	}
-	if capPerRank < 1 {
-		capPerRank = 1
 	}
 	t := &Tracer{epoch: time.Now()}
 	t.now = func() time.Duration { return time.Since(t.epoch) }
@@ -141,8 +131,9 @@ func NewRing(numRanks, capPerRank int) *Tracer {
 		t.ranks[i] = &RankTracer{
 			tracer: t,
 			rank:   i,
-			ring:   make([]Event, capPerRank),
-			open:   make([]openSpan, 0, 16),
+			limit:  limit,
+			done:   make([]Event, 0, cmp.Or(limit, 4096)),
+			open:   make([]Event, 0, 16),
 		}
 	}
 	return t
@@ -157,7 +148,6 @@ func (t *Tracer) WithMetrics(reg *metrics.Registry) *Tracer {
 	if t == nil || reg == nil {
 		return t
 	}
-	t.met = reg
 	for _, rt := range t.ranks {
 		rt.met = reg
 		rt.metShard = rt.rank
@@ -171,7 +161,7 @@ func (t *Tracer) WithMetrics(reg *metrics.Registry) *Tracer {
 	return t
 }
 
-// NumRanks returns the number of rank buffers (0 for a nil Tracer).
+// NumRanks returns the number of rank stores (0 for a nil Tracer).
 func (t *Tracer) NumRanks() int {
 	if t == nil {
 		return 0
@@ -188,18 +178,6 @@ func (t *Tracer) Rank(r int) *RankTracer {
 	return t.ranks[r]
 }
 
-// openSpan is a ring-mode span that has begun but not ended. Ring mode
-// cannot keep index references into the circular buffer (entries get
-// overwritten), so open spans live on their own stack and only completed
-// spans enter the ring.
-type openSpan struct {
-	Name  string
-	Cat   Category
-	Start time.Duration
-	Wait  time.Duration
-	Args  []Arg
-}
-
 // RankTracer records the spans of one rank goroutine. It must only be used
 // by the goroutine that owns the rank; this is what makes the hot path
 // lock-free.
@@ -207,15 +185,10 @@ type RankTracer struct {
 	tracer *Tracer
 	rank   int
 
-	// Unbounded mode (New): append-only event buffer plus an index stack.
-	events []Event
-	stack  []int // indices into events of the currently open spans
-
-	// Ring mode (NewRing): fixed circular buffer of completed events.
-	ring     []Event
-	ringHead int // index of the oldest retained event
-	ringLen  int
-	open     []openSpan
+	open  []Event // open spans, outermost first, each with Dur == openDur
+	done  []Event // completed events; a ring once limit > 0 and it is full
+	head  int     // index of the oldest event of a full ring
+	limit int     // capacity of done; 0 means unbounded
 
 	// Metrics bridge (WithMetrics): per-rank handle cache, written only by
 	// the owning goroutine.
@@ -224,30 +197,23 @@ type RankTracer struct {
 	histCache map[string]*metrics.Histogram
 }
 
-// observe feeds a completed span into the attached metrics registry.
-// CatWait spans are excluded: their time is attributed separately (the
-// runtime records receive waits into its own histogram).
-func (r *RankTracer) observe(name string, cat Category, d time.Duration) {
-	if r.met == nil || cat == CatWait {
-		return
-	}
-	h := r.histCache[name]
-	if h == nil {
-		h = r.met.Histogram("phase_"+name, metrics.UnitDuration)
-		r.histCache[name] = h
-	}
-	h.ObserveDurationShard(r.metShard, d)
-}
-
-// push appends a completed event to the ring, overwriting the oldest.
+// push stores a finished event and feeds it to the metrics bridge. Once a
+// bounded store is full, the event overwrites the oldest one.
 func (r *RankTracer) push(ev Event) {
-	if r.ringLen < len(r.ring) {
-		r.ring[(r.ringHead+r.ringLen)%len(r.ring)] = ev
-		r.ringLen++
+	if r.met != nil && (ev.Cat == CatPhase || ev.Cat == CatComm) {
+		h := r.histCache[ev.Name]
+		if h == nil {
+			h = r.met.Histogram("phase_"+ev.Name, metrics.UnitDuration)
+			r.histCache[ev.Name] = h
+		}
+		h.ObserveDurationShard(r.metShard, ev.Dur)
+	}
+	if r.limit == 0 || len(r.done) < r.limit {
+		r.done = append(r.done, ev)
 		return
 	}
-	r.ring[r.ringHead] = ev
-	r.ringHead = (r.ringHead + 1) % len(r.ring)
+	r.done[r.head] = ev
+	r.head = (r.head + 1) % r.limit
 }
 
 // Rank returns the owning rank id.
@@ -267,55 +233,26 @@ func (r *RankTracer) BeginCat(name string, cat Category) {
 	if r == nil {
 		return
 	}
-	if r.ring != nil {
-		r.open = append(r.open, openSpan{Name: name, Cat: cat, Start: r.tracer.now()})
-		return
-	}
-	r.events = append(r.events, Event{
+	r.open = append(r.open, Event{
 		Name:  name,
 		Cat:   cat,
 		Start: r.tracer.now(),
 		Dur:   openDur,
-		Depth: len(r.stack),
+		Depth: len(r.open),
 	})
-	r.stack = append(r.stack, len(r.events)-1)
 }
 
 // End closes the innermost open span. End on a nil tracer or an empty
 // stack is a no-op.
 func (r *RankTracer) End() {
-	if r == nil {
+	if r == nil || len(r.open) == 0 {
 		return
 	}
-	if r.ring != nil {
-		n := len(r.open)
-		if n == 0 {
-			return
-		}
-		sp := &r.open[n-1]
-		dur := r.tracer.now() - sp.Start
-		r.observe(sp.Name, sp.Cat, dur)
-		r.push(Event{
-			Name:  sp.Name,
-			Cat:   sp.Cat,
-			Start: sp.Start,
-			Dur:   dur,
-			Depth: n - 1,
-			Wait:  sp.Wait,
-			Args:  sp.Args,
-		})
-		r.open[n-1] = openSpan{}
-		r.open = r.open[:n-1]
-		return
-	}
-	if len(r.stack) == 0 {
-		return
-	}
-	i := r.stack[len(r.stack)-1]
-	r.stack = r.stack[:len(r.stack)-1]
-	ev := &r.events[i]
+	n := len(r.open) - 1
+	ev := r.open[n]
 	ev.Dur = r.tracer.now() - ev.Start
-	r.observe(ev.Name, ev.Cat, ev.Dur)
+	r.open = r.open[:n]
+	r.push(ev)
 }
 
 // Span runs fn inside a span. The span closes even if fn panics.
@@ -346,22 +283,11 @@ func (r *RankTracer) StartSpan(name string) func() {
 // Arg annotates the innermost open span with a key/value pair (exported
 // into the Chrome trace's args).
 func (r *RankTracer) Arg(key string, v int64) {
-	if r == nil {
+	if r == nil || len(r.open) == 0 {
 		return
 	}
-	if r.ring != nil {
-		if len(r.open) == 0 {
-			return
-		}
-		sp := &r.open[len(r.open)-1]
-		sp.Args = append(sp.Args, Arg{Key: key, Val: v})
-		return
-	}
-	if len(r.stack) == 0 {
-		return
-	}
-	ev := &r.events[r.stack[len(r.stack)-1]]
-	ev.Args = append(ev.Args, Arg{Key: key, Val: v})
+	sp := &r.open[len(r.open)-1]
+	sp.Args = append(sp.Args, Arg{Key: key, Val: v})
 }
 
 // AddWait records d of blocked time ending now (e.g. one Recv that had to
@@ -372,33 +298,16 @@ func (r *RankTracer) AddWait(name string, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
 	}
-	if r.ring != nil {
-		for i := range r.open {
-			r.open[i].Wait += d
-		}
-		if d >= waitEventMin {
-			end := r.tracer.now()
-			r.push(Event{
-				Name:  name,
-				Cat:   CatWait,
-				Start: end - d,
-				Dur:   d,
-				Depth: len(r.open),
-			})
-		}
-		return
-	}
-	for _, i := range r.stack {
-		r.events[i].Wait += d
+	for i := range r.open {
+		r.open[i].Wait += d
 	}
 	if d >= waitEventMin {
-		end := r.tracer.now()
-		r.events = append(r.events, Event{
+		r.push(Event{
 			Name:  name,
 			Cat:   CatWait,
-			Start: end - d,
+			Start: r.tracer.now() - d,
 			Dur:   d,
-			Depth: len(r.stack),
+			Depth: len(r.open),
 		})
 	}
 }
@@ -414,25 +323,12 @@ func (r *RankTracer) AddCompleted(name string, cat Category, start time.Time, d 
 	if r == nil || d < 0 {
 		return
 	}
-	rel := r.tracer.now() - time.Since(start)
-	if r.ring != nil {
-		r.observe(name, cat, d)
-		r.push(Event{
-			Name:  name,
-			Cat:   cat,
-			Start: rel,
-			Dur:   d,
-			Depth: len(r.open),
-		})
-		return
-	}
-	r.observe(name, cat, d)
-	r.events = append(r.events, Event{
+	r.push(Event{
 		Name:  name,
 		Cat:   cat,
-		Start: rel,
+		Start: start.Sub(r.tracer.epoch),
 		Dur:   d,
-		Depth: len(r.stack),
+		Depth: len(r.open),
 	})
 }
 
@@ -445,37 +341,24 @@ func (r *RankTracer) Mark(name string, cat Category) {
 	if r == nil {
 		return
 	}
-	if r.ring != nil {
-		r.push(Event{
-			Name:  name,
-			Cat:   cat,
-			Start: r.tracer.now(),
-			Depth: len(r.open),
-		})
-		return
-	}
-	r.events = append(r.events, Event{
+	r.push(Event{
 		Name:  name,
 		Cat:   cat,
 		Start: r.tracer.now(),
-		Depth: len(r.stack),
+		Depth: len(r.open),
 	})
 }
 
-// Events returns the rank's recorded spans, oldest first. Only call it
-// after the rank goroutine has finished. In unbounded mode the returned
-// slice aliases the live buffer; in ring mode it is a fresh copy of the
-// retained window.
+// Events returns a copy of the rank's retained spans in the order they
+// began (by start time, outer before inner), including the spans still
+// open (Dur < 0). Only call it after the rank goroutine has finished.
 func (r *RankTracer) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.ring != nil {
-		out := make([]Event, 0, r.ringLen)
-		for i := 0; i < r.ringLen; i++ {
-			out = append(out, r.ring[(r.ringHead+i)%len(r.ring)])
-		}
-		return out
-	}
-	return r.events
+	out := slices.Concat(r.done[r.head:], r.done[:r.head], r.open)
+	slices.SortStableFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Depth, b.Depth))
+	})
+	return out
 }
