@@ -7,19 +7,19 @@ package mangll
 // the register update runs in T.
 type LSRK45Of[T Float] struct {
 	res []T // 2N-storage residual register
-	du  []T // scratch for the RHS evaluation
+	du  []T // scratch for the RHS evaluation, zero whenever rhs is called
 
-	// ForRange, if set, runs the integrator's own sweeps over the state
-	// (clearing du, the register update) in chunks — Mesh.ForRange, so they
-	// use the rank's pool like the kernels between them; nil runs them
-	// inline. The sweeps are element-wise, so chunking cannot change them.
+	// ForRange, if set, runs the integrator's register update over the
+	// state in chunks — Mesh.ForRange, so it uses the rank's pool like the
+	// kernels between them; nil runs it inline. The update is element-wise,
+	// so chunking cannot change it.
 	ForRange func(n int, fn func(w *Work, lo, hi int))
 
-	// Operands of the sweep in flight and the sweeps, built once so that
+	// Operands of the update in flight and the update, built once so that
 	// Step allocates nothing.
-	u            []T
-	a, b, dt     float64
-	zero, update func(w *Work, lo, hi int)
+	u        []T
+	a, b, dt float64
+	update   func(w *Work, lo, hi int)
 }
 
 // LSRK45 is the double-precision integrator of the host solvers.
@@ -49,41 +49,37 @@ var lsrkC = [5]float64{
 	2802321613138.0 / 2924317926251.0,
 }
 
-// Step advances u from t to t+dt. rhs must write du/dt for state u at time
-// tt into du (du is pre-zeroed scratch owned by the integrator). Only the
-// locally owned portion of u should be integrated; rhs is responsible for
-// any ghost exchange it needs.
+// Step advances u from t to t+dt. rhs must accumulate du/dt for state u at
+// time tt into du, scratch owned by the integrator that is zero at every
+// call: Step clears it once, and each stage's update sets every du[i] it
+// has read back to zero, so no stage pays a pass of its own to clear it.
+// Only the locally owned portion of u should be integrated; rhs is
+// responsible for any ghost exchange it needs.
 func (r *LSRK45Of[T]) Step(u []T, t, dt float64, rhs func(tt float64, u, du []T)) {
 	if r.update == nil {
-		r.zero = func(_ *Work, lo, hi int) {
-			clear(r.du[lo:hi])
-		}
 		r.update = func(_ *Work, lo, hi int) {
 			u, res, du := r.u[lo:hi], r.res[lo:hi], r.du[lo:hi]
 			a, b, dt := T(r.a), T(r.b), T(r.dt)
 			for i := range u {
 				res[i] = a*res[i] + dt*du[i]
 				u[i] += b * res[i]
+				du[i] = 0
 			}
 		}
 	}
-	// The state changes length at every adapt; du is cleared stage by stage.
+	// The state changes length at every adapt.
 	r.res, r.du = Resize(r.res, len(u)), Resize(r.du, len(u))
 	clear(r.res)
+	clear(r.du)
 	r.u, r.dt = u, dt
 	for s := 0; s < 5; s++ {
-		r.sweep(r.zero)
 		rhs(t+lsrkC[s]*dt, u, r.du)
 		r.a, r.b = lsrkA[s], lsrkB[s]
-		r.sweep(r.update)
+		if r.ForRange == nil {
+			r.update(nil, 0, len(u))
+		} else {
+			r.ForRange(len(u), r.update)
+		}
 	}
 	r.u = nil
-}
-
-func (r *LSRK45Of[T]) sweep(fn func(w *Work, lo, hi int)) {
-	if r.ForRange == nil {
-		fn(nil, 0, len(r.u))
-		return
-	}
-	r.ForRange(len(r.u), fn)
 }

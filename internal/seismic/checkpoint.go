@@ -32,7 +32,8 @@ func Resume(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 		return nil, 0, err
 	}
 	s := NewSolver(comm, f, opts, matFn)
-	s.Q, s.Time, s.Source = data, meta.Time, source
+	copy(s.Q, data)
+	s.Time, s.Source = meta.Time, source
 	return s, meta.Step, nil
 }
 

@@ -19,7 +19,7 @@ import (
 type Device struct {
 	S *Solver
 
-	Q []float32
+	Q []float32 // the head of k.buf, as Solver.Q is of the host's
 
 	// TransferSec is the host->device transfer time (Figure 10 "transf").
 	TransferSec float64
@@ -37,11 +37,11 @@ type Device struct {
 // device, timing the transfer.
 func NewDevice(s *Solver) *Device {
 	t0 := time.Now()
-	m := s.Mesh
+	m, k := s.Mesh, convertKernels[float32](&s.k)
 	d := &Device{
 		S:     s,
-		Q:     mangll.Convert[float32](s.Q),
-		k:     convertKernels[float32](&s.k),
+		Q:     k.buf[:len(s.Q)],
+		k:     k,
 		w:     mangll.NewWorkOf[float32](m),
 		elems: iota32(m.NumLocal),
 		links: iota32(len(m.Links)),
@@ -53,8 +53,8 @@ func NewDevice(s *Solver) *Device {
 	return d
 }
 
-// convertKernels returns the host's kernel tables in precision T, with
-// one worker's scratch.
+// convertKernels returns the host's kernel tables and local+ghost array
+// (the state at its head) in precision T, with one worker's scratch.
 func convertKernels[T mangll.Float](h *kernels[float64]) *kernels[T] {
 	m := h.m
 	k := &kernels[T]{
@@ -65,7 +65,7 @@ func convertKernels[T mangll.Float](h *kernels[float64]) *kernels[T] {
 		fineGeo: convertRows(h.fineGeo, convertPoint[T]),
 		fineMat: convertRows(h.fineMat, convertMat[T]),
 		fineOff: h.fineOff,
-		buf:     make([]T, len(h.buf)),
+		buf:     mangll.Convert[T](h.buf),
 		ws:      []seisScratch[T]{newScratch[T](m.Np, m.Nf)},
 	}
 	for a := range k.gi {
@@ -100,18 +100,22 @@ func iota32(n int) []int32 {
 	return out
 }
 
-// rhs evaluates dq/dt at time t on the device: the local state is staged
-// through the host for the ghost exchange, then every element's volume
-// term and every link's face term run serially — each element gets its
-// volume term and then its links in ascending order, as on the host — and
-// the body force, if any, is added last.
+// rhs evaluates dq/dt at time t on the device for q = d.Q: the local
+// state is staged through the host for the ghost exchange, flushing
+// subnormals to zero (the float32 kernels run several times slower on
+// them), then every element's volume term and every link's face term run
+// serially — each element gets its volume term and then its links in
+// ascending order, as on the host — and the body force, if any, is added
+// last.
 func (d *Device) rhs(t float64, q, dq []float32) {
 	k, m := d.k, d.S.Mesh
 	for i, v := range q {
+		if -0x1p-126 < v && v < 0x1p-126 {
+			v, q[i] = 0, 0
+		}
 		d.host[i] = float64(v)
 	}
 	m.ExchangeGhost(NC, d.host)
-	copy(k.buf, q)
 	for i := len(q); i < len(k.buf); i++ {
 		k.buf[i] = float32(d.host[i])
 	}

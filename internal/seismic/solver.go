@@ -50,7 +50,9 @@ type Solver struct {
 	live                            metrics.Progress
 	hRHS, hExch, hStep, hVol, hSurf *metrics.Histogram
 
-	// Q holds the 9 fields per node, local elements only.
+	// Q holds the 9 fields per node, local elements only: the head of the
+	// kernels' local+ghost array, re-seated by every rebuild. Assign its
+	// elements, never the slice.
 	Q    []float64
 	Time float64
 
@@ -62,12 +64,9 @@ type Solver struct {
 	kern seisKernel
 	rk   mangll.LSRK45
 
-	kQ    []float64 // RHS input and time of the evaluation in progress
-	kT    float64
-	rhsFn func(tt float64, u, du []float64)
-	// The sweeps RHS does besides the kernel application, as func values
-	// built once: filling the exchange buffer and the body-force source.
-	fillFn, sourceFn func(w *mangll.Work, lo, hi int)
+	kT       float64 // time of the RHS evaluation in progress
+	rhsFn    func(tt float64, u, du []float64)
+	sourceFn func(w *mangll.Work, lo, hi int) // RHS's body-force sweep
 
 	// Source, if non-nil, adds a body-force density to the velocity
 	// equations: f(t, x). Like MatFn it must be pure: kernel hooks may
@@ -198,16 +197,15 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	s.kern = seisKernel{s: s}
 	// One closure for the integrator, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(tt, u, du) }
-	s.fillFn = func(_ *mangll.Work, lo, hi int) { copy(s.k.buf[lo:hi], s.kQ[lo:hi]) }
 	s.sourceFn = func(_ *mangll.Work, lo, hi int) { s.k.addSource(s.Source, s.kT, lo, hi) }
 	s.rebuild()
-	s.Q = make([]float64, s.Mesh.NumLocal*s.Mesh.Np*NC)
 	return s
 }
 
 // rebuild brings ghost layer, mesh and the per-mesh tables up to date after
 // the forest changed. The mesh is rebuilt in place; the tables keep their
-// storage and are filled again in full.
+// storage and are filled again in full. The state, which the adapt cycle
+// left in an array of its own, moves to the head of the local+ghost array.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	if s.Mesh == nil {
@@ -237,6 +235,8 @@ func (s *Solver) rebuild() {
 	})
 	s.maxVp = mpi.AllreduceMax(s.Comm, slices.Max(vp))
 	k.buf = mangll.Resize(k.buf, (m.NumLocal+m.NumGhost)*m.Np*NC)
+	copy(k.buf, s.Q)
+	s.Q = k.buf[:m.NumLocal*m.Np*NC]
 	s.buildFaceTables()
 }
 
@@ -339,13 +339,15 @@ func fluxNormal[T mangll.Float](mat *nodeMat[T], q []T, n [3]T, out []T) {
 // the faces of interior elements, optional worker-pool fan-out — lives in
 // mangll's kernel driver; the solver supplies the hooks (seisKernel).
 // NoOverlap selects the blocking baseline. Blocking, overlapped, and
-// pooled execution are bitwise equal.
+// pooled execution are bitwise equal. q must be s.Q, which the kernels
+// read in place.
 func (s *Solver) RHS(t float64, q, dq []float64) {
+	if len(q) != len(s.Q) || len(q) > 0 && &q[0] != &s.Q[0] {
+		panic("seismic: RHS input is not the solver's state")
+	}
 	m := s.Mesh
-	np := m.Np
 	tRHS := time.Now()
-	s.kQ, s.k.dq, s.kT = q, dq, t
-	m.ForRange(m.NumLocal*np*NC, s.fillFn)
+	s.k.dq, s.kT = dq, t
 	var wait time.Duration
 	if s.Opts.NoOverlap {
 		wait = m.ApplyBlocking(&s.kern, s.k.buf)
@@ -355,7 +357,7 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 	s.hExch.ObserveDuration(wait)
 
 	if s.Source != nil {
-		m.ForRange(m.NumLocal*np, s.sourceFn)
+		m.ForRange(m.NumLocal*m.Np, s.sourceFn)
 	}
 	s.hRHS.ObserveDuration(time.Since(tRHS))
 }
@@ -542,41 +544,26 @@ func freeSurfaceFlux[T mangll.Float](geo []facePoint[T], mat []nodeMat[T], qm, g
 }
 
 // fluxGeometry evaluates the physical coordinates and outward area vectors
-// at the link's flux points (a setup-path helper: the kernels read the
-// tables built from it).
+// at the flux points of a LinkToFineQuad link, interpolated from the
+// element's face nodes onto the quadrant (a setup-path helper: the kernels
+// read the tables built from it).
 func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]float64) {
 	m := s.Mesh
 	e := int(l.Elem)
-	nf := m.Nf
 	sc := &s.k.ws[w.ID()]
-	fx := sc.fx
+	fx, fq := sc.fx, sc.fq
 	for a := 0; a < 3; a++ {
-		for fn := 0; fn < nf; fn++ {
-			vn := int(m.FaceIdx[l.Face][fn])
-			fx[fn] = m.X[a][e*m.Np+vn]
+		for fn, vn := range m.FaceIdx[l.Face] {
+			fx[fn] = m.X[a][e*m.Np+int(vn)]
 		}
-		if l.Kind == mangll.LinkToFineQuad {
-			out := sc.fq
-			w.InterpFaceToQuad(l, fx, out)
-			for fn := 0; fn < nf; fn++ {
-				xs[fn][a] = out[fn]
-			}
-		} else {
-			for fn := 0; fn < nf; fn++ {
-				xs[fn][a] = fx[fn]
-			}
+		w.InterpFaceToQuad(l, fx, fq)
+		for fn, v := range fq {
+			xs[fn][a] = v
 		}
 		m.FaceArea(e, int(l.Face), a, fx)
-		if l.Kind == mangll.LinkToFineQuad {
-			out := sc.fq
-			w.InterpFaceToQuad(l, fx, out)
-			for fn := 0; fn < nf; fn++ {
-				area[fn][a] = out[fn]
-			}
-		} else {
-			for fn := 0; fn < nf; fn++ {
-				area[fn][a] = fx[fn]
-			}
+		w.InterpFaceToQuad(l, fx, fq)
+		for fn, v := range fq {
+			area[fn][a] = v
 		}
 	}
 }
@@ -592,6 +579,18 @@ func (s *Solver) Step(dt float64) {
 
 // Energy returns the global elastic energy 1/2 rho |v|^2 + 1/2 sigma:E.
 func (s *Solver) Energy() float64 {
+	return s.integrate(func(idx int) float64 {
+		q := s.Q[idx*NC:]
+		mt := &s.k.mat[idx]
+		kin := 0.5 * mt.Rho * (q[0]*q[0] + q[1]*q[1] + q[2]*q[2])
+		sxx, syy, szz, syz, sxz, sxy := stress(mt, q[3:9])
+		el := 0.5 * (sxx*q[3] + syy*q[4] + szz*q[5] + 2*(syz*q[6]+sxz*q[7]+sxy*q[8]))
+		return kin + el
+	})
+}
+
+// integrate returns the global LGL quadrature of the nodal function f.
+func (s *Solver) integrate(f func(idx int) float64) float64 {
 	m := s.Mesh
 	np1 := m.Np1
 	var sum float64
@@ -602,12 +601,7 @@ func (s *Solver) Energy() float64 {
 				for i := 0; i < np1; i++ {
 					idx := e*m.Np + n
 					w := m.L.W[i] * m.L.W[j] * m.L.W[k] * m.Jac[idx]
-					q := s.Q[idx*NC:]
-					mt := &s.k.mat[idx]
-					kin := 0.5 * mt.Rho * (q[0]*q[0] + q[1]*q[1] + q[2]*q[2])
-					sxx, syy, szz, syz, sxz, sxy := stress(mt, q[3:9])
-					el := 0.5 * (sxx*q[3] + syy*q[4] + szz*q[5] + 2*(syz*q[6]+sxz*q[7]+sxy*q[8]))
-					sum += w * (kin + el)
+					sum += w * f(idx)
 					n++
 				}
 			}
@@ -643,27 +637,16 @@ func (s *Solver) SetPlaneWave(kv, d [3]float64, omega float64) {
 // against the exact translated plane wave at the current time.
 func (s *Solver) PlaneWaveError(kv, d [3]float64, omega float64) float64 {
 	m := s.Mesh
-	np1 := m.Np1
-	var sum float64
-	for e := 0; e < m.NumLocal; e++ {
-		n := 0
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					idx := e*m.Np + n
-					w := m.L.W[i] * m.L.W[j] * m.L.W[k] * m.Jac[idx]
-					phase := kv[0]*m.X[0][idx] + kv[1]*m.X[1][idx] + kv[2]*m.X[2][idx] - omega*s.Time
-					cp := math.Cos(phase)
-					for a := 0; a < 3; a++ {
-						dd := s.Q[idx*NC+a] - (-omega * d[a] * cp)
-						sum += w * dd * dd
-					}
-					n++
-				}
-			}
+	return math.Sqrt(s.integrate(func(idx int) float64 {
+		phase := kv[0]*m.X[0][idx] + kv[1]*m.X[1][idx] + kv[2]*m.X[2][idx] - omega*s.Time
+		cp := math.Cos(phase)
+		var e2 float64
+		for a := 0; a < 3; a++ {
+			dd := s.Q[idx*NC+a] - (-omega * d[a] * cp)
+			e2 += dd * dd
 		}
-	}
-	return math.Sqrt(mpi.AllreduceSumFloat(s.Comm, sum))
+		return e2
+	}))
 }
 
 // FlopsPerStep returns the hand-counted floating-point operations of one
