@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig4-highp chaos telemetry-smoke serve-smoke loc
+.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig7 fig4-highp chaos telemetry-smoke serve-smoke loc
 
 verify: vet build test-race
 
@@ -39,7 +39,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel|BenchmarkHostVsDeviceStep' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
-	$(GO) test -run 'Alloc' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/
+	$(GO) test -run 'Alloc' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 
@@ -91,6 +91,11 @@ loc:
 # and recv-wait columns) into results/.
 fig4:
 	$(GO) run ./cmd/scaling -steps 3 > results/fig4_scaling.txt
+
+# Regenerate the Figure 7 mantle-convection runtime split (solve / V-cycle
+# / AMR) into results/ (about 4 minutes on 2 vCPUs).
+fig7:
+	$(GO) run ./cmd/mantle -ranks 1,2,4 > results/fig7_mantle.txt
 
 # High-emulated-rank-count smoke: the full Fig-4 pipeline at P=256 on a
 # small fractal forest. Exercises the recursive Balance/Ghost at partition

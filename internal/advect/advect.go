@@ -33,13 +33,6 @@ type Options struct {
 	// why the upwind flux is used: central is non-dissipative but admits
 	// spurious oscillations at underresolved fronts.
 	CentralFlux bool
-	// NoOverlap disables the split-phase ghost exchange: the exchange
-	// completes before any kernel runs, as in pre-overlap builds. The
-	// kernels execute in the same order either way (volume, faces of
-	// interior elements, faces of boundary elements), so both paths
-	// produce bitwise-identical results; this is the baseline for the
-	// overlap measurements.
-	NoOverlap bool
 }
 
 // DefaultOptions returns the configuration used by the Figure 5 runs.
@@ -371,7 +364,7 @@ func (s *Solver) DT() float64 {
 // kernels and the faces of interior elements, optional worker-pool
 // fan-out — lives in
 // mangll's kernel driver; the solver only supplies the hooks (advKernel).
-// Blocking, overlapped, and pooled execution are bitwise identical.
+// Serial and pooled execution are bitwise identical.
 func (s *Solver) RHS(c, dc []float64) {
 	if len(c) != len(s.C) || len(c) > 0 && &c[0] != &s.C[0] {
 		panic("advect: RHS input is not the solver's state")
@@ -379,13 +372,7 @@ func (s *Solver) RHS(c, dc []float64) {
 	m := s.Mesh
 	tRHS := time.Now()
 	s.kDC = dc
-	var wait time.Duration
-	if s.Opts.NoOverlap {
-		wait = m.ApplyBlocking(&s.kern, s.buf)
-	} else {
-		wait = m.Apply(&s.kern, s.buf)
-	}
-	s.hExch.ObserveDuration(wait)
+	s.hExch.ObserveDuration(m.Apply(&s.kern, s.buf))
 	s.hRHS.ObserveDuration(time.Since(tRHS))
 }
 

@@ -20,9 +20,8 @@ func benchOpts() Options {
 }
 
 // BenchmarkAdvectStep measures one RK step of the advection solver per
-// rank-count and exchange mode. "overlap" runs the split-phase ghost
-// exchange with volume and interior-face kernels between Start and Finish;
-// "blocking" completes the exchange up front (the pre-overlap baseline).
+// rank count. "overlap" names the schedule: the split-phase ghost exchange
+// with volume and interior-face kernels between Start and Finish.
 // The P∈{1,2,4,8} sweep is the strong-scaling curve; P64 is the deep
 // oversubscription case. Run with -benchmem: steady-state
 // allocs/op is pinned by the tests and must stay at zero for P=1. The
@@ -31,12 +30,10 @@ func benchOpts() Options {
 // communication. The /wN sub-cases add the per-rank kernel worker pool;
 // unsuffixed names run at one worker.
 func BenchmarkAdvectStep(b *testing.B) {
-	step := func(p, workers int, mode string) func(b *testing.B) {
+	step := func(p, workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
-				o := benchOpts()
-				o.NoOverlap = mode == "blocking"
-				s := NewShell(c, o)
+				s := NewShell(c, benchOpts())
 				dt := s.DT()
 				s.Step(dt) // warm up scratch and integrator registers
 				b.ResetTimer()
@@ -52,16 +49,14 @@ func BenchmarkAdvectStep(b *testing.B) {
 		}
 	}
 	for _, p := range []int{1, 2, 4, 8, 64} {
-		for _, mode := range []string{"overlap", "blocking"} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode), step(p, 1, mode))
-		}
+		b.Run(fmt.Sprintf("P%d/overlap", p), step(p, 1))
 	}
-	// The workers axis at fixed P: overlap mode, pool fan-out within each
-	// rank. P4/w4 oversubscribes 16-way on small hosts — the interesting
-	// comparison is against P4/overlap at w=1.
+	// The workers axis at fixed P: pool fan-out within each rank. P4/w4
+	// oversubscribes 16-way on small hosts — the interesting comparison is
+	// against P4/overlap at w=1.
 	for _, w := range []int{2, 4} {
-		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w, "overlap"))
-		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w, "overlap"))
+		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w))
+		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w))
 	}
 }
 

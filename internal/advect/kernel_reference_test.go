@@ -107,8 +107,8 @@ func spike(c []float64) {
 // TestRHSMatchesReference compares RHS with referenceRHS bitwise on the
 // adapted shell (hanging faces, rotated inter-tree faces, outflow / inflow
 // / noise-sign links) and on the six rotated cubes in the swirl field (sign
-// changes inside faces), across rank counts, workers, both fluxes and both
-// exchange schedules, for the projected state and the spiked one.
+// changes inside faces), across rank counts, workers and both fluxes, for
+// the projected state and the spiked one.
 func TestRHSMatchesReference(t *testing.T) {
 	for _, mesh := range []string{"shell", "six"} {
 		for _, p := range []int{1, 2, 3} {
@@ -131,17 +131,14 @@ func TestRHSMatchesReference(t *testing.T) {
 							}
 							clear(want)
 							referenceRHS(s, want)
-							for _, noOverlap := range []bool{false, true} {
-								s.Opts.NoOverlap = noOverlap
-								clear(got)
-								s.RHS(s.C, got)
-								for i := range want {
-									if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-										t.Errorf("%s noOverlap=%v, %s state, rank %d: node %d of element %d: %v (%#x), reference %v (%#x)",
-											what, noOverlap, state, c.Rank(), i%s.Mesh.Np, i/s.Mesh.Np,
-											got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-										break
-									}
+							clear(got)
+							s.RHS(s.C, got)
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Errorf("%s, %s state, rank %d: node %d of element %d: %v (%#x), reference %v (%#x)",
+										what, state, c.Rank(), i%s.Mesh.Np, i/s.Mesh.Np,
+										got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+									break
 								}
 							}
 						}

@@ -524,6 +524,9 @@ func (nb *numbering) assemble(nc int, v []float64, tag int, op func(a, b float64
 	if len(v) != nc*len(nb.Keys) {
 		panic("core: assemble vector length mismatch")
 	}
+	if nb.comm.Size() == 1 {
+		return // a lone rank shares no node; skip the empty exchanges
+	}
 	gather := func(lists map[int][]int32) map[int][]float64 {
 		out := make(map[int][]float64, len(lists))
 		for r, idx := range lists {

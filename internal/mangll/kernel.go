@@ -13,8 +13,8 @@ import (
 // the frontend-parameterized design of the mangll/SU_N spec: AMR owns
 // mesh and fields, physics arrives as a kernel.
 //
-// Hook ordering contract (identical on every path — blocking, overlapped,
-// pooled), stated per element because that is all dG needs: elements share
+// Hook ordering contract (identical on every path — serial or pooled),
+// stated per element because that is all dG needs: elements share
 // no output nodes, so only the order of one element's own contributions
 // can reach the result.
 //
@@ -31,7 +31,7 @@ import (
 // face-ordered (buildLinks), which no partition changes; a link's flux is
 // itself partition-independent (a ghost neighbor's exchanged values equal
 // the local values it would have had); so one Apply is bitwise identical
-// across blocking/overlapped paths, any worker count, AND any rank count.
+// across any worker count AND any rank count.
 // What the partition does change is only whether an element is interior or
 // boundary, i.e. in which phase its — identically ordered — links run.
 //
@@ -173,31 +173,14 @@ const rangeChunks = 4
 // ghost region, first-phase batches read only the local region, so the two
 // overlap without synchronization — and the second phase fans out after
 // the join; a rank with no ghost-reading link has no second phase, so one
-// join per Apply. Results are bitwise identical across blocking,
-// overlapped, any worker count, and any rank count (see the Kernel
-// contract). Apply must not be re-entered from a kernel hook.
+// join per Apply. Results are bitwise identical across any worker count
+// and any rank count (see the Kernel contract). Apply must not be
+// re-entered from a kernel hook.
 func (m *Mesh) Apply(k Kernel, field []float64) time.Duration {
-	return m.apply(k, field, true)
-}
-
-// ApplyBlocking is Apply without communication overlap: the ghost
-// exchange completes before any kernel hook runs (the pre-overlap
-// baseline; solvers select it via their NoOverlap option). Kernel hooks
-// execute in the identical order, so results are bitwise equal to Apply's.
-func (m *Mesh) ApplyBlocking(k Kernel, field []float64) time.Duration {
-	return m.apply(k, field, false)
-}
-
-func (m *Mesh) apply(k Kernel, field []float64, overlap bool) (wait time.Duration) {
 	ex := m.StartGhostExchange(k.NumComps(), field)
-	if !overlap {
-		wait = m.finishTraced(ex)
-	}
 	m.curK = k
 	m.start(m.phaseA)
-	if overlap {
-		wait = m.finishTraced(ex)
-	}
+	wait := m.finishTraced(ex)
 	m.join(m.spanA)
 	if len(m.bndLinks) > 0 {
 		m.start(m.phaseB)

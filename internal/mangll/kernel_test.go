@@ -86,8 +86,7 @@ func (k *orderKernel) InteriorFace(w *Work, links []int32) { k.face(links, false
 func (k *orderKernel) BoundaryFace(w *Work, links []int32) { k.face(links, true) }
 
 // TestApplyCoverage runs the order-checking kernel through one Apply
-// on the serial path and under a pool, with and without overlap, at 1 and
-// 3 ranks, and pins the join count: one pool job per Apply on a rank no
+// on the serial path and under a pool, at 1 and 3 ranks, and pins the join count: one pool job per Apply on a rank no
 // link of which reads ghost data, two otherwise.
 func TestApplyCoverage(t *testing.T) {
 	conn := connectivity.UnitCube()
@@ -98,38 +97,32 @@ func TestApplyCoverage(t *testing.T) {
 				_, m := buildMesh(c, conn, 1, 3, 2)
 				field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np)
 				jobs := reg.Counter("pool_jobs")
-				for _, blocking := range []bool{false, true} {
-					k := newOrderKernel(m)
-					j0 := jobs.ShardValue(c.Rank())
-					if blocking {
-						m.ApplyBlocking(k, field)
-					} else {
-						m.Apply(k, field)
+				k := newOrderKernel(m)
+				j0 := jobs.ShardValue(c.Rank())
+				m.Apply(k, field)
+				where := fmt.Sprintf("w=%d p=%d rank=%d", workers, p, c.Rank())
+				if n := k.faults.Load(); n != 0 {
+					t.Errorf("%s: %d ordering faults, first: %s", where, n, *k.first.Load())
+				}
+				for e, n := range k.volSeen {
+					if n != 1 {
+						t.Fatalf("%s: element %d saw %d Volume calls", where, e, n)
 					}
-					where := fmt.Sprintf("w=%d p=%d rank=%d blocking=%v", workers, p, c.Rank(), blocking)
-					if n := k.faults.Load(); n != 0 {
-						t.Errorf("%s: %d ordering faults, first: %s", where, n, *k.first.Load())
+				}
+				for li, n := range k.linkSeen {
+					if n != 1 {
+						t.Fatalf("%s: link %d ran %d times", where, li, n)
 					}
-					for e, n := range k.volSeen {
-						if n != 1 {
-							t.Fatalf("%s: element %d saw %d Volume calls", where, e, n)
-						}
-					}
-					for li, n := range k.linkSeen {
-						if n != 1 {
-							t.Fatalf("%s: link %d ran %d times", where, li, n)
-						}
-					}
-					want := int64(1)
-					if len(m.bndLinks) > 0 {
-						want = 2
-					}
-					if p == 1 && want != 1 {
-						t.Fatalf("%s: serial mesh has boundary-element links", where)
-					}
-					if got := jobs.ShardValue(c.Rank()) - j0; workers > 1 && got != want {
-						t.Errorf("%s: %d pool jobs per Apply, want %d", where, got, want)
-					}
+				}
+				want := int64(1)
+				if len(m.bndLinks) > 0 {
+					want = 2
+				}
+				if p == 1 && want != 1 {
+					t.Fatalf("%s: serial mesh has boundary-element links", where)
+				}
+				if got := jobs.ShardValue(c.Rank()) - j0; workers > 1 && got != want {
+					t.Errorf("%s: %d pool jobs per Apply, want %d", where, got, want)
 				}
 			})
 		}
@@ -183,19 +176,15 @@ func (k *sumKernel) BoundaryFace(w *Work, links []int32) { k.face(w, links) }
 // applySum runs the sum kernel once on a fresh mesh and returns a bitwise
 // fingerprint of the output gathered to rank 0 (element counts per rank are
 // partition-determined, so the per-rank hash is comparable across worker
-// counts and overlap modes but not rank counts).
-func applySum(c *mpi.Comm, blocking bool) uint64 {
+// counts but not rank counts).
+func applySum(c *mpi.Comm) uint64 {
 	_, m := buildMesh(c, connectivity.UnitCube(), 1, 3, 3)
 	field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np)
 	for i := 0; i < m.NumLocal*m.Np; i++ {
 		field[i] = math.Sin(float64(i%97)) + m.X[0][i]
 	}
 	k := &sumKernel{m: m, field: field, out: make([]float64, m.NumLocal*m.Np)}
-	if blocking {
-		m.ApplyBlocking(k, field)
-	} else {
-		m.Apply(k, field)
-	}
+	m.Apply(k, field)
 	// FNV-1a over the raw bits, reduced with a fixed-order allgather.
 	h := uint64(14695981039346656037)
 	for _, v := range k.out {
@@ -214,36 +203,23 @@ func applySum(c *mpi.Comm, blocking bool) uint64 {
 	return h
 }
 
-// TestApplyThreeWayIdentity is the kernel-level identity matrix: blocking,
-// overlapped, and pooled (workers 2 and 4) applications must produce
-// bitwise-identical results, at 1 and 4 ranks.
+// TestApplyThreeWayIdentity is the kernel-level identity matrix: serial
+// and pooled (workers 2 and 4) applications must produce bitwise-identical
+// results, at 1 and 4 ranks.
 func TestApplyThreeWayIdentity(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		var want uint64
-		mpi.RunOpt(p, mpi.RunOptions{Workers: 1}, func(c *mpi.Comm) {
-			if h := applySum(c, true); c.Rank() == 0 {
-				want = h
-			}
-		})
-		cases := []struct {
-			name     string
-			workers  int
-			blocking bool
-		}{
-			{"overlap/w1", 1, false},
-			{"blocking/w2", 2, true},
-			{"overlap/w2", 2, false},
-			{"overlap/w4", 4, false},
-		}
-		for _, tc := range cases {
+		for _, w := range []int{1, 2, 4} {
 			var got uint64
-			mpi.RunOpt(p, mpi.RunOptions{Workers: tc.workers}, func(c *mpi.Comm) {
-				if h := applySum(c, tc.blocking); c.Rank() == 0 {
+			mpi.RunOpt(p, mpi.RunOptions{Workers: w}, func(c *mpi.Comm) {
+				if h := applySum(c); c.Rank() == 0 {
 					got = h
 				}
 			})
-			if got != want {
-				t.Errorf("p=%d %s: hash %#x, want blocking/w1 hash %#x", p, tc.name, got, want)
+			if w == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("p=%d w=%d: hash %#x, want the serial hash %#x", p, w, got, want)
 			}
 		}
 	}

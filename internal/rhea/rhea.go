@@ -62,9 +62,9 @@ type Model struct {
 	F    *core.Forest
 	Met  *metrics.Registry
 
-	Eta []float64 // per-element viscosity (lagged)
-	X   []float64 // current solution (4 dofs per node)
-	Op  *stokes.Operator
+	Eta []float64        // per-element viscosity of the last solve (lagged)
+	X   []float64        // solution of the last solve (4 dofs per node)
+	Op  *stokes.Operator // operator of the last solve; nil after adaptation
 	nd  *core.Nodes
 }
 
@@ -172,21 +172,6 @@ func (m *Model) elemCenter(e int) [3]float64 {
 	return connectivity.OctantCenter(m.Conn.Geometry(), m.F.Local[e])
 }
 
-// updateViscosity recomputes the per-element viscosity from the lagged
-// velocity (zero strain rate on the first pass).
-func (m *Model) updateViscosity() {
-	m.Eta = make([]float64, m.F.NumLocal())
-	for e := range m.F.Local {
-		p := m.elemCenter(e)
-		eII := 0.0
-		if m.Op != nil && m.X != nil {
-			v := m.Op.VelocityAt(e, m.X)
-			eII = stokes.StrainRateII(&m.Op.Geo[e], v)
-		}
-		m.Eta[e] = m.Viscosity(m.Temperature(p), eII, p)
-	}
-}
-
 // shellSide reports which shell surface p lies on, to the 0.1 % tolerance
 // of the mapped node positions: -1 the core-mantle boundary, +1 the
 // surface, 0 the interior.
@@ -205,18 +190,63 @@ func shellSide(p [3]float64) int {
 // either shell surface.
 func onShellBoundary(p [3]float64) bool { return shellSide(p) != 0 }
 
-// rebuild refreshes nodes and the Stokes operator after mesh changes. The
-// temperature model is analytic, so fields are re-sampled rather than
-// transferred; the velocity restarts from zero after adaptation (the next
-// Picard iteration rebuilds it). Timed as AMR.
+// rebuild refreshes the ghost layer and node numbering after mesh changes
+// and drops the operator and solution of the old mesh: the next solve
+// builds the one operator of the new mesh. The temperature model is
+// analytic, so fields are re-sampled rather than transferred; the velocity
+// restarts from zero after adaptation. Timed as AMR.
 func (m *Model) rebuild() {
 	defer m.Met.Histogram("amr", metrics.UnitDuration).Since(time.Now())
-	g := m.F.Ghost()
-	m.nd = m.F.Nodes(g)
-	m.Op = nil
-	m.X = nil
-	m.updateViscosity()
-	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
+	m.nd = m.F.Nodes(m.F.Ghost())
+	m.Op, m.X = nil, nil
+}
+
+// solve builds the Stokes operator of the current mesh and solves it. The
+// temperature that sets viscosity and buoyancy is the synthetic model when
+// T is nil, else the nodal field T sampled at the element corners through
+// the hanging constraints; the strain rate is the last solution's on this
+// mesh, zero if there is none. Collective; returns the MINRES iterations.
+func (m *Model) solve(T []float64) int {
+	m.Eta = make([]float64, m.F.NumLocal())
+	for e := range m.F.Local {
+		p := m.elemCenter(e)
+		var t float64
+		if T == nil {
+			t = m.Temperature(p)
+		} else {
+			tc := m.Op.CornerScalar(e, T)
+			for c := 0; c < 8; c++ {
+				t += tc[c] / 8
+			}
+		}
+		eII := 0.0
+		if m.Op != nil && m.X != nil {
+			eII = stokes.StrainRateII(&m.Op.Geo[e], m.Op.VelocityAt(e, m.X))
+		}
+		m.Eta[e] = m.Viscosity(t, eII, p)
+	}
+	op := stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
+	// Radial buoyancy Ra·T·r̂ at every element corner.
+	rhs := op.BuildRHSElem(func(e int) (fc [8][3]float64) {
+		var tc [8]float64
+		if T != nil {
+			tc = op.CornerScalar(e, T)
+		}
+		for c, p := range op.Geo[e] {
+			if T == nil {
+				tc[c] = m.Temperature(p)
+			}
+			r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
+			f := m.Opts.Rayleigh * tc[c]
+			fc[c] = [3]float64{f * p[0] / r, f * p[1] / r, f * p[2] / r}
+		}
+		return
+	})
+	x, iters, _ := op.SolveDirichletRHS(rhs,
+		func([3]float64) [3]float64 { return [3]float64{} },
+		m.Opts.MinresTol, m.Opts.MinresIter)
+	m.Op, m.X = op, x
+	return iters
 }
 
 // dataIndicator marks elements for the initial data-adaptive passes:
@@ -291,26 +321,10 @@ type Report struct {
 // decomposition reported in the paper's Figure 7.
 func (m *Model) Run() Report {
 	rep := Report{}
-	solve := func() {
-		m.updateViscosity()
-		m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
-		x, iters, _ := m.Op.SolveDirichlet(
-			func(p [3]float64) [3]float64 {
-				r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
-				t := m.Temperature(p)
-				f := m.Opts.Rayleigh * t
-				return [3]float64{f * p[0] / r, f * p[1] / r, f * p[2] / r}
-			},
-			func([3]float64) [3]float64 { return [3]float64{} },
-			m.Opts.MinresTol, m.Opts.MinresIter)
-		m.X = x
-		rep.MinresIters += iters
-		rep.PicardIters++
-	}
-
 	for cycle := 0; cycle <= m.Opts.SolAdapt; cycle++ {
 		for it := 0; it < m.Opts.Picard; it++ {
-			solve()
+			rep.MinresIters += m.solve(nil)
+			rep.PicardIters++
 		}
 		if cycle < m.Opts.SolAdapt {
 			if m.adaptOn(m.solutionIndicator) {
@@ -361,7 +375,7 @@ func (m *Model) Run() Report {
 // solve"). It returns the nodal temperature field. Collective.
 func (m *Model) ThermalEvolve(steps, resolveEvery int, kappa float64) []float64 {
 	if m.Op == nil || m.X == nil {
-		m.SolveOnce()
+		m.solve(nil)
 	}
 	// Initialize the nodal temperature from the synthetic model.
 	T := make([]float64, m.Op.NN)
@@ -387,64 +401,9 @@ func (m *Model) ThermalEvolve(steps, resolveEvery int, kappa float64) []float64 
 		})
 		en.Step(T, m.X, dt, bc)
 		if resolveEvery > 0 && s%resolveEvery == 0 && s < steps {
-			m.resolveWithTemperature(T)
+			m.solve(T)
 			en = stokes.NewEnergyOp(m.Op, kappa, 0)
 		}
 	}
 	return T
-}
-
-// SolveOnce performs a single Stokes solve with the current viscosity
-// (building the operator if needed). Collective.
-func (m *Model) SolveOnce() {
-	m.updateViscosity()
-	m.Op = stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
-	x, _, _ := m.Op.SolveDirichlet(
-		func(p [3]float64) [3]float64 {
-			r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
-			f := m.Opts.Rayleigh * m.Temperature(p)
-			return [3]float64{f * p[0] / r, f * p[1] / r, f * p[2] / r}
-		},
-		func([3]float64) [3]float64 { return [3]float64{} },
-		m.Opts.MinresTol, m.Opts.MinresIter)
-	m.X = x
-}
-
-// resolveWithTemperature rebuilds viscosity and buoyancy from the evolved
-// nodal temperature and re-solves the Stokes system.
-func (m *Model) resolveWithTemperature(T []float64) {
-	eta := make([]float64, m.F.NumLocal())
-	for e := range m.F.Local {
-		tc := m.Op.CornerScalar(e, T)
-		var tbar float64
-		for c := 0; c < 8; c++ {
-			tbar += tc[c] / 8
-		}
-		eII := 0.0
-		if m.X != nil {
-			v := m.Op.VelocityAt(e, m.X)
-			eII = stokes.StrainRateII(&m.Op.Geo[e], v)
-		}
-		eta[e] = m.Viscosity(tbar, eII, m.elemCenter(e))
-	}
-	m.Eta = eta
-	// Keep the node table: the mesh is unchanged during thermal stepping.
-	op := stokes.NewOperator(m.F, m.nd, eta, onShellBoundary, m.Met)
-	// Buoyancy from the nodal temperature, sampled per element corner
-	// through the hanging constraints.
-	rhs := op.BuildRHSElem(func(e int) (fc [8][3]float64) {
-		tc := op.CornerScalar(e, T)
-		for c := 0; c < 8; c++ {
-			p := op.Geo[e][c]
-			r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) + 1e-300
-			f := m.Opts.Rayleigh * tc[c]
-			fc[c] = [3]float64{f * p[0] / r, f * p[1] / r, f * p[2] / r}
-		}
-		return
-	})
-	x, _, _ := op.SolveDirichletRHS(rhs,
-		func([3]float64) [3]float64 { return [3]float64{} },
-		m.Opts.MinresTol, m.Opts.MinresIter)
-	m.Op = op
-	m.X = x
 }

@@ -45,19 +45,18 @@ func BenchmarkHostVsDeviceStep(b *testing.B) {
 }
 
 // BenchmarkSeismicStep measures one RK step of the elastic solver per
-// rank-count and exchange mode, on a uniform periodic brick. "overlap"
-// runs the split-phase ghost exchange with the volume and interior-face
-// kernels between Start and Finish; "blocking" completes the exchange up
-// front (the pre-overlap baseline). The P∈{1,2,4,8} sweep is the
+// rank count, on a uniform periodic brick. "overlap" names the schedule:
+// the split-phase ghost exchange with the volume and interior-face kernels
+// between Start and Finish. The P∈{1,2,4,8} sweep is the
 // strong-scaling curve for the wave solver. Run
 // with -benchmem: steady-state allocs/op is pinned by the tests and must
 // stay at zero for P=1. The /wN sub-cases add the per-rank kernel worker
 // pool; unsuffixed names ran at one worker.
 func BenchmarkSeismicStep(b *testing.B) {
-	step := func(p, workers int, mode string) func(b *testing.B) {
+	step := func(p, workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
-				s := overlapSolver(c, mode == "blocking")
+				s := overlapSolver(c)
 				dt := s.DT()
 				s.Step(dt) // warm up scratch and integrator registers
 				b.ResetTimer()
@@ -73,15 +72,13 @@ func BenchmarkSeismicStep(b *testing.B) {
 		}
 	}
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, mode := range []string{"overlap", "blocking"} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode), step(p, 1, mode))
-		}
+		b.Run(fmt.Sprintf("P%d/overlap", p), step(p, 1))
 	}
-	// The workers axis at fixed P (overlap mode): pool fan-out inside each
-	// rank, compared against the same P at w=1.
+	// The workers axis at fixed P: pool fan-out inside each rank, compared
+	// against the same P at w=1.
 	for _, w := range []int{2, 4} {
-		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w, "overlap"))
-		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w, "overlap"))
+		b.Run(fmt.Sprintf("P1/overlap/w%d", w), step(1, w))
+		b.Run(fmt.Sprintf("P4/overlap/w%d", w), step(4, w))
 	}
 }
 

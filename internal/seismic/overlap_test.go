@@ -9,48 +9,18 @@ import (
 	"repro/internal/raceflag"
 )
 
-func overlapSolver(c *mpi.Comm, noOverlap bool) *Solver {
+// overlapSolver is the periodic-brick plane wave the schedule tests and
+// benchmarks step.
+func overlapSolver(c *mpi.Comm) *Solver {
 	conn := connectivity.Brick(1, 1, 1, true, true, true)
 	f := core.New(c, conn, 2)
 	f.Balance(core.BalanceFull)
 	f.Partition()
 	opts := DefaultOptions()
 	opts.Degree = 3
-	opts.NoOverlap = noOverlap
 	s := NewSolver(c, f, opts, homogeneous(1, 1, 1))
 	s.SetPlaneWave([3]float64{6.28, 0, 0}, [3]float64{1, 0, 0}, 6.28)
 	return s
-}
-
-// TestOverlapMatchesBlockingBitwise runs the elastic solver with and
-// without ghost-exchange/compute overlap and requires bitwise-identical
-// states: both paths execute volume, interior-face, and boundary-face
-// kernels in the same order, so rounding must agree exactly.
-func TestOverlapMatchesBlockingBitwise(t *testing.T) {
-	const p = 2
-	results := make([][][]float64, 2)
-	for run, noOverlap := range []bool{false, true} {
-		results[run] = make([][]float64, p)
-		mpi.Run(p, func(c *mpi.Comm) {
-			s := overlapSolver(c, noOverlap)
-			dt := s.DT()
-			for i := 0; i < 2; i++ {
-				s.Step(dt)
-			}
-			results[run][c.Rank()] = append([]float64(nil), s.Q...)
-		})
-	}
-	for r := 0; r < p; r++ {
-		a, b := results[0][r], results[1][r]
-		if len(a) != len(b) {
-			t.Fatalf("rank %d: %d vs %d values", r, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("rank %d: overlap and blocking paths differ at %d: %v vs %v", r, i, a[i], b[i])
-			}
-		}
-	}
 }
 
 // TestRHSAllocs pins the steady-state allocation count of the elastic
@@ -62,7 +32,7 @@ func TestRHSAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	mpi.RunOpt(1, mpi.RunOptions{Workers: 1}, func(c *mpi.Comm) {
-		s := overlapSolver(c, false)
+		s := overlapSolver(c)
 		dq := make([]float64, len(s.Q))
 		s.RHS(0, s.Q, dq) // warm up lazily allocated scratch
 		allocs := testing.AllocsPerRun(10, func() {
@@ -81,7 +51,7 @@ func TestStepAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	mpi.RunOpt(1, mpi.RunOptions{Workers: 1}, func(c *mpi.Comm) {
-		s := overlapSolver(c, false)
+		s := overlapSolver(c)
 		dt := s.DT()
 		s.Step(dt) // warm up integrator registers and scratch
 		allocs := testing.AllocsPerRun(5, func() {

@@ -24,10 +24,6 @@ type Options struct {
 	PPW      float64 // points per wavelength (paper: "at least 10")
 	MaxLevel int8
 	MinLevel int8
-	// NoOverlap disables the split-phase ghost exchange (see
-	// advect.Options.NoOverlap); kernel order is identical either way, so
-	// results are bitwise equal. Baseline for the overlap measurements.
-	NoOverlap bool
 }
 
 // DefaultOptions mirrors the paper's setup at laptop scale.
@@ -338,9 +334,8 @@ func fluxNormal[T mangll.Float](mat *nodeMat[T], q []T, n [3]T, out []T) {
 // schedule — split-phase exchange overlapped with the volume kernels and
 // the faces of interior elements, optional worker-pool fan-out — lives in
 // mangll's kernel driver; the solver supplies the hooks (seisKernel).
-// NoOverlap selects the blocking baseline. Blocking, overlapped, and
-// pooled execution are bitwise equal. q must be s.Q, which the kernels
-// read in place.
+// Serial and pooled execution are bitwise equal. q must be s.Q, which the
+// kernels read in place.
 func (s *Solver) RHS(t float64, q, dq []float64) {
 	if len(q) != len(s.Q) || len(q) > 0 && &q[0] != &s.Q[0] {
 		panic("seismic: RHS input is not the solver's state")
@@ -348,13 +343,7 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 	m := s.Mesh
 	tRHS := time.Now()
 	s.k.dq, s.kT = dq, t
-	var wait time.Duration
-	if s.Opts.NoOverlap {
-		wait = m.ApplyBlocking(&s.kern, s.k.buf)
-	} else {
-		wait = m.Apply(&s.kern, s.k.buf)
-	}
-	s.hExch.ObserveDuration(wait)
+	s.hExch.ObserveDuration(m.Apply(&s.kern, s.k.buf))
 
 	if s.Source != nil {
 		m.ForRange(m.NumLocal*m.Np, s.sourceFn)

@@ -11,13 +11,13 @@ import (
 
 // seisWorkersHash runs four steps of the periodic-brick plane wave on the
 // given configuration and returns rank 0's collective state hash.
-func seisWorkersHash(t *testing.T, p, workers int, noOverlap bool) uint64 {
+func seisWorkersHash(t *testing.T, p, workers int) uint64 {
 	t.Helper()
 	var h uint64
 	mpi.RunOpt(p, mpi.RunOptions{Workers: workers}, func(c *mpi.Comm) {
-		s := overlapSolver(c, noOverlap)
+		s := overlapSolver(c)
 		if _, err := (sim.Run{Steps: 4}).Advance(c, s, 0); err != nil {
-			t.Errorf("w=%d noOverlap=%v: run: %v", workers, noOverlap, err)
+			t.Errorf("w=%d: run: %v", workers, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {
 			h = hh
@@ -27,20 +27,14 @@ func seisWorkersHash(t *testing.T, p, workers int, noOverlap bool) uint64 {
 }
 
 // TestWorkersMatrixBitwise is the tentpole acceptance criterion at the
-// elastic-wave frontend: one bitwise state hash across {blocking,
-// overlapped} x workers {1, 2, 4}, at 1 and 4 ranks.
+// elastic-wave frontend: one bitwise state hash across workers {1, 2, 4},
+// at 1 and 4 ranks.
 func TestWorkersMatrixBitwise(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		want := seisWorkersHash(t, p, 1, true)
-		for _, w := range []int{1, 2, 4} {
-			for _, noOverlap := range []bool{false, true} {
-				if w == 1 && noOverlap {
-					continue // the reference configuration itself
-				}
-				if got := seisWorkersHash(t, p, w, noOverlap); got != want {
-					t.Errorf("p=%d workers=%d noOverlap=%v: hash %#x, want %#x",
-						p, w, noOverlap, got, want)
-				}
+		want := seisWorkersHash(t, p, 1)
+		for _, w := range []int{2, 4} {
+			if got := seisWorkersHash(t, p, w); got != want {
+				t.Errorf("p=%d workers=%d: hash %#x, want %#x", p, w, got, want)
 			}
 		}
 	}
@@ -54,7 +48,7 @@ func TestStepAllocsWorkers(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	mpi.RunOpt(1, mpi.RunOptions{Workers: 4}, func(c *mpi.Comm) {
-		s := overlapSolver(c, false)
+		s := overlapSolver(c)
 		dt := s.DT()
 		for i := 0; i < 2; i++ {
 			s.Step(dt) // warm up scratch and worker stacks

@@ -28,31 +28,10 @@ func NewEnergyOp(op *Operator, kappa, heating float64) *EnergyOp {
 	e := &EnergyOp{Op: op, Kappa: kappa, H: heating}
 	e.lumped = make([]float64, op.NN)
 	for el := range op.F.Local {
-		em := op.EM[el]
-		en := &op.Nodes.ElementNodes[el]
-		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
-				e.lumped[ni] += w * em.MInt[c]
-			}
-		}
+		op.scatter(el, op.EM[el].MInt[:], 1, e.lumped)
 	}
 	op.Nodes.AssembleSum(e.lumped)
 	return e
-}
-
-// gatherScalar pulls the constrained corner values of a nodal scalar field.
-func (e *EnergyOp) gatherScalar(el int, t []float64) (out [8]float64) {
-	en := &e.Op.Nodes.ElementNodes[el]
-	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
-			out[c] += w * t[ni]
-		}
-	}
-	return
 }
 
 // Residual computes R(T) with R_i = int [ -(v.grad T) phi_i^supg
@@ -65,9 +44,9 @@ func (e *EnergyOp) Residual(t, vel []float64, r []float64) {
 		r[i] = 0
 	}
 	for el := range op.F.Local {
-		tc := e.gatherScalar(el, t)
+		tc := op.CornerScalar(el, t)
 		// Corner velocities (constrained).
-		vc, _ := op.gatherElem(el, vel)
+		vc, _ := op.gatherElem(el, vel, op.BC)
 		eg := &op.Geo[el]
 		qd := elemQuad(eg)
 		// Element size estimate for the SUPG parameter.
@@ -110,15 +89,7 @@ func (e *EnergyOp) Residual(t, vel []float64, r []float64) {
 				re[c] -= w * e.Kappa * (qd[q].dx[c][0]*gradT[0] + qd[q].dx[c][1]*gradT[1] + qd[q].dx[c][2]*gradT[2])
 			}
 		}
-		// Scatter through the hanging constraints.
-		en := &op.Nodes.ElementNodes[el]
-		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
-				r[ni] += w * re[c]
-			}
-		}
+		op.scatter(el, re[:], 1, r)
 	}
 	op.Nodes.AssembleSum(r)
 }
@@ -155,7 +126,7 @@ func (e *EnergyOp) StableDT(vel []float64) float64 {
 		hy := eg[7][1] - eg[0][1]
 		hz := eg[7][2] - eg[0][2]
 		h := math.Sqrt(hx*hx+hy*hy+hz*hz) / math.Sqrt(3)
-		vc, _ := op.gatherElem(el, vel)
+		vc, _ := op.gatherElem(el, vel, op.BC)
 		vmax := 1e-14
 		for c := 0; c < 8; c++ {
 			v := math.Sqrt(vc[3*c]*vc[3*c] + vc[3*c+1]*vc[3*c+1] + vc[3*c+2]*vc[3*c+2])

@@ -14,12 +14,16 @@ import (
 type Preconditioner struct {
 	op  *Operator
 	amg *AMG
+
+	rv, zv, pres []float64 // Apply's scratch: velocity blocks, pressure
 }
 
 // NewPreconditioner builds the AMG hierarchy and the Schur diagonal.
 func NewPreconditioner(op *Operator) *Preconditioner {
 	defer op.Met.Histogram("amg_setup", metrics.UnitDuration).Since(time.Now())
-	return &Preconditioner{op: op, amg: NewAMG(op)}
+	nn := op.NN
+	return &Preconditioner{op: op, amg: NewAMG(op),
+		rv: make([]float64, 3*nn), zv: make([]float64, 3*nn), pres: make([]float64, nn)}
 }
 
 // Apply computes z = M^{-1} r: one AMG V-cycle on the velocity block (per
@@ -28,8 +32,7 @@ func NewPreconditioner(op *Operator) *Preconditioner {
 func (p *Preconditioner) Apply(r, z []float64) {
 	defer p.op.Met.Histogram("vcycle", metrics.UnitDuration).Since(time.Now())
 	nn := p.op.NN
-	rv := make([]float64, 3*nn)
-	zv := make([]float64, 3*nn)
+	rv, zv, pres := p.rv, p.zv, p.pres
 	for i := 0; i < nn; i++ {
 		rv[3*i] = r[4*i]
 		rv[3*i+1] = r[4*i+1]
@@ -46,7 +49,6 @@ func (p *Preconditioner) Apply(r, z []float64) {
 	// additive Schwarz over the shared nodes); the pressure diagonal is
 	// already assembled, so keep one copy by averaging is not needed —
 	// instead sum only the velocity part and restore pressure after.
-	pres := make([]float64, nn)
 	for i := 0; i < nn; i++ {
 		pres[i] = z[4*i+3]
 	}

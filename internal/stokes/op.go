@@ -61,16 +61,14 @@ func NewOperator(f *core.Forest, nd *core.Nodes, eta []float64, bc func(x [3]flo
 		}
 	}
 	// Schur complement diagonal: lumped pressure mass weighted by 1/eta.
+	// Constraint weights are 1, ½ or ¼, so w·(m/η) rounds as (w·m)/η.
 	op.schurDiag = make([]float64, op.NN)
 	for e := range f.Local {
-		em := op.EM[e]
-		for c := 0; c < 8; c++ {
-			ref := nd.ElementNodes[e][c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
-				op.schurDiag[ni] += w * em.MInt[c] / eta[e]
-			}
+		var m [8]float64
+		for c := range m {
+			m[c] = op.EM[e].MInt[c] / eta[e]
 		}
+		op.scatter(e, m[:], 1, op.schurDiag)
 	}
 	nd.AssembleSum(op.schurDiag)
 	return op
@@ -79,85 +77,124 @@ func NewOperator(f *core.Forest, nd *core.Nodes, eta []float64, bc func(x [3]flo
 // NodePos returns the physical position of local node i.
 func (op *Operator) NodePos(i int) [3]float64 { return op.nodePos[i] }
 
-// gatherElem extracts the element's corner velocity and pressure values
-// from a global vector, applying hanging constraints and masking Dirichlet
-// velocity values to zero.
-func (op *Operator) gatherElem(e int, x []float64) (v [24]float64, p [8]float64) {
-	en := &op.Nodes.ElementNodes[e]
-	for c := 0; c < 8; c++ {
-		ref := en[c]
+// gather reads element e's constrained corner values of the nodal vector
+// x with nc interleaved components per node: out[nc·c+a] accumulates
+// w·x[nc·n+a] over the anchors n of corner c, in anchor order (one anchor
+// of weight 1 for an independent corner; two or four of weight ½ or ¼ for
+// a hanging one). A non-nil mask reads the velocity components (a < 3) of
+// the nodes it marks as zero. gather and scatter are the only places the
+// hanging constraints are applied outside the AMG matrix assembly.
+func (op *Operator) gather(e int, x []float64, nc int, mask []bool, out []float64) {
+	for c, ref := range &op.Nodes.ElementNodes[e] {
 		w := ref.Weight()
-		for _, ni := range ref.Nodes {
-			base := int(ni) * 4
-			if !op.BC[ni] {
-				v[3*c+0] += w * x[base+0]
-				v[3*c+1] += w * x[base+1]
-				v[3*c+2] += w * x[base+2]
+		for _, n := range ref.Nodes {
+			lo := 0
+			if mask != nil && mask[n] {
+				lo = 3
 			}
-			p[c] += w * x[base+3]
+			o := out[nc*c+lo : nc*c+nc]
+			for a, xa := range x[nc*int(n)+lo:][:len(o)] {
+				o[a] += w * xa
+			}
 		}
+	}
+}
+
+// scatter is gather's transpose without a mask: it accumulates w·in[nc·c+a]
+// into y[nc·n+a] over the anchors n of every corner c. Rows of Dirichlet
+// velocities receive contributions too; every caller overwrites them after
+// the assembly.
+func (op *Operator) scatter(e int, in []float64, nc int, y []float64) {
+	for c, ref := range &op.Nodes.ElementNodes[e] {
+		w := ref.Weight()
+		ic := in[nc*c : nc*c+nc]
+		for _, n := range ref.Nodes {
+			yn := y[nc*int(n):][:len(ic)]
+			for a, v := range ic {
+				yn[a] += w * v
+			}
+		}
+	}
+}
+
+// gatherElem is gather for a Stokes vector, split into the element's
+// corner velocities and pressures.
+func (op *Operator) gatherElem(e int, x []float64, mask []bool) (v [24]float64, p [8]float64) {
+	var u [32]float64
+	op.gather(e, x, 4, mask, u[:])
+	for c := range p {
+		copy(v[3*c:3*c+3], u[4*c:4*c+3])
+		p[c] = u[4*c+3]
 	}
 	return
 }
 
-// scatterElem accumulates element residuals back to the global vector
-// through the transposed constraints, skipping Dirichlet velocity rows.
+// scatterElem interleaves corner velocities and pressures and scatters them.
 func (op *Operator) scatterElem(e int, v *[24]float64, p *[8]float64, y []float64) {
-	en := &op.Nodes.ElementNodes[e]
-	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
-			base := int(ni) * 4
-			if !op.BC[ni] {
-				y[base+0] += w * v[3*c+0]
-				y[base+1] += w * v[3*c+1]
-				y[base+2] += w * v[3*c+2]
-			}
-			y[base+3] += w * p[c]
-		}
+	var u [32]float64
+	for c := range p {
+		copy(u[4*c:4*c+3], v[3*c:3*c+3])
+		u[4*c+3] = p[c]
 	}
+	op.scatter(e, u[:], 4, y)
 }
 
-// Apply computes y = K x for the full saddle operator, including the
-// assembly exchange and Dirichlet identity rows. Collective.
-func (op *Operator) Apply(x, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
+// apply computes y = K x from the element operators [A B; Bᵀ -C] and
+// assembles the shared nodes. mask (op.BC or nil) reads x's Dirichlet
+// velocities as zero. Collective.
+func (op *Operator) apply(x, y []float64, mask []bool) {
+	clear(y)
 	for e := range op.F.Local {
-		v, p := op.gatherElem(e, x)
+		v, p := op.gatherElem(e, x, mask)
 		em := op.EM[e]
 		var yv [24]float64
 		var yp [8]float64
-		for i := 0; i < 24; i++ {
+		for i := range yv {
 			s := 0.0
-			for j := 0; j < 24; j++ {
-				s += em.A[i][j] * v[j]
+			for j, a := range &em.A[i] {
+				s += a * v[j]
 			}
-			for j := 0; j < 8; j++ {
-				s += em.B[i][j] * p[j]
+			for j, b := range &em.B[i] {
+				s += b * p[j]
 			}
 			yv[i] = s
 		}
-		for i := 0; i < 8; i++ {
+		for i := range yp {
 			s := 0.0
-			for j := 0; j < 24; j++ {
+			for j := range v {
 				s += em.B[j][i] * v[j]
 			}
-			for j := 0; j < 8; j++ {
-				s -= em.C[i][j] * p[j]
+			for j, c := range &em.C[i] {
+				s -= c * p[j]
 			}
 			yp[i] = s
 		}
 		op.scatterElem(e, &yv, &yp, y)
 	}
 	op.Nodes.AssembleSumVec(4, y)
-	for i := 0; i < op.NN; i++ {
-		if op.BC[i] {
-			y[i*4+0] = x[i*4+0]
-			y[i*4+1] = x[i*4+1]
-			y[i*4+2] = x[i*4+2]
+}
+
+// Apply computes y = K x for the full saddle operator, including the
+// assembly exchange and Dirichlet identity rows. Collective.
+func (op *Operator) Apply(x, y []float64) {
+	op.apply(x, y, op.BC)
+	for i, bc := range op.BC {
+		if bc {
+			copy(y[4*i:4*i+3], x[4*i:4*i+3])
+		}
+	}
+}
+
+// ApplyRaw computes y = K x with the raw element operators: no Dirichlet
+// masking and no identity rows. Used to move inhomogeneous boundary values
+// to the right-hand side. Collective.
+func (op *Operator) ApplyRaw(x, y []float64) { op.apply(x, y, nil) }
+
+// zeroDirichlet clears the Dirichlet velocity rows of v.
+func (op *Operator) zeroDirichlet(v []float64) {
+	for i, bc := range op.BC {
+		if bc {
+			clear(v[4*i : 4*i+3])
 		}
 	}
 }
@@ -185,11 +222,7 @@ func (op *Operator) BuildRHSElem(force func(e int) [8][3]float64) []float64 {
 		op.scatterElem(e, &ev, &zero, rhs)
 	}
 	op.Nodes.AssembleSumVec(4, rhs)
-	for i := 0; i < op.NN; i++ {
-		if op.BC[i] {
-			rhs[i*4+0], rhs[i*4+1], rhs[i*4+2] = 0, 0, 0
-		}
-	}
+	op.zeroDirichlet(rhs)
 	return rhs
 }
 
@@ -232,72 +265,12 @@ func (op *Operator) RemoveMeanPressure(x []float64) {
 // VelocityAt returns the constrained corner velocities of element e for
 // vector x (used by the rheology's strain-rate evaluation).
 func (op *Operator) VelocityAt(e int, x []float64) [8][3]float64 {
-	v, _ := op.gatherElem(e, x)
+	v, _ := op.gatherElem(e, x, op.BC)
 	var out [8][3]float64
 	for c := 0; c < 8; c++ {
 		out[c] = [3]float64{v[3*c], v[3*c+1], v[3*c+2]}
 	}
 	return out
-}
-
-// ApplyRaw computes y = K x with the raw element operators: no Dirichlet
-// masking and no identity rows. Used to move inhomogeneous boundary values
-// to the right-hand side. Collective.
-func (op *Operator) ApplyRaw(x, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	for e := range op.F.Local {
-		en := &op.Nodes.ElementNodes[e]
-		var v [24]float64
-		var p [8]float64
-		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
-				base := int(ni) * 4
-				v[3*c+0] += w * x[base+0]
-				v[3*c+1] += w * x[base+1]
-				v[3*c+2] += w * x[base+2]
-				p[c] += w * x[base+3]
-			}
-		}
-		em := op.EM[e]
-		var yv [24]float64
-		var yp [8]float64
-		for i := 0; i < 24; i++ {
-			s := 0.0
-			for j := 0; j < 24; j++ {
-				s += em.A[i][j] * v[j]
-			}
-			for j := 0; j < 8; j++ {
-				s += em.B[i][j] * p[j]
-			}
-			yv[i] = s
-		}
-		for i := 0; i < 8; i++ {
-			s := 0.0
-			for j := 0; j < 24; j++ {
-				s += em.B[j][i] * v[j]
-			}
-			for j := 0; j < 8; j++ {
-				s -= em.C[i][j] * p[j]
-			}
-			yp[i] = s
-		}
-		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
-				base := int(ni) * 4
-				y[base+0] += w * yv[3*c+0]
-				y[base+1] += w * yv[3*c+1]
-				y[base+2] += w * yv[3*c+2]
-				y[base+3] += w * yp[c]
-			}
-		}
-	}
-	op.Nodes.AssembleSumVec(4, y)
 }
 
 // SolveDirichlet solves the Stokes system with velocity boundary values
@@ -338,11 +311,7 @@ func (op *Operator) SolveDirichletRHS(
 		for i := range rhs {
 			rhs[i] -= lift[i]
 		}
-		for i := 0; i < op.NN; i++ {
-			if op.BC[i] {
-				rhs[4*i], rhs[4*i+1], rhs[4*i+2] = 0, 0, 0
-			}
-		}
+		op.zeroDirichlet(rhs)
 	}
 	prec := NewPreconditioner(op)
 	x = make([]float64, n)
@@ -365,13 +334,6 @@ func (op *Operator) SolveDirichletRHS(
 // CornerScalar returns the constrained corner values of a nodal scalar
 // field for element e (hanging corners interpolate their anchors).
 func (op *Operator) CornerScalar(e int, t []float64) (out [8]float64) {
-	en := &op.Nodes.ElementNodes[e]
-	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
-			out[c] += w * t[ni]
-		}
-	}
+	op.gather(e, t, 1, nil, out[:])
 	return
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/raceflag"
 )
 
 func cubeBC(x [3]float64) bool {
@@ -230,6 +231,27 @@ func TestAMGCoarsens(t *testing.T) {
 		}
 		if norm(r) > 1e-6*res0 {
 			t.Fatalf("V-cycle iteration did not converge: %v -> %v", res0, norm(r))
+		}
+	})
+}
+
+// TestPreconditionerApplyAllocs pins the steady-state allocations of one
+// preconditioner application at zero on one rank: the velocity blocks and
+// the saved pressures live in the Preconditioner, not in each call.
+func TestPreconditionerApplyAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		_, op := buildCubeOp(c, 2, constEta)
+		prec := NewPreconditioner(op)
+		r, z := make([]float64, 4*op.NN), make([]float64, 4*op.NN)
+		for i := range r {
+			r[i] = math.Sin(float64(i))
+		}
+		prec.Apply(r, z) // warm up the histogram handle
+		if n := testing.AllocsPerRun(20, func() { prec.Apply(r, z) }); n != 0 {
+			t.Fatalf("Preconditioner.Apply allocates %v times per call, want 0", n)
 		}
 	})
 }

@@ -101,7 +101,7 @@ func (m *Manifest) Finish(s *Server) {
 			P95Seconds:   float64(h.P95) / 1e9,
 			P99Seconds:   float64(h.P99) / 1e9,
 			MaxSeconds:   float64(h.Max) / 1e9,
-			Imbalance:    h.Imbalance(),
+			Imbalance:    h.Imbalance(snap.Ranks),
 		}
 		if len(h.PerRankSum) > 0 {
 			ps.PerRank = map[int]float64{}

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 func TestManifestFromSnapshot(t *testing.T) {
@@ -69,6 +71,32 @@ func TestManifestFromSnapshot(t *testing.T) {
 	}
 	if back.Command != "advect" || len(back.Phases) != len(m.Phases) || back.Counters["mpi_msgs_sent"] != 11 {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// TestImbalanceCountsIdleRanks: a phase recorded on one rank of two reads
+// max/avg = 2.0 both in the trace report and in the manifest fed by the
+// same spans — the rank that never ran the phase counts as zero in both.
+func TestImbalanceCountsIdleRanks(t *testing.T) {
+	reg := metrics.NewSharded(2)
+	tr := trace.New(2).WithMetrics(reg)
+	tr.Rank(0).AddCompleted("balance", trace.CatPhase, time.Now(), 3*time.Millisecond)
+
+	var fromTrace float64
+	for _, st := range tr.Aggregate() {
+		if st.Name == "balance" {
+			fromTrace = st.Imbalance
+		}
+	}
+	s := NewServer()
+	s.RegisterWorld(reg)
+	m := NewManifest("forest")
+	m.Finish(s)
+	if len(m.Phases) != 1 || m.Phases[0].Name != "phase_balance" {
+		t.Fatalf("phases: %+v", m.Phases)
+	}
+	if fromTrace != 2 || m.Phases[0].Imbalance != 2 {
+		t.Fatalf("imbalance: trace report %v, manifest %v; want 2 and 2", fromTrace, m.Phases[0].Imbalance)
 	}
 }
 

@@ -112,24 +112,21 @@ type HistView struct {
 	PerRankCount map[int]int64 `json:"per_rank_count,omitempty"`
 }
 
-// Imbalance returns the max/avg ratio of the per-rank sums over the ranks
-// that recorded anything (1 for empty or perfectly even distributions).
-func (h *HistView) Imbalance() float64 {
-	if len(h.PerRankSum) == 0 {
-		return 1
-	}
-	var total, max int64
+// Imbalance returns the paper's max/avg ratio of the per-rank sums over
+// all ranks of the run, a rank that recorded nothing counting as zero — the
+// definition of trace.PhaseStat (1 for empty or perfectly even
+// distributions).
+func (h *HistView) Imbalance(ranks int) float64 {
+	var total, hi int64
 	for _, v := range h.PerRankSum {
 		total += v
-		if v > max {
-			max = v
-		}
+		hi = max(hi, v)
 	}
-	avg := float64(total) / float64(len(h.PerRankSum))
+	avg := float64(total) / float64(max(ranks, len(h.PerRankSum), 1))
 	if avg <= 0 {
 		return 1
 	}
-	return float64(max) / avg
+	return float64(hi) / avg
 }
 
 // Snapshot is one merged point-in-time view of every source.
@@ -212,6 +209,7 @@ func (s *Server) Gather() Snapshot {
 			}
 			if src.rank == WorldSource {
 				for lane := 0; lane < src.reg.Shards(); lane++ {
+					seenRank(lane)
 					cnt := h.CountShard(lane)
 					if cnt == 0 {
 						continue
@@ -219,7 +217,6 @@ func (s *Server) Gather() Snapshot {
 					ha.snap.Merge(h.ShardSnapshot(lane))
 					ha.view.PerRankSum[lane] += h.SumShard(lane)
 					ha.view.PerRankCount[lane] += cnt
-					seenRank(lane)
 				}
 			} else {
 				if cnt := h.Count(); cnt > 0 {
