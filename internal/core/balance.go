@@ -77,12 +77,13 @@ func (f *Forest) Balance(kind BalanceKind) {
 		}
 		tr.Begin("balance.round")
 		exchanges++
-		targets = targets[:0]
+		cand := f.cand[:0]
 		for _, ds := range mpi.SparseExchange(f.Comm, out, TagBalance) {
 			for _, d := range ds {
-				targets = f.appendUnmet(targets, d.O.AncestorAt(d.MinLevel))
+				cand = append(cand, d.O.AncestorAt(d.MinLevel).CurveKey())
 			}
 		}
+		targets = f.unmet(targets[:0], cand)
 		created := f.refineToNodes(targets)
 		frontier = append(created, f.localBalance(kind, created)...)
 		tr.End()
@@ -112,12 +113,10 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 		return f.Local
 	}
 	var seeds, nbrs []octant.Octant
-	live := 0
 	for _, c := range f.changed {
 		if i := octant.SearchContaining(f.Local, c); i < 0 || f.Local[i] != c {
 			continue
 		}
-		live++
 		seeds = append(seeds, c)
 		nbrs = f.Conn.AppendNeighbors(nbrs[:0], c, connectivity.Scope(kind))
 		for _, n := range nbrs {
@@ -129,8 +128,7 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 			}
 		}
 	}
-	f.addCounter("balance_seeds", int64(live))
-	slices.SortFunc(seeds, octant.Compare)
+	radixSort(seeds, func(o *octant.Octant) (uint64, uint64) { k := o.CurveKey(); return k.Hi, k.Lo })
 	return slices.Compact(seeds)
 }
 
@@ -146,7 +144,7 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.
 	var targets []target
 	for len(seeds) > 0 {
 		f.addCounter("balance_seeds", int64(len(seeds)))
-		targets = targets[:0]
+		cand := f.cand[:0]
 		var last octant.Octant // the root of tree 0: no seed's parent
 		for _, o := range seeds {
 			if o.Level < 2 || o.Parent() == last {
@@ -157,10 +155,11 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.
 			nbrs = f.Conn.AppendNeighbors(nbrs[:0], last, connectivity.Scope(kind))
 			for _, a := range nbrs {
 				if !g.IsAncestorOf(a) && f.overlapsLocal(a) {
-					targets = f.appendUnmet(targets, a)
+					cand = append(cand, a.CurveKey())
 				}
 			}
 		}
+		targets = f.unmet(targets[:0], cand)
 		seeds = f.refineToNodes(targets)
 		created = append(created, seeds...)
 	}
@@ -173,27 +172,50 @@ type target struct {
 	O    octant.Octant
 }
 
-// appendUnmet records a as a target if a local leaf strictly contains it,
-// that is, if a is not yet a node: one binary search on the curve.
-func (f *Forest) appendUnmet(dst []target, a octant.Octant) []target {
-	if i := octant.SearchContaining(f.Local, a); i >= 0 && f.Local[i].Level < a.Level {
-		return append(dst, target{i, a})
+// unmet appends, in curve order, each distinct candidate region that a
+// local leaf strictly contains — that is not yet a node — with that leaf,
+// and keeps cand as f.cand. The candidates are radix-sorted and matched
+// against Local in one merge walk: the containing leaf is the last one at
+// or before the region on the curve, found by galloping from the previous
+// match, so m regions cost O(m log(n/m)) comparisons against n leaves, not
+// m binary searches.
+func (f *Forest) unmet(dst []target, cand []octant.CurveKey) []target {
+	f.cand = cand
+	radixSort(cand, func(k *octant.CurveKey) (uint64, uint64) { return k.Hi, k.Lo })
+	next := 0 // Local[:next] lie at or before the previous region
+	for c, k := range cand {
+		if c > 0 && k == cand[c-1] {
+			continue
+		}
+		q := k.Octant()
+		lo, hi := next, next
+		for step := 1; hi < len(f.Local) && octant.Compare(f.Local[hi], q) <= 0; step *= 2 {
+			lo, hi = hi+1, hi+step
+		}
+		for hi = min(hi, len(f.Local)); lo < hi; {
+			if mid := int(uint(lo+hi) >> 1); octant.Compare(f.Local[mid], q) > 0 {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if next = lo; lo > 0 && f.Local[lo-1].Level < q.Level && f.Local[lo-1].Contains(q) {
+			dst = append(dst, target{lo - 1, q})
+		}
 	}
 	return dst
 }
 
-// refineToNodes splits the local leaves the targets name until every
-// target is a node, and returns the leaves it created. Sorted by curve —
-// which sorts them by leaf too — one leaf's targets are a contiguous run
-// and so are those inside each of its children, so one merge walk over
-// Local, copying the runs of untouched leaves whole, does all the
-// refinement.
+// refineToNodes splits the local leaves the curve-sorted, distinct targets
+// name until every target is a node, and returns the leaves it created.
+// Sorted by curve, the targets are sorted by leaf too: one leaf's targets
+// are a contiguous run and so are those inside each of its children, so
+// one merge walk over Local, copying the runs of untouched leaves whole,
+// does all the refinement.
 func (f *Forest) refineToNodes(targets []target) []octant.Octant {
 	if len(targets) == 0 {
 		return nil
 	}
-	slices.SortFunc(targets, func(a, b target) int { return octant.Compare(a.O, b.O) })
-	targets = slices.Compact(targets)
 	out := make([]octant.Octant, 0, len(f.Local)+7*len(targets))
 	var created []octant.Octant
 	next := 0

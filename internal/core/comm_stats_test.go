@@ -145,6 +145,53 @@ func TestBalanceSeedsPinned(t *testing.T) {
 	}
 }
 
+// TestBalanceSeedsExact pins the balance_seeds counter exactly where its
+// value is known: after a change that leaves the forest balanced — a few
+// leaves of a uniform level-2 forest refined, or a few families of a
+// uniform level-3 forest coarsened — an incremental Balance runs one local
+// iteration, seeded by the changed leaves alone (no leaf is two levels
+// finer than a changed one), and creates nothing; the counter is the
+// number of changed leaves, each counted once.
+func TestBalanceSeedsExact(t *testing.T) {
+	conn := connectivity.SixRotCubes()
+	changes := []struct {
+		name  string
+		level int8
+		adapt func(f *Forest)
+	}{
+		{"refine", 2, func(f *Forest) {
+			f.Refine(false, 3, func(o octant.Octant) bool { return pickMod(o, 3, 40) == 0 })
+		}},
+		{"coarsen", 3, func(f *Forest) {
+			f.Coarsen(false, func(parent octant.Octant, _ []octant.Octant) bool { return pickMod(parent, 4, 40) == 0 })
+		}},
+	}
+	for _, ch := range changes {
+		for _, p := range []int{1, 2} {
+			var changed, grown int64
+			seeds := balanceSeeds(p, func(c *mpi.Comm, start func()) {
+				f := New(c, conn, ch.level)
+				f.Balance(BalanceFull)
+				ch.adapt(f)
+				n := f.NumGlobal()
+				ct := mpi.AllreduceSum(c, int64(len(f.changed)))
+				start()
+				f.Balance(BalanceFull)
+				if c.Rank() == 0 {
+					changed, grown = ct, f.NumGlobal()-n
+				}
+			})
+			if changed == 0 || grown != 0 {
+				t.Fatalf("%s, P=%d: %d leaves changed and Balance grew the forest by %d, the pin is for some and none",
+					ch.name, p, changed, grown)
+			}
+			if seeds != changed {
+				t.Errorf("%s, P=%d: balance_seeds counted %d, want the %d changed leaves", ch.name, p, seeds, changed)
+			}
+		}
+	}
+}
+
 // TestNodesTrafficPinned pins what the Nodes numbering sends: the messages
 // and bytes of the key requests and the id replies, summed over the ranks,
 // on the balanced SixRotCubes fractal (level 1 + 2). The counts were

@@ -98,6 +98,7 @@ type Forest struct {
 	balancedKind BalanceKind
 	adapted      bool
 	changed      []octant.Octant
+	cand         []octant.CurveKey // Balance's candidate buffer, kept for the next Balance
 }
 
 // New creates a uniformly refined, equi-partitioned forest at the given

@@ -482,6 +482,38 @@ func TestBalanceAllocsPerElement(t *testing.T) {
 	})
 }
 
+// TestRebalanceAllocsPerElement pins what an incremental BalanceFull
+// allocates on the same forest on one rank after the change the
+// core.rebalance probe makes: about 5 % of the families coarsened and 5 %
+// of the leaves refined one level. The binary search per candidate made
+// 96 B per element; the sorted walk, whose candidate buffer the forest
+// keeps from the Balance before, 91 B.
+func TestRebalanceAllocsPerElement(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins hold only without -race")
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		f := New(c, connectivity.SixRotCubes(), 2)
+		f.Refine(true, 5, fractalRefine(5))
+		f.Balance(BalanceFull)
+		if n := f.NumGlobal(); n != 45912 {
+			t.Fatalf("forest has %d octants, the pin is for 45,912", n)
+		}
+		f.Coarsen(false, func(parent octant.Octant, _ []octant.Octant) bool { return pickMod(parent, 1, 20) == 0 })
+		f.Refine(false, 5, func(o octant.Octant) bool { return pickMod(o, 2, 20) == 0 })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.Balance(BalanceFull)
+		runtime.ReadMemStats(&after)
+		n := float64(f.NumGlobal())
+		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+		t.Logf("%.3f allocations and %.0f B per element, %d leaves", allocs, bytes, f.NumGlobal())
+		if allocs > 0.01 || bytes > 120 {
+			t.Errorf("re-balance allocates %.3f objects and %.0f B per element, want at most 0.01 and 120", allocs, bytes)
+		}
+	})
+}
+
 // panicText runs body and returns what it panicked with, "" if it did not.
 func panicText(body func()) (text string) {
 	defer func() {

@@ -1,6 +1,8 @@
 package octant
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -113,6 +115,43 @@ func FuzzCompare(f *testing.F) {
 	f.Add(int32(1), int32(2), int32(4), int8(MaxLevel), int32(1), int32(4), int32(2), int32(1), int8(MaxLevel), int32(1))
 	f.Fuzz(func(t *testing.T, ax, ay, az int32, al int8, at, bx, by, bz int32, bl int8, bt int32) {
 		checkCompare(t, Octant{ax, ay, az, al, at}, Octant{bx, by, bz, bl, bt})
+	})
+}
+
+// inTree maps fuzz input onto an octant inside its tree: any level
+// 0..MaxLevel, coordinates wrapped into the root and aligned, any
+// non-negative tree.
+func inTree(x, y, z int32, l int8, t int32) Octant {
+	lv := int8(uint8(l) % (MaxLevel + 1))
+	c := func(v int32) int32 { return int32(uint32(v)%uint32(RootLen)) &^ (Len(lv) - 1) }
+	return Octant{c(x), c(y), c(z), lv, t & math.MaxInt32}
+}
+
+// checkCurveKey fails unless the unsigned order of the curve keys of a and
+// b is Compare's.
+func checkCurveKey(t testing.TB, a, b Octant) {
+	ka, kb := a.CurveKey(), b.CurveKey()
+	if got, want := cmp.Or(cmp.Compare(ka.Hi, kb.Hi), cmp.Compare(ka.Lo, kb.Lo)), Compare(a, b); got != want {
+		t.Fatalf("curve keys of %v and %v order %d, Compare says %d", a, b, got, want)
+	}
+	if ka.Octant() != a {
+		t.Fatalf("the curve key of %v decodes to %v", a, ka.Octant())
+	}
+}
+
+// FuzzCurveKey checks the key order on the fuzzed pair and, so that ties
+// on tree and position are not left to chance, on a against b moved to
+// a's tree and position and against its own ancestor at b's level.
+func FuzzCurveKey(f *testing.F) {
+	f.Add(int32(0), int32(0), int32(0), int8(0), int32(0), int32(0), int32(0), int32(0), int8(0), int32(0))
+	f.Add(int32(RootLen-1), int32(RootLen-1), int32(RootLen-1), int8(MaxLevel), int32(0), int32(0), int32(0), int32(0), int8(0), int32(1))
+	f.Fuzz(func(t *testing.T, ax, ay, az int32, al int8, at, bx, by, bz int32, bl int8, bt int32) {
+		a, b := inTree(ax, ay, az, al, at), inTree(bx, by, bz, bl, bt)
+		checkCurveKey(t, a, b)
+		c := b
+		c.X, c.Y, c.Z, c.Tree = a.X, a.Y, a.Z, a.Tree
+		checkCurveKey(t, a, c)
+		checkCurveKey(t, a, a.AncestorAt(min(a.Level, b.Level)))
 	})
 }
 

@@ -134,6 +134,21 @@ func Compare(a, b Octant) int { return compare(&a, &b) }
 // returns -1, 0, or +1.
 func ComparePosition(a, b Octant) int { return comparePosition(&a, &b) }
 
+// CurveKey is a curve position as the 128-bit key Hi:Lo — Hi the tree, Lo
+// the Morton key shifted past the 5 level bits, then the level — whose
+// unsigned order is Compare's for octants inside their trees.
+type CurveKey struct{ Hi, Lo uint64 }
+
+// CurveKey returns o's curve key.
+func (o Octant) CurveKey() CurveKey {
+	return CurveKey{uint64(o.Tree), uint64(o.MortonKey())<<5 | uint64(o.Level)}
+}
+
+// Octant returns the octant whose curve key k is.
+func (k CurveKey) Octant() Octant {
+	return FromMortonKey(Key(k.Lo>>5), int8(k.Lo&31), int32(k.Hi))
+}
+
 // Less reports Compare(a, b) < 0.
 func Less(a, b Octant) bool { return Compare(a, b) < 0 }
 
