@@ -39,7 +39,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel|BenchmarkHostVsDeviceStep' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
-	$(GO) test -run 'Alloc' -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
+	$(GO) test -run 'Alloc' -timeout 5m ./internal/mpi/ ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 

@@ -113,19 +113,19 @@ func BenchmarkAdvectKernel(b *testing.B) {
 // the original code (pinned by the Allocs tests).
 // BenchmarkAdvectStepTelemetry measures the live-telemetry overhead: the
 // same step loop as BenchmarkAdvectStep ("overlap" mode) but with the full
-// stack a `-telemetry` run enables — a bounded ring tracer bridged into a
-// sharded world registry plus live transport metrics in the runtime.
+// stack a `-telemetry` run enables — a bounded ring tracer with its running
+// aggregates plus live transport metrics in a sharded world registry.
 // Comparing ns/op against BenchmarkAdvectStep/P*/overlap gives the cost of
 // leaving telemetry on (EXPERIMENTS.md records it).
 func BenchmarkAdvectStepTelemetry(b *testing.B) {
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("P%d/overlap", p), func(b *testing.B) {
 			world := metrics.NewSharded(p)
-			tr := trace.NewRing(p, 8192).WithMetrics(world)
+			tr := trace.NewRing(p, 8192)
 			mpi.RunOpt(p, mpi.RunOptions{Tracer: tr, Metrics: world}, func(c *mpi.Comm) {
 				s := NewShell(c, benchOpts())
 				dt := s.DT()
-				s.Step(dt) // warm up scratch, histogram lanes, and the bridge
+				s.Step(dt) // warm up scratch, histogram lanes, and the aggregates
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s.Step(dt)

@@ -10,20 +10,20 @@ import (
 )
 
 // TestStepAllocsWithTelemetry pins the serial RK step at zero steady-state
-// allocations with the full telemetry stack on: a ring tracer bridged into
-// a sharded live registry, live transport metrics in the runtime, and the
-// solver's own histogram/gauge recording. Observability must cost nothing
+// allocations with the full telemetry stack on: a ring tracer with its
+// running aggregates, live transport metrics in a sharded registry, and
+// the solver's own histogram/gauge recording. Observability must cost nothing
 // on the hot path beyond a few atomic stores.
 func TestStepAllocsWithTelemetry(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	world := metrics.NewSharded(1)
-	tr := trace.NewRing(1, 1024).WithMetrics(world)
+	tr := trace.NewRing(1, 1024)
 	mpi.RunOpt(1, mpi.RunOptions{Tracer: tr, Metrics: world, Workers: 1}, func(c *mpi.Comm) {
 		s := NewShell(c, smallOpts())
 		dt := s.DT()
-		s.Step(dt) // warm up scratch, histogram lanes, and the span bridge
+		s.Step(dt) // warm up scratch, histogram lanes, and the span aggregates
 		allocs := testing.AllocsPerRun(10, func() {
 			s.Step(dt)
 		})
@@ -31,7 +31,7 @@ func TestStepAllocsWithTelemetry(t *testing.T) {
 			t.Fatalf("Step allocates %v times per call with telemetry enabled, want 0", allocs)
 		}
 	})
-	if n := world.Histogram("phase_solve", metrics.UnitDuration).Count(); n == 0 {
-		t.Fatal("span bridge recorded nothing into the live registry")
+	if st, ok := tr.Phase("solve"); !ok || st.Count == 0 {
+		t.Fatal("span aggregates recorded no solve span")
 	}
 }

@@ -2,7 +2,6 @@ package mangll
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -164,9 +163,9 @@ const rangeChunks = 4
 // overlapped against the interior work: Start exchange, Volume of every
 // element + faces of the interior ones, Finish, faces of the boundary
 // elements. field is the local+ghost array the exchange fills (NumComps
-// values per node); its local part must be filled before the call. The
-// returned duration is the time the orchestrator spent completing the
-// exchange (the solvers' exchange-wait histograms).
+// values per node); its local part must be filled before the call.
+// Completing the exchange is the rank's "exchange" trace span, the one
+// record of its time.
 //
 // With a per-rank pool the first phase's batches run on the workers while
 // the orchestrator itself completes the exchange — Finish writes only the
@@ -176,18 +175,17 @@ const rangeChunks = 4
 // join per Apply. Results are bitwise identical across any worker count
 // and any rank count (see the Kernel contract). Apply must not be
 // re-entered from a kernel hook.
-func (m *Mesh) Apply(k Kernel, field []float64) time.Duration {
+func (m *Mesh) Apply(k Kernel, field []float64) {
 	ex := m.StartGhostExchange(k.NumComps(), field)
 	m.curK = k
 	m.start(m.phaseA)
-	wait := m.finishTraced(ex)
+	m.F.Comm.Tracer().Span("exchange", ex.Finish)
 	m.join(m.spanA)
 	if len(m.bndLinks) > 0 {
 		m.start(m.phaseB)
 		m.join(m.spanB)
 	}
 	m.curK = nil
-	return wait
 }
 
 // start launches a phase over the batches: on the pool when the rank has
@@ -221,15 +219,4 @@ func (m *Mesh) join(names []string) {
 		}
 		tr.AddCompleted(names[i], trace.CatPhase, st.Start, st.Busy)
 	}
-}
-
-// finishTraced completes an exchange inside an "exchange" trace span and
-// returns the time spent.
-func (m *Mesh) finishTraced(ex *GhostExchange) time.Duration {
-	tr := m.F.Comm.Tracer()
-	t0 := time.Now()
-	tr.Begin("exchange")
-	ex.Finish()
-	tr.End()
-	return time.Since(t0)
 }

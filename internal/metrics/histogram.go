@@ -97,6 +97,12 @@ type Histogram struct {
 	shards []atomic.Pointer[histShard]
 }
 
+// NewHistogram returns a one-lane histogram that belongs to no registry
+// (the trace span store keeps one per span name).
+func NewHistogram(name string, unit Unit) *Histogram {
+	return &Histogram{name: name, unit: unit, shards: make([]shardPtr, 1)}
+}
+
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
@@ -129,11 +135,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // Since records the time elapsed since t0 into lane 0;
 // `defer h.Since(time.Now())` times the rest of the enclosing function.
 func (h *Histogram) Since(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }
-
-// ObserveDurationShard records a duration into lane s.
-func (h *Histogram) ObserveDurationShard(s int, d time.Duration) {
-	h.ObserveShard(s, int64(d))
-}
 
 // Sum returns the total recorded value across all lanes.
 func (h *Histogram) Sum() int64 {
@@ -208,16 +209,9 @@ type HistSnapshot struct {
 // running; the snapshot is internally consistent per counter, not across
 // counters (sum/count may disagree by in-flight records).
 func (h *Histogram) Snapshot() HistSnapshot {
-	out := HistSnapshot{Name: h.name, Unit: h.unit, Min: math.MaxInt64}
+	out := HistSnapshot{Name: h.name, Unit: h.unit}
 	for i := range h.shards {
-		sh := h.shards[i].Load()
-		if sh == nil {
-			continue
-		}
-		out.mergeShard(sh)
-	}
-	if out.Count == 0 {
-		out.Min = 0
+		out.Merge(h.ShardSnapshot(i))
 	}
 	return out
 }
@@ -225,37 +219,20 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // ShardSnapshot returns lane s's view alone (used to attribute a sharded
 // world instrument's lanes to their ranks).
 func (h *Histogram) ShardSnapshot(s int) HistSnapshot {
-	out := HistSnapshot{Name: h.name, Unit: h.unit, Min: math.MaxInt64}
-	if sh := h.shards[s].Load(); sh != nil {
-		out.mergeShard(sh)
+	out := HistSnapshot{Name: h.name, Unit: h.unit}
+	sh := h.shards[s].Load()
+	if sh == nil {
+		return out
 	}
-	if out.Count == 0 {
-		out.Min = 0
+	if out.Count = sh.count.Load(); out.Count == 0 {
+		return out
+	}
+	out.Sum, out.Min, out.Max = sh.sum.Load(), sh.min.Load(), sh.max.Load()
+	out.buckets = make([]int64, histBuckets)
+	for b := range sh.buckets {
+		out.buckets[b] = sh.buckets[b].Load()
 	}
 	return out
-}
-
-func (s *HistSnapshot) mergeShard(sh *histShard) {
-	c := sh.count.Load()
-	if c == 0 {
-		return
-	}
-	if s.buckets == nil {
-		s.buckets = make([]int64, histBuckets)
-	}
-	s.Count += c
-	s.Sum += sh.sum.Load()
-	if m := sh.max.Load(); m > s.Max {
-		s.Max = m
-	}
-	if m := sh.min.Load(); m < s.Min {
-		s.Min = m
-	}
-	for b := range sh.buckets {
-		if n := sh.buckets[b].Load(); n != 0 {
-			s.buckets[b] += n
-		}
-	}
 }
 
 // Merge folds another snapshot (same conceptual metric, e.g. the same

@@ -103,90 +103,67 @@ func (r *Registry) Shards() int { return r.shards }
 
 // Counter returns the counter named name, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{name: name, lanes: make([]counterLane, r.shards)}
-		r.counters[name] = c
-	}
-	return c
+	return resolve(r, r.counters, name, func() *Counter {
+		return &Counter{name: name, lanes: make([]counterLane, r.shards)}
+	})
 }
 
 // Gauge returns the gauge named name, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name, lanes: make([]counterLane, r.shards)}
-		r.gauges[name] = g
-	}
-	return g
+	return resolve(r, r.gauges, name, func() *Gauge {
+		return &Gauge{name: name, lanes: make([]counterLane, r.shards)}
+	})
 }
 
 // Histogram returns the histogram named name, creating it with the given
 // unit on first use. A later call with a different unit returns the
 // existing instrument unchanged: first registration wins.
 func (r *Registry) Histogram(name string, unit Unit) *Histogram {
+	return resolve(r, r.hists, name, func() *Histogram {
+		return &Histogram{name: name, unit: unit, shards: make([]shardPtr, r.shards)}
+	})
+}
+
+// resolve returns m[name], creating it with mk under the write lock on
+// first use.
+func resolve[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h := r.hists[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{name: name, unit: unit, shards: make([]shardPtr, r.shards)}
-		r.hists[name] = h
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Counters returns all counters, sorted by name.
-func (r *Registry) Counters() []*Counter {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+func (r *Registry) Counters() []*Counter { return list(r, r.counters) }
 
 // Gauges returns all gauges, sorted by name.
-func (r *Registry) Gauges() []*Gauge {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+func (r *Registry) Gauges() []*Gauge { return list(r, r.gauges) }
 
 // Histograms returns all histograms, sorted by name.
-func (r *Registry) Histograms() []*Histogram {
+func (r *Registry) Histograms() []*Histogram { return list(r, r.hists) }
+
+// list returns m's instruments sorted by name.
+func list[T any](r *Registry, m map[string]*T) []*T {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		out = append(out, h)
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sort.Strings(names)
+	out := make([]*T, len(names))
+	for i, name := range names {
+		out[i] = m[name]
+	}
 	return out
 }
 

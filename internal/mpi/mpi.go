@@ -90,6 +90,10 @@ type Comm struct {
 	// posted list by the time recv returns, so reuse keeps the blocking
 	// hot path allocation-free.
 	blockSlot recvSlot
+
+	// waitNames caches each tag's wait span name ("recv:"+TagName), so a
+	// traced receive builds it once per tag instead of once per receive.
+	waitNames map[int]string
 }
 
 // Rank returns the calling rank's id in [0, Size).
@@ -217,7 +221,7 @@ func RunErrOpt(size int, opts RunOptions, fn func(*Comm) error) error {
 				}
 				w.abort()
 			}()
-			errs[rank] = fn(&Comm{world: w, rank: rank})
+			errs[rank] = fn(&Comm{world: w, rank: rank, waitNames: map[int]string{}})
 		}()
 	}
 	wg.Wait()
@@ -393,9 +397,17 @@ func (c *Comm) recv(from, tag int) (any, int) {
 	*s = recvSlot{}
 	box.post(from, tag, s)
 	msg := box.wait(s)
-	wait := time.Since(t0)
+	c.received(tag, msg.payload, time.Since(t0))
+	return msg.payload, msg.from
+}
+
+// received accounts for one completed receive on tag that blocked for
+// wait: the rank's and the tag's counters, the live metrics and, when a
+// tracer is attached and the rank did block, a wait span attributed to
+// the enclosing phase. Blocking and nonblocking receives share it.
+func (c *Comm) received(tag int, payload any, wait time.Duration) {
 	st := &c.world.stats[c.rank]
-	bytes := payloadBytes(msg.payload)
+	bytes := payloadBytes(payload)
 	st.MsgsRecvd++
 	st.BytesRecvd += bytes
 	st.RecvWait += wait
@@ -406,8 +418,14 @@ func (c *Comm) recv(from, tag int) (any, int) {
 	if m := c.world.met; m != nil {
 		m.recordRecv(c.rank, bytes, int64(wait))
 	}
-	if tr := c.Tracer(); tr != nil {
-		tr.AddWait("recv:"+TagName(tag), wait)
+	tr := c.Tracer()
+	if tr == nil || wait <= 0 {
+		return
 	}
-	return msg.payload, msg.from
+	name, ok := c.waitNames[tag]
+	if !ok {
+		name = "recv:" + TagName(tag)
+		c.waitNames[tag] = name
+	}
+	tr.AddWait(name, wait)
 }

@@ -88,23 +88,7 @@ func (r *Request) Test() bool {
 // receive-side statistics with the given blocked duration and publishes
 // the payload/source for Wait.
 func (r *Request) finish(msg message, wait time.Duration) {
-	st := &r.c.world.stats[r.c.rank]
-	bytes := payloadBytes(msg.payload)
-	st.MsgsRecvd++
-	st.BytesRecvd += bytes
-	st.RecvWait += wait
-	ts := st.tag(r.tag)
-	ts.MsgsRecvd++
-	ts.BytesRecvd += bytes
-	ts.RecvWait += wait
-	if m := r.c.world.met; m != nil {
-		m.recordRecv(r.c.rank, bytes, int64(wait))
-	}
-	if wait > 0 {
-		if tr := r.c.Tracer(); tr != nil {
-			tr.AddWait("recv:"+TagName(r.tag), wait)
-		}
-	}
+	r.c.received(r.tag, msg.payload, wait)
 	r.payload = msg.payload
 	r.peer = msg.from
 	r.slot.msg = message{} // drop the duplicate payload reference

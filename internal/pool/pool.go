@@ -255,6 +255,6 @@ func (p *Pool) record() {
 			continue
 		}
 		m.steals.AddShard(m.shard, int64(st.Steals))
-		m.busy.ObserveDurationShard(m.shard, st.Busy)
+		m.busy.ObserveShard(m.shard, int64(st.Busy))
 	}
 }

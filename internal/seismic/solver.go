@@ -43,8 +43,8 @@ type Solver struct {
 
 	// Pre-resolved instrument handles so the hot path never touches the
 	// registry maps, plus the live progress gauges /healthz reads.
-	live                            metrics.Progress
-	hRHS, hExch, hStep, hVol, hSurf *metrics.Histogram
+	live                     metrics.Progress
+	hRHS, hStep, hVol, hSurf *metrics.Histogram
 
 	// Q holds the 9 fields per node, local elements only: the head of the
 	// kernels' local+ghost array, re-seated by every rebuild. Assign its
@@ -186,7 +186,6 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 	}
 	s.live = metrics.NewProgress(s.Met)
 	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
 	s.hStep = s.Met.Histogram("waveprop", metrics.UnitDuration)
 	s.hVol = s.Met.Histogram("volume", metrics.UnitDuration)
 	s.hSurf = s.Met.Histogram("surface", metrics.UnitDuration)
@@ -343,7 +342,7 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 	m := s.Mesh
 	tRHS := time.Now()
 	s.k.dq, s.kT = dq, t
-	s.hExch.ObserveDuration(m.Apply(&s.kern, s.k.buf))
+	m.Apply(&s.kern, s.k.buf)
 
 	if s.Source != nil {
 		m.ForRange(m.NumLocal*m.Np, s.sourceFn)

@@ -42,7 +42,8 @@ func (s *Scheduler) runJob(j *Job) error {
 	}
 
 	// Per-job telemetry bucket: an unlistened Server used purely as the
-	// merge point for the job's world + solver registries, so the job's
+	// merge point for the job's world + solver registries and its
+	// attempt's tracer (the manifest's phase rows), so the job's
 	// manifest reflects this job's run and nothing else. The scheduler's
 	// own listener keeps serving the global view.
 	jtel := telemetry.NewServer()
@@ -114,8 +115,8 @@ func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int
 	jtel.ResetSources()
 	world := metrics.NewSharded(ranks)
 	jtel.RegisterWorld(world)
-
 	tr := trace.NewRing(ranks, telemetry.FlightWindow)
+	jtel.RegisterTracer(tr)
 	fr := telemetry.NewFlightRecorder(tr, j.Dir)
 	opts := mpi.RunOptions{
 		Tracer: tr, Plan: plan, Metrics: world, Workers: j.Spec.Workers,

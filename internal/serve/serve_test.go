@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,32 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if !found {
 		t.Error("jobs_completed not visible in telemetry gather")
+	}
+}
+
+// TestJobManifestPhases: a job's manifest carries the phase summaries of
+// its attempt's tracer, read from the span store's running aggregates.
+func TestJobManifestPhases(t *testing.T) {
+	s := newTestScheduler(t, Config{MaxActive: 1}, nil)
+	j, err := s.Submit(JobSpec{Type: TypeAdvect, Ranks: 2, Steps: 2, AdaptEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j, time.Minute); st != StateDone {
+		t.Fatalf("state = %s, want done: %s", st, j.View().Error)
+	}
+	s.Drain()
+	var m telemetry.Manifest
+	readJobJSON(t, j, "manifest.json", &m)
+	for _, want := range []string{"phase_solve", "phase_adapt"} {
+		i := slices.IndexFunc(m.Phases, func(p telemetry.PhaseSummary) bool { return p.Name == want })
+		if i < 0 {
+			t.Errorf("manifest lacks %s: %+v", want, m.Phases)
+			continue
+		}
+		if p := m.Phases[i]; p.Count == 0 || len(p.PerRank) != 2 {
+			t.Errorf("%s summary %+v, want spans from both ranks", want, p)
+		}
 	}
 }
 

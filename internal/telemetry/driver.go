@@ -36,7 +36,6 @@ type Driver struct {
 	profilePath  string
 	workers      int
 	resolvedW    int
-	world        *metrics.Registry
 	manifest     *Manifest
 	profile      *os.File
 	last         *trace.Tracer // the last run's tracer, reported by Finish
@@ -116,11 +115,11 @@ func (d *Driver) Start() error {
 // else by a full tracer when -trace was given; either becomes the last
 // run's tracer that Finish reports. With live telemetry on, a sharded
 // world registry collects the message runtime's counters and the tracer
-// is bridged into it so completed phase spans feed the per-phase
-// histograms; a run without a tracer then gets a bounded ring tracer —
-// cheap enough to leave on, and it doubles as the crash flight recorder's
-// span source. Sources of previous runs are dropped, so the endpoints
-// always describe the run in flight.
+// is registered with the server, whose per-phase series read the
+// tracer's running aggregates; a run without a tracer then gets a bounded
+// ring tracer — cheap enough to leave on, and it doubles as the crash
+// flight recorder's span source. Sources of previous runs are dropped, so
+// the endpoints always describe the run in flight.
 func (d *Driver) BeginRun(p int, tr *trace.Tracer) (*metrics.Registry, *trace.Tracer) {
 	if tr == nil && d.tracePath != "" {
 		tr = trace.New(p)
@@ -131,14 +130,14 @@ func (d *Driver) BeginRun(p int, tr *trace.Tracer) (*metrics.Registry, *trace.Tr
 	if !d.Enabled() {
 		return nil, tr
 	}
-	d.world = metrics.NewSharded(p)
+	world := metrics.NewSharded(p)
 	if tr == nil {
 		tr = trace.NewRing(p, FlightWindow)
 	}
-	tr.WithMetrics(d.world)
 	d.Server.ResetSources()
-	d.Server.RegisterWorld(d.world)
-	return d.world, tr
+	d.Server.RegisterWorld(world)
+	d.Server.RegisterTracer(tr)
+	return world, tr
 }
 
 // OnRank registers one rank's solver registry as a telemetry source; its

@@ -78,8 +78,7 @@ func TestManifestFromSnapshot(t *testing.T) {
 // max/avg = 2.0 both in the trace report and in the manifest fed by the
 // same spans — the rank that never ran the phase counts as zero in both.
 func TestImbalanceCountsIdleRanks(t *testing.T) {
-	reg := metrics.NewSharded(2)
-	tr := trace.New(2).WithMetrics(reg)
+	tr := trace.New(2)
 	tr.Rank(0).AddCompleted("balance", trace.CatPhase, time.Now(), 3*time.Millisecond)
 
 	var fromTrace float64
@@ -89,7 +88,7 @@ func TestImbalanceCountsIdleRanks(t *testing.T) {
 		}
 	}
 	s := NewServer()
-	s.RegisterWorld(reg)
+	s.RegisterTracer(tr)
 	m := NewManifest("forest")
 	m.Finish(s)
 	if len(m.Phases) != 1 || m.Phases[0].Name != "phase_balance" {

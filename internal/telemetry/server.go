@@ -4,7 +4,7 @@
 // endpoints; a crash flight recorder that dumps the most recent trace
 // spans when a run dies; and a structured per-run manifest written at
 // exit. Everything is read-side: the hot paths keep recording into their
-// lock-free registries, and this package merges lanes and registries only
+// lock-free registries and span stores, and this package merges them only
 // when something asks.
 package telemetry
 
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // source is one registered registry. A world source (rank == WorldSource)
@@ -38,15 +39,17 @@ type source struct {
 // WorldSource marks a registry whose shards map one-to-one onto ranks.
 const WorldSource = -1
 
-// Server merges any number of registered registries into one live view
-// and serves it over HTTP. Registration and scraping are mutex-guarded;
-// the registries themselves are read with atomic loads, so scraping never
+// Server merges any number of registered registries and one tracer's
+// span aggregates into one live view and serves it over HTTP.
+// Registration and scraping are mutex-guarded; the registries and
+// aggregates themselves are read with atomic loads, so scraping never
 // blocks the ranks that are recording.
 type Server struct {
 	start time.Time
 
 	mu      sync.Mutex
 	sources []source
+	tracer  *trace.Tracer
 
 	ln   net.Listener
 	http *http.Server
@@ -74,11 +77,23 @@ func (s *Server) RegisterWorld(reg *metrics.Registry) {
 	s.Register("world", WorldSource, reg)
 }
 
-// ResetSources drops all registered sources — drivers that sweep rank
-// counts call this between table rows so each run exports fresh data.
+// RegisterTracer makes tr the source of the phase series: each span name
+// of its running aggregates is exported as the duration histogram
+// "phase_<name>", with tr's per-rank sums. One tracer at a time; a later
+// call replaces it.
+func (s *Server) RegisterTracer(tr *trace.Tracer) {
+	s.mu.Lock()
+	s.tracer = tr
+	s.mu.Unlock()
+}
+
+// ResetSources drops all registered sources and the tracer — drivers that
+// sweep rank counts call this between table rows so each run exports
+// fresh data.
 func (s *Server) ResetSources() {
 	s.mu.Lock()
 	s.sources = nil
+	s.tracer = nil
 	s.mu.Unlock()
 }
 
@@ -145,6 +160,7 @@ type Snapshot struct {
 func (s *Server) Gather() Snapshot {
 	s.mu.Lock()
 	sources := append([]source(nil), s.sources...)
+	tr := s.tracer
 	s.mu.Unlock()
 
 	snap := Snapshot{UptimeSeconds: time.Since(s.start).Seconds()}
@@ -155,6 +171,17 @@ func (s *Server) Gather() Snapshot {
 		snap metrics.HistSnapshot
 	}
 	hists := map[string]*histAcc{}
+	hist := func(name string, unit metrics.Unit) *histAcc {
+		ha := hists[name]
+		if ha == nil {
+			ha = &histAcc{view: HistView{
+				Name: name, Unit: unit,
+				PerRankSum: map[int]int64{}, PerRankCount: map[int]int64{},
+			}}
+			hists[name] = ha
+		}
+		return ha
+	}
 	seenRank := func(r int) {
 		if r+1 > snap.Ranks {
 			snap.Ranks = r + 1
@@ -162,24 +189,25 @@ func (s *Server) Gather() Snapshot {
 	}
 
 	for _, src := range sources {
+		// A world registry's lane i is rank i; a solver registry's one
+		// lane is its rank.
+		rank := func(lane int) int {
+			if src.rank == WorldSource {
+				return lane
+			}
+			return src.rank
+		}
 		for _, c := range src.reg.Counters() {
 			cv := counters[c.Name()]
 			if cv == nil {
 				cv = &CounterView{Name: c.Name(), PerRank: map[int]int64{}}
 				counters[c.Name()] = cv
 			}
-			if src.rank == WorldSource {
-				for lane := 0; lane < c.Shards(); lane++ {
-					v := c.ShardValue(lane)
-					cv.Total += v
-					cv.PerRank[lane] += v
-					seenRank(lane)
-				}
-			} else {
-				v := c.Value()
+			for lane := 0; lane < c.Shards(); lane++ {
+				v := c.ShardValue(lane)
 				cv.Total += v
-				cv.PerRank[src.rank] += v
-				seenRank(src.rank)
+				cv.PerRank[rank(lane)] += v
+				seenRank(rank(lane))
 			}
 		}
 		for _, g := range src.reg.Gauges() {
@@ -188,43 +216,35 @@ func (s *Server) Gather() Snapshot {
 				gv = &GaugeView{Name: g.Name(), PerRank: map[int]int64{}}
 				gauges[g.Name()] = gv
 			}
-			if src.rank == WorldSource {
-				for lane := 0; lane < g.Shards(); lane++ {
-					gv.PerRank[lane] = g.ShardValue(lane)
-					seenRank(lane)
-				}
-			} else {
-				gv.PerRank[src.rank] = g.Value()
-				seenRank(src.rank)
+			for lane := 0; lane < g.Shards(); lane++ {
+				gv.PerRank[rank(lane)] = g.ShardValue(lane)
+				seenRank(rank(lane))
 			}
 		}
 		for _, h := range src.reg.Histograms() {
-			ha := hists[h.Name()]
-			if ha == nil {
-				ha = &histAcc{view: HistView{
-					Name: h.Name(), Unit: h.Unit(),
-					PerRankSum: map[int]int64{}, PerRankCount: map[int]int64{},
-				}}
-				hists[h.Name()] = ha
-			}
-			if src.rank == WorldSource {
-				for lane := 0; lane < src.reg.Shards(); lane++ {
-					seenRank(lane)
-					cnt := h.CountShard(lane)
-					if cnt == 0 {
-						continue
-					}
+			ha := hist(h.Name(), h.Unit())
+			for lane := 0; lane < src.reg.Shards(); lane++ {
+				seenRank(rank(lane))
+				if cnt := h.CountShard(lane); cnt > 0 {
 					ha.snap.Merge(h.ShardSnapshot(lane))
-					ha.view.PerRankSum[lane] += h.SumShard(lane)
-					ha.view.PerRankCount[lane] += cnt
+					ha.view.PerRankSum[rank(lane)] += h.SumShard(lane)
+					ha.view.PerRankCount[rank(lane)] += cnt
 				}
-			} else {
-				if cnt := h.Count(); cnt > 0 {
-					ha.snap.Merge(h.Snapshot())
-					ha.view.PerRankSum[src.rank] += h.Sum()
-					ha.view.PerRankCount[src.rank] += cnt
-				}
-				seenRank(src.rank)
+			}
+		}
+	}
+
+	seenRank(tr.NumRanks() - 1)
+	for _, st := range tr.Totals() {
+		if st.Dist == nil {
+			continue // fault marks have no duration
+		}
+		ha := hist("phase_"+st.Name, metrics.UnitDuration)
+		ha.snap.Merge(st.Dist.Snapshot())
+		for r := 0; r < tr.NumRanks(); r++ {
+			if n, sum, _ := st.Rank(r); n > 0 {
+				ha.view.PerRankSum[r] += int64(sum)
+				ha.view.PerRankCount[r] += n
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 func get(t *testing.T, h http.Handler, path string) (int, string) {
@@ -256,4 +258,65 @@ func TestCloseWaitsForInflightRequests(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server accepted a connection after Close")
 	}
+}
+
+// TestGatherWhileTracing scrapes /metrics and Gather in a loop while four
+// ranks record spans, some of whose names first appear mid-run: the
+// tracer's running aggregates must be safe to read while they grow (the
+// -race build checks it), and the last scrape sees every span.
+func TestGatherWhileTracing(t *testing.T) {
+	const ranks, steps = 4, 1000
+	tr := trace.New(ranks)
+	world := metrics.NewSharded(ranks)
+	s := NewServer()
+	s.RegisterWorld(world)
+	s.RegisterTracer(tr)
+	h := s.Handler()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mpi.RunOpt(ranks, mpi.RunOptions{Tracer: tr, Metrics: world}, func(c *mpi.Comm) {
+			rt := c.Tracer()
+			for i := 0; i < steps; i++ {
+				rt.Begin("step")
+				mpi.AllreduceSum(c, int64(i))
+				if i >= steps/2 {
+					rt.Span(fmt.Sprintf("late%d", (i+c.Rank())%3), func() {})
+				}
+				rt.End()
+			}
+		})
+	}()
+	scrapes := 0
+	for running := true; running; scrapes++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s.Gather()
+		if code, _ := get(t, h, "/metrics"); code != 200 {
+			t.Fatalf("/metrics status %d", code)
+		}
+	}
+
+	snap := s.Gather()
+	counts := map[string]int64{}
+	for _, hv := range snap.Histograms {
+		counts[hv.Name] = hv.Count
+		if strings.HasPrefix(hv.Name, "phase_late") && len(hv.PerRankCount) != ranks {
+			t.Errorf("%s per-rank counts %v, want all %d ranks", hv.Name, hv.PerRankCount, ranks)
+		}
+	}
+	if counts["phase_step"] != ranks*steps {
+		t.Errorf("phase_step count %d, want %d", counts["phase_step"], ranks*steps)
+	}
+	if late := counts["phase_late0"] + counts["phase_late1"] + counts["phase_late2"]; late != ranks*steps/2 {
+		t.Errorf("phase_late* counts %v, want %d in all", counts, ranks*steps/2)
+	}
+	if snap.Ranks != ranks {
+		t.Errorf("ranks = %d, want %d", snap.Ranks, ranks)
+	}
+	t.Logf("%d scrapes while recording", scrapes)
 }

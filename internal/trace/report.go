@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -28,53 +29,47 @@ type PhaseStat struct {
 	WaitShare float64
 }
 
-// Aggregate folds the recorded spans into per-phase statistics across
-// ranks, ordered by descending total time. CatWait leaf spans are not
-// reported as phases of their own (their time is already attributed to the
-// enclosing spans' WaitShare). Call only after the run completed.
+// Totals returns the running aggregates in first-use order; wait spans
+// are not among them. Unlike Events it may be called while the ranks
+// record: a concurrent read sees every span completed before it, and
+// possibly some completed during it.
+func (t *Tracer) Totals() []*SpanStats {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.stats)
+}
+
+// Aggregate folds the running aggregates into per-phase statistics
+// across ranks, ordered by descending total time. It covers the whole
+// run, also on a ring tracer, at O(names × ranks). CatWait leaf spans are
+// not reported as phases of their own (their time is already attributed
+// to the enclosing spans' WaitShare).
 func (t *Tracer) Aggregate() []PhaseStat {
 	if t == nil {
 		return nil
 	}
-	type key struct {
-		name string
-		cat  Category
-	}
-	perRank := make(map[key][]time.Duration) // per-rank totals, indexed by rank
-	waits := make(map[key]time.Duration)
-	counts := make(map[key]int)
+	totals := t.Totals()
+	out := make([]PhaseStat, 0, len(totals))
 	p := len(t.ranks)
-	for r, rt := range t.ranks {
-		events := rt.Events()
-		for i := range events {
-			ev := &events[i]
-			if ev.Dur < 0 || ev.Cat == CatWait {
-				continue
-			}
-			k := key{ev.Name, ev.Cat}
-			tot, ok := perRank[k]
-			if !ok {
-				tot = make([]time.Duration, p)
-				perRank[k] = tot
-			}
-			tot[r] += ev.Dur
-			waits[k] += ev.Wait
-			counts[k]++
+	for _, s := range totals {
+		st := PhaseStat{Name: s.Name, Cat: s.Cat}
+		sorted := make([]time.Duration, p) // per-rank totals
+		for r := range sorted {
+			n, sum, wait := s.Rank(r)
+			st.Count += int(n)
+			st.Total += sum
+			st.Wait += wait
+			sorted[r] = sum
 		}
-	}
-	out := make([]PhaseStat, 0, len(perRank))
-	for k, tot := range perRank {
-		st := PhaseStat{Name: k.name, Cat: k.cat, Count: counts[k], Wait: waits[k]}
-		sorted := append([]time.Duration(nil), tot...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		st.Min = sorted[0]
 		st.Max = sorted[p-1]
 		st.Median = sorted[p/2]
 		if p%2 == 0 {
 			st.Median = (sorted[p/2-1] + sorted[p/2]) / 2
-		}
-		for _, d := range tot {
-			st.Total += d
 		}
 		st.Avg = st.Total / time.Duration(p)
 		// A zero-duration phase (clock granularity, or spans that ran but

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/raceflag"
 )
 
@@ -86,11 +85,11 @@ func TestRingSteadyStateAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts differ under -race")
 	}
-	reg := metrics.NewSharded(1)
-	tr := NewRing(1, 64).WithMetrics(reg)
+	tr := NewRing(1, 64)
 	r := tr.Rank(0)
-	// Warm-up inside AllocsPerRun absorbs the lazy histogram shard and
-	// handle-cache fill; steady state must stay at zero.
+	// Warm-up inside AllocsPerRun absorbs the first use of each span name
+	// (its aggregate and the distribution's lane); steady state must stay
+	// at zero.
 	if n := testing.AllocsPerRun(200, func() {
 		r.Begin("step")
 		r.BeginCat("exchange", CatComm)
@@ -101,29 +100,65 @@ func TestRingSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-func TestWithMetricsBridge(t *testing.T) {
-	reg := metrics.NewSharded(2)
-	tr := New(2).WithMetrics(reg)
+func TestSpanTotals(t *testing.T) {
+	tr := New(2)
 	fakeClock(tr, time.Millisecond)
 	for rank := 0; rank < 2; rank++ {
 		rt := tr.Rank(rank)
 		rt.Span("balance", func() {})
 		rt.Span("balance", func() {})
-		rt.AddWait("recv", time.Millisecond) // CatWait: must not become a phase histogram
+		rt.AddWait("recv", time.Millisecond) // CatWait: must not become an aggregate
 	}
-	h := reg.Histogram("phase_balance", metrics.UnitDuration)
+	totals := tr.Totals()
+	if len(totals) != 1 || totals[0].Name != "balance" {
+		t.Fatalf("totals %+v, want balance alone (wait spans are not aggregated)", totals)
+	}
+	h := totals[0].Dist
 	if h.Count() != 4 {
-		t.Fatalf("bridge observed %d spans, want 4", h.Count())
+		t.Fatalf("distribution observed %d spans, want 4", h.Count())
 	}
-	if h.CountShard(0) != 2 || h.CountShard(1) != 2 {
-		t.Fatalf("per-shard counts %d/%d, want 2/2", h.CountShard(0), h.CountShard(1))
+	n0, sum0, _ := totals[0].Rank(0)
+	n1, sum1, _ := totals[0].Rank(1)
+	if n0 != 2 || n1 != 2 {
+		t.Fatalf("per-rank counts %d/%d, want 2/2", n0, n1)
 	}
 	if got := h.Snapshot(); got.Min <= 0 {
-		t.Fatalf("bridge recorded nonpositive duration: %+v", got)
+		t.Fatalf("distribution recorded nonpositive duration: %+v", got)
 	}
-	for _, hh := range reg.Histograms() {
-		if strings.Contains(hh.Name(), "recv") {
-			t.Fatalf("wait span leaked into phase histograms: %s", hh.Name())
+	if sum0+sum1 != time.Duration(h.Sum()) {
+		t.Fatalf("per-rank sums %v+%v disagree with the distribution's %d", sum0, sum1, h.Sum())
+	}
+}
+
+// TestRingReportCoversWholeRun: the report reads the running aggregates,
+// so a ring that kept only its last 8 spans per rank reports the same
+// counts, totals, waits and imbalance as an unbounded store.
+func TestRingReportCoversWholeRun(t *testing.T) {
+	feed := func(tr *Tracer) []PhaseStat {
+		fakeClock(tr, time.Millisecond)
+		for rank := 0; rank < 2; rank++ {
+			rt := tr.Rank(rank)
+			for i := 0; i < 100; i++ {
+				rt.Begin(fmt.Sprintf("phase%d", i%3))
+				rt.AddWait("recv", time.Duration(rank+1)*time.Millisecond)
+				if rank == 1 {
+					rt.Span("extra", func() {})
+				}
+				rt.End()
+			}
+		}
+		return tr.Aggregate()
+	}
+	all, ring := feed(New(2)), feed(NewRing(2, 8))
+	if len(all) != 4 {
+		t.Fatalf("unbounded aggregate has %d phases, want 4: %+v", len(all), all)
+	}
+	if !reflect.DeepEqual(ring, all) {
+		t.Fatalf("ring report differs from the unbounded one:\n ring %+v\n  all %+v", ring, all)
+	}
+	for _, st := range ring {
+		if st.Name == "phase0" && st.Count != 2*34 {
+			t.Fatalf("phase0 count %d, want 68", st.Count)
 		}
 	}
 }

@@ -17,7 +17,12 @@
 //     RankTracer and records into its own preallocated span store (one
 //     buffer, unbounded or with a capacity); the stores are only read
 //     after the rank goroutines have finished (mpi.Run joins them), so no
-//     synchronization is needed.
+//     synchronization is needed. Every completed span also updates the
+//     running aggregate of its name — per-rank count, sum and wait, and
+//     one duration distribution shared by the ranks — with atomic adds, so
+//     the report, /metrics and the manifests read the whole run, also from
+//     a ring, and may do so while the ranks record. A rank takes the
+//     tracer's mutex once per span name, on its first use.
 //  3. Monotonic time: span timestamps are time.Since(epoch) durations, so
 //     they are immune to wall-clock adjustments and directly comparable
 //     across ranks of one run.
@@ -26,6 +31,8 @@ package trace
 import (
 	"cmp"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -93,19 +100,47 @@ const waitEventMin = 20 * time.Microsecond
 
 // Tracer owns the per-rank span stores of one traced run. Create it with
 // New or NewRing sized to the world, hand it to a run as
-// mpi.RunOptions.Tracer, and read it (export, aggregate) only after the
-// run has completed.
+// mpi.RunOptions.Tracer, and read its events (Events, export) only after
+// the run has completed; its running aggregates (Totals, Aggregate) may
+// be read at any time.
 //
 // Each rank's store is one buffer of completed spans plus a stack of open
 // ones. New leaves the buffer unbounded (offline Chrome-trace export of a
 // bounded run); NewRing gives it a capacity, past which each completed
 // span overwrites the oldest, so it is safe to leave on for arbitrarily
 // long runs: the crash flight recorder's window. Open spans are always
-// kept. Both feed the same export, aggregation, and metrics paths.
+// kept. The running aggregates (Totals) are not bounded: both kinds
+// report the whole run.
 type Tracer struct {
 	epoch time.Time
 	now   func() time.Duration // monotonic clock; replaced by tests
 	ranks []*RankTracer
+
+	mu    sync.Mutex
+	stats []*SpanStats // in first-use order; guarded by mu
+}
+
+// spanKey identifies one aggregate: a span name in one category.
+type spanKey struct {
+	name string
+	cat  Category
+}
+
+// SpanStats is the running aggregate of one span name and category over
+// the whole run: one slot per rank, written only by that rank with
+// atomic adds, and the distribution of single span durations, shared by
+// the ranks (nil for fault marks).
+type SpanStats struct {
+	Name  string
+	Cat   Category
+	Dist  *metrics.Histogram
+	ranks []struct{ count, sum, wait atomic.Int64 }
+}
+
+// Rank reads rank r's span count, summed duration and summed receive wait.
+func (s *SpanStats) Rank(r int) (n int64, sum, wait time.Duration) {
+	rs := &s.ranks[r]
+	return rs.count.Load(), time.Duration(rs.sum.Load()), time.Duration(rs.wait.Load())
 }
 
 // New returns a Tracer with one unbounded span store per rank.
@@ -134,28 +169,7 @@ func newTracer(numRanks, limit int) *Tracer {
 			limit:  limit,
 			done:   make([]Event, 0, cmp.Or(limit, 4096)),
 			open:   make([]Event, 0, 16),
-		}
-	}
-	return t
-}
-
-// WithMetrics attaches a registry: from then on every completed CatPhase
-// and CatComm span is also observed into the duration histogram
-// "phase_<name>" at the shard of the recording rank. Each rank caches its
-// histogram handles, so the steady-state cost is one map hit and a few
-// atomic adds per span. Returns t for chaining; nil-safe.
-func (t *Tracer) WithMetrics(reg *metrics.Registry) *Tracer {
-	if t == nil || reg == nil {
-		return t
-	}
-	for _, rt := range t.ranks {
-		rt.met = reg
-		rt.metShard = rt.rank
-		if rt.metShard >= reg.Shards() {
-			rt.metShard = 0
-		}
-		if rt.histCache == nil {
-			rt.histCache = make(map[string]*metrics.Histogram, 16)
+			stats:  make(map[spanKey]*SpanStats),
 		}
 	}
 	return t
@@ -190,23 +204,28 @@ type RankTracer struct {
 	head  int     // index of the oldest event of a full ring
 	limit int     // capacity of done; 0 means unbounded
 
-	// Metrics bridge (WithMetrics): per-rank handle cache, written only by
-	// the owning goroutine.
-	met       *metrics.Registry
-	metShard  int
-	histCache map[string]*metrics.Histogram
+	stats map[spanKey]*SpanStats // this rank's view of Tracer.stats
 }
 
-// push stores a finished event and feeds it to the metrics bridge. Once a
-// bounded store is full, the event overwrites the oldest one.
+// push stores a finished event and adds it to its name's running
+// aggregate; wait spans are not aggregated (their time is already in the
+// enclosing spans' Wait). Once a bounded store is full, the event
+// overwrites the oldest one.
 func (r *RankTracer) push(ev Event) {
-	if r.met != nil && (ev.Cat == CatPhase || ev.Cat == CatComm) {
-		h := r.histCache[ev.Name]
-		if h == nil {
-			h = r.met.Histogram("phase_"+ev.Name, metrics.UnitDuration)
-			r.histCache[ev.Name] = h
+	if ev.Cat != CatWait {
+		k := spanKey{ev.Name, ev.Cat}
+		s := r.stats[k]
+		if s == nil {
+			s = r.tracer.spanStats(k)
+			r.stats[k] = s
 		}
-		h.ObserveDurationShard(r.metShard, ev.Dur)
+		rs := &s.ranks[r.rank]
+		rs.count.Add(1)
+		rs.sum.Add(int64(ev.Dur))
+		rs.wait.Add(int64(ev.Wait))
+		if s.Dist != nil {
+			s.Dist.Observe(int64(ev.Dur))
+		}
 	}
 	if r.limit == 0 || len(r.done) < r.limit {
 		r.done = append(r.done, ev)
@@ -214,6 +233,25 @@ func (r *RankTracer) push(ev Event) {
 	}
 	r.done[r.head] = ev
 	r.head = (r.head + 1) % r.limit
+}
+
+// spanStats returns the aggregate of k, creating it on the first use by
+// any rank.
+func (t *Tracer) spanStats(k spanKey) *SpanStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.stats {
+		if s.Name == k.name && s.Cat == k.cat {
+			return s
+		}
+	}
+	s := &SpanStats{Name: k.name, Cat: k.cat}
+	s.ranks = make([]struct{ count, sum, wait atomic.Int64 }, len(t.ranks))
+	if k.cat == CatPhase || k.cat == CatComm {
+		s.Dist = metrics.NewHistogram(k.name, metrics.UnitDuration)
+	}
+	t.stats = append(t.stats, s)
+	return s
 }
 
 // Rank returns the owning rank id.

@@ -52,6 +52,7 @@ fetch -N --max-time 120 "http://$addr/jobs/$id/events"
 grep -q '"state":"done"' <<<"$body" || { echo "job $id never reached done"; exit 1; }
 fetch "http://$addr/jobs/$id/files/manifest.json"
 grep -q '"command": "serve/advect"' <<<"$body" || { echo "job manifest missing: $body"; exit 1; }
+grep -q '"name": "phase_' <<<"$body" || { echo "job manifest has no phase summaries: $body"; exit 1; }
 echo "ok: job $id done, manifest served"
 
 fetch "http://$addr/metrics"
