@@ -8,7 +8,6 @@ package advect
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -59,12 +58,10 @@ type Solver struct {
 	Time float64
 	Met  *metrics.Registry
 
-	// Pre-resolved instrument handles so the hot path never touches the
-	// registry maps: whole-RHS and per-step duration histograms, plus the
-	// live progress gauges /healthz reads. The ghost exchange's time is
-	// the mesh's "exchange" trace span.
-	live         metrics.Progress
-	hRHS, hInteg *metrics.Histogram
+	// The live progress gauges /healthz reads. Time is recorded as the
+	// rank's trace spans: "amr" (the initial mesh), "adapt", "solve" (one
+	// step), "rhs" and the mesh's "exchange".
+	live metrics.Progress
 
 	rk   mangll.LSRK45
 	cv   [3][]float64 // contravariant velocity J grad(xi_a) . u at local nodes
@@ -152,12 +149,13 @@ func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	vel func(x, y, z float64) (float64, float64, float64),
 	ic func(x, y, z float64) float64) *Solver {
 	s := newSolver(comm, conn, opts, vel, ic)
-	t0 := time.Now()
+	tr := comm.Tracer()
+	tr.Begin("amr")
 	s.F = core.New(comm, conn, opts.Level)
 	s.F.Balance(core.BalanceFull)
 	s.F.Partition()
 	s.rebuild()
-	s.Met.Histogram("amr", metrics.UnitDuration).Since(t0)
+	tr.End()
 	s.project(s.InitialCondition)
 	// Resolve the initial fronts before starting, re-sampling the initial
 	// condition on each refined mesh.
@@ -183,8 +181,6 @@ func newSolver(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 		velFn: vel, icFn: ic,
 	}
 	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
 	s.kern = advKernel{s: s}
 	// The integrator's closure, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
@@ -369,11 +365,11 @@ func (s *Solver) RHS(c, dc []float64) {
 	if len(c) != len(s.C) || len(c) > 0 && &c[0] != &s.C[0] {
 		panic("advect: RHS input is not the solver's state")
 	}
-	m := s.Mesh
-	tRHS := time.Now()
+	tr := s.Comm.Tracer()
+	tr.Begin("rhs")
 	s.kDC = dc
-	m.Apply(&s.kern, s.buf)
-	s.hRHS.ObserveDuration(time.Since(tRHS))
+	s.Mesh.Apply(&s.kern, s.buf)
+	tr.End()
 }
 
 // volumeTerm accumulates the volume divergence of the given local elements:
@@ -445,13 +441,11 @@ func (s *Solver) faceTerm(w *mangll.Work, links []int32, dc []float64) {
 
 // Step advances the solution by one RK step of size dt.
 func (s *Solver) Step(dt float64) {
-	t0 := time.Now()
 	tr := s.Comm.Tracer()
 	tr.Begin("solve")
 	s.rk.Step(s.C, s.Time, dt, s.rhsFn)
 	s.Time += dt
 	tr.End()
-	s.hInteg.ObserveDuration(time.Since(t0))
 	s.live.Tick(s.Time)
 }
 

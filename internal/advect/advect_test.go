@@ -94,17 +94,19 @@ func TestAdaptRefinesFronts(t *testing.T) {
 	})
 }
 
-// TestRunReportsAMRFraction checks the timers behind Figure 5's end-to-end
-// quantity: after a run through the step loop, the fraction of solver time
-// spent in AMR operations is recorded and proper.
+// TestRunReportsAMRFraction checks the spans behind Figure 5's end-to-end
+// quantity: after a run through the step loop (no tracer option, so the
+// world's own span store), the fraction of solver time spent in AMR
+// operations is recorded and proper.
 func TestRunReportsAMRFraction(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := NewShell(c, smallOpts())
 		if _, err := (sim.Run{Steps: 8, AdaptEvery: 4}).Advance(c, s, 0); err != nil {
 			t.Fatal(err)
 		}
-		amr := mpi.AllreduceSumFloat(c, s.Met.Total("amr").Seconds())
-		integ := mpi.AllreduceSumFloat(c, s.Met.Total("integrate").Seconds())
+		tr := c.Tracer()
+		amr := mpi.AllreduceSumFloat(c, tr.Total("adapt").Seconds())
+		integ := mpi.AllreduceSumFloat(c, tr.Total("solve").Seconds())
 		if frac := amr / (amr + integ); !(frac > 0 && frac < 1) {
 			t.Fatalf("amr fraction %v out of (0,1)", frac)
 		}

@@ -11,7 +11,7 @@ import (
 // beyond the shared-counter refresh; partition markers stay valid because
 // refinement never moves a rank's curve segment (paper §II.C).
 func (f *Forest) Refine(recursive bool, maxLevel int8, shouldRefine func(octant.Octant) bool) {
-	defer f.span("refine")()
+	defer f.span("refine").End()
 	out := make([]octant.Octant, 0, len(f.Local)+len(f.Local)/2)
 	var expand func(o octant.Octant)
 	expand = func(o octant.Octant) {
@@ -47,7 +47,7 @@ func (f *Forest) Refine(recursive bool, maxLevel int8, shouldRefine func(octant.
 // local, as p4est does). Requires no communication beyond the counter
 // refresh.
 func (f *Forest) Coarsen(recursive bool, shouldCoarsen func(parent octant.Octant, children []octant.Octant) bool) {
-	defer f.span("coarsen")()
+	defer f.span("coarsen").End()
 	for {
 		out := f.Local[:0]
 		changed := false

@@ -59,8 +59,8 @@ type demand struct {
 // unique minimal 2:1-balanced refinement: the same Checksum as the ripple
 // protocol preserved as a test oracle.
 func (f *Forest) Balance(kind BalanceKind) {
-	tr := f.Comm.Tracer()
-	defer tr.StartSpan("balance")()
+	tr := f.span("balance")
+	defer tr.End()
 
 	tr.Begin("balance.local")
 	f.localBalance(kind, f.balanceSeeds(kind))

@@ -22,6 +22,7 @@ import (
 	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/trace"
 )
 
 // Marker is a position on the space-filling curve: the Morton key of a
@@ -105,7 +106,9 @@ type Forest struct {
 // level (level 0 creates only root octants, potentially leaving many ranks
 // empty). New requires no communication beyond the shared-counter setup.
 func New(comm *mpi.Comm, conn *connectivity.Conn, level int8) *Forest {
-	defer comm.Tracer().StartSpan("new")()
+	tr := comm.Tracer()
+	tr.Begin("new")
+	defer tr.End()
 	if level < 0 || level > octant.MaxLevel {
 		panic("core: invalid initial level")
 	}
@@ -203,10 +206,12 @@ func (f *Forest) RankCounts() []int64 {
 	return mpi.Allgather(f.Comm, int64(len(f.Local)))
 }
 
-// span opens a phase span on the calling rank's tracer; the returned
-// closer ends it. No-op (one nil check) when the world runs untraced.
-func (f *Forest) span(name string) func() {
-	return f.Comm.Tracer().StartSpan(name)
+// span opens a phase span on the calling rank's tracer and returns the
+// tracer, for `defer f.span(name).End()`.
+func (f *Forest) span(name string) *trace.RankTracer {
+	tr := f.Comm.Tracer()
+	tr.Begin(name)
+	return tr
 }
 
 // OwnerOfPosition returns the rank owning the given curve position. Any

@@ -42,7 +42,7 @@ func (g *GhostLayer) NumGhosts() int { return len(g.Octants) }
 // so the mirror and send lists are built sorted without any per-leaf set
 // churn.
 func (f *Forest) Ghost() *GhostLayer {
-	defer f.span("ghost")()
+	defer f.span("ghost").End()
 	me := f.Comm.Rank()
 	msgs0 := f.Comm.TagStat(TagGhost).MsgsSent
 	g := &GhostLayer{}
@@ -140,7 +140,7 @@ func (f *Forest) GhostLayers(layers int) *GhostLayer {
 	if layers < 1 {
 		panic("core: GhostLayers needs layers >= 1")
 	}
-	defer f.span("ghost.layers")()
+	defer f.span("ghost.layers").End()
 	g := f.Ghost()
 	if layers == 1 {
 		return g

@@ -39,7 +39,7 @@ func (f *Forest) LNodes(ghost *GhostLayer, degree int) *LNodes {
 	if degree < 1 || degree > 15 {
 		panic("core: LNodes degree must be in [1, 15]")
 	}
-	defer f.span("lnodes")()
+	defer f.span("lnodes").End()
 	n32 := int32(degree)
 	np1 := degree + 1
 

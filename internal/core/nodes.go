@@ -166,7 +166,7 @@ func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
 // grouped by radixSort on the bits that vary, and a run of equal points
 // shares one set of references — and the keys are numbered by radixSort.
 func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
-	defer f.span("nodes")()
+	defer f.span("nodes").End()
 	search := mergeLeaves(f.Local, ghost.Octants)
 
 	var deepest int8

@@ -113,7 +113,7 @@ func (f *Forest) PartitionWithData(perLeaf int, data []float64) ([]float64, int6
 // shared meta-data. If pendingData is set, the payload travels with the
 // leaves.
 func (f *Forest) partitionByDest(dest func(i int) int) int64 {
-	defer f.span("partition")()
+	defer f.span("partition").End()
 	if f.adapted {
 		f.balanced, f.changed = false, f.changed[:0]
 	}

@@ -276,14 +276,15 @@ func RunFig7(ranks int, opts rhea.Options) Fig7Row {
 }
 
 // RunFig7Obs is RunFig7 with observability hooks: the mantle solver's
-// registry is handed to OnRank and the nonlinear solve runs under a span.
+// registry is handed to OnRank and the nonlinear solve runs under a
+// "mantle" span (not "minres", which the Report reads).
 func RunFig7Obs(ranks int, opts rhea.Options, obs Obs) Fig7Row {
 	var row Fig7Row
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		m := rhea.New(c, opts)
 		obs.rank("mantle", c.Rank(), m.Met)
 		var rep rhea.Report
-		c.Tracer().Span("solve", func() { rep = m.Run() })
+		c.Tracer().Span("mantle", func() { rep = m.Run() })
 		if c.Rank() == 0 {
 			row = Fig7Row{Ranks: ranks, Report: rep}
 		}

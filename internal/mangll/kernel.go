@@ -210,9 +210,6 @@ func (m *Mesh) join(names []string) {
 	}
 	m.pool.Wait()
 	tr := m.F.Comm.Tracer()
-	if tr == nil {
-		return
-	}
 	for i, st := range m.pool.Stats() {
 		if st.Batches == 0 {
 			continue

@@ -132,10 +132,6 @@ func (h *Histogram) ObserveShard(s int, v int64) { h.shard(s).record(v) }
 // ObserveDuration records a duration (stored as nanoseconds) into lane 0.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Since records the time elapsed since t0 into lane 0;
-// `defer h.Since(time.Now())` times the rest of the enclosing function.
-func (h *Histogram) Since(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }
-
 // Sum returns the total recorded value across all lanes.
 func (h *Histogram) Sum() int64 {
 	var t int64

@@ -10,8 +10,8 @@
 // atomic adds — no locks, no allocation — so the solver step stays at zero
 // allocations with telemetry enabled. Instruments are sharded: a registry
 // created with NewSharded(p) gives every rank its own lane, written
-// independently and merged only at snapshot time. Total and Count read an
-// instrument by name without creating it.
+// independently and merged only at snapshot time. Count reads a counter by
+// name without creating it.
 package metrics
 
 import (
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Unit declares what a histogram's int64 values mean, driving the unit
@@ -165,18 +164,6 @@ func list[T any](r *Registry, m map[string]*T) []*T {
 		out[i] = m[name]
 	}
 	return out
-}
-
-// Total returns the exact sum of duration histogram `name` (0 if it never
-// recorded; the read does not create the instrument).
-func (r *Registry) Total(name string) time.Duration {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.Sum())
 }
 
 // Count returns counter `name` (0 if absent; the read does not create it).

@@ -6,24 +6,6 @@ import (
 	"time"
 )
 
-func TestTimersAccumulate(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("a", UnitDuration)
-	t0 := time.Now()
-	time.Sleep(2 * time.Millisecond)
-	h.Since(t0)
-	func() {
-		defer h.Since(time.Now())
-		time.Sleep(2 * time.Millisecond)
-	}()
-	if h.Count() != 2 || r.Total("a") < 4*time.Millisecond {
-		t.Fatalf("count = %d, total = %v", h.Count(), r.Total("a"))
-	}
-	if r.Total("missing") != 0 {
-		t.Fatal("missing timer nonzero")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Add(3)
@@ -32,7 +14,7 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("count = %d", r.Count("x"))
 	}
 	r.Reset()
-	if r.Count("x") != 0 || r.Total("a") != 0 {
+	if r.Count("x") != 0 || r.Count("missing") != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -51,7 +33,7 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Count("n") != 800 || r.Total("t") != 800*time.Microsecond {
-		t.Fatalf("count = %d, total = %v", r.Count("n"), r.Total("t"))
+	if sum := r.Histogram("t", UnitDuration).Sum(); r.Count("n") != 800 || sum != int64(800*time.Microsecond) {
+		t.Fatalf("count = %d, total = %v", r.Count("n"), time.Duration(sum))
 	}
 }

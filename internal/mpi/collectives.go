@@ -46,23 +46,17 @@ import (
 // rounds stay on per-collective internal tags (see mpi.go) so distinct
 // collective types never cross-match; within one type, per-channel FIFO
 // ordering keeps back-to-back calls aligned. Every collective
-// self-records a CatComm span when the world is traced, so a trace shows
-// exactly where each rank sat inside e.g. Balance's Allreduce; the
-// blocked portion is attributed by the wait spans the underlying
-// receives emit.
+// self-records a CatComm span, so a trace shows exactly where each rank
+// sat inside e.g. Balance's Allreduce; the blocked portion is attributed
+// by the wait spans the underlying receives emit.
 
-// span opens a CatComm span on the calling rank and returns its closer (a
-// no-op closure when the world is untraced).
-func (c *Comm) span(name string) func() {
+// span opens a CatComm span on the calling rank and returns the rank's
+// tracer, for `defer c.span(name).End()` (no closure to allocate).
+func (c *Comm) span(name string) *trace.RankTracer {
 	tr := c.Tracer()
-	if tr == nil {
-		return nopSpan
-	}
 	tr.BeginCat(name, trace.CatComm)
-	return tr.End
+	return tr
 }
-
-var nopSpan = func() {}
 
 // upMask returns the first mask at which rank r stops receiving children:
 // r's lowest set bit, or the first power of two >= p for the root. The
@@ -79,7 +73,7 @@ func upMask(r, p int) int {
 // Barrier blocks until all ranks have entered it: an empty binomial
 // reduction to rank 0 followed by an empty broadcast back down.
 func (c *Comm) Barrier() {
-	defer c.span("Barrier")()
+	defer c.span("Barrier").End()
 	p := c.world.size
 	if p == 1 {
 		return
@@ -107,7 +101,7 @@ func (c *Comm) Barrier() {
 // ranks pass their (ignored) local value. Binomial-tree broadcast on the
 // virtual ranks vr = (rank - root) mod P: log-depth, P-1 messages.
 func Bcast[T any](c *Comm, root int, v T) T {
-	defer c.span("Bcast")()
+	defer c.span("Bcast").End()
 	p := c.world.size
 	if p == 1 {
 		return v
@@ -131,7 +125,7 @@ func Bcast[T any](c *Comm, root int, v T) T {
 // concatenates its children's contiguous virtual-rank blocks onto its own
 // value and forwards the block to its parent.
 func Gather[T any](c *Comm, root int, v T) []T {
-	defer c.span("Gather")()
+	defer c.span("Gather").End()
 	p := c.world.size
 	if p == 1 {
 		return []T{v}
@@ -182,7 +176,7 @@ func gatherTree[T any](c *Comm, vr int, v T, root, tag int) []T {
 // per core"). The returned slice is shared across ranks; callers must
 // treat it as read-only.
 func Allgather[T any](c *Comm, v T) []T {
-	defer c.span("Allgather")()
+	defer c.span("Allgather").End()
 	p := c.world.size
 	if p == 1 {
 		return []T{v}
@@ -228,7 +222,7 @@ func reduceTree[T any](c *Comm, v T, op func(a, b T) T, tag int) T {
 // value. Binomial reduction to rank 0, plus one relay hop for a non-zero
 // root.
 func Reduce[T any](c *Comm, root int, v T, op func(a, b T) T) T {
-	defer c.span("Reduce")()
+	defer c.span("Reduce").End()
 	p := c.world.size
 	if p == 1 {
 		return v
@@ -261,7 +255,7 @@ func Reduce[T any](c *Comm, root int, v T, op func(a, b T) T) T {
 // The fixed combining tree makes the result bitwise-identical on every
 // rank and across runs.
 func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
-	defer c.span("Allreduce")()
+	defer c.span("Allreduce").End()
 	p := c.world.size
 	if p == 1 {
 		return v
@@ -321,7 +315,7 @@ func AllreduceOr(c *Comm, v bool) bool {
 // O(log P) depth, replacing the Allgather-based version that shipped and
 // re-reduced O(P) data on every rank.
 func ExScan[T any](c *Comm, v T, op func(a, b T) T) T {
-	defer c.span("ExScan")()
+	defer c.span("ExScan").End()
 	p := c.world.size
 	var zero T
 	if p == 1 {
@@ -404,7 +398,7 @@ func AgreeErr(c *Comm, err error) error {
 // Size. Ranks may pass their own slot through untouched. This is dense by
 // definition; sparse communication patterns should use SparseExchange.
 func Alltoall[T any](c *Comm, out []T, tag int) []T {
-	defer c.span("Alltoall")()
+	defer c.span("Alltoall").End()
 	if len(out) != c.world.size {
 		panic("mpi: Alltoall slice length != world size")
 	}
@@ -443,7 +437,7 @@ func Alltoall[T any](c *Comm, out []T, tag int) []T {
 // per-source in ascending order, which keeps back-to-back exchanges on
 // one tag safe via per-channel FIFO ordering.
 func SparseExchange[T any](c *Comm, out map[int]T, tag int) map[int]T {
-	defer c.span("SparseExchange")()
+	defer c.span("SparseExchange").End()
 	p := c.world.size
 	r := c.rank
 	in := make(map[int]T)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -66,11 +65,6 @@ type FaultPlan struct {
 	// disables the crash.
 	CrashRank int
 	CrashStep int
-
-	// Met, if non-nil, receives the fault counters when the run ends:
-	// fault_drops, fault_retries, fault_dups, fault_dedups, fault_delays,
-	// fault_reorders, fault_stalls.
-	Met *metrics.Registry
 }
 
 // FaultStats are the world-total fault-injection counters of one run.
@@ -158,8 +152,7 @@ type faultState struct {
 
 	// live, when the world has a metrics registry attached, mirrors the
 	// counters below into it as events happen, so a telemetry scrape during
-	// a chaos run sees the fault activity in flight (the plan's Met
-	// registry is still only written once at the end).
+	// a chaos run sees the fault activity in flight.
 	live *worldMetrics
 
 	drops, retries, dups, dedups, delays, reorders, stalls atomic.Int64
@@ -192,24 +185,6 @@ func (f *faultState) dedup(from int) {
 	if f.live != nil {
 		f.live.dedups.AddShard(f.live.shard(from), 1)
 	}
-}
-
-// flushMetrics publishes the counters into the plan's registry, once, at
-// the end of the run (per-event registry locking would serialize ranks).
-// Skipped when that registry is the world's live registry, which already
-// accumulated the same events as they happened.
-func (f *faultState) flushMetrics() {
-	m := f.plan.Met
-	if m == nil || (f.live != nil && f.live.reg == m) {
-		return
-	}
-	m.Counter("fault_drops").Add(f.drops.Load())
-	m.Counter("fault_retries").Add(f.retries.Load())
-	m.Counter("fault_dups").Add(f.dups.Load())
-	m.Counter("fault_dedups").Add(f.dedups.Load())
-	m.Counter("fault_delays").Add(f.delays.Load())
-	m.Counter("fault_reorders").Add(f.reorders.Load())
-	m.Counter("fault_stalls").Add(f.stalls.Load())
 }
 
 // Deterministic schedule: every decision is a pure function of
@@ -258,9 +233,7 @@ func (f *faultState) maybeStall(c *Comm) {
 		f.live.stalls.AddShard(f.live.shard(c.rank), 1)
 	}
 	time.Sleep(f.plan.StallTime)
-	if tr := c.Tracer(); tr != nil {
-		tr.AddWait("fault:stall", f.plan.StallTime)
-	}
+	c.Tracer().AddWait("fault:stall", f.plan.StallTime)
 }
 
 // send pushes one logical message through the fault schedule: decide the
@@ -292,10 +265,8 @@ func (f *faultState) send(c *Comm, to int, msg message) {
 			f.live.retries.AddShard(s, int64(drops))
 		}
 		delay += time.Duration(drops) * f.plan.RetryTimeout
-		if tr != nil {
-			for i := 0; i < drops; i++ {
-				tr.Mark("fault:drop", trace.CatFault)
-			}
+		for i := 0; i < drops; i++ {
+			tr.Mark("fault:drop", trace.CatFault)
 		}
 	}
 	if f.plan.Delay > 0 && f.roll(kindDelay, c.rank, to, seq, 0) < f.plan.Delay {
@@ -311,9 +282,7 @@ func (f *faultState) send(c *Comm, to int, msg message) {
 			f.live.reorders.AddShard(f.live.shard(c.rank), 1)
 		}
 		delay += f.plan.MaxDelay
-		if tr != nil {
-			tr.Mark("fault:reorder", trace.CatFault)
-		}
+		tr.Mark("fault:reorder", trace.CatFault)
 	}
 
 	// Undelayed deliveries happen on the sender's goroutine, delayed ones
@@ -335,9 +304,7 @@ func (f *faultState) send(c *Comm, to int, msg message) {
 		if f.live != nil {
 			f.live.dups.AddShard(f.live.shard(c.rank), 1)
 		}
-		if tr != nil {
-			tr.Mark("fault:dup", trace.CatFault)
-		}
+		tr.Mark("fault:dup", trace.CatFault)
 		dupDelay := delay + time.Duration(f.roll(kindDupDelay, c.rank, to, seq, 0)*float64(f.plan.MaxDelay))
 		f.deliveries.Add(1)
 		time.AfterFunc(dupDelay, func() {

@@ -53,7 +53,7 @@ type World struct {
 	size    int
 	boxes   []*mailbox // boxes[r] is rank r's receive endpoint
 	stats   []Stats
-	tracer  *trace.Tracer // optional; nil disables span recording
+	tracer  *trace.Tracer // the caller's, else an aggregates-only store
 	faults  *faultState   // optional; nil runs the zero-overhead path
 	met     *worldMetrics // optional; nil disables live metric recording
 	workers int           // per-rank kernel worker count (>= 1)
@@ -119,9 +119,9 @@ func (c *Comm) Pool() *pool.Pool {
 	return c.world.pools[c.rank]
 }
 
-// Tracer returns the calling rank's span recorder, or nil when the world
-// runs untraced. All trace.RankTracer methods are nil-safe, so callers may
-// instrument unconditionally; the disabled cost is this nil check.
+// Tracer returns the calling rank's span recorder. It is never nil: a
+// world run without RunOptions.Tracer records into a store of its own that
+// keeps the running aggregates (RankTracer.Total) and one event per rank.
 func (c *Comm) Tracer() *trace.RankTracer {
 	return c.world.tracer.Rank(c.rank)
 }
@@ -140,11 +140,13 @@ func RunErr(size int, fn func(*Comm) error) error {
 
 // RunErrOpt executes fn on size ranks with the given options; it is the
 // most general Run form, and Run, RunErr and RunOpt spell subsets of it.
-// With opts.Tracer set, every rank's sends, receive waits, and collectives
-// self-record into the tracer's per-rank stores and instrumented
-// algorithms (core, advect) emit their phase spans; the tracer must be
-// sized to the world. With opts.Plan set, every point-to-point message
-// (and so every collective) follows the plan's seeded fault schedule.
+// Every rank's receive waits and collectives self-record into a span
+// store and instrumented algorithms (core, the solvers) emit their phase
+// spans into it: opts.Tracer, which must be sized to the world, or else a
+// ring of one event per rank that keeps the running aggregates, so a
+// solver can read its phase totals from every world (Comm.Tracer). With
+// opts.Plan set, every point-to-point message (and so every collective)
+// follows the plan's seeded fault schedule.
 //
 // A rank that panics aborts the world: peers blocked in receives are
 // woken (they unwind with an abortSignal panic, which is discarded — only
@@ -157,7 +159,9 @@ func RunErrOpt(size int, opts RunOptions, fn func(*Comm) error) error {
 	if size < 1 {
 		return fmt.Errorf("mpi: world size %d < 1", size)
 	}
-	if tr != nil && tr.NumRanks() != size {
+	if tr == nil {
+		tr = trace.NewRing(size, 1)
+	} else if tr.NumRanks() != size {
 		return fmt.Errorf("mpi: tracer has %d ranks, world has %d", tr.NumRanks(), size)
 	}
 	if err := CheckTransportEnv(); err != nil {
@@ -227,9 +231,8 @@ func RunErrOpt(size int, opts RunOptions, fn func(*Comm) error) error {
 	wg.Wait()
 	if w.faults != nil {
 		// Join the delayed-delivery timers so no goroutine outlives the
-		// world, then publish the fault counters.
+		// world.
 		w.faults.deliveries.Wait()
-		w.faults.flushMetrics()
 	}
 	for _, p := range panics {
 		if p != nil {
@@ -383,10 +386,10 @@ func (c *Comm) Recv(from, tag int) (payload any, source int) {
 
 // recv performs the tag-matched blocking receive and accounts for it: the
 // time blocked in the mailbox is the rank's receive-wait (the straggler /
-// imbalance signal), recorded both in Stats and — when a tracer is
-// attached — as a wait span attributed to the enclosing phase. A blocking
-// receive is a post + wait on the shared slot machinery, so it is ordered
-// correctly against any Irecv posted earlier on the same channel.
+// imbalance signal), recorded both in Stats and as a wait span attributed
+// to the enclosing phase. A blocking receive is a post + wait on the
+// shared slot machinery, so it is ordered correctly against any Irecv
+// posted earlier on the same channel.
 func (c *Comm) recv(from, tag int) (any, int) {
 	if f := c.world.faults; f != nil {
 		f.maybeStall(c)
@@ -402,9 +405,9 @@ func (c *Comm) recv(from, tag int) (any, int) {
 }
 
 // received accounts for one completed receive on tag that blocked for
-// wait: the rank's and the tag's counters, the live metrics and, when a
-// tracer is attached and the rank did block, a wait span attributed to
-// the enclosing phase. Blocking and nonblocking receives share it.
+// wait: the rank's and the tag's counters, the live metrics and, when the
+// rank did block, a wait span attributed to the enclosing phase. Blocking
+// and nonblocking receives share it.
 func (c *Comm) received(tag int, payload any, wait time.Duration) {
 	st := &c.world.stats[c.rank]
 	bytes := payloadBytes(payload)
@@ -418,8 +421,7 @@ func (c *Comm) received(tag int, payload any, wait time.Duration) {
 	if m := c.world.met; m != nil {
 		m.recordRecv(c.rank, bytes, int64(wait))
 	}
-	tr := c.Tracer()
-	if tr == nil || wait <= 0 {
+	if wait <= 0 {
 		return
 	}
 	name, ok := c.waitNames[tag]
@@ -427,5 +429,5 @@ func (c *Comm) received(tag int, payload any, wait time.Duration) {
 		name = "recv:" + TagName(tag)
 		c.waitNames[tag] = name
 	}
-	tr.AddWait(name, wait)
+	c.Tracer().AddWait(name, wait)
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // RunOptions bundles everything optional a world can be run with. The zero
-// value is a plain untraced, fault-free, unmetered run.
+// value is a fault-free, unmetered run whose spans feed only the running
+// aggregates of a store the world makes itself.
 type RunOptions struct {
-	// Tracer attaches per-rank span recording (must be sized to the world).
+	// Tracer is the span store the ranks record into (must be sized to the
+	// world); nil gives the world its own, which keeps one event per rank.
 	Tracer *trace.Tracer
 	// Plan installs a seeded fault-injection schedule.
 	Plan *FaultPlan

@@ -127,12 +127,28 @@ func TestRunTracedSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestTracerOffIsNil confirms untraced worlds hand out nil rank tracers
-// (the disabled fast path).
-func TestTracerOffIsNil(t *testing.T) {
-	Run(1, func(c *Comm) {
-		if c.Tracer() != nil {
-			t.Error("untraced world returned a tracer")
+// TestTracerAlwaysOn: a world run without RunOptions.Tracer still hands
+// every rank a span store, and a span a rank closes shows in that rank's
+// totals (and in no other rank's).
+func TestTracerAlwaysOn(t *testing.T) {
+	const nap = 2 * time.Millisecond
+	Run(2, func(c *Comm) {
+		tr := c.Tracer()
+		if tr == nil {
+			t.Fatal("world without a tracer option has no span store")
+		}
+		if c.Rank() == 1 {
+			tr.Begin("work")
+			time.Sleep(nap)
+			if got := tr.Total("work"); got != 0 {
+				t.Errorf("open span counted in totals: %v", got)
+			}
+			tr.End()
+		}
+		c.Barrier()
+		got := tr.Total("work")
+		if c.Rank() == 1 && got < nap || c.Rank() == 0 && got != 0 {
+			t.Errorf("rank %d: work total %v", c.Rank(), got)
 		}
 	})
 }

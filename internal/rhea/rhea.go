@@ -11,7 +11,6 @@ package rhea
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -76,11 +75,12 @@ func New(comm *mpi.Comm, opts Options) *Model {
 		Conn: connectivity.Shell(rInner, rOuter),
 		Met:  metrics.NewRegistry(),
 	}
-	t0 := time.Now()
+	tr := comm.Tracer()
+	tr.Begin("amr")
 	m.F = core.New(comm, m.Conn, opts.Level)
 	m.F.Balance(core.BalanceFull)
 	m.F.Partition()
-	m.Met.Histogram("amr", metrics.UnitDuration).Since(t0)
+	tr.End()
 	for i := 0; i < opts.DataAdapt; i++ {
 		m.adaptOn(m.dataIndicator)
 	}
@@ -194,9 +194,11 @@ func onShellBoundary(p [3]float64) bool { return shellSide(p) != 0 }
 // and drops the operator and solution of the old mesh: the next solve
 // builds the one operator of the new mesh. The temperature model is
 // analytic, so fields are re-sampled rather than transferred; the velocity
-// restarts from zero after adaptation. Timed as AMR.
+// restarts from zero after adaptation. Timed as AMR (the "amr" span).
 func (m *Model) rebuild() {
-	defer m.Met.Histogram("amr", metrics.UnitDuration).Since(time.Now())
+	tr := m.Comm.Tracer()
+	tr.Begin("amr")
+	defer tr.End()
 	m.nd = m.F.Nodes(m.F.Ghost())
 	m.Op, m.X = nil, nil
 }
@@ -225,7 +227,7 @@ func (m *Model) solve(T []float64) int {
 		}
 		m.Eta[e] = m.Viscosity(t, eII, p)
 	}
-	op := stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary, m.Met)
+	op := stokes.NewOperator(m.F, m.nd, m.Eta, onShellBoundary)
 	// Radial buoyancy Ra·T·r̂ at every element corner.
 	rhs := op.BuildRHSElem(func(e int) (fc [8][3]float64) {
 		var tc [8]float64
@@ -333,14 +335,18 @@ func (m *Model) Run() Report {
 		}
 	}
 
-	// Aggregate the per-rank timer buckets: on a host that serializes the
-	// rank goroutines, summed attribution gives the faithful runtime split.
+	// Sum the ranks' span totals: on a host that serializes the rank
+	// goroutines, summed attribution gives the faithful runtime split.
+	// MINRES contains the V-cycles; the AMG setup precedes it, and AMR is
+	// the mesh builds ("amr") plus the adapt cycles ("adapt"). No two of
+	// these spans overlap except vcycle inside minres.
+	tr := m.Comm.Tracer()
 	sum := func(name string) float64 {
-		return mpi.AllreduceSumFloat(m.Comm, m.Met.Total(name).Seconds())
+		return mpi.AllreduceSumFloat(m.Comm, tr.Total(name).Seconds())
 	}
 	vc := sum("vcycle") + sum("amg_setup")
-	solveOnly := sum("solve") - sum("vcycle")
-	amr := sum("amr")
+	solveOnly := sum("minres") - sum("vcycle")
+	amr := sum("amr") + sum("adapt")
 	total := solveOnly + vc + amr
 	rep.SolveSec, rep.VcycleSec, rep.AMRSec = solveOnly, vc, amr
 	if total > 0 {

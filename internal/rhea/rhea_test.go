@@ -3,8 +3,10 @@ package rhea
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 func smallOpts() Options {
@@ -117,6 +119,51 @@ func TestRunProducesFlowAndReport(t *testing.T) {
 			t.Fatalf("degenerate viscosity range %v", rep.FinalEtaRange)
 		}
 	})
+}
+
+// TestReportReadsSpanTotals: on a run with a caller's tracer, Report's
+// seconds are the tracer's aggregated span sums (MINRES less its V-cycles;
+// V-cycles plus AMG setup; mesh builds plus adapt cycles), and together
+// they fit in the ranks' summed wall time of Run. A span nested in another
+// of its own name would count its interval twice and break the second.
+func TestReportReadsSpanTotals(t *testing.T) {
+	const p = 2
+	tr := trace.New(p)
+	var rep Report
+	var wall time.Duration
+	mpi.RunOpt(p, mpi.RunOptions{Tracer: tr}, func(c *mpi.Comm) {
+		m := New(c, smallOpts())
+		t0 := time.Now()
+		r := m.Run()
+		w := mpi.AllreduceSum(c, int64(time.Since(t0)))
+		if c.Rank() == 0 {
+			rep, wall = r, time.Duration(w)
+		}
+	})
+	sum := func(names ...string) float64 {
+		var s time.Duration
+		for _, name := range names {
+			st, _ := tr.Phase(name)
+			s += st.Total
+		}
+		return s.Seconds()
+	}
+	minres, vcycle := sum("minres"), sum("vcycle")
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"solve", rep.SolveSec, minres - vcycle},
+		{"vcycle", rep.VcycleSec, vcycle + sum("amg_setup")},
+		{"amr", rep.AMRSec, sum("amr", "adapt")},
+	} {
+		if c.want <= 0 || math.Abs(c.got-c.want) > 1e-9*c.want {
+			t.Errorf("%s: Report %v s, span totals %v s", c.name, c.got, c.want)
+		}
+	}
+	if got := rep.SolveSec + rep.VcycleSec + rep.AMRSec; got > wall.Seconds() {
+		t.Errorf("Report sums to %v s, more than the ranks' %v s in Run", got, wall.Seconds())
+	}
 }
 
 func TestThermalEvolveCoupledLoop(t *testing.T) {

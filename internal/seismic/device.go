@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/mangll"
-	"repro/internal/metrics"
 )
 
 // Device is the single-precision compute backend standing in for the
@@ -30,7 +29,6 @@ type Device struct {
 	elems, links []int32   // every local element and link, ascending
 	host         []float64 // the local+ghost state staged through the host
 	rhsFn        func(tt float64, u, du []float32)
-	hStep        *metrics.Histogram
 }
 
 // NewDevice transfers the solver's current state and mesh data to the
@@ -46,7 +44,6 @@ func NewDevice(s *Solver) *Device {
 		elems: iota32(m.NumLocal),
 		links: iota32(len(m.Links)),
 		host:  make([]float64, len(s.k.buf)),
-		hStep: s.Met.Histogram("waveprop_device", metrics.UnitDuration),
 	}
 	d.rhsFn = d.rhs
 	d.TransferSec = time.Since(t0).Seconds()
@@ -129,7 +126,6 @@ func (d *Device) rhs(t float64, q, dq []float32) {
 
 // Step advances one LSRK4(5) step entirely on the device.
 func (d *Device) Step(dt float64) {
-	defer d.hStep.Since(time.Now())
 	d.rk.Step(d.Q, d.S.Time, dt, d.rhsFn)
 	d.S.Time += dt
 }

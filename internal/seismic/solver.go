@@ -3,7 +3,6 @@ package seismic
 import (
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
@@ -41,10 +40,9 @@ type Solver struct {
 	LGL  *mangll.LGL
 	Met  *metrics.Registry
 
-	// Pre-resolved instrument handles so the hot path never touches the
-	// registry maps, plus the live progress gauges /healthz reads.
-	live                     metrics.Progress
-	hRHS, hStep, hVol, hSurf *metrics.Histogram
+	// The live progress gauges /healthz reads. Time is recorded as the
+	// rank's trace spans: "step", "rhs" and the mesh's "exchange".
+	live metrics.Progress
 
 	// Q holds the 9 fields per node, local elements only: the head of the
 	// kernels' local+ghost array, re-seated by every rebuild. Assign its
@@ -154,25 +152,21 @@ func newScratch[T mangll.Float](np, nf int) seisScratch[T] {
 	}
 }
 
-// seisKernel adapts the solver to the mangll.Kernel interface, timing each
-// hook. It is a field of Solver so the interface conversion (&s.kern)
-// never allocates.
+// seisKernel adapts the solver to the mangll.Kernel interface. It is a
+// field of Solver so the interface conversion (&s.kern) never allocates.
 type seisKernel struct{ s *Solver }
 
 func (k *seisKernel) NumComps() int { return NC }
 
 func (k *seisKernel) Volume(w *mangll.Work, elems []int32) {
-	defer k.s.hVol.Since(time.Now())
 	k.s.k.volumeTerm(w, elems)
 }
 
 func (k *seisKernel) InteriorFace(w *mangll.Work, links []int32) {
-	defer k.s.hSurf.Since(time.Now())
 	k.s.k.surfaceTerm(w, links)
 }
 
 func (k *seisKernel) BoundaryFace(w *mangll.Work, links []int32) {
-	defer k.s.hSurf.Since(time.Now())
 	k.s.k.surfaceTerm(w, links)
 }
 
@@ -185,10 +179,6 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 		Met: metrics.NewRegistry(),
 	}
 	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hStep = s.Met.Histogram("waveprop", metrics.UnitDuration)
-	s.hVol = s.Met.Histogram("volume", metrics.UnitDuration)
-	s.hSurf = s.Met.Histogram("surface", metrics.UnitDuration)
 	s.kern = seisKernel{s: s}
 	// One closure for the integrator, built once so Step allocates nothing.
 	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(tt, u, du) }
@@ -340,14 +330,15 @@ func (s *Solver) RHS(t float64, q, dq []float64) {
 		panic("seismic: RHS input is not the solver's state")
 	}
 	m := s.Mesh
-	tRHS := time.Now()
+	tr := s.Comm.Tracer()
+	tr.Begin("rhs")
 	s.k.dq, s.kT = dq, t
 	m.Apply(&s.kern, s.k.buf)
 
 	if s.Source != nil {
 		m.ForRange(m.NumLocal*m.Np, s.sourceFn)
 	}
-	s.hRHS.ObserveDuration(time.Since(tRHS))
+	tr.End()
 }
 
 // gradUsed[c][b] tells whether RHS reads d/dx_b of component c of the
@@ -558,10 +549,11 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 
 // Step advances one LSRK4(5) step.
 func (s *Solver) Step(dt float64) {
-	t0 := time.Now()
+	tr := s.Comm.Tracer()
+	tr.Begin("step")
 	s.rk.Step(s.Q, s.Time, dt, s.rhsFn)
 	s.Time += dt
-	s.hStep.ObserveDuration(time.Since(t0))
+	tr.End()
 	s.live.Tick(s.Time)
 }
 

@@ -9,8 +9,6 @@
 package sim
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/mangll"
 	"repro/internal/metrics"
@@ -42,12 +40,14 @@ type Cycle struct {
 
 // Run performs the cycle and returns whether the forest changed. When
 // nothing changed, the field is neither transferred nor repartitioned and
-// Rebuild is not called. Collective. Time goes to the "amr" timer, churn
-// to the elements_coarsened/refined/shipped and amr_unchanged counters.
+// Rebuild is not called. Collective. Time goes to the rank's "adapt" span,
+// churn to the elements_coarsened/refined/shipped and amr_unchanged
+// counters.
 func (c Cycle) Run() bool {
 	f := c.Forest
-	defer c.Met.Histogram("amr", metrics.UnitDuration).Since(time.Now())
-	defer f.Comm.Tracer().StartSpan("adapt")()
+	tr := f.Comm.Tracer()
+	tr.Begin("adapt")
+	defer tr.End()
 	flags := make(map[octant.Octant]int8, f.NumLocal())
 	for e, o := range f.Local {
 		if fl := c.Flag(e, o); fl != 0 {

@@ -1,11 +1,6 @@
 package stokes
 
-import (
-	"math"
-	"time"
-
-	"repro/internal/metrics"
-)
+import "math"
 
 // Preconditioner is the block-diagonal preconditioner of the paper's Rhea
 // (§IV.A): "preconditioned in the (1,1) block by one V-cycle of the
@@ -20,7 +15,9 @@ type Preconditioner struct {
 
 // NewPreconditioner builds the AMG hierarchy and the Schur diagonal.
 func NewPreconditioner(op *Operator) *Preconditioner {
-	defer op.Met.Histogram("amg_setup", metrics.UnitDuration).Since(time.Now())
+	tr := op.F.Comm.Tracer()
+	tr.Begin("amg_setup")
+	defer tr.End()
 	nn := op.NN
 	return &Preconditioner{op: op, amg: NewAMG(op),
 		rv: make([]float64, 3*nn), zv: make([]float64, 3*nn), pres: make([]float64, nn)}
@@ -30,7 +27,9 @@ func NewPreconditioner(op *Operator) *Preconditioner {
 // rank, combined additively across ranks) and the inverse lumped
 // (1/viscosity) pressure mass on the pressure block. Collective.
 func (p *Preconditioner) Apply(r, z []float64) {
-	defer p.op.Met.Histogram("vcycle", metrics.UnitDuration).Since(time.Now())
+	tr := p.op.F.Comm.Tracer()
+	tr.Begin("vcycle")
+	defer tr.End()
 	nn := p.op.NN
 	rv, zv, pres := p.rv, p.zv, p.pres
 	for i := 0; i < nn; i++ {

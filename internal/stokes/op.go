@@ -1,11 +1,8 @@
 package stokes
 
 import (
-	"time"
-
 	"repro/internal/connectivity"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -27,19 +24,14 @@ type Operator struct {
 	owned     []float64 // 1 if this rank owns the node
 	nodePos   [][3]float64
 	schurDiag []float64 // assembled lumped (1/eta) pressure mass
-
-	Met *metrics.Registry
 }
 
 // NewOperator builds the operator for the forest's current mesh. eta gives
 // the per-element viscosity; bc marks Dirichlet velocity boundary nodes by
 // physical position.
-func NewOperator(f *core.Forest, nd *core.Nodes, eta []float64, bc func(x [3]float64) bool, met *metrics.Registry) *Operator {
-	if met == nil {
-		met = metrics.NewRegistry()
-	}
+func NewOperator(f *core.Forest, nd *core.Nodes, eta []float64, bc func(x [3]float64) bool) *Operator {
 	op := &Operator{
-		F: f, Nodes: nd, NN: len(nd.Keys), Eta: eta, Met: met,
+		F: f, Nodes: nd, NN: len(nd.Keys), Eta: eta,
 	}
 	geom := f.Conn.Geometry()
 	op.Geo = make([]ElemGeom, len(f.Local))
@@ -315,15 +307,16 @@ func (op *Operator) SolveDirichletRHS(
 	}
 	prec := NewPreconditioner(op)
 	x = make([]float64, n)
-	matvec := op.Met.Histogram("matvec", metrics.UnitDuration)
-	t0 := time.Now()
+	tr := op.F.Comm.Tracer()
+	tr.Begin("minres")
 	iters, relres = MINRES(n,
 		func(a, b []float64) {
-			defer matvec.Since(time.Now())
+			tr.Begin("matvec")
 			op.Apply(a, b)
+			tr.End()
 		},
 		prec.Apply, op.Dot, rhs, x, tol, maxIter)
-	op.Met.Histogram("solve", metrics.UnitDuration).Since(t0)
+	tr.End()
 	for i := range x {
 		x[i] += xg[i]
 	}

@@ -40,7 +40,7 @@ func buildCubeOp(c *mpi.Comm, maxl int8, eta func(e int, o octant.Octant) float6
 	for e, o := range f.Local {
 		ev[e] = eta(e, o)
 	}
-	op := NewOperator(f, nd, ev, cubeBC, nil)
+	op := NewOperator(f, nd, ev, cubeBC)
 	return f, op
 }
 
@@ -249,7 +249,7 @@ func TestPreconditionerApplyAllocs(t *testing.T) {
 		for i := range r {
 			r[i] = math.Sin(float64(i))
 		}
-		prec.Apply(r, z) // warm up the histogram handle
+		prec.Apply(r, z) // warm up the vcycle span's aggregate
 		if n := testing.AllocsPerRun(20, func() { prec.Apply(r, z) }); n != 0 {
 			t.Fatalf("Preconditioner.Apply allocates %v times per call, want 0", n)
 		}

@@ -155,8 +155,8 @@ type Snapshot struct {
 
 // Gather merges all registered sources into one snapshot. Instruments
 // with the same name in different sources are folded together (that is
-// the point: per-rank solver registries all export "integrate", and the
-// merged view is the cross-rank distribution).
+// the point: per-rank solver registries all export "elements_shipped",
+// and the merged view is the cross-rank total).
 func (s *Server) Gather() Snapshot {
 	s.mu.Lock()
 	sources := append([]source(nil), s.sources...)

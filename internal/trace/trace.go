@@ -10,9 +10,11 @@
 //
 // Design constraints, in order:
 //
-//  1. Zero cost when disabled: a nil *Tracer / *RankTracer is valid and
-//     every method on it is a nil-check no-op, so instrumented code pays one
-//     branch on the hot path.
+//  1. Always on inside a run: mpi gives a world run without a Tracer a
+//     ring of one event per rank, so every rank can read its own phase
+//     totals (RankTracer.Total) and instrumented code needs no checks. A
+//     nil *Tracer / *RankTracer is still valid outside a run, and every
+//     method on it is a no-op.
 //  2. No locks on the hot path: each rank goroutine owns exactly one
 //     RankTracer and records into its own preallocated span store (one
 //     buffer, unbounded or with a capacity); the stores are only read
@@ -168,7 +170,6 @@ func newTracer(numRanks, limit int) *Tracer {
 			rank:   i,
 			limit:  limit,
 			done:   make([]Event, 0, cmp.Or(limit, 4096)),
-			open:   make([]Event, 0, 16),
 			stats:  make(map[spanKey]*SpanStats),
 		}
 	}
@@ -254,6 +255,22 @@ func (t *Tracer) spanStats(k spanKey) *SpanStats {
 	return s
 }
 
+// Total returns the summed duration of this rank's completed CatPhase
+// spans called name over the whole run, 0 if none has completed. Like
+// every recording method it must only be called from the owning rank
+// goroutine.
+func (r *RankTracer) Total(name string) time.Duration {
+	if r == nil {
+		return 0
+	}
+	s := r.stats[spanKey{name, CatPhase}]
+	if s == nil {
+		return 0
+	}
+	_, sum, _ := s.Rank(r.rank)
+	return sum
+}
+
 // Rank returns the owning rank id.
 func (r *RankTracer) Rank() int {
 	if r == nil {
@@ -302,20 +319,6 @@ func (r *RankTracer) Span(name string, fn func()) {
 	r.Begin(name)
 	defer r.End()
 	fn()
-}
-
-// noop is returned by StartSpan on a nil tracer so the disabled path does
-// not allocate a closure.
-var noop = func() {}
-
-// StartSpan opens a span and returns the function that closes it, for the
-// `defer tr.StartSpan("phase")()` idiom.
-func (r *RankTracer) StartSpan(name string) func() {
-	if r == nil {
-		return noop
-	}
-	r.Begin(name)
-	return r.End
 }
 
 // Arg annotates the innermost open span with a key/value pair (exported

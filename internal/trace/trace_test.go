@@ -36,7 +36,9 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if !done {
 		t.Fatal("Span did not run fn on nil tracer")
 	}
-	r.StartSpan("z")()
+	if r.Total("y") != 0 {
+		t.Fatal("nil tracer has a span total")
+	}
 	if r.Events() != nil {
 		t.Fatal("nil tracer has events")
 	}

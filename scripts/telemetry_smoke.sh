@@ -47,12 +47,13 @@ check() {
     echo "ok: $1"
 }
 
-# Per-phase histogram quantiles (span bridge), solver histograms, mpi
-# message/byte counters — the series the acceptance criteria name.
+# Per-phase histogram quantiles read from the tracer's span aggregates
+# (the solver's RHS and step are spans too), mpi message/byte counters —
+# the series the acceptance criteria name.
 check 'amr_phase_solve_seconds{quantile="0.5"}'
 check 'amr_phase_solve_seconds{quantile="0.99"}'
-check 'amr_rhs_seconds{quantile='
-check 'amr_integrate_seconds_count'
+check 'amr_phase_rhs_seconds{quantile='
+check 'amr_phase_solve_seconds_count'
 check 'amr_mpi_msgs_sent_total{rank="0"}'
 check 'amr_mpi_bytes_sent_total'
 check 'amr_mpi_recv_wait_seconds'
@@ -68,11 +69,13 @@ echo "ok: /debug/pprof/"
 
 wait "$pid"
 
-# Manifest written at exit: its phases summarise the span-bridged solve
-# phase, and the retired benchmark-entry array is gone.
+# Manifest written at exit: its phases summarise the solver's solve and
+# rhs spans, and the retired benchmark-entry array is gone.
 [ -s "$workdir/manifest.json" ] || { echo "manifest missing"; exit 1; }
-grep -q '"name": "phase_solve"' "$workdir/manifest.json" \
-    || { echo "manifest phases lack phase_solve"; cat "$workdir/manifest.json"; exit 1; }
+for phase in phase_solve phase_rhs; do
+    grep -q "\"name\": \"$phase\"" "$workdir/manifest.json" \
+        || { echo "manifest phases lack $phase"; cat "$workdir/manifest.json"; exit 1; }
+done
 if grep -q '"benchmarks"' "$workdir/manifest.json"; then
     echo "manifest still has a benchmarks key"
     exit 1
