@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig7 fig4-highp chaos telemetry-smoke serve-smoke loc
+.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig7 fig9 fig10 fig4-highp chaos telemetry-smoke serve-smoke loc
 
 verify: vet build test-race
 
@@ -96,6 +96,18 @@ fig4:
 # / AMR) into results/ (about 4 minutes on 2 vCPUs).
 fig7:
 	$(GO) run ./cmd/mantle -ranks 1,2,4 > results/fig7_mantle.txt
+
+# Regenerate the Figure 9 strong-scaling table (host backend, PREM earth)
+# and the Figure 10 weak-scaling table (float32 device backend) into
+# results/, each headed by the commit it was measured at (about a minute
+# each on 2 vCPUs).
+fig9:
+	{ echo "commit $$(git describe --always --dirty)"; \
+	  $(GO) run ./cmd/seismic -strong -ranks 1,2,4 -steps 4 -degree 4 -max-level 5 -freq 0.004; } > results/fig9_seismic.txt
+
+fig10:
+	{ echo "commit $$(git describe --always --dirty)"; \
+	  $(GO) run ./cmd/seismic -device -ranks 1,2,4 -steps 4 -degree 4 -max-level 5 -freq 0.0025; } > results/fig10_device.txt
 
 # High-emulated-rank-count smoke: the full Fig-4 pipeline at P=256 on a
 # small fractal forest. Exercises the recursive Balance/Ghost at partition

@@ -3,6 +3,7 @@ package mangll
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -285,6 +286,75 @@ func TestSolveDenseMulti(t *testing.T) {
 		for j := range want[i] {
 			if math.IsNaN(x[i][j]) || math.Abs(x[i][j]-want[i][j]) > 1e-14 {
 				t.Fatalf("solveDenseMulti with zero leading pivot: got %v, want %v", x, want)
+			}
+		}
+	}
+}
+
+// TestTensor2ApplyCubic pins the unrolled n = 4 path of tensor2ApplyNC
+// against the generic loop, bit for bit in both passes, in both
+// precisions, for one and nine components, with and without a folded
+// gather: on random data sprinkled with exact zeros of both signs, and on
+// data where every sum adds -0 products only (A all -0 and u positive,
+// then B negative), whose sums are +0 when they start from +0, as they
+// must, and -0 when they start from their first product.
+func TestTensor2ApplyCubic(t *testing.T) {
+	testTensor2ApplyCubic[float64](t)
+	testTensor2ApplyCubic[float32](t)
+}
+
+func testTensor2ApplyCubic[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	negZero := T(math.Copysign(0, -1))
+	sprinkled := func(i int) T {
+		switch i % 5 {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		}
+		return T(rng.NormFloat64())
+	}
+	// A face gather out of a 40-node element, and none.
+	var idx []int32
+	for _, k := range rng.Perm(40)[:16] {
+		idx = append(idx, int32(k))
+	}
+	for _, data := range []string{"random", "signed zeros"} {
+		for _, nc := range []int{1, 9} {
+			a, b, u := make([]T, 16), make([]T, 16), make([]T, 40*nc)
+			for i := range a {
+				a[i], b[i] = sprinkled(i+rng.Intn(3)), T(rng.NormFloat64())
+			}
+			for i := range u {
+				u[i] = sprinkled(i)
+			}
+			if data == "signed zeros" {
+				for i := range a {
+					a[i], b[i] = negZero, -1-T(rng.Float64())
+				}
+				for i := range u {
+					u[i] = 1 + T(rng.Float64())
+				}
+			}
+			for _, gather := range [][]int32{nil, idx} {
+				got, want := make([]T, 16*nc), make([]T, 16*nc)
+				tmpGot, tmpWant := make([]T, 16*nc), make([]T, 16*nc)
+				tensor2ApplyNC(4, nc, a, b, gather, u, got, tmpGot)
+				tensor2ApplyNCGeneric(4, nc, a, b, gather, u, want, tmpWant)
+				for i := range want {
+					if math.Float64bits(float64(tmpGot[i])) != math.Float64bits(float64(tmpWant[i])) {
+						t.Fatalf("%s %T nc=%d gather=%v: first pass value %d is %v unrolled, %v generic",
+							data, got[i], nc, gather != nil, i, tmpGot[i], tmpWant[i])
+					}
+					if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+						t.Fatalf("%s %T nc=%d gather=%v: value %d is %v unrolled, %v generic",
+							data, got[i], nc, gather != nil, i, got[i], want[i])
+					}
+					if data == "signed zeros" && (want[i] != 0 || math.Signbit(float64(want[i]))) {
+						t.Fatalf("%T nc=%d: a sum of -0 products is %v, want +0", want[i], nc, want[i])
+					}
+				}
 			}
 		}
 	}

@@ -327,10 +327,65 @@ func tensor2ApplyBuf[T Float](n int, a, b, u, out, tmp []T) {
 
 // tensor2ApplyNC computes out = (A (x) B) u on an n x n grid of nodes that
 // each carry nc interleaved values: out[i,j] = sum_{p,q} A[i*n+p] B[j*n+q]
-// u[p,q], component by component. a and b are row-major n x n matrices;
-// tmp is caller-provided scratch (len n*n*nc; must not alias u or out).
-// Every output sums over p (then q) ascending from zero, whatever nc.
-func tensor2ApplyNC[T Float](n, nc int, a, b, u, out, tmp []T) {
+// u[p,q], component by component, out node-major. a and b are row-major
+// n x n matrices; node k of u is read at u[idx[k]*nc:], or at u[k*nc:]
+// when idx is nil (a face gather folded into the first pass); tmp is
+// caller-provided scratch (len n*n*nc; must not alias u or out). Every
+// output sums over p (then q) ascending from zero, whatever nc; n = 4 (the
+// paper's N = 3 runs and the benchmarks) takes the unrolled path.
+func tensor2ApplyNC[T Float](n, nc int, a, b []T, idx []int32, u, out, tmp []T) {
+	if n != 4 {
+		tensor2ApplyNCGeneric(n, nc, a, b, idx, u, out, tmp)
+		return
+	}
+	node := func(s []T, k int) []T { return s[k*nc : (k+1)*nc] }
+	a4, b4 := (*[16]T)(a), (*[16]T)(b)
+	for j := 0; j < 16; j += 4 {
+		p0, p1, p2, p3 := j, j+1, j+2, j+3
+		if idx != nil {
+			p0, p1, p2, p3 = int(idx[j]), int(idx[j+1]), int(idx[j+2]), int(idx[j+3])
+		}
+		mul4(a4, node(u, p0), node(u, p1), node(u, p2), node(u, p3),
+			node(tmp, j), node(tmp, j+1), node(tmp, j+2), node(tmp, j+3))
+	}
+	for i := 0; i < 4; i++ {
+		mul4(b4, node(tmp, i), node(tmp, i+4), node(tmp, i+8), node(tmp, i+12),
+			node(out, i), node(out, i+4), node(out, i+8), node(out, i+12))
+	}
+}
+
+// mul4 sets o_r = sum_p m[4r+p] x_p for the row-major 4 x 4 matrix m,
+// component by component: the four sums of one component over p ascending
+// from zero, advancing together so that no add waits on the one before
+// it. The x_p and o_r are nodes of nc values.
+func mul4[T Float](m *[16]T, x0, x1, x2, x3, o0, o1, o2, o3 []T) {
+	n := len(o0)
+	x0, x1, x2, x3, o1, o2, o3 = x0[:n], x1[:n], x2[:n], x3[:n], o1[:n], o2[:n], o3[:n]
+	for c := range o0 {
+		u0, u1, u2, u3 := x0[c], x1[c], x2[c], x3[c]
+		var s0, s1, s2, s3 T
+		s0 += m[0] * u0
+		s1 += m[4] * u0
+		s2 += m[8] * u0
+		s3 += m[12] * u0
+		s0 += m[1] * u1
+		s1 += m[5] * u1
+		s2 += m[9] * u1
+		s3 += m[13] * u1
+		s0 += m[2] * u2
+		s1 += m[6] * u2
+		s2 += m[10] * u2
+		s3 += m[14] * u2
+		s0 += m[3] * u3
+		s1 += m[7] * u3
+		s2 += m[11] * u3
+		s3 += m[15] * u3
+		o0[c], o1[c], o2[c], o3[c] = s0, s1, s2, s3
+	}
+}
+
+// tensor2ApplyNCGeneric is tensor2ApplyNC for any n.
+func tensor2ApplyNCGeneric[T Float](n, nc int, a, b []T, idx []int32, u, out, tmp []T) {
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
 			t := tmp[(i+n*j)*nc : (i+n*j+1)*nc]
@@ -338,7 +393,11 @@ func tensor2ApplyNC[T Float](n, nc int, a, b, u, out, tmp []T) {
 				t[c] = 0
 			}
 			for p, ap := range a[i*n : i*n+n] {
-				up := u[(p+n*j)*nc : (p+n*j+1)*nc]
+				k := p + n*j
+				if idx != nil {
+					k = int(idx[k])
+				}
+				up := u[k*nc : (k+1)*nc]
 				for c := range t {
 					t[c] += ap * up[c]
 				}

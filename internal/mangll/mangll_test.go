@@ -2,6 +2,8 @@ package mangll
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/connectivity"
@@ -283,52 +285,177 @@ func TestFaceValueWatertight(t *testing.T) {
 }
 
 // TestFaceCoordsWatertightShell checks geometric watertightness across the
-// shell's rotated inter-tree faces using the node coordinates themselves,
-// and on every link kind that the all-component face gathers return exactly
-// what the per-component ones do.
+// shell's inter-tree faces using the node coordinates themselves, and, at
+// N = 3 (the unrolled tensor path) and N = 4, that the all-component face
+// operations reproduce the per-component ones bit for bit on every link
+// (checkFaceOps).
 func TestFaceCoordsWatertightShell(t *testing.T) {
 	conn := connectivity.Shell(0.55, 1.0)
-	mpi.Run(4, func(c *mpi.Comm) {
-		_, m := buildMesh(c, conn, 1, 2, 4)
-		field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np*3)
-		for e := 0; e < m.NumLocal; e++ {
-			for n := 0; n < m.Np; n++ {
-				for a := 0; a < 3; a++ {
-					field[(e*m.Np+n)*3+a] = m.X[a][e*m.Np+n]
-				}
-			}
-		}
-		m.ExchangeGhost(3, field)
-		mine := make([]float64, m.Nf)
-		theirs := make([]float64, m.Nf)
-		mineAll := make([]float64, m.Nf*3)
-		theirsAll := make([]float64, m.Nf*3)
-		w := m.SerialWork()
-		for li := range m.Links {
-			l := &m.Links[li]
-			if l.Kind == LinkBoundary {
+	for _, deg := range []int{3, 4} {
+		mpi.Run(4, func(c *mpi.Comm) {
+			_, m := buildMesh(c, conn, 1, 2, deg)
+			checkFaceOps(t, m)
+		})
+	}
+}
+
+// TestFaceOpsAllAlignments runs checkFaceOps over every relative rotation
+// of two cubes sharing a face — the second cube turned by each of the 24
+// rotations of the cube, so that all eight face alignments occur on
+// conforming links (the shell has only the identity, the six rotated
+// cubes two) and on hanging ones.
+func TestFaceOpsAllAlignments(t *testing.T) {
+	var aligns [8]int64
+	perms := [6][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {2, 1, 0}, {1, 0, 2}}
+	for pi, pm := range perms {
+		for flip := 0; flip < 8; flip++ {
+			// An odd permutation needs an odd number of flips to be a rotation.
+			if (pi >= 3) != (bits.OnesCount(uint(flip))%2 == 1) {
 				continue
 			}
-			w.MyFaceValuesAll(l, 3, field, mineAll)
-			w.FaceValuesAll(l, 3, field, theirsAll)
+			var pos [][3]float64
+			id := func(p [3]float64) int64 {
+				if i := slices.Index(pos, p); i >= 0 {
+					return int64(i)
+				}
+				pos = append(pos, p)
+				return int64(len(pos) - 1)
+			}
+			tv := make([][8]int64, 2)
+			for k := range 8 {
+				x := [3]float64{float64(k & 1), float64(k >> 1 & 1), float64(k >> 2 & 1)}
+				y := [3]float64{1, 0, 0}
+				for a, pa := range pm {
+					y[a] += x[pa]
+					if flip>>a&1 == 1 {
+						y[a] += 1 - 2*x[pa]
+					}
+				}
+				tv[0][k], tv[1][k] = id(x), id(y)
+			}
+			mpi.Run(2, func(c *mpi.Comm) {
+				_, m := buildMesh(c, connectivity.MustFromVertices(tv, pos), 1, 2, 3)
+				al := checkFaceOps(t, m)
+				for a, n := range al {
+					if sum := mpi.AllreduceSum(c, n); c.Rank() == 0 {
+						aligns[a] += sum
+					}
+				}
+			})
+		}
+	}
+	for a, n := range aligns {
+		if n == 0 {
+			t.Errorf("no conforming link has alignment %d", a)
+		}
+	}
+}
+
+// checkFaceOps checks, on every link of m, that the all-component face
+// operations the nine-component seismic kernel reads — FaceMap's nodes and
+// lift weights, InterpFaceAll and LiftQuadAll — give bit for bit what the
+// per-component forms (the scalar path advect runs) give, and that
+// conforming links see watertight node coordinates. It reports the first
+// mismatch only, and returns the rank's count of conforming links by
+// alignment.
+func checkFaceOps(t *testing.T, m *Mesh) (aligns [8]int64) {
+	t.Helper()
+	deg := m.L.N
+	field := make([]float64, (m.NumLocal+m.NumGhost)*m.Np*3)
+	for e := 0; e < m.NumLocal; e++ {
+		for n := 0; n < m.Np; n++ {
 			for a := 0; a < 3; a++ {
-				w.MyFaceValues(l, 3, a, field, mine)
+				field[(e*m.Np+n)*3+a] = m.X[a][e*m.Np+n]
+			}
+		}
+	}
+	m.ExchangeGhost(3, field)
+	mine := make([]float64, m.Nf)
+	theirs := make([]float64, m.Nf)
+	interp := make([]float64, m.Nf*3)
+	g, gAll := make([]float64, m.Nf), make([]float64, m.Nf*3)
+	lift, liftAll := make([]float64, m.NumLocal*m.Np), make([]float64, m.NumLocal*m.Np*3)
+	w := m.SerialWork()
+	for li := range m.Links {
+		l := &m.Links[li]
+		fm, fnbr, wgt := w.FaceMap(l)
+		if l.Kind == LinkEqual {
+			aligns[l.alignIndex()]++
+		}
+		if l.Kind == LinkToCoarse || l.Kind == LinkToFineQuad {
+			w.InterpFaceAll(l, 3, field, interp)
+		}
+		for a := 0; a < 3; a++ {
+			// The face values FaceMap or InterpFaceAll give at fn.
+			myAll := func(fn int) float64 {
+				if l.Kind == LinkToFineQuad {
+					return interp[fn*3+a]
+				}
+				return field[int(fm[fn])*3+a]
+			}
+			theirAll := func(fn int) float64 {
+				if l.Kind == LinkToCoarse {
+					return interp[int(fnbr[fn])*3+a]
+				}
+				return field[int(fnbr[fn])*3+a]
+			}
+			w.MyFaceValues(l, 3, a, field, mine)
+			if l.Kind != LinkBoundary {
 				w.FaceValues(l, 3, a, field, theirs)
-				for fn := 0; fn < m.Nf; fn++ {
-					if mine[fn] != mineAll[fn*3+a] || theirs[fn] != theirsAll[fn*3+a] {
-						t.Fatalf("link %d (kind %d) comp %d fn %d: all-component gather (%v, %v) != per-component (%v, %v)",
-							li, l.Kind, a, fn, mineAll[fn*3+a], theirsAll[fn*3+a], mine[fn], theirs[fn])
-					}
-					if l.Kind != LinkEqual {
-						continue // hanging faces: interpolated coords differ at h^{N+1}
-					}
-					if math.Abs(mine[fn]-theirs[fn]) > 1e-11 {
-						t.Fatalf("coords not watertight at link %d comp %d: %v vs %v", li, a, mine[fn], theirs[fn])
-					}
+			}
+			for fn := 0; fn < m.Nf; fn++ {
+				if math.Float64bits(mine[fn]) != math.Float64bits(myAll(fn)) {
+					t.Errorf("N=%d link %d (kind %d) comp %d fn %d: all-component value %v != per-component %v",
+						deg, li, l.Kind, a, fn, myAll(fn), mine[fn])
+					return aligns
+				}
+				if l.Kind == LinkBoundary {
+					continue
+				}
+				if math.Float64bits(theirs[fn]) != math.Float64bits(theirAll(fn)) {
+					t.Errorf("N=%d link %d (kind %d) comp %d fn %d: all-component neighbour value %v != per-component %v",
+						deg, li, l.Kind, a, fn, theirAll(fn), theirs[fn])
+					return aligns
+				}
+				if l.Kind == LinkEqual && math.Abs(mine[fn]-theirs[fn]) > 1e-11 {
+					t.Errorf("coords not watertight at link %d comp %d: %v vs %v", li, a, mine[fn], theirs[fn])
+					return aligns
 				}
 			}
 		}
-	})
+		// Lift one flux both ways: per component through LiftFace, all at
+		// once through the FaceMap weights or LiftQuadAll.
+		for fn := range g {
+			for a := 0; a < 3; a++ {
+				gAll[fn*3+a] = math.Sin(float64(li + 7*fn + 3*a))
+			}
+		}
+		clear(liftAll)
+		if l.Kind == LinkToFineQuad {
+			w.LiftQuadAll(l, 3, gAll, liftAll)
+		} else {
+			for fn, vn := range fm {
+				for a := 0; a < 3; a++ {
+					liftAll[int(vn)*3+a] += wgt[fn] * gAll[fn*3+a]
+				}
+			}
+		}
+		for a := 0; a < 3; a++ {
+			for fn := range g {
+				g[fn] = gAll[fn*3+a]
+			}
+			clear(lift)
+			w.LiftFace(l, g, lift)
+			for vn, v := range lift {
+				if math.Float64bits(v) != math.Float64bits(liftAll[vn*3+a]) {
+					t.Errorf("N=%d link %d (kind %d) comp %d node %d: all-component lift %v != per-component %v",
+						deg, li, l.Kind, a, vn, liftAll[vn*3+a], v)
+					return aligns
+				}
+			}
+		}
+	}
+	return aligns
 }
 
 func TestTransferRefineCoarsenExact(t *testing.T) {

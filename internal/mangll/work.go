@@ -12,12 +12,16 @@ package mangll
 // handed, never through SerialWork (Work 0, which pool worker 0 owns
 // during an application).
 //
-// The face operations come in two forms: one component of a field
-// (FaceValues, MyFaceValues, LiftFace: scalar loops, which is what a
-// one-component kernel wants: a third faster than the general form at
-// nc = 1, measured on advect's step) and all nc components at once (the
-// *All forms: one gather and one quadrature weight per face node), whose
-// face buffers are node-major: value c of face node fn at [fn*nc+c]. Both
+// The face operations come in two forms. One component of a field
+// (FaceValues, MyFaceValues, LiftFace) gathers into and lifts from face
+// buffers: scalar loops, which is what a one-component kernel wants (a
+// third faster than the general form at nc = 1, measured on advect's
+// step). All nc components at once, a kernel reads and lifts in place:
+// FaceMap gives, per link, the volume nodes both sides of each flux point
+// sit at and the lift weights, so a conforming or free-surface link needs
+// no buffer at all; only the coarse side of a hanging link is interpolated
+// into one (InterpFaceAll) and a hanging quadrant's fluxes lifted from one
+// (LiftQuadAll), node-major: value c of face node fn at [fn*nc+c]. Both
 // forms sum in the same order, so they agree bitwise.
 //
 // The kernels are written once for both precisions: WorkOf[T] reads the
@@ -34,6 +38,10 @@ type WorkOf[T Float] struct {
 	// roles within one operation: a holds gathered face values, b a
 	// tensor-product result, c the tensor workspace.
 	sA, sB, sC []T
+
+	// FaceMap's result (Nf entries each).
+	mapMine, mapNbr []int32
+	mapWgt          []T
 }
 
 // Work is the double-precision context every Kernel hook is handed.
@@ -75,7 +83,8 @@ func quadrant[T Float](lo, hi []T, l *FaceLink) (qi, qj []T) {
 }
 
 func newWork[T Float](m *Mesh, id int, op *ops[T]) *WorkOf[T] {
-	w := &WorkOf[T]{m: m, id: id, op: op}
+	w := &WorkOf[T]{m: m, id: id, op: op,
+		mapMine: make([]int32, m.Nf), mapNbr: make([]int32, m.Nf), mapWgt: make([]T, m.Nf)}
 	w.scratch(1)
 	return w
 }
@@ -152,42 +161,6 @@ func (w *WorkOf[T]) FaceValues(l *FaceLink, nc, comp int, field, out []T) {
 	}
 }
 
-// FaceValuesAll is FaceValues for all nc components at once.
-func (w *WorkOf[T]) FaceValuesAll(l *FaceLink, nc int, field, out []T) {
-	m := w.m
-	nbr := int(l.Nbr)
-	if l.NbrGhost {
-		nbr += m.NumLocal
-	}
-	src := field[nbr*m.Np*nc:]
-	fidx := m.FaceIdx[l.NbrFace]
-	perm := m.facePerm[l.alignIndex()]
-	switch l.Kind {
-	case LinkEqual, LinkToFineQuad:
-		for fn, p := range perm {
-			copy(out[fn*nc:(fn+1)*nc], src[int(fidx[p])*nc:])
-		}
-	case LinkToCoarse:
-		nb, wk, tmp := w.scratch(nc)
-		gatherFace(fidx, nc, src, nb)
-		qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
-		tensor2ApplyNC(m.Np1, nc, qi, qj, nb, wk, tmp)
-		for fn, p := range perm {
-			copy(out[fn*nc:(fn+1)*nc], wk[int(p)*nc:])
-		}
-	default:
-		panic("mangll: FaceValues on boundary link")
-	}
-}
-
-// gatherFace copies the nc values of each face node in fidx from src into
-// the node-major face buffer out.
-func gatherFace[T Float](fidx []int32, nc int, src, out []T) {
-	for fn, vn := range fidx {
-		copy(out[fn*nc:(fn+1)*nc], src[int(vn)*nc:])
-	}
-}
-
 // MyFaceValues extracts my own element's face values for a link into out.
 // For LinkToFineQuad, my coarse face is interpolated onto the quadrant's
 // fine grid (in my frame) so both sides of the flux are collocated.
@@ -210,18 +183,71 @@ func (w *WorkOf[T]) MyFaceValues(l *FaceLink, nc, comp int, field, out []T) {
 	tensor2ApplyBuf(m.Np1, qi, qj, mine, out, tmp)
 }
 
-// MyFaceValuesAll is MyFaceValues for all nc components at once.
-func (w *WorkOf[T]) MyFaceValuesAll(l *FaceLink, nc int, field, out []T) {
+// FaceMap returns, for link l, where a kernel reads and lifts at each face
+// node fn without a gather:
+//   - mine[fn], the local volume node of my face node fn;
+//   - nbr[fn], what faces it on the other side: the neighbour's
+//     local+ghost volume node for LinkEqual and LinkToFineQuad (whose fn is
+//     a fine point of the quadrant), the node of InterpFaceAll's grid for
+//     LinkToCoarse, nil for LinkBoundary;
+//   - wgt[fn], the lift weight MassInv * w_i * w_j of my face node fn: a
+//     link other than LinkToFineQuad lifts its flux g as dc[mine[fn]] +=
+//     wgt[fn] * g[fn], which is LiftFace's arithmetic (LinkToFineQuad
+//     lifts with LiftQuadAll).
+//
+// The slices are the Work's scratch, valid until its next FaceMap, except
+// LinkToCoarse's nbr, which is the mesh's and read-only.
+func (w *WorkOf[T]) FaceMap(l *FaceLink) (mine, nbr []int32, wgt []T) {
 	m := w.m
-	src := field[int(l.Elem)*m.Np*nc:]
-	if l.Kind != LinkToFineQuad {
-		gatherFace(m.FaceIdx[l.Face], nc, src, out)
-		return
+	np1 := m.Np1
+	base := l.Elem * int32(m.Np)
+	fidx := m.FaceIdx[l.Face]
+	mine, wgt = w.mapMine, w.mapWgt
+	massInv, wq := w.op.massInv, w.op.w
+	for j := 0; j < np1; j++ {
+		for i := 0; i < np1; i++ {
+			fn := i + np1*j
+			vn := base + fidx[fn]
+			mine[fn] = vn
+			wgt[fn] = massInv[vn] * wq[i] * wq[j]
+		}
 	}
-	mine, _, tmp := w.scratch(nc)
-	gatherFace(m.FaceIdx[l.Face], nc, src, mine)
+	perm := m.facePerm[l.alignIndex()]
+	switch l.Kind {
+	case LinkBoundary:
+		return mine, nil, wgt
+	case LinkToCoarse:
+		return mine, perm, wgt
+	}
+	nb := l.Nbr
+	if l.NbrGhost {
+		nb += int32(m.NumLocal)
+	}
+	nb *= int32(m.Np)
+	nfidx, nbr := m.FaceIdx[l.NbrFace], w.mapNbr
+	for fn, p := range perm {
+		nbr[fn] = nb + nfidx[p]
+	}
+	return mine, nbr, wgt
+}
+
+// InterpFaceAll interpolates the coarse face of a hanging link onto the
+// fine quadrant the link covers, all nc components of field at once, into
+// the node-major out (value c of node fn at [fn*nc+c]): the neighbour's face
+// for LinkToCoarse, on its own grid (FaceMap's nbr indexes it), and my
+// face for LinkToFineQuad, on my quadrant's fine points.
+func (w *WorkOf[T]) InterpFaceAll(l *FaceLink, nc int, field, out []T) {
+	m := w.m
+	e, f := int(l.Elem), l.Face
+	if l.Kind == LinkToCoarse {
+		e, f = int(l.Nbr), l.NbrFace
+		if l.NbrGhost {
+			e += m.NumLocal
+		}
+	}
+	_, _, tmp := w.scratch(nc)
 	qi, qj := quadrant(w.op.ilo, w.op.ihi, l)
-	tensor2ApplyNC(m.Np1, nc, qi, qj, mine, out, tmp)
+	tensor2ApplyNC(m.Np1, nc, qi, qj, m.FaceIdx[f], field[e*m.Np*nc:], out, tmp)
 }
 
 // InterpFaceToQuad interpolates values given at my full face's nodes onto
@@ -283,42 +309,25 @@ func (w *WorkOf[T]) LiftFace(l *FaceLink, g, dc []T) {
 	}
 }
 
-// LiftFaceAll is LiftFace for all nc interleaved components of dc at once,
-// with one quadrature weight per face node.
-func (w *WorkOf[T]) LiftFaceAll(l *FaceLink, nc int, g, dc []T) {
+// LiftQuadAll is LiftFace of a LinkToFineQuad link for all nc interleaved
+// components of dc at once, g being node-major.
+func (w *WorkOf[T]) LiftQuadAll(l *FaceLink, nc int, g, dc []T) {
 	m := w.m
-	np1 := m.Np1
 	base := int(l.Elem) * m.Np
 	fidx := m.FaceIdx[l.Face]
 	massInv := w.op.massInv
-	if l.Kind == LinkToFineQuad {
-		// Integrated contribution to coarse face nodes: (1/4) * I^T W g per
-		// axis, i.e. apply Pw[i][j] = 0.5*W[j]*I[j][i] in each direction.
-		_, gi, tmp := w.scratch(nc)
-		pwi, pwj := quadrant(w.op.pwlo, w.op.pwhi, l)
-		tensor2ApplyNC(np1, nc, pwi, pwj, g, gi, tmp)
-		for fn, fv := range fidx {
-			vn := base + int(fv)
-			mi := massInv[vn]
-			d := dc[vn*nc : vn*nc+nc]
-			gn := gi[fn*nc:]
-			for c := range d {
-				d[c] += mi * gn[c]
-			}
-		}
-		return
-	}
-	wq := w.op.w
-	for j := 0; j < np1; j++ {
-		for i := 0; i < np1; i++ {
-			fn := i + np1*j
-			vn := base + int(fidx[fn])
-			wgt := massInv[vn] * wq[i] * wq[j]
-			d := dc[vn*nc : vn*nc+nc]
-			gn := g[fn*nc:]
-			for c := range d {
-				d[c] += wgt * gn[c]
-			}
+	// Integrated contribution to coarse face nodes: (1/4) * I^T W g per
+	// axis, i.e. apply Pw[i][j] = 0.5*W[j]*I[j][i] in each direction.
+	_, gi, tmp := w.scratch(nc)
+	pwi, pwj := quadrant(w.op.pwlo, w.op.pwhi, l)
+	tensor2ApplyNC(m.Np1, nc, pwi, pwj, nil, g, gi, tmp)
+	for fn, fv := range fidx {
+		vn := base + int(fv)
+		mi := massInv[vn]
+		d := dc[vn*nc : vn*nc+nc]
+		gn := gi[fn*nc:]
+		for c := range d {
+			d[c] += mi * gn[c]
 		}
 	}
 }

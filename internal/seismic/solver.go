@@ -130,9 +130,8 @@ type seisScratch[T mangll.Float] struct {
 	d0, d1, d2 []T          // np: reference derivatives of one component
 	met        []T          // 9 x np: (1/J) J dxi_r/dx_b at met[(3r+b)*np:]
 	grad       []T          // 18 x np: the physical derivatives RHS uses
-	mine, nbr  []T          // nf x NC, node-major
-	g          []T          // nf x NC
-	mat        []nodeMat[T] // nf
+	mine, nbr  []T          // nf x NC, node-major: interpolated faces
+	g          []T          // nf x NC: the fluxes of a hanging quadrant
 	xs, area   [][3]float64 // nf (host table build only)
 	fx, fq     []float64    // nf (host table build only)
 }
@@ -148,7 +147,6 @@ func newScratch[T mangll.Float](np, nf int) seisScratch[T] {
 		mine: make([]T, nf*NC),
 		nbr:  make([]T, nf*NC),
 		g:    make([]T, nf*NC),
-		mat:  make([]nodeMat[T], nf),
 	}
 }
 
@@ -282,38 +280,14 @@ func (s *Solver) DT() float64 {
 }
 
 // stress computes the stress components from the strain components of one
-// node: sigma = 2 mu E + lambda tr(E) I, ordered xx yy zz yz xz xy.
+// node: sigma = 2 mu E + lambda tr(E) I, ordered xx yy zz yz xz xy. It is
+// small enough to inline into the flux and volume loops; 2 mu is formed
+// once, the same product (2*mu)*e the expression spelled out gives.
 func stress[T mangll.Float](mat *nodeMat[T], e []T) (sxx, syy, szz, syz, sxz, sxy T) {
 	e = e[:6]
 	tr := e[0] + e[1] + e[2]
-	l, mu := mat.Lambda, mat.Mu
-	sxx = 2*mu*e[0] + l*tr
-	syy = 2*mu*e[1] + l*tr
-	szz = 2*mu*e[2] + l*tr
-	syz = 2 * mu * e[3]
-	sxz = 2 * mu * e[4]
-	sxy = 2 * mu * e[5]
-	return
-}
-
-// fluxNormal evaluates F(q).n for the velocity-strain system at one point
-// with unit normal n: the terms whose divergence the system evolves.
-func fluxNormal[T mangll.Float](mat *nodeMat[T], q []T, n [3]T, out []T) {
-	q, out = q[:NC], out[:NC]
-	sxx, syy, szz, syz, sxz, sxy := stress(mat, q[3:])
-	ir := mat.InvRho
-	// velocity rows: -(1/rho) sigma . n
-	out[0] = -ir * (sxx*n[0] + sxy*n[1] + sxz*n[2])
-	out[1] = -ir * (sxy*n[0] + syy*n[1] + syz*n[2])
-	out[2] = -ir * (sxz*n[0] + syz*n[1] + szz*n[2])
-	// strain rows: -sym(v (x) n)
-	vx, vy, vz := q[0], q[1], q[2]
-	out[3] = -vx * n[0]
-	out[4] = -vy * n[1]
-	out[5] = -vz * n[2]
-	out[6] = -(vy*n[2] + vz*n[1]) / 2
-	out[7] = -(vx*n[2] + vz*n[0]) / 2
-	out[8] = -(vx*n[1] + vy*n[0]) / 2
+	l, mu2 := mat.Lambda, 2*mat.Mu
+	return mu2*e[0] + l*tr, mu2*e[1] + l*tr, mu2*e[2] + l*tr, mu2 * e[3], mu2 * e[4], mu2 * e[5]
 }
 
 // RHS computes dq/dt: non-conservative volume derivatives plus the
@@ -432,40 +406,55 @@ func metricDot[T mangll.Float](o, m0, m1, m2, d0, d1, d2 []T) {
 }
 
 // surfaceTerm computes the face fluxes of the given links (indices into
-// Mesh.Links) and lifts each into dq at once: all components of both sides
-// in one gather, the flux-point rows from the tables. Free-surface links
-// are ordinary links of their element — they read only local data.
+// Mesh.Links) and lifts each into dq at once, all components per flux
+// point. A conforming, free-surface or to-coarse link walks its flux
+// points — my face nodes — in place through the link's FaceMap: q- and
+// the material read at my node, q+ at the neighbour's node (or in the
+// interpolated coarse face), the flux lifted straight into dq. A
+// to-fine-quad link interpolates my face onto the quadrant's fine points,
+// where its tabulated geometry and material sit, and lifts the fluxes
+// there through the weighted transpose. Free-surface links are ordinary
+// links of their element — they read only local data.
 func (k *kernels[T]) surfaceTerm(w *mangll.WorkOf[T], links []int32) {
 	sc := &k.ws[w.ID()]
+	nf := k.m.Nf
+	buf, dq := k.buf, k.dq
+	var g [NC]T
 	for _, li := range links {
 		l := &k.m.Links[li]
-		w.MyFaceValuesAll(l, NC, k.buf, sc.mine)
-		geo, mat := k.fluxPoints(l, li, sc.mat)
-		if l.Kind == mangll.LinkBoundary {
-			freeSurfaceFlux(geo, mat, sc.mine, sc.g)
-		} else {
-			w.FaceValuesAll(l, NC, k.buf, sc.nbr)
-			rusanovFlux(geo, mat, sc.mine, sc.nbr, sc.g)
+		mine, nbr, wgt := w.FaceMap(l)
+		if l.Kind == mangll.LinkToFineQuad {
+			w.InterpFaceAll(l, NC, buf, sc.mine)
+			o := int(k.fineOff[li])
+			geo, mat := k.fineGeo[o:o+nf], k.fineMat[o:o+nf]
+			for fn, vn := range nbr {
+				rusanovPoint(&geo[fn], &mat[fn], sc.mine[fn*NC:(fn+1)*NC], buf[int(vn)*NC:int(vn+1)*NC],
+					(*[NC]T)(sc.g[fn*NC:]))
+			}
+			w.LiftQuadAll(l, NC, sc.g, dq)
+			continue
 		}
-		w.LiftFaceAll(l, NC, sc.g, k.dq)
+		qp := buf
+		if l.Kind == mangll.LinkToCoarse {
+			w.InterpFaceAll(l, NC, buf, sc.nbr)
+			qp = sc.nbr
+		}
+		o := (int(l.Elem)*6 + int(l.Face)) * nf
+		geo := k.faceGeo[o : o+nf]
+		for fn, vn := range mine {
+			qm := buf[int(vn)*NC : int(vn+1)*NC]
+			if l.Kind == mangll.LinkBoundary {
+				freeSurfacePoint(&geo[fn], &k.mat[vn], qm, &g)
+			} else {
+				rusanovPoint(&geo[fn], &k.mat[vn], qm, qp[int(nbr[fn])*NC:int(nbr[fn]+1)*NC], &g)
+			}
+			d := dq[int(vn)*NC : int(vn+1)*NC]
+			wg := wgt[fn]
+			for c := range d {
+				d[c] += wg * g[c]
+			}
+		}
 	}
-}
-
-// fluxPoints returns the geometry and material rows of link li's flux
-// points; the material of a conforming face is gathered into scratch.
-func (k *kernels[T]) fluxPoints(l *mangll.FaceLink, li int32, scratch []nodeMat[T]) ([]facePoint[T], []nodeMat[T]) {
-	m := k.m
-	nf := m.Nf
-	if l.Kind == mangll.LinkToFineQuad {
-		o := int(k.fineOff[li])
-		return k.fineGeo[o : o+nf], k.fineMat[o : o+nf]
-	}
-	e := int(l.Elem)
-	for fn, vn := range m.FaceIdx[l.Face] {
-		scratch[fn] = k.mat[e*m.Np+int(vn)]
-	}
-	o := (e*6 + int(l.Face)) * nf
-	return k.faceGeo[o : o+nf], scratch
 }
 
 // addSource adds the body-force density src at time t to the velocity
@@ -481,45 +470,47 @@ func (k *kernels[T]) addSource(src func(t float64, p [3]float64) [3]float64, t f
 	}
 }
 
-// rusanovFlux evaluates G = Fn(q-) - F* with the Rusanov F* at every flux
-// point, for all components; qm, qp and g are node-major.
-func rusanovFlux[T mangll.Float](geo []facePoint[T], mat []nodeMat[T], qm, qp, g []T) {
-	var fm, fp [NC]T
-	for fn := range geo {
-		p, mt := &geo[fn], &mat[fn]
-		m, n := qm[fn*NC:(fn+1)*NC], qp[fn*NC:(fn+1)*NC]
-		fluxNormal(mt, m, p.N, fm[:])
-		fluxNormal(mt, n, p.N, fp[:])
-		gn := g[fn*NC : (fn+1)*NC]
-		for c := range gn {
-			gn[c] = p.Area * (0.5*(fm[c]-fp[c]) + 0.5*mt.Vp*(n[c]-m[c]))
-		}
-	}
+// rusanovPoint sets g = Fn(q-) - F* with the Rusanov F* at one flux
+// point, for all components: row c is Area (0.5 (Fn(q-) - Fn(q+))_c +
+// 0.5 Vp (q+ - q-)_c), where Fn(q) = F(q).n are the terms whose divergence
+// the velocity-strain system evolves. Both normal fluxes are written out
+// row by row, so that neither goes through memory.
+func rusanovPoint[T mangll.Float](p *facePoint[T], mt *nodeMat[T], m, n []T, g *[NC]T) {
+	m, n = m[:NC], n[:NC]
+	nv, ir, a, hv := p.N, mt.InvRho, p.Area, 0.5*mt.Vp
+	row := func(fm, fp, qm, qp T) T { return a * (0.5*(fm-fp) + hv*(qp-qm)) }
+	mxx, myy, mzz, myz, mxz, mxy := stress(mt, m[3:])
+	pxx, pyy, pzz, pyz, pxz, pxy := stress(mt, n[3:])
+	// velocity rows: -(1/rho) sigma . n
+	g[0] = row(-ir*(mxx*nv[0]+mxy*nv[1]+mxz*nv[2]), -ir*(pxx*nv[0]+pxy*nv[1]+pxz*nv[2]), m[0], n[0])
+	g[1] = row(-ir*(mxy*nv[0]+myy*nv[1]+myz*nv[2]), -ir*(pxy*nv[0]+pyy*nv[1]+pyz*nv[2]), m[1], n[1])
+	g[2] = row(-ir*(mxz*nv[0]+myz*nv[1]+mzz*nv[2]), -ir*(pxz*nv[0]+pyz*nv[1]+pzz*nv[2]), m[2], n[2])
+	// strain rows: -sym(v (x) n)
+	g[3] = row(-m[0]*nv[0], -n[0]*nv[0], m[3], n[3])
+	g[4] = row(-m[1]*nv[1], -n[1]*nv[1], m[4], n[4])
+	g[5] = row(-m[2]*nv[2], -n[2]*nv[2], m[5], n[5])
+	g[6] = row(-(m[1]*nv[2]+m[2]*nv[1])/2, -(n[1]*nv[2]+n[2]*nv[1])/2, m[6], n[6])
+	g[7] = row(-(m[0]*nv[2]+m[2]*nv[0])/2, -(n[0]*nv[2]+n[2]*nv[0])/2, m[7], n[7])
+	g[8] = row(-(m[0]*nv[1]+m[1]*nv[0])/2, -(n[0]*nv[1]+n[1]*nv[0])/2, m[8], n[8])
 }
 
-// freeSurfaceFlux applies the free-surface condition sigma.n = 0 weakly:
-// the traction is reflected, velocities pass through. With sigma+.n =
-// -sigma-.n and v+ = v-, F*_v = 0, so G_v = Fn_v(q-) = -(1/rho) tau and
-// the strain rows vanish.
-func freeSurfaceFlux[T mangll.Float](geo []facePoint[T], mat []nodeMat[T], qm, g []T) {
-	for fn := range geo {
-		p, mt := &geo[fn], &mat[fn]
-		n := p.N
-		// Traction of the interior state.
-		sxx, syy, szz, syz, sxz, sxy := stress(mt, qm[fn*NC+3:(fn+1)*NC])
-		tau := [3]T{
-			sxx*n[0] + sxy*n[1] + sxz*n[2],
-			sxy*n[0] + syy*n[1] + syz*n[2],
-			sxz*n[0] + syz*n[1] + szz*n[2],
-		}
-		gn := g[fn*NC : (fn+1)*NC]
-		for c := range gn {
-			gn[c] = 0
-		}
-		gn[0] = -p.Area * mt.InvRho * tau[0]
-		gn[1] = -p.Area * mt.InvRho * tau[1]
-		gn[2] = -p.Area * mt.InvRho * tau[2]
+// freeSurfacePoint applies the free-surface condition sigma.n = 0 weakly at
+// one flux point: the traction is reflected, velocities pass through. With
+// sigma+.n = -sigma-.n and v+ = v-, F*_v = 0, so G_v = Fn_v(q-) = -(1/rho)
+// tau and the strain rows vanish.
+func freeSurfacePoint[T mangll.Float](p *facePoint[T], mt *nodeMat[T], qm []T, g *[NC]T) {
+	n := p.N
+	// Traction of the interior state.
+	sxx, syy, szz, syz, sxz, sxy := stress(mt, qm[3:NC])
+	tau := [3]T{
+		sxx*n[0] + sxy*n[1] + sxz*n[2],
+		sxy*n[0] + syy*n[1] + syz*n[2],
+		sxz*n[0] + syz*n[1] + szz*n[2],
 	}
+	*g = [NC]T{}
+	g[0] = -p.Area * mt.InvRho * tau[0]
+	g[1] = -p.Area * mt.InvRho * tau[1]
+	g[2] = -p.Area * mt.InvRho * tau[2]
 }
 
 // fluxGeometry evaluates the physical coordinates and outward area vectors
