@@ -88,9 +88,11 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
 
 # Regenerate the Figure 4 weak-scaling table (with the per-phase imbalance
-# and recv-wait columns) into results/.
+# and recv-wait columns) into results/, headed by the commit it was
+# measured at.
 fig4:
-	$(GO) run ./cmd/scaling -steps 3 > results/fig4_scaling.txt
+	{ echo "commit $$(git describe --always --dirty)"; \
+	  $(GO) run ./cmd/scaling -steps 3; } > results/fig4_scaling.txt
 
 # Regenerate the Figure 7 mantle-convection runtime split (solve / V-cycle
 # / AMR) into results/ (about 4 minutes on 2 vCPUs).

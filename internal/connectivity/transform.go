@@ -380,9 +380,15 @@ func (c *Conn) PointImages(t int32, p [3]int32) []TreePoint {
 // numbering uses scale = degree so that every tensor node position is an
 // exact integer lattice point.
 func (c *Conn) PointImagesScaled(t int32, p [3]int32, scale int32) []TreePoint {
+	return c.AppendPointImages(make([]TreePoint, 0, 8), t, p, scale)
+}
+
+// AppendPointImages appends PointImagesScaled(t, p, scale) to dst and
+// returns the extended slice; it allocates only when dst lacks the room.
+func (c *Conn) AppendPointImages(dst []TreePoint, t int32, p [3]int32, scale int32) []TreePoint {
 	lim := scale * octant.RootLen
-	self := TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}
-	images := append(make([]TreePoint, 0, 8), self)
+	n0 := len(dst)
+	images := append(dst, TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]})
 
 	var onLow, onHigh [3]bool
 	nb := 0
@@ -424,7 +430,7 @@ func (c *Conn) PointImagesScaled(t int32, p [3]int32, scale int32) []TreePoint {
 				(want1 && !onHigh[t1]) || (!want1 && !onLow[t1]) {
 				continue
 			}
-			images = append(images, c.edgePointImages(t, int8(e), p, lim)...)
+			images = c.appendEdgePointImages(images, t, int8(e), p, lim)
 		}
 	}
 
@@ -447,10 +453,10 @@ func (c *Conn) PointImagesScaled(t int32, p [3]int32, scale int32) []TreePoint {
 		}
 	}
 
-	return dedupPoints(images)
+	return images[:n0+len(dedupPoints(images[n0:]))]
 }
 
-func (c *Conn) edgePointImages(t int32, e int8, p [3]int32, lim int32) []TreePoint {
+func (c *Conn) appendEdgePointImages(dst []TreePoint, t int32, e int8, p [3]int32, lim int32) []TreePoint {
 	group := c.EdgeGroup(t, int(e))
 	var selfFlip bool
 	found := false
@@ -462,10 +468,9 @@ func (c *Conn) edgePointImages(t int32, e int8, p [3]int32, lim int32) []TreePoi
 		}
 	}
 	if !found {
-		return nil
+		return dst
 	}
 	w := [3]int32{p[0], p[1], p[2]}[octant.EdgeAxis(int(e))]
-	var out []TreePoint
 	for _, m := range group {
 		wm := w
 		if selfFlip != m.Flip {
@@ -480,9 +485,9 @@ func (c *Conn) edgePointImages(t int32, e int8, p [3]int32, lim int32) []TreePoi
 		if int(m.Edge)&2 != 0 {
 			q[t1] = lim
 		}
-		out = append(out, TreePoint{Tree: m.Tree, X: q[0], Y: q[1], Z: q[2]})
+		dst = append(dst, TreePoint{Tree: m.Tree, X: q[0], Y: q[1], Z: q[2]})
 	}
-	return out
+	return dst
 }
 
 func dedupPoints(pts []TreePoint) []TreePoint {

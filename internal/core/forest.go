@@ -100,6 +100,8 @@ type Forest struct {
 	adapted      bool
 	changed      []octant.Octant
 	cand         []octant.CurveKey // Balance's candidate buffer, kept for the next Balance
+
+	imgs []connectivity.TreePoint // the images of one point, reused by Nodes and LNodes
 }
 
 // New creates a uniformly refined, equi-partitioned forest at the given

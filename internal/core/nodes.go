@@ -88,7 +88,8 @@ func (f *Forest) pointOwner(key connectivity.TreePoint, scale int32) int {
 	}
 	min := lowCell(key)
 	if !insideTree(key, scale) {
-		for _, im := range f.Conn.PointImagesScaled(key.Tree, [3]int32{key.X, key.Y, key.Z}, scale) {
+		f.imgs = f.Conn.AppendPointImages(f.imgs[:0], key.Tree, [3]int32{key.X, key.Y, key.Z}, scale)
+		for _, im := range f.imgs {
 			if m := lowCell(im); m.Less(min) {
 				min = m
 			}
@@ -111,15 +112,20 @@ func (f *Forest) canonical(t int32, p [3]int32, scale int32) connectivity.TreePo
 	if k := (connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}); insideTree(k, scale) {
 		return k
 	}
-	return f.Conn.PointImagesScaled(t, p, scale)[0]
+	f.imgs = f.Conn.AppendPointImages(f.imgs[:0], t, p, scale)
+	return f.imgs[0]
 }
 
-// cornerRec is one element corner on its way to a node reference.
+// cornerRec is one corner of a local or ghost leaf, keyed by its canonical
+// lattice point.
 type cornerRec struct {
-	at   uint64 // lattice point z<<2b | y<<b | x over b = deepest level + 1 bits: the sort key within a tree
-	ref  int32  // element*8 + corner
-	hang uint8  // log2 of the number of nodes the corner reads: 0, 1 or 2
+	at   uint64 // canonical point z<<2b | y<<b | x over b = deepest level + 1 bits
+	tree int32  // canonical tree
+	ref  int32  // j*8 + corner for leaf j of the local and ghost leaves in curve order
 }
+
+// sortKey is (tree, z, y, x): the order of Keys.
+func (r *cornerRec) sortKey() (uint64, uint64) { return uint64(r.tree), r.at }
 
 // keySlot asks for the local index of a canonical key to be stored in one
 // slot of a reference array.
@@ -160,146 +166,189 @@ func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
 // corners are constrained to the corners of the coarse face or edge they
 // sit on.
 //
-// Where a corner hangs follows from the leaf's position in its parent
-// (hangingCorners): six questions, each asked once per sibling family. Each
-// distinct lattice point is then resolved once — a tree's corners are
-// grouped by radixSort on the bits that vary, and a run of equal points
-// shares one set of references — and the keys are numbered by radixSort.
+// Every corner of every local and ghost leaf is recorded under its
+// canonical point, and one sort groups the records by point, in the order
+// of Keys. The leaves tile each tree, so every in-tree cell around every
+// image of a point lies in exactly one leaf, and a record exists exactly
+// when that leaf has the image as a corner: a point hangs iff its group
+// has fewer records than there are such cells (8 inside a tree). The
+// ghost layer holds every leaf around a local corner, so the count is
+// exact wherever a local leaf has a record. Under the full 2:1 condition a
+// hanging point's leaves are one level finer than the leaf it hangs on,
+// whose corners, its anchors, hang nowhere.
 func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	defer f.span("nodes").End()
-	search := mergeLeaves(f.Local, ghost.Octants)
+	search, first := mergeLeaves(f.Local, ghost.Octants), ghostsBefore(f.Local, ghost.Octants)
+	isLocal := func(ref int32) bool { return uint(int(ref>>3)-first) < uint(len(f.Local)) }
 
 	var deepest int8
-	for _, o := range f.Local {
+	for _, o := range search {
 		deepest = max(deepest, o.Level)
 	}
 	shift, b := octant.MaxLevel-deepest, deepest+1
-	var families [octant.MaxLevel + 1]family
-	recs := make([]cornerRec, 0, 8*len(f.Local))
-	for e, o := range f.Local {
-		onEdge, onFace := f.hangingCorners(search, &families[o.Level], o)
+	recs := make([]cornerRec, 0, 8*len(search))
+	for j, o := range search {
 		for c := 0; c < 8; c++ {
 			x, y, z := o.Corner(c)
-			recs = append(recs, cornerRec{
-				at:   uint64(z>>shift)<<(2*b) | uint64(y>>shift)<<b | uint64(x>>shift),
-				ref:  int32(e*8 + c),
-				hang: onEdge>>c&1 + onFace>>c&1<<1,
-			})
+			k := f.canonical(o.Tree, [3]int32{x, y, z}, 1)
+			at := uint64(k.Z>>shift)<<(2*b) | uint64(k.Y>>shift)<<b | uint64(k.X>>shift)
+			recs = append(recs, cornerRec{at: at, tree: k.Tree, ref: int32(j*8 + c)})
+		}
+	}
+	recs, spare := radixSortStable(recs, make([]cornerRec, len(recs)), (*cornerRec).sortKey)
+	point := func(r cornerRec) connectivity.TreePoint {
+		return connectivity.TreePoint{Tree: r.tree, X: int32(r.at&(1<<b-1)) << shift, Y: int32(r.at>>b&(1<<b-1)) << shift, Z: int32(r.at>>(2*b)) << shift}
+	}
+
+	images := func(k connectivity.TreePoint) { // sets f.imgs to the images of k
+		f.imgs = append(f.imgs[:0], k)
+		if !insideTree(k, 1) {
+			f.imgs = f.Conn.AppendPointImages(f.imgs[:0], k.Tree, [3]int32{k.X, k.Y, k.Z}, 1)
 		}
 	}
 
-	// Group each tree's corners by point. A run of equal points is one
-	// lattice point; count the references the runs will ask for.
-	slots := 0
-	for lo := 0; lo < len(f.Local); {
-		hi := lo
-		for hi < len(f.Local) && f.Local[hi].Tree == f.Local[lo].Tree {
-			hi++
+	// One entry per point, in the spare half of the sort: its key, and in
+	// ref its state — a node (0) or hanging if a local leaf has a corner
+	// there, else none unless it anchors a hanging point. groupOf maps
+	// every leaf corner to its point.
+	const hangs, none = -2, -1
+	groups, groupOf := spare[:0], make([]int32, len(recs))
+	slots, numKeys := 0, 0
+	for i := 0; i < len(recs); {
+		g, end, local := recs[i], i, false
+		for ; end < len(recs) && recs[end].at == g.at && recs[end].tree == g.tree; end++ {
+			groupOf[recs[end].ref] = int32(len(groups))
+			local = local || isLocal(recs[end].ref)
 		}
-		tree := recs[8*lo : 8*hi]
-		radixSort(tree, func(r *cornerRec) (uint64, uint64) { return 0, r.at })
-		for i, r := range tree {
-			if i == 0 || r.at != tree[i-1].at {
-				slots += 1 << r.hang
+		if g.ref = none; local {
+			k, cells := point(g), 0
+			images(k)
+			for _, im := range f.imgs {
+				n := 1
+				for _, v := range [3]int32{im.X, im.Y, im.Z} {
+					if v != 0 && v != octant.RootLen {
+						n *= 2
+					}
+				}
+				cells += n
+			}
+			anchors := 1
+			if end-i == cells {
+				g.ref = 0
+				numKeys++
+			} else { // 2 or 4 anchors, by the axes the point is free on
+				g.ref = hangs
+				size := octant.Len(search[recs[i].ref>>3].Level - 1)
+				for _, v := range [3]int32{k.X, k.Y, k.Z} {
+					if v&(size-1) != 0 {
+						anchors *= 2
+					}
+				}
+			}
+			slots += anchors
+		}
+		groups = append(groups, g)
+		i = end
+	}
+
+	// Resolve each point with a local record once; its corners share one
+	// slice of refs, which first hold point indices. A hanging point's
+	// anchors are corners of the leaf it hangs on.
+	nd := &Nodes{ElementNodes: make([][8]NodeRef, len(f.Local))}
+	refs := make([]int32, 0, slots)
+	for g, i := 0, 0; i < len(recs); g++ {
+		end, off, local := i, len(refs), false
+		for ; end < len(recs) && recs[end].at == recs[i].at && recs[end].tree == recs[i].tree; end++ {
+			local = local || isLocal(recs[end].ref)
+		}
+		switch {
+		case !local:
+		case groups[g].ref == 0:
+			refs = append(refs, int32(g))
+		default:
+			images(point(groups[g]))
+			j, corners, n := hangsOn(recs[i:end], search[recs[i].ref>>3], f.imgs, search)
+			for _, c := range corners[:n] {
+				ga := groupOf[j*8+c]
+				if groups[ga].ref == hangs {
+					panic(fmt.Sprintf("core: anchor %+v of %+v hangs (mesh not 2:1 balanced?)", point(groups[ga]), point(groups[g])))
+				}
+				if groups[ga].ref == none {
+					groups[ga].ref = 0
+					numKeys++
+				}
+				refs = append(refs, ga)
 			}
 		}
-		lo = hi
-	}
-
-	// Resolve each point once; its corners share one slice of refs.
-	nd := &Nodes{ElementNodes: make([][8]NodeRef, len(f.Local))}
-	refs := make([]int32, slots)
-	want := make([]keySlot, 0, slots)
-	for i := 0; i < len(recs); {
-		r, off := recs[i], len(want)
-		o := f.Local[r.ref>>3]
-		p := [3]int32{int32(r.at&(1<<b-1)) << shift, int32(r.at>>b&(1<<b-1)) << shift, int32(r.at>>(2*b)) << shift}
-		if r.hang == 0 {
-			want = append(want, keySlot{f.canonical(o.Tree, p, 1), int32(off)})
-		} else {
-			want = f.appendAnchors(want, search, o.Tree, p, o.Level-1)
-		}
-		for ; i < len(recs) && recs[i].at == r.at && f.Local[recs[i].ref>>3].Tree == o.Tree; i++ {
-			nd.ElementNodes[recs[i].ref>>3][recs[i].ref&7].Nodes = refs[off:len(want):len(want)]
+		for ; i < end; i++ {
+			if r := recs[i].ref; isLocal(r) {
+				nd.ElementNodes[int(r>>3)-first][r&7].Nodes = refs[off:len(refs):len(refs)]
+			}
 		}
 	}
-	nd.numbering = f.number(intern(want, refs), 1, 0)
+	keys := make([]connectivity.TreePoint, 0, numKeys)
+	for g, r := range groups {
+		if r.ref == 0 {
+			groups[g].ref = int32(len(keys))
+			keys = append(keys, point(r))
+		}
+	}
+	for i, g := range refs {
+		refs[i] = groups[g].ref
+	}
+	nd.numbering = f.number(keys, 1, 0)
 	return nd
 }
 
-// otherAxes lists, ascending, the two axes transverse to each axis.
-var otherAxes = [3][2]int{{1, 2}, {0, 2}, {0, 1}}
-
-// hangingCorners returns which corners of leaf o hang on an edge and which
-// on a face of a coarser neighbour, as bit sets by corner. Seen from o's
-// parent P, in which o is child cid, corner cid is a corner of P and corner
-// 7-cid its centre: both touch only leaves that, under the full 2:1
-// condition, have them as corners. A corner that differs from cid in one
-// bit is the midpoint of the edge of P that leaves corner cid along that
-// axis, and hangs exactly when a leaf the size of P lies across that edge or
-// across one of the two faces of P that meet in it; one that differs in two
-// bits is the centre of the face of P normal to the remaining axis, and
-// hangs exactly when a leaf the size of P lies across that face. o touches
-// those three faces and three edges itself, so its own neighbours — local
-// leaves or ghosts — decide.
-// An answer is alike for every child on P's face or edge, so fam keeps it
-// (18 questions per full family, not 48); leaves come in curve order and a
-// refined sibling's descendants are deeper, so one family per level does.
-func (f *Forest) hangingCorners(search []octant.Octant, fam *family, o octant.Octant) (onEdge, onFace uint8) {
-	if o.Level == 0 {
-		return 0, 0
-	}
-	if p := o.Parent(); fam.parent != p {
-		*fam = family{parent: p}
-	}
-	// across: does a leaf the size of P lie across neighbour n or an image?
-	across := func(bit int, n octant.Octant, images func(octant.Octant, int) []octant.Octant, i int) bool {
-		if fam.asked>>bit&1 == 0 {
-			fam.asked |= 1 << bit
-			ns := []octant.Octant{n}
-			if !n.Inside() {
-				ns = images(o, i)
+// hangsOn returns the leaf, as an index into search, that a hanging corner
+// of leaf o hangs on, and the n corners of it that anchor the corner. The
+// leaf holds the first cell around the images imgs of the point, in image
+// order, at whose image no record of the point's group lies: a cell whose
+// leaf does not have the point as a corner. That leaf must be one level
+// coarser than o; no leaf means the ghost layer lacks one, another level a
+// forest that is not 2:1 balanced. The anchors are the ends of the edge or
+// the corners of the face the point sits on, low before high along the
+// free axes of the cell's image, lowest axis fastest: trees meet rotated,
+// and the frame sets their order.
+func hangsOn(group []cornerRec, o octant.Octant, imgs []connectivity.TreePoint, search []octant.Octant) (j int, corners [4]int, n int) {
+	for _, im := range imgs {
+		for d := 0; d < 8; d++ {
+			cell := octant.Octant{X: im.X - int32(d&1), Y: im.Y - int32(d>>1&1), Z: im.Z - int32(d>>2&1), Level: octant.MaxLevel, Tree: im.Tree}
+			if !cell.Inside() || slices.ContainsFunc(group, func(r cornerRec) bool {
+				q := search[r.ref>>3]
+				x, y, z := q.Corner(d)
+				return int(r.ref&7) == d && q.Tree == im.Tree && x == im.X && y == im.Y && z == im.Z
+			}) {
+				continue
 			}
-			for _, n := range ns {
-				j := octant.SearchContaining(search, n)
-				if j < 0 {
-					panic(fmt.Sprintf("core: no leaf covers %v next to %v (ghost layer incomplete?)", n, o))
-				}
-				if search[j].Level < o.Level-1 {
-					panic(fmt.Sprintf("core: %v touches %v (mesh not 2:1 balanced?)", o, search[j]))
-				}
-				if search[j].Level == o.Level-1 {
-					fam.sized |= 1 << bit
+			if j = octant.SearchContaining(search, cell); j < 0 {
+				panic(fmt.Sprintf("core: no leaf covers cell %v next to %v (ghost layer incomplete?)", cell, o))
+			}
+			c := search[j]
+			if c.Level != o.Level-1 {
+				panic(fmt.Sprintf("core: %v touches %v (mesh not 2:1 balanced?)", o, c))
+			}
+			var free [3]int
+			for a, v := range [3]int32{im.X - c.X, im.Y - c.Y, im.Z - c.Z} {
+				switch v {
+				case 0:
+				case c.Len():
+					corners[0] |= 1 << a
+				default:
+					free[n] = a
+					n++
 				}
 			}
-		}
-		return fam.sized>>bit&1 == 1
-	}
-	cid := o.ChildID()
-	var face, edge [3]bool
-	for a := 0; a < 3; a++ {
-		// The face of o normal to axis a and the edge along it, on cid's
-		// side: the same face and edge of P.
-		t := otherAxes[a]
-		fc, e := 2*a+cid>>a&1, 4*a+cid>>t[0]&1+cid>>t[1]&1<<1
-		face[a] = across(fc, o.FaceNeighbor(fc), f.Conn.FaceNeighbors, fc)
-		edge[a] = across(octant.NumFaces+e, o.EdgeNeighbor(e), f.Conn.EdgeNeighbors, e)
-	}
-	for a := 0; a < 3; a++ {
-		if t := otherAxes[a]; edge[a] || face[t[0]] || face[t[1]] {
-			onEdge |= 1 << (cid ^ 1<<a)
-		}
-		if face[a] {
-			onFace |= 1 << (cid ^ 7 ^ 1<<a)
+			for m := 1; m < 1<<n; m++ {
+				corners[m] = corners[0]
+				for k, a := range free[:n] {
+					corners[m] |= m >> k & 1 << a
+				}
+			}
+			return j, corners, 1 << n
 		}
 	}
-	return onEdge, onFace
-}
-
-// family memoises hangingCorners' answers for the children of one parent.
-type family struct {
-	parent       octant.Octant
-	asked, sized uint32 // bit f: face f of the parent, bit 6+e: its edge e
+	panic("core: a hanging point has every cell around it covered")
 }
 
 // radixSort sorts a in place by the 128-bit key hi:lo, American-flag (MSD)
@@ -358,61 +407,51 @@ func radixSort[T any](a []T, key func(*T) (hi, lo uint64)) {
 	}
 }
 
-// appendAnchors appends the canonical keys of the anchors of the hanging
-// point p of tree t — the ends of the edge or the corners of the face of the
-// level-`level` leaf it sits on — each asking for the next free slot. The
-// axes along which p is no multiple of that leaf's length span the edge or
-// face; the anchors lie half a length to either side, low before high,
-// lowest axis fastest. On a tree boundary the axes are those of the first
-// image of p, in Conn.PointImages order, that such a leaf touches: trees
-// meet rotated, and the frame sets the order of the anchors. This is the
-// only place that enumerates the images of an element corner and searches
-// the cells around them, for the O(N^⅔) hanging points on tree boundaries.
-func (f *Forest) appendAnchors(want []keySlot, search []octant.Octant, t int32, p [3]int32, level int8) []keySlot {
-	frame := connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}
-	if !insideTree(frame, 1) {
-		frame = f.coarseImage(search, frame, level)
+// radixSortStable sorts a by the 128-bit key hi:lo through tmp, of the same
+// length, and returns the sorted slice and the other one, which is a or
+// tmp. It is an LSD radix sort, so equal keys keep their order: the bits
+// up to the highest the keys differ in, lo's below hi's, are split into
+// equal digits of at most 11 bits, one counting pass each.
+func radixSortStable[T any](a, tmp []T, key func(*T) (hi, lo uint64)) (sorted, spare []T) {
+	if len(a) == 0 {
+		return a, tmp
 	}
-	p = [3]int32{frame.X, frame.Y, frame.Z}
-	size := octant.Len(level)
-	free := 0
-	for a := 0; a < 3; a++ {
-		if p[a]&(size-1) != 0 {
-			free++
+	h0, l0 := key(&a[0])
+	var dh, dl uint64
+	for i := range a {
+		h, l := key(&a[i])
+		dh, dl = dh|(h^h0), dl|(l^l0)
+	}
+	// Bit s of the digits is bit s of lo below ll, bit s-ll of hi above.
+	ll := bits.Len64(dl)
+	width := ll + bits.Len64(dh)
+	passes := (width + 10) / 11
+	for p := 0; p < passes; p++ {
+		s, e := width*p/passes, width*(p+1)/passes
+		digit := func(t *T) int {
+			h, l := key(t)
+			if s < ll {
+				h = l&(1<<ll-1)>>s | h<<(ll-s)
+			} else {
+				h >>= s - ll
+			}
+			return int(h & (1<<(e-s) - 1))
 		}
-	}
-	for bits := 0; bits < 1<<free; bits++ {
-		q, bit := p, 0
-		for a := 0; a < 3; a++ {
-			if p[a]&(size-1) != 0 {
-				q[a] += size / 2 * int32(2*(bits>>bit&1)-1)
-				bit++
-			}
+		var start [1<<11 + 1]int
+		for i := range a {
+			start[digit(&a[i])+1]++
 		}
-		want = append(want, keySlot{f.canonical(frame.Tree, q, 1), int32(len(want))})
-	}
-	return want
-}
-
-// coarseImage returns the first image of the tree-boundary point p, in
-// Conn.PointImages order, that a leaf of the given level touches.
-func (f *Forest) coarseImage(search []octant.Octant, p connectivity.TreePoint, level int8) connectivity.TreePoint {
-	for _, im := range f.Conn.PointImages(p.Tree, [3]int32{p.X, p.Y, p.Z}) {
-		for d := 0; d < 8; d++ {
-			cell := octant.Octant{X: im.X - int32(d&1), Y: im.Y - int32(d>>1&1), Z: im.Z - int32(d>>2&1), Level: octant.MaxLevel, Tree: im.Tree}
-			if !cell.Inside() {
-				continue
-			}
-			i := octant.SearchContaining(search, cell)
-			if i < 0 {
-				panic(fmt.Sprintf("core: no leaf covers cell %v next to node %+v (ghost layer incomplete?)", cell, im))
-			}
-			if search[i].Level == level {
-				return im
-			}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
 		}
+		for i := range a {
+			d := digit(&a[i])
+			tmp[start[d]] = a[i]
+			start[d]++
+		}
+		a, tmp = tmp, a
 	}
-	panic(fmt.Sprintf("core: no level-%d leaf at hanging node %+v (mesh not 2:1 balanced?)", level, p))
+	return a, tmp
 }
 
 // compareTreePoint orders points by (tree, z, y, x), the order of Keys.
@@ -428,26 +467,19 @@ func compareTreePoint(a, b connectivity.TreePoint) int {
 	return cmp.Compare(a.X, b.X)
 }
 
-// mergeLeaves merges two curve-sorted leaf arrays into one, which the
-// caller must not write to.
-func mergeLeaves(a, b []octant.Octant) []octant.Octant {
-	if len(b) == 0 {
-		return a
+// mergeLeaves returns, in curve order, the local leaves with the ghosts,
+// which lie off the local segment. The caller must not write to it.
+func mergeLeaves(local, ghosts []octant.Octant) []octant.Octant {
+	if len(ghosts) == 0 {
+		return local
 	}
-	out := make([]octant.Octant, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if octant.Less(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	i := ghostsBefore(local, ghosts)
+	return slices.Concat(ghosts[:i], local, ghosts[i:])
+}
+
+// ghostsBefore counts the ghosts that precede the local segment.
+func ghostsBefore(local, ghosts []octant.Octant) int {
+	return sort.Search(len(ghosts), func(i int) bool { return len(local) > 0 && octant.Less(local[0], ghosts[i]) })
 }
 
 // number gives the sorted distinct keys, points of the lattice refined by
