@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig7 fig9 fig10 fig4-highp chaos telemetry-smoke serve-smoke loc
+.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig4-density fig7 fig9 fig10 fig4-highp chaos telemetry-smoke serve-smoke loc
 
 verify: vet build test-race
 
@@ -33,13 +33,13 @@ bench:
 # regressions in the tree/star/sparse and split-phase exchange paths
 # without paying for full timing. The allocation regression tests (every
 # Test*Alloc*, including the span store's and the histogram's zero-alloc
-# recording pins) run here too (without -race: AllocsPerRun pins only hold
-# in normal builds).
+# recording pins) and the forest's retained-bytes pin (Test*Retained*) run
+# here too (without -race: both kinds of pin hold only in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel|BenchmarkHostVsDeviceStep' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
-	$(GO) test -run 'Alloc' -timeout 5m ./internal/mpi/ ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
+	$(GO) test -run 'Alloc|Retained' -timeout 5m ./internal/mpi/ ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/w4$$' -benchtime=1x -timeout 5m ./internal/advect/
 
@@ -94,10 +94,19 @@ fig4:
 	{ echo "commit $$(git describe --always --dirty)"; \
 	  $(GO) run ./cmd/scaling -steps 3; } > results/fig4_scaling.txt
 
+# The paper's density on one rank: the level-3 fractal forest (1.93 M
+# octants) with its bytes per octant after each phase, peak RSS and live
+# heap (about 40 s and 1 GB on 2 vCPUs).
+fig4-density:
+	{ echo "commit $$(git describe --always --dirty)"; \
+	  $(GO) run ./cmd/scaling -ranks 1 -base-level 3; } > results/fig4_density.txt
+
 # Regenerate the Figure 7 mantle-convection runtime split (solve / V-cycle
-# / AMR) into results/ (about 4 minutes on 2 vCPUs).
+# / AMR) into results/, headed by the commit it was measured at (about 4
+# minutes on 2 vCPUs).
 fig7:
-	$(GO) run ./cmd/mantle -ranks 1,2,4 > results/fig7_mantle.txt
+	{ echo "commit $$(git describe --always --dirty)"; \
+	  $(GO) run ./cmd/mantle -ranks 1,2,4; } > results/fig7_mantle.txt
 
 # Regenerate the Figure 9 strong-scaling table (host backend, PREM earth)
 # and the Figure 10 weak-scaling table (float32 device backend) into

@@ -4,21 +4,29 @@
 // emulated by goroutines; each level increment multiplies both the octant
 // count and the rank count by eight, holding octants per rank constant.
 //
-// Every run is traced through internal/trace, so alongside the paper's
-// timing table the report shows each phase's cross-rank imbalance
-// (max/avg) and the share of the phase spent blocked in receives. With
-// -trace the last run's full span timeline is written as Chrome
-// trace-event JSON (one track per rank; open in Perfetto).
+// Each row is the median of three runs by Balance+Nodes seconds per
+// million octants, printed with the range of the three, after one
+// discarded warm-up run. Every run is traced through internal/trace, so
+// alongside the paper's timing table the report shows each phase's
+// cross-rank imbalance (max/avg) and the share of the phase spent blocked
+// in receives. A memory block gives, per octant after each phase of the
+// warm-up run, the process's peak resident set so far and the live heap
+// after a forced collection (outside the phase walls). With -trace the
+// last run's full span timeline is written as Chrome trace-event JSON
+// (one track per rank; open in Perfetto).
 //
 //	go run ./cmd/scaling -base-level 1 -steps 3
 //	go run ./cmd/scaling -steps 2 -trace /tmp/t.json -profile /tmp/cpu.pprof
 //	go run ./cmd/scaling -ranks 256,512,1024 -base-level 1
+//	go run ./cmd/scaling -ranks 1 -base-level 3   # density: 1.93 M octants on one rank
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/experiments"
@@ -38,6 +46,11 @@ func fmtBytes(n int64) string {
 	}
 }
 
+// reps is how many timed runs a row takes the median of, after one
+// discarded warm-up: single cold runs of one tree read one-rank Nodes at
+// 1.6 to 2.1 s/Moct and the efficiency block at 87 to 126 %.
+const reps = 3
+
 func main() {
 	baseLevel := flag.Int("base-level", 1, "refinement level of the smallest run")
 	baseRanks := flag.Int("base-ranks", 1, "rank count of the smallest run")
@@ -52,11 +65,12 @@ func main() {
 
 	fmt.Println("Figure 4: weak scaling of forest-of-octrees AMR algorithms")
 	fmt.Println("(six-octree forest, fractal refinement of children 0,3,5,6)")
+	fmt.Printf("(each row: the median of %d runs by Balance+Nodes s/Moct, after one discarded warm-up run)\n", reps)
 	fmt.Println()
-	fmt.Printf("%8s %7s %12s %10s | %8s %8s %8s %8s %8s %8s | %12s %12s\n",
+	fmt.Printf("%8s %7s %12s %10s | %8s %8s %8s %8s %8s %8s | %12s %12s %15s\n",
 		"ranks", "level", "octants", "oct/rank",
 		"new", "refine", "part", "balance", "ghost", "nodes",
-		"bal s/Moct", "nodes s/Moct")
+		"bal s/Moct", "nodes s/Moct", "b+n range")
 
 	// The default sweep multiplies ranks by 8 per level increment (weak
 	// scaling); -ranks replaces it with an explicit rank list at the fixed
@@ -84,18 +98,26 @@ func main() {
 		}
 	}
 
-	var rows []experiments.Fig4Row
+	var rows, warm []experiments.Fig4Row
 	for _, spec := range specs {
-		ranks, level := spec.ranks, spec.level
-		// Every run is traced: the imbalance and recv-wait columns need it.
-		world, tr := tel.BeginRun(ranks, trace.New(ranks))
-		row := experiments.RunFig4(ranks, level,
-			experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
-		rows = append(rows, row)
-		fmt.Printf("%8d %7d %12d %10.0f | %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f | %12.3f %12.3f\n",
+		runs := make([]experiments.Fig4Row, 1+reps)
+		for i := range runs {
+			// Every run is traced: the imbalance and recv-wait columns need it.
+			world, tr := tel.BeginRun(spec.ranks, trace.New(spec.ranks))
+			runs[i] = experiments.RunFig4(spec.ranks, spec.level,
+				experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
+		}
+		timed := runs[1:]
+		slices.SortFunc(timed, func(a, b experiments.Fig4Row) int {
+			return cmp.Compare(a.BalNorm+a.NodesNorm, b.BalNorm+b.NodesNorm)
+		})
+		row := timed[reps/2]
+		rows, warm = append(rows, row), append(warm, runs[0])
+		fmt.Printf("%8d %7d %12d %10.0f | %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f | %12.3f %12.3f %7.3f-%.3f\n",
 			row.Ranks, row.Level, row.Octants, row.PerRank*1e6,
 			row.NewSec, row.RefineSec, row.PartSec, row.BalSec, row.GhostSec, row.NodesSec,
-			row.BalNorm, row.NodesNorm)
+			row.BalNorm, row.NodesNorm,
+			timed[0].BalNorm+timed[0].NodesNorm, timed[reps-1].BalNorm+timed[reps-1].NodesNorm)
 	}
 
 	fmt.Println()
@@ -126,6 +148,16 @@ func main() {
 			fmt.Printf("  %s %.2f/%2.0f%%", name, r.PhaseImb[name], 100*r.PhaseWait[name])
 		}
 		fmt.Printf("  (balance rounds: %d)\n", r.BalanceRounds)
+	}
+
+	fmt.Println()
+	fmt.Println("Bytes per octant after each phase of the warm-up run (peak RSS so far / live heap after a GC):")
+	for _, r := range warm {
+		fmt.Printf("  ranks %6d:", r.Ranks)
+		for i, name := range experiments.Fig4Phases {
+			fmt.Printf("  %s %4.0f/%3.0f", name, float64(r.PeakRSS[i])/float64(r.Octants), float64(r.Live[i])/float64(r.Octants))
+		}
+		fmt.Println()
 	}
 
 	fmt.Println()

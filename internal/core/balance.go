@@ -62,13 +62,13 @@ func (f *Forest) Balance(kind BalanceKind) {
 	tr := f.span("balance")
 	defer tr.End()
 
+	var cand candidates
 	tr.Begin("balance.local")
-	f.localBalance(kind, f.balanceSeeds(kind))
+	f.localBalance(kind, f.balanceSeeds(kind), &cand)
 	tr.End()
 
 	sent := make(map[octant.Octant]int8)
 	var frontier []octant.Octant
-	var targets []target
 	exchanges := 0
 	for {
 		out := f.remoteDemands(kind, frontier, exchanges == 0, sent)
@@ -77,15 +77,13 @@ func (f *Forest) Balance(kind BalanceKind) {
 		}
 		tr.Begin("balance.round")
 		exchanges++
-		cand := f.cand[:0]
 		for _, ds := range mpi.SparseExchange(f.Comm, out, TagBalance) {
 			for _, d := range ds {
-				cand = append(cand, d.O.AncestorAt(d.MinLevel).CurveKey())
+				cand.add(f, d.O.AncestorAt(d.MinLevel).CurveKey())
 			}
 		}
-		targets = f.unmet(targets[:0], cand)
-		created := f.refineToNodes(targets)
-		frontier = append(created, f.localBalance(kind, created)...)
+		created := f.refineToNodes(cand.take(f))
+		frontier = append(created, f.localBalance(kind, created, &cand)...)
 		tr.End()
 	}
 	f.BalanceRounds = exchanges
@@ -93,6 +91,9 @@ func (f *Forest) Balance(kind BalanceKind) {
 	f.addCounter("balance_rounds", int64(exchanges))
 	f.balanced, f.balancedKind = true, kind
 	f.adapted, f.changed = false, f.changed[:0]
+	if cap(f.Local)-len(f.Local) > len(f.Local)/8 {
+		f.Local = slices.Clone(f.Local) // drop refineToNodes' slack
+	}
 	f.syncCounts()
 }
 
@@ -139,12 +140,10 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 // segment (the exchange rounds' business); one refineToNodes makes the rest
 // nodes, and the leaves it creates seed the next iteration. Returns every
 // leaf it created. The balance_seeds counter counts seed leaves.
-func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.Octant {
+func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant, cand *candidates) []octant.Octant {
 	var created, nbrs []octant.Octant
-	var targets []target
 	for len(seeds) > 0 {
 		f.addCounter("balance_seeds", int64(len(seeds)))
-		cand := f.cand[:0]
 		var last octant.Octant // the root of tree 0: no seed's parent
 		for _, o := range seeds {
 			if o.Level < 2 || o.Parent() == last {
@@ -155,12 +154,11 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant) []octant.
 			nbrs = f.Conn.AppendNeighbors(nbrs[:0], last, connectivity.Scope(kind))
 			for _, a := range nbrs {
 				if !g.IsAncestorOf(a) && f.overlapsLocal(a) {
-					cand = append(cand, a.CurveKey())
+					cand.add(f, a.CurveKey())
 				}
 			}
 		}
-		targets = f.unmet(targets[:0], cand)
-		seeds = f.refineToNodes(targets)
+		seeds = f.refineToNodes(cand.take(f))
 		created = append(created, seeds...)
 	}
 	return created
@@ -172,15 +170,63 @@ type target struct {
 	O    octant.Octant
 }
 
+// candChunk bounds Balance's candidate buffer: 16 Ki curve keys, 256 KiB.
+const candChunk = 1 << 14
+
+// candidates gathers Balance's candidate regions as curve keys and hands
+// them to unmet a full buffer of candChunk keys at a time, so that what
+// the candidates hold is bounded whatever their number; nothing of it
+// outlives the Balance call.
+type candidates struct {
+	keys    []octant.CurveKey
+	targets []target
+	chunks  int // buffers handed to unmet since the last take
+}
+
+func (c *candidates) add(f *Forest, k octant.CurveKey) {
+	switch len(c.keys) {
+	case candChunk:
+		c.flush(f)
+	case cap(c.keys): // doubling: a full buffer costs two at most
+		c.keys = append(make([]octant.CurveKey, 0, max(2*cap(c.keys), 64)), c.keys...)
+	}
+	c.keys = append(c.keys, k)
+}
+
+func (c *candidates) flush(f *Forest) {
+	c.targets = f.unmet(c.targets, c.keys)
+	c.keys, c.chunks = c.keys[:0], c.chunks+1
+}
+
+// take returns the targets of the candidates added since the last take,
+// curve-sorted and distinct; they stay valid until the next add.
+func (c *candidates) take(f *Forest) []target {
+	c.flush(f)
+	t := c.targets
+	if c.chunks > 1 { // each buffer's targets are sorted, not their union
+		// In curve order, targets are in leaf order: sort by leaf, then
+		// each leaf's few targets by curve.
+		radixSort(t, func(t *target) (uint64, uint64) { return 0, uint64(t.leaf) })
+		for i, j := 0, 0; i < len(t); i = j {
+			for j = i + 1; j < len(t) && t[j].leaf == t[i].leaf; j++ {
+			}
+			if j-i > 1 {
+				slices.SortFunc(t[i:j], func(a, b target) int { return octant.Compare(a.O, b.O) })
+			}
+		}
+		t = slices.CompactFunc(t, func(a, b target) bool { return a.O == b.O })
+	}
+	c.targets, c.chunks = t[:0], 0
+	return t
+}
+
 // unmet appends, in curve order, each distinct candidate region that a
-// local leaf strictly contains — that is not yet a node — with that leaf,
-// and keeps cand as f.cand. The candidates are radix-sorted and matched
-// against Local in one merge walk: the containing leaf is the last one at
-// or before the region on the curve, found by galloping from the previous
-// match, so m regions cost O(m log(n/m)) comparisons against n leaves, not
-// m binary searches.
+// local leaf strictly contains — that is not yet a node — with that leaf.
+// The candidates are radix-sorted and matched against Local in one merge
+// walk: the containing leaf is the last one at or before the region on the
+// curve, found by galloping from the previous match, so m regions cost
+// O(m log(n/m)) comparisons against n leaves, not m binary searches.
 func (f *Forest) unmet(dst []target, cand []octant.CurveKey) []target {
-	f.cand = cand
 	radixSort(cand, func(k *octant.CurveKey) (uint64, uint64) { return k.Hi, k.Lo })
 	next := 0 // Local[:next] lie at or before the previous region
 	for c, k := range cand {

@@ -99,7 +99,6 @@ type Forest struct {
 	balancedKind BalanceKind
 	adapted      bool
 	changed      []octant.Octant
-	cand         []octant.CurveKey // Balance's candidate buffer, kept for the next Balance
 
 	imgs []connectivity.TreePoint // the images of one point, reused by Nodes and LNodes
 }

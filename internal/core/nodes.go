@@ -195,7 +195,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 			recs = append(recs, cornerRec{at: at, tree: k.Tree, ref: int32(j*8 + c)})
 		}
 	}
-	recs, spare := radixSortStable(recs, make([]cornerRec, len(recs)), (*cornerRec).sortKey)
+	radixSortBucketed(recs, (*cornerRec).sortKey)
 	point := func(r cornerRec) connectivity.TreePoint {
 		return connectivity.TreePoint{Tree: r.tree, X: int32(r.at&(1<<b-1)) << shift, Y: int32(r.at>>b&(1<<b-1)) << shift, Z: int32(r.at>>(2*b)) << shift}
 	}
@@ -207,12 +207,17 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 		}
 	}
 
-	// One entry per point, in the spare half of the sort: its key, and in
-	// ref its state — a node (0) or hanging if a local leaf has a corner
-	// there, else none unless it anchors a hanging point. groupOf maps
-	// every leaf corner to its point.
+	// One entry per point: its key, and in ref its state — a node (0) or
+	// hanging if a local leaf has a corner there, else none unless it
+	// anchors a hanging point. groupOf maps every leaf corner to its point.
 	const hangs, none = -2, -1
-	groups, groupOf := spare[:0], make([]int32, len(recs))
+	points := 0
+	for i := range recs {
+		if i == 0 || recs[i].at != recs[i-1].at || recs[i].tree != recs[i-1].tree {
+			points++
+		}
+	}
+	groups, groupOf := make([]cornerRec, 0, points), make([]int32, len(recs))
 	slots, numKeys := 0, 0
 	for i := 0; i < len(recs); {
 		g, end, local := recs[i], i, false
@@ -238,7 +243,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 				numKeys++
 			} else { // 2 or 4 anchors, by the axes the point is free on
 				g.ref = hangs
-				size := octant.Len(search[recs[i].ref>>3].Level - 1)
+				size := octant.Len(search[firstRef(recs[i:end])>>3].Level - 1)
 				for _, v := range [3]int32{k.X, k.Y, k.Z} {
 					if v&(size-1) != 0 {
 						anchors *= 2
@@ -267,7 +272,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 			refs = append(refs, int32(g))
 		default:
 			images(point(groups[g]))
-			j, corners, n := hangsOn(recs[i:end], search[recs[i].ref>>3], f.imgs, search)
+			j, corners, n := hangsOn(recs[i:end], f.imgs, search)
 			for _, c := range corners[:n] {
 				ga := groupOf[j*8+c]
 				if groups[ga].ref == hangs {
@@ -300,9 +305,22 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	return nd
 }
 
-// hangsOn returns the leaf, as an index into search, that a hanging corner
-// of leaf o hangs on, and the n corners of it that anchor the corner. The
-// leaf holds the first cell around the images imgs of the point, in image
+// firstRef returns the smallest ref in a group of records, the leaf corner
+// of the group that comes first in curve order, so that which leaf the
+// group's diagnostics name does not depend on how the sort ordered it.
+func firstRef(group []cornerRec) int32 {
+	r := group[0].ref
+	for _, g := range group[1:] {
+		r = min(r, g.ref)
+	}
+	return r
+}
+
+// hangsOn returns the leaf, as an index into search, that the hanging
+// point of a group of corner records hangs on, and the n corners of it
+// that anchor the point. Let o be the group's leaf that comes first in
+// curve order; under 2:1 balance every leaf of the group has its level.
+// The leaf holds the first cell around the images imgs of the point, in image
 // order, at whose image no record of the point's group lies: a cell whose
 // leaf does not have the point as a corner. That leaf must be one level
 // coarser than o; no leaf means the ghost layer lacks one, another level a
@@ -310,7 +328,8 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 // the corners of the face the point sits on, low before high along the
 // free axes of the cell's image, lowest axis fastest: trees meet rotated,
 // and the frame sets their order.
-func hangsOn(group []cornerRec, o octant.Octant, imgs []connectivity.TreePoint, search []octant.Octant) (j int, corners [4]int, n int) {
+func hangsOn(group []cornerRec, imgs []connectivity.TreePoint, search []octant.Octant) (j int, corners [4]int, n int) {
+	o := search[firstRef(group)>>3]
 	for _, im := range imgs {
 		for d := 0; d < 8; d++ {
 			cell := octant.Octant{X: im.X - int32(d&1), Y: im.Y - int32(d>>1&1), Z: im.Z - int32(d>>2&1), Level: octant.MaxLevel, Tree: im.Tree}
@@ -407,14 +426,13 @@ func radixSort[T any](a []T, key func(*T) (hi, lo uint64)) {
 	}
 }
 
-// radixSortStable sorts a by the 128-bit key hi:lo through tmp, of the same
-// length, and returns the sorted slice and the other one, which is a or
-// tmp. It is an LSD radix sort, so equal keys keep their order: the bits
-// up to the highest the keys differ in, lo's below hi's, are split into
-// equal digits of at most 11 bits, one counting pass each.
-func radixSortStable[T any](a, tmp []T, key func(*T) (hi, lo uint64)) (sorted, spare []T) {
+// keyWidth returns how many bits of the 128-bit keys hi:lo of a lie at or
+// below the highest bit in which two of them differ, ll of them from lo:
+// the keys' order is that of those bits read as one number whose bit s is
+// bit s of lo below ll and bit s-ll of hi above (see keyBits).
+func keyWidth[T any](a []T, key func(*T) (hi, lo uint64)) (width, ll int) {
 	if len(a) == 0 {
-		return a, tmp
+		return 0, 0
 	}
 	h0, l0 := key(&a[0])
 	var dh, dl uint64
@@ -422,36 +440,95 @@ func radixSortStable[T any](a, tmp []T, key func(*T) (hi, lo uint64)) (sorted, s
 		h, l := key(&a[i])
 		dh, dl = dh|(h^h0), dl|(l^l0)
 	}
-	// Bit s of the digits is bit s of lo below ll, bit s-ll of hi above.
-	ll := bits.Len64(dl)
-	width := ll + bits.Len64(dh)
+	ll = bits.Len64(dl)
+	return ll + bits.Len64(dh), ll
+}
+
+// keyBits returns bits [s, e) of the key hi:lo in keyWidth's numbering.
+func keyBits(h, l uint64, ll, s, e int) int {
+	if s < ll {
+		h = l&(1<<ll-1)>>s | h<<(ll-s)
+	} else {
+		h >>= s - ll
+	}
+	return int(h & (1<<(e-s) - 1))
+}
+
+// radixSortStable sorts a by the 128-bit key hi:lo through tmp, of the same
+// length, and returns the sorted slice and the other one, which is a or
+// tmp. It is an LSD radix sort, so equal keys keep their order: the bits
+// up to the highest the keys differ in are split into equal digits of at
+// most 11 bits, one counting pass each.
+func radixSortStable[T any](a, tmp []T, key func(*T) (hi, lo uint64)) (sorted, spare []T) {
+	width, ll := keyWidth(a, key)
 	passes := (width + 10) / 11
+	var counts [1<<11 + 1]int
 	for p := 0; p < passes; p++ {
 		s, e := width*p/passes, width*(p+1)/passes
-		digit := func(t *T) int {
-			h, l := key(t)
-			if s < ll {
-				h = l&(1<<ll-1)>>s | h<<(ll-s)
-			} else {
-				h >>= s - ll
-			}
-			return int(h & (1<<(e-s) - 1))
-		}
-		var start [1<<11 + 1]int
+		start := counts[:1<<(e-s)+1]
+		clear(start)
 		for i := range a {
-			start[digit(&a[i])+1]++
+			h, l := key(&a[i])
+			start[keyBits(h, l, ll, s, e)+1]++
 		}
 		for d := 1; d < len(start); d++ {
 			start[d] += start[d-1]
 		}
 		for i := range a {
-			d := digit(&a[i])
+			h, l := key(&a[i])
+			d := keyBits(h, l, ll, s, e)
 			tmp[start[d]] = a[i]
 			start[d]++
 		}
 		a, tmp = tmp, a
 	}
 	return a, tmp
+}
+
+// radixSortBucketed sorts a by the 128-bit key hi:lo in little more memory
+// than a: one in-place American-flag pass on the top (at most) 6 of the
+// bits up to the highest the keys differ in splits a into buckets, and
+// radixSortStable finishes each bucket through one scratch array as long
+// as the largest, on the bits that bucket's own keys differ in. Equal
+// keys come out in no particular order.
+func radixSortBucketed[T any](a []T, key func(*T) (hi, lo uint64)) {
+	width, ll := keyWidth(a, key)
+	if width == 0 {
+		return
+	}
+	s := max(width-6, 0)
+	digit := func(t *T) int {
+		h, l := key(t)
+		return keyBits(h, l, ll, s, width)
+	}
+	// Bucket d is a[start[d]:start[d+1]]; next[d] is its first unplaced slot.
+	var start, next [1<<6 + 1]int
+	for i := range a {
+		start[digit(&a[i])+1]++
+	}
+	largest := 0
+	for d := 0; d < 1<<(width-s); d++ {
+		largest = max(largest, start[d+1])
+		start[d+1] += start[d]
+		next[d] = start[d]
+	}
+	for d := 0; d < 1<<(width-s); d++ {
+		for next[d] < start[d+1] {
+			if to := digit(&a[next[d]]); to == d {
+				next[d]++
+			} else {
+				a[next[d]], a[next[to]] = a[next[to]], a[next[d]]
+				next[to]++
+			}
+		}
+	}
+	tmp := make([]T, largest)
+	for d := 0; d < 1<<(width-s); d++ {
+		b := a[start[d]:start[d+1]]
+		if sorted, _ := radixSortStable(b, tmp[:len(b)], key); len(b) > 0 && &sorted[0] != &b[0] {
+			copy(b, sorted)
+		}
+	}
 }
 
 // compareTreePoint orders points by (tree, z, y, x), the order of Keys.

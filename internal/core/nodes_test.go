@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
@@ -427,9 +428,9 @@ func TestRadixSortMatchesSortFunc(t *testing.T) {
 // 560 B; the radix-grouped one, which sorts in place and asks each
 // family's questions once, 1.16 and 556 B, most of the objects image lists
 // of points on tree boundaries; the corner-counting one, whose stable sort
-// needs a second record array, 0.0003 (13 objects) and 517 B. The byte
-// bound is the comparison-sorted figure, so speed is not bought with
-// memory.
+// needed a second record array, 0.0003 (13 objects) and 517 B; with the
+// bucketed sort, whose scratch is one bucket long, 422 B. The byte bound
+// is that reading plus 4 %.
 func TestNodesAllocsPerElement(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins hold only without -race")
@@ -450,8 +451,8 @@ func TestNodesAllocsPerElement(t *testing.T) {
 		n := float64(len(nd.ElementNodes))
 		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
 		t.Logf("%.4f allocations and %.0f B per element, %d nodes", allocs, bytes, nd.NumGlobal)
-		if allocs > 0.001 || bytes > 560 {
-			t.Errorf("Nodes allocates %.4f objects and %.0f B per element, want at most 0.001 and 560", allocs, bytes)
+		if allocs > 0.001 || bytes > 440 {
+			t.Errorf("Nodes allocates %.4f objects and %.0f B per element, want at most 0.001 and 440", allocs, bytes)
 		}
 	})
 }
@@ -514,6 +515,64 @@ func TestRebalanceAllocsPerElement(t *testing.T) {
 			t.Errorf("re-balance allocates %.3f objects and %.0f B per element, want at most 0.01 and 120", allocs, bytes)
 		}
 	})
+}
+
+// TestRetainedBytesPerOctant pins what the forest keeps, where the
+// allocation pins above pin what a phase allocates: the live heap after a
+// forced collection, in bytes per octant of the balanced fig4-fractal
+// forest (SixRotCubes, level 2 + 3, 45,912 octants), after each phase of
+// the pipeline at P = 1 and 2, with the ghost layer and the Nodes result
+// held. The leaves alone are 20 B per octant; Balance used to leave 101 B,
+// its candidate buffer and three times the leaves' capacity, and Nodes 330
+// B. Each bound is the reading (at P = 2, the larger) plus a few bytes.
+func TestRetainedBytesPerOctant(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap figures hold only without -race")
+	}
+	live := func() float64 {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return float64(s[0].Value.Uint64())
+	}
+	names := [6]string{"new", "refine", "partition", "balance", "ghost", "nodes"}
+	bound := [6]float64{4, 20, 20, 25, 30, 265}
+	for _, p := range []int{1, 2} {
+		var got [6]float64
+		base := live()
+		mpi.Run(p, func(c *mpi.Comm) {
+			var f *Forest
+			var g *GhostLayer
+			var nd *Nodes
+			phases := [6]func(){
+				func() { f = New(c, connectivity.SixRotCubes(), 2) },
+				func() { f.Refine(true, 5, fractalRefine(5)) },
+				func() { f.Partition() },
+				func() { f.Balance(BalanceFull) },
+				func() { g = f.Ghost() },
+				func() { nd = f.Nodes(g) },
+			}
+			for i, phase := range phases {
+				phase()
+				c.Barrier()
+				if c.Rank() == 0 {
+					got[i] = live() - base
+				}
+				c.Barrier()
+			}
+			if n := f.NumGlobal(); n != 45912 {
+				t.Errorf("forest has %d octants, the pin is for 45,912", n)
+			}
+			runtime.KeepAlive(nd)
+		})
+		for i, name := range names {
+			b := got[i] / 45912
+			t.Logf("P = %d: %4.0f B per octant after %s", p, b, name)
+			if b > bound[i] {
+				t.Errorf("P = %d: the forest keeps %.0f B per octant after %s, want at most %.0f", p, b, name, bound[i])
+			}
+		}
+	}
 }
 
 // panicText runs body and returns what it panicked with, "" if it did not.
@@ -705,19 +764,80 @@ func checkRadixSorts[T comparable](t *testing.T, name string, a []T, key func(*T
 	if !slices.Equal(stable, want) {
 		t.Errorf("%s: radixSortStable differs from slices.SortStableFunc", name)
 	}
-	msd := slices.Clone(a)
-	radixSort(msd, key)
-	count := map[T]int{}
-	for i := range msd {
-		if byKey(msd[i], want[i]) != 0 {
-			t.Fatalf("%s: radixSort puts %v at %d, slices.SortStableFunc %v", name, msd[i], i, want[i])
+	for sort, run := range map[string]func([]T){
+		"radixSort":         func(a []T) { radixSort(a, key) },
+		"radixSortBucketed": func(a []T) { radixSortBucketed(a, key) },
+	} {
+		got := slices.Clone(a)
+		run(got)
+		count := map[T]int{}
+		for i := range got {
+			if byKey(got[i], want[i]) != 0 {
+				t.Fatalf("%s: %s puts %v at %d, slices.SortStableFunc %v", name, sort, got[i], i, want[i])
+			}
+			count[got[i]]++
+			count[want[i]]--
 		}
-		count[msd[i]]++
-		count[want[i]]--
+		for x, n := range count {
+			if n != 0 {
+				t.Fatalf("%s: %s has %v %d times too often", name, sort, x, n)
+			}
+		}
 	}
-	for x, n := range count {
-		if n != 0 {
-			t.Fatalf("%s: radixSort has %v %d times too often", name, x, n)
+}
+
+// TestRadixSortBucketedGroups: the bucketed sort gives the keys
+// slices.SortStableFunc's order, and each group of equal keys the same
+// elements, on the edge cases of its two stages — no element, one, all
+// keys equal, keys narrower than the top digit (the in-place pass alone),
+// keys that differ in both words (the top digit spans them), and one
+// bucket holding nearly every key (the scratch as long as the input).
+func TestRadixSortBucketedGroups(t *testing.T) {
+	type rec struct {
+		hi, lo uint64
+		id     int
+	}
+	key := func(r *rec) (uint64, uint64) { return r.hi, r.lo }
+	byKey := func(x, y rec) int { return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo)) }
+	rng := rand.New(rand.NewPCG(7, 8))
+	kinds := []struct {
+		name string
+		gen  func() (hi, lo uint64)
+	}{
+		{"equal", func() (uint64, uint64) { return 5, 1 << 63 }},
+		{"narrow", func() (uint64, uint64) { return 9, 1<<40 | rng.Uint64N(8) }},
+		{"both words", func() (uint64, uint64) { return rng.Uint64N(4), rng.Uint64() >> rng.IntN(64) }},
+		{"hi only", func() (uint64, uint64) { return rng.Uint64() >> rng.IntN(64), 3 }},
+		{"one bucket", func() (uint64, uint64) {
+			if rng.IntN(100) == 0 {
+				return 1, rng.Uint64()
+			}
+			return 0, rng.Uint64N(1 << 20)
+		}},
+	}
+	for _, kind := range kinds {
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 5000} {
+			a := make([]rec, n)
+			for i := range a {
+				a[i].hi, a[i].lo = kind.gen()
+				a[i].id = i
+			}
+			want := slices.Clone(a)
+			slices.SortStableFunc(want, byKey)
+			got := slices.Clone(a)
+			radixSortBucketed(got, key)
+			for i := 0; i < n; {
+				j := i + 1
+				for j < n && byKey(want[j], want[i]) == 0 {
+					j++
+				}
+				group := slices.Clone(got[i:j])
+				slices.SortFunc(group, func(x, y rec) int { return cmp.Compare(x.id, y.id) })
+				if !slices.Equal(group, want[i:j]) {
+					t.Fatalf("%s n=%d: positions %d..%d hold %v, the group of key %x:%x is %v", kind.name, n, i, j, got[i:j], want[i].hi, want[i].lo, want[i:j])
+				}
+				i = j
+			}
 		}
 	}
 }

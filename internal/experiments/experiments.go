@@ -19,6 +19,11 @@
 package experiments
 
 import (
+	"os"
+	"runtime"
+	rtmetrics "runtime/metrics"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/advect"
@@ -123,6 +128,13 @@ type Fig4Row struct {
 	// imbalance and the fraction of the phase spent blocked in receives.
 	PhaseImb  map[string]float64
 	PhaseWait map[string]float64
+
+	// PeakRSS and Live are read after each phase, in Fig4Phases order: the
+	// process's peak resident set so far (VmHWM; 0 where the kernel does
+	// not report it) and its live heap after a forced collection, in
+	// bytes. The collection runs outside the phase walls.
+	PeakRSS [6]int64
+	Live    [6]int64
 }
 
 // Fig4Phases names the six pipeline phases in execution order, matching
@@ -144,6 +156,27 @@ func timedPhase(c *mpi.Comm, fn func()) float64 {
 	return mpi.AllreduceMax(c, local)
 }
 
+// liveHeap collects garbage and returns the bytes of live heap left.
+func liveHeap() int64 {
+	runtime.GC()
+	s := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// peakRSS returns the process's peak resident set size (VmHWM in
+// /proc/self/status) in bytes, 0 where the kernel does not report it.
+func peakRSS() int64 {
+	b, _ := os.ReadFile("/proc/self/status") // absent off Linux: reported as 0
+	for _, line := range strings.Split(string(b), "\n") {
+		if kb, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			n, _ := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(kb, "kB")), 10, 64) // malformed: 0, not reported
+			return n << 10
+		}
+	}
+	return 0
+}
+
 // RunFig4 executes the six-octree fractal workload on the given rank count
 // with the given base refinement level (the paper multiplies the rank
 // count by eight for each level increment to keep octants per rank
@@ -156,14 +189,27 @@ func RunFig4(ranks int, level int8, obs Obs) Fig4Row {
 	conn := connectivity.SixRotCubes()
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		var f *core.Forest
-		r := Fig4Row{Ranks: ranks, Level: level}
-		r.NewSec = timedPhase(c, func() { f = core.New(c, conn, level) })
-		r.RefineSec = timedPhase(c, func() { f.Refine(true, level+4, FractalRefiner(level+4)) })
-		r.PartSec = timedPhase(c, func() { f.Partition() })
-		r.BalSec = timedPhase(c, func() { f.Balance(core.BalanceFull) })
 		var g *core.GhostLayer
-		r.GhostSec = timedPhase(c, func() { g = f.Ghost() })
-		r.NodesSec = timedPhase(c, func() { f.Nodes(g) })
+		var nd *core.Nodes
+		r := Fig4Row{Ranks: ranks, Level: level}
+		phases := [6]struct {
+			sec *float64
+			run func()
+		}{
+			{&r.NewSec, func() { f = core.New(c, conn, level) }},
+			{&r.RefineSec, func() { f.Refine(true, level+4, FractalRefiner(level+4)) }},
+			{&r.PartSec, func() { f.Partition() }},
+			{&r.BalSec, func() { f.Balance(core.BalanceFull) }},
+			{&r.GhostSec, func() { g = f.Ghost() }},
+			{&r.NodesSec, func() { nd = f.Nodes(g) }},
+		}
+		for i, ph := range phases {
+			*ph.sec = timedPhase(c, ph.run)
+			if c.Rank() == 0 { // the other ranks wait in the next phase's barrier
+				r.Live[i], r.PeakRSS[i] = liveHeap(), peakRSS()
+			}
+		}
+		runtime.KeepAlive(nd)
 		r.Octants = f.NumGlobal()
 		r.PerRank = float64(r.Octants) / float64(ranks) / 1e6
 		r.BalanceRounds = f.BalanceRounds
