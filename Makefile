@@ -27,17 +27,18 @@ test-race:
 bench:
 	$(GO) run ./bench -all
 
-# One iteration of every collective benchmark case plus the solver step
-# benchmarks (the seismic one at float64 and, on the device, float32) and
-# the advection kernel's two hooks: catches deadlocks or
-# regressions in the tree/star/sparse and split-phase exchange paths
-# without paying for full timing. The allocation regression tests (every
+# One iteration of every collective benchmark case, of every benchmark of
+# core, mangll, stokes and octant, plus the solver step benchmarks (the
+# seismic one at float64 and, on the device, float32) and the advection
+# kernel's two hooks: catches deadlocks or regressions in the
+# tree/star/sparse and split-phase exchange paths without paying for full
+# timing. The allocation regression tests (every
 # Test*Alloc*, including the span store's and the histogram's zero-alloc
 # recording pins) and the forest's retained-bytes pin (Test*Retained*) run
 # here too (without -race: both kinds of pin hold only in normal builds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
-	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64|^BenchmarkGhostAndNodes$$/nodes|^BenchmarkBalanceKinds$$|^BenchmarkNodes$$' -benchtime=1x -timeout 5m ./internal/core/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x -timeout 5m ./internal/core/ ./internal/mangll/ ./internal/stokes/ ./internal/octant/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step|BenchmarkAdvectKernel|BenchmarkHostVsDeviceStep' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
 	$(GO) test -run 'Alloc|Retained' -timeout 5m ./internal/mpi/ ./internal/core/ ./internal/mangll/ ./internal/advect/ ./internal/seismic/ ./internal/trace/ ./internal/metrics/ ./internal/stokes/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap$$' -benchtime=1x -timeout 5m ./internal/advect/

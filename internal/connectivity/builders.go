@@ -203,12 +203,6 @@ func Brick(mx, my, mz int, px, py, pz bool) *Conn {
 	return c
 }
 
-// BrickTree returns the tree id of brick cell (i, j, k) for a brick built
-// with dimensions (mx, my, mz).
-func BrickTree(mx, my int, i, j, k int) int32 {
-	return int32(i + mx*(j+my*k))
-}
-
 // SixRotCubes reproduces the forest of Figure 1 (bottom) of the paper: six
 // octrees whose coordinate systems are rotated with respect to one another,
 // with five octrees connecting through a common center axis (a macro-edge

@@ -134,21 +134,12 @@ func TestFaceNeighborReciprocity(t *testing.T) {
 				Z: rng.Int31n(octant.RootLen) & mask, Level: l, Tree: tr,
 			}
 			for f := 0; f < 6; f++ {
-				ns := c.FaceNeighbors(o, f)
-				for _, n := range ns {
+				for _, n := range c.appendFace(nil, o, f) {
 					if !n.Valid() {
 						t.Fatalf("%s: invalid face neighbour %v of %v", name, n, o)
 					}
 					// o must appear among n's face neighbours.
-					found := false
-					for fb := 0; fb < 6; fb++ {
-						for _, b := range c.FaceNeighbors(n, fb) {
-							if b == o {
-								found = true
-							}
-						}
-					}
-					if !found {
+					if !slices.Contains(c.AppendNeighbors(nil, n, Faces), o) {
 						t.Fatalf("%s: %v -f%d-> %v not reciprocal", name, o, f, n)
 					}
 				}
@@ -207,15 +198,15 @@ func TestAppendNeighborsScopes(t *testing.T) {
 				switch s {
 				case Faces:
 					for f := 0; f < octant.NumFaces; f++ {
-						want = append(want, c.FaceNeighbors(o, f)...)
+						want = c.appendFace(want, o, f)
 					}
 				case FacesEdges:
 					for e := 0; e < octant.NumEdges; e++ {
-						want = append(want, c.EdgeNeighbors(o, e)...)
+						want = c.appendEdge(want, o, e)
 					}
 				case FacesEdgesCorners:
 					for k := 0; k < octant.NumCorners; k++ {
-						want = append(want, c.CornerNeighbors(o, k)...)
+						want = c.appendCorner(want, o, k)
 					}
 				}
 				buf = c.AppendNeighbors(buf[:0], o, s)
@@ -338,13 +329,13 @@ func TestPointImagesConsistency(t *testing.T) {
 				}
 			}
 			p := [3]int32{coord(), coord(), coord()}
-			images := c.PointImages(tr, p)
+			images := c.AppendPointImages(nil, tr, p, 1)
 			if len(images) == 0 {
 				t.Fatalf("%s: no images", name)
 			}
 			canon := images[0]
 			for _, im := range images {
-				images2 := c.PointImages(im.Tree, [3]int32{im.X, im.Y, im.Z})
+				images2 := c.AppendPointImages(nil, im.Tree, [3]int32{im.X, im.Y, im.Z}, 1)
 				if len(images2) != len(images) {
 					t.Fatalf("%s: image sets differ for %v vs %v: %v vs %v", name, p, im, images, images2)
 				}
@@ -353,7 +344,7 @@ func TestPointImagesConsistency(t *testing.T) {
 						t.Fatalf("%s: image sets differ: %v vs %v", name, images, images2)
 					}
 				}
-				if c.Canonical(im.Tree, [3]int32{im.X, im.Y, im.Z}) != canon {
+				if images2[0] != canon {
 					t.Fatalf("%s: canonical not invariant", name)
 				}
 			}
@@ -364,17 +355,17 @@ func TestPointImagesConsistency(t *testing.T) {
 func TestPointImagesCountsTorus(t *testing.T) {
 	c := Brick(2, 2, 2, true, true, true)
 	// A corner lattice point of the torus is shared by all 8 trees.
-	images := c.PointImages(0, [3]int32{0, 0, 0})
+	images := c.AppendPointImages(nil, 0, [3]int32{0, 0, 0}, 1)
 	if len(images) != 8 {
 		t.Fatalf("torus corner images = %d, want 8", len(images))
 	}
 	// A face-interior point has exactly 2 images.
-	images = c.PointImages(0, [3]int32{0, octant.RootLen / 2, octant.RootLen / 4})
+	images = c.AppendPointImages(nil, 0, [3]int32{0, octant.RootLen / 2, octant.RootLen / 4}, 1)
 	if len(images) != 2 {
 		t.Fatalf("face point images = %d, want 2: %v", len(images), images)
 	}
 	// An interior point has 1 image.
-	images = c.PointImages(0, [3]int32{5, 6, 7})
+	images = c.AppendPointImages(nil, 0, [3]int32{5, 6, 7}, 1)
 	if len(images) != 1 {
 		t.Fatalf("interior point images = %d", len(images))
 	}

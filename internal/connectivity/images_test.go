@@ -8,8 +8,8 @@ import (
 	"repro/internal/raceflag"
 )
 
-// referencePointImages is PointImagesScaled as it was before the append
-// form, kept verbatim as the oracle of TestAppendPointImagesMatchesReference:
+// referencePointImages is the image enumeration as it was before the
+// append form, kept verbatim as the oracle of TestAppendPointImagesMatchesReference:
 // a fresh slice per call and per macro-edge.
 func referencePointImages(c *Conn, t int32, p [3]int32, scale int32) []TreePoint {
 	lim := scale * octant.RootLen

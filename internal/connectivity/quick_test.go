@@ -117,8 +117,8 @@ func TestQuickCanonicalIdempotent(t *testing.T) {
 			}
 		}
 		p := [3]int32{coord(), coord(), coord()}
-		can := c.Canonical(tr, p)
-		again := c.Canonical(can.Tree, [3]int32{can.X, can.Y, can.Z})
+		can := c.AppendPointImages(nil, tr, p, 1)[0]
+		again := c.AppendPointImages(nil, can.Tree, [3]int32{can.X, can.Y, can.Z}, 1)[0]
 		return can == again
 	}, &quick.Config{MaxCount: 600})
 	if err != nil {

@@ -168,29 +168,6 @@ func cornerImageOctant(level int8, m CornerMember) octant.Octant {
 	return octant.Octant{X: p[0], Y: p[1], Z: p[2], Level: level, Tree: m.Tree}
 }
 
-// FaceNeighbors returns the same-size neighbour image of leaf o across its
-// face f: one interior octant (possibly in another tree with transformed
-// coordinates), or none if the face lies on the domain boundary.
-func (c *Conn) FaceNeighbors(o octant.Octant, f int) []octant.Octant {
-	return c.appendFace(nil, o, f)
-}
-
-// EdgeNeighbors returns the same-size neighbour images of leaf o diagonally
-// across its edge e: zero or more interior octants. If the neighbour stays
-// inside the tree there is one; if it crosses a single tree face it is
-// transformed through that face; if it crosses a macro-edge, one image per
-// other member of the edge group is returned (a macro-edge may be shared by
-// any number of trees).
-func (c *Conn) EdgeNeighbors(o octant.Octant, e int) []octant.Octant {
-	return c.appendEdge(nil, o, e)
-}
-
-// CornerNeighbors returns the same-size neighbour images of leaf o
-// diagonally across its corner k.
-func (c *Conn) CornerNeighbors(o octant.Octant, k int) []octant.Octant {
-	return c.appendCorner(nil, o, k)
-}
-
 func (c *Conn) appendFace(dst []octant.Octant, o octant.Octant, f int) []octant.Octant {
 	n := o.FaceNeighbor(f)
 	if n.Inside() {
@@ -365,26 +342,18 @@ func (c *Conn) AppendNeighbors(dst []octant.Octant, o octant.Octant, s Scope) []
 	return dst
 }
 
-// PointImages returns every representation of the lattice point p of tree t
-// across the forest, including (t, p) itself, deduplicated and sorted by
-// (tree, z, y, x). Interior points have exactly one image; points on tree
-// faces, macro-edges, or macro-corners have one image per incident tree
-// representation. Nodes uses the first image as the canonical one
-// ("assigned to the lowest numbered participating octree", paper §II.E).
-func (c *Conn) PointImages(t int32, p [3]int32) []TreePoint {
-	return c.PointImagesScaled(t, p, 1)
-}
-
-// PointImagesScaled is PointImages on the lattice refined by `scale`:
-// coordinates live in [0, scale*RootLen]. The high-order continuous node
-// numbering uses scale = degree so that every tensor node position is an
-// exact integer lattice point.
-func (c *Conn) PointImagesScaled(t int32, p [3]int32, scale int32) []TreePoint {
-	return c.AppendPointImages(make([]TreePoint, 0, 8), t, p, scale)
-}
-
-// AppendPointImages appends PointImagesScaled(t, p, scale) to dst and
-// returns the extended slice; it allocates only when dst lacks the room.
+// AppendPointImages appends to dst every representation of the lattice
+// point p of tree t across the forest, including (t, p) itself,
+// deduplicated and sorted by (tree, z, y, x), and returns the extended
+// slice; it allocates only when dst lacks the room. Coordinates live on
+// the lattice refined by scale, in [0, scale*RootLen]: the high-order
+// continuous node numbering uses scale = degree so that every tensor node
+// position is an exact integer lattice point. Interior points have exactly
+// one image; points on tree faces, macro-edges, or macro-corners have one
+// image per incident tree representation. Nodes uses the first image as
+// the canonical one ("assigned to the lowest numbered participating
+// octree", paper §II.E): two lattice points represent the same physical
+// mesh node iff their first images are equal.
 func (c *Conn) AppendPointImages(dst []TreePoint, t int32, p [3]int32, scale int32) []TreePoint {
 	lim := scale * octant.RootLen
 	n0 := len(dst)
@@ -520,13 +489,6 @@ func sortPoints(pts []TreePoint) {
 			pts[j], pts[j-1] = pts[j-1], pts[j]
 		}
 	}
-}
-
-// Canonical returns the canonical image of point p of tree t: the smallest
-// image under (tree, z, y, x) ordering. Two lattice points represent the
-// same physical mesh node iff their canonical images are equal.
-func (c *Conn) Canonical(t int32, p [3]int32) TreePoint {
-	return c.PointImages(t, p)[0]
 }
 
 // octTouchesTreeEdge reports whether octant a's closed box contains part of

@@ -13,7 +13,7 @@ func TestAccessorsAndSearchHelpers(t *testing.T) {
 	mpi.Run(3, func(c *mpi.Comm) {
 		f := New(c, conn, 2)
 		// GlobalFirst is consistent with the rank counts.
-		counts := f.RankCounts()
+		counts := mpi.Allgather(f.Comm, int64(len(f.Local)))
 		var before int64
 		for r := 0; r < c.Rank(); r++ {
 			before += counts[r]
@@ -26,23 +26,6 @@ func TestAccessorsAndSearchHelpers(t *testing.T) {
 			if f.FindLeaf(o) != i {
 				t.Errorf("FindLeaf(%v) != %d", o, i)
 			}
-		}
-		// TreeBoundsLocal partitions the local array by tree.
-		lo0, hi0 := f.TreeBoundsLocal(0)
-		lo1, hi1 := f.TreeBoundsLocal(1)
-		if lo0 != 0 || hi0 != lo1 || hi1 != f.NumLocal() {
-			t.Errorf("tree bounds: [%d,%d) [%d,%d) of %d", lo0, hi0, lo1, hi1, f.NumLocal())
-		}
-		for i := lo0; i < hi0; i++ {
-			if f.Local[i].Tree != 0 {
-				t.Errorf("leaf %d in tree-0 range has tree %d", i, f.Local[i].Tree)
-			}
-		}
-		// Marker ordering helper.
-		a := Marker{Tree: 0, Key: 5}
-		b := Marker{Tree: 0, Key: 9}
-		if !a.LessEq(b) || !a.LessEq(a) || b.LessEq(a) {
-			t.Error("Marker.LessEq wrong")
 		}
 		// Ghost search helpers.
 		g := f.Ghost()
@@ -67,7 +50,7 @@ func TestAccessorsAndSearchHelpers(t *testing.T) {
 		// A region outside both local and ghost storage.
 		if c.Size() > 1 {
 			remote := octant.Octant{Tree: 1, X: octant.RootLen / 2, Y: octant.RootLen / 2, Z: octant.RootLen / 2, Level: octant.MaxLevel}
-			if f.OwnerOf(remote) != c.Rank() {
+			if f.OwnerOfPosition(markerOf(remote)) != c.Rank() {
 				if _, _, _, found := f.FindLeafOrGhost(g, remote); found {
 					// May legitimately be in the ghost layer; just exercise
 					// the path.
@@ -78,28 +61,12 @@ func TestAccessorsAndSearchHelpers(t *testing.T) {
 	})
 }
 
-func TestAssembleMaxAndVec(t *testing.T) {
+func TestAssembleSumVec(t *testing.T) {
 	conn := connectivity.UnitCube()
 	mpi.Run(4, func(c *mpi.Comm) {
 		f := New(c, conn, 2)
 		g := f.Ghost()
 		nd := f.Nodes(g)
-
-		// AssembleMax: each rank contributes its rank id at every node; the
-		// assembled value must be the max over referencing ranks.
-		v := make([]float64, len(nd.Keys))
-		for i := range v {
-			v[i] = float64(c.Rank())
-		}
-		nd.AssembleMax(v)
-		for i := range v {
-			if v[i] < float64(c.Rank()) {
-				t.Errorf("AssembleMax lost own contribution at node %d", i)
-			}
-			if v[i] >= float64(c.Size()) {
-				t.Errorf("AssembleMax out of range at node %d: %v", i, v[i])
-			}
-		}
 
 		// AssembleSumVec with nc=2 must match two scalar AssembleSums.
 		s1 := make([]float64, len(nd.Keys))

@@ -80,8 +80,3 @@ func (f *Forest) Coarsen(recursive bool, shouldCoarsen func(parent octant.Octant
 	f.adapted = true
 	f.syncCounts()
 }
-
-// RefineAll uniformly refines every local leaf once.
-func (f *Forest) RefineAll() {
-	f.Refine(false, octant.MaxLevel, func(octant.Octant) bool { return true })
-}

@@ -83,7 +83,7 @@ func (f *Forest) rippleApply(ds []demand) bool {
 		need := false
 		kept := active[:0:0]
 		for _, d := range active {
-			if !o.Overlaps(d.O) {
+			if !o.Contains(d.O) && !d.O.Contains(o) {
 				continue
 			}
 			kept = append(kept, d)

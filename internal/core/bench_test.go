@@ -170,8 +170,6 @@ func BenchmarkGhostAndNodes(b *testing.B) {
 				switch phase {
 				case "ghost":
 					f.Ghost()
-				case "ghost2":
-					f.GhostLayers(2)
 				case "nodes":
 					f.Nodes(g)
 				}
@@ -183,7 +181,7 @@ func BenchmarkGhostAndNodes(b *testing.B) {
 		}
 		b.ReportMetric(sec/float64(b.N), phase+"-s")
 	}
-	for _, phase := range []string{"ghost", "ghost2", "nodes"} {
+	for _, phase := range []string{"ghost", "nodes"} {
 		b.Run(phase, func(b *testing.B) { run(b, phase) })
 	}
 }
@@ -224,7 +222,7 @@ func BenchmarkOwnerSearch(b *testing.B) {
 		leaves := f.Local
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = f.OwnerOf(leaves[i%len(leaves)])
+			_ = f.OwnerOfPosition(markerOf(leaves[i%len(leaves)]))
 		}
 	})
 }

@@ -36,9 +36,9 @@ const (
 // rather than left behind looking like a checkpoint.
 func (f *Forest) Save(path string) error {
 	// Gather through rank 0 only: the writer briefly holds the O(global N)
-	// leaf array, every other rank stays at its local footprint. (GatherAll
-	// would replicate the array on all P ranks, defeating the low-memory
-	// design; a guard test pins that no production phase calls it.)
+	// leaf array, every other rank stays at its local footprint. (An
+	// Allgather would replicate the array on all P ranks, defeating the
+	// low-memory design.)
 	parts := mpi.Gather(f.Comm, 0, f.Local)
 	var err error
 	if f.Comm.Rank() == 0 {

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/connectivity"
@@ -41,9 +40,6 @@ func (m Marker) Less(n Marker) bool {
 	}
 	return m.Key < n.Key
 }
-
-// LessEq reports m <= n on the curve.
-func (m Marker) LessEq(n Marker) bool { return !n.Less(m) }
 
 // markerOf returns the curve position of an octant's first descendant.
 func markerOf(o octant.Octant) Marker {
@@ -199,14 +195,6 @@ func (f *Forest) NumGlobal() int64 { return f.globalNum }
 // GlobalFirst returns the global index of this rank's first leaf.
 func (f *Forest) GlobalFirst() int64 { return f.globalFirst }
 
-// RankCounts gathers the per-rank leaf counts. The counts are NOT resident
-// shared metadata (keeping them out of the sync path is what bounds
-// MetaBytes), so this is a collective — every rank must call it the same
-// number of times. For tests, diagnostics, and visualization.
-func (f *Forest) RankCounts() []int64 {
-	return mpi.Allgather(f.Comm, int64(len(f.Local)))
-}
-
 // span opens a phase span on the calling rank's tracer and returns the
 // tracer, for `defer f.span(name).End()`.
 func (f *Forest) span(name string) *trace.RankTracer {
@@ -232,12 +220,6 @@ func (f *Forest) OwnerOfPosition(m Marker) int {
 		panic(fmt.Sprintf("core: position %+v outside forest", m))
 	}
 	return r
-}
-
-// OwnerOf returns the rank owning octant o (the owner of its first
-// descendant's curve position).
-func (f *Forest) OwnerOf(o octant.Octant) int {
-	return f.OwnerOfPosition(markerOf(o))
 }
 
 // OwnersOfRange returns the inclusive rank range [lo, hi] whose curve
@@ -286,14 +268,6 @@ func (f *Forest) FindLeaf(q octant.Octant) int {
 		return -1
 	}
 	return i
-}
-
-// TreeBoundsLocal returns the half-open index range of local leaves that
-// belong to tree t.
-func (f *Forest) TreeBoundsLocal(t int32) (lo, hi int) {
-	lo = sort.Search(len(f.Local), func(i int) bool { return f.Local[i].Tree >= t })
-	hi = sort.Search(len(f.Local), func(i int) bool { return f.Local[i].Tree > t })
-	return lo, hi
 }
 
 // Checksum returns a partition-independent checksum of the forest: the sum
@@ -405,26 +379,6 @@ func (f *Forest) validateGlobal() error {
 		return fmt.Errorf("count meta-data stale: globalNum %d != %d", f.globalNum, got)
 	}
 	return nil
-}
-
-// gatherAllCalls counts GatherAll invocations process-wide so tests can
-// assert that no production phase ever replicates the global leaf array.
-var gatherAllCalls atomic.Int64
-
-// GatherAll returns the full global leaf array on every rank, in curve
-// order. Intended for tests, debugging, and single-file visualization of
-// small forests only — it replicates O(global N) state on every rank and
-// so defeats the distributed-storage design on purpose. No production
-// phase may call it (checkpointing gathers through rank 0 instead); the
-// guard test pins this via the call counter.
-func (f *Forest) GatherAll() []octant.Octant {
-	gatherAllCalls.Add(1)
-	all := mpi.Allgather(f.Comm, f.Local)
-	var out []octant.Octant
-	for _, part := range all {
-		out = append(out, part...)
-	}
-	return out
 }
 
 // addCounter records n into the named counter of the world's live metrics

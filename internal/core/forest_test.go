@@ -26,6 +26,17 @@ func fractalRefine(maxLevel int8) func(octant.Octant) bool {
 	}
 }
 
+// gatherAll returns the full global leaf array on every rank, in curve
+// order: an oracle for small forests only, since it replicates O(global N)
+// leaves on every rank.
+func (f *Forest) gatherAll() []octant.Octant {
+	var out []octant.Octant
+	for _, part := range mpi.Allgather(f.Comm, f.Local) {
+		out = append(out, part...)
+	}
+	return out
+}
+
 func validate(t *testing.T, f *Forest) {
 	t.Helper()
 	if err := f.Validate(); err != nil {
@@ -59,7 +70,7 @@ func TestNewLevelZeroEmptyRanks(t *testing.T) {
 		if f.NumGlobal() != 1 {
 			t.Errorf("global = %d", f.NumGlobal())
 		}
-		counts := f.RankCounts()
+		counts := mpi.Allgather(f.Comm, int64(len(f.Local)))
 		total := 0
 		for _, n := range counts {
 			total += int(n)
@@ -76,7 +87,7 @@ func TestRefineCoarsenRoundTrip(t *testing.T) {
 		mpi.Run(p, func(c *mpi.Comm) {
 			f := New(c, conn, 1)
 			before := f.Checksum()
-			f.RefineAll()
+			f.Refine(false, octant.MaxLevel, func(octant.Octant) bool { return true })
 			validate(t, f)
 			if f.NumGlobal() != 6*64 {
 				t.Errorf("after refine: %d", f.NumGlobal())
@@ -203,20 +214,7 @@ func checkBalanced(t *testing.T, conn *connectivity.Conn, all []octant.Octant, k
 		if o.Level < 1 {
 			continue
 		}
-		regions = regions[:0]
-		for face := 0; face < 6; face++ {
-			regions = append(regions, conn.FaceNeighbors(o, face)...)
-		}
-		if kind >= BalanceFaceEdge {
-			for e := 0; e < 12; e++ {
-				regions = append(regions, conn.EdgeNeighbors(o, e)...)
-			}
-		}
-		if kind >= BalanceFull {
-			for k := 0; k < 8; k++ {
-				regions = append(regions, conn.CornerNeighbors(o, k)...)
-			}
-		}
+		regions = conn.AppendNeighbors(regions[:0], o, connectivity.Scope(kind))
 		for _, n := range regions {
 			lo, hi := octant.SearchOverlapRange(all, n)
 			for i := lo; i < hi; i++ {
@@ -247,7 +245,7 @@ func TestBalanceFractal(t *testing.T) {
 					f.Refine(true, 4, fractalRefine(4))
 					f.Balance(BalanceFull)
 					validate(t, f)
-					all := f.GatherAll()
+					all := f.gatherAll()
 					if c.Rank() == 0 {
 						checkBalanced(t, tc.conn, all, BalanceFull)
 					}
@@ -280,7 +278,7 @@ func TestBalanceSingleDeepOctant(t *testing.T) {
 		})
 		f.Balance(BalanceFull)
 		validate(t, f)
-		all := f.GatherAll()
+		all := f.gatherAll()
 		if c.Rank() == 0 {
 			checkBalanced(t, conn, all, BalanceFull)
 			// Tree 0 must have been refined by the ripple even though the
@@ -309,7 +307,7 @@ func TestBalanceKinds(t *testing.T) {
 			})
 			f.Balance(kind)
 			validate(t, f)
-			all := f.GatherAll()
+			all := f.gatherAll()
 			if c.Rank() == 0 {
 				checkBalanced(t, conn, all, kind)
 			}
@@ -348,14 +346,14 @@ func TestGhostAgainstReference(t *testing.T) {
 					f.Balance(BalanceFull)
 					f.Partition()
 					g := f.Ghost()
-					all := f.GatherAll()
+					all := f.gatherAll()
 
 					// Reference for the layer's exact contents: remote
 					// leaves whose same-size neighbourhood overlaps one of
 					// our leaves (the symmetric send rule Ghost uses).
 					want := map[octant.Octant]bool{}
 					for _, q := range all {
-						if f.OwnerOf(q) == c.Rank() {
+						if f.OwnerOfPosition(markerOf(q)) == c.Rank() {
 							continue
 						}
 						for _, n := range f.Conn.AppendNeighbors(nil, q, connectivity.FacesEdgesCorners) {
@@ -369,7 +367,7 @@ func TestGhostAgainstReference(t *testing.T) {
 					got := map[octant.Octant]bool{}
 					for i, q := range g.Octants {
 						got[q] = true
-						if f.OwnerOf(q) != g.Owner[i] {
+						if f.OwnerOfPosition(markerOf(q)) != g.Owner[i] {
 							t.Errorf("ghost owner mismatch for %v", q)
 						}
 					}
@@ -381,15 +379,17 @@ func TestGhostAgainstReference(t *testing.T) {
 							t.Fatalf("rank %d: missing ghost %v", c.Rank(), q)
 						}
 					}
-					if !octant.IsSorted(g.Octants) {
-						t.Error("ghost layer not sorted")
+					for i := 1; i < len(g.Octants); i++ {
+						if !octant.Less(g.Octants[i-1], g.Octants[i]) {
+							t.Fatalf("ghost layer not strictly sorted at %d", i)
+						}
 					}
 
 					// Completeness: every remote leaf actually touching a
 					// local leaf (exact contact through the connectivity)
 					// must be in the layer.
 					for _, q := range all {
-						if f.OwnerOf(q) == c.Rank() || got[q] {
+						if f.OwnerOfPosition(markerOf(q)) == c.Rank() || got[q] {
 							continue
 						}
 						for _, o := range f.Local {
@@ -460,15 +460,15 @@ func TestOwnerSearch(t *testing.T) {
 	conn := connectivity.Brick(3, 1, 1, false, false, false)
 	mpi.Run(5, func(c *mpi.Comm) {
 		f := New(c, conn, 2)
-		all := f.GatherAll()
+		all := f.gatherAll()
 		// Every leaf's owner must actually hold it.
-		counts := f.RankCounts()
+		counts := mpi.Allgather(f.Comm, int64(len(f.Local)))
 		starts := make([]int64, len(counts)+1)
 		for i, n := range counts {
 			starts[i+1] = starts[i] + n
 		}
 		for gi, o := range all {
-			r := f.OwnerOf(o)
+			r := f.OwnerOfPosition(markerOf(o))
 			if int64(gi) < starts[r] || int64(gi) >= starts[r+1] {
 				t.Fatalf("owner of %v = %d, but global index %d not in [%d,%d)", o, r, gi, starts[r], starts[r+1])
 			}

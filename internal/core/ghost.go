@@ -129,144 +129,3 @@ func (f *Forest) FindLeafOrGhost(g *GhostLayer, q octant.Octant) (leaf octant.Oc
 	}
 	return octant.Octant{}, -1, false, false
 }
-
-// GhostLayers collects `layers` rings of remote leaves around the local
-// segment: layer 1 is Ghost's result; each further ring adds the remote
-// leaves that overlap the same-size neighbourhood regions of the previous
-// ring (the geometric one-layer expansion of the front). The paper notes
-// this "minor extension of Ghost" enables multiple layers as needed, e.g.,
-// by semi-Lagrangian methods (§II.E). Collective.
-func (f *Forest) GhostLayers(layers int) *GhostLayer {
-	if layers < 1 {
-		panic("core: GhostLayers needs layers >= 1")
-	}
-	defer f.span("ghost.layers").End()
-	g := f.Ghost()
-	if layers == 1 {
-		return g
-	}
-	me := f.Comm.Rank()
-	have := make(map[octant.Octant]bool, len(g.Octants))
-	for _, o := range g.Octants {
-		have[o] = true
-	}
-	mirrored := make(map[int]map[int]bool) // dest rank -> local leaf set
-	for k, li := range g.Mirrors {
-		for _, r := range g.MirrorRanks[k] {
-			if mirrored[r] == nil {
-				mirrored[r] = make(map[int]bool)
-			}
-			mirrored[r][li] = true
-		}
-	}
-
-	front := append([]octant.Octant(nil), g.Octants...)
-	for ring := 1; ring < layers; ring++ {
-		// Request the next ring: the neighbourhood regions of the current
-		// front, routed to every rank whose segment they overlap (the next
-		// ring may be owned by a third rank).
-		req := make(map[int][]octant.Octant)
-		var nbrs []octant.Octant
-		for _, o := range front {
-			nbrs = f.Conn.AppendNeighbors(nbrs[:0], o, connectivity.FacesEdgesCorners)
-			for _, n := range nbrs {
-				lo, hi := f.OwnersOfRange(n)
-				for r := lo; r <= hi; r++ {
-					if r != me {
-						req[r] = append(req[r], n)
-					}
-				}
-			}
-		}
-		in := mpi.SparseExchange(f.Comm, req, TagGhost+ring*2)
-		reply := make(map[int][]octant.Octant)
-		var peers []int
-		for r := range in {
-			peers = append(peers, r)
-		}
-		sort.Ints(peers)
-		for _, r := range peers {
-			if r == me {
-				continue
-			}
-			sent := make(map[int]bool)
-			for _, n := range in[r] {
-				lo, hi := octant.SearchOverlapRange(f.Local, n)
-				for li := lo; li < hi; li++ {
-					if !sent[li] && !mirroredHas(mirrored, r, li) {
-						sent[li] = true
-						if mirrored[r] == nil {
-							mirrored[r] = make(map[int]bool)
-						}
-						mirrored[r][li] = true
-						reply[r] = append(reply[r], f.Local[li])
-					}
-				}
-			}
-		}
-		back := mpi.SparseExchange(f.Comm, reply, TagGhost+ring*2+10)
-		var srcs []int
-		for r := range back {
-			srcs = append(srcs, r)
-		}
-		sort.Ints(srcs)
-		var next []octant.Octant
-		for _, r := range srcs {
-			if r == me {
-				continue
-			}
-			for _, o := range back[r] {
-				if !have[o] {
-					have[o] = true
-					g.Octants = append(g.Octants, o)
-					g.Owner = append(g.Owner, r)
-					next = append(next, o)
-				}
-			}
-		}
-		octant.Sort(next)
-		front = next
-	}
-
-	// Re-sort ghosts and rebuild the mirror lists from the mirrored map.
-	type ownedOct struct {
-		o     octant.Octant
-		owner int
-	}
-	recv := make([]ownedOct, len(g.Octants))
-	for i := range g.Octants {
-		recv[i] = ownedOct{g.Octants[i], g.Owner[i]}
-	}
-	sort.Slice(recv, func(i, j int) bool { return octant.Less(recv[i].o, recv[j].o) })
-	g.Octants = g.Octants[:0]
-	g.Owner = g.Owner[:0]
-	for _, ro := range recv {
-		g.Octants = append(g.Octants, ro.o)
-		g.Owner = append(g.Owner, ro.owner)
-	}
-	perLeaf := make(map[int][]int)
-	for r, set := range mirrored {
-		for li := range set {
-			perLeaf[li] = append(perLeaf[li], r)
-		}
-	}
-	g.Mirrors = g.Mirrors[:0]
-	g.MirrorRanks = g.MirrorRanks[:0]
-	var leafIdx []int
-	for li := range perLeaf {
-		leafIdx = append(leafIdx, li)
-	}
-	sort.Ints(leafIdx)
-	for _, li := range leafIdx {
-		rs := perLeaf[li]
-		sort.Ints(rs)
-		g.Mirrors = append(g.Mirrors, li)
-		g.MirrorRanks = append(g.MirrorRanks, rs)
-	}
-	return g
-}
-
-func mirroredHas(m map[int]map[int]bool, r, li int) bool {
-	set, ok := m[r]
-	return ok && set[li]
-}

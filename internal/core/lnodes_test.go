@@ -72,7 +72,7 @@ func TestLNodesCountsTorusAndShell(t *testing.T) {
 						for j := 0; j <= 2; j++ {
 							for i := 0; i <= 2; i++ {
 								pnt := [3]int32{2*o.X + int32(i)*h, 2*o.Y + int32(j)*h, 2*o.Z + int32(k)*h}
-								set[f.Conn.PointImagesScaled(o.Tree, pnt, 2)[0]] = true
+								set[f.Conn.AppendPointImages(nil, o.Tree, pnt, 2)[0]] = true
 							}
 						}
 					}

@@ -684,17 +684,6 @@ func sum(a, b float64) float64 { return a + b }
 // paper's cG solver uses for unknowns shared between cores (§II.E).
 func (nd *Nodes) AssembleSum(v []float64) { nd.assemble(1, v, TagNodesRep+10, sum) }
 
-// AssembleMax combines shared-node values with max instead of addition
-// (used for marker fields and error indicators).
-func (nd *Nodes) AssembleMax(v []float64) {
-	nd.assemble(1, v, TagNodesRep+20, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
 // AssembleSumVec is AssembleSum for vectors with nc interleaved values per
 // node: v[node*nc+k].
 func (nd *Nodes) AssembleSumVec(nc int, v []float64) { nd.assemble(nc, v, TagNodesRep+30, sum) }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"testing"
 
 	"repro/internal/connectivity"
 	"repro/internal/mpi"
@@ -24,7 +26,7 @@ import (
 // Every leaf touching the physical node contains at least one of these
 // cells, and every rank computes the same set from the connectivity alone.
 func referenceTouchingCells(conn *connectivity.Conn, t int32, p [3]int32) []octant.Octant {
-	images := conn.PointImages(t, p)
+	images := conn.AppendPointImages(nil, t, p, 1)
 	var cells []octant.Octant
 	for _, im := range images {
 		for d := 0; d < 8; d++ {
@@ -44,8 +46,51 @@ func referenceTouchingCells(conn *connectivity.Conn, t int32, p [3]int32) []octa
 			}
 		}
 	}
-	cells = octant.Linearize(cells)
+	cells = linearize(cells)
 	return cells
+}
+
+// linearize sorts the octants and removes duplicates and any octant that is
+// an ancestor of another, keeping the finest, so the result is a valid
+// (possibly incomplete) linear octree.
+func linearize(o []octant.Octant) []octant.Octant {
+	slices.SortFunc(o, octant.Compare)
+	out := o[:0]
+	for _, q := range o {
+		for len(out) > 0 {
+			last := out[len(out)-1]
+			if last == q || last.IsAncestorOf(q) {
+				out = out[:len(out)-1]
+				continue
+			}
+			break
+		}
+		out = append(out, q)
+	}
+	// The pass above removes ancestors that precede descendants; in curve
+	// order an ancestor always precedes its descendants, but a duplicate of
+	// the *descendant* could also precede (equal) — handled by == above.
+	// Re-check: keep finest when one contains the next.
+	final := out[:0]
+	for _, q := range out {
+		if len(final) > 0 && final[len(final)-1].IsAncestorOf(q) {
+			final = final[:len(final)-1]
+		}
+		final = append(final, q)
+	}
+	return final
+}
+
+func TestLinearize(t *testing.T) {
+	o := octant.Root(0)
+	in := []octant.Octant{
+		o.Child(0), o, o.Child(0).Child(3), o.Child(0).Child(3), o.Child(7),
+	}
+	out := linearize(in)
+	want := []octant.Octant{o.Child(0).Child(3), o.Child(7)}
+	if !slices.Equal(out, want) {
+		t.Fatalf("linearize = %v, want %v", out, want)
+	}
 }
 
 // referenceNodeOwner determines, from shared meta-data only, the rank owning the
@@ -151,7 +196,7 @@ func (f *Forest) referenceNodes(ghost *GhostLayer) *Nodes {
 
 	// Resolve remote ids: ask each owner for the ids of the keys we hold.
 	// The same exchange establishes the owner-routed communication lists
-	// used by AssembleSum/AssembleMax.
+	// used by AssembleSum.
 	req := make(map[int][]connectivity.TreePoint)
 	nd.reqLists = make(map[int][]int32)
 	for i, k := range keys {
@@ -214,7 +259,7 @@ func (f *Forest) referenceNodes(ghost *GhostLayer) *Nodes {
 // of the coarse anchors if it hangs. search is the merged local+ghost leaf
 // array.
 func (f *Forest) referenceClassifyCorner(search []octant.Octant, t int32, p [3]int32) []connectivity.TreePoint {
-	images := f.Conn.PointImages(t, p)
+	images := f.Conn.AppendPointImages(nil, t, p, 1)
 	var worst octant.Octant // coarsest touching leaf that lacks p as corner
 	worstSet := false
 	var worstImage connectivity.TreePoint
@@ -250,7 +295,7 @@ func (f *Forest) referenceClassifyCorner(search []octant.Octant, t int32, p [3]i
 		}
 	}
 	if !worstSet {
-		return []connectivity.TreePoint{f.Conn.Canonical(t, p)}
+		return images[:1]
 	}
 	// Hanging: p sits strictly inside a face or edge of worst. The anchors
 	// are the corners of that entity.
@@ -277,7 +322,7 @@ func (f *Forest) referenceClassifyCorner(search []octant.Octant, t int32, p [3]i
 				q[a] = base[a] + h
 			}
 		}
-		anchors = append(anchors, f.Conn.Canonical(worst.Tree, q))
+		anchors = append(anchors, f.Conn.AppendPointImages(nil, worst.Tree, q, 1)[0])
 	}
 	return anchors
 }

@@ -327,7 +327,7 @@ func TestNodesMatchesReference(t *testing.T) {
 						if !slices.Equal(ref.Nodes, want.ElementNodes[e][cc].Nodes) {
 							fail("corner %d of %v reads %v, reference %v", cc, o, ref.Nodes, want.ElementNodes[e][cc].Nodes)
 						}
-						key := f.Conn.Canonical(o.Tree, cornerPoint(o, cc))
+						key := f.Conn.AppendPointImages(nil, o.Tree, cornerPoint(o, cc), 1)[0]
 						switch n := len(ref.Nodes); {
 						case n == 1:
 							if got.Keys[ref.Nodes[0]] != key {
@@ -680,14 +680,7 @@ func TestNodesDiagnosesMissingCornerGhosts(t *testing.T) {
 				if a.Level < b.Level {
 					a, b = b, a
 				}
-				for fc := 0; fc < octant.NumFaces; fc++ {
-					for _, n := range f.Conn.FaceNeighbors(a, fc) {
-						if b.Contains(n) {
-							return true
-						}
-					}
-				}
-				return false
+				return slices.ContainsFunc(f.Conn.AppendNeighbors(nil, a, connectivity.Faces), b.Contains)
 			}
 			faces := &GhostLayer{}
 			for i, q := range g.Octants {

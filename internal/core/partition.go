@@ -17,7 +17,6 @@ const (
 	TagGhost     = 120
 	TagNodesReq  = 130
 	TagNodesRep  = 140
-	TagTransfer  = 150
 )
 
 // Partition redistributes the leaves so every rank holds an equal share

@@ -170,7 +170,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 		mustPanic(t, "bad weights len", func() { f.PartitionWeighted([]float64{1}) })
 		w := make([]float64, f.NumLocal())
 		mustPanic(t, "nonpositive weight", func() { f.PartitionWeighted(w) })
-		mustPanic(t, "bad ghost layers", func() { f.GhostLayers(0) })
 		mustPanic(t, "bad payload", func() { f.PartitionWithData(3, []float64{1}) })
 	})
 }

@@ -45,7 +45,7 @@ func walkCandidates(f *Forest) []octant.Octant {
 	}
 	for tr := range int32(f.Conn.NumTrees()) {
 		root := octant.Root(tr)
-		cand = append(cand, root, root.FirstDescendant(octant.MaxLevel), root.LastDescendant(octant.MaxLevel))
+		cand = append(cand, root, octant.Octant{Level: octant.MaxLevel, Tree: tr}, root.LastDescendant(octant.MaxLevel))
 	}
 	return cand
 }

@@ -97,7 +97,7 @@ func BenchmarkTransferFields(b *testing.B) {
 		m := NewMesh(f, g, NewLGL(3))
 		old := append([]octant.Octant(nil), f.Local...)
 		data := make([]float64, len(old)*m.Np)
-		f.RefineAll()
+		f.Refine(false, octant.MaxLevel, func(octant.Octant) bool { return true })
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.TransferFields(old, data, f.Local, 1)

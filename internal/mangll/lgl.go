@@ -180,12 +180,3 @@ func (l *LGL) HalfInterp() (lo, hi [][]float64) {
 	}
 	return l.InterpMatrix(tlo), l.InterpMatrix(thi)
 }
-
-// GaussLobattoQuadrature integrates f over [-1,1] with the basis' rule.
-func (l *LGL) Integrate(f func(x float64) float64) float64 {
-	var s float64
-	for i, x := range l.X {
-		s += l.W[i] * f(x)
-	}
-	return s
-}

@@ -37,7 +37,10 @@ func TestLGLNodesAndWeights(t *testing.T) {
 		}
 		// LGL quadrature is exact up to degree 2N-1.
 		for deg := 0; deg <= 2*n-1; deg++ {
-			got := l.Integrate(func(x float64) float64 { return math.Pow(x, float64(deg)) })
+			got := 0.0
+			for i, x := range l.X {
+				got += l.W[i] * math.Pow(x, float64(deg))
+			}
 			want := 0.0
 			if deg%2 == 0 {
 				want = 2 / float64(deg+1)

@@ -216,38 +216,6 @@ func reduceTree[T any](c *Comm, v T, op func(a, b T) T, tag int) T {
 	return acc
 }
 
-// Reduce combines every rank's value with op (associative; applied over
-// adjacent rank blocks in ascending rank order, so commutativity is not
-// required) and returns the result at root; other ranks receive the zero
-// value. Binomial reduction to rank 0, plus one relay hop for a non-zero
-// root.
-func Reduce[T any](c *Comm, root int, v T, op func(a, b T) T) T {
-	defer c.span("Reduce").End()
-	p := c.world.size
-	if p == 1 {
-		return v
-	}
-	r := c.rank
-	acc := reduceTree(c, v, op, tagReduce)
-	if r != 0 {
-		c.send(r&^upMask(r, p), tagReduce, acc)
-	}
-	if root != 0 {
-		if r == 0 {
-			c.send(root, tagReduce, acc)
-		}
-		if r == root {
-			pl, _ := c.recv(0, tagReduce)
-			acc = pl.(T)
-		}
-	}
-	if r != root {
-		var zero T
-		return zero
-	}
-	return acc
-}
-
 // Allreduce combines every rank's value with op (associative; applied
 // over adjacent rank blocks in ascending rank order, so commutativity is
 // not required) and returns the result on all ranks: a binomial
@@ -391,33 +359,6 @@ func AgreeErr(c *Comm, err error) error {
 		}
 	}
 	return err
-}
-
-// Alltoall exchanges one value with every rank: out[i] goes to rank i, and
-// the returned slice holds in[j] received from rank j. out must have length
-// Size. Ranks may pass their own slot through untouched. This is dense by
-// definition; sparse communication patterns should use SparseExchange.
-func Alltoall[T any](c *Comm, out []T, tag int) []T {
-	defer c.span("Alltoall").End()
-	if len(out) != c.world.size {
-		panic("mpi: Alltoall slice length != world size")
-	}
-	in := make([]T, c.world.size)
-	for i, v := range out {
-		if i == c.rank {
-			in[i] = v
-			continue
-		}
-		c.Send(i, tag, v)
-	}
-	for i := 0; i < c.world.size; i++ {
-		if i == c.rank {
-			continue
-		}
-		p, _ := c.Recv(i, tag)
-		in[i] = p.(T)
-	}
-	return in
 }
 
 // SparseExchange sends out[i] to each rank i present in the map and

@@ -124,6 +124,34 @@ func starExScan(c *Comm, v int64) int64 {
 	return acc
 }
 
+// alltoall exchanges one value with every rank: out[i] goes to rank i, and
+// the returned slice holds in[j] received from rank j. out must have length
+// Size. Ranks may pass their own slot through untouched. It is the dense
+// baseline of denseSparseExchange; the program's sparse patterns use
+// SparseExchange.
+func alltoall[T any](c *Comm, out []T, tag int) []T {
+	defer c.span("Alltoall").End()
+	if len(out) != c.world.size {
+		panic("mpi: alltoall slice length != world size")
+	}
+	in := make([]T, c.world.size)
+	for i, v := range out {
+		if i == c.rank {
+			in[i] = v
+			continue
+		}
+		c.Send(i, tag, v)
+	}
+	for i := 0; i < c.world.size; i++ {
+		if i == c.rank {
+			continue
+		}
+		p, _ := c.Recv(i, tag)
+		in[i] = p.(T)
+	}
+	return in
+}
+
 // denseSparseExchange is the old SparseExchange: pattern discovery by a
 // dense Alltoall of counts — P(P-1) messages before any payload moves.
 func denseSparseExchange(c *Comm, out map[int][]int64, tag int) map[int][]int64 {
@@ -131,7 +159,7 @@ func denseSparseExchange(c *Comm, out map[int][]int64, tag int) map[int][]int64 
 	for to := range out {
 		counts[to] = 1
 	}
-	incoming := Alltoall(c, counts, tag)
+	incoming := alltoall(c, counts, tag)
 	for to, v := range out {
 		if to == c.Rank() {
 			continue

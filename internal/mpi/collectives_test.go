@@ -44,15 +44,6 @@ func TestCollectivesAwkwardSizes(t *testing.T) {
 				} else if g != nil {
 					t.Errorf("P=%d root=%d rank %d: non-root Gather = %v", p, root, r, g)
 				}
-
-				red := Reduce(c, root, int64(r+1), func(a, b int64) int64 { return a + b })
-				if r == root {
-					if want := int64(p * (p + 1) / 2); red != want {
-						t.Errorf("P=%d root=%d: Reduce = %d, want %d", p, root, red, want)
-					}
-				} else if red != 0 {
-					t.Errorf("P=%d root=%d rank %d: non-root Reduce = %d", p, root, r, red)
-				}
 			}
 
 			all := Allgather(c, int64(r*r))
@@ -293,21 +284,6 @@ func TestSparseExchangeChurn(t *testing.T) {
 					t.Fatalf("round %d rank %d: sources %v, want %v", round, r, got, want)
 				}
 			}
-		}
-	})
-}
-
-// TestReduceRelay covers the non-zero-root relay path of Reduce.
-func TestReduceRelay(t *testing.T) {
-	const p = 9
-	Run(p, func(c *Comm) {
-		got := Reduce(c, 4, int64(1)<<c.Rank(), func(a, b int64) int64 { return a | b })
-		if c.Rank() == 4 {
-			if got != (1<<p)-1 {
-				t.Errorf("Reduce = %b, want %b", got, (1<<p)-1)
-			}
-		} else if got != 0 {
-			t.Errorf("rank %d: non-root Reduce = %d", c.Rank(), got)
 		}
 	})
 }

@@ -2,6 +2,14 @@ package mpi
 
 import "testing"
 
+// take blocks until a message matching (from, tag) is available and
+// removes it: a post + wait on a fresh slot.
+func (m *mailbox) take(from, tag int) message {
+	var s recvSlot
+	m.post(from, tag, &s)
+	return m.wait(&s)
+}
+
 // TestTakeClearsDrainedSlots asserts the mailbox queue's backing array
 // holds no payload references after the queue drains: take must zero the
 // vacated tail slot, or delivered octant slices stay reachable (and thus

@@ -40,7 +40,6 @@ const (
 	tagGather     = -4
 	tagScatter    = -5
 	tagPtp        = -6 // reserved base for internal point-to-point phases
-	tagReduce     = -7
 	tagAllgather  = -8
 	tagAllreduce  = -9
 	tagExScan     = -10
@@ -326,22 +325,6 @@ func (m *mailbox) wait(s *recvSlot) message {
 		m.cond.Wait()
 	}
 	return s.msg
-}
-
-// take blocks until a message matching (from, tag) is available and
-// removes it: a post + wait on a fresh slot, kept as the one-shot
-// convenience form.
-func (m *mailbox) take(from, tag int) message {
-	var s recvSlot
-	m.post(from, tag, &s)
-	return m.wait(&s)
-}
-
-// poll reports whether the posted slot has completed.
-func (m *mailbox) poll(s *recvSlot) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return s.done
 }
 
 // Send delivers payload to rank `to` with the given tag (tag >= 0). It never

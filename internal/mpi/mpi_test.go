@@ -197,7 +197,7 @@ func TestAlltoall(t *testing.T) {
 		for i := range out {
 			out[i] = c.Rank()*100 + i
 		}
-		in := Alltoall(c, out, 11)
+		in := alltoall(c, out, 11)
 		for j, v := range in {
 			if v != j*100+c.Rank() {
 				t.Errorf("rank %d: in[%d] = %d, want %d", c.Rank(), j, v, j*100+c.Rank())

@@ -22,16 +22,16 @@ type Request struct {
 	peer int // send: destination; recv: resolved source after completion
 
 	// completed marks that the payload/source have been resolved and the
-	// receive-side statistics recorded (exactly once, by Wait or Test).
+	// receive-side statistics recorded (exactly once, by Wait).
 	completed bool
 	payload   any
 }
 
 // Isend starts a nonblocking send of payload to rank `to` with the given
 // tag (tag >= 0) and returns its request. The runtime buffers sends, so
-// the operation is already complete: Wait returns immediately and Test is
-// always true. Ownership of the payload transfers to the receiver at the
-// Isend call; the sender must not mutate it afterwards.
+// the operation is already complete: Wait returns immediately. Ownership
+// of the payload transfers to the receiver at the Isend call; the sender
+// must not mutate it afterwards.
 func (c *Comm) Isend(to, tag int, payload any) *Request {
 	if tag < 0 {
 		panic("mpi: user tags must be >= 0")
@@ -42,8 +42,8 @@ func (c *Comm) Isend(to, tag int, payload any) *Request {
 
 // Irecv posts a nonblocking receive for a message with the given tag from
 // rank `from` (or any rank if from == AnySource) and returns its request.
-// The message is claimed by this request in posting order; call Wait (or
-// Test until it reports completion, then Wait) to obtain the payload.
+// The message is claimed by this request in posting order; call Wait to
+// obtain the payload.
 func (c *Comm) Irecv(from, tag int) *Request {
 	if tag < 0 {
 		panic("mpi: user tags must be >= 0")
@@ -70,20 +70,6 @@ func (r *Request) Wait() (payload any, source int) {
 	return r.payload, r.peer
 }
 
-// Test reports whether the request has completed without blocking. When
-// it returns true the payload is available via Wait (which will not
-// block). Send requests always test true.
-func (r *Request) Test() bool {
-	if r.completed {
-		return true
-	}
-	if !r.c.world.boxes[r.c.rank].poll(&r.slot) {
-		return false
-	}
-	r.finish(r.slot.msg, 0)
-	return true
-}
-
 // finish resolves a completed receive exactly once: records the
 // receive-side statistics with the given blocked duration and publishes
 // the payload/source for Wait.
@@ -93,16 +79,4 @@ func (r *Request) finish(msg message, wait time.Duration) {
 	r.peer = msg.from
 	r.slot.msg = message{} // drop the duplicate payload reference
 	r.completed = true
-}
-
-// WaitAll waits for every request in the slice (nil entries are skipped).
-// Requests may complete in any order; WaitAll drains them in slice order,
-// which accumulates each blocked interval into the rank's receive-wait
-// statistics as Wait would.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
 }

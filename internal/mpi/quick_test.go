@@ -65,7 +65,7 @@ func TestQuickAlltoallTranspose(t *testing.T) {
 		}
 		ok := true
 		Run(p, func(c *Comm) {
-			in := Alltoall(c, append([]int(nil), mat[c.Rank()]...), 40)
+			in := alltoall(c, append([]int(nil), mat[c.Rank()]...), 40)
 			for j, v := range in {
 				if v != mat[j][c.Rank()] {
 					ok = false

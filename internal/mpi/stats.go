@@ -91,8 +91,6 @@ func TagName(tag int) string {
 		return "gather"
 	case tagScatter:
 		return "scatter"
-	case tagReduce:
-		return "reduce"
 	case tagAllgather:
 		return "allgather"
 	case tagAllreduce:

@@ -202,7 +202,7 @@ func TestConformanceCollectives(t *testing.T) {
 				for i := range out {
 					out[i] = r*100 + i
 				}
-				tr := Alltoall(c, out, 60)
+				tr := alltoall(c, out, 60)
 				for i, v := range tr {
 					if v != i*100+r {
 						t.Errorf("P=%d Alltoall[%d] = %d at rank %d", p, i, v, r)

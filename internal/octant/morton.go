@@ -2,7 +2,6 @@ package octant
 
 import (
 	"math/bits"
-	"slices"
 )
 
 // Key is a Morton (z-order) index: the 3*MaxLevel-bit interleaving of an
@@ -70,13 +69,6 @@ func NumDescendants(level int8) uint64 {
 // RangeEnd returns one past the last key covered by o on the curve.
 func (o Octant) RangeEnd() Key {
 	return o.MortonKey() + Key(NumDescendants(o.Level))
-}
-
-// FirstDescendant returns o's first descendant at the given deeper level.
-func (o Octant) FirstDescendant(level int8) Octant {
-	d := o
-	d.Level = level
-	return d
 }
 
 // LastDescendant returns o's last descendant at the given deeper level.
@@ -151,51 +143,6 @@ func (k CurveKey) Octant() Octant {
 
 // Less reports Compare(a, b) < 0.
 func Less(a, b Octant) bool { return Compare(a, b) < 0 }
-
-// Sort sorts octants into space-filling-curve order.
-func Sort(o []Octant) { slices.SortFunc(o, Compare) }
-
-// IsSorted reports whether o is in strictly ascending curve order with no
-// duplicates.
-func IsSorted(o []Octant) bool {
-	for i := 1; i < len(o); i++ {
-		if compare(&o[i-1], &o[i]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Linearize sorts the octants and removes duplicates and any octant that is
-// an ancestor of another, keeping the finest, so the result is a valid
-// (possibly incomplete) linear octree.
-func Linearize(o []Octant) []Octant {
-	Sort(o)
-	out := o[:0]
-	for _, q := range o {
-		for len(out) > 0 {
-			last := out[len(out)-1]
-			if last == q || last.IsAncestorOf(q) {
-				out = out[:len(out)-1]
-				continue
-			}
-			break
-		}
-		out = append(out, q)
-	}
-	// The pass above removes ancestors that precede descendants; in curve
-	// order an ancestor always precedes its descendants, but a duplicate of
-	// the *descendant* could also precede (equal) — handled by == above.
-	// Re-check: keep finest when one contains the next.
-	final := out[:0]
-	for _, q := range out {
-		if len(final) > 0 && final[len(final)-1].IsAncestorOf(q) {
-			final = final[:len(final)-1]
-		}
-		final = append(final, q)
-	}
-	return final
-}
 
 // SearchContaining returns the index in the sorted leaf array of the leaf
 // that contains q (q may be finer than the leaf), or -1 if no leaf does.

@@ -75,19 +75,6 @@ func (o Octant) Valid() bool {
 	return o.Inside() && o.X&mask == 0 && o.Y&mask == 0 && o.Z&mask == 0
 }
 
-// ValidExterior reports whether o is well-formed but possibly outside the
-// root domain by at most one root length in each direction, as produced by
-// neighbour computations across tree boundaries.
-func (o Octant) ValidExterior() bool {
-	if o.Level < 0 || o.Level > MaxLevel {
-		return false
-	}
-	mask := o.Len() - 1
-	in := func(c int32) bool { return c >= -RootLen && c < 2*RootLen }
-	return in(o.X) && in(o.Y) && in(o.Z) &&
-		o.X&mask == 0 && o.Y&mask == 0 && o.Z&mask == 0
-}
-
 // Child returns the i-th child (z-order, i in [0,8)) of o.
 func (o Octant) Child(i int) Octant {
 	h := o.Len() >> 1
@@ -137,11 +124,6 @@ func (o Octant) ChildID() int {
 	return id
 }
 
-// Sibling returns the i-th sibling of o (the i-th child of o's parent).
-func (o Octant) Sibling(i int) Octant {
-	return o.Parent().Child(i)
-}
-
 // AncestorAt returns the ancestor of o at the given level (<= o.Level).
 func (o Octant) AncestorAt(level int8) Octant {
 	if level > o.Level || level < 0 {
@@ -162,12 +144,6 @@ func (o Octant) IsAncestorOf(b Octant) bool {
 // Contains reports whether o equals b or is an ancestor of b.
 func (o Octant) Contains(b Octant) bool {
 	return o == b || o.IsAncestorOf(b)
-}
-
-// Overlaps reports whether o and b intersect as regions, i.e. one contains
-// the other (octants of a tree either nest or are disjoint).
-func (o Octant) Overlaps(b Octant) bool {
-	return o.Contains(b) || b.Contains(o)
 }
 
 // SamePosition reports whether o and b have identical coordinates and level,
@@ -295,16 +271,6 @@ var EdgeCorners = [12][2]int{
 	{0, 4}, {1, 5}, {2, 6}, {3, 7}, // along z
 }
 
-// FaceEdges lists the four edges bounding each face.
-var FaceEdges = [6][4]int{
-	{4, 6, 8, 10},  // -x
-	{5, 7, 9, 11},  // +x
-	{0, 2, 8, 9},   // -y
-	{1, 3, 10, 11}, // +y
-	{0, 1, 4, 5},   // -z
-	{2, 3, 6, 7},   // +z
-}
-
 // FaceAxis returns the axis normal to face f.
 func FaceAxis(f int) int { return f / 2 }
 
@@ -315,17 +281,6 @@ func FaceSign(f int) int32 {
 	}
 	return 1
 }
-
-// CornerFaces lists, for each corner, the three faces it touches.
-var CornerFaces = func() [8][3]int {
-	var cf [8][3]int
-	for c := 0; c < 8; c++ {
-		cf[c][0] = c & 1        // 0 or 1
-		cf[c][1] = 2 + (c>>1)&1 // 2 or 3
-		cf[c][2] = 4 + (c>>2)&1 // 4 or 5
-	}
-	return cf
-}()
 
 // TouchingFace reports whether octant face f lies on its tree's boundary
 // face f (i.e. the neighbour across f would be exterior).
@@ -360,23 +315,4 @@ func (o Octant) ExteriorFaces() [3]int {
 		}
 	}
 	return d
-}
-
-// NearestCommonAncestor returns the deepest octant containing both a and b,
-// which must belong to the same tree.
-func NearestCommonAncestor(a, b Octant) Octant {
-	if a.Tree != b.Tree {
-		panic("octant: NCA of different trees")
-	}
-	maxl := a.Level
-	if b.Level < maxl {
-		maxl = b.Level
-	}
-	for l := maxl; l >= 0; l-- {
-		pa, pb := a.AncestorAt(l), b.AncestorAt(l)
-		if pa.SamePosition(pb) {
-			return pa
-		}
-	}
-	panic("octant: unreachable, roots always match")
 }

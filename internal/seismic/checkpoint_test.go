@@ -30,7 +30,7 @@ func ckptSolver(c *mpi.Comm) (*Solver, *connectivity.Conn, Options) {
 	opts := DefaultOptions()
 	opts.Degree = 2
 	s := NewSolver(c, f, opts, homogeneous(1, 1, 1))
-	s.SetPlaneWave([3]float64{2 * math.Pi, 0, 0}, [3]float64{1, 0, 0}, math.Sqrt(3.0)*2*math.Pi)
+	s.setPlaneWave([3]float64{2 * math.Pi, 0, 0}, [3]float64{1, 0, 0}, math.Sqrt(3.0)*2*math.Pi)
 	return s, conn, opts
 }
 

@@ -129,10 +129,3 @@ func (d *Device) Step(dt float64) {
 	d.rk.Step(d.Q, d.S.Time, dt, d.rhsFn)
 	d.S.Time += dt
 }
-
-// CopyBack downloads the device solution into the host solver.
-func (d *Device) CopyBack() {
-	for i, v := range d.Q {
-		d.S.Q[i] = float64(v)
-	}
-}

@@ -73,7 +73,7 @@ func TestStateIsBufferHead(t *testing.T) {
 		f.Partition()
 		s := NewSolver(c, f, opts, homogeneous(1, 1, 1))
 		check(s, "NewSolver")
-		s.SetPlaneWave([3]float64{2 * math.Pi, 0, 0}, [3]float64{1, 0, 0}, math.Sqrt(3.0)*2*math.Pi)
+		s.setPlaneWave([3]float64{2 * math.Pi, 0, 0}, [3]float64{1, 0, 0}, math.Sqrt(3.0)*2*math.Pi)
 		if !s.AdaptToWavefront(0.9, 0.5) {
 			t.Errorf("the adapt cycle left the mesh unchanged")
 		}

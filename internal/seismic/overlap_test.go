@@ -19,7 +19,7 @@ func overlapSolver(c *mpi.Comm) *Solver {
 	opts := DefaultOptions()
 	opts.Degree = 3
 	s := NewSolver(c, f, opts, homogeneous(1, 1, 1))
-	s.SetPlaneWave([3]float64{6.28, 0, 0}, [3]float64{1, 0, 0}, 6.28)
+	s.setPlaneWave([3]float64{6.28, 0, 0}, [3]float64{1, 0, 0}, 6.28)
 	return s
 }
 

@@ -23,9 +23,6 @@ type Material struct {
 // Vp returns the P-wave speed.
 func (m Material) Vp() float64 { return math.Sqrt((m.Lambda + 2*m.Mu) / m.Rho) }
 
-// Vs returns the S-wave speed.
-func (m Material) Vs() float64 { return math.Sqrt(m.Mu / m.Rho) }
-
 // premLayer is one radial polynomial layer of PREM: value = sum c_i x^i
 // with x = r / 6371 km.
 type premLayer struct {

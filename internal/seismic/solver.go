@@ -581,45 +581,6 @@ func (s *Solver) integrate(f func(idx int) float64) float64 {
 	return mpi.AllreduceSumFloat(s.Comm, sum)
 }
 
-// SetPlaneWave initializes an elastic plane wave with wave vector kv,
-// polarization d (unit), and speed taken from the material at each node:
-// v = -omega d cos(k.x), E = sym(d k) cos(k.x). Exact for homogeneous
-// media.
-func (s *Solver) SetPlaneWave(kv, d [3]float64, omega float64) {
-	m := s.Mesh
-	for i := 0; i < m.NumLocal*m.Np; i++ {
-		phase := kv[0]*m.X[0][i] + kv[1]*m.X[1][i] + kv[2]*m.X[2][i]
-		cp := math.Cos(phase)
-		q := s.Q[i*NC:]
-		q[0] = -omega * d[0] * cp
-		q[1] = -omega * d[1] * cp
-		q[2] = -omega * d[2] * cp
-		q[3] = d[0] * kv[0] * cp
-		q[4] = d[1] * kv[1] * cp
-		q[5] = d[2] * kv[2] * cp
-		q[6] = (d[1]*kv[2] + d[2]*kv[1]) / 2 * cp
-		q[7] = (d[0]*kv[2] + d[2]*kv[0]) / 2 * cp
-		q[8] = (d[0]*kv[1] + d[1]*kv[0]) / 2 * cp
-	}
-	s.Time = 0
-}
-
-// PlaneWaveError returns the global L2 error of the velocity fields
-// against the exact translated plane wave at the current time.
-func (s *Solver) PlaneWaveError(kv, d [3]float64, omega float64) float64 {
-	m := s.Mesh
-	return math.Sqrt(s.integrate(func(idx int) float64 {
-		phase := kv[0]*m.X[0][idx] + kv[1]*m.X[1][idx] + kv[2]*m.X[2][idx] - omega*s.Time
-		cp := math.Cos(phase)
-		var e2 float64
-		for a := 0; a < 3; a++ {
-			dd := s.Q[idx*NC+a] - (-omega * d[a] * cp)
-			e2 += dd * dd
-		}
-		return e2
-	}))
-}
-
 // FlopsPerStep returns the hand-counted floating-point operations of one
 // full RK step on the current mesh (the accounting method the paper uses
 // for its GPU table).

@@ -127,12 +127,12 @@ func TestAcousticPlaneWave(t *testing.T) {
 		kv := [3]float64{2 * math.Pi, 0, 0}
 		d := [3]float64{1, 0, 0}
 		omega := math.Sqrt(2.0) * 2 * math.Pi
-		s.SetPlaneWave(kv, d, omega)
+		s.setPlaneWave(kv, d, omega)
 		dt := s.DT()
 		for i := 0; i < 10; i++ {
 			s.Step(dt)
 		}
-		if err := s.PlaneWaveError(kv, d, omega); err > 5e-3 || math.IsNaN(err) {
+		if err := s.planeWaveError(kv, d, omega); err > 5e-3 || math.IsNaN(err) {
 			t.Fatalf("acoustic P-wave error %v", err)
 		}
 	})
@@ -144,7 +144,7 @@ func TestReceiverSamplesPlaneWave(t *testing.T) {
 		kv := [3]float64{2 * math.Pi, 0, 0}
 		d := [3]float64{1, 0, 0}
 		omega := math.Sqrt(3.0) * 2 * math.Pi
-		s.SetPlaneWave(kv, d, omega)
+		s.setPlaneWave(kv, d, omega)
 		rec := NewReceiver(0, [3]float64{0.3, 0.6, 0.4})
 		dt := s.DT()
 		for i := 0; i < 6; i++ {

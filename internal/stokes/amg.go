@@ -428,14 +428,3 @@ func (d *denseChol) solve(b, x []float64) {
 		x[r] /= d.m[r*n+r]
 	}
 }
-
-// LevelSizes returns the row counts of every level (finest first) plus the
-// coarsest dense level, for diagnostics and tests.
-func (amg *AMG) LevelSizes() []int {
-	var out []int
-	for _, l := range amg.levels {
-		out = append(out, l.a.n)
-	}
-	out = append(out, amg.coarse.n)
-	return out
-}

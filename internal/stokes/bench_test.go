@@ -42,9 +42,8 @@ func BenchmarkVCycle(b *testing.B) {
 			amg.VCycle(r, z)
 		}
 		b.StopTimer()
-		sizes := amg.LevelSizes()
-		b.ReportMetric(float64(sizes[0]), "fine-rows")
-		b.ReportMetric(float64(len(sizes)), "levels")
+		b.ReportMetric(float64(amg.levels[0].a.n), "fine-rows")
+		b.ReportMetric(float64(len(amg.levels)+1), "levels")
 	})
 }
 

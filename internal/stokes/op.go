@@ -191,20 +191,8 @@ func (op *Operator) zeroDirichlet(v []float64) {
 	}
 }
 
-// BuildRHS integrates the buoyancy force (given per physical position)
+// BuildRHSElem integrates the buoyancy force, given per element corner,
 // into the velocity equations. Collective.
-func (op *Operator) BuildRHS(force func(x [3]float64) [3]float64) []float64 {
-	return op.BuildRHSElem(func(e int) (fc [8][3]float64) {
-		for c := 0; c < 8; c++ {
-			fc[c] = force(op.Geo[e][c])
-		}
-		return
-	})
-}
-
-// BuildRHSElem is BuildRHS with the force given per element corner (used
-// when the buoyancy derives from a nodal field rather than a positional
-// callback). Collective.
 func (op *Operator) BuildRHSElem(force func(e int) [8][3]float64) []float64 {
 	rhs := make([]float64, 4*op.NN)
 	for e := range op.F.Local {
@@ -265,21 +253,12 @@ func (op *Operator) VelocityAt(e int, x []float64) [8][3]float64 {
 	return out
 }
 
-// SolveDirichlet solves the Stokes system with velocity boundary values
-// g(x) on the Dirichlet nodes and body force f, using MINRES with the
-// AMG/Schur preconditioner. It returns the solution vector (interleaved
-// [ux uy uz p] per node with boundary values in place), the iteration
-// count, and the achieved relative residual. Collective.
-func (op *Operator) SolveDirichlet(
-	f func(x [3]float64) [3]float64,
-	g func(x [3]float64) [3]float64,
-	tol float64, maxIter int,
-) (x []float64, iters int, relres float64) {
-	return op.SolveDirichletRHS(op.BuildRHS(f), g, tol, maxIter)
-}
-
-// SolveDirichletRHS is SolveDirichlet with a caller-assembled right-hand
-// side (e.g. from BuildRHSElem with a nodal buoyancy field). Collective.
+// SolveDirichletRHS solves the Stokes system with right-hand side rhs
+// (from BuildRHSElem) and velocity boundary values g(x) on the Dirichlet
+// nodes, using MINRES with the AMG/Schur preconditioner. It returns the
+// solution vector (interleaved [ux uy uz p] per node with boundary values
+// in place), the iteration count, and the achieved relative residual.
+// Collective.
 func (op *Operator) SolveDirichletRHS(
 	rhs []float64,
 	g func(x [3]float64) [3]float64,

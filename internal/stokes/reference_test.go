@@ -14,7 +14,7 @@ import (
 // consumer spelled out its own loop over a corner's anchors. They are kept
 // here as the bitwise oracle of the shared gather and scatter, with the
 // same arithmetic in the same order; they take the operator as an argument,
-// and refBuildRHS folds BuildRHS into BuildRHSElem.
+// and refBuildRHS samples the force at the corners itself.
 
 func refGatherElem(op *Operator, e int, x []float64) (v [24]float64, p [8]float64) {
 	en := &op.Nodes.ElementNodes[e]
@@ -359,7 +359,7 @@ func TestConstraintKernelsMatchReference(t *testing.T) {
 			force := func(q [3]float64) [3]float64 {
 				return [3]float64{math.Sin(3 * q[1]), q[0] * q[2], math.Cos(q[0] + q[1])}
 			}
-			sameBits(t, what("BuildRHS"), op.BuildRHS(force), refBuildRHS(op, force))
+			sameBits(t, what("BuildRHSElem"), op.BuildRHSElem(cornerForce(op, force)), refBuildRHS(op, force))
 			sameBits(t, what("Schur diagonal"), op.schurDiag, refSchurDiag(op))
 
 			ts := randomVec(op, 1, 2)

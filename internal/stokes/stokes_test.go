@@ -46,6 +46,17 @@ func buildCubeOp(c *mpi.Comm, maxl int8, eta func(e int, o octant.Octant) float6
 
 func constEta(int, octant.Octant) float64 { return 1 }
 
+// cornerForce samples a positional body force at every element corner, the
+// form BuildRHSElem takes.
+func cornerForce(op *Operator, force func(x [3]float64) [3]float64) func(e int) [8][3]float64 {
+	return func(e int) (fc [8][3]float64) {
+		for c := 0; c < 8; c++ {
+			fc[c] = force(op.Geo[e][c])
+		}
+		return
+	}
+}
+
 func TestOperatorSymmetry(t *testing.T) {
 	mpi.Run(3, func(c *mpi.Comm) {
 		_, op := buildCubeOp(c, 2, constEta)
@@ -106,8 +117,8 @@ func TestStokesExactTrilinear(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			_, op := buildCubeOp(c, 3, constEta)
-			x, iters, relres := op.SolveDirichlet(
-				func([3]float64) [3]float64 { return [3]float64{} },
+			x, iters, relres := op.SolveDirichletRHS(
+				op.BuildRHSElem(cornerForce(op, func([3]float64) [3]float64 { return [3]float64{} })),
 				exact, 1e-10, 400)
 			if relres > 1e-9 {
 				t.Fatalf("p=%d: MINRES stalled: %d iters, relres %v", p, iters, relres)
@@ -137,10 +148,10 @@ func TestStokesDrivenCavityConverges(t *testing.T) {
 			}
 			return 1
 		})
-		x, iters, relres := op.SolveDirichlet(
-			func(p [3]float64) [3]float64 {
+		x, iters, relres := op.SolveDirichletRHS(
+			op.BuildRHSElem(cornerForce(op, func(p [3]float64) [3]float64 {
 				return [3]float64{0, 0, math.Sin(math.Pi * p[0])}
-			},
+			})),
 			func([3]float64) [3]float64 { return [3]float64{} },
 			1e-8, 2000)
 		if relres > 1e-7 {
@@ -159,8 +170,8 @@ func TestSolutionPInvariant(t *testing.T) {
 	for _, p := range []int{1, 3} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			_, op := buildCubeOp(c, 2, constEta)
-			x, _, _ := op.SolveDirichlet(
-				func(q [3]float64) [3]float64 { return [3]float64{q[1], -q[0], 1} },
+			x, _, _ := op.SolveDirichletRHS(
+				op.BuildRHSElem(cornerForce(op, func(q [3]float64) [3]float64 { return [3]float64{q[1], -q[0], 1} })),
 				func([3]float64) [3]float64 { return [3]float64{} },
 				1e-10, 800)
 			// Weighted functional of the solution, independent of ordering.

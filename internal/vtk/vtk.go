@@ -21,20 +21,6 @@ type CellField struct {
 	Values []float64
 }
 
-// WriteLocal writes this rank's leaves to path (one file per rank; callers
-// typically pass a rank-suffixed name). Cell geometry comes from the
-// connectivity's geometry mapping evaluated at the leaf corners.
-func WriteLocal(path string, f *core.Forest, fields ...CellField) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	w := bufio.NewWriter(file)
-	defer w.Flush()
-	return writeLeaves(w, f.Conn, f.Local, f.Comm.Rank(), fields...)
-}
-
 // WriteGathered gathers the whole forest to rank 0 and writes a single
 // file; for small meshes and examples only. Collective. Non-root ranks
 // return nil without writing. The rank owning each leaf is added as a cell
@@ -75,10 +61,10 @@ func WriteGathered(path string, f *core.Forest, fields ...CellField) error {
 	defer file.Close()
 	w := bufio.NewWriter(file)
 	defer w.Flush()
-	return writeLeaves(w, f.Conn, leaves, 0, out...)
+	return writeLeaves(w, f.Conn, leaves, out...)
 }
 
-func writeLeaves(w *bufio.Writer, conn *connectivity.Conn, leaves []octant.Octant, rank int, fields ...CellField) error {
+func writeLeaves(w *bufio.Writer, conn *connectivity.Conn, leaves []octant.Octant, fields ...CellField) error {
 	geom := conn.Geometry()
 	if geom == nil {
 		return fmt.Errorf("vtk: connectivity has no geometry")
@@ -110,7 +96,7 @@ func writeLeaves(w *bufio.Writer, conn *connectivity.Conn, leaves []octant.Octan
 		}
 	}
 
-	fmt.Fprintf(w, "# vtk DataFile Version 3.0\nforest of octrees (rank %d)\nASCII\nDATASET UNSTRUCTURED_GRID\n", rank)
+	fmt.Fprint(w, "# vtk DataFile Version 3.0\nforest of octrees\nASCII\nDATASET UNSTRUCTURED_GRID\n")
 	fmt.Fprintf(w, "POINTS %d double\n", len(points))
 	for _, p := range points {
 		fmt.Fprintf(w, "%g %g %g\n", p[0], p[1], p[2])

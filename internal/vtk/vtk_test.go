@@ -45,21 +45,3 @@ func TestWriteGathered(t *testing.T) {
 		t.Fatal("no CELLS section")
 	}
 }
-
-func TestWriteLocalPerRank(t *testing.T) {
-	dir := t.TempDir()
-	mpi.Run(2, func(c *mpi.Comm) {
-		conn := connectivity.UnitCube()
-		f := core.New(c, conn, 1)
-		path := filepath.Join(dir, "rank"+string(rune('0'+c.Rank()))+".vtk")
-		if err := WriteLocal(path, f); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for r := 0; r < 2; r++ {
-		p := filepath.Join(dir, "rank"+string(rune('0'+r))+".vtk")
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("missing per-rank file: %v", err)
-		}
-	}
-}
