@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig4-density fig7 fig9 fig10 fig4-highp chaos telemetry-smoke serve-smoke loc
+.PHONY: verify vet build test test-race bench bench-smoke bench-pair fig4 fig4-density density-pair fig7 fig9 fig10 fig4-highp chaos telemetry-smoke serve-smoke loc
 
 verify: vet build test-race
 
@@ -101,6 +101,13 @@ fig4:
 fig4-density:
 	{ echo "commit $$(git describe --always --dirty)"; \
 	  $(GO) run ./cmd/scaling -ranks 1 -base-level 3; } > results/fig4_density.txt
+
+# The density row of BASE (a commit) and of the working tree, three runs a
+# side in alternating order, each run's bytes-per-octant row printed under
+# its side (about 4 minutes on 2 vCPUs).
+#   make density-pair BASE=HEAD~1
+density-pair:
+	bash scripts/density_pair.sh $(BASE)
 
 # Regenerate the Figure 7 mantle-convection runtime split (solve / V-cycle
 # / AMR) into results/, headed by the commit it was measured at (about 4

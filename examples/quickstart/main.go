@@ -70,11 +70,9 @@ func main() {
 
 		// Count hanging element corners on this rank.
 		hanging := 0
-		for _, en := range nd.ElementNodes {
-			for c := 0; c < 8; c++ {
-				if !en[c].Independent() {
-					hanging++
-				}
+		for _, v := range nd.ElementNodes {
+			if v < 0 {
+				hanging++
 			}
 		}
 		total := mpi.AllreduceSum(c, int64(hanging))

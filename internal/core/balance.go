@@ -64,7 +64,7 @@ func (f *Forest) Balance(kind BalanceKind) {
 
 	var cand candidates
 	tr.Begin("balance.local")
-	f.localBalance(kind, f.balanceSeeds(kind), &cand)
+	f.localBalance(kind, f.balanceSeeds(kind), &cand, nil)
 	tr.End()
 
 	sent := make(map[octant.Octant]int8)
@@ -82,8 +82,8 @@ func (f *Forest) Balance(kind BalanceKind) {
 				cand.add(f, d.O.AncestorAt(d.MinLevel).CurveKey())
 			}
 		}
-		created := f.refineToNodes(cand.take(f))
-		frontier = append(created, f.localBalance(kind, created, &cand)...)
+		frontier = f.refineToNodes(cand.take(f))
+		f.localBalance(kind, frontier, &cand, &frontier)
 		tr.End()
 	}
 	f.BalanceRounds = exchanges
@@ -92,7 +92,9 @@ func (f *Forest) Balance(kind BalanceKind) {
 	f.balanced, f.balancedKind = true, kind
 	f.adapted, f.changed = false, f.changed[:0]
 	if cap(f.Local)-len(f.Local) > len(f.Local)/8 {
-		f.Local = slices.Clone(f.Local) // drop refineToNodes' slack
+		// refineToNodes sizes Local exactly, so this is the slack of the
+		// phase before, which a Balance that refined nothing kept.
+		f.Local = slices.Clone(f.Local)
 	}
 	f.syncCounts()
 }
@@ -138,10 +140,11 @@ func (f *Forest) balanceSeeds(kind BalanceKind) []octant.Octant {
 // parent of the curve-sorted seeds once, skipping targets inside the
 // grandparent (an internal octant's children are nodes) and off the local
 // segment (the exchange rounds' business); one refineToNodes makes the rest
-// nodes, and the leaves it creates seed the next iteration. Returns every
-// leaf it created. The balance_seeds counter counts seed leaves.
-func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant, cand *candidates) []octant.Octant {
-	var created, nbrs []octant.Octant
+// nodes, and the leaves it creates seed the next iteration. Every leaf it
+// creates is appended to created unless that is nil. The balance_seeds
+// counter counts seed leaves.
+func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant, cand *candidates, created *[]octant.Octant) {
+	var nbrs []octant.Octant
 	for len(seeds) > 0 {
 		f.addCounter("balance_seeds", int64(len(seeds)))
 		var last octant.Octant // the root of tree 0: no seed's parent
@@ -158,10 +161,10 @@ func (f *Forest) localBalance(kind BalanceKind, seeds []octant.Octant, cand *can
 				}
 			}
 		}
-		seeds = f.refineToNodes(cand.take(f))
-		created = append(created, seeds...)
+		if seeds = f.refineToNodes(cand.take(f)); created != nil {
+			*created = append(*created, seeds...)
+		}
 	}
-	return created
 }
 
 // target is a region O to be made a node and the local leaf containing it.
@@ -257,13 +260,23 @@ func (f *Forest) unmet(dst []target, cand []octant.CurveKey) []target {
 // Sorted by curve, the targets are sorted by leaf too: one leaf's targets
 // are a contiguous run and so are those inside each of its children, so
 // one merge walk over Local, copying the runs of untouched leaves whole,
-// does all the refinement.
+// does all the refinement. A dry run of the same walk counts the leaves
+// first, so the new Local and the created list are allocated to size.
 func (f *Forest) refineToNodes(targets []target) []octant.Octant {
 	if len(targets) == 0 {
 		return nil
 	}
-	out := make([]octant.Octant, 0, len(f.Local)+7*len(targets))
-	var created []octant.Octant
+	split, made := 0, 0
+	for t := 0; t < len(targets); split++ {
+		i, u := targets[t].leaf, t+1
+		for u < len(targets) && targets[u].leaf == i {
+			u++
+		}
+		made += splitTo(nil, f.Local[i], targets[t:u])
+		t = u
+	}
+	out := make([]octant.Octant, 0, len(f.Local)-split+made)
+	created := make([]octant.Octant, 0, made)
 	next := 0
 	for t := 0; t < len(targets); {
 		i, u := targets[t].leaf, t+1
@@ -272,7 +285,7 @@ func (f *Forest) refineToNodes(targets []target) []octant.Octant {
 		}
 		out = append(out, f.Local[next:i]...)
 		start := len(out)
-		out = splitTo(out, f.Local[i], targets[t:u])
+		splitTo(&out, f.Local[i], targets[t:u])
 		created = append(created, out[start:]...)
 		next, t = i+1, u
 	}
@@ -280,25 +293,30 @@ func (f *Forest) refineToNodes(targets []target) []octant.Octant {
 	return created
 }
 
-// splitTo appends the leaves that replace o once it is split just far
-// enough for each of the curve-sorted targets inside it to be a node.
-func splitTo(out []octant.Octant, o octant.Octant, targets []target) []octant.Octant {
+// splitTo appends to out, unless it is nil, the leaves that replace o once
+// it is split just far enough for each of the curve-sorted targets inside
+// it to be a node, and returns how many they are.
+func splitTo(out *[]octant.Octant, o octant.Octant, targets []target) int {
 	if len(targets) > 0 && targets[0].O == o {
 		targets = targets[1:]
 	}
 	if len(targets) == 0 {
-		return append(out, o)
+		if out != nil {
+			*out = append(*out, o)
+		}
+		return 1
 	}
+	leaves := 0
 	for i := 0; i < octant.NumChildren; i++ {
 		c := o.Child(i)
 		n := 0
 		for n < len(targets) && c.Contains(targets[n].O) {
 			n++
 		}
-		out = splitTo(out, c, targets[:n])
+		leaves += splitTo(out, c, targets[:n])
 		targets = targets[n:]
 	}
-	return out
+	return leaves
 }
 
 // remoteDemands derives the demands whose regions overlap remote curve

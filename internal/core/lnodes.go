@@ -24,9 +24,10 @@ import (
 // physical nodes, for any rotation between trees.
 type LNodes struct {
 	Degree int
-	// ElementNodes[e] lists the (N+1)^3 local node indices of element e in
-	// lexicographic (i fastest) order.
-	ElementNodes [][]int32
+	// ElementNodes holds (N+1)^3 entries per local element: the local node
+	// indices of element e in lexicographic (i fastest) order start at
+	// e·(N+1)^3.
+	ElementNodes []int32
 	// Keys (canonical points of the lattice refined by Degree), GlobalID,
 	// Owner, NumOwned, OwnedOffset and NumGlobal.
 	numbering
@@ -79,11 +80,7 @@ func (f *Forest) LNodes(ghost *GhostLayer, degree int) *LNodes {
 		}
 	}
 	refs := make([]int32, len(want))
-	ln := &LNodes{Degree: degree, ElementNodes: make([][]int32, len(f.Local)), numbering: f.number(intern(want, refs), n32, 40)}
-	for e := range ln.ElementNodes {
-		ln.ElementNodes[e] = refs[e*npe : (e+1)*npe : (e+1)*npe]
-	}
-	return ln
+	return &LNodes{Degree: degree, ElementNodes: refs, numbering: f.number(intern(want, refs), n32, 40)}
 }
 
 // AssembleSum adds, for every shared high-order node, the contributions of

@@ -104,11 +104,11 @@ func TestLNodesGeometricConsistencyShell(t *testing.T) {
 		np1 := deg + 1
 		for e, o := range f.Local {
 			h := o.Len()
-			idx := 0
+			idx := e * np1 * np1 * np1
 			for k := 0; k < np1; k++ {
 				for j := 0; j < np1; j++ {
 					for i := 0; i < np1; i++ {
-						ni := ln.ElementNodes[e][idx]
+						ni := ln.ElementNodes[idx]
 						idx++
 						pk := phys(ln.Keys[ni])
 						own := connectivity.TreePoint{
@@ -188,9 +188,7 @@ func TestLNodesPinned(t *testing.T) {
 					h := fnv.New64a()
 					binary.Write(h, binary.LittleEndian, ln.Keys)
 					binary.Write(h, binary.LittleEndian, ln.GlobalID)
-					for _, en := range ln.ElementNodes {
-						binary.Write(h, binary.LittleEndian, en)
-					}
+					binary.Write(h, binary.LittleEndian, ln.ElementNodes)
 					all := mpi.Allgather(c, h.Sum64())
 					if c.Rank() == 0 {
 						h.Reset()
@@ -227,10 +225,8 @@ func TestLNodesAssembleSumCounts(t *testing.T) {
 		deg := 2
 		ln := f.LNodes(g, deg)
 		v := make([]float64, len(ln.Keys))
-		for _, en := range ln.ElementNodes {
-			for _, ni := range en {
-				v[ni]++
-			}
+		for _, ni := range ln.ElementNodes {
+			v[ni]++
 		}
 		ln.AssembleSum(v)
 		// Each node's assembled count equals the number of elements whose

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -12,31 +13,37 @@ import (
 	"repro/internal/octant"
 )
 
-// NodeRef ties one element corner to the mesh nodes it reads: a single
-// independent node, or — for a hanging corner — the 2 (coarse edge) or 4
-// (coarse face) anchor nodes it interpolates with equal weights, as in the
-// paper's trilinear continuous Galerkin discretization ("nodal values on
-// half-size faces or edges ... are constrained to interpolate neighboring
-// unknowns", §II.E).
-type NodeRef struct {
-	// Nodes holds local node indices; len 1 (independent), 2, or 4. Corners
-	// at one lattice point share the array behind it: read only.
-	Nodes []int32
-}
-
-// Independent reports whether the corner carries its own unknown.
-func (r NodeRef) Independent() bool { return len(r.Nodes) == 1 }
-
-// Weight returns the interpolation weight of each referenced node.
-func (r NodeRef) Weight() float64 { return 1 / float64(len(r.Nodes)) }
-
 // Nodes is the globally unique numbering of the independent trilinear
 // unknowns referenced by this rank's elements, produced by Forest.Nodes.
+// Each element corner reads a single independent node or, if it hangs, the
+// 2 (coarse edge) or 4 (coarse face) anchor nodes it interpolates with
+// equal weights, as in the paper's trilinear continuous Galerkin
+// discretization ("nodal values on half-size faces or edges ... are
+// constrained to interpolate neighboring unknowns", §II.E).
 type Nodes struct {
-	// ElementNodes[e][c] describes corner c of local element e.
-	ElementNodes [][8]NodeRef
+	// ElementNodes holds 8 entries per local element, corner c of element
+	// e at 8e+c: the local index of its node if it is independent, or ^h
+	// if it lies on hanging point h. The corners that meet at one hanging
+	// point share its h.
+	ElementNodes []int32
+	// The anchors of hanging point h are Anchors[AnchorStart[h]:
+	// AnchorStart[h+1]], local node indices in interpolation order.
+	AnchorStart []int32
+	Anchors     []int32
 	// Keys, GlobalID, Owner, NumOwned, OwnedOffset and NumGlobal.
 	numbering
+}
+
+// Corner returns the local nodes corner c of local element e reads: its
+// own node, or the anchors of the point it hangs on. Each has the weight
+// 1/len. The slice aliases the Nodes: read only.
+func (nd *Nodes) Corner(e, c int) []int32 {
+	i := 8*e + c
+	if h := nd.ElementNodes[i]; h < 0 {
+		a, b := nd.AnchorStart[^h], nd.AnchorStart[^h+1]
+		return nd.Anchors[a:b:b]
+	}
+	return nd.ElementNodes[i : i+1 : i+1]
 }
 
 // numbering is what Nodes and LNodes share: the canonical points of all
@@ -209,8 +216,9 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 
 	// One entry per point: its key, and in ref its state — a node (0) or
 	// hanging if a local leaf has a corner there, else none unless it
-	// anchors a hanging point. groupOf maps every leaf corner to its point.
-	const hangs, none = -2, -1
+	// anchors a hanging point; a node's state later becomes its key index
+	// and a hanging point's ^h. groupOf maps every leaf corner to its point.
+	const none, hangs = math.MinInt32, math.MinInt32 + 1
 	points := 0
 	for i := range recs {
 		if i == 0 || recs[i].at != recs[i-1].at || recs[i].tree != recs[i-1].tree {
@@ -218,7 +226,7 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 		}
 	}
 	groups, groupOf := make([]cornerRec, 0, points), make([]int32, len(recs))
-	slots, numKeys := 0, 0
+	hanging, anchors, numKeys := 0, 0, 0
 	for i := 0; i < len(recs); {
 		g, end, local := recs[i], i, false
 		for ; end < len(recs) && recs[end].at == g.at && recs[end].tree == g.tree; end++ {
@@ -237,59 +245,52 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 				}
 				cells += n
 			}
-			anchors := 1
 			if end-i == cells {
 				g.ref = 0
 				numKeys++
 			} else { // 2 or 4 anchors, by the axes the point is free on
 				g.ref = hangs
-				size := octant.Len(search[firstRef(recs[i:end])>>3].Level - 1)
+				hanging++
+				n, size := 1, octant.Len(search[firstRef(recs[i:end])>>3].Level-1)
 				for _, v := range [3]int32{k.X, k.Y, k.Z} {
 					if v&(size-1) != 0 {
-						anchors *= 2
+						n *= 2
 					}
 				}
+				anchors += n
 			}
-			slots += anchors
 		}
 		groups = append(groups, g)
 		i = end
 	}
 
-	// Resolve each point with a local record once; its corners share one
-	// slice of refs, which first hold point indices. A hanging point's
-	// anchors are corners of the leaf it hangs on.
-	nd := &Nodes{ElementNodes: make([][8]NodeRef, len(f.Local))}
-	refs := make([]int32, 0, slots)
+	// Number the hanging points with a local record in key order; a
+	// hanging point's anchors, which first hold point indices, are corners
+	// of the leaf it hangs on.
+	nd := &Nodes{AnchorStart: make([]int32, 1, hanging+1), Anchors: make([]int32, 0, anchors)}
 	for g, i := 0, 0; i < len(recs); g++ {
-		end, off, local := i, len(refs), false
-		for ; end < len(recs) && recs[end].at == recs[i].at && recs[end].tree == recs[i].tree; end++ {
-			local = local || isLocal(recs[end].ref)
+		end := i
+		for end < len(recs) && recs[end].at == recs[i].at && recs[end].tree == recs[i].tree {
+			end++
 		}
-		switch {
-		case !local:
-		case groups[g].ref == 0:
-			refs = append(refs, int32(g))
-		default:
+		if groups[g].ref == hangs {
+			groups[g].ref = ^int32(len(nd.AnchorStart) - 1)
 			images(point(groups[g]))
 			j, corners, n := hangsOn(recs[i:end], f.imgs, search)
 			for _, c := range corners[:n] {
 				ga := groupOf[j*8+c]
-				if groups[ga].ref == hangs {
+				if r := groups[ga].ref; r < 0 && r != none {
 					panic(fmt.Sprintf("core: anchor %+v of %+v hangs (mesh not 2:1 balanced?)", point(groups[ga]), point(groups[g])))
 				}
 				if groups[ga].ref == none {
 					groups[ga].ref = 0
 					numKeys++
 				}
-				refs = append(refs, ga)
+				nd.Anchors = append(nd.Anchors, ga)
 			}
+			nd.AnchorStart = append(nd.AnchorStart, int32(len(nd.Anchors)))
 		}
-		for ; i < end; i++ {
-			if r := recs[i].ref; isLocal(r) {
-				nd.ElementNodes[int(r>>3)-first][r&7].Nodes = refs[off:len(refs):len(refs)]
-			}
-		}
+		i = end
 	}
 	keys := make([]connectivity.TreePoint, 0, numKeys)
 	for g, r := range groups {
@@ -298,8 +299,17 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 			keys = append(keys, point(r))
 		}
 	}
-	for i, g := range refs {
-		refs[i] = groups[g].ref
+
+	// groupOf becomes the element entries in place: a node's index or ^h.
+	for i, g := range nd.Anchors {
+		nd.Anchors[i] = groups[g].ref
+	}
+	local := groupOf[8*first : 8*(first+len(f.Local))]
+	for i, g := range local {
+		local[i] = groups[g].ref
+	}
+	if nd.ElementNodes = local; len(local) < len(groupOf) {
+		nd.ElementNodes = slices.Clone(local) // drop the ghosts' corners
 	}
 	nd.numbering = f.number(keys, 1, 0)
 	return nd

@@ -18,8 +18,10 @@ import (
 // test oracle: Forest.Nodes must number the same nodes the same way — keys,
 // global ids, owners, counts, element references with their anchor order,
 // and the owner-routed request and serve lists — which
-// TestNodesMatchesReference compares field by field. The one departure: the
-// result's comm and Keys are assigned, since Nodes now embeds them.
+// TestNodesMatchesReference compares field by field. The departures: the
+// result's comm and Keys are assigned, since Nodes now embeds them, and
+// the element references are packed into Nodes' flat corner layout with a
+// hanging point of its own for every hanging corner (Corner reads them).
 
 // referenceTouchingCells returns the max-level cells adjacent to point p of tree t,
 // enumerated across every inter-tree image of the point and deduplicated.
@@ -239,15 +241,20 @@ func (f *Forest) referenceNodes(ghost *GhostLayer) *Nodes {
 	}
 
 	// Element corner references.
-	nd.ElementNodes = make([][8]NodeRef, len(f.Local))
+	nd.ElementNodes = make([]int32, 8*len(f.Local))
+	nd.AnchorStart = []int32{0}
 	for ei := range f.Local {
 		for c := 0; c < 8; c++ {
 			ks := corners[ei][c].keys
-			ref := NodeRef{Nodes: make([]int32, len(ks))}
-			for j, k := range ks {
-				ref.Nodes[j] = keySet[k]
+			if len(ks) == 1 {
+				nd.ElementNodes[8*ei+c] = keySet[ks[0]]
+				continue
 			}
-			nd.ElementNodes[ei][c] = ref
+			nd.ElementNodes[8*ei+c] = ^int32(len(nd.AnchorStart) - 1)
+			for _, k := range ks {
+				nd.Anchors = append(nd.Anchors, keySet[k])
+			}
+			nd.AnchorStart = append(nd.AnchorStart, int32(len(nd.Anchors)))
 		}
 	}
 

@@ -46,11 +46,9 @@ func TestNodesUniformCounts(t *testing.T) {
 				t.Errorf("p=%d: nodes = %d, want %d", p, nd.NumGlobal, want)
 			}
 			// All corners independent on a uniform mesh.
-			for _, en := range nd.ElementNodes {
-				for c2 := 0; c2 < 8; c2++ {
-					if !en[c2].Independent() {
-						t.Fatalf("uniform mesh has hanging corner")
-					}
+			for _, v := range nd.ElementNodes {
+				if v < 0 {
+					t.Fatalf("uniform mesh has hanging corner")
 				}
 			}
 		})
@@ -132,19 +130,19 @@ func TestNodesLinearExactness(t *testing.T) {
 			hangingSeen := false
 			for ei, o := range f.Local {
 				for cc := 0; cc < 8; cc++ {
-					ref := nd.ElementNodes[ei][cc]
+					ref := nd.Corner(ei, cc)
 					var v float64
-					for _, ni := range ref.Nodes {
-						v += vals[ni] * ref.Weight()
+					for _, ni := range ref {
+						v += vals[ni] * (1 / float64(len(ref)))
 					}
 					want := lin(physOfPoint(g, o.Tree, cornerPoint(o, cc)))
 					if math.Abs(v-want) > 1e-9 {
-						t.Fatalf("corner %d of %v: interpolated %v, want %v (refs %d)", cc, o, v, want, len(ref.Nodes))
+						t.Fatalf("corner %d of %v: interpolated %v, want %v (refs %d)", cc, o, v, want, len(ref))
 					}
-					if !ref.Independent() {
+					if len(ref) != 1 {
 						hangingSeen = true
-						if len(ref.Nodes) != 2 && len(ref.Nodes) != 4 {
-							t.Fatalf("hanging corner with %d anchors", len(ref.Nodes))
+						if len(ref) != 2 && len(ref) != 4 {
+							t.Fatalf("hanging corner with %d anchors", len(ref))
 						}
 					}
 				}
@@ -167,11 +165,11 @@ func TestNodesShellCanonicalGeometry(t *testing.T) {
 		g := conn.Geometry()
 		for ei, o := range f.Local {
 			for cc := 0; cc < 8; cc++ {
-				ref := nd.ElementNodes[ei][cc]
-				if !ref.Independent() {
+				ref := nd.Corner(ei, cc)
+				if len(ref) != 1 {
 					continue
 				}
-				k := nd.Keys[ref.Nodes[0]]
+				k := nd.Keys[ref[0]]
 				pk := physOfPoint(g, k.Tree, [3]int32{k.X, k.Y, k.Z})
 				pc := physOfPoint(g, o.Tree, cornerPoint(o, cc))
 				for a := 0; a < 3; a++ {
@@ -196,8 +194,8 @@ func TestNodesAssembleElementCounts(t *testing.T) {
 		v := make([]float64, len(nd.Keys))
 		for ei := range f.Local {
 			for cc := 0; cc < 8; cc++ {
-				ref := nd.ElementNodes[ei][cc]
-				v[ref.Nodes[0]]++
+				ref := nd.Corner(ei, cc)
+				v[ref[0]]++
 			}
 		}
 		nd.AssembleSum(v)
@@ -228,8 +226,8 @@ func TestNodesHangingAnchorsAreIndependent(t *testing.T) {
 		// global id.
 		for ei := range f.Local {
 			for cc := 0; cc < 8; cc++ {
-				ref := nd.ElementNodes[ei][cc]
-				for _, ni := range ref.Nodes {
+				ref := nd.Corner(ei, cc)
+				for _, ni := range ref {
 					if nd.GlobalID[ni] < 0 {
 						t.Fatalf("node %d has unresolved id", ni)
 					}
@@ -323,22 +321,22 @@ func TestNodesMatchesReference(t *testing.T) {
 				var hung []connectivity.TreePoint
 				for e, o := range f.Local {
 					for cc := 0; cc < 8; cc++ {
-						ref := got.ElementNodes[e][cc]
-						if !slices.Equal(ref.Nodes, want.ElementNodes[e][cc].Nodes) {
-							fail("corner %d of %v reads %v, reference %v", cc, o, ref.Nodes, want.ElementNodes[e][cc].Nodes)
+						ref := got.Corner(e, cc)
+						if !slices.Equal(ref, want.Corner(e, cc)) {
+							fail("corner %d of %v reads %v, reference %v", cc, o, ref, want.Corner(e, cc))
 						}
 						key := f.Conn.AppendPointImages(nil, o.Tree, cornerPoint(o, cc), 1)[0]
-						switch n := len(ref.Nodes); {
+						switch n := len(ref); {
 						case n == 1:
-							if got.Keys[ref.Nodes[0]] != key {
-								fail("independent corner %d of %v reads node %+v", cc, o, got.Keys[ref.Nodes[0]])
+							if got.Keys[ref[0]] != key {
+								fail("independent corner %d of %v reads node %+v", cc, o, got.Keys[ref[0]])
 							}
 						case n == 2 || n == 4:
 							hung = append(hung, key)
-							sorted := slices.Clone(ref.Nodes)
+							sorted := slices.Clone(ref)
 							slices.Sort(sorted)
 							if len(slices.Compact(sorted)) != n {
-								fail("hanging corner %d of %v repeats an anchor: %v", cc, o, ref.Nodes)
+								fail("hanging corner %d of %v repeats an anchor: %v", cc, o, ref)
 							}
 						default:
 							fail("corner %d of %v reads %d nodes", cc, o, n)
@@ -361,6 +359,81 @@ func TestNodesMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNodesLayout checks Nodes' flat corner layout at P = 1, 2 and 3: a
+// uniform mesh has no hanging entry; on the fractal forest every ^h names
+// a point of 2 or 4 anchors that are nodes, every hanging point is named
+// by some corner, the corners at one point share its h and those at two
+// points do not, and the anchor table holds exactly the points' anchors.
+func TestNodesLayout(t *testing.T) {
+	conn := connectivity.SixRotCubes()
+	for _, p := range []int{1, 2, 3} {
+		mpi.Run(p, func(c *mpi.Comm) {
+			fail := func(format string, args ...any) {
+				t.Errorf("P=%d rank %d: "+format, append([]any{p, c.Rank()}, args...)...)
+			}
+			u := New(c, conn, 2)
+			if nd := u.Nodes(u.Ghost()); len(nd.ElementNodes) != 8*len(u.Local) || slices.ContainsFunc(nd.ElementNodes, func(v int32) bool { return v < 0 }) || len(nd.Anchors) != 0 {
+				fail("uniform mesh: %d entries for %d elements, %d anchors, or a hanging entry", len(nd.ElementNodes), len(u.Local), len(nd.Anchors))
+			}
+
+			f, _, nd := buildNodes(c, conn, 1, 3)
+			nh := len(nd.AnchorStart) - 1
+			if len(nd.ElementNodes) != 8*len(f.Local) || nh < 0 || nd.AnchorStart[0] != 0 {
+				fail("%d entries for %d elements, anchor starts %v...", len(nd.ElementNodes), len(f.Local), nd.AnchorStart[:min(len(nd.AnchorStart), 1)])
+				return
+			}
+			sum := 0
+			for h := range nh {
+				a := nd.Anchors[nd.AnchorStart[h]:nd.AnchorStart[h+1]]
+				if len(a) != 2 && len(a) != 4 {
+					fail("hanging point %d has %d anchors", h, len(a))
+				}
+				for _, n := range a {
+					if n < 0 || int(n) >= len(nd.Keys) {
+						fail("hanging point %d has anchor %d of %d nodes", h, n, len(nd.Keys))
+					}
+				}
+				sum += len(a)
+			}
+			if sum != len(nd.Anchors) {
+				fail("the hanging points have %d anchors, the table %d", sum, len(nd.Anchors))
+			}
+			named := make([]bool, nh)
+			at := map[connectivity.TreePoint]int32{}
+			for e, o := range f.Local {
+				for cc := 0; cc < 8; cc++ {
+					v := nd.ElementNodes[8*e+cc]
+					switch {
+					case v >= 0:
+						if int(v) >= len(nd.Keys) {
+							fail("corner %d of %v reads node %d of %d", cc, o, v, len(nd.Keys))
+						}
+						continue
+					case int(^v) >= nh:
+						fail("corner %d of %v names hanging point %d of %d", cc, o, ^v, nh)
+						continue
+					}
+					named[^v] = true
+					key := f.Conn.AppendPointImages(nil, o.Tree, cornerPoint(o, cc), 1)[0]
+					if h, ok := at[key]; ok && h != ^v {
+						fail("the corners at %+v name hanging points %d and %d", key, h, ^v)
+					}
+					at[key] = ^v
+				}
+			}
+			if h := slices.Index(named, false); h >= 0 {
+				fail("no corner names hanging point %d", h)
+			}
+			if len(at) != nh {
+				fail("%d hanging points for %d points that hang", nh, len(at))
+			}
+			if mpi.AllreduceSum(c, int64(nh)) == 0 {
+				fail("no hanging point: the case pins nothing")
+			}
+		})
+	}
 }
 
 // TestRadixSortMatchesSortFunc checks the in-place radix sort against
@@ -429,8 +502,9 @@ func TestRadixSortMatchesSortFunc(t *testing.T) {
 // family's questions once, 1.16 and 556 B, most of the objects image lists
 // of points on tree boundaries; the corner-counting one, whose stable sort
 // needed a second record array, 0.0003 (13 objects) and 517 B; with the
-// bucketed sort, whose scratch is one bucket long, 422 B. The byte bound
-// is that reading plus 4 %.
+// bucketed sort, whose scratch is one bucket long, 422 B; with one int32
+// per corner, the point groups' array turned into the result, 231 B. The
+// byte bound is that reading plus 4 %.
 func TestNodesAllocsPerElement(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins hold only without -race")
@@ -448,11 +522,11 @@ func TestNodesAllocsPerElement(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		nd := f.Nodes(g)
 		runtime.ReadMemStats(&after)
-		n := float64(len(nd.ElementNodes))
+		n := float64(len(f.Local))
 		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
 		t.Logf("%.4f allocations and %.0f B per element, %d nodes", allocs, bytes, nd.NumGlobal)
-		if allocs > 0.001 || bytes > 440 {
-			t.Errorf("Nodes allocates %.4f objects and %.0f B per element, want at most 0.001 and 440", allocs, bytes)
+		if allocs > 0.001 || bytes > 240 {
+			t.Errorf("Nodes allocates %.4f objects and %.0f B per element, want at most 0.001 and 240", allocs, bytes)
 		}
 	})
 }
@@ -460,8 +534,11 @@ func TestNodesAllocsPerElement(t *testing.T) {
 // TestBalanceAllocsPerElement pins what a from-scratch BalanceFull
 // allocates on the same forest on one rank: the target records, a new
 // leaf array per refinement pass and the created lists, under a hundred
-// objects in all (0.002 and 331 B per element). The per-leaf demand
-// implementation made 27.5 objects and 2,053 B per element.
+// objects in all. The per-leaf demand implementation made 27.5 objects
+// and 2,053 B per element; the merge walk, which sized each new leaf array
+// for 7 new leaves per target, 0.002 and 204 B; sized by a dry run, with
+// no list of the local pass's leaves, 105 B. The byte bound is that
+// reading plus 5 %.
 func TestBalanceAllocsPerElement(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins hold only without -race")
@@ -479,8 +556,55 @@ func TestBalanceAllocsPerElement(t *testing.T) {
 		n := float64(f.NumGlobal())
 		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
 		t.Logf("%.3f allocations and %.0f B per element", allocs, bytes)
-		if allocs > 0.01 || bytes > 400 {
-			t.Errorf("Balance allocates %.3f objects and %.0f B per element, want at most 0.01 and 400", allocs, bytes)
+		if allocs > 0.01 || bytes > 110 {
+			t.Errorf("Balance allocates %.3f objects and %.0f B per element, want at most 0.01 and 110", allocs, bytes)
+		}
+	})
+}
+
+// TestRefineToNodesSizesExactly: the leaf array and the created list that
+// refineToNodes returns have no spare capacity, whether a target is a
+// leaf's child or lies levels below it, and the created leaves are the new
+// ones, in curve order.
+func TestRefineToNodesSizesExactly(t *testing.T) {
+	mpi.Run(1, func(c *mpi.Comm) {
+		f := New(c, connectivity.SixRotCubes(), 2)
+		f.Refine(true, 4, fractalRefine(4))
+		before := slices.Clone(f.Local)
+		var cand candidates
+		for i, o := range f.Local {
+			if pickMod(o, uint64(i%3), 5) == 0 {
+				d := o
+				for range 1 + i%3 {
+					d = d.Child(i % 8)
+				}
+				cand.add(f, d.CurveKey())
+			}
+		}
+		targets := cand.take(f)
+		if len(targets) == 0 {
+			t.Fatal("no targets: the case refines nothing")
+		}
+		created := f.refineToNodes(targets)
+		if cap(f.Local) != len(f.Local) || cap(created) != len(created) {
+			t.Errorf("%d leaves in %d, %d created in %d: want no spare capacity", len(f.Local), cap(f.Local), len(created), cap(created))
+		}
+		split := 0
+		for i := range targets {
+			if i == 0 || targets[i].leaf != targets[i-1].leaf {
+				split++
+			}
+		}
+		if got := len(f.Local) - len(before); got != len(created)-split {
+			t.Errorf("%d leaves more for %d created in %d split leaves", got, len(created), split)
+		}
+		if !slices.IsSortedFunc(created, octant.Compare) || !slices.IsSortedFunc(f.Local, octant.Compare) {
+			t.Error("leaves out of curve order")
+		}
+		for _, o := range created {
+			if _, old := slices.BinarySearchFunc(before, o, octant.Compare); old {
+				t.Fatalf("created leaf %v was a leaf before", o)
+			}
 		}
 	})
 }
@@ -524,7 +648,9 @@ func TestRebalanceAllocsPerElement(t *testing.T) {
 // the pipeline at P = 1 and 2, with the ghost layer and the Nodes result
 // held. The leaves alone are 20 B per octant; Balance used to leave 101 B,
 // its candidate buffer and three times the leaves' capacity, and Nodes 330
-// B. Each bound is the reading (at P = 2, the larger) plus a few bytes.
+// B with a slice header per corner, 255 B with them sharing one array, and
+// 97 B with one int32 per corner. Each bound is the reading (at P = 2, the
+// larger) plus a few bytes.
 func TestRetainedBytesPerOctant(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap figures hold only without -race")
@@ -536,7 +662,7 @@ func TestRetainedBytesPerOctant(t *testing.T) {
 		return float64(s[0].Value.Uint64())
 	}
 	names := [6]string{"new", "refine", "partition", "balance", "ghost", "nodes"}
-	bound := [6]float64{4, 20, 20, 25, 30, 265}
+	bound := [6]float64{4, 20, 20, 25, 30, 105}
 	for _, p := range []int{1, 2} {
 		var got [6]float64
 		base := live()
@@ -661,10 +787,23 @@ func TestNodesKeyWidthFromGhosts(t *testing.T) {
 			}
 		}
 		got, want := f.Nodes(g), f.referenceNodes(g)
-		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.GlobalID, want.GlobalID) || !reflect.DeepEqual(got.ElementNodes, want.ElementNodes) {
+		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.GlobalID, want.GlobalID) || !sameCorners(got, want, len(f.Local)) {
 			t.Errorf("rank %d: %d keys, reference %d, or the element references differ", c.Rank(), len(got.Keys), len(want.Keys))
 		}
 	})
+}
+
+// sameCorners reports whether every corner of the n local elements reads
+// the same nodes in a and b.
+func sameCorners(a, b *Nodes, n int) bool {
+	for e := 0; e < n; e++ {
+		for c := 0; c < 8; c++ {
+			if !slices.Equal(a.Corner(e, c), b.Corner(e, c)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestNodesDiagnosesMissingCornerGhosts: a ghost layer that lacks only the

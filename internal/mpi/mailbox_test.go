@@ -7,7 +7,8 @@ import "testing"
 func (m *mailbox) take(from, tag int) message {
 	var s recvSlot
 	m.post(from, tag, &s)
-	return m.wait(&s)
+	msg, _ := m.wait(&s)
+	return msg
 }
 
 // TestTakeClearsDrainedSlots asserts the mailbox queue's backing array

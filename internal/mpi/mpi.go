@@ -311,20 +311,25 @@ func (m *mailbox) post(from, tag int, s *recvSlot) {
 	m.matcher.post(from, tag, s)
 }
 
-// wait blocks until the posted slot completes and returns its message.
-// If the world aborts (a peer died), wait unwinds with an abortSignal
-// panic instead of blocking forever on a message that will never arrive;
-// the Run wrapper discards it.
-func (m *mailbox) wait(s *recvSlot) message {
+// wait blocks until the posted slot completes and returns its message and
+// how long it blocked: zero when the message was already in the slot, so a
+// receive that never blocked bills no wait. If the world aborts (a peer
+// died), wait unwinds with an abortSignal panic instead of blocking forever
+// on a message that will never arrive; the Run wrapper discards it.
+func (m *mailbox) wait(s *recvSlot) (message, time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if s.done {
+		return s.msg, 0
+	}
+	t0 := time.Now()
 	for !s.done {
 		if m.w.aborted.Load() {
 			panic(abortSignal{})
 		}
 		m.cond.Wait()
 	}
-	return s.msg
+	return s.msg, time.Since(t0)
 }
 
 // Send delivers payload to rank `to` with the given tag (tag >= 0). It never
@@ -377,13 +382,12 @@ func (c *Comm) recv(from, tag int) (any, int) {
 	if f := c.world.faults; f != nil {
 		f.maybeStall(c)
 	}
-	t0 := time.Now()
 	box := c.world.boxes[c.rank]
 	s := &c.blockSlot
 	*s = recvSlot{}
 	box.post(from, tag, s)
-	msg := box.wait(s)
-	c.received(tag, msg.payload, time.Since(t0))
+	msg, wait := box.wait(s)
+	c.received(tag, msg.payload, wait)
 	return msg.payload, msg.from
 }
 

@@ -58,15 +58,14 @@ func (c *Comm) Irecv(from, tag int) *Request {
 // request). Only the time actually spent blocked inside Wait counts
 // toward the rank's receive-wait statistics — time the message spent in
 // flight while the rank was computing is exactly the overlap win and is
-// deliberately not attributed as wait. Wait is idempotent: calling it
-// again returns the same payload.
+// deliberately not attributed as wait, and a message already there when
+// Wait is called bills none. Wait is idempotent: calling it again returns
+// the same payload.
 func (r *Request) Wait() (payload any, source int) {
 	if r.completed {
 		return r.payload, r.peer
 	}
-	t0 := time.Now()
-	msg := r.c.world.boxes[r.c.rank].wait(&r.slot)
-	r.finish(msg, time.Since(t0))
+	r.finish(r.c.world.boxes[r.c.rank].wait(&r.slot))
 	return r.payload, r.peer
 }
 

@@ -62,18 +62,17 @@ func buildViscousCSR(op *Operator) *csr {
 	}
 	for e := range op.F.Local {
 		em := op.EM[e]
-		en := &op.Nodes.ElementNodes[e]
 		for c := 0; c < 8; c++ {
-			rc := en[c]
-			wc := rc.Weight()
-			for _, ni := range rc.Nodes {
+			rc := op.Nodes.Corner(e, c)
+			wc := 1 / float64(len(rc))
+			for _, ni := range rc {
 				if op.BC[ni] {
 					continue
 				}
 				for d := 0; d < 8; d++ {
-					rd := en[d]
-					wd := rd.Weight()
-					for _, nj := range rd.Nodes {
+					rd := op.Nodes.Corner(e, d)
+					wd := 1 / float64(len(rd))
+					for _, nj := range rd {
 						if op.BC[nj] {
 							continue
 						}

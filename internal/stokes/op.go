@@ -77,9 +77,10 @@ func (op *Operator) NodePos(i int) [3]float64 { return op.nodePos[i] }
 // the nodes it marks as zero. gather and scatter are the only places the
 // hanging constraints are applied outside the AMG matrix assembly.
 func (op *Operator) gather(e int, x []float64, nc int, mask []bool, out []float64) {
-	for c, ref := range &op.Nodes.ElementNodes[e] {
-		w := ref.Weight()
-		for _, n := range ref.Nodes {
+	for c := 0; c < 8; c++ {
+		ns := op.Nodes.Corner(e, c)
+		w := 1 / float64(len(ns))
+		for _, n := range ns {
 			lo := 0
 			if mask != nil && mask[n] {
 				lo = 3
@@ -97,10 +98,11 @@ func (op *Operator) gather(e int, x []float64, nc int, mask []bool, out []float6
 // velocities receive contributions too; every caller overwrites them after
 // the assembly.
 func (op *Operator) scatter(e int, in []float64, nc int, y []float64) {
-	for c, ref := range &op.Nodes.ElementNodes[e] {
-		w := ref.Weight()
+	for c := 0; c < 8; c++ {
+		ns := op.Nodes.Corner(e, c)
+		w := 1 / float64(len(ns))
 		ic := in[nc*c : nc*c+nc]
-		for _, n := range ref.Nodes {
+		for _, n := range ns {
 			yn := y[nc*int(n):][:len(ic)]
 			for a, v := range ic {
 				yn[a] += w * v

@@ -17,11 +17,10 @@ import (
 // and refBuildRHS samples the force at the corners itself.
 
 func refGatherElem(op *Operator, e int, x []float64) (v [24]float64, p [8]float64) {
-	en := &op.Nodes.ElementNodes[e]
 	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
+		ref := op.Nodes.Corner(e, c)
+		w := 1 / float64(len(ref))
+		for _, ni := range ref {
 			base := int(ni) * 4
 			if !op.BC[ni] {
 				v[3*c+0] += w * x[base+0]
@@ -35,11 +34,10 @@ func refGatherElem(op *Operator, e int, x []float64) (v [24]float64, p [8]float6
 }
 
 func refScatterElem(op *Operator, e int, v *[24]float64, p *[8]float64, y []float64) {
-	en := &op.Nodes.ElementNodes[e]
 	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
+		ref := op.Nodes.Corner(e, c)
+		w := 1 / float64(len(ref))
+		for _, ni := range ref {
 			base := int(ni) * 4
 			if !op.BC[ni] {
 				y[base+0] += w * v[3*c+0]
@@ -97,13 +95,12 @@ func refApplyRaw(op *Operator, x, y []float64) {
 		y[i] = 0
 	}
 	for e := range op.F.Local {
-		en := &op.Nodes.ElementNodes[e]
 		var v [24]float64
 		var p [8]float64
 		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
+			ref := op.Nodes.Corner(e, c)
+			w := 1 / float64(len(ref))
+			for _, ni := range ref {
 				base := int(ni) * 4
 				v[3*c+0] += w * x[base+0]
 				v[3*c+1] += w * x[base+1]
@@ -135,9 +132,9 @@ func refApplyRaw(op *Operator, x, y []float64) {
 			yp[i] = s
 		}
 		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
+			ref := op.Nodes.Corner(e, c)
+			w := 1 / float64(len(ref))
+			for _, ni := range ref {
 				base := int(ni) * 4
 				y[base+0] += w * yv[3*c+0]
 				y[base+1] += w * yv[3*c+1]
@@ -170,11 +167,10 @@ func refBuildRHS(op *Operator, force func(x [3]float64) [3]float64) []float64 {
 }
 
 func refCornerScalar(op *Operator, e int, t []float64) (out [8]float64) {
-	en := &op.Nodes.ElementNodes[e]
 	for c := 0; c < 8; c++ {
-		ref := en[c]
-		w := ref.Weight()
-		for _, ni := range ref.Nodes {
+		ref := op.Nodes.Corner(e, c)
+		w := 1 / float64(len(ref))
+		for _, ni := range ref {
 			out[c] += w * t[ni]
 		}
 	}
@@ -186,9 +182,9 @@ func refSchurDiag(op *Operator) []float64 {
 	for e := range op.F.Local {
 		em := op.EM[e]
 		for c := 0; c < 8; c++ {
-			ref := op.Nodes.ElementNodes[e][c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
+			ref := op.Nodes.Corner(e, c)
+			w := 1 / float64(len(ref))
+			for _, ni := range ref {
 				d[ni] += w * em.MInt[c] / op.Eta[e]
 			}
 		}
@@ -201,11 +197,10 @@ func refLumped(op *Operator) []float64 {
 	l := make([]float64, op.NN)
 	for el := range op.F.Local {
 		em := op.EM[el]
-		en := &op.Nodes.ElementNodes[el]
 		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
+			ref := op.Nodes.Corner(el, c)
+			w := 1 / float64(len(ref))
+			for _, ni := range ref {
 				l[ni] += w * em.MInt[c]
 			}
 		}
@@ -261,11 +256,10 @@ func refResidual(e *EnergyOp, t, vel []float64, r []float64) {
 				re[c] -= w * e.Kappa * (qd[q].dx[c][0]*gradT[0] + qd[q].dx[c][1]*gradT[1] + qd[q].dx[c][2]*gradT[2])
 			}
 		}
-		en := &op.Nodes.ElementNodes[el]
 		for c := 0; c < 8; c++ {
-			ref := en[c]
-			w := ref.Weight()
-			for _, ni := range ref.Nodes {
+			ref := op.Nodes.Corner(el, c)
+			w := 1 / float64(len(ref))
+			for _, ni := range ref {
 				r[ni] += w * re[c]
 			}
 		}
@@ -325,11 +319,9 @@ func TestConstraintKernelsMatchReference(t *testing.T) {
 			_, op := buildCubeOp(c, 3, func(e int, _ octant.Octant) float64 { return 1 + float64(e%7) })
 			what := func(s string) string { return fmt.Sprintf("P=%d rank %d: %s", p, c.Rank(), s) }
 			var hanging int64
-			for _, en := range op.Nodes.ElementNodes {
-				for _, ref := range en {
-					if !ref.Independent() {
-						hanging++
-					}
+			for _, v := range op.Nodes.ElementNodes {
+				if v < 0 {
+					hanging++
 				}
 			}
 			if mpi.AllreduceSum(c, hanging) == 0 {
