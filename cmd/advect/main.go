@@ -53,16 +53,17 @@ func main() {
 	}
 
 	fmt.Println("Figure 5: weak scaling of dynamically adapted dG advection on the shell")
-	fmt.Printf("%8s %10s %12s %10s %10s %8s %12s %10s\n",
-		"ranks", "elements", "unknowns", "amr(s)", "integ(s)", "amr%", "s/step/elem", "shipped%")
+	fmt.Printf("%8s %10s %12s %10s %10s %8s %12s %10s %15s\n",
+		"ranks", "elements", "unknowns", "amr(s)", "integ(s)", "amr%", "s/step/elem", "shipped%", "B/elem live/rss")
 	var base float64
 	for _, p := range rankList {
 		world, tr := tel.BeginRun(p, nil)
 		row := experiments.RunFig5(p, opts, *steps, *adaptEvery,
 			experiments.Obs{Tracer: tr, World: world, OnRank: tel.OnRank, Workers: tel.Workers()})
-		fmt.Printf("%8d %10d %12d %10.3f %10.3f %8.2f %12.3e %10.1f\n",
+		fmt.Printf("%8d %10d %12d %10.3f %10.3f %8.2f %12.3e %10.1f %15s\n",
 			row.Ranks, row.Elements, row.Unknowns, row.AMRSec, row.IntegSec,
-			row.AMRPercent, row.NormPerStep, row.ShippedPct)
+			row.AMRPercent, row.NormPerStep, row.ShippedPct,
+			fmt.Sprintf("%.0f/%.0f", row.LivePerElem, row.PeakRSSPerElem))
 		if base == 0 {
 			base = row.NormPerStep
 		} else if row.NormPerStep > 0 {

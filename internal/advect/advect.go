@@ -72,20 +72,23 @@ type Solver struct {
 	// allocation-free in steady state. One entry per kernel worker; the
 	// serial path uses ws[0].
 	ws []advScratch
-	// unw holds the normal velocity u . areaVec at every link's flux
-	// points (Nf values per link, element-major like Mesh.Links; zeros for
-	// domain-boundary links) and cls the link's class, which says how much
-	// of the flux the signs of those values leave to compute. The advecting
-	// velocity depends only on position, so both are fixed between
-	// adaptations: rebuild() derives them after every mesh change.
-	unw   []float64
-	cls   []linkClass
-	kern  advKernel
-	kDC   []float64 // RHS output of the Apply in progress
-	rhsFn func(tt float64, u, du []float64)
+	// faceUn holds the normal flow u . areaVec at the face nodes of every
+	// local element's six faces (Nf values per (element, face), row e*6+f),
+	// unw the same at every link's flux points (Nf values per link,
+	// element-major like Mesh.Links; zeros for domain-boundary links) and
+	// cls the link's class, which says how much of the flux the signs of
+	// those values leave to compute. The advecting velocity depends only on
+	// position, so all three are fixed between adaptations: rebuild()
+	// carries faceUn with the elements, like cv, and derives unw and cls
+	// from it after every mesh change.
+	faceUn []float64
+	unw    []float64
+	cls    []linkClass
+	kern   advKernel
+	kDC    []float64 // RHS output of the Apply in progress
+	rhsFn  func(tt float64, u, du []float64)
 
 	// Scratch of rebuild (face-sized) and Indicator.
-	fv   []float64
 	area [3][]float64
 	ind  []float64
 
@@ -231,11 +234,13 @@ func (s *Solver) project(f func(x, y, z float64) float64) {
 
 // rebuild brings ghost layer, mesh and velocity data up to date after the
 // forest changed. The mesh is rebuilt in place and says which elements it
-// kept (Mesh.Src): their contravariant velocities and maximum speeds are
-// carried along, those of the other elements computed; the per-link normal
-// velocities and classes are computed afresh, links being renumbered by any
-// change. The state, which the adapt cycle or a checkpoint left in an array
-// of its own, moves to the head of the local+ghost array.
+// kept (Mesh.Src): their contravariant velocities, maximum speeds and face
+// flows are carried along, those of the other elements computed from the
+// metric the mesh derives for them (Mesh.Metric); the per-link normal
+// velocities and classes are taken afresh from the face flows, links being
+// renumbered by any change, so no kept element's metric is read. The state,
+// which the adapt cycle or a checkpoint left in an array of its own, moves
+// to the head of the local+ghost array.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	if s.Mesh == nil {
@@ -250,7 +255,6 @@ func (s *Solver) rebuild() {
 			}
 			sc.mine, sc.theirs, sc.g = make([]float64, nf), make([]float64, nf), make([]float64, nf)
 		}
-		s.fv = make([]float64, nf)
 		for b := range s.area {
 			s.area[b] = make([]float64, nf)
 		}
@@ -258,57 +262,65 @@ func (s *Solver) rebuild() {
 		s.Mesh.Rebuild(g)
 	}
 	m := s.Mesh
+	np, nf := m.Np, m.Nf
 	for a := 0; a < 3; a++ {
-		s.cv[a] = mangll.Carry(s.cv[a], m.Src, m.Np)
+		s.cv[a] = mangll.Carry(s.cv[a], m.Src, np)
 	}
 	s.vmax = mangll.Carry(s.vmax, m.Src, 1)
+	s.faceUn = mangll.Carry(s.faceUn, m.Src, 6*nf)
+	area := &s.area
 	for e, from := range m.Src {
 		if from >= 0 {
 			continue
 		}
+		gi, _ := m.Metric(m.SerialWork(), e)
 		vmax := 0.0
-		for i := e * m.Np; i < (e+1)*m.Np; i++ {
+		for n := 0; n < np; n++ {
+			i := e*np + n
 			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
 			for a := 0; a < 3; a++ {
-				s.cv[a][i] = m.Gi[a][0][i]*ux + m.Gi[a][1][i]*uy + m.Gi[a][2][i]*uz
+				s.cv[a][i] = gi[a][0][n]*ux + gi[a][1][n]*uy + gi[a][2][n]*uz
 			}
 			if v := math.Sqrt(ux*ux + uy*uy + uz*uz); v > vmax {
 				vmax = v
 			}
 		}
 		s.vmax[e] = vmax
+		for f := 0; f < 6; f++ {
+			for b := range area {
+				m.FaceArea(gi, f, b, area[b])
+			}
+			un := s.faceUn[(e*6+f)*nf : (e*6+f+1)*nf]
+			for fn, vn := range m.FaceIdx[f] {
+				i := e*np + int(vn)
+				ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
+				un[fn] = ux*area[0][fn] + uy*area[1][fn] + uz*area[2][fn]
+			}
+		}
 	}
-	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*m.Np)
+	s.buf = mangll.Resize(s.buf, (m.NumLocal+m.NumGhost)*np)
 	copy(s.buf, s.C)
-	s.C = s.buf[:m.NumLocal*m.Np]
+	s.C = s.buf[:m.NumLocal*np]
 
-	// Per-link normal velocities, u . areaVec at each link's flux points
+	// Per-link normal velocities, the face flows of the link's face
 	// (interpolated onto the quadrant grid for hanging faces), and what
 	// their signs say about the upwind flux.
-	s.unw = mangll.Resize(s.unw, len(m.Links)*m.Nf)
+	s.unw = mangll.Resize(s.unw, len(m.Links)*nf)
 	s.cls = mangll.Resize(s.cls, len(m.Links))
-	fv, area := s.fv, &s.area
 	for li := range m.Links {
 		l := &m.Links[li]
-		out := s.unw[li*m.Nf : (li+1)*m.Nf]
+		out := s.unw[li*nf : (li+1)*nf]
 		if l.Kind == mangll.LinkBoundary {
 			clear(out) // no normal flow through the domain boundary
 			s.cls[li] = linkSkip
 			continue
 		}
-		e, f := int(l.Elem), int(l.Face)
-		for b := range area {
-			m.FaceArea(e, f, b, area[b])
-		}
-		for fn, vn := range m.FaceIdx[f] {
-			i := e*m.Np + int(vn)
-			ux, uy, uz := s.Velocity(m.X[0][i], m.X[1][i], m.X[2][i])
-			fv[fn] = ux*area[0][fn] + uy*area[1][fn] + uz*area[2][fn]
-		}
+		ef := int(l.Elem)*6 + int(l.Face)
+		un := s.faceUn[ef*nf : (ef+1)*nf]
 		if l.Kind == mangll.LinkToFineQuad {
-			m.SerialWork().InterpFaceToQuad(l, fv, out)
+			m.SerialWork().InterpFaceToQuad(l, un, out)
 		} else {
-			copy(out, fv)
+			copy(out, un)
 		}
 		s.cls[li] = s.classify(out)
 	}

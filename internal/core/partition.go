@@ -110,7 +110,9 @@ func (f *Forest) PartitionWithData(perLeaf int, data []float64) ([]float64, int6
 // partitionByDest ships each local leaf to dest(i) (which must be
 // non-decreasing in i to preserve curve contiguity) and refreshes the
 // shared meta-data. If pendingData is set, the payload travels with the
-// leaves.
+// leaves. The run a rank keeps is not put in a parcel: the merge copies it
+// straight from the old arrays into the new ones, which are sized to what
+// arrives before anything is copied.
 func (f *Forest) partitionByDest(dest func(i int) int) int64 {
 	defer f.span("partition").End()
 	if f.adapted {
@@ -120,8 +122,9 @@ func (f *Forest) partitionByDest(dest func(i int) int) int64 {
 		Leaves []octant.Octant
 		Data   []float64
 	}
-	per := f.pendingPer
+	per, me := f.pendingPer, f.Comm.Rank()
 	out := make(map[int]parcel)
+	var own parcel
 	var sent int64
 	for i := 0; i < len(f.Local); {
 		r := dest(i)
@@ -129,25 +132,38 @@ func (f *Forest) partitionByDest(dest func(i int) int) int64 {
 		for j < len(f.Local) && dest(j) == r {
 			j++
 		}
+		if r == me {
+			own.Leaves = f.Local[i:j]
+			if f.pendingData != nil {
+				own.Data = f.pendingData[i*per : j*per]
+			}
+			i = j
+			continue
+		}
 		pc := out[r]
 		pc.Leaves = append(pc.Leaves, f.Local[i:j]...)
 		if f.pendingData != nil {
 			pc.Data = append(pc.Data, f.pendingData[i*per:j*per]...)
 		}
 		out[r] = pc
-		if r != f.Comm.Rank() {
-			sent += int64(j - i)
-		}
+		sent += int64(j - i)
 		i = j
 	}
 	in := mpi.SparseExchange(f.Comm, out, TagPartition)
+	in[me] = own
 	srcs := make([]int, 0, len(in))
-	for s := range in {
+	nLeaves, nData := 0, 0
+	for s, pc := range in {
 		srcs = append(srcs, s)
+		nLeaves += len(pc.Leaves)
+		nData += len(pc.Data)
 	}
 	sort.Ints(srcs)
-	merged := make([]octant.Octant, 0, len(f.Local))
+	merged := make([]octant.Octant, 0, nLeaves)
 	var mergedData []float64
+	if f.pendingData != nil {
+		mergedData = make([]float64, 0, nData)
+	}
 	for _, s := range srcs {
 		merged = append(merged, in[s].Leaves...)
 		mergedData = append(mergedData, in[s].Data...)

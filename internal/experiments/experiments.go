@@ -266,6 +266,12 @@ type Fig5Row struct {
 	SecPerStep  float64
 	NormPerStep float64 // seconds per step per element (aggregate)
 	ShippedPct  float64 // elements shipped during repartitioning
+
+	// LivePerElem and PeakRSSPerElem are read at the end of the run, per
+	// element of the final mesh: the live heap after a forced collection
+	// and the process's peak resident set so far, earlier rows' runs
+	// included (VmHWM; 0 where the kernel does not report it), in bytes.
+	LivePerElem, PeakRSSPerElem float64
 }
 
 // RunFig5 runs the dG advection benchmark: nsteps steps with adaptation
@@ -302,8 +308,12 @@ func RunFig5(ranks int, opts advect.Options, nsteps, adaptEvery int, obs Obs) Fi
 			row.NormPerStep = row.SecPerStep / float64(row.Elements)
 			if row.Elements > 0 {
 				row.ShippedPct = 100 * float64(shipped) / float64(row.Elements)
+				row.LivePerElem = float64(liveHeap()) / float64(row.Elements)
+				row.PeakRSSPerElem = float64(peakRSS()) / float64(row.Elements)
 			}
 		}
+		c.Barrier() // every rank's solver stays live until rank 0 has read the heap
+		runtime.KeepAlive(s)
 	})
 	return row
 }

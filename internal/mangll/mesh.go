@@ -82,8 +82,10 @@ func (l *FaceLink) MapIndex(n, i, j int) (int, int) {
 }
 
 // Mesh is the dG view of a distributed forest: element node coordinates,
-// curvilinear metric terms, face connections (including 2:1 hanging faces
-// and inter-tree rotations), and the ghost-exchange machinery for fields.
+// the volume Jacobian and inverse mass matrix the kernels read, face
+// connections (including 2:1 hanging faces and inter-tree rotations), and
+// the ghost-exchange machinery for fields. The rest of the metric, J dxi/dx,
+// is not kept: Metric derives it from X for whoever reads it.
 type Mesh struct {
 	F *core.Forest
 	G *core.GhostLayer
@@ -98,13 +100,8 @@ type Mesh struct {
 
 	// X[a] holds coordinate a of every local element node: index e*Np+n.
 	X [3][]float64
-	// Jac[n] is the volume Jacobian determinant at each local node and
-	// InvJac[n] its reciprocal, stored so kernels scale by it without a
-	// division per node and stage.
-	Jac, InvJac []float64
-	// Gi[a][b] = J * d xi_a / d x_b at each local node (contravariant
-	// metric scaled by J).
-	Gi [3][3][]float64
+	// Jac[n] is the volume Jacobian determinant at each local node.
+	Jac []float64
 	// MassInv[n] = 1 / (w_i w_j w_k J): inverse diagonal mass matrix.
 	MassInv []float64
 
@@ -243,7 +240,7 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 // leaves and their ghost layer g after the forest was adapted or
 // repartitioned (same preconditions as NewMesh). An element survives when
 // the same octant was an element of this mesh — on this rank — before: its
-// node coordinates and metric terms are moved to its new index and kept,
+// node coordinates, Jacobian and mass are moved to its new index and kept,
 // bitwise; everything else (the geometry of the other elements, MinLen,
 // links, exchange lists, batches) is derived again, and Src records who
 // moved where. Storage is reused and grows only when the rank's element
@@ -381,7 +378,7 @@ func faceTangentAxes(f int) (u, v int) {
 	}
 }
 
-// buildGeometry moves the node coordinates and metric terms of the
+// buildGeometry moves the node coordinates, Jacobians and masses of the
 // surviving elements to their new indices (Carry) and evaluates those of
 // the fresh ones via the connectivity's geometry. Elements are independent,
 // so the loops fan out over the rank's pool when there is one (ForRange).
@@ -391,12 +388,8 @@ func (m *Mesh) buildGeometry() {
 	np := m.Np
 	for a := 0; a < 3; a++ {
 		m.X[a] = Carry(m.X[a], m.Src, np)
-		for b := 0; b < 3; b++ {
-			m.Gi[a][b] = Carry(m.Gi[a][b], m.Src, np)
-		}
 	}
 	m.Jac = Carry(m.Jac, m.Src, np)
-	m.InvJac = Carry(m.InvJac, m.Src, np)
 	m.MassInv = Carry(m.MassInv, m.Src, np)
 
 	geom := m.F.Conn.Geometry()
@@ -404,9 +397,8 @@ func (m *Mesh) buildGeometry() {
 		panic("mangll: connectivity has no geometry")
 	}
 	m.ForRange(len(m.fresh), func(w *Work, lo, hi int) {
-		der := make([]float64, 9*np)
 		for _, e := range m.fresh[lo:hi] {
-			m.elemGeometry(w, int(e), geom, der)
+			m.elemGeometry(w, int(e), geom)
 		}
 	})
 
@@ -435,24 +427,79 @@ func (m *Mesh) edgeLen(e int) float64 {
 }
 
 // FaceArea writes component b of the outward area vector (J grad xi
-// scaled, unnormalized) at the Nf face nodes of face f of element e into
-// out: the metric row of the face's axis gathered at the face nodes, with
-// the face's sign. Set-up paths read it; the kernels do not.
-func (m *Mesh) FaceArea(e, f, b int, out []float64) {
+// scaled, unnormalized) at the Nf face nodes of face f of an element into
+// out: row gi[axis][b] of the element's metric (as Metric returns it, or a
+// frontend's own copy of those rows), gathered at the face nodes, with the
+// face's sign. Set-up paths read it; the kernels do not.
+func (m *Mesh) FaceArea(gi *[3][3][]float64, f, b int, out []float64) {
 	sign := float64(octant.FaceSign(f))
-	gi := m.Gi[octant.FaceAxis(f)][b][e*m.Np : (e+1)*m.Np]
+	row := gi[octant.FaceAxis(f)][b][:m.Np]
 	for fn, vn := range m.FaceIdx[f] {
-		out[fn] = sign * gi[vn]
+		out[fn] = sign * row[vn]
 	}
 }
 
-// elemGeometry fills the coordinates and metric terms of local element e.
-// der is 9*Np scratch: dx_b/dxi_a of the whole element at
-// der[(3*b+a)*Np:].
-func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []float64) {
-	np1, np := m.Np1, m.Np
+// Metric derives the metric terms of local element e from its node
+// coordinates: dx/dxi by spectral differentiation of X (Gradient), then at
+// each of the element's Np nodes the Jacobian determinant jac[n] and the
+// cofactors gi[a][b][n] = J dxi_a/dx_b. It is the one place the mesh
+// computes them; the mesh keeps only Jac, so the other terms are derived
+// here by whoever reads them (a frontend's set-up, FaceArea). X is kept
+// bitwise through every Rebuild, so they come out the same bits whenever
+// they are derived. The slices are w's scratch, valid until w's next
+// Metric. It panics on a non-positive Jacobian.
+func (m *Mesh) Metric(w *Work, e int) (gi *[3][3][]float64, jac []float64) {
+	np := m.Np
+	if len(w.jac) < np {
+		w.der, w.jac = make([]float64, 9*np), make([]float64, np)
+		for a := range w.gi {
+			for b := range w.gi[a] {
+				w.gi[a][b] = make([]float64, np)
+			}
+		}
+	}
+	// der[(3*b+a)*np+n] = dx_b/dxi_a.
+	der, base := w.der, e*np
+	for b := 0; b < 3; b++ {
+		d := der[3*b*np:]
+		w.Gradient(m.X[b][base:base+np], d[:np], d[np:2*np], d[2*np:3*np])
+	}
+	// At each node, with dba = dx_b/dxi_a: J = det(d) and the cofactor
+	// transpose gi[a][b] = d[b1][a1]*d[b2][a2] - d[b1][a2]*d[b2][a1]
+	// (a1, a2 = a+1, a+2 and b1, b2 = b+1, b+2, mod 3), written out.
+	d00, d01, d02 := der[:np], der[np:2*np], der[2*np:3*np]
+	d10, d11, d12 := der[3*np:4*np], der[4*np:5*np], der[5*np:6*np]
+	d20, d21, d22 := der[6*np:7*np], der[7*np:8*np], der[8*np:9*np]
+	g := &w.gi
+	jac = w.jac[:np]
+	for n := range jac {
+		a00, a01, a02 := d00[n], d01[n], d02[n]
+		a10, a11, a12 := d10[n], d11[n], d12[n]
+		a20, a21, a22 := d20[n], d21[n], d22[n]
+		j := a00*(a11*a22-a12*a21) - a01*(a10*a22-a12*a20) + a02*(a10*a21-a11*a20)
+		if j <= 0 {
+			panic(fmt.Sprintf("mangll: non-positive Jacobian %v in element %d", j, e))
+		}
+		jac[n] = j
+		g[0][0][n] = a11*a22 - a12*a21
+		g[0][1][n] = a21*a02 - a22*a01
+		g[0][2][n] = a01*a12 - a02*a11
+		g[1][0][n] = a12*a20 - a10*a22
+		g[1][1][n] = a22*a00 - a20*a02
+		g[1][2][n] = a02*a10 - a00*a12
+		g[2][0][n] = a10*a21 - a11*a20
+		g[2][1][n] = a20*a01 - a21*a00
+		g[2][2][n] = a00*a11 - a01*a10
+	}
+	return &w.gi, jac
+}
+
+// elemGeometry fills the coordinates, Jacobian and inverse mass of local
+// element e.
+func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry) {
+	np1 := m.Np1
 	o := m.F.Local[e]
-	base := e * np
+	base := e * m.Np
 
 	// Node coordinates.
 	h := float64(o.Len()) / float64(octant.RootLen)
@@ -479,36 +526,13 @@ func (m *Mesh) elemGeometry(w *Work, e int, geom connectivity.Geometry, der []fl
 		}
 	}
 
-	// Metric terms: dx/dxi by spectral differentiation, then J and
-	// J*dxi/dx by cofactors.
-	for b := 0; b < 3; b++ { // physical coordinate
-		d := der[3*b*np:]
-		w.Gradient(m.X[b][base:base+np], d[:np], d[np:2*np], d[2*np:3*np])
-	}
+	_, jac := m.Metric(w, e)
+	copy(m.Jac[base:base+m.Np], jac)
 	n = 0
 	for k := 0; k < np1; k++ {
 		for j := 0; j < np1; j++ {
 			for i := 0; i < np1; i++ {
-				var d [3][3]float64
-				for b := 0; b < 3; b++ {
-					for a := 0; a < 3; a++ {
-						d[b][a] = der[(3*b+a)*np+n]
-					}
-				}
-				jac := det3f(d)
-				if jac <= 0 {
-					panic(fmt.Sprintf("mangll: non-positive Jacobian %v in element %d", jac, e))
-				}
-				m.Jac[base+n] = jac
-				m.InvJac[base+n] = 1 / jac
-				// J * dxi_a/dx_b = cofactor transpose.
-				co := cofactor3(d)
-				for a := 0; a < 3; a++ {
-					for b := 0; b < 3; b++ {
-						m.Gi[a][b][base+n] = co[a][b]
-					}
-				}
-				m.MassInv[base+n] = 1 / (m.L.W[i] * m.L.W[j] * m.L.W[k] * jac)
+				m.MassInv[base+n] = 1 / (m.L.W[i] * m.L.W[j] * m.L.W[k] * jac[n])
 				n++
 			}
 		}
@@ -610,26 +634,6 @@ func applyD1Cubic[T Float](d *[16]T, a int, u, out *[64]T) {
 			out[p&63], out[(p+st)&63], out[(p+2*st)&63], out[(p+3*st)&63] = s0, s1, s2, s3
 		}
 	}
-}
-
-func det3f(a [3][3]float64) float64 {
-	return a[0][0]*(a[1][1]*a[2][2]-a[1][2]*a[2][1]) -
-		a[0][1]*(a[1][0]*a[2][2]-a[1][2]*a[2][0]) +
-		a[0][2]*(a[1][0]*a[2][1]-a[1][1]*a[2][0])
-}
-
-// cofactor3 returns C with C[a][b] = J * dxi_a/dx_b for d = dx/dxi
-// (d[b][a] = dx_b/dxi_a).
-func cofactor3(d [3][3]float64) [3][3]float64 {
-	var c [3][3]float64
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 3; b++ {
-			a1, a2 := (a+1)%3, (a+2)%3
-			b1, b2 := (b+1)%3, (b+2)%3
-			c[a][b] = d[b1][a1]*d[b2][a2] - d[b1][a2]*d[b2][a1]
-		}
-	}
-	return c
 }
 
 func norm3(v [3]float64) float64 {

@@ -42,6 +42,12 @@ type WorkOf[T Float] struct {
 	// FaceMap's result (Nf entries each).
 	mapMine, mapNbr []int32
 	mapWgt          []T
+
+	// Mesh.Metric's result and its dx/dxi scratch, in float64 whatever T
+	// (the metric is derived from the mesh's coordinates), grown on first
+	// use.
+	gi       [3][3][]float64
+	jac, der []float64
 }
 
 // Work is the double-precision context every Kernel hook is handed.

@@ -52,8 +52,9 @@ type Solver struct {
 
 	MatFn func(p [3]float64) Material
 
-	// The kernels' tables in double precision, over the mesh's own metric
-	// arrays, rebuilt with the mesh.
+	// The kernels' tables in double precision, rebuilt with the mesh: the
+	// metric rows are carried with the elements the mesh keeps, the rest
+	// filled in again.
 	k    kernels[float64]
 	kern seisKernel
 	rk   mangll.LSRK45
@@ -71,11 +72,11 @@ type Solver struct {
 }
 
 // kernels is what the seismic kernels read, in precision T: the metric
-// (1/J and J dxi/dx), the material and the flux-point tables, the
-// local+ghost state array they gather from, the residual they accumulate
-// into, and one scratch set per worker. The physics is written once,
-// over it; the host runs it at float64 and the device (NewDevice) at
-// float32.
+// (1/J and J dxi/dx, the solver's own: the mesh keeps neither), the
+// material and the flux-point tables, the local+ghost state array they
+// gather from, the residual they accumulate into, and one scratch set per
+// worker. The physics is written once, over it; the host runs it at
+// float64 and the device (NewDevice) at float32.
 type kernels[T mangll.Float] struct {
 	m      *mangll.Mesh
 	invJac []T
@@ -186,9 +187,11 @@ func NewSolver(comm *mpi.Comm, f *core.Forest, opts Options, matFn func(p [3]flo
 }
 
 // rebuild brings ghost layer, mesh and the per-mesh tables up to date after
-// the forest changed. The mesh is rebuilt in place; the tables keep their
-// storage and are filled again in full. The state, which the adapt cycle
-// left in an array of its own, moves to the head of the local+ghost array.
+// the forest changed. The mesh is rebuilt in place. The metric rows of the
+// elements it kept (Mesh.Src) are carried along and those of the others
+// derived from the mesh (Mesh.Metric); the other tables keep their storage
+// and are filled again in full. The state, which the adapt cycle left in an
+// array of its own, moves to the head of the local+ghost array.
 func (s *Solver) rebuild() {
 	g := s.F.Ghost()
 	if s.Mesh == nil {
@@ -207,7 +210,30 @@ func (s *Solver) rebuild() {
 		s.Mesh.Rebuild(g)
 	}
 	m, k := s.Mesh, &s.k
-	k.invJac, k.gi = m.InvJac, m.Gi
+	np := m.Np
+	for a := range k.gi {
+		for b := range k.gi[a] {
+			k.gi[a][b] = mangll.Carry(k.gi[a][b], m.Src, np)
+		}
+	}
+	k.invJac = mangll.Carry(k.invJac, m.Src, np)
+	m.ForRange(m.NumLocal, func(w *mangll.Work, lo, hi int) {
+		for e := lo; e < hi; e++ {
+			if m.Src[e] >= 0 {
+				continue
+			}
+			gi, jac := m.Metric(w, e)
+			base := e * np
+			for a := range gi {
+				for b := range gi[a] {
+					copy(k.gi[a][b][base:base+np], gi[a][b])
+				}
+			}
+			for n, j := range jac {
+				k.invJac[base+n] = 1 / j
+			}
+		}
+	})
 	k.mat = mangll.Resize(k.mat, m.NumLocal*m.Np)
 	vp := make([]float64, s.Comm.Workers())
 	m.ForRange(len(k.mat), func(w *mangll.Work, lo, hi int) {
@@ -234,8 +260,9 @@ func (s *Solver) buildFaceTables() {
 	m.ForRange(m.NumLocal*6, func(w *mangll.Work, lo, hi int) {
 		sc := &k.ws[w.ID()]
 		for ef := lo; ef < hi; ef++ {
+			gi := k.elemMetric(ef / 6)
 			for b := 0; b < 3; b++ {
-				m.FaceArea(ef/6, ef%6, b, sc.fx)
+				m.FaceArea(&gi, ef%6, b, sc.fx)
 				for fn, v := range sc.fx {
 					sc.area[fn][b] = v
 				}
@@ -513,6 +540,17 @@ func freeSurfacePoint[T mangll.Float](p *facePoint[T], mt *nodeMat[T], qm []T, g
 	g[2] = -p.Area * mt.InvRho * tau[2]
 }
 
+// elemMetric returns the rows of local element e in the metric table gi.
+func (k *kernels[T]) elemMetric(e int) (gi [3][3][]T) {
+	np := k.m.Np
+	for a := range gi {
+		for b := range gi[a] {
+			gi[a][b] = k.gi[a][b][e*np : (e+1)*np]
+		}
+	}
+	return gi
+}
+
 // fluxGeometry evaluates the physical coordinates and outward area vectors
 // at the flux points of a LinkToFineQuad link, interpolated from the
 // element's face nodes onto the quadrant (a setup-path helper: the kernels
@@ -522,6 +560,7 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 	e := int(l.Elem)
 	sc := &s.k.ws[w.ID()]
 	fx, fq := sc.fx, sc.fq
+	gi := s.k.elemMetric(e)
 	for a := 0; a < 3; a++ {
 		for fn, vn := range m.FaceIdx[l.Face] {
 			fx[fn] = m.X[a][e*m.Np+int(vn)]
@@ -530,7 +569,7 @@ func (s *Solver) fluxGeometry(w *mangll.Work, l *mangll.FaceLink, xs, area [][3]
 		for fn, v := range fq {
 			xs[fn][a] = v
 		}
-		m.FaceArea(e, int(l.Face), a, fx)
+		m.FaceArea(&gi, int(l.Face), a, fx)
 		w.InterpFaceToQuad(l, fx, fq)
 		for fn, v := range fq {
 			area[fn][a] = v
