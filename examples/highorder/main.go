@@ -1,6 +1,7 @@
 // High-order continuous unknowns: the degree-N globally unique node
-// numbering (Forest.LNodes) on the 24-octree spherical shell, whose trees
-// carry mutually rotated coordinate systems. A smooth function is sampled
+// numbering (Forest.LNodes, the routine Forest.Nodes runs at degree 1) on
+// the 24-octree spherical shell, whose trees carry mutually rotated
+// coordinate systems. A smooth function is sampled
 // once per global node, every element reads it back through its own local
 // numbering, and the maximum mismatch across inter-tree faces demonstrates
 // that the orientation-aware canonicalization identifies exactly the right

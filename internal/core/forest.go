@@ -96,7 +96,7 @@ type Forest struct {
 	adapted      bool
 	changed      []octant.Octant
 
-	imgs []connectivity.TreePoint // the images of one point, reused by Nodes and LNodes
+	imgs []connectivity.TreePoint // the images of one point, reused by Forest.images
 }
 
 // New creates a uniformly refined, equi-partitioned forest at the given

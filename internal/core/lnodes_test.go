@@ -5,11 +5,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/connectivity"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/raceflag"
 )
 
 func TestLNodesCountsUnitCube(t *testing.T) {
@@ -205,15 +210,106 @@ func TestLNodesPinned(t *testing.T) {
 	}
 }
 
+// TestLNodesRejectsNonConforming: above degree 1 a forest with a face
+// between leaves of two sizes panics on every rank count, also where the
+// finer and the coarser leaves of every such face lie on different ranks
+// and only the finer side's rank is sure to see a point hang; the world
+// must abort, not leave the other ranks waiting in the numbering's
+// exchanges.
 func TestLNodesRejectsNonConforming(t *testing.T) {
 	conn := connectivity.UnitCube()
+	forests := []struct {
+		name  string
+		build func(c *mpi.Comm) *Forest
+	}{
+		{"corner", func(c *mpi.Comm) *Forest {
+			f := New(c, conn, 1)
+			f.Refine(false, 3, func(o octant.Octant) bool { return o.ChildID() == 0 })
+			f.Balance(BalanceFull)
+			return f
+		}},
+		// The last level-1 leaf split into 8: at P = 2 rank 0 holds the 7
+		// coarser leaves and rank 1 the 8 finer ones.
+		{"split", func(c *mpi.Comm) *Forest {
+			f := New(c, conn, 1)
+			f.Refine(false, 2, func(o octant.Octant) bool { return o.ChildID() == 7 })
+			f.Partition()
+			if want := int8(1 + c.Rank()); c.Size() == 2 && slices.ContainsFunc(f.Local, func(o octant.Octant) bool { return o.Level != want }) {
+				t.Errorf("rank %d holds %v, the case wants only level-%d leaves", c.Rank(), f.Local, want)
+			}
+			return f
+		}},
+	}
+	for _, fc := range forests {
+		for _, p := range []int{1, 2, 3} {
+			for _, degree := range []int{2, 3} {
+				done := make(chan string, 1)
+				go func() {
+					done <- panicText(func() {
+						mpi.Run(p, func(c *mpi.Comm) {
+							f := fc.build(c)
+							f.LNodes(f.Ghost(), degree)
+						})
+					})
+				}()
+				select {
+				case got := <-done:
+					if !strings.Contains(got, "conforming forest") {
+						t.Errorf("%s P=%d N=%d: panic %q, want the forest named non-conforming", fc.name, p, degree, got)
+					}
+				case <-time.After(time.Minute):
+					t.Fatalf("%s P=%d N=%d: LNodes on a non-conforming forest hangs", fc.name, p, degree)
+				}
+			}
+		}
+	}
 	mpi.Run(1, func(c *mpi.Comm) {
 		f := New(c, conn, 1)
-		f.Refine(false, 3, func(o octant.Octant) bool { return o.ChildID() == 0 })
-		f.Balance(BalanceFull)
+		mustPanic(t, "bad degree", func() { f.LNodes(f.Ghost(), 0) })
+	})
+}
+
+// TestLNodesKeyWidthGuard: a point of the degree-15 lattice of a
+// level-19 leaf takes 3·23 bits, more than the 64 a record packs; LNodes
+// must say so, naming the degree and the depth, instead of numbering
+// points whose coordinates the packing overflowed.
+func TestLNodesKeyWidthGuard(t *testing.T) {
+	got := panicText(func() {
+		mpi.Run(1, func(c *mpi.Comm) {
+			f := New(c, connectivity.UnitCube(), 0)
+			f.Refine(true, octant.MaxLevel, func(o octant.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			f.LNodes(f.Ghost(), 15)
+		})
+	})
+	if !strings.Contains(got, "degree-15") || !strings.Contains(got, fmt.Sprintf("level-%d", octant.MaxLevel)) {
+		t.Errorf("LNodes(15) with a level-%d leaf: panic %q, want the degree and the depth named", octant.MaxLevel, got)
+	}
+}
+
+// TestLNodesAllocsPerElement pins what a repeat LNodes call at degree 2
+// allocates on a uniform level-4 SixRotCubes forest (24,576 elements) on
+// one rank: a handful of flat arrays. With its own 20 B record per local
+// lattice point, an MSD sort and a face-neighbour search, 0.0006 objects
+// and 921 B per element; on Nodes' 16 B records, which ghosts' points
+// also make, 969 B. The byte bound is that reading plus 5 %.
+func TestLNodesAllocsPerElement(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins hold only without -race")
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		f := New(c, connectivity.SixRotCubes(), 4)
 		g := f.Ghost()
-		mustPanic(t, "non-conforming mesh", func() { f.LNodes(g, 2) })
-		mustPanic(t, "bad degree", func() { f.LNodes(g, 0) })
+		f.LNodes(g, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nd := f.LNodes(g, 2)
+		runtime.ReadMemStats(&after)
+		n := float64(len(f.Local))
+		allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+		t.Logf("%.4f allocations and %.0f B per element, %d nodes", allocs, bytes, nd.NumGlobal)
+		if allocs > 0.001 || bytes > 1020 {
+			t.Errorf("LNodes allocates %.4f objects and %.0f B per element, want at most 0.001 and 1,020", allocs, bytes)
+		}
 	})
 }
 

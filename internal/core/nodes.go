@@ -13,45 +13,29 @@ import (
 	"repro/internal/octant"
 )
 
-// Nodes is the globally unique numbering of the independent trilinear
-// unknowns referenced by this rank's elements, produced by Forest.Nodes.
-// Each element corner reads a single independent node or, if it hangs, the
-// 2 (coarse edge) or 4 (coarse face) anchor nodes it interpolates with
-// equal weights, as in the paper's trilinear continuous Galerkin
-// discretization ("nodal values on half-size faces or edges ... are
-// constrained to interpolate neighboring unknowns", §II.E).
+// Nodes is the globally unique numbering of the degree-N continuous
+// tensor-product unknowns referenced by this rank's elements, produced by
+// Forest.Nodes (N = 1) and Forest.LNodes. At degree 1 each element corner
+// reads a single independent node or, if it hangs, the 2 (coarse edge) or
+// 4 (coarse face) anchor nodes it interpolates with equal weights, as in
+// the paper's trilinear continuous Galerkin discretization ("nodal values
+// on half-size faces or edges ... are constrained to interpolate
+// neighboring unknowns", §II.E). Above degree 1 the forest is conforming
+// and no node hangs.
 type Nodes struct {
-	// ElementNodes holds 8 entries per local element, corner c of element
-	// e at 8e+c: the local index of its node if it is independent, or ^h
-	// if it lies on hanging point h. The corners that meet at one hanging
-	// point share its h.
+	// ElementNodes holds (N+1)^3 entries per local element, lattice point
+	// (i, j, k) of element e at (N+1)^3·e + i + (N+1)·(j + (N+1)·k), so
+	// corner c of e at 8e+c at degree 1: the local index of its node if it
+	// is independent, or ^h if it lies on hanging point h. The corners that
+	// meet at one hanging point share its h.
 	ElementNodes []int32
 	// The anchors of hanging point h are Anchors[AnchorStart[h]:
 	// AnchorStart[h+1]], local node indices in interpolation order.
 	AnchorStart []int32
 	Anchors     []int32
-	// Keys, GlobalID, Owner, NumOwned, OwnedOffset and NumGlobal.
-	numbering
-}
-
-// Corner returns the local nodes corner c of local element e reads: its
-// own node, or the anchors of the point it hangs on. Each has the weight
-// 1/len. The slice aliases the Nodes: read only.
-func (nd *Nodes) Corner(e, c int) []int32 {
-	i := 8*e + c
-	if h := nd.ElementNodes[i]; h < 0 {
-		a, b := nd.AnchorStart[^h], nd.AnchorStart[^h+1]
-		return nd.Anchors[a:b:b]
-	}
-	return nd.ElementNodes[i : i+1 : i+1]
-}
-
-// numbering is what Nodes and LNodes share: the canonical points of all
-// locally referenced nodes with their global ids and owners, and the lists
-// that route shared values through the owners.
-type numbering struct {
-	// Keys holds the canonical points of the local nodes, ascending;
-	// parallel arrays give their global ids and owners.
+	// Keys holds the canonical points of the local nodes on the lattice
+	// refined by N, ascending; parallel arrays give their global ids and
+	// owners.
 	Keys     []connectivity.TreePoint
 	GlobalID []int64
 	Owner    []int
@@ -69,6 +53,18 @@ type numbering struct {
 	serveLists map[int][]int32
 
 	comm *mpi.Comm
+}
+
+// Corner returns the local nodes corner c of local element e of a degree-1
+// numbering reads: its own node, or the anchors of the point it hangs on.
+// Each has the weight 1/len. The slice aliases the Nodes: read only.
+func (nd *Nodes) Corner(e, c int) []int32 {
+	i := 8*e + c
+	if h := nd.ElementNodes[i]; h < 0 {
+		a, b := nd.AnchorStart[^h], nd.AnchorStart[^h+1]
+		return nd.Anchors[a:b:b]
+	}
+	return nd.ElementNodes[i : i+1 : i+1]
 }
 
 // pointOwner determines, from shared meta-data only, the rank owning the
@@ -90,116 +86,113 @@ func (f *Forest) pointOwner(key connectivity.TreePoint, scale int32) int {
 		}
 		return v / scale
 	}
-	lowCell := func(im connectivity.TreePoint) Marker {
-		return markerOf(octant.Octant{X: low(im.X), Y: low(im.Y), Z: low(im.Z), Level: octant.MaxLevel, Tree: im.Tree})
-	}
-	min := lowCell(key)
-	if !insideTree(key, scale) {
-		f.imgs = f.Conn.AppendPointImages(f.imgs[:0], key.Tree, [3]int32{key.X, key.Y, key.Z}, scale)
-		for _, im := range f.imgs {
-			if m := lowCell(im); m.Less(min) {
-				min = m
-			}
+	var min Marker
+	for i, im := range f.images(key.Tree, [3]int32{key.X, key.Y, key.Z}, scale) {
+		if m := markerOf(octant.Octant{X: low(im.X), Y: low(im.Y), Z: low(im.Z), Level: octant.MaxLevel, Tree: im.Tree}); i == 0 || m.Less(min) {
+			min = m
 		}
 	}
 	return f.OwnerOfPosition(min)
 }
 
-// insideTree reports whether the point lies strictly inside its tree on the
-// lattice refined by scale, where it is its own only image.
-func insideTree(p connectivity.TreePoint, scale int32) bool {
-	lim := scale * octant.RootLen
-	return p.X > 0 && p.X < lim && p.Y > 0 && p.Y < lim && p.Z > 0 && p.Z < lim
-}
-
-// canonical returns the canonical image of point p of tree t on the lattice
-// refined by scale, the first of Conn.PointImagesScaled, without enumerating
-// images for a point strictly inside its tree.
-func (f *Forest) canonical(t int32, p [3]int32, scale int32) connectivity.TreePoint {
-	if k := (connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]}); insideTree(k, scale) {
-		return k
+// images returns, in f.imgs, the images of point p of tree t on the
+// lattice refined by scale, those of Conn.AppendPointImages with the
+// canonical one first, and asks the connectivity nothing for a point
+// strictly inside its tree, its own only image.
+func (f *Forest) images(t int32, p [3]int32, scale int32) []connectivity.TreePoint {
+	if lim := scale * octant.RootLen; p[0] > 0 && p[0] < lim && p[1] > 0 && p[1] < lim && p[2] > 0 && p[2] < lim {
+		f.imgs = append(f.imgs[:0], connectivity.TreePoint{Tree: t, X: p[0], Y: p[1], Z: p[2]})
+	} else {
+		f.imgs = f.Conn.AppendPointImages(f.imgs[:0], t, p, scale)
 	}
-	f.imgs = f.Conn.AppendPointImages(f.imgs[:0], t, p, scale)
-	return f.imgs[0]
+	return f.imgs
 }
 
-// cornerRec is one corner of a local or ghost leaf, keyed by its canonical
-// lattice point.
+// cornerRec is one lattice point of a local or ghost leaf, keyed by its
+// canonical point.
 type cornerRec struct {
-	at   uint64 // canonical point z<<2b | y<<b | x over b = deepest level + 1 bits
+	at   uint64 // canonical point z<<2b | y<<b | x over b bits a coordinate
 	tree int32  // canonical tree
-	ref  int32  // j*8 + corner for leaf j of the local and ghost leaves in curve order
+	ref  int32  // the record's index as made: leaf j of the local and ghost leaves in curve order, then its points in ElementNodes' order
 }
 
 // sortKey is (tree, z, y, x): the order of Keys.
 func (r *cornerRec) sortKey() (uint64, uint64) { return uint64(r.tree), r.at }
 
-// keySlot asks for the local index of a canonical key to be stored in one
-// slot of a reference array.
-type keySlot struct {
-	key  connectivity.TreePoint
-	slot int32
-}
-
-// sortKey is (tree, z, y, x), 32 bits each: compareTreePoint's order for w.key ≥ 0.
-func (w *keySlot) sortKey() (uint64, uint64) {
-	return uint64(w.key.Tree)<<32 | uint64(w.key.Z), uint64(w.key.Y)<<32 | uint64(w.key.X)
-}
-
-// intern groups the wanted keys with radixSort, returns the distinct ones
-// ascending and stores the index of each slot's key in refs.
-func intern(want []keySlot, refs []int32) []connectivity.TreePoint {
-	radixSort(want, (*keySlot).sortKey)
-	n := 0
-	for i := range want {
-		if i == 0 || want[i].key != want[i-1].key {
-			n++
-		}
-	}
-	keys := make([]connectivity.TreePoint, 0, n)
-	for i, w := range want {
-		if i == 0 || w.key != want[i-1].key {
-			keys = append(keys, w.key)
-		}
-		refs[w.slot] = int32(len(keys) - 1)
-	}
-	return keys
-}
-
 // Nodes creates the globally unique numbering of the trilinear continuous
-// unknowns (paper §II.E). The forest must be 2:1 balanced (BalanceFull) and
-// ghost must be the current ghost layer. Independent nodes on octree
-// boundaries are canonicalized to the lowest participating tree; hanging
-// corners are constrained to the corners of the coarse face or edge they
-// sit on.
-//
-// Every corner of every local and ghost leaf is recorded under its
-// canonical point, and one sort groups the records by point, in the order
-// of Keys. The leaves tile each tree, so every in-tree cell around every
-// image of a point lies in exactly one leaf, and a record exists exactly
-// when that leaf has the image as a corner: a point hangs iff its group
-// has fewer records than there are such cells (8 inside a tree). The
-// ghost layer holds every leaf around a local corner, so the count is
-// exact wherever a local leaf has a record. Under the full 2:1 condition a
-// hanging point's leaves are one level finer than the leaf it hangs on,
-// whose corners, its anchors, hang nowhere.
+// unknowns (paper §II.E), the degree-1 numbering of LNodes. The forest
+// must be 2:1 balanced (BalanceFull) and ghost must be the current ghost
+// layer. Independent nodes on octree boundaries are canonicalized to the
+// lowest participating tree; hanging corners are constrained to the
+// corners of the coarse face or edge they sit on. Collective.
 func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	defer f.span("nodes").End()
-	search, first := mergeLeaves(f.Local, ghost.Octants), ghostsBefore(f.Local, ghost.Octants)
-	isLocal := func(ref int32) bool { return uint(int(ref>>3)-first) < uint(len(f.Local)) }
+	return f.nodes(ghost, 1)
+}
 
+// LNodes creates the globally unique numbering of the degree-N continuous
+// tensor-product unknowns, 1 ≤ N ≤ 15, which the paper's "high-order
+// non-conforming nodal" discretizations number (§II.E). Node identity is
+// geometric: lattice point (i, j, k) of element o lies at
+// N·corner(o) + (i, j, k)·len(o) of the lattice refined by N, which
+// inter-tree transforms map exactly, so equal canonical images are equal
+// physical nodes for any rotation between trees. At degree 1 it is Nodes;
+// above it the forest must be conforming (every face neighbour the same
+// size), and LNodes panics on a point that hangs. ghost must be the
+// current ghost layer. Collective.
+func (f *Forest) LNodes(ghost *GhostLayer, degree int) *Nodes {
+	if degree < 1 || degree > 15 {
+		panic("core: LNodes degree must be in [1, 15]")
+	}
+	defer f.span("lnodes").End()
+	return f.nodes(ghost, int32(degree))
+}
+
+// nodes numbers the nodes of degree deg for Nodes and LNodes.
+//
+// Every lattice point of every local and ghost leaf is recorded under its
+// canonical point, and one sort groups the records by point, in the order
+// of Keys. The leaves tile each tree, so every in-tree cell around every
+// image of a point lies in exactly one leaf. Where all those leaves have
+// the size of the group's first one, a record exists exactly when a leaf
+// has the image on its boundary: per image, 2 leaves along each axis on
+// which the point lies off the tree's boundary and on that leaf size's
+// grid (always so for a corner, the only point at degree 1), 1 along the
+// others. A point hangs iff its group has fewer or more records: at degree
+// 1 under the full 2:1 condition its leaves are one level finer than the
+// leaf it hangs on, whose corners, its anchors, hang nowhere; above degree
+// 1 the forest is not conforming, and nodes panics. A point inside a finer
+// leaf's face that a coarser neighbour has no lattice point at always
+// hangs, so the rank holding the finer leaf is sure to panic. The ghost
+// layer holds every leaf around a local leaf, so the count is exact
+// wherever a local leaf has a record.
+func (f *Forest) nodes(ghost *GhostLayer, deg int32) *Nodes {
+	search, first := mergeLeaves(f.Local, ghost.Octants), ghostsBefore(f.Local, ghost.Octants)
+	npe := int((deg + 1) * (deg + 1) * (deg + 1))
+	lo, hi := int32(npe*first), int32(npe*(first+len(f.Local))) // the local leaves' refs
+
+	// Leaf coordinates are multiples of the deepest leaf's length, 1<<shift,
+	// so a lattice coordinate up to deg·RootLen takes b bits once shifted.
 	var deepest int8
 	for _, o := range search {
 		deepest = max(deepest, o.Level)
 	}
-	shift, b := octant.MaxLevel-deepest, deepest+1
-	recs := make([]cornerRec, 0, 8*len(search))
-	for j, o := range search {
-		for c := 0; c < 8; c++ {
-			x, y, z := o.Corner(c)
-			k := f.canonical(o.Tree, [3]int32{x, y, z}, 1)
-			at := uint64(k.Z>>shift)<<(2*b) | uint64(k.Y>>shift)<<b | uint64(k.X>>shift)
-			recs = append(recs, cornerRec{at: at, tree: k.Tree, ref: int32(j*8 + c)})
+	shift, b := octant.MaxLevel-deepest, bits.Len32(uint32(deg)<<deepest)
+	if 3*b > 64 {
+		panic(fmt.Sprintf("core: degree-%d nodes of a level-%d leaf need %d bits a coordinate, over 64 for a point", deg, deepest, b))
+	}
+	recs := make([]cornerRec, 0, npe*len(search))
+	for _, o := range search {
+		h := o.Len()
+		x0, y0, z0 := deg*o.X, deg*o.Y, deg*o.Z
+		for z := z0; z <= z0+deg*h; z += h {
+			for y := y0; y <= y0+deg*h; y += h {
+				for x := x0; x <= x0+deg*h; x += h {
+					k := f.images(o.Tree, [3]int32{x, y, z}, deg)[0]
+					at := uint64(k.Z>>shift)<<(2*b) | uint64(k.Y>>shift)<<b | uint64(k.X>>shift)
+					recs = append(recs, cornerRec{at: at, tree: k.Tree, ref: int32(len(recs))})
+				}
+			}
 		}
 	}
 	radixSortBucketed(recs, (*cornerRec).sortKey)
@@ -207,17 +200,10 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 		return connectivity.TreePoint{Tree: r.tree, X: int32(r.at&(1<<b-1)) << shift, Y: int32(r.at>>b&(1<<b-1)) << shift, Z: int32(r.at>>(2*b)) << shift}
 	}
 
-	images := func(k connectivity.TreePoint) { // sets f.imgs to the images of k
-		f.imgs = append(f.imgs[:0], k)
-		if !insideTree(k, 1) {
-			f.imgs = f.Conn.AppendPointImages(f.imgs[:0], k.Tree, [3]int32{k.X, k.Y, k.Z}, 1)
-		}
-	}
-
 	// One entry per point: its key, and in ref its state — a node (0) or
-	// hanging if a local leaf has a corner there, else none unless it
+	// hanging if a local leaf has a record there, else none unless it
 	// anchors a hanging point; a node's state later becomes its key index
-	// and a hanging point's ^h. groupOf maps every leaf corner to its point.
+	// and a hanging point's ^h. groupOf maps every record to its point.
 	const none, hangs = math.MinInt32, math.MinInt32 + 1
 	points := 0
 	for i := range recs {
@@ -231,24 +217,29 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 		g, end, local := recs[i], i, false
 		for ; end < len(recs) && recs[end].at == g.at && recs[end].tree == g.tree; end++ {
 			groupOf[recs[end].ref] = int32(len(groups))
-			local = local || isLocal(recs[end].ref)
+			local = local || recs[end].ref >= lo && recs[end].ref < hi
 		}
 		if g.ref = none; local {
-			k, cells := point(g), 0
-			images(k)
-			for _, im := range f.imgs {
-				n := 1
+			k, cells, size := point(g), 0, int32(1)
+			if deg > 1 {
+				size = deg * search[int(recs[i].ref)/npe].Len()
+			}
+			for _, im := range f.images(k.Tree, [3]int32{k.X, k.Y, k.Z}, deg) {
+				c := 1
 				for _, v := range [3]int32{im.X, im.Y, im.Z} {
-					if v != 0 && v != octant.RootLen {
-						n *= 2
+					if v != 0 && v != deg*octant.RootLen && (deg == 1 || v%size == 0) {
+						c *= 2
 					}
 				}
-				cells += n
+				cells += c
 			}
-			if end-i == cells {
+			switch {
+			case end-i == cells:
 				g.ref = 0
 				numKeys++
-			} else { // 2 or 4 anchors, by the axes the point is free on
+			case deg > 1:
+				panic(fmt.Sprintf("core: degree-%d nodes need a conforming forest; %+v hangs at %v (or the ghost layer is incomplete)", deg, k, search[int(firstRef(recs[i:end]))/npe]))
+			default: // 2 or 4 anchors, by the axes the point is free on
 				g.ref = hangs
 				hanging++
 				n, size := 1, octant.Len(search[firstRef(recs[i:end])>>3].Level-1)
@@ -275,12 +266,12 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 		}
 		if groups[g].ref == hangs {
 			groups[g].ref = ^int32(len(nd.AnchorStart) - 1)
-			images(point(groups[g]))
-			j, corners, n := hangsOn(recs[i:end], f.imgs, search)
+			k := point(groups[g])
+			j, corners, n := hangsOn(recs[i:end], f.images(k.Tree, [3]int32{k.X, k.Y, k.Z}, 1), search)
 			for _, c := range corners[:n] {
 				ga := groupOf[j*8+c]
 				if r := groups[ga].ref; r < 0 && r != none {
-					panic(fmt.Sprintf("core: anchor %+v of %+v hangs (mesh not 2:1 balanced?)", point(groups[ga]), point(groups[g])))
+					panic(fmt.Sprintf("core: anchor %+v of %+v hangs (mesh not 2:1 balanced?)", point(groups[ga]), k))
 				}
 				if groups[ga].ref == none {
 					groups[ga].ref = 0
@@ -304,14 +295,14 @@ func (f *Forest) Nodes(ghost *GhostLayer) *Nodes {
 	for i, g := range nd.Anchors {
 		nd.Anchors[i] = groups[g].ref
 	}
-	local := groupOf[8*first : 8*(first+len(f.Local))]
+	local := groupOf[lo:hi]
 	for i, g := range local {
 		local[i] = groups[g].ref
 	}
 	if nd.ElementNodes = local; len(local) < len(groupOf) {
-		nd.ElementNodes = slices.Clone(local) // drop the ghosts' corners
+		nd.ElementNodes = slices.Clone(local) // drop the ghosts' records
 	}
-	nd.numbering = f.number(keys, 1, 0)
+	f.number(nd, keys, deg)
 	return nd
 }
 
@@ -569,67 +560,66 @@ func ghostsBefore(local, ghosts []octant.Octant) int {
 	return sort.Search(len(ghosts), func(i int) bool { return len(local) > 0 && octant.Less(local[0], ghosts[i]) })
 }
 
-// number gives the sorted distinct keys, points of the lattice refined by
-// scale, their owners and globally unique ids, and learns on the way the
-// lists that later route shared values through the owners. Messages go
-// out under TagNodesReq+tag and TagNodesRep+tag. Collective.
-func (f *Forest) number(keys []connectivity.TreePoint, scale int32, tag int) numbering {
+// number gives nd the sorted distinct keys, points of the lattice refined
+// by scale, their owners and globally unique ids, and learns on the way the
+// lists that later route shared values through the owners. Messages go out
+// under TagNodesReq and TagNodesRep. Collective.
+func (f *Forest) number(nd *Nodes, keys []connectivity.TreePoint, scale int32) {
 	me := f.Comm.Rank()
-	nb := numbering{comm: f.Comm, Keys: keys, GlobalID: make([]int64, len(keys)), Owner: make([]int, len(keys))}
+	nd.comm, nd.Keys, nd.GlobalID, nd.Owner = f.Comm, keys, make([]int64, len(keys)), make([]int, len(keys))
 	for i, k := range keys {
-		nb.Owner[i] = f.pointOwner(k, scale)
-		if nb.Owner[i] == me {
-			nb.NumOwned++
+		nd.Owner[i] = f.pointOwner(k, scale)
+		if nd.Owner[i] == me {
+			nd.NumOwned++
 		}
 	}
 
 	// Global ids: owned nodes take consecutive ids in key order.
-	nb.OwnedOffset = mpi.ExScan(f.Comm, int64(nb.NumOwned), func(a, b int64) int64 { return a + b })
-	nb.NumGlobal = mpi.AllreduceSum(f.Comm, int64(nb.NumOwned))
-	next := nb.OwnedOffset
+	nd.OwnedOffset = mpi.ExScan(f.Comm, int64(nd.NumOwned), func(a, b int64) int64 { return a + b })
+	nd.NumGlobal = mpi.AllreduceSum(f.Comm, int64(nd.NumOwned))
+	next := nd.OwnedOffset
 	for i := range keys {
-		nb.GlobalID[i] = -1
-		if nb.Owner[i] == me {
-			nb.GlobalID[i] = next
+		nd.GlobalID[i] = -1
+		if nd.Owner[i] == me {
+			nd.GlobalID[i] = next
 			next++
 		}
 	}
 
 	// Resolve remote ids: ask each owner for the ids of the keys we hold.
 	req := make(map[int][]connectivity.TreePoint)
-	nb.reqLists = make(map[int][]int32)
+	nd.reqLists = make(map[int][]int32)
 	for i, k := range keys {
-		if r := nb.Owner[i]; r != me {
+		if r := nd.Owner[i]; r != me {
 			req[r] = append(req[r], k)
-			nb.reqLists[r] = append(nb.reqLists[r], int32(i))
+			nd.reqLists[r] = append(nd.reqLists[r], int32(i))
 		}
 	}
-	inReq := mpi.SparseExchange(f.Comm, req, TagNodesReq+tag)
+	inReq := mpi.SparseExchange(f.Comm, req, TagNodesReq)
 	rep := make(map[int][]int64)
-	nb.serveLists = make(map[int][]int32)
+	nd.serveLists = make(map[int][]int32)
 	for r, asked := range inReq {
 		ids := make([]int64, len(asked))
 		serve := make([]int32, len(asked))
 		for j, k := range asked {
 			li, ok := slices.BinarySearchFunc(keys, k, compareTreePoint)
-			if !ok || nb.Owner[li] != me {
+			if !ok || nd.Owner[li] != me {
 				panic(fmt.Sprintf("core: rank %d asked rank %d for unknown node %+v", r, me, k))
 			}
-			ids[j], serve[j] = nb.GlobalID[li], int32(li)
+			ids[j], serve[j] = nd.GlobalID[li], int32(li)
 		}
-		rep[r], nb.serveLists[r] = ids, serve
+		rep[r], nd.serveLists[r] = ids, serve
 	}
-	inRep := mpi.SparseExchange(f.Comm, rep, TagNodesRep+tag)
-	for r, idx := range nb.reqLists {
+	inRep := mpi.SparseExchange(f.Comm, rep, TagNodesRep)
+	for r, idx := range nd.reqLists {
 		ids := inRep[r]
 		if len(ids) != len(idx) {
 			panic("core: node id reply length mismatch")
 		}
 		for j, i := range idx {
-			nb.GlobalID[i] = ids[j]
+			nd.GlobalID[i] = ids[j]
 		}
 	}
-	return nb
 }
 
 // assemble combines, for every node shared across ranks, the nc interleaved
@@ -639,11 +629,11 @@ func (f *Forest) number(keys []connectivity.TreePoint, scale int32, tag int) num
 // deterministically by rank order and sends the result back), which handles
 // nodes referenced asymmetrically — e.g. hanging-corner anchors a rank
 // reads without touching. Messages go out under tag and tag+2.
-func (nb *numbering) assemble(nc int, v []float64, tag int, op func(a, b float64) float64) {
-	if len(v) != nc*len(nb.Keys) {
+func (nd *Nodes) assemble(nc int, v []float64, tag int, op func(a, b float64) float64) {
+	if len(v) != nc*len(nd.Keys) {
 		panic("core: assemble vector length mismatch")
 	}
-	if nb.comm.Size() == 1 {
+	if nd.comm.Size() == 1 {
 		return // a lone rank shares no node; skip the empty exchanges
 	}
 	gather := func(lists map[int][]int32) map[int][]float64 {
@@ -657,14 +647,14 @@ func (nb *numbering) assemble(nc int, v []float64, tag int, op func(a, b float64
 		}
 		return out
 	}
-	in := mpi.SparseExchange(nb.comm, gather(nb.reqLists), tag)
+	in := mpi.SparseExchange(nd.comm, gather(nd.reqLists), tag)
 	ranks := make([]int, 0, len(in))
 	for r := range in {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
 	for _, r := range ranks {
-		idx, vals := nb.serveLists[r], in[r]
+		idx, vals := nd.serveLists[r], in[r]
 		if len(vals) != nc*len(idx) {
 			panic("core: assemble contribution length mismatch")
 		}
@@ -675,8 +665,8 @@ func (nb *numbering) assemble(nc int, v []float64, tag int, op func(a, b float64
 		}
 	}
 	// Send the reduced values back along the same lists.
-	for r, vals := range mpi.SparseExchange(nb.comm, gather(nb.serveLists), tag+2) {
-		idx := nb.reqLists[r]
+	for r, vals := range mpi.SparseExchange(nd.comm, gather(nd.serveLists), tag+2) {
+		idx := nd.reqLists[r]
 		if len(vals) != nc*len(idx) {
 			panic("core: assemble contribution length mismatch")
 		}

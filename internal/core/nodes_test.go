@@ -436,11 +436,23 @@ func TestNodesLayout(t *testing.T) {
 	}
 }
 
+// pointSlot is a lattice point with the index it came from, under the
+// 128-bit key (tree, z, y, x), 32 bits each: compareTreePoint's order for
+// points with no negative coordinate.
+type pointSlot struct {
+	key  connectivity.TreePoint
+	slot int32
+}
+
+func (w *pointSlot) sortKey() (uint64, uint64) {
+	return uint64(w.key.Tree)<<32 | uint64(w.key.Z), uint64(w.key.Y)<<32 | uint64(w.key.X)
+}
+
 // TestRadixSortMatchesSortFunc checks the in-place radix sort against
 // slices.SortFunc on the order of Keys: the output is sorted and holds the
 // same elements, across the insertion cut-off, on keys that agree on every
 // digit or differ only in the top one, on tree ids past one digit and on
-// coordinates up to 15·RootLen, the LNodes lattice at degree 15.
+// coordinates up to 15·RootLen, the lattice of degree 15.
 func TestRadixSortMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 31))
 	coord := func() int32 {
@@ -469,17 +481,17 @@ func TestRadixSortMatchesSortFunc(t *testing.T) {
 			return connectivity.TreePoint{Tree: 256 + rng.Int32N(2), X: rng.Int32N(3) * octant.RootLen, Y: 7, Z: rng.Int32N(2)}
 		}},
 	}
-	bySlot := func(a, b keySlot) int { return cmp.Or(compareTreePoint(a.key, b.key), cmp.Compare(a.slot, b.slot)) }
+	bySlot := func(a, b pointSlot) int { return cmp.Or(compareTreePoint(a.key, b.key), cmp.Compare(a.slot, b.slot)) }
 	for _, kind := range kinds {
 		name := kind.name
 		for _, n := range []int{0, 1, 31, 32, 33, 10000} {
-			want := make([]keySlot, n)
+			want := make([]pointSlot, n)
 			for i := range want {
-				want[i] = keySlot{kind.gen(), int32(i)}
+				want[i] = pointSlot{kind.gen(), int32(i)}
 			}
 			got := slices.Clone(want)
-			radixSort(got, (*keySlot).sortKey)
-			slices.SortFunc(want, func(a, b keySlot) int { return compareTreePoint(a.key, b.key) })
+			radixSort(got, (*pointSlot).sortKey)
+			slices.SortFunc(want, func(a, b pointSlot) int { return compareTreePoint(a.key, b.key) })
 			for i := range got {
 				if got[i].key != want[i].key {
 					t.Fatalf("%s n=%d: key %d is %+v, slices.SortFunc has %+v", name, n, i, got[i].key, want[i].key)
@@ -842,9 +854,9 @@ func TestNodesDiagnosesMissingCornerGhosts(t *testing.T) {
 	}
 }
 
-// TestRadixSortsOnEveryShape runs both radix sorts on every record they
-// sort — intern's keys, Nodes' corner records by (tree, point) and
-// Balance's curve keys — over the kinds and sizes of
+// TestRadixSortsOnEveryShape runs both radix sorts on Nodes' corner
+// records by (tree, point), Balance's curve keys and points keyed by all
+// 128 bits — over the kinds and sizes of
 // TestRadixSortMatchesSortFunc: each must give slices.SortStableFunc's
 // order, radixSortStable element for element (equal keys keep their
 // order) and radixSort key for key with the same elements.
@@ -866,17 +878,17 @@ func TestRadixSortsOnEveryShape(t *testing.T) {
 	for _, kind := range kinds {
 		for _, n := range []int{0, 1, 31, 32, 33, 10000} {
 			name := fmt.Sprintf("%s n=%d", kind.name, n)
-			slots := make([]keySlot, n)
+			slots := make([]pointSlot, n)
 			recs := make([]cornerRec, n)
 			curve := make([]octant.CurveKey, n)
 			for i := 0; i < n; i++ {
 				tree, x, y, z := kind.gen()
-				slots[i] = keySlot{connectivity.TreePoint{Tree: tree, X: x, Y: y, Z: z}, int32(i)}
+				slots[i] = pointSlot{connectivity.TreePoint{Tree: tree, X: x, Y: y, Z: z}, int32(i)}
 				// b = 20 bits a coordinate, the widest Nodes packs.
 				recs[i] = cornerRec{at: uint64(z&(1<<20-1))<<40 | uint64(y&(1<<20-1))<<20 | uint64(x&(1<<20-1)), tree: tree, ref: int32(i)}
 				curve[i] = octant.Octant{X: x % octant.RootLen, Y: y % octant.RootLen, Z: z % octant.RootLen, Level: int8(i % (octant.MaxLevel + 1)), Tree: tree}.CurveKey()
 			}
-			checkRadixSorts(t, "keySlot "+name, slots, (*keySlot).sortKey)
+			checkRadixSorts(t, "pointSlot "+name, slots, (*pointSlot).sortKey)
 			checkRadixSorts(t, "cornerRec "+name, recs, (*cornerRec).sortKey)
 			checkRadixSorts(t, "CurveKey "+name, curve, func(k *octant.CurveKey) (uint64, uint64) { return k.Hi, k.Lo })
 		}
